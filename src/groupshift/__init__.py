@@ -2,11 +2,10 @@
 controllability analysis, canonical generating sets, and homomorphic encoder
 synthesis with conjugacy certificates."""
 
-from .groups import (FiniteAbelianGroup, GroupElement, element_order,
-                     height_in_group, primary_component)
+from .groups import FiniteAbelianGroup, primary_component
 from .words import Word
 from .shifts import (GroupShift, WindowModule, enumerate_window_code,
-                     finite_type_memory, member, splice, window_projection)
+                     finite_type_memory, member, splice)
 from .control import (ControllabilityReport, analyze_controllability,
                       controllability_index, order_controllability_index,
                       weak_controllability_check)
@@ -16,24 +15,21 @@ from .encoders import (CanonicalGeneratorSet, ConjugacyCertificate, Encoder,
                        check_noncatastrophic, conjugacy_certificate, encode,
                        lift_height, multiple_shift, quotient_shift,
                        socle_shift)
-from .residues import (HowellForm, ResidueMatrix, howell_form,
-                       independent_mod, smith_invariants, solve_linear)
+from .residues import HowellForm, howell_form, independent_mod
 from .specfmt import ShiftSpec, SpecParseError, format_spec, parse_message, parse_spec
 
 __all__ = [
-    "FiniteAbelianGroup", "GroupElement", "element_order", "height_in_group",
-    "primary_component", "Word", "GroupShift", "WindowModule",
-    "enumerate_window_code", "finite_type_memory", "member", "splice",
-    "window_projection", "ControllabilityReport", "analyze_controllability",
+    "FiniteAbelianGroup", "primary_component", "Word", "GroupShift",
+    "WindowModule", "enumerate_window_code", "finite_type_memory", "member",
+    "splice", "ControllabilityReport", "analyze_controllability",
     "controllability_index", "order_controllability_index",
     "weak_controllability_check", "CanonicalGeneratorSet",
     "ConjugacyCertificate", "Encoder", "Horizons", "base_decompose",
     "build_encoder", "canonical_generators", "check_injectivity",
-    "check_noncatastrophic", "conjugacy_certificate", "encode", "lift_height",
-    "multiple_shift", "quotient_shift", "socle_shift", "HowellForm",
-    "ResidueMatrix", "howell_form", "independent_mod", "smith_invariants",
-    "solve_linear", "ShiftSpec", "SpecParseError", "format_spec",
-    "parse_message", "parse_spec",
+    "check_noncatastrophic", "conjugacy_certificate", "encode",
+    "lift_height", "multiple_shift", "quotient_shift", "socle_shift",
+    "HowellForm", "howell_form", "independent_mod", "ShiftSpec",
+    "SpecParseError", "format_spec", "parse_message", "parse_spec",
 ]
 
 __version__ = "0.1.0"

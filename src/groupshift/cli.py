@@ -23,7 +23,7 @@ from .groups import FiniteAbelianGroup
 from .residues import howell_form
 from .shifts import GroupShift, enumerate_window_code, finite_type_memory
 from .specfmt import ShiftSpec, SpecParseError, parse_message, parse_spec
-from .words import Word
+from .words import Word, format_symbols
 
 DISCLAIMER = ("all verdicts are window-scale certificates at the recorded "
               "horizons, not infinite-horizon claims")
@@ -42,21 +42,10 @@ class Report:
         sys.stdout.write("\n".join(self.lines) + "\n")
 
 
-def _format_symbols(group: FiniteAbelianGroup, symbols) -> str:
-    parts = []
-    for s in symbols:
-        if group.rank == 1:
-            parts.append(str(s[0]))
-        else:
-            parts.append("(" + ",".join(str(c) for c in s) + ")")
-    return " ".join(parts) if parts else "0"
-
-
-def _format_window_row(group: FiniteAbelianGroup, lo: int, vec) -> str:
+def _format_window_row(group: FiniteAbelianGroup, vec) -> str:
     r = group.rank
-    syms = [group.scaled_to_coords(tuple(vec[i:i + r]))
-            for i in range(0, len(vec), r)]
-    return _format_symbols(group, syms)
+    return format_symbols(group, [group.scaled_to_coords(tuple(vec[i:i + r]))
+                                  for i in range(0, len(vec), r)])
 
 
 def _echo_input(report: Report, command: str, path: str, spec: ShiftSpec) -> None:
@@ -83,11 +72,13 @@ def _load_spec(path: str) -> ShiftSpec:
     return parse_spec(Path(path).read_text(encoding="utf-8"))
 
 
-def _horizons_from_args(shift: GroupShift, args) -> Horizons:
+def _horizons_from_args(spec: ShiftSpec, args) -> Horizons:
+    """Flag first, then the spec's horizon: key, then the derived default."""
+    horizon = args.horizon if args.horizon is not None else spec.horizon_override
     overrides = dict(margin=args.margin, support_cap=args.support_cap,
                      block_cap=args.block_cap, n_cap=args.n_cap,
-                     window_horizon=args.horizon, enum_cap=args.enum_cap)
-    return Horizons.derive(shift, **overrides)
+                     window_horizon=horizon, enum_cap=args.enum_cap)
+    return Horizons.derive(spec.shift, **overrides)
 
 
 def _genset_lines(report: Report, prefix: str, genset: CanonicalGeneratorSet) -> None:
@@ -110,14 +101,13 @@ def _encoder_lines(report: Report, prefix: str, encoder: Encoder) -> None:
 def cmd_analyze(args) -> int:
     spec = _load_spec(args.spec)
     shift = spec.shift
-    horizons = _horizons_from_args(shift, args)
-    window_horizon = spec.horizon_override or horizons.window_horizon
+    horizons = _horizons_from_args(spec, args)
     report = Report()
     _echo_input(report, "analyze", args.spec, spec)
     _echo_horizons(report, horizons)
     negative = False
 
-    weak = weak_controllability_check(shift, "self", horizon=window_horizon,
+    weak = weak_controllability_check(shift, "self", horizon=horizons.window_horizon,
                                       margin=horizons.margin)
     report.add("weakly_controllable", weak.holds)
     report.add("weakly_controllable.windows",
@@ -126,20 +116,20 @@ def cmd_analyze(args) -> int:
 
     for p in shift.alphabet.primes():
         socle = weak_controllability_check(shift, "socle", p=p,
-                                           horizon=window_horizon,
+                                           horizon=horizons.window_horizon,
                                            margin=horizons.margin)
         report.add(f"socle.{p}.weakly_controllable", socle.holds)
         if not socle.holds:
             report.add(f"socle.{p}.detail", socle.detail)
             negative = True
 
-    ft = finite_type_memory(shift, cap=args.ft_cap, horizon=window_horizon)
+    ft = finite_type_memory(shift, cap=args.ft_cap, horizon=horizons.window_horizon)
     report.add("finite_type_memory",
                ft.memory if ft.memory is not None else f"not-verified<={ft.cap}")
     negative |= ft.memory is None
 
     ctrl = analyze_controllability(shift, cap=horizons.n_cap,
-                                   horizon=window_horizon)
+                                   horizon=horizons.window_horizon)
     for label, search in (("controllability", ctrl.plain),
                           ("order_controllability", ctrl.ordered)):
         idx = search.index
@@ -166,7 +156,7 @@ def cmd_analyze(args) -> int:
 def cmd_generators(args) -> int:
     spec = _load_spec(args.spec)
     shift = spec.shift
-    horizons = _horizons_from_args(shift, args)
+    horizons = _horizons_from_args(spec, args)
     report = Report()
     _echo_input(report, "generators", args.spec, spec)
     _echo_horizons(report, horizons)
@@ -244,7 +234,7 @@ def _presentation_audit(report: Report, shift: GroupShift,
 def cmd_certify(args) -> int:
     spec = _load_spec(args.spec)
     shift = spec.shift
-    horizons = _horizons_from_args(shift, args)
+    horizons = _horizons_from_args(spec, args)
     report = Report()
     _echo_input(report, "certify", args.spec, spec)
     _echo_horizons(report, horizons)
@@ -263,7 +253,7 @@ def cmd_certify(args) -> int:
         report.add(f"window_image.{lo}..{hi}.size", module.size())
         for i, row in enumerate(module.form.rows, start=1):
             report.add(f"window_image.{lo}..{hi}.row.{i}",
-                       _format_window_row(shift.alphabet, lo, row))
+                       _format_window_row(shift.alphabet, row))
     report.add("scope", DISCLAIMER)
     report.add("verdict", "pass" if not negative else "negative")
     report.emit()
@@ -273,7 +263,7 @@ def cmd_certify(args) -> int:
 def cmd_encode(args) -> int:
     spec = _load_spec(args.spec)
     shift = spec.shift
-    horizons = _horizons_from_args(shift, args)
+    horizons = _horizons_from_args(spec, args)
     cert = conjugacy_certificate(shift, horizons, trials=args.trials,
                                  seed=args.seed)
     report = Report()
@@ -312,7 +302,7 @@ def cmd_oracle(args) -> int:
     if len(elements) <= args.list_cap:
         for i, flat in enumerate(elements, start=1):
             syms = [flat[k * group.rank:(k + 1) * group.rank] for k in range(width)]
-            report.add(f"element.{i}", _format_symbols(group, syms))
+            report.add(f"element.{i}", format_symbols(group, syms))
     scaled = [Word.make(group, lo, [flat[k * group.rank:(k + 1) * group.rank]
                                     for k in range(width)]).window_vector(lo, hi)
               for flat in elements]
@@ -321,7 +311,7 @@ def cmd_oracle(args) -> int:
     report.add(f"window_image.{lo}..{hi}.size", form.size())
     for i, row in enumerate(form.rows, start=1):
         report.add(f"window_image.{lo}..{hi}.row.{i}",
-                   _format_window_row(group, lo, row))
+                   _format_window_row(group, row))
     report.add("verdict", "pass")
     report.emit()
     return 0

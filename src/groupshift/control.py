@@ -12,14 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .residues import HowellForm, howell_form, row_solver
-from .shifts import (GroupShift, member, supported_words,
-                     torsion_window_projection)
+from .groups import _prime_power_factors
+from .residues import howell_form
+from .shifts import GroupShift, supported_words, torsion_window_projection
 from .words import Word
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    out = [1]
+    for p, e in _prime_power_factors(n):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def default_past_horizon(shift: GroupShift, candidate: int) -> int:
@@ -61,47 +64,6 @@ class ControllabilityReport:
         return self.n_c <= self.n_o
 
 
-def _constrained_past_projection(shift: GroupShift, n: int, past: int,
-                                 zero_tail: bool, torsion_scale: int | None) -> HowellForm:
-    """Projection onto [-past, 0] of the submodule of G|[-past, n+past] cut
-    out by "zero on the tail [n+1, n+past]" and "scale kills [1, n]"."""
-    module = shift.window(-past, n + past)
-    m = module.modulus
-    r = shift.alphabet.rank
-    cond_cols: list[int] = []
-    if zero_tail:
-        for pos in range(n + 1, n + past + 1):
-            base = (pos - module.lo) * r
-            cond_cols.extend(range(base, base + r))
-    mid_cols: list[int] = []
-    if torsion_scale is not None:
-        for pos in range(1, n + 1):
-            base = (pos - module.lo) * r
-            mid_cols.extend(range(base, base + r))
-    cond_rows = []
-    for row in module.rows:
-        cond = [row[c] for c in cond_cols]
-        if torsion_scale is not None:
-            cond.extend((torsion_scale * row[c]) % m for c in mid_cols)
-        cond_rows.append(tuple(cond))
-    if not cond_rows or not cond_rows[0]:
-        rows = module.rows
-    else:
-        rows = []
-        for coeffs in row_solver(cond_rows, m).kernel.rows:
-            acc = [0] * module.rank_width
-            for c, row in zip(coeffs, module.rows):
-                if c:
-                    for i, x in enumerate(row):
-                        acc[i] = (acc[i] + c * x) % m
-            rows.append(tuple(acc))
-    width_cols = (past + 1) * r
-    clipped = [row[:width_cols] for row in rows]
-    if not clipped:
-        return HowellForm(m, width_cols, (), ())
-    return howell_form(clipped, m)
-
-
 def _steering_condition(shift: GroupShift, n: int, past: int,
                         order_constrained: bool) -> tuple[bool, Word | None]:
     """Decide the steering condition at candidate index n, past window L.
@@ -114,9 +76,14 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
     one inclusion between d-constrained past projections.
     """
     scales = [None] if not order_constrained else _divisors(shift.alphabet.exponent)
+    module = shift.window(-past, n + past)
     for d in scales:
-        lhs = _constrained_past_projection(shift, n, past, False, d)
-        rhs = _constrained_past_projection(shift, n, past, True, d)
+        # past projections of G|[-L, n+L] with d killing [1, n], without and
+        # with the zero tail [n+1, n+L]
+        lhs = module.constrained_projection(-past, 0, kill_scale=d,
+                                            kill_positions=range(1, n + 1))
+        rhs = module.constrained_projection(-past, 0, range(n + 1, n + past + 1),
+                                            kill_scale=d, kill_positions=range(1, n + 1))
         for row in lhs.rows:
             if not rhs.contains(row):
                 return False, Word.from_window_vector(shift.alphabet, -past, row)
@@ -187,11 +154,11 @@ def weak_controllability_check(shift: GroupShift, derived: str = "self",
                                margin: int | None = None) -> WeakControllabilityReport:
     """Check that finite-support members generate every window module.
 
-    derived selects the shift examined: "self" (true by this presentation:
-    every window contributor is the restriction of a finite-support member),
-    "socle" (the p-torsion subshift, a real computation), "scaled" (p^r G,
-    spans match by linearity) or "quotient" (reduction commutes with
-    restriction symbolwise).
+    derived selects the shift examined: "self" holds by construction and is
+    returned as that constant (every window contributor is a placed
+    generator, a finite-support member certified by its own padded window);
+    "socle" checks the p-torsion subshift.  r, the power of a removed
+    "scaled" selector, is accepted and ignored.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -199,54 +166,25 @@ def weak_controllability_check(shift: GroupShift, derived: str = "self",
         margin = shift.default_margin() + 1
     windows = tuple((0, t) for t in range(horizon))
     if derived == "self":
-        for lo, hi in windows:
-            module = shift.window(lo, hi)
-            for gi, t in module.contributors:
-                w = shift.placed(gi, t)
-                if not member(shift, w, margin).certified_in:
-                    return WeakControllabilityReport(
-                        derived, False, windows,
-                        f"generator shift not certified: {w.format()}")
         return WeakControllabilityReport(derived, True, windows)
-    if derived == "socle":
-        if p is None:
-            raise ValueError("socle check needs the prime p")
-        r_ = shift.alphabet.rank
-        for lo, hi in windows:
-            target = torsion_window_projection(shift, lo, hi, margin, p)
-            reach = hi - lo + margin
-            found = supported_words(shift, lo - reach, hi + reach, margin,
-                                    torsion_scale=p)
-            a = reach * r_
-            b = (hi - lo + reach + 1) * r_
-            rows = [row[a:b] for row in found.form.rows]
-            got = howell_form(rows, target.modulus) if rows else \
-                HowellForm(target.modulus, b - a, (), ())
-            if not got.spans_same(target):
-                return WeakControllabilityReport(
-                    derived, False, windows,
-                    f"torsion window [{lo},{hi}] not generated by finite torsion members")
-        return WeakControllabilityReport(derived, True, windows)
-    if derived == "scaled":
-        if p is None:
-            raise ValueError("scaled check needs the prime p")
-        scale = p ** r
-        scaled = GroupShift.make(shift.alphabet,
-                                 [g.scaled(scale) for g in shift.generators])
-        for lo, hi in windows:
-            lhs = scaled.window(lo, hi).form
-            base = shift.window(lo, hi)
-            m = base.modulus
-            rhs = howell_form([tuple((scale * x) % m for x in row)
-                               for row in base.rows], m) if base.rows else lhs
-            if not lhs.spans_same(rhs):
-                return WeakControllabilityReport(derived, False, windows,
-                                                 f"scaled window [{lo},{hi}] mismatch")
-        return WeakControllabilityReport(derived, True, windows)
-    if derived == "quotient":
-        return WeakControllabilityReport(derived, True, windows,
-                                         "reduction commutes with restriction")
-    raise ValueError(f"unknown derived shift selector {derived!r}")
+    if derived != "socle":
+        raise ValueError(f"unknown derived shift selector {derived!r}")
+    if p is None:
+        raise ValueError("socle check needs the prime p")
+    r_ = shift.alphabet.rank
+    for lo, hi in windows:
+        target = torsion_window_projection(shift, lo, hi, margin, p)
+        reach = hi - lo + margin
+        found = supported_words(shift, lo - reach, hi + reach, margin,
+                                torsion_scale=p)
+        a = reach * r_
+        b = (hi - lo + reach + 1) * r_
+        got = howell_form([row[a:b] for row in found.form.rows], target.modulus, b - a)
+        if not got.spans_same(target):
+            return WeakControllabilityReport(
+                derived, False, windows,
+                f"torsion window [{lo},{hi}] not generated by finite torsion members")
+    return WeakControllabilityReport(derived, True, windows)
 
 
 def analyze_controllability(shift: GroupShift, cap: int = 16,

@@ -16,9 +16,8 @@ import random
 from dataclasses import dataclass
 
 from .control import order_controllability_index
-from .groups import FiniteAbelianGroup, primary_component
-from .residues import (EnumerationCapExceeded, FpSpan, HowellForm,
-                       howell_form, row_solver)
+from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
+from .residues import FpSpan, howell_form, row_solver
 from .shifts import (GroupShift, SupportedWords, member, supported_words,
                      torsion_window_projection)
 from .words import Word
@@ -85,8 +84,7 @@ def scaled_finite_words_check(shift: GroupShift, p: int, r: int,
         target = supported_words(scaled, 0, t, horizons.margin)
         m = target.form.modulus
         rows = [tuple((factor * x) % m for x in row) for row in base.form.rows]
-        got = howell_form(rows, m) if rows else HowellForm(m, target.form.ncols, (), ())
-        if not got.spans_same(target.form):
+        if not howell_form(rows, m, target.form.ncols).spans_same(target.form):
             return False, f"finite-word modules differ on [0,{t}] for r={r}"
     return True, ""
 
@@ -192,13 +190,15 @@ def _torsion_candidates(shift: GroupShift, p: int,
                            torsion_scale=p)
 
 
-def _candidate_batches(cands: SupportedWords, max_len: int, enum_cap: int):
+def _candidate_batches(cands: SupportedWords, max_len: int, enum_cap: int,
+                       stage: str):
     """Yield per-support-length batches of candidate window vectors with
     first index 0, shortest supports first and each batch in lex order.
 
     Works on reversed-coordinate Howell subspans, so consuming only the
     short-support batches never enumerates the whole module; vectors are
-    raw scaled tuples (callers build Words only for selected ones).
+    raw scaled tuples (callers build Words only for selected ones).  Going
+    past enum_cap candidates fails the calling pipeline stage.
     """
     form = cands.form
     if not form.rows:
@@ -217,8 +217,9 @@ def _candidate_batches(cands: SupportedWords, max_len: int, enum_cap: int):
             continue
         sub = howell_form(rows_s, m)
         if sub.size() > budget:
-            raise EnumerationCapExceeded(
-                f"candidate enumeration for support {s} exceeds budget")
+            raise PipelineFailure(
+                stage, f"candidate enumeration for support {s} exceeds "
+                       f"enum_cap {enum_cap}; raise --enum-cap")
         budget -= sub.size()
         batch = []
         for rev_vec in sub.enumerate_elements():
@@ -294,7 +295,7 @@ def _select_base_case(shift: GroupShift, p: int, horizons: Horizons,
     span = FpSpan(p, group.rank)
     chosen: list[GeneratorEntry] = []
     for _, batch in _candidate_batches(cands, horizons.support_cap,
-                                       horizons.enum_cap):
+                                       horizons.enum_cap, "initial-basis"):
         for vec in batch:
             if span.add_if_independent(_vec_initial_fp(group, vec, p)):
                 w = Word.from_window_vector(group, cands.lo, vec)
@@ -414,7 +415,7 @@ def canonical_generators(shift: GroupShift, p: int,
         cands = _torsion_candidates(shift, p, horizons)
         pool: list[tuple[int, int, tuple[int, ...]]] = []
         for s, batch in _candidate_batches(cands, horizons.support_cap,
-                                           horizons.enum_cap):
+                                           horizons.enum_cap, "basis-completion"):
             for vec in batch:
                 pool.append((_vec_quotient_support(group, vec, p), s, vec))
         pool.sort()
@@ -478,15 +479,11 @@ def presentation_encoder(shift: GroupShift) -> Encoder:
     primes: list[int] = []
     for g in shift.generators:
         order = g.order()
-        p = min(q for q in range(2, order + 1) if order % q == 0)
-        e = 0
-        n = order
-        while n % p == 0:
-            n //= p
-            e += 1
-        if n != 1:
+        prime_powers = _prime_power_factors(order)
+        if len(prime_powers) != 1:
             raise ValueError(
                 f"generator {g.format()} has order {order}, not a prime power")
+        p, e = prime_powers[0]
         factors.append((p, e))
         heights.append(e - 1)
         primes.append(p)
@@ -564,22 +561,30 @@ def check_injectivity(encoder: Encoder, block_cap: int) -> InjectivityReport:
                     flat.extend(group.torsion_coords_to_fp(clipped.value_at(i), p))
                 vectors.append(tuple(flat))
                 labels.append((j, t))
-        form = howell_form(vectors, p) if vectors else None
-        if form is None or form.rank == len(vectors):
+        solver = row_solver(vectors, p)
+        if solver.form.rank == len(vectors):
             return InjectivityReport(n, block_cap, None)
-        kernel = row_solver(vectors, p).kernel.rows
-        combo = tuple((labels[i][0], labels[i][1], c)
-                      for i, c in enumerate(kernel[0]) if c)
-        witness = combo
+        witness = tuple((labels[i][0], labels[i][1], c)
+                        for i, c in enumerate(solver.kernel.rows[0]) if c)
     return InjectivityReport(None, block_cap, witness)
 
 
-def _full_cover_window(encoder: Encoder, msg_lo: int, msg_hi: int) -> tuple[int, int]:
-    firsts = [t.first for t in encoder.taps if not t.is_zero]
-    lasts = [t.last for t in encoder.taps if not t.is_zero]
-    if not firsts:
-        return msg_lo, msg_hi
-    return msg_lo + min(firsts), msg_hi + max(lasts)
+def _tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
+                msg_lo: int, msg_hi: int, cover: Word | None = None):
+    """Row solver over every nonzero tap placed at msg_lo..msg_hi, on the
+    window covering all of them (and the support of `cover`).
+
+    Returns (solver, [(tap index, placement) per row], (lo, hi)).
+    """
+    nonzero = [j for j, tap in enumerate(taps) if not tap.is_zero]
+    lo = msg_lo + min((taps[j].first for j in nonzero), default=0)
+    hi = msg_hi + max((taps[j].last for j in nonzero), default=0)
+    if cover is not None:
+        lo, hi = min(lo, cover.first), max(hi, cover.last)
+    labels = [(j, t) for j in nonzero for t in range(msg_lo, msg_hi + 1)]
+    rows = [taps[j].shifted(-t).window_vector(lo, hi) for j, t in labels]
+    modulus = max(alphabet.exponent, 2)
+    return row_solver(rows, modulus, (hi - lo + 1) * alphabet.rank), labels, (lo, hi)
 
 
 def solve_finite_preimage(encoder: Encoder, w: Word,
@@ -590,19 +595,8 @@ def solve_finite_preimage(encoder: Encoder, w: Word,
         return Word.zero(encoder.source)
     if not encoder.taps:
         return None
-    msg_lo, msg_hi = w.first - slack, w.last + slack
-    lo, hi = _full_cover_window(encoder, msg_lo, msg_hi)
-    lo, hi = min(lo, w.first), max(hi, w.last)
-    m = max(encoder.alphabet.exponent, 2)
-    rows = []
-    labels = []
-    for j, tap in enumerate(encoder.taps):
-        if tap.is_zero:
-            continue
-        for t in range(msg_lo, msg_hi + 1):
-            rows.append(tap.shifted(-t).window_vector(lo, hi))
-            labels.append((j, t))
-    solver = row_solver(rows, m)
+    solver, labels, (lo, hi) = _tap_solver(encoder.alphabet, encoder.taps,
+                                           w.first - slack, w.last + slack, w)
     coeffs = solver.express(w.window_vector(lo, hi))
     if coeffs is None:
         return None
@@ -693,22 +687,12 @@ def base_decompose(shift: GroupShift, u: Word, pg_set: CanonicalGeneratorSet,
         lifts.append(z)
     if pu.is_zero:
         return BaseDecomposition(u, Word.zero(shift.alphabet), ())
-    msg_lo, msg_hi = u.first - slack, u.last + slack
-    firsts = [t.first for t in taps if not t.is_zero]
-    lasts = [t.last for t in taps if not t.is_zero]
-    if not firsts:
+    if all(t.is_zero for t in taps):
         raise PipelineFailure("torsion-split",
-                              f"p*u nonzero but the p*G generating set is empty")
-    lo = min(msg_lo + min(firsts), pu.first)
-    hi = max(msg_hi + max(lasts), pu.last)
-    m = max(shift.alphabet.exponent, 2)
-    rows = []
-    labels = []
-    for i, tap in enumerate(taps):
-        for t in range(msg_lo, msg_hi + 1):
-            rows.append(tap.shifted(-t).window_vector(lo, hi))
-            labels.append((i, t))
-    coeffs = row_solver(rows, m).express(pu.window_vector(lo, hi))
+                              "p*u nonzero but the p*G generating set is empty")
+    solver, labels, (lo, hi) = _tap_solver(shift.alphabet, taps, u.first - slack,
+                                           u.last + slack, pu)
+    coeffs = solver.express(pu.window_vector(lo, hi))
     if coeffs is None:
         raise PipelineFailure(
             "torsion-split",
@@ -815,42 +799,27 @@ def _structure_checks(genset: CanonicalGeneratorSet,
     return out
 
 
+def _windows_surject(taps, shift: GroupShift, horizon: int) -> bool:
+    """The shift generated by the taps has every window [0, t], t <= horizon,
+    equal to the shift's."""
+    image = GroupShift.make(shift.alphabet, taps)
+    return all(image.window(0, t).form.spans_same(shift.window(0, t).form)
+               for t in range(horizon + 1))
+
+
 def _image_window_checks(encoder: Encoder, shift: GroupShift,
                          horizons: Horizons) -> list[CheckResult]:
-    out = []
-    taps = [t for t in encoder.taps if not t.is_zero]
-    image_shift = GroupShift.make(shift.alphabet, taps)
-    surj = True
-    for t in range(horizons.window_horizon + 1):
-        if not image_shift.window(0, t).form.spans_same(shift.window(0, t).form):
-            surj = False
-            break
-    out.append(CheckResult("window-surjectivity", surj,
-                           f"windows [0,0]..[0,{horizons.window_horizon}]"))
+    surj = _windows_surject(encoder.taps, shift, horizons.window_horizon)
     # kernel triviality: messages on a window encoding to zero on a full
     # cover must be trivial coordinatewise
-    inj = True
-    if taps:
-        width = horizons.window_horizon
-        msg_lo, msg_hi = 0, width
-        lo, hi = _full_cover_window(encoder, msg_lo, msg_hi)
-        m = max(encoder.alphabet.exponent, 2)
-        rows = []
-        labels = []
-        for j, tap in enumerate(encoder.taps):
-            if tap.is_zero:
-                continue
-            for t in range(msg_lo, msg_hi + 1):
-                rows.append(tap.shifted(-t).window_vector(lo, hi))
-                labels.append(j)
-        kernel = row_solver(rows, m).kernel.rows
-        orders = [encoder.source.orders[j] for j in labels]
-        for row in kernel:
-            if any(c % orders[i] for i, c in enumerate(row)):
-                inj = False
-                break
-    out.append(CheckResult("window-injectivity", inj))
-    return out
+    solver, labels, _ = _tap_solver(encoder.alphabet, encoder.taps,
+                                    0, horizons.window_horizon)
+    orders = [encoder.source.orders[j] for j, _ in labels]
+    inj = not any(c % orders[i] for row in solver.kernel.rows
+                  for i, c in enumerate(row))
+    return [CheckResult("window-surjectivity", surj,
+                        f"windows [0,0]..[0,{horizons.window_horizon}]"),
+            CheckResult("window-injectivity", inj)]
 
 
 def primary_certificate(shift: GroupShift, p: int, horizons: Horizons,
@@ -942,13 +911,7 @@ def conjugacy_certificate(shift: GroupShift,
                 tap_primes.append(p)
         product = Encoder(shift.alphabet, FiniteAbelianGroup(tuple(factors)),
                           tuple(taps), tuple(heights), tuple(tap_primes))
-        surj = True
-        image_shift = GroupShift.make(shift.alphabet,
-                                      [t for t in taps if not t.is_zero])
-        for t in range(horizons.window_horizon + 1):
-            if not image_shift.window(0, t).form.spans_same(shift.window(0, t).form):
-                surj = False
-                break
+        surj = _windows_surject(taps, shift, horizons.window_horizon)
         global_checks.append(CheckResult("product-window-surjectivity", surj))
     return ConjugacyCertificate(shift, horizons, tuple(primaries), product,
                                 tuple(global_checks))

@@ -12,12 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from .residues import is_prime
-
 Coords = tuple[int, ...]
-
-#: Sentinel height of the zero element: larger than every finite height.
-INFINITE_HEIGHT = math.inf
 
 _FACTOR_RE = re.compile(r"^[zZ]\s*(\d+)$")
 
@@ -36,6 +31,22 @@ def _prime_power_factors(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def is_prime(n: int) -> bool:
+    return _prime_power_factors(n) == [(n, 1)]
+
+
+def parse_orders(text: str) -> tuple[int, ...]:
+    """Cyclic factor orders as written in syntax like "Z4 x Z2 x Z9"
+    ('x' or '*' separators)."""
+    orders = []
+    for part in re.split(r"[x*×]", text, flags=re.IGNORECASE):
+        m = _FACTOR_RE.match(part.strip())
+        if not m:
+            raise ValueError(f"unrecognized group factor {part.strip()!r}")
+        orders.append(int(m.group(1)))
+    return tuple(orders)
 
 
 @dataclass(frozen=True)
@@ -62,16 +73,7 @@ class FiniteAbelianGroup:
 
     @classmethod
     def parse(cls, text: str) -> "FiniteAbelianGroup":
-        """Parse syntax like "Z4 x Z2 x Z9" ('x' or '*' separators)."""
-        parts = re.split(r"[x*×]", text, flags=re.IGNORECASE)
-        orders = []
-        for part in parts:
-            part = part.strip()
-            m = _FACTOR_RE.match(part)
-            if not m:
-                raise ValueError(f"unrecognized group factor {part!r}")
-            orders.append(int(m.group(1)))
-        return cls.from_orders(orders)
+        return cls.from_orders(parse_orders(text))
 
     def format(self) -> str:
         return " x ".join(f"Z{p ** e}" for p, e in self.factors) if self.factors else "Z1"
@@ -161,37 +163,30 @@ class FiniteAbelianGroup:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """An element of a FiniteAbelianGroup with reduced coordinates."""
+class GroupSyntax:
+    """The alphabet as written, plus its primary-decomposed storage form.
 
+    Symbols in spec and message files follow the written factor structure
+    (one coordinate per written cyclic factor, e.g. a single integer mod 6
+    for "Z6"); they are mapped onto the decomposed coordinates here.
+    """
+
+    written_orders: tuple[int, ...]
     group: FiniteAbelianGroup
-    coords: Coords
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", self.group.reduce_coords(self.coords))
+    @classmethod
+    def parse(cls, text: str) -> "GroupSyntax":
+        orders = parse_orders(text)
+        return cls(orders, FiniteAbelianGroup.from_orders(orders))
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if other.group != self.group:
-            raise ValueError("elements of different groups")
-        return GroupElement(self.group, self.group.add(self.coords, other.coords))
+    @classmethod
+    def for_group(cls, group: FiniteAbelianGroup) -> "GroupSyntax":
+        return cls(group.orders, group)
 
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.neg(self.coords))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def __rmul__(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, self.group.scale(k, self.coords))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-
-def element_order(g: GroupElement) -> int:
-    """Least n >= 1 with n*g == 0."""
-    return g.group.order_of(g.coords)
+    def map_coords(self, written: Coords) -> Coords:
+        # from_orders splits each written order into these factors, in order
+        return tuple(x % p ** e for x, n in zip(written, self.written_orders)
+                     for p, e in _prime_power_factors(n))
 
 
 @dataclass(frozen=True)
@@ -212,12 +207,6 @@ class PrimaryPart:
             out[i] = x
         return tuple(out)
 
-    def project(self, g: GroupElement) -> GroupElement:
-        return GroupElement(self.group, self.project_coords(g.coords))
-
-    def embed(self, g: GroupElement) -> GroupElement:
-        return GroupElement(self.parent, self.embed_coords(g.coords))
-
 
 def primary_component(group: FiniteAbelianGroup, p: int) -> PrimaryPart:
     """The p-primary direct summand of the group (possibly trivial)."""
@@ -226,30 +215,3 @@ def primary_component(group: FiniteAbelianGroup, p: int) -> PrimaryPart:
     indices = tuple(i for i, (q, _) in enumerate(group.factors) if q == p)
     sub = FiniteAbelianGroup(tuple(group.factors[i] for i in indices))
     return PrimaryPart(group, p, sub, indices)
-
-
-def height_in_group(g: GroupElement, p: int) -> float:
-    """Largest h with g in p^h * H, for g inside the p-component of H.
-
-    Returns INFINITE_HEIGHT for the zero element.  Elements with nonzero
-    coordinates outside the p-part are rejected.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    group = g.group
-    heights = []
-    for x, (q, e) in zip(g.coords, group.factors):
-        if q != p:
-            if x:
-                raise ValueError("element has support outside the p-component")
-            continue
-        if x == 0:
-            continue
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        heights.append(v)
-    if not heights:
-        return INFINITE_HEIGHT
-    return min(heights)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
+from .groups import is_prime
+
 MAX_MODULUS = 1 << 31
 
 Vec = tuple[int, ...]
@@ -40,21 +42,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def unit_for(a: int, modulus: int) -> int:
@@ -86,44 +73,14 @@ def _vec_add_scaled(dst: list[int], src: Sequence[int], k: int, m: int) -> None:
         dst[i] = (dst[i] + k * s) % m
 
 
-@dataclass(frozen=True)
-class ResidueMatrix:
-    """Dense matrix with entries reduced into [0, modulus)."""
-
-    modulus: int
-    entries: tuple[Vec, ...]
-
-    def __post_init__(self) -> None:
-        validate_modulus(self.modulus)
-        width = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-            for x in row:
-                if not 0 <= x < self.modulus:
-                    raise ValueError(f"entry {x} not reduced mod {self.modulus}")
-
-    @classmethod
-    def make(cls, modulus: int, rows: Sequence[Sequence[int]]) -> "ResidueMatrix":
-        validate_modulus(modulus)
-        return cls(modulus, tuple(tuple(x % modulus for x in row) for row in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
 def _howell(rows: list[list[int]], modulus: int, ncols: int,
             pivot_cols: int | None = None) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """In-place Howell reduction.
 
     Pivot search is restricted to the first `pivot_cols` columns (default all);
     trailing columns ride along, which is how kernel/transform data is carried.
-    Returns (pivot rows in order, [(col, pivot value), ...]).
+    Returns (rows, [(col, pivot value), ...]): the pivot rows in order come
+    first, and every later row is zero on the searched columns.
     """
     m = modulus
     limit = ncols if pivot_cols is None else pivot_cols
@@ -169,7 +126,7 @@ def _howell(rows: list[list[int]], modulus: int, ncols: int,
                 work.append(extra)
         pivots.append((c, d))
         r += 1
-    return work[:r], pivots
+    return work, pivots
 
 
 @dataclass(frozen=True)
@@ -244,22 +201,15 @@ class HowellForm:
         yield from rec(0, [0] * self.ncols)
 
 
-def howell_form(matrix: ResidueMatrix | Sequence[Sequence[int]],
-                modulus: int | None = None) -> HowellForm:
-    """Canonical Howell row form of the given rows."""
-    if isinstance(matrix, ResidueMatrix):
-        m = matrix.modulus
-        rows = [list(r) for r in matrix.entries]
-        ncols = matrix.ncols
-    else:
-        if modulus is None:
-            raise ValueError("modulus required for raw rows")
-        validate_modulus(modulus)
-        m = modulus
-        rows = [[x % m for x in r] for r in matrix]
-        ncols = len(rows[0]) if rows else 0
-    reduced, pivots = _howell(rows, m, ncols)
-    return HowellForm(m, ncols, tuple(tuple(r) for r in reduced), tuple(pivots))
+def howell_form(rows: Sequence[Sequence[int]], modulus: int,
+                ncols: int | None = None) -> HowellForm:
+    """Canonical Howell row form of the given rows (`ncols` sizes an empty list)."""
+    validate_modulus(modulus)
+    work = [[x % modulus for x in r] for r in rows]
+    width = len(work[0]) if work else (ncols or 0)
+    reduced, pivots = _howell(work, modulus, width)
+    return HowellForm(modulus, width, tuple(tuple(r) for r in reduced[:len(pivots)]),
+                      tuple(pivots))
 
 
 @dataclass(frozen=True)
@@ -277,27 +227,15 @@ class RowSolver:
 
     @cached_property
     def _data(self) -> tuple[HowellForm, tuple[Vec, ...], HowellForm]:
-        m = self.modulus
-        k = len(self.gens)
-        aug = [list(g) + [0] * k for g in self.gens]
-        for i in range(k):
-            aug[i][self.ncols + i] = 1
-        reduced, pivots = _howell(aug, m, self.ncols + k, pivot_cols=self.ncols)
-        lead_rows = []
-        lead_pivots = []
-        for row, piv in zip(reduced, pivots):
-            lead_rows.append(tuple(row[:self.ncols]))
-            lead_pivots.append(piv)
-        transform = tuple(tuple(row[self.ncols:]) for row in reduced)
-        form = HowellForm(m, self.ncols, tuple(lead_rows), tuple(lead_pivots))
-        # rows folded to a zero lead part carry kernel combinations; the Howell
-        # saturation rows make this a complete generating set of the kernel
-        full = [list(g) + [0] * k for g in self.gens]
-        for i in range(k):
-            full[i][self.ncols + i] = 1
-        all_rows, _ = _howell(full, m, self.ncols + k)
-        kernel_rows = [row[self.ncols:] for row in all_rows if not any(row[:self.ncols])]
-        kernel = howell_form(kernel_rows, m) if kernel_rows else HowellForm(m, k, (), ())
+        m, n, k = self.modulus, self.ncols, len(self.gens)
+        aug = [list(g) + [int(i == j) for j in range(k)] for i, g in enumerate(self.gens)]
+        work, pivots = _howell(aug, m, n + k, pivot_cols=n)
+        r = len(pivots)
+        form = HowellForm(m, n, tuple(tuple(row[:n]) for row in work[:r]), tuple(pivots))
+        transform = tuple(tuple(row[n:]) for row in work[:r])
+        # every row past the pivots (saturation rows included) has a zero lead
+        # part, and their tails generate the kernel {c : c @ gens == 0}
+        kernel = howell_form([row[n:] for row in work[r:]], m, k)
         return form, transform, kernel
 
     @property
@@ -335,28 +273,6 @@ def row_solver(rows: Sequence[Sequence[int]], modulus: int,
     validate_modulus(modulus)
     width = len(rows[0]) if rows else (ncols or 0)
     return RowSolver(modulus, tuple(tuple(x % modulus for x in r) for r in rows), width)
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """One particular solution of A @ x == b plus the solution kernel."""
-
-    particular: Vec
-    kernel: tuple[Vec, ...]
-
-
-def solve_linear(matrix: ResidueMatrix, rhs: Sequence[int]) -> Optional[LinearSolution]:
-    """Solve A @ x == b over Z/modulus; None when unsolvable."""
-    if len(rhs) != matrix.nrows:
-        raise ValueError(f"rhs length {len(rhs)} != row count {matrix.nrows}")
-    m = matrix.modulus
-    cols = [tuple(matrix.entries[i][j] for i in range(matrix.nrows))
-            for j in range(matrix.ncols)]
-    solver = RowSolver(m, tuple(cols), matrix.nrows)
-    x = solver.express(tuple(v % m for v in rhs))
-    if x is None:
-        return None
-    return LinearSolution(x, solver.kernel.rows)
 
 
 def independent_mod(vectors: Sequence[Sequence[int]], p: int) -> bool:
@@ -413,73 +329,3 @@ class FpSpan:
         self._rows.append(v)
         self._lead.append(lead)
         return True
-
-
-def smith_invariants(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix (zeros dropped)."""
-    a = [[int(x) for x in row] for row in rows]
-    if not a or not a[0]:
-        return ()
-    nrows, ncols = len(a), len(a[0])
-    if any(len(row) != ncols for row in a):
-        raise ValueError("ragged matrix")
-
-    def row_op(i1: int, i2: int, x: int, y: int, u: int, v: int) -> None:
-        for j in range(ncols):
-            p, q = a[i1][j], a[i2][j]
-            a[i1][j], a[i2][j] = x * p + y * q, u * p + v * q
-
-    def col_op(j1: int, j2: int, x: int, y: int, u: int, v: int) -> None:
-        for i in range(nrows):
-            p, q = a[i][j1], a[i][j2]
-            a[i][j1], a[i][j2] = x * p + y * q, u * p + v * q
-
-    invariants: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            col_op(t, pj, 0, 1, 1, 0)
-        while True:
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    if a[i][t] % a[t][t] == 0:
-                        # plain subtraction keeps the pivot row intact
-                        row_op(t, i, 1, 0, -(a[i][t] // a[t][t]), 1)
-                    else:
-                        g, x, y = xgcd(a[t][t], a[i][t])
-                        row_op(t, i, x, y, -(a[i][t] // g), a[t][t] // g)
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    if a[t][j] % a[t][t] == 0:
-                        col_op(t, j, 1, 0, -(a[t][j] // a[t][t]), 1)
-                    else:
-                        g, x, y = xgcd(a[t][t], a[t][j])
-                        col_op(t, j, x, y, -(a[t][j] // g), a[t][t] // g)
-            if all(a[i][t] == 0 for i in range(t + 1, nrows)):
-                # make the pivot divide everything that remains
-                culprit = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if a[i][j] % a[t][t]:
-                            culprit = i
-                            break
-                    if culprit is not None:
-                        break
-                if culprit is None:
-                    break
-                for j in range(ncols):
-                    a[t][j] += a[culprit][j]
-        invariants.append(abs(a[t][t]))
-        t += 1
-    return tuple(invariants)

@@ -16,8 +16,8 @@ import math
 from typing import Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
-from .residues import (EnumerationCapExceeded, HowellForm, Vec, howell_form,
-                       row_solver, RowSolver)
+from .residues import (EnumerationCapExceeded, HowellForm, RowSolver, Vec,
+                       howell_form, row_solver)
 from .words import Word, word_span
 
 
@@ -136,66 +136,44 @@ class WindowModule:
     def contains_word(self, w: Word) -> bool:
         return self.contains(w.window_vector(self.lo, self.hi))
 
-    def express(self, vec: Sequence[int]) -> Vec | None:
-        """Coefficients over the contributors reproducing vec, or None."""
-        return self.solver.express(vec)
-
     def enumerate_vectors(self, cap: int | None = None) -> Iterator[Vec]:
         return self.form.enumerate_elements(cap)
 
-    def enumerate_words(self, cap: int | None = None) -> Iterator[Word]:
-        for vec in self.enumerate_vectors(cap):
-            yield Word.from_window_vector(self.shift.alphabet, self.lo, vec)
-
-    def canonical_words(self) -> tuple[Word, ...]:
-        return tuple(Word.from_window_vector(self.shift.alphabet, self.lo, row)
-                     for row in self.form.rows)
-
     # -- constrained submodules ------------------------------------------------
-
-    def _constrained_rows(self, zero_positions: Sequence[int] = (),
-                          kill_scale: int | None = None) -> tuple[Vec, ...]:
-        """Rows spanning {v in module : v zero on positions, kill_scale*v == 0}."""
-        m = self.modulus
-        r = self.shift.alphabet.rank
-        cond_cols: list[int] = []
-        for pos in zero_positions:
-            base = (pos - self.lo) * r
-            cond_cols.extend(range(base, base + r))
-        k = len(self.rows)
-        cond_rows = []
-        for row in self.rows:
-            cond = [row[c] for c in cond_cols]
-            if kill_scale is not None:
-                cond.extend((kill_scale * x) % m for x in row)
-            cond_rows.append(tuple(cond))
-        if not cond_rows or not cond_rows[0]:
-            coeff_space: tuple[Vec, ...] = tuple(
-                tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-        else:
-            coeff_space = row_solver(cond_rows, m).kernel.rows
-        out = []
-        for coeffs in coeff_space:
-            acc = [0] * len(self.rows[0]) if self.rows else []
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    for i, x in enumerate(row):
-                        acc[i] = (acc[i] + c * x) % m
-            out.append(tuple(acc))
-        return tuple(out)
 
     def constrained_projection(self, keep_lo: int, keep_hi: int,
                                zero_positions: Sequence[int] = (),
-                               kill_scale: int | None = None) -> HowellForm:
+                               kill_scale: int | None = None,
+                               kill_positions: Sequence[int] | None = None) -> HowellForm:
         """Canonical form of the projection to [keep_lo, keep_hi] of the
-        submodule cut out by the given vanishing and torsion constraints."""
-        rows = self._constrained_rows(zero_positions, kill_scale)
+        submodule {v : v == 0 on zero_positions, kill_scale*v == 0 on
+        kill_positions}; the torsion condition covers the whole window when
+        kill_positions is None."""
+        m = self.modulus
         r = self.shift.alphabet.rank
+
+        def cols(positions) -> list[int]:
+            return [(pos - self.lo) * r + j for pos in positions for j in range(r)]
+
+        if kill_positions is None:
+            kill_positions = range(self.lo, self.hi + 1)
+        zero_cols = cols(zero_positions)
+        kill_cols = cols(kill_positions) if kill_scale is not None else []
+        rows = self.rows
+        if zero_cols or kill_cols:
+            cond = [[row[c] for c in zero_cols] +
+                    [(kill_scale * row[c]) % m for c in kill_cols] for row in rows]
+            rows = []
+            for coeffs in row_solver(cond, m).kernel.rows:
+                acc = [0] * self.rank_width
+                for c, row in zip(coeffs, self.rows):
+                    if c:
+                        for i, x in enumerate(row):
+                            acc[i] = (acc[i] + c * x) % m
+                rows.append(acc)
         a = (keep_lo - self.lo) * r
         b = (keep_hi - self.lo + 1) * r
-        if not rows:
-            return HowellForm(self.modulus, b - a, (), ())
-        return howell_form([row[a:b] for row in rows], self.modulus)
+        return howell_form([row[a:b] for row in rows], m, b - a)
 
 
 @lru_cache(maxsize=None)
@@ -205,11 +183,6 @@ def _window_module(shift: GroupShift, lo: int, hi: int) -> WindowModule:
     contributors = shift.contributors(lo, hi)
     rows = tuple(shift.placed(gi, t).window_vector(lo, hi) for gi, t in contributors)
     return WindowModule(shift, lo, hi, contributors, rows)
-
-
-def window_projection(shift: GroupShift, lo: int, hi: int) -> WindowModule:
-    """The module G|[lo, hi] spanned by every contributing restriction."""
-    return shift.window(lo, hi)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ Spec file:
     group: Z4 x Z2
     gen @-1: (1,0) (2,1)
     memory: 2            # optional declared block length
-    horizon: 6           # optional analysis window override
+    horizon: 6           # optional window horizon (the --horizon flag wins)
 
 Symbols are comma-separated coordinate tuples, one coordinate per factor as
-written in the group line (see GroupSyntax); for a single-factor alphabet
+written in the group line (see groups.GroupSyntax); for a single-factor alphabet
 bare integers are accepted.  Message files carry one line per time index,
 "index: (c_1,...,c_m)", over the encoder's (already decomposed) source
 alphabet.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .groups import FiniteAbelianGroup
+from .groups import FiniteAbelianGroup, GroupSyntax
 from .shifts import GroupShift
 from .words import Word
 
@@ -31,48 +31,6 @@ class SpecParseError(Exception):
 
 _GEN_RE = re.compile(r"^gen\s*@\s*(-?\d+)\s*:\s*(.*)$", re.IGNORECASE)
 _TUPLE_RE = re.compile(r"\(([^()]*)\)|(-?\d+)")
-
-
-@dataclass(frozen=True)
-class GroupSyntax:
-    """The alphabet as written, plus its primary-decomposed storage form.
-
-    Symbols in spec and message files follow the written factor structure
-    (one coordinate per written cyclic factor, e.g. a single integer mod 6
-    for "Z6"); they are mapped onto the decomposed coordinates here.
-    """
-
-    written_orders: tuple[int, ...]
-    group: FiniteAbelianGroup
-
-    @classmethod
-    def parse(cls, text: str) -> "GroupSyntax":
-        group = FiniteAbelianGroup.parse(text)
-        orders = []
-        for part in re.split(r"[x*×]", text, flags=re.IGNORECASE):
-            orders.append(int(part.strip()[1:]))
-        return cls(tuple(orders), group)
-
-    @classmethod
-    def for_group(cls, group: FiniteAbelianGroup) -> "GroupSyntax":
-        return cls(group.orders, group)
-
-    def map_coords(self, written: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for x, n in zip(written, self.written_orders):
-            m = n
-            d = 2
-            while d * d <= m:
-                if m % d == 0:
-                    q = 1
-                    while m % d == 0:
-                        m //= d
-                        q *= d
-                    out.append(x % q)
-                d += 1
-            if m > 1:
-                out.append(x % m)
-        return tuple(out)
 
 
 def _parse_symbols(body: str, syntax: GroupSyntax,

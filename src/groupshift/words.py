@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .groups import Coords, FiniteAbelianGroup, GroupElement
+from .groups import Coords, FiniteAbelianGroup
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,6 @@ class Word:
         if self.symbols and self.start <= i < self.start + len(self.symbols):
             return self.symbols[i - self.start]
         return self.group.zero()
-
-    def element_at(self, i: int) -> GroupElement:
-        return GroupElement(self.group, self.value_at(i))
 
     def shifted(self, n: int) -> "Word":
         """The word w' with w'(i) = w(i + n); support translates by -n."""
@@ -143,20 +140,21 @@ class Word:
                 for i in range(0, len(vec), r)]
         return cls.make(group, lo, syms)
 
-    def sort_key(self) -> tuple:
-        return (self.start, self.symbols)
-
     def format(self) -> str:
         """Render like a generator line body: "@start: sym sym ..."."""
         if self.is_zero:
             return "0"
-        parts = []
-        for s in self.symbols:
-            if self.group.rank == 1:
-                parts.append(str(s[0]))
-            else:
-                parts.append("(" + ",".join(str(c) for c in s) + ")")
-        return f"@{self.start}: " + " ".join(parts)
+        return f"@{self.start}: " + format_symbols(self.group, self.symbols)
+
+
+def format_symbols(group: FiniteAbelianGroup, symbols: Iterable[Coords]) -> str:
+    """Space-separated symbols: bare integers over a single-factor alphabet,
+    "(c_1,...,c_k)" tuples otherwise; "0" when there are none."""
+    if group.rank == 1:
+        parts = [str(s[0]) for s in symbols]
+    else:
+        parts = ["(" + ",".join(str(c) for c in s) + ")" for s in symbols]
+    return " ".join(parts) if parts else "0"
 
 
 def word_span(words: Iterable[Word]) -> tuple[int, int] | None:

@@ -204,3 +204,55 @@ def test_internal_error_exit_three(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert captured.out == "error: internal: RuntimeError: boom\n"
     assert "Traceback" in captured.err
+
+
+# -- limits become failing stages ----------------------------------------------
+
+
+def test_enum_cap_fails_a_certify_stage(tmp_path, capsys):
+    path = tmp_path / "full-z4.spec"
+    path.write_text(FULL_Z4)
+    code, out = run_cli(["certify", str(path), "--enum-cap", "1"], capsys)
+    assert code == 1
+    assert ("prime.2.check.initial-basis: fail (candidate enumeration for "
+            "support 1 exceeds enum_cap 1; raise --enum-cap)") in out
+    assert "certificate: partial" in out
+    assert "internal" not in out
+
+
+def test_enum_cap_fails_generators(tmp_path, capsys):
+    path = tmp_path / "full-z4.spec"
+    path.write_text(FULL_Z4)
+    code, out = run_cli(["generators", str(path), "--enum-cap", "1"], capsys)
+    assert code == 1
+    assert ("prime.2.failure: initial-basis: candidate enumeration for "
+            "support 1 exceeds enum_cap 1; raise --enum-cap") in out
+    assert "verdict: negative" in out
+
+
+# -- horizon precedence: flag, then spec key, then derived default --------------
+
+
+def test_analyze_horizon_echo_matches_windows(tmp_path, capsys):
+    path = tmp_path / "h.spec"
+    path.write_text("group: Z4 x Z2\ngen @0: (1,0) (2,1)\nhorizon: 6\n")
+    _, out = run_cli(["analyze", str(path), "--horizon", "3"], capsys)
+    assert "horizon.window_horizon: 3" in out
+    assert "weakly_controllable.windows: [0,0] [0,1] [0,2]\n" in out
+    _, out = run_cli(["analyze", str(path)], capsys)
+    assert "horizon.window_horizon: 6" in out
+    assert "weakly_controllable.windows: [0,0] [0,1] [0,2] [0,3] [0,4] [0,5]\n" in out
+
+
+def test_horizon_key_honoured_by_certify_and_generators(tmp_path, capsys):
+    path = tmp_path / "full-z4-h7.spec"
+    path.write_text(FULL_Z4 + "horizon: 7\n")
+    code, out = run_cli(["certify", str(path)], capsys)
+    assert code == 0
+    assert "horizon.window_horizon: 7" in out
+    assert "prime.2.check.window-surjectivity: pass [windows [0,0]..[0,7]]" in out
+    _, out = run_cli(["certify", str(path), "--horizon", "2"], capsys)
+    assert "horizon.window_horizon: 2" in out
+    assert "prime.2.check.window-surjectivity: pass [windows [0,0]..[0,2]]" in out
+    _, out = run_cli(["generators", str(path)], capsys)
+    assert "horizon.window_horizon: 7" in out

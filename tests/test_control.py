@@ -128,8 +128,6 @@ def test_weak_controllability_variants(z4, delay_rep):
     g = GroupShift.full_shift(z4)
     assert weak_controllability_check(g, "self").holds
     assert weak_controllability_check(g, "socle", p=2).holds
-    assert weak_controllability_check(g, "scaled", p=2).holds
-    assert weak_controllability_check(g, "quotient", p=2).holds
     assert weak_controllability_check(delay_rep, "socle", p=2).holds
     with pytest.raises(ValueError):
         weak_controllability_check(g, "socle")

@@ -2,9 +2,7 @@ import math
 
 import pytest
 
-from groupshift.groups import (INFINITE_HEIGHT, FiniteAbelianGroup,
-                               GroupElement, element_order, height_in_group,
-                               primary_component)
+from groupshift.groups import FiniteAbelianGroup, primary_component
 
 
 def test_parse_and_decompose():
@@ -28,12 +26,11 @@ def test_parse_rejects(bad):
 
 def test_element_order_examples():
     z4z2 = FiniteAbelianGroup.parse("Z4 x Z2")
-    assert element_order(GroupElement(z4z2, (0, 0))) == 1
-    assert element_order(GroupElement(z4z2, (2, 1))) == 2
+    assert z4z2.order_of((0, 0)) == 1
+    assert z4z2.order_of((2, 1)) == 2
     z8 = FiniteAbelianGroup.parse("Z8")
     for x in range(8):
-        g = GroupElement(z8, (x,))
-        n = element_order(g)
+        n = z8.order_of((x,))
         assert (n * x) % 8 == 0
         # brute force check by repeated addition
         acc, steps = (0,), 0
@@ -50,13 +47,13 @@ def test_order_divides_exponent_and_prime_quotient_moves():
     import random
     rng = random.Random(5)
     for _ in range(50):
-        g = GroupElement(h, tuple(rng.randrange(n) for n in h.orders))
-        n = element_order(g)
+        g = tuple(rng.randrange(n) for n in h.orders)
+        n = h.order_of(g)
         assert h.exponent % n == 0
-        assert (n * g).is_zero
+        assert not any(h.scale(n, g))
         for q in (2, 3):
             if n % q == 0:
-                assert not ((n // q) * g).is_zero
+                assert any(h.scale(n // q, g))
 
 
 def test_primary_component_examples():
@@ -79,43 +76,18 @@ def test_primary_components_reassemble_identity():
     import random
     rng = random.Random(11)
     for _ in range(20):
-        g = GroupElement(h, tuple(rng.randrange(n) for n in h.orders))
-        total = GroupElement(h, h.zero())
+        g = tuple(rng.randrange(n) for n in h.orders)
+        total = h.zero()
         for part in parts:
-            total = total + part.embed(part.project(g))
+            projected = part.project_coords(g)
+            assert len(projected) == part.group.rank
+            total = h.add(total, part.embed_coords(projected))
         assert total == g
 
 
 def test_primary_component_requires_prime():
     with pytest.raises(ValueError):
         primary_component(FiniteAbelianGroup.parse("Z12"), 4)
-
-
-def test_height_examples():
-    z8 = FiniteAbelianGroup.parse("Z8")
-    assert height_in_group(GroupElement(z8, (4,)), 2) == 2
-    assert height_in_group(GroupElement(z8, (0,)), 2) == INFINITE_HEIGHT
-    z4z2 = FiniteAbelianGroup.parse("Z4 x Z2")
-    assert height_in_group(GroupElement(z4z2, (2, 0)), 2) == 1
-    # solve 2x = (2,0) by enumeration: x = (1,0) or (3,0) works, so height 1
-    sols = [x for x in [(a, b) for a in range(4) for b in range(2)]
-            if z4z2.scale(2, x) == (2, 0)]
-    assert sols
-
-
-def test_height_rejects_support_outside_p_part():
-    h = FiniteAbelianGroup.parse("Z4 x Z3")
-    with pytest.raises(ValueError):
-        height_in_group(GroupElement(h, (2, 1)), 2)
-
-
-def test_height_increments_under_scaling():
-    z8 = FiniteAbelianGroup.parse("Z8")
-    for x in range(1, 8):
-        g = GroupElement(z8, (x,))
-        pg = 2 * g
-        if not pg.is_zero:
-            assert height_in_group(pg, 2) == height_in_group(g, 2) + 1
 
 
 def test_scaled_embedding_roundtrip_preserves_order():
@@ -128,7 +100,7 @@ def test_scaled_embedding_roundtrip_preserves_order():
         scaled = h.coords_to_scaled(coords)
         assert h.scaled_to_coords(scaled) == coords
         # order is readable from the scaled form
-        order = element_order(GroupElement(h, coords))
+        order = h.order_of(coords)
         from math import gcd, lcm
         got = 1
         for v in scaled:

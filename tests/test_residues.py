@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshift.residues import (EnumerationCapExceeded, ResidueMatrix,
-                                 annihilator, howell_form, independent_mod,
-                                 is_prime, row_solver, smith_invariants,
-                                 solve_linear, unit_for, xgcd)
+from groupshift.residues import (EnumerationCapExceeded, _howell, annihilator,
+                                 howell_form, independent_mod, is_prime,
+                                 row_solver, unit_for, xgcd)
 
 from conftest import brute_force_span
 
@@ -118,29 +117,37 @@ def test_enumeration_cap():
 
 
 # -- solving -----------------------------------------------------------------
+#
+# A @ x == b is solved by a row solver over the columns of A (the rows of
+# its transpose): x is the coefficient vector expressing b over them, and
+# the solver kernel is the solution kernel {x : A @ x == 0}.
+
+
+def solve(rows, rhs, modulus):
+    """(particular x, kernel rows) of rows @ x == rhs, or None."""
+    cols = [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
+    solver = row_solver(cols, modulus, len(rows))
+    x = solver.express(tuple(v % modulus for v in rhs))
+    return None if x is None else (x, solver.kernel.rows)
 
 
 def test_solve_two_x_eq_one_mod_four():
-    assert solve_linear(ResidueMatrix.make(4, [[2]]), [1]) is None
+    assert solve([[2]], [1], 4) is None
 
 
 def test_solve_identity():
-    sol = solve_linear(ResidueMatrix.make(5, [[1, 0], [0, 1]]), [3, 4])
-    assert sol.particular == (3, 4)
-    assert sol.kernel == ()
+    assert solve([[1, 0], [0, 1]], [3, 4], 5) == ((3, 4), ())
 
 
 def test_solve_two_x_eq_two_mod_four():
-    sol = solve_linear(ResidueMatrix.make(4, [[2]]), [2])
-    assert sol.particular == (1,)
-    assert sol.kernel == ((2,),)
+    assert solve([[2]], [2], 4) == ((1,), ((2,),))
     # exhaustive: solutions are exactly {1, 3}
     assert {x for x in range(4) if (2 * x) % 4 == 2} == {1, 3}
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_linear(ResidueMatrix.make(4, [[1, 2]]), [1, 2])
+        solve([[1, 2]], [1, 2], 4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,31 +155,63 @@ def test_solve_dimension_mismatch():
 def test_solve_exactness_and_kernel(mat, rng):
     modulus, rows = mat
     nrows, ncols = len(rows), len(rows[0])
-    a = ResidueMatrix.make(modulus, rows)
     x = [rng.randrange(modulus) for _ in range(ncols)]
     b = [sum(rows[i][j] * x[j] for j in range(ncols)) % modulus
          for i in range(nrows)]
-    sol = solve_linear(a, b)
+    sol = solve(rows, b, modulus)
     assert sol is not None
+    particular, kernel = sol
 
     def apply(v):
         return tuple(sum(rows[i][j] * v[j] for j in range(ncols)) % modulus
                      for i in range(nrows))
 
-    assert apply(sol.particular) == tuple(b)
-    for kv in sol.kernel:
-        shifted = tuple((p + k) % modulus for p, k in zip(sol.particular, kv))
+    assert apply(particular) == tuple(b)
+    for kv in kernel:
+        shifted = tuple((p + k) % modulus for p, k in zip(particular, kv))
         assert apply(shifted) == tuple(b)
+    # completeness: the kernel rows span every solution of A @ x == 0
+    true = {v for v in itertools.product(range(modulus), repeat=ncols)
+            if not any(apply(v))}
+    assert brute_force_span(kernel, modulus, ncols) == true
 
 
 def test_kernel_is_complete_small():
     # kernel of multiplication by the matrix [[2, 0], [0, 3]] mod 6
-    rows = [[2, 0], [0, 3]]
-    sol = solve_linear(ResidueMatrix.make(6, rows), [0, 0])
-    got = brute_force_span(sol.kernel, 6, 2)
+    _, kernel = solve([[2, 0], [0, 3]], [0, 0], 6)
+    got = brute_force_span(kernel, 6, 2)
     true = {(x, y) for x in range(6) for y in range(6)
             if (2 * x) % 6 == 0 and (3 * y) % 6 == 0}
     assert got == true
+
+
+def two_pass_kernel(gens, modulus, ncols):
+    """Reference kernel: a second, unrestricted Howell pass over [R | I],
+    keeping the tails of the rows whose lead part reduced to zero."""
+    k = len(gens)
+    full = [list(g) + [int(i == j) for j in range(k)] for i, g in enumerate(gens)]
+    reduced, pivots = _howell(full, modulus, ncols + k)
+    tails = [row[ncols:] for row in reduced[:len(pivots)] if not any(row[:ncols])]
+    return howell_form(tails, modulus, k)
+
+
+composite_matrices = st.tuples(
+    st.sampled_from([2, 4, 6, 8, 9, 12, 18, 36, 72]),
+    st.integers(1, 6),
+    st.integers(1, 4),
+).flatmap(lambda t: st.tuples(
+    st.just(t[0]),
+    st.lists(st.lists(st.integers(0, t[0] - 1), min_size=t[2], max_size=t[2]),
+             min_size=t[1], max_size=t[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(composite_matrices)
+def test_one_pass_kernel_matches_two_pass(mat):
+    modulus, rows = mat
+    solver = row_solver(rows, modulus)
+    assert solver.kernel == two_pass_kernel(rows, modulus, len(rows[0]))
+    assert solver.form == howell_form(rows, modulus)
 
 
 # -- independence ------------------------------------------------------------
@@ -208,51 +247,6 @@ def test_independent_agrees_with_exhaustive(p):
                 dependent = True
                 break
         assert independent_mod(vecs, p) == (not dependent)
-
-
-# -- smith invariants --------------------------------------------------------
-
-
-def test_smith_examples():
-    assert smith_invariants([[2, 0], [0, 4]]) == (2, 4)
-    assert smith_invariants([[2, 0], [0, 3]]) == (1, 6)
-    assert smith_invariants([[0, 0], [0, 0]]) == ()
-
-
-def test_smith_divisibility_chain_and_minor_gcds():
-    import math
-    import random as _random
-    rng = _random.Random(3)
-    for _ in range(120):
-        nr, nc = rng.randrange(1, 4), rng.randrange(1, 4)
-        rows = [[rng.randrange(-6, 7) for _ in range(nc)] for _ in range(nr)]
-        inv = smith_invariants(rows)
-        for a, b in zip(inv, inv[1:]):
-            assert b % a == 0
-        # oracle: d_1 ... d_k equals the gcd of all k x k minors
-        def minor_gcd(k):
-            g = 0
-            for rsel in itertools.combinations(range(nr), k):
-                for csel in itertools.combinations(range(nc), k):
-                    sub = [[rows[i][j] for j in csel] for i in rsel]
-                    g = math.gcd(g, _det(sub))
-            return g
-
-        prod = 1
-        for k, d in enumerate(inv, start=1):
-            prod *= d
-            assert prod == minor_gcd(k)
-
-
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(sub)
-    return total
 
 
 def test_row_solver_canonical_coefficients_deterministic():

@@ -4,7 +4,7 @@ import pytest
 
 from groupshift.shifts import (GroupShift, enumerate_window_code,
                                finite_type_memory, member, splice,
-                               supported_words, window_projection)
+                               supported_words)
 from groupshift.words import Word
 
 from conftest import make_shift, random_shift
@@ -191,8 +191,3 @@ def test_window_code_oracle_agrees_with_canonical_path():
             continue
         oracle = set(enumerate_window_code(g, lo, hi))
         assert oracle == window_code_as_set(g, lo, hi)
-
-
-def test_window_projection_alias(z4):
-    g = GroupShift.full_shift(z4)
-    assert window_projection(g, 0, 1) is g.window(0, 1)

@@ -1,0 +1,26 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps library entry points by
+attribute name, so a renamed or removed entry point must fail here and not
+only under ``perfbench/run.py --trace 1``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import tracer, ops
+t = tracer.Tracer()
+tracer.install(t)
+ops.run_certify(ops.build_shift("Z4", [(0, [(1,)])]))
+assert t.counts["residues.howell_calls"] > 0, t.counts
+"""
+
+
+def test_tracer_installs_on_every_hook_point():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
