@@ -13,9 +13,8 @@ from .encoders import (CanonicalGeneratorSet, ConjugacyCertificate, Encoder,
                        Horizons, base_decompose, build_encoder,
                        canonical_generators, check_injectivity,
                        check_noncatastrophic, conjugacy_certificate, encode,
-                       lift_height, multiple_shift, quotient_shift,
-                       socle_shift)
-from .residues import HowellForm, howell_form, independent_mod
+                       lift_height, multiple_shift, socle_shift)
+from .residues import HowellForm, howell_form
 from .specfmt import ShiftSpec, SpecParseError, format_spec, parse_message, parse_spec
 
 __all__ = [
@@ -27,8 +26,8 @@ __all__ = [
     "ConjugacyCertificate", "Encoder", "Horizons", "base_decompose",
     "build_encoder", "canonical_generators", "check_injectivity",
     "check_noncatastrophic", "conjugacy_certificate", "encode",
-    "lift_height", "multiple_shift", "quotient_shift", "socle_shift",
-    "HowellForm", "howell_form", "independent_mod", "ShiftSpec",
+    "lift_height", "multiple_shift", "socle_shift",
+    "HowellForm", "howell_form", "ShiftSpec",
     "SpecParseError", "format_spec", "parse_message", "parse_spec",
 ]
 

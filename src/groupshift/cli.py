@@ -18,9 +18,11 @@ from .control import (analyze_controllability, monotone_after_success,
                       weak_controllability_check)
 from .encoders import (CanonicalGeneratorSet, ConjugacyCertificate, Encoder,
                        Horizons, PipelineFailure, canonical_generators,
-                       conjugacy_certificate, encode, primary_shift)
+                       check_injectivity, check_noncatastrophic,
+                       conjugacy_certificate, encode, presentation_encoder,
+                       primary_shift)
 from .groups import FiniteAbelianGroup
-from .residues import howell_form
+from .residues import ENUM_CAP, EnumerationCapExceeded, howell_form
 from .shifts import GroupShift, enumerate_window_code, finite_type_memory
 from .specfmt import ShiftSpec, SpecParseError, parse_message, parse_spec
 from .words import Word, format_symbols
@@ -40,6 +42,27 @@ class Report:
 
     def emit(self) -> None:
         sys.stdout.write("\n".join(self.lines) + "\n")
+
+    def finish(self, negative: bool) -> int:
+        """Scope and verdict lines, emit, and the verdict's exit code."""
+        self.add("scope", DISCLAIMER)
+        self.add("verdict", "pass" if not negative else "negative")
+        self.emit()
+        return 1 if negative else 0
+
+    def fail(self, failure: str) -> int:
+        """A failure line and a negative verdict, emitted; exit code 1."""
+        self.add("failure", failure)
+        self.add("verdict", "negative")
+        self.emit()
+        return 1
+
+
+def _check_value(passed: bool, detail: str = "") -> str:
+    """pass or fail, followed by " [detail]" on a pass, " (detail)" on a fail."""
+    if not detail:
+        return "pass" if passed else "fail"
+    return f"pass [{detail}]" if passed else f"fail ({detail})"
 
 
 def _format_window_row(group: FiniteAbelianGroup, vec) -> str:
@@ -61,11 +84,8 @@ def _echo_input(report: Report, command: str, path: str, spec: ShiftSpec) -> Non
 
 
 def _echo_horizons(report: Report, horizons: Horizons) -> None:
-    report.add("horizon.margin", horizons.margin)
-    report.add("horizon.support_cap", horizons.support_cap)
-    report.add("horizon.block_cap", horizons.block_cap)
-    report.add("horizon.window_horizon", horizons.window_horizon)
-    report.add("horizon.n_cap", horizons.n_cap)
+    for name in ("margin", "support_cap", "block_cap", "window_horizon", "n_cap"):
+        report.add(f"horizon.{name}", getattr(horizons, name))
 
 
 def _load_spec(path: str) -> ShiftSpec:
@@ -146,11 +166,7 @@ def cmd_analyze(args) -> int:
     if ctrl.n_c is not None and ctrl.n_o is not None:
         report.add("index_consistency.n_c_le_n_o", ctrl.consistent())
         negative |= not ctrl.consistent()
-
-    report.add("scope", DISCLAIMER)
-    report.add("verdict", "pass" if not negative else "negative")
-    report.emit()
-    return 1 if negative else 0
+    return report.finish(negative)
 
 
 def cmd_generators(args) -> int:
@@ -170,10 +186,7 @@ def cmd_generators(args) -> int:
         except PipelineFailure as exc:
             report.add(f"prime.{p}.failure", f"{exc.stage}: {exc.detail}")
             negative = True
-    report.add("scope", DISCLAIMER)
-    report.add("verdict", "pass" if not negative else "negative")
-    report.emit()
-    return 1 if negative else 0
+    return report.finish(negative)
 
 
 def _certificate_report(report: Report, cert: ConjugacyCertificate) -> bool:
@@ -183,15 +196,12 @@ def _certificate_report(report: Report, cert: ConjugacyCertificate) -> bool:
         if pc.genset is not None:
             _genset_lines(report, prefix, pc.genset)
         for check in pc.checks:
-            detail = f" ({check.detail})" if check.detail and not check.passed else ""
-            value = ("pass" if check.passed else "fail") + detail
-            if check.passed and check.detail:
-                value = f"pass [{check.detail}]"
-            report.add(f"{prefix}.check.{check.name}", value)
+            report.add(f"{prefix}.check.{check.name}",
+                       _check_value(check.passed, check.detail))
         report.add(f"{prefix}.complete", pc.complete)
         negative |= not pc.complete
     for check in cert.global_checks:
-        report.add(f"check.{check.name}", "pass" if check.passed else "fail")
+        report.add(f"check.{check.name}", _check_value(check.passed))
         negative |= not check.passed
     if cert.product_encoder is not None:
         _encoder_lines(report, "encoder", cert.product_encoder)
@@ -202,16 +212,15 @@ def _certificate_report(report: Report, cert: ConjugacyCertificate) -> bool:
 def _presentation_audit(report: Report, shift: GroupShift,
                         horizons: Horizons, args) -> bool:
     """Audit the presentation's own generators as encoder taps."""
-    from .encoders import (check_injectivity, check_noncatastrophic,
-                           presentation_encoder)
     encoder = presentation_encoder(shift)
     _encoder_lines(report, "presentation_encoder", encoder)
     negative = False
     if len(set(encoder.tap_primes)) == 1:
         inj = check_injectivity(encoder, horizons.block_cap)
         report.add("presentation.check.independent-block",
-                   f"pass [N={inj.block}]" if inj.block is not None
-                   else f"fail (no block <= {horizons.block_cap})")
+                   _check_value(inj.block is not None,
+                                f"N={inj.block}" if inj.block is not None
+                                else f"no block <= {horizons.block_cap}"))
         if inj.block is None and inj.dependent_combination:
             combo = " ".join(f"tap{j}@{t}*{c}"
                              for j, t, c in inj.dependent_combination)
@@ -220,8 +229,7 @@ def _presentation_audit(report: Report, shift: GroupShift,
     noncat = check_noncatastrophic(encoder, shift, trials=args.trials,
                                    horizon=horizons.window_horizon,
                                    margin=horizons.margin, seed=args.seed)
-    report.add("presentation.check.noncatastrophic",
-               "pass" if noncat.ok else "fail")
+    report.add("presentation.check.noncatastrophic", _check_value(noncat.ok))
     if not noncat.ok and noncat.witness is not None:
         report.add("presentation.check.witness",
                    f"{noncat.witness.format()} has no finite preimage at "
@@ -239,11 +247,7 @@ def cmd_certify(args) -> int:
     _echo_input(report, "certify", args.spec, spec)
     _echo_horizons(report, horizons)
     if args.check_presentation:
-        negative = _presentation_audit(report, shift, horizons, args)
-        report.add("scope", DISCLAIMER)
-        report.add("verdict", "pass" if not negative else "negative")
-        report.emit()
-        return 1 if negative else 0
+        return report.finish(_presentation_audit(report, shift, horizons, args))
     cert = conjugacy_certificate(shift, horizons, trials=args.trials,
                                  seed=args.seed)
     negative = _certificate_report(report, cert)
@@ -254,10 +258,7 @@ def cmd_certify(args) -> int:
         for i, row in enumerate(module.form.rows, start=1):
             report.add(f"window_image.{lo}..{hi}.row.{i}",
                        _format_window_row(shift.alphabet, row))
-    report.add("scope", DISCLAIMER)
-    report.add("verdict", "pass" if not negative else "negative")
-    report.emit()
-    return 1 if negative else 0
+    return report.finish(negative)
 
 
 def cmd_encode(args) -> int:
@@ -269,10 +270,7 @@ def cmd_encode(args) -> int:
     report = Report()
     _echo_input(report, "encode", args.spec, spec)
     if cert.product_encoder is None:
-        report.add("failure", "encoder synthesis failed; run certify for details")
-        report.add("verdict", "negative")
-        report.emit()
-        return 1
+        return report.fail("encoder synthesis failed; run certify for details")
     encoder = cert.product_encoder
     message = parse_message(Path(args.message).read_text(encoding="utf-8"),
                             encoder.source)
@@ -294,18 +292,20 @@ def cmd_oracle(args) -> int:
     lo, hi = args.window
     report = Report()
     _echo_input(report, "oracle", args.spec, spec)
-    elements = enumerate_window_code(shift, lo, hi, cap=args.enum_cap or 1 << 20)
-    report.add(f"window", f"{lo}..{hi}")
+    report.add("window", f"{lo}..{hi}")
+    try:
+        elements = enumerate_window_code(shift, lo, hi, cap=args.enum_cap)
+    except EnumerationCapExceeded as exc:
+        return report.fail(f"{exc}; raise --enum-cap")
     report.add("code_size", len(elements))
     group = shift.alphabet
-    width = hi - lo + 1
+    r = group.rank
+    configs = [[flat[k * r:(k + 1) * r] for k in range(hi - lo + 1)]
+               for flat in elements]
     if len(elements) <= args.list_cap:
-        for i, flat in enumerate(elements, start=1):
-            syms = [flat[k * group.rank:(k + 1) * group.rank] for k in range(width)]
+        for i, syms in enumerate(configs, start=1):
             report.add(f"element.{i}", format_symbols(group, syms))
-    scaled = [Word.make(group, lo, [flat[k * group.rank:(k + 1) * group.rank]
-                                    for k in range(width)]).window_vector(lo, hi)
-              for flat in elements]
+    scaled = [Word.make(group, lo, syms).window_vector(lo, hi) for syms in configs]
     m = max(group.exponent, 2)
     form = howell_form(scaled, m)
     report.add(f"window_image.{lo}..{hi}.size", form.size())
@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_window_arg, required=True)
     p.add_argument("--list-cap", type=int, default=64,
                    help="print elements only up to this count")
-    p.add_argument("--enum-cap", type=int, default=None)
+    p.add_argument("--enum-cap", type=int, default=ENUM_CAP,
+                   help="window code element cap")
     p.set_defaults(func=cmd_oracle)
 
     return parser

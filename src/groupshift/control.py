@@ -13,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import _prime_power_factors
-from .residues import howell_form
-from .shifts import GroupShift, supported_words, torsion_window_projection
+from .shifts import GroupShift, torsion_window_projection
 from .words import Word
+
+#: Candidates scanned past the first success, so the condition table still
+#: witnesses monotonicity past the index.
+_CONFIRM_STEPS = 2
 
 
 def _divisors(n: int) -> list[int]:
@@ -91,15 +94,14 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
 
 
 def _index_search(shift: GroupShift, cap: int, past: int | None,
-                  order_constrained: bool, extra: int = 2) -> IndexSearch:
-    """Scan candidates 0..cap, stopping `extra` steps after the first success
-    so the condition table still witnesses monotonicity past the index."""
+                  order_constrained: bool) -> IndexSearch:
+    """Scan candidates 0..cap, stopping _CONFIRM_STEPS after the first success."""
     horizons = []
     table = []
     witness = None
     found = None
     n = 0
-    while n <= cap and (found is None or n <= min(cap, found + extra)):
+    while n <= cap and (found is None or n <= min(cap, found + _CONFIRM_STEPS)):
         length = past if past is not None else default_past_horizon(shift, n)
         horizons.append(length)
         ok, wit = _steering_condition(shift, n, length, order_constrained)
@@ -149,16 +151,14 @@ class WeakControllabilityReport:
 
 
 def weak_controllability_check(shift: GroupShift, derived: str = "self",
-                               p: int | None = None, r: int = 1,
-                               horizon: int = 4,
+                               p: int | None = None, horizon: int = 4,
                                margin: int | None = None) -> WeakControllabilityReport:
     """Check that finite-support members generate every window module.
 
     derived selects the shift examined: "self" holds by construction and is
     returned as that constant (every window contributor is a placed
     generator, a finite-support member certified by its own padded window);
-    "socle" checks the p-torsion subshift.  r, the power of a removed
-    "scaled" selector, is accepted and ignored.
+    "socle" checks the p-torsion subshift.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -171,15 +171,14 @@ def weak_controllability_check(shift: GroupShift, derived: str = "self",
         raise ValueError(f"unknown derived shift selector {derived!r}")
     if p is None:
         raise ValueError("socle check needs the prime p")
-    r_ = shift.alphabet.rank
     for lo, hi in windows:
         target = torsion_window_projection(shift, lo, hi, margin, p)
+        # torsion words supported in [lo - reach, hi + reach], seen on [lo, hi]
         reach = hi - lo + margin
-        found = supported_words(shift, lo - reach, hi + reach, margin,
-                                torsion_scale=p)
-        a = reach * r_
-        b = (hi - lo + reach + 1) * r_
-        got = howell_form([row[a:b] for row in found.form.rows], target.modulus, b - a)
+        a, b = lo - reach - margin, hi + reach + margin
+        pads = list(range(a, lo - reach)) + list(range(hi + reach + 1, b + 1))
+        got = shift.window(a, b).constrained_projection(
+            lo, hi, zero_positions=pads, kill_scale=p)
         if not got.spans_same(target):
             return WeakControllabilityReport(
                 derived, False, windows,

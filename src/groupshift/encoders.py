@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
-from .residues import FpSpan, howell_form, row_solver
+from .residues import ENUM_CAP, FpSpan, combine_rows, howell_form, row_solver
 from .shifts import (GroupShift, SupportedWords, member, supported_words,
                      torsion_window_projection)
 from .words import Word
@@ -41,7 +41,7 @@ class Horizons:
     block_cap: int       # injectivity block search bound
     window_horizon: int  # windows [0, T] checked up to this T
     n_cap: int           # controllability index search cap
-    enum_cap: int = 1 << 20
+    enum_cap: int = ENUM_CAP
 
     @classmethod
     def derive(cls, shift: GroupShift, **overrides) -> "Horizons":
@@ -52,7 +52,6 @@ class Horizons:
             block_cap=max(16, 2 * span + 2),
             window_horizon=max(4, span + 2),
             n_cap=16,
-            enum_cap=1 << 20,
         )
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
@@ -87,38 +86,6 @@ def scaled_finite_words_check(shift: GroupShift, p: int, r: int,
         if not howell_form(rows, m, target.form.ncols).spans_same(target.form):
             return False, f"finite-word modules differ on [0,{t}] for r={r}"
     return True, ""
-
-
-def quotient_shift(shift: GroupShift, p: int) -> tuple[GroupShift, "QuotientMap"]:
-    """The shift G mod p over H/pH, with the symbolwise reduction map."""
-    if shift.alphabet.exponent % p != 0:
-        raise ValueError(f"{p} does not divide exp(H)")
-    qmap = QuotientMap(shift.alphabet, p)
-    gens = [qmap(g) for g in shift.generators]
-    return GroupShift.make(qmap.quotient, gens), qmap
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """Symbolwise reduction H -> H/pH; non-p factors vanish entirely."""
-
-    source: FiniteAbelianGroup
-    prime: int
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, (q, _) in enumerate(self.source.factors)
-                     if q == self.prime)
-
-    @property
-    def quotient(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(tuple((self.prime, 1) for _ in self.indices))
-
-    def __call__(self, w: Word) -> Word:
-        if w.is_zero:
-            return Word.zero(self.quotient)
-        syms = [tuple(s[i] % self.prime for i in self.indices) for s in w.symbols]
-        return Word.make(self.quotient, w.start, syms)
 
 
 def socle_shift(shift: GroupShift, p: int,
@@ -157,13 +124,17 @@ def socle_shift(shift: GroupShift, p: int,
 # -- one-sided initial values and generator selection ------------------------
 
 
-def initial_value_space(shift: GroupShift, p: int,
-                        horizons: Horizons) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """F_p coordinates of the initial symbols of one-sided torsion members.
+def _initial_fp(group: FiniteAbelianGroup, vec, p: int) -> tuple[int, ...]:
+    """F_p coordinates of the first symbol of a p-torsion window vector."""
+    coords = group.scaled_to_coords(vec[:group.rank])
+    return group.torsion_coords_to_fp(coords, p)
+
+
+def initial_value_space(shift: GroupShift, p: int, horizons: Horizons) -> int:
+    """F_p rank of the initial symbols of one-sided torsion members.
 
     Computed on the window [-margin, support_cap - 1 + margin] as the
     projection to position 0 of the left-vanishing p-torsion submodule.
-    Returns (spanning F_p rows, rank).
     """
     margin = horizons.margin
     reach = horizons.support_cap - 1 + margin
@@ -171,15 +142,10 @@ def initial_value_space(shift: GroupShift, p: int,
     form = module.constrained_projection(0, 0,
                                          zero_positions=range(-margin, 0),
                                          kill_scale=p)
-    group = shift.alphabet
-    rows = []
+    span = FpSpan(p, shift.alphabet.rank)
     for row in form.rows:
-        coords = group.scaled_to_coords(row)
-        rows.append(group.torsion_coords_to_fp(coords, p))
-    span = FpSpan(p, group.rank)
-    for row in rows:
-        span.add_if_independent(row)
-    return tuple(rows), span.rank
+        span.add_if_independent(_initial_fp(shift.alphabet, row, p))
+    return span.rank
 
 
 def _torsion_candidates(shift: GroupShift, p: int,
@@ -236,11 +202,6 @@ def _candidate_batches(cands: SupportedWords, max_len: int, enum_cap: int,
             yield s, batch
 
 
-def _vec_initial_fp(group: FiniteAbelianGroup, vec, p: int) -> tuple[int, ...]:
-    coords = group.scaled_to_coords(vec[:group.rank])
-    return group.torsion_coords_to_fp(coords, p)
-
-
 def _vec_quotient_support(group: FiniteAbelianGroup, vec, p: int) -> int:
     """Support length of the mod-p reduction of the word behind the vector."""
     r = group.rank
@@ -279,33 +240,40 @@ class CanonicalGeneratorSet:
         return tuple(e.tap for e in self.entries)
 
 
-def _initial_fp(group: FiniteAbelianGroup, w: Word, p: int) -> tuple[int, ...]:
-    return group.torsion_coords_to_fp(w.value_at(0), p)
+def _pick_basis(span: FpSpan, rank: int, cands: SupportedWords,
+                vecs) -> list[GeneratorEntry]:
+    """Height-0 entries for the candidate vectors, in order, whose initial
+    symbols extend the span; stops as soon as the span reaches the rank."""
+    group = cands.shift.alphabet
+    chosen: list[GeneratorEntry] = []
+    for vec in vecs:
+        if span.add_if_independent(_initial_fp(group, vec, span.p)):
+            w = Word.from_window_vector(group, cands.lo, vec)
+            chosen.append(GeneratorEntry(w, 0, w))
+            if span.rank == rank:
+                break
+    return chosen
 
 
-def _select_base_case(shift: GroupShift, p: int, horizons: Horizons,
-                      order_index: int) -> list[GeneratorEntry]:
+def _select_base_case(shift: GroupShift, p: int,
+                      horizons: Horizons) -> list[GeneratorEntry]:
     """Exponent-p case: minimal-support torsion words whose initial symbols
     form a basis, support lengths nondecreasing; here every height is 0."""
-    _, rank = initial_value_space(shift, p, horizons)
+    rank = initial_value_space(shift, p, horizons)
     if rank == 0:
         return []
-    group = shift.alphabet
     cands = _torsion_candidates(shift, p, horizons)
-    span = FpSpan(p, group.rank)
-    chosen: list[GeneratorEntry] = []
-    for _, batch in _candidate_batches(cands, horizons.support_cap,
-                                       horizons.enum_cap, "initial-basis"):
-        for vec in batch:
-            if span.add_if_independent(_vec_initial_fp(group, vec, p)):
-                w = Word.from_window_vector(group, cands.lo, vec)
-                chosen.append(GeneratorEntry(w, 0, w))
-                if span.rank == rank:
-                    return chosen
-    raise PipelineFailure(
-        "initial-basis",
-        f"initial-value basis incomplete: found {span.rank} of {rank} "
-        f"directions with support <= {horizons.support_cap}")
+    span = FpSpan(p, shift.alphabet.rank)
+    batches = _candidate_batches(cands, horizons.support_cap,
+                                 horizons.enum_cap, "initial-basis")
+    chosen = _pick_basis(span, rank, cands,
+                         (vec for _, batch in batches for vec in batch))
+    if span.rank < rank:
+        raise PipelineFailure(
+            "initial-basis",
+            f"initial-value basis incomplete: found {span.rank} of {rank} "
+            f"directions with support <= {horizons.support_cap}")
+    return chosen
 
 
 def lift_height(shift: GroupShift, x: Word, p: int, h: int,
@@ -326,10 +294,8 @@ def lift_height(shift: GroupShift, x: Word, p: int, h: int,
     coeffs = solver.express(x.window_vector(lo, hi))
     if coeffs is None:
         return None
-    y = Word.zero(shift.alphabet)
-    for c, row in zip(coeffs, words.form.rows):
-        if c:
-            y = y + Word.from_window_vector(shift.alphabet, lo, row).scaled(c)
+    y = Word.from_window_vector(shift.alphabet, lo,
+                                combine_rows(coeffs, words.form.rows, m))
     if y.scaled(scale) != x:
         return None
     return y
@@ -378,7 +344,7 @@ def canonical_generators(shift: GroupShift, p: int,
     if e == 0:
         return CanonicalGeneratorSet(shift, p, (), 0, n_o, horizons)
     if e == 1:
-        entries = _select_base_case(shift, p, horizons, n_o)
+        entries = _select_base_case(shift, p, horizons)
         return CanonicalGeneratorSet(shift, p, tuple(entries), len(entries),
                                      n_o, horizons)
 
@@ -401,30 +367,23 @@ def canonical_generators(shift: GroupShift, p: int,
                 f"no certified finite y with p*y = {entry.tap.format()}")
         lifted.append(GeneratorEntry(entry.torsion_word, entry.height + 1, z))
 
-    _, rank = initial_value_space(shift, p, horizons)
+    rank = initial_value_space(shift, p, horizons)
     span = FpSpan(p, shift.alphabet.rank)
     for entry in lifted:
-        if not span.add_if_independent(
-                _initial_fp(shift.alphabet, entry.torsion_word, p)):
+        if not span.add_if_independent(_initial_fp(
+                shift.alphabet, entry.torsion_word.window_vector(0, 0), p)):
             raise PipelineFailure(
                 "initial-basis",
                 "recursed initial symbols are dependent at this horizon")
     completion: list[GeneratorEntry] = []
     if span.rank < rank:
-        group = shift.alphabet
         cands = _torsion_candidates(shift, p, horizons)
-        pool: list[tuple[int, int, tuple[int, ...]]] = []
-        for s, batch in _candidate_batches(cands, horizons.support_cap,
-                                           horizons.enum_cap, "basis-completion"):
-            for vec in batch:
-                pool.append((_vec_quotient_support(group, vec, p), s, vec))
-        pool.sort()
-        for _, _, vec in pool:
-            if span.add_if_independent(_vec_initial_fp(group, vec, p)):
-                w = Word.from_window_vector(group, cands.lo, vec)
-                completion.append(GeneratorEntry(w, 0, w))
-                if span.rank == rank:
-                    break
+        pool = sorted((_vec_quotient_support(shift.alphabet, vec, p), s, vec)
+                      for s, batch in _candidate_batches(
+                          cands, horizons.support_cap, horizons.enum_cap,
+                          "basis-completion")
+                      for vec in batch)
+        completion = _pick_basis(span, rank, cands, (vec for _, _, vec in pool))
     if span.rank < rank:
         raise PipelineFailure(
             "basis-completion",
@@ -495,27 +454,14 @@ def encode(encoder: Encoder, message: Word,
            window: tuple[int, int] | None = None) -> Word:
     """Apply the encoder to a finitely supported message word.
 
-    With a window, only the restriction of the output to it is returned
-    (contributions not meeting the window are skipped).
+    With a window, only the restriction of the output to it is returned.
     """
     if message.group != encoder.source:
         raise ValueError("message is not over the encoder source alphabet")
-    out = Word.zero(encoder.alphabet)
-    if message.is_zero:
-        return out
-    for t in range(message.start, message.start + len(message.symbols)):
-        coords = message.value_at(t)
-        for j, c in enumerate(coords):
-            if c:
-                placed = encoder.taps[j].shifted(-t)
-                if window is not None:
-                    if placed.is_zero or placed.last < window[0] or \
-                            placed.first > window[1]:
-                        continue
-                out = out + placed.scaled(c)
-    if window is not None:
-        out = out.restricted(*window)
-    return out
+    terms = [(c, tap, t)
+             for t, coords in enumerate(message.symbols, start=message.start)
+             for c, tap in zip(coords, encoder.taps)]
+    return Word.combine(encoder.alphabet, terms, window)
 
 
 def message_impulse(encoder: Encoder, j: int, value: int = 1,
@@ -600,10 +546,8 @@ def solve_finite_preimage(encoder: Encoder, w: Word,
     coeffs = solver.express(w.window_vector(lo, hi))
     if coeffs is None:
         return None
-    msg = Word.zero(encoder.source)
-    for (j, t), c in zip(labels, coeffs):
-        if c:
-            msg = msg + message_impulse(encoder, j, c, t)
+    msg = Word.combine(encoder.source, [(c, message_impulse(encoder, j), t)
+                                        for (j, t), c in zip(labels, coeffs)])
     if encode(encoder, msg) != w:
         return None
     return msg
@@ -697,17 +641,13 @@ def base_decompose(shift: GroupShift, u: Word, pg_set: CanonicalGeneratorSet,
         raise PipelineFailure(
             "torsion-split",
             f"p*u not expressible over the p*G taps with slack {slack}")
-    w = Word.zero(shift.alphabet)
-    used = []
-    for (i, t), c in zip(labels, coeffs):
-        if c:
-            w = w + lifts[i].shifted(-t).scaled(c)
-            used.append((i, t, c))
+    used = tuple((i, t, c) for (i, t), c in zip(labels, coeffs) if c)
+    w = Word.combine(shift.alphabet, [(c, lifts[i], t) for i, t, c in used])
     v = u - w
     if not v.scaled(p).is_zero:
         raise PipelineFailure("torsion-split",
                               "residual part is not p-torsion (inexact split)")
-    return BaseDecomposition(v, w, tuple(used))
+    return BaseDecomposition(v, w, used)
 
 
 # -- certificates ------------------------------------------------------------
@@ -780,8 +720,8 @@ def _structure_checks(genset: CanonicalGeneratorSet,
     hs = genset.heights
     out.append(CheckResult("heights-sorted", all(a >= b for a, b in zip(hs, hs[1:]))))
     span = FpSpan(p, shift.alphabet.rank)
-    indep = all(span.add_if_independent(
-        shift.alphabet.torsion_coords_to_fp(e.torsion_word.value_at(0), p))
+    indep = all(span.add_if_independent(_initial_fp(
+        shift.alphabet, e.torsion_word.window_vector(0, 0), p))
         for e in genset.entries)
     out.append(CheckResult("initial-basis-independent", indep))
     torsion_ok = all(e.torsion_word.is_torsion(p) and
@@ -902,13 +842,12 @@ def conjugacy_certificate(shift: GroupShift,
         tap_primes: list[int] = []
         for p, enc in encoders:
             part = primary_component(shift.alphabet, p)
-            for j in range(enc.source.rank):
-                factors.append(enc.source.factors[j])
-                tap = enc.taps[j]
-                syms = [part.embed_coords(s) for s in tap.symbols]
-                taps.append(Word.make(shift.alphabet, tap.start, syms))
-                heights.append(enc.heights[j])
-                tap_primes.append(p)
+            factors.extend(enc.source.factors)
+            taps.extend(Word.make(shift.alphabet, tap.start,
+                                  [part.embed_coords(s) for s in tap.symbols])
+                        for tap in enc.taps)
+            heights.extend(enc.heights)
+            tap_primes.extend(enc.tap_primes)
         product = Encoder(shift.alphabet, FiniteAbelianGroup(tuple(factors)),
                           tuple(taps), tuple(heights), tuple(tap_primes))
         surj = _windows_surject(taps, shift, horizons.window_horizon)

@@ -94,10 +94,6 @@ class FiniteAbelianGroup:
     def exponent(self) -> int:
         return reduce(math.lcm, self.orders, 1)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factors
-
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted({p for p, _ in self.factors}))
 

@@ -16,6 +16,8 @@ from typing import Iterator, Optional, Sequence
 from .groups import is_prime
 
 MAX_MODULUS = 1 << 31
+#: Default cap on the elements a module or code enumeration may produce.
+ENUM_CAP = 1 << 20
 
 Vec = tuple[int, ...]
 
@@ -71,6 +73,16 @@ def annihilator(a: int, modulus: int) -> int:
 def _vec_add_scaled(dst: list[int], src: Sequence[int], k: int, m: int) -> None:
     for i, s in enumerate(src):
         dst[i] = (dst[i] + k * s) % m
+
+
+def combine_rows(coeffs: Sequence[int], rows: Sequence[Sequence[int]], m: int,
+                 width: int | None = None) -> list[int]:
+    """sum_i coeffs[i] * rows[i] mod m (`width` sizes an empty row list)."""
+    acc = [0] * (len(rows[0]) if rows else width or 0)
+    for c, row in zip(coeffs, rows):
+        if c:
+            _vec_add_scaled(acc, row, c, m)
+    return acc
 
 
 def _howell(rows: list[list[int]], modulus: int, ncols: int,
@@ -141,15 +153,6 @@ class HowellForm:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @property
-    def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.pivots)
-
-    @property
-    def annihilators(self) -> tuple[int, ...]:
-        """Per-pivot annihilator: modulus // pivot (pivot divides modulus)."""
-        return tuple(self.modulus // d for _, d in self.pivots)
 
     def size(self) -> int:
         """Number of elements of the row span."""
@@ -246,9 +249,6 @@ class RowSolver:
     def kernel(self) -> HowellForm:
         return self._data[2]
 
-    def contains(self, target: Sequence[int]) -> bool:
-        return self.form.contains(target)
-
     def express(self, target: Sequence[int]) -> Optional[Vec]:
         """Canonical coefficients c with c @ gens == target, or None."""
         form, transform, kernel = self._data
@@ -256,10 +256,7 @@ class RowSolver:
         residual, row_coeffs = form.reduce(target)
         if any(residual):
             return None
-        coeffs = [0] * len(self.gens)
-        for q, urow in zip(row_coeffs, transform):
-            if q:
-                _vec_add_scaled(coeffs, urow, q, m)
+        coeffs = combine_rows(row_coeffs, transform, m, len(self.gens))
         # canonicalize the particular solution modulo the kernel
         for (c, d), row in zip(kernel.pivots, kernel.rows):
             q = coeffs[c] // d
@@ -273,22 +270,6 @@ def row_solver(rows: Sequence[Sequence[int]], modulus: int,
     validate_modulus(modulus)
     width = len(rows[0]) if rows else (ncols or 0)
     return RowSolver(modulus, tuple(tuple(x % modulus for x in r) for r in rows), width)
-
-
-def independent_mod(vectors: Sequence[Sequence[int]], p: int) -> bool:
-    """True iff the listed vectors are linearly independent over the field F_p.
-
-    Repeats count: a list with a repeated vector is dependent.
-    """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    vecs = [tuple(x % p for x in v) for v in vectors]
-    if not vecs:
-        return True
-    if len({len(v) for v in vecs}) != 1:
-        raise ValueError("mixed vector lengths")
-    form = howell_form(vecs, p)
-    return form.rank == len(vecs)
 
 
 class FpSpan:

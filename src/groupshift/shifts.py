@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .groups import FiniteAbelianGroup
-from .residues import (EnumerationCapExceeded, HowellForm, RowSolver, Vec,
-                       howell_form, row_solver)
+from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec,
+                       combine_rows, howell_form, row_solver)
 from .words import Word, word_span
 
 
@@ -120,24 +120,14 @@ class WindowModule:
         return self.width * self.shift.alphabet.rank
 
     @cached_property
-    def solver(self) -> RowSolver:
-        return row_solver(self.rows, self.modulus, self.rank_width)
-
-    @cached_property
     def form(self) -> HowellForm:
-        return self.solver.form
+        return row_solver(self.rows, self.modulus, self.rank_width).form
 
     def size(self) -> int:
         return self.form.size()
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return self.form.contains(vec)
-
     def contains_word(self, w: Word) -> bool:
-        return self.contains(w.window_vector(self.lo, self.hi))
-
-    def enumerate_vectors(self, cap: int | None = None) -> Iterator[Vec]:
-        return self.form.enumerate_elements(cap)
+        return self.form.contains(w.window_vector(self.lo, self.hi))
 
     # -- constrained submodules ------------------------------------------------
 
@@ -163,14 +153,8 @@ class WindowModule:
         if zero_cols or kill_cols:
             cond = [[row[c] for c in zero_cols] +
                     [(kill_scale * row[c]) % m for c in kill_cols] for row in rows]
-            rows = []
-            for coeffs in row_solver(cond, m).kernel.rows:
-                acc = [0] * self.rank_width
-                for c, row in zip(coeffs, self.rows):
-                    if c:
-                        for i, x in enumerate(row):
-                            acc[i] = (acc[i] + c * x) % m
-                rows.append(acc)
+            rows = [combine_rows(coeffs, self.rows, m, self.rank_width)
+                    for coeffs in row_solver(cond, m).kernel.rows]
         a = (keep_lo - self.lo) * r
         b = (keep_hi - self.lo + 1) * r
         return howell_form([row[a:b] for row in rows], m, b - a)
@@ -231,16 +215,6 @@ class SupportedWords:
         return tuple(Word.from_window_vector(self.shift.alphabet, self.lo, row)
                      for row in self.form.rows)
 
-    def enumerate_words(self, cap: int | None = None) -> Iterator[Word]:
-        for vec in self.form.enumerate_elements(cap):
-            yield Word.from_window_vector(self.shift.alphabet, self.lo, vec)
-
-    def contains_word(self, w: Word) -> bool:
-        if w.is_zero:
-            return True
-        if w.first < self.lo or w.last > self.hi:
-            return False
-        return self.form.contains(w.window_vector(self.lo, self.hi))
 
 
 @lru_cache(maxsize=None)
@@ -346,7 +320,7 @@ def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int,
 
 
 def enumerate_window_code(shift: GroupShift, lo: int, hi: int,
-                          cap: int = 1 << 20) -> tuple[tuple[int, ...], ...]:
+                          cap: int = ENUM_CAP) -> tuple[tuple[int, ...], ...]:
     """All window configurations of the code on [lo, hi], by set closure.
 
     Works directly on unscaled symbol tuples and never touches the canonical

@@ -62,10 +62,6 @@ class Word:
     def support_length(self) -> int:
         return len(self.symbols)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.start, self.start + len(self.symbols))
-                     if any(self.symbols[i - self.start]))
-
     def value_at(self, i: int) -> Coords:
         if self.symbols and self.start <= i < self.start + len(self.symbols):
             return self.symbols[i - self.start]
@@ -79,22 +75,37 @@ class Word:
 
     def restricted(self, lo: int, hi: int) -> "Word":
         """The word agreeing with this one on [lo, hi] and zero outside."""
-        if self.is_zero or hi < lo:
-            return Word.zero(self.group)
-        return Word.make(self.group, lo, [self.value_at(i) for i in range(lo, hi + 1)])
+        return Word.combine(self.group, ((1, self, 0),), (lo, hi))
+
+    @classmethod
+    def combine(cls, group: FiniteAbelianGroup,
+                terms: Iterable[tuple[int, "Word", int]],
+                window: tuple[int, int] | None = None) -> "Word":
+        """The sum of c * word.shifted(-t) over the (c, word, t) terms, built
+        in one buffer; with a window (lo, hi), only its restriction there."""
+        placed = []
+        for c, w, t in terms:
+            if w.group != group:
+                raise ValueError("words over different alphabets")
+            if c and w.symbols:
+                placed.append((c, w.symbols, w.start + t))
+        if window is not None:
+            lo, hi = window
+        elif placed:
+            lo = min(s for _, _, s in placed)
+            hi = max(s + len(syms) for _, syms, s in placed) - 1
+        else:
+            return cls.zero(group)
+        buf = [[0] * group.rank for _ in range(lo, hi + 1)]
+        for c, syms, s in placed:
+            for i in range(max(lo, s), min(hi + 1, s + len(syms))):
+                acc = buf[i - lo]
+                for k, x in enumerate(syms[i - s]):
+                    acc[k] += c * x
+        return cls.make(group, lo, buf)
 
     def __add__(self, other: "Word") -> "Word":
-        if other.group != self.group:
-            raise ValueError("words over different alphabets")
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.start, other.start)
-        hi = max(self.start + len(self.symbols), other.start + len(other.symbols)) - 1
-        g = self.group
-        return Word.make(g, lo, [g.add(self.value_at(i), other.value_at(i))
-                                 for i in range(lo, hi + 1)])
+        return Word.combine(self.group, ((1, self, 0), (1, other, 0)))
 
     def __neg__(self) -> "Word":
         return Word(self.group, self.start,

@@ -230,6 +230,23 @@ def test_enum_cap_fails_generators(tmp_path, capsys):
     assert "verdict: negative" in out
 
 
+def test_enum_cap_fails_oracle(tmp_path, capsys):
+    path = tmp_path / "full-z4.spec"
+    path.write_text(FULL_Z4)
+    code, out = run_cli(["oracle", str(path), "--window", "0:3",
+                         "--enum-cap", "10"], capsys)
+    assert code == 1
+    assert out.endswith("window: 0..3\n"
+                        "failure: window code exceeds 10 elements; raise --enum-cap\n"
+                        "verdict: negative\n")
+    # 0 means 0, as for the other commands; the default cap lists all 256
+    code, out = run_cli(["oracle", str(path), "--window", "0:0",
+                         "--enum-cap", "0"], capsys)
+    assert code == 1 and "window code exceeds 0 elements" in out
+    code, out = run_cli(["oracle", str(path), "--window", "0:3"], capsys)
+    assert code == 0 and "code_size: 256" in out
+
+
 # -- horizon precedence: flag, then spec key, then derived default --------------
 
 

@@ -1,0 +1,119 @@
+"""Differential tests of the one-buffer word sum (``Word.combine``) and of
+``encode`` built on it, against the pairwise ``Word.__add__`` fold that they
+replace; the fold is kept here as the slow reference."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupshift.encoders import Encoder, encode
+from groupshift.groups import FiniteAbelianGroup
+from groupshift.words import Word
+
+GROUPS = ["Z2", "Z4", "Z2 x Z3", "Z2 x Z4", "Z9"]
+
+
+def fold_add(a: Word, b: Word) -> Word:
+    """The pairwise sum: rebuilds the whole word on every call."""
+    if a.group != b.group:
+        raise ValueError("words over different alphabets")
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    lo = min(a.start, b.start)
+    hi = max(a.start + len(a.symbols), b.start + len(b.symbols)) - 1
+    g = a.group
+    return Word.make(g, lo, [g.add(a.value_at(i), b.value_at(i))
+                             for i in range(lo, hi + 1)])
+
+
+def restrict(w: Word, window) -> Word:
+    """The restriction symbol by symbol (Word.restricted uses combine)."""
+    if window is None:
+        return w
+    lo, hi = window
+    return Word.make(w.group, lo, [w.value_at(i) for i in range(lo, hi + 1)])
+
+
+def fold_combine(group, terms, window=None) -> Word:
+    out = Word.zero(group)
+    for c, w, t in terms:
+        out = fold_add(out, w.shifted(-t).scaled(c))
+    return restrict(out, window)
+
+
+def fold_encode(encoder: Encoder, message: Word, window=None) -> Word:
+    """encode as a fold of placed taps, skipping taps that miss the window."""
+    out = Word.zero(encoder.alphabet)
+    for t in range(message.start, message.start + len(message.symbols)):
+        for j, c in enumerate(message.value_at(t)):
+            if not c:
+                continue
+            placed = encoder.taps[j].shifted(-t)
+            if window is not None and (placed.is_zero or placed.last < window[0]
+                                       or placed.first > window[1]):
+                continue
+            out = fold_add(out, placed.scaled(c))
+    return restrict(out, window)
+
+
+def words_over(group, max_len=5):
+    symbol = st.tuples(*[st.integers(0, n - 1) for n in group.orders])
+    return st.builds(lambda start, syms: Word.make(group, start, syms),
+                     st.integers(-6, 6), st.lists(symbol, max_size=max_len))
+
+
+windows = st.one_of(st.none(), st.tuples(st.integers(-10, 10), st.integers(0, 8))
+                    .map(lambda t: (t[0], t[0] + t[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GROUPS), st.data(), windows)
+def test_combine_matches_fold(name, data, window):
+    group = FiniteAbelianGroup.parse(name)
+    terms = data.draw(st.lists(st.tuples(st.integers(-3, 12), words_over(group),
+                                         st.integers(-8, 8)), max_size=8))
+    assert Word.combine(group, terms, window) == fold_combine(group, terms, window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GROUPS), st.data())
+def test_add_and_restrict_match_fold(name, data):
+    group = FiniteAbelianGroup.parse(name)
+    a, b = data.draw(words_over(group)), data.draw(words_over(group))
+    assert a + b == fold_add(a, b)
+    assert a - b == fold_add(a, -b)
+    lo = data.draw(st.integers(-8, 8))
+    hi = data.draw(st.integers(lo - 1, lo + 8))
+    assert a.restricted(lo, hi) == restrict(a, (lo, hi))
+
+
+def test_combine_rejects_mixed_alphabets():
+    z2, z4 = FiniteAbelianGroup.parse("Z2"), FiniteAbelianGroup.parse("Z4")
+    with pytest.raises(ValueError):
+        Word.combine(z2, [(1, Word.impulse(z4, (1,)), 0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GROUPS), st.data(), windows)
+def test_encode_matches_fold(name, data, window):
+    alphabet = FiniteAbelianGroup.parse(name)
+    source = FiniteAbelianGroup(tuple(data.draw(st.lists(
+        st.sampled_from([(2, 1), (2, 2), (3, 1)]), min_size=1, max_size=3))))
+    taps = tuple(data.draw(words_over(alphabet, 4)) for _ in range(source.rank))
+    enc = Encoder(alphabet, source, taps, (0,) * source.rank, (2,) * source.rank)
+    message = data.draw(words_over(source, 12))
+    assert encode(enc, message, window) == fold_encode(enc, message, window)
+
+
+def test_long_overlapping_encode_matches_fold():
+    # every tap overlaps the next placement, as in the delay representation
+    alphabet = FiniteAbelianGroup.parse("Z2 x Z3")
+    source = FiniteAbelianGroup(((2, 1), (3, 1)))
+    taps = (Word.make(alphabet, 0, [(1, 0), (0, 1), (1, 2)]),
+            Word.make(alphabet, -1, [(0, 2), (1, 1)]))
+    enc = Encoder(alphabet, source, taps, (0, 0), (2, 3))
+    message = Word.make(source, -50, [((i * 7) % 2, (i * i) % 3) for i in range(300)])
+    for window in (None, (0, 5), (-3, 150), (400, 420)):
+        assert encode(enc, message, window) == fold_encode(enc, message, window)

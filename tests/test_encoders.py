@@ -7,7 +7,7 @@ from groupshift.encoders import (Encoder, Horizons,
                                  canonical_generators, check_injectivity,
                                  check_noncatastrophic, conjugacy_certificate,
                                  encode, lift_height, message_impulse,
-                                 multiple_shift, primary_shift, quotient_shift,
+                                 multiple_shift, primary_shift,
                                  random_message, socle_shift,
                                  scaled_finite_words_check,
                                  solve_finite_preimage, word_height)
@@ -43,21 +43,6 @@ def test_scaled_finite_words_lemma():
         for r in range(1, e):
             ok, detail = scaled_finite_words_check(shift, 2, r, horizons)
             assert ok, detail
-
-
-def test_quotient_shift_examples(z4):
-    g = GroupShift.full_shift(z4)
-    q, qmap = quotient_shift(g, 2)
-    assert q.alphabet.orders == (2,)
-    assert [w.format() for w in q.generators] == ["@0: 1"]
-    t = make_shift("Z4", [(0, [1, 2])])
-    q2, qmap2 = quotient_shift(t, 2)
-    assert [w.format() for w in q2.generators] == ["@0: 1"]
-    # reduction commutes with shifting
-    w = t.generators[0]
-    assert qmap2(w.shifted(3)) == qmap2(w).shifted(3)
-    with pytest.raises(ValueError):
-        quotient_shift(GroupShift.full_shift(FiniteAbelianGroup.parse("Z3")), 2)
 
 
 def test_socle_shift_examples(z4):
@@ -165,7 +150,8 @@ def test_initial_basis_spans_every_one_sided_torsion_word():
             assert span.add_if_independent(
                 shift.alphabet.torsion_coords_to_fp(e.torsion_word.value_at(0), 2))
         cands = _torsion_candidates(shift, 2, gs.horizons)
-        for w in cands.enumerate_words(1 << 14):
+        for vec in cands.form.enumerate_elements(1 << 14):
+            w = Word.from_window_vector(shift.alphabet, cands.lo, vec)
             if w.is_zero or w.first != 0:
                 continue
             assert span.contains(

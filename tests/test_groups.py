@@ -59,7 +59,7 @@ def test_order_divides_exponent_and_prime_quotient_moves():
 def test_primary_component_examples():
     z12 = FiniteAbelianGroup.parse("Z12")
     assert primary_component(z12, 2).group.orders == (4,)
-    assert primary_component(z12, 5).group.is_trivial
+    assert primary_component(z12, 5).group.factors == ()
     h = FiniteAbelianGroup.parse("Z4 x Z9 x Z2")
     part = primary_component(h, 2)
     assert part.group.orders == (4, 2)
@@ -110,5 +110,5 @@ def test_scaled_embedding_roundtrip_preserves_order():
 
 def test_trivial_group_handles():
     t = FiniteAbelianGroup(())
-    assert t.is_trivial and t.order == 1 and t.exponent == 1
+    assert t.rank == 0 and t.order == 1 and t.exponent == 1
     assert t.zero() == ()

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshift.residues import (EnumerationCapExceeded, _howell, annihilator,
-                                 howell_form, independent_mod, is_prime,
-                                 row_solver, unit_for, xgcd)
+from groupshift.residues import (EnumerationCapExceeded, FpSpan, _howell,
+                                 annihilator, combine_rows, howell_form,
+                                 is_prime, row_solver, unit_for, xgcd)
 
 from conftest import brute_force_span
 
@@ -60,13 +60,13 @@ def test_howell_zero_matrix():
 def test_howell_identity():
     f = howell_form([[1, 0], [0, 1]], 9)
     assert f.rows == ((1, 0), (0, 1))
-    assert f.pivot_cols == (0, 1)
+    assert f.pivots == ((0, 1), (1, 1))
 
 
 def test_howell_diag_two_mod_four():
     f = howell_form([[2, 0], [0, 2]], 4)
     assert len(f.rows) == 2
-    assert f.annihilators == (2, 2)
+    assert f.pivots == ((0, 2), (1, 2))
     span = brute_force_span([(2, 0), (0, 2)], 4, 2)
     assert set(f.enumerate_elements()) == span
 
@@ -214,18 +214,35 @@ def test_one_pass_kernel_matches_two_pass(mat):
     assert solver.form == howell_form(rows, modulus)
 
 
-# -- independence ------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.data())
+def test_combine_rows_matches_naive_sum(mat, data):
+    modulus, rows = mat
+    coeffs = data.draw(st.lists(st.integers(-2 * modulus, 2 * modulus),
+                                min_size=len(rows), max_size=len(rows)))
+    naive = [sum(c * row[i] for c, row in zip(coeffs, rows)) % modulus
+             for i in range(len(rows[0]))]
+    assert combine_rows(coeffs, rows, modulus) == naive
+    assert combine_rows([], [], modulus, 3) == [0, 0, 0]
+
+
+# -- independence over F_p (FpSpan) -------------------------------------------
+
+
+def independent(vectors, p, width=3):
+    span = FpSpan(p, width)
+    return all(span.add_if_independent(v) for v in vectors)
 
 
 def test_independent_examples():
-    assert independent_mod([], 2) is True
-    assert independent_mod([(1, 1, 0), (1, 1, 0)], 2) is False
-    assert independent_mod([(1, 1, 0), (0, 1, 1)], 2) is True
+    assert independent([], 2) is True
+    assert independent([(1, 1, 0), (1, 1, 0)], 2) is False
+    assert independent([(1, 1, 0), (0, 1, 1)], 2) is True
 
 
 def test_independent_requires_prime():
     with pytest.raises(ValueError):
-        independent_mod([(1, 0)], 4)
+        FpSpan(4, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -246,7 +263,7 @@ def test_independent_agrees_with_exhaustive(p):
             if not any(acc):
                 dependent = True
                 break
-        assert independent_mod(vecs, p) == (not dependent)
+        assert independent(vecs, p, width) == (not dependent)
 
 
 def test_row_solver_canonical_coefficients_deterministic():

@@ -14,7 +14,7 @@ def window_code_as_set(shift, lo, hi):
     """Window module elements via the canonical-form path, as flat symbol
     tuples, for comparison with the brute-force oracle."""
     out = set()
-    for vec in shift.window(lo, hi).enumerate_vectors(1 << 18):
+    for vec in shift.window(lo, hi).form.enumerate_elements(1 << 18):
         w = Word.from_window_vector(shift.alphabet, lo, vec)
         flat = []
         for i in range(lo, hi + 1):
@@ -45,7 +45,7 @@ def test_far_window_has_three_contributors(z2):
     # enumerate all sums of the contributing restrictions directly
     from conftest import brute_force_span
     span = brute_force_span(module.rows, 2, 2)
-    assert set(module.enumerate_vectors()) == span
+    assert set(module.form.enumerate_elements()) == span
 
 
 def test_shift_equivariance_of_projections():

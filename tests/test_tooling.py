@@ -13,8 +13,12 @@ SCRIPT = """
 import tracer, ops
 t = tracer.Tracer()
 tracer.install(t)
-ops.run_certify(ops.build_shift("Z4", [(0, [(1,)])]))
+_, cert = ops.run_certify(ops.build_shift("Z4", [(0, [(1,)])]))
 assert t.counts["residues.howell_calls"] > 0, t.counts
+enc = cert.product_encoder
+t.counts.clear()
+ops.run_encode(enc, ops.words.Word.make(enc.source, 0, [(1,), (3,), (2,)]))
+assert t.counts["encoders.encode_calls"] == 1, t.counts
 """
 
 
