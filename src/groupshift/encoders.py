@@ -169,19 +169,15 @@ def _candidate_batches(cands: SupportedWords, max_len: int, enum_cap: int,
     form = cands.form
     if not form.rows:
         return
-    m = form.modulus
     width = form.ncols
-    rev_form = howell_form([tuple(reversed(row)) for row in form.rows], m)
+    rev_form = howell_form([tuple(reversed(row)) for row in form.rows], form.modulus)
     r = cands.shift.alphabet.rank
-    seen: set[tuple[int, ...]] = set()
     budget = enum_cap
-    for s in range(1, max_len + 1):
-        cutoff = width - s * r
-        rows_s = [row for row, (c, _) in zip(rev_form.rows, rev_form.pivots)
-                  if c >= cutoff]
-        if not rows_s:
+    for s in range(1, min(max_len, width // r) + 1):
+        # reversed vectors zero on their first width - s*r coordinates
+        sub = rev_form.zero_prefix(width - s * r)
+        if not sub.rows:
             continue
-        sub = howell_form(rows_s, m)
         if sub.size() > budget:
             raise PipelineFailure(
                 stage, f"candidate enumeration for support {s} exceeds "
@@ -189,14 +185,11 @@ def _candidate_batches(cands: SupportedWords, max_len: int, enum_cap: int,
         budget -= sub.size()
         batch = []
         for rev_vec in sub.enumerate_elements():
-            if rev_vec in seen:
-                continue
-            seen.add(rev_vec)
             vec = tuple(reversed(rev_vec))
-            # exact support [0, s-1]: nonzero first block, nonzero last block
-            if not any(vec[:r]) or not any(vec[(s - 1) * r:s * r]):
-                continue
-            batch.append(vec)
+            # exact support [0, s-1]: nonzero first block, nonzero last block;
+            # this also drops every vector of an earlier (shorter) batch
+            if any(vec[:r]) and any(vec[(s - 1) * r:]):
+                batch.append(vec + (0,) * (width - s * r))
         batch.sort()
         if batch:
             yield s, batch
@@ -464,11 +457,10 @@ def encode(encoder: Encoder, message: Word,
     return Word.combine(encoder.alphabet, terms, window)
 
 
-def message_impulse(encoder: Encoder, j: int, value: int = 1,
-                    position: int = 0) -> Word:
+def message_impulse(encoder: Encoder, j: int) -> Word:
     coords = [0] * encoder.source.rank
-    coords[j] = value
-    return Word.impulse(encoder.source, coords, position)
+    coords[j] = 1
+    return Word.impulse(encoder.source, coords)
 
 
 @dataclass(frozen=True)

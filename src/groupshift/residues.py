@@ -85,62 +85,6 @@ def combine_rows(coeffs: Sequence[int], rows: Sequence[Sequence[int]], m: int,
     return acc
 
 
-def _howell(rows: list[list[int]], modulus: int, ncols: int,
-            pivot_cols: int | None = None) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """In-place Howell reduction.
-
-    Pivot search is restricted to the first `pivot_cols` columns (default all);
-    trailing columns ride along, which is how kernel/transform data is carried.
-    Returns (rows, [(col, pivot value), ...]): the pivot rows in order come
-    first, and every later row is zero on the searched columns.
-    """
-    m = modulus
-    limit = ncols if pivot_cols is None else pivot_cols
-    work = [row for row in rows if any(row)]
-    r = 0
-    pivots: list[tuple[int, int]] = []
-    for c in range(limit):
-        idx = None
-        for i in range(r, len(work)):
-            if work[i][c] % m:
-                idx = i
-                break
-        if idx is None:
-            continue
-        work[r], work[idx] = work[idx], work[r]
-        # fold every later row with a nonzero entry in column c into row r
-        for j in range(r + 1, len(work)):
-            if work[j][c] % m == 0:
-                continue
-            a, b = work[r][c], work[j][c]
-            g, x, y = xgcd(a, b)
-            u, v = -(b // g), a // g  # unimodular completion: det(x v - y u) = 1
-            rr, rj = work[r], work[j]
-            new_r = [(x * rr[k] + y * rj[k]) % m for k in range(ncols)]
-            new_j = [(u * rr[k] + v * rj[k]) % m for k in range(ncols)]
-            work[r], work[j] = new_r, new_j
-        # normalize the pivot to the divisor gcd(entry, modulus)
-        uu = unit_for(work[r][c], m)
-        if uu != 1:
-            work[r] = [(uu * x) % m for x in work[r]]
-        d = work[r][c]
-        # reduce entries above the pivot into [0, d)
-        for k in range(r):
-            q = work[k][c] // d
-            if q:
-                _vec_add_scaled(work[k], work[r], -q, m)
-        # saturation: the annihilator multiple of the pivot row re-enters the
-        # worklist so later columns see every combination with zero lead
-        ann = annihilator(d, m)
-        if ann % m:
-            extra = [(ann * x) % m for x in work[r]]
-            if any(extra):
-                work.append(extra)
-        pivots.append((c, d))
-        r += 1
-    return work, pivots
-
-
 @dataclass(frozen=True)
 class HowellForm:
     """Canonical row form over Z/modulus: unique for a given row span."""
@@ -179,6 +123,18 @@ class HowellForm:
         residual, _ = self.reduce(vec)
         return not any(residual)
 
+    def zero_prefix(self, k: int) -> "HowellForm":
+        """Canonical form of {v[k:] : v in the span, v[:k] == 0}.
+
+        By the Howell property the rows with pivot column >= k span exactly
+        the span elements that vanish on the first k columns, and they are
+        already in Howell form, so no reduction runs.
+        """
+        i = sum(c < k for c, _ in self.pivots)  # pivot columns ascend
+        return HowellForm(self.modulus, self.ncols - k,
+                          tuple(row[k:] for row in self.rows[i:]),
+                          tuple((c - k, d) for c, d in self.pivots[i:]))
+
     def spans_same(self, other: "HowellForm") -> bool:
         return (self.modulus, self.ncols, self.rows) == (other.modulus, other.ncols, other.rows)
 
@@ -206,22 +162,66 @@ class HowellForm:
 
 def howell_form(rows: Sequence[Sequence[int]], modulus: int,
                 ncols: int | None = None) -> HowellForm:
-    """Canonical Howell row form of the given rows (`ncols` sizes an empty list)."""
+    """Canonical Howell row form of the given rows (`ncols` sizes an empty list).
+
+    Saturation gives the Howell property that `HowellForm.zero_prefix` reads.
+    """
     validate_modulus(modulus)
-    work = [[x % modulus for x in r] for r in rows]
-    width = len(work[0]) if work else (ncols or 0)
-    reduced, pivots = _howell(work, modulus, width)
-    return HowellForm(modulus, width, tuple(tuple(r) for r in reduced[:len(pivots)]),
-                      tuple(pivots))
+    m = modulus
+    ncols = len(rows[0]) if rows else (ncols or 0)
+    work = [row for row in ([x % m for x in r] for r in rows) if any(row)]
+    r = 0
+    pivots: list[tuple[int, int]] = []
+    for c in range(ncols):
+        idx = None
+        for i in range(r, len(work)):
+            if work[i][c] % m:
+                idx = i
+                break
+        if idx is None:
+            continue
+        work[r], work[idx] = work[idx], work[r]
+        # fold every later row with a nonzero entry in column c into row r
+        for j in range(r + 1, len(work)):
+            if work[j][c] % m == 0:
+                continue
+            a, b = work[r][c], work[j][c]
+            g, x, y = xgcd(a, b)
+            u, v = -(b // g), a // g  # unimodular completion: det(x v - y u) = 1
+            rr, rj = work[r], work[j]
+            new_r = [(x * rr[k] + y * rj[k]) % m for k in range(ncols)]
+            new_j = [(u * rr[k] + v * rj[k]) % m for k in range(ncols)]
+            work[r], work[j] = new_r, new_j
+        # normalize the pivot to the divisor gcd(entry, modulus)
+        uu = unit_for(work[r][c], m)
+        if uu != 1:
+            work[r] = [(uu * x) % m for x in work[r]]
+        d = work[r][c]
+        # reduce entries above the pivot into [0, d)
+        for k in range(r):
+            q = work[k][c] // d
+            if q:
+                _vec_add_scaled(work[k], work[r], -q, m)
+        # saturation: the annihilator multiple of the pivot row re-enters the
+        # worklist so later columns see every combination with zero lead
+        ann = annihilator(d, m)
+        if ann % m:
+            extra = [(ann * x) % m for x in work[r]]
+            if any(extra):
+                work.append(extra)
+        pivots.append((c, d))
+        r += 1
+    return HowellForm(m, ncols, tuple(tuple(row) for row in work[:r]), tuple(pivots))
 
 
 @dataclass(frozen=True)
 class RowSolver:
     """Expresses targets as Z-combinations of a fixed generating row list.
 
-    Built from the augmented Howell form [R | I]; provides membership, one
-    canonical particular coefficient vector, and the full coefficient kernel
-    {c : c @ R == 0}.
+    Built from one Howell form of the augmented rows [R | I]: the rows with a
+    pivot among R's columns give the form of R and the transform, and the
+    rest, read off by `zero_prefix`, the coefficient kernel {c : c @ R == 0}.
+    Provides membership and one canonical coefficient vector per target.
     """
 
     modulus: int
@@ -232,14 +232,11 @@ class RowSolver:
     def _data(self) -> tuple[HowellForm, tuple[Vec, ...], HowellForm]:
         m, n, k = self.modulus, self.ncols, len(self.gens)
         aug = [list(g) + [int(i == j) for j in range(k)] for i, g in enumerate(self.gens)]
-        work, pivots = _howell(aug, m, n + k, pivot_cols=n)
-        r = len(pivots)
-        form = HowellForm(m, n, tuple(tuple(row[:n]) for row in work[:r]), tuple(pivots))
-        transform = tuple(tuple(row[n:]) for row in work[:r])
-        # every row past the pivots (saturation rows included) has a zero lead
-        # part, and their tails generate the kernel {c : c @ gens == 0}
-        kernel = howell_form([row[n:] for row in work[r:]], m, k)
-        return form, transform, kernel
+        full = howell_form(aug, m, n + k)
+        r = sum(c < n for c, _ in full.pivots)
+        form = HowellForm(m, n, tuple(row[:n] for row in full.rows[:r]), full.pivots[:r])
+        transform = tuple(row[n:] for row in full.rows[:r])
+        return form, transform, full.zero_prefix(n)
 
     @property
     def form(self) -> HowellForm:
@@ -252,17 +249,12 @@ class RowSolver:
     def express(self, target: Sequence[int]) -> Optional[Vec]:
         """Canonical coefficients c with c @ gens == target, or None."""
         form, transform, kernel = self._data
-        m = self.modulus
         residual, row_coeffs = form.reduce(target)
         if any(residual):
             return None
-        coeffs = combine_rows(row_coeffs, transform, m, len(self.gens))
-        # canonicalize the particular solution modulo the kernel
-        for (c, d), row in zip(kernel.pivots, kernel.rows):
-            q = coeffs[c] // d
-            if q:
-                _vec_add_scaled(coeffs, row, -q, m)
-        return tuple(coeffs)
+        coeffs = combine_rows(row_coeffs, transform, self.modulus, len(self.gens))
+        # reduction by the kernel's Howell form picks one canonical solution
+        return kernel.reduce(coeffs)[0]
 
 
 def row_solver(rows: Sequence[Sequence[int]], modulus: int,
@@ -296,9 +288,6 @@ class FpSpan:
                 for i in range(self.ncols):
                     v[i] = (v[i] - c * row[i]) % p
         return v
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self._reduce(vec))
 
     def add_if_independent(self, vec: Sequence[int]) -> bool:
         v = self._reduce(vec)

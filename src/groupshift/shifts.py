@@ -16,8 +16,7 @@ import math
 from typing import Sequence
 
 from .groups import FiniteAbelianGroup
-from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec,
-                       combine_rows, howell_form, row_solver)
+from .residues import ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec, howell_form
 from .words import Word, word_span
 
 
@@ -104,7 +103,6 @@ class WindowModule:
     shift: GroupShift
     lo: int
     hi: int
-    contributors: tuple[tuple[int, int], ...]
     rows: tuple[Vec, ...]  # scaled restriction per contributor
 
     @property
@@ -121,7 +119,7 @@ class WindowModule:
 
     @cached_property
     def form(self) -> HowellForm:
-        return row_solver(self.rows, self.modulus, self.rank_width).form
+        return howell_form(self.rows, self.modulus, self.rank_width)
 
     def size(self) -> int:
         return self.form.size()
@@ -149,24 +147,24 @@ class WindowModule:
             kill_positions = range(self.lo, self.hi + 1)
         zero_cols = cols(zero_positions)
         kill_cols = cols(kill_positions) if kill_scale is not None else []
-        rows = self.rows
-        if zero_cols or kill_cols:
-            cond = [[row[c] for c in zero_cols] +
-                    [(kill_scale * row[c]) % m for c in kill_cols] for row in rows]
-            rows = [combine_rows(coeffs, self.rows, m, self.rank_width)
-                    for coeffs in row_solver(cond, m).kernel.rows]
         a = (keep_lo - self.lo) * r
         b = (keep_hi - self.lo + 1) * r
-        return howell_form([row[a:b] for row in rows], m, b - a)
+        # [conditions | kept part]: the rows zero on the condition columns span
+        # the constrained submodule's projection (Howell property)
+        rows = [[row[c] for c in zero_cols]
+                + [(kill_scale * row[c]) % m for c in kill_cols] + list(row[a:b])
+                for row in self.rows]
+        ncond = len(zero_cols) + len(kill_cols)
+        return howell_form(rows, m, ncond + b - a).zero_prefix(ncond)
 
 
 @lru_cache(maxsize=None)
 def _window_module(shift: GroupShift, lo: int, hi: int) -> WindowModule:
     if hi < lo:
         raise ValueError("empty window")
-    contributors = shift.contributors(lo, hi)
-    rows = tuple(shift.placed(gi, t).window_vector(lo, hi) for gi, t in contributors)
-    return WindowModule(shift, lo, hi, contributors, rows)
+    rows = tuple(shift.placed(gi, t).window_vector(lo, hi)
+                 for gi, t in shift.contributors(lo, hi))
+    return WindowModule(shift, lo, hi, rows)
 
 
 @dataclass(frozen=True)
@@ -206,8 +204,6 @@ class SupportedWords:
     shift: GroupShift
     lo: int
     hi: int
-    margin: int
-    torsion_scale: int | None
     form: HowellForm
 
     @cached_property
@@ -225,7 +221,7 @@ def supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
     pads = list(range(lo - margin, lo)) + list(range(hi + 1, hi + margin + 1))
     form = module.constrained_projection(lo, hi, zero_positions=pads,
                                          kill_scale=torsion_scale)
-    return SupportedWords(shift, lo, hi, margin, torsion_scale, form)
+    return SupportedWords(shift, lo, hi, form)
 
 
 @lru_cache(maxsize=None)

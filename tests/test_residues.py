@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshift.residues import (EnumerationCapExceeded, FpSpan, _howell,
-                                 annihilator, combine_rows, howell_form,
-                                 is_prime, row_solver, unit_for, xgcd)
+from groupshift.residues import (EnumerationCapExceeded, FpSpan, annihilator,
+                                 combine_rows, howell_form, is_prime,
+                                 row_solver, unit_for, xgcd)
 
 from conftest import brute_force_span
 
@@ -186,12 +186,12 @@ def test_kernel_is_complete_small():
 
 
 def two_pass_kernel(gens, modulus, ncols):
-    """Reference kernel: a second, unrestricted Howell pass over [R | I],
-    keeping the tails of the rows whose lead part reduced to zero."""
+    """Reference kernel: the tails of the Howell rows of [R | I] whose lead
+    part is zero, put in Howell form by a second pass."""
     k = len(gens)
     full = [list(g) + [int(i == j) for j in range(k)] for i, g in enumerate(gens)]
-    reduced, pivots = _howell(full, modulus, ncols + k)
-    tails = [row[ncols:] for row in reduced[:len(pivots)] if not any(row[:ncols])]
+    tails = [row[ncols:] for row in howell_form(full, modulus, ncols + k).rows
+             if not any(row[:ncols])]
     return howell_form(tails, modulus, k)
 
 
@@ -212,6 +212,30 @@ def test_one_pass_kernel_matches_two_pass(mat):
     solver = row_solver(rows, modulus)
     assert solver.kernel == two_pass_kernel(rows, modulus, len(rows[0]))
     assert solver.form == howell_form(rows, modulus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(composite_matrices, st.data())
+def test_express_is_kernel_reduction_of_coefficients(mat, data):
+    # the canonical coefficients of x @ R are x reduced by the kernel's form,
+    # whichever transform rows the solver keeps
+    modulus, rows = mat
+    x = data.draw(st.lists(st.integers(0, modulus - 1),
+                           min_size=len(rows), max_size=len(rows)))
+    solver = row_solver(rows, modulus)
+    target = combine_rows(x, rows, modulus)
+    assert solver.express(target) == solver.kernel.reduce(x)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices, st.data())
+def test_zero_prefix_matches_brute_force(mat, data):
+    modulus, rows = mat
+    ncols = len(rows[0])
+    k = data.draw(st.integers(0, ncols))
+    sub = howell_form(rows, modulus).zero_prefix(k)
+    cut = [v[k:] for v in brute_force_span(rows, modulus, ncols) if not any(v[:k])]
+    assert sub == howell_form(cut, modulus, ncols - k)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groupshift.residues import combine_rows, howell_form, row_solver
 from groupshift.shifts import (GroupShift, enumerate_window_code,
                                finite_type_memory, member, splice,
                                supported_words)
@@ -40,7 +43,7 @@ def test_far_window_has_three_contributors(z2):
     # generator supported on [0,1], window [5,6]: three contributing shifts
     g = make_shift("Z2", [(0, [1, 1])])
     module = g.window(5, 6)
-    assert len(module.contributors) == 3
+    assert len(g.contributors(5, 6)) == 3
     assert module.size() <= 4
     # enumerate all sums of the contributing restrictions directly
     from conftest import brute_force_span
@@ -176,6 +179,53 @@ def test_supported_words_torsion():
     assert sw.words
     for w in sw.words:
         assert w.scaled(2).is_zero
+
+
+def three_step_projection(module, keep_lo, keep_hi, zero_positions=(),
+                          kill_scale=None, kill_positions=None):
+    """Reference constrained projection: the coefficient kernel of the
+    condition map, the module rows it combines, then a Howell form of their
+    restriction to [keep_lo, keep_hi]."""
+    m, r = module.modulus, module.shift.alphabet.rank
+
+    def cols(positions):
+        return [(pos - module.lo) * r + j for pos in positions for j in range(r)]
+
+    if kill_positions is None:
+        kill_positions = range(module.lo, module.hi + 1)
+    zero_cols = cols(zero_positions)
+    kill_cols = cols(kill_positions) if kill_scale is not None else []
+    rows = module.rows
+    if zero_cols or kill_cols:
+        cond = [[row[c] for c in zero_cols] +
+                [(kill_scale * row[c]) % m for c in kill_cols] for row in rows]
+        rows = [combine_rows(coeffs, module.rows, m, module.rank_width)
+                for coeffs in row_solver(cond, m).kernel.rows]
+    a = (keep_lo - module.lo) * r
+    b = (keep_hi - module.lo + 1) * r
+    return howell_form([row[a:b] for row in rows], m, b - a)
+
+
+P_GROUPS = ["Z2", "Z4", "Z8", "Z2 x Z4", "Z3", "Z9", "Z3 x Z9"]
+MIXED_GROUPS = ["Z6", "Z2 x Z3", "Z12", "Z2 x Z6"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(P_GROUPS + MIXED_GROUPS), st.randoms(use_true_random=False))
+def test_constrained_projection_matches_three_step_reference(group, rng):
+    g = random_shift(rng, max_gens=2, max_support=3, pool=[group])
+    lo = rng.randrange(-2, 1)
+    hi = lo + rng.randrange(0, 4)
+    module = g.window(lo, hi)
+    window = list(range(lo, hi + 1))
+    keep_lo = rng.choice(window)
+    keep_hi = rng.randrange(keep_lo, hi + 1)
+    zero_positions = [pos for pos in window if rng.random() < 0.4]
+    kill_scale = rng.choice([None, rng.randrange(2, module.modulus + 1)])
+    kill_positions = rng.choice(
+        [None, [pos for pos in window if rng.random() < 0.5]])
+    args = (keep_lo, keep_hi, zero_positions, kill_scale, kill_positions)
+    assert module.constrained_projection(*args) == three_step_projection(module, *args)
 
 
 # -- oracle vs module enumeration ----------------------------------------------

@@ -13,7 +13,13 @@ SCRIPT = """
 import tracer, ops
 t = tracer.Tracer()
 tracer.install(t)
-_, cert = ops.run_certify(ops.build_shift("Z4", [(0, [(1,)])]))
+full_z4 = ops.build_shift("Z4", [(0, [(1,)])])
+# window forms and constrained projections are single Howell reductions
+ops.run_analyze(full_z4)
+assert t.counts["residues.howell_calls"] > 0, t.counts
+assert t.counts["residues.solver_builds"] == 0, t.counts
+t.counts.clear()
+_, cert = ops.run_certify(full_z4)
 assert t.counts["residues.howell_calls"] > 0, t.counts
 enc = cert.product_encoder
 t.counts.clear()
