@@ -3,7 +3,8 @@
 Reports are line-oriented ``key: value`` text on stdout, deterministic for
 fixed inputs and flags (timing goes to stderr).  Exit codes: 0 all checks
 passed, 1 a verdict was negative, 2 usage or parse error, 3 internal error
-(an unexpected exception; its traceback goes to stderr).
+(an unexpected exception; its traceback goes to stderr).  A numeric flag out
+of range is a usage error; only oracle, which enumerates, has --enum-cap.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _horizons_from_args(spec: ShiftSpec, args) -> Horizons:
     horizon = args.horizon if args.horizon is not None else spec.horizon_override
     overrides = dict(margin=args.margin, support_cap=args.support_cap,
                      block_cap=args.block_cap, n_cap=args.n_cap,
-                     window_horizon=horizon, enum_cap=args.enum_cap)
+                     window_horizon=horizon)
     return Horizons.derive(spec.shift, **overrides)
 
 
@@ -328,22 +329,31 @@ def _window_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--margin", type=int, default=None,
+    parser.add_argument("--margin", type=_at_least(0), default=None,
                         help="membership certification margin")
-    parser.add_argument("--support-cap", type=int, default=None,
+    parser.add_argument("--support-cap", type=_at_least(1), default=None,
                         help="max support length for generator searches")
-    parser.add_argument("--block-cap", type=int, default=None,
+    parser.add_argument("--block-cap", type=_at_least(0), default=None,
                         help="injectivity block search cap")
-    parser.add_argument("--n-cap", type=int, default=None,
+    parser.add_argument("--n-cap", type=_at_least(0), default=None,
                         help="controllability index search cap")
-    parser.add_argument("--horizon", type=int, default=None,
+    parser.add_argument("--horizon", type=_at_least(1), default=None,
                         help="window horizon for module checks")
-    parser.add_argument("--enum-cap", type=int, default=None,
-                        help="module enumeration element cap")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized exact checks")
-    parser.add_argument("--trials", type=int, default=64,
+    parser.add_argument("--trials", type=_at_least(0), default=64,
                         help="random messages per invariant check")
 
 
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="controllability and finite-type analysis")
     p.add_argument("spec")
-    p.add_argument("--ft-cap", type=int, default=8,
+    p.add_argument("--ft-cap", type=_at_least(1), default=8,
                    help="finite-type memory search cap")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
@@ -389,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force window code enumeration")
     p.add_argument("spec")
     p.add_argument("--window", type=_window_arg, required=True)
-    p.add_argument("--list-cap", type=int, default=64,
+    p.add_argument("--list-cap", type=_at_least(0), default=64,
                    help="print elements only up to this count")
-    p.add_argument("--enum-cap", type=int, default=ENUM_CAP,
+    p.add_argument("--enum-cap", type=_at_least(0), default=ENUM_CAP,
                    help="window code element cap")
     p.set_defaults(func=cmd_oracle)
 

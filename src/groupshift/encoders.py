@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
-from .residues import ENUM_CAP, FpSpan, combine_rows, howell_form, row_solver
+from .residues import (FpSpan, HowellForm, Vec, combine_rows, constrained_form,
+                       howell_form, row_solver)
 from .shifts import (GroupShift, SupportedWords, member, supported_words,
                      torsion_window_projection)
 from .words import Word
@@ -41,7 +42,6 @@ class Horizons:
     block_cap: int       # injectivity block search bound
     window_horizon: int  # windows [0, T] checked up to this T
     n_cap: int           # controllability index search cap
-    enum_cap: int = ENUM_CAP
 
     @classmethod
     def derive(cls, shift: GroupShift, **overrides) -> "Horizons":
@@ -156,56 +156,6 @@ def _torsion_candidates(shift: GroupShift, p: int,
                            torsion_scale=p)
 
 
-def _candidate_batches(cands: SupportedWords, max_len: int, enum_cap: int,
-                       stage: str):
-    """Yield per-support-length batches of candidate window vectors with
-    first index 0, shortest supports first and each batch in lex order.
-
-    Works on reversed-coordinate Howell subspans, so consuming only the
-    short-support batches never enumerates the whole module; vectors are
-    raw scaled tuples (callers build Words only for selected ones).  Going
-    past enum_cap candidates fails the calling pipeline stage.
-    """
-    form = cands.form
-    if not form.rows:
-        return
-    width = form.ncols
-    rev_form = howell_form([tuple(reversed(row)) for row in form.rows], form.modulus)
-    r = cands.shift.alphabet.rank
-    budget = enum_cap
-    for s in range(1, min(max_len, width // r) + 1):
-        # reversed vectors zero on their first width - s*r coordinates
-        sub = rev_form.zero_prefix(width - s * r)
-        if not sub.rows:
-            continue
-        if sub.size() > budget:
-            raise PipelineFailure(
-                stage, f"candidate enumeration for support {s} exceeds "
-                       f"enum_cap {enum_cap}; raise --enum-cap")
-        budget -= sub.size()
-        batch = []
-        for rev_vec in sub.enumerate_elements():
-            vec = tuple(reversed(rev_vec))
-            # exact support [0, s-1]: nonzero first block, nonzero last block;
-            # this also drops every vector of an earlier (shorter) batch
-            if any(vec[:r]) and any(vec[(s - 1) * r:]):
-                batch.append(vec + (0,) * (width - s * r))
-        batch.sort()
-        if batch:
-            yield s, batch
-
-
-def _vec_quotient_support(group: FiniteAbelianGroup, vec, p: int) -> int:
-    """Support length of the mod-p reduction of the word behind the vector."""
-    r = group.rank
-    scaled = group.scale_factors
-    hot = [k for k in range(len(vec) // r)
-           if any(vec[k * r + j] % (p * scaled[j]) for j in range(r))]
-    if not hot:
-        return 0
-    return hot[-1] - hot[0] + 1
-
-
 @dataclass(frozen=True)
 class GeneratorEntry:
     """One canonical generator: torsion word x = p^height * tap."""
@@ -233,40 +183,80 @@ class CanonicalGeneratorSet:
         return tuple(e.tap for e in self.entries)
 
 
-def _pick_basis(span: FpSpan, rank: int, cands: SupportedWords,
-                vecs) -> list[GeneratorEntry]:
-    """Height-0 entries for the candidate vectors, in order, whose initial
-    symbols extend the span; stops as soon as the span reaches the rank."""
+def _least_outside(form: HowellForm, r: int, outside) -> Vec | None:
+    """The lex-least span element whose first r coordinates satisfy `outside`.
+
+    The rows with pivot < r span the (small) first-block projection; its least
+    admissible element is lifted by them and reduced by the other rows, and
+    greedy pivot reduction leaves the least element of the coset (Howell
+    property).
+    """
+    i = sum(c < r for c, _ in form.pivots)
+    head = HowellForm(form.modulus, r, tuple(row[:r] for row in form.rows[:i]),
+                      form.pivots[:i])
+    a = min(filter(outside, head.enumerate_elements()), default=None)
+    if a is None:
+        return None
+    lift = combine_rows(head.reduce(a)[1], form.rows[:i], form.modulus, form.ncols)
+    return a + form.zero_prefix(r).reduce(lift[r:])[0]
+
+
+def _levels(cap: int, quotient: bool):
+    """(level, s, hot windows) in greedy order: least support s first, or
+    with `quotient` least quotient support q first.  A level's candidates lie
+    in [0, s-1] with every symbol outside one hot window in pH."""
+    if not quotient:
+        return ((s, s, [range(s)]) for s in range(1, cap + 1))
+    return (((q, s), s, [range(a, a + q) for a in range(s - q + 1)] if q else [range(0)])
+            for q in range(cap + 1) for s in range(max(q, 1), cap + 1))
+
+
+def _candidate_batches(cands: SupportedWords, span: FpSpan, levels):
+    """One batch per greedy pick: for each submodule of the level, its least
+    candidate whose initial symbol is outside `span` as it stands then.
+
+    Earlier levels leave every initial symbol of their candidates in the
+    span, so the least of a batch is what a greedy pass over all candidates
+    sorted by (level, vector) would pick next.
+    """
     group = cands.shift.alphabet
+    r, m, width = group.rank, cands.form.modulus, cands.form.ncols
+    # x_j in pH <=> p^(e_j - 1) * v_j == 0 for the scaled coordinate v_j
+    kill = [span.p ** (e - 1) for _, e in group.factors]
+
+    def outside(head) -> bool:
+        return not span.contains(_initial_fp(group, head, span.p))
+
+    for level, s, hots in levels:
+        forms = [constrained_form(
+            cands.form.rows, m, [(c, 1) for c in range(s * r, width)]
+            + [(k * r + j, kill[j]) for k in range(s) if k not in hot for j in range(r)],
+            0, s * r) for hot in hots]
+        while least := [v for v in (_least_outside(f, r, outside) for f in forms)
+                        if v is not None]:
+            yield level, [v + (0,) * (width - s * r) for v in least]
+
+
+def _pick_generators(shift: GroupShift, p: int, horizons: Horizons, span: FpSpan,
+                     rank: int, quotient: bool) -> list[GeneratorEntry]:
+    """Height-0 entries extending the span to the rank, by least support (the
+    base case) or, to complete the recursed symbols, least quotient support."""
     chosen: list[GeneratorEntry] = []
-    for vec in vecs:
-        if span.add_if_independent(_initial_fp(group, vec, span.p)):
-            w = Word.from_window_vector(group, cands.lo, vec)
-            chosen.append(GeneratorEntry(w, 0, w))
-            if span.rank == rank:
-                break
-    return chosen
-
-
-def _select_base_case(shift: GroupShift, p: int,
-                      horizons: Horizons) -> list[GeneratorEntry]:
-    """Exponent-p case: minimal-support torsion words whose initial symbols
-    form a basis, support lengths nondecreasing; here every height is 0."""
-    rank = initial_value_space(shift, p, horizons)
-    if rank == 0:
-        return []
+    if span.rank == rank:
+        return chosen
     cands = _torsion_candidates(shift, p, horizons)
-    span = FpSpan(p, shift.alphabet.rank)
-    batches = _candidate_batches(cands, horizons.support_cap,
-                                 horizons.enum_cap, "initial-basis")
-    chosen = _pick_basis(span, rank, cands,
-                         (vec for _, batch in batches for vec in batch))
-    if span.rank < rank:
-        raise PipelineFailure(
-            "initial-basis",
-            f"initial-value basis incomplete: found {span.rank} of {rank} "
-            f"directions with support <= {horizons.support_cap}")
-    return chosen
+    levels = _levels(horizons.support_cap, quotient)
+    for _, batch in _candidate_batches(cands, span, levels):
+        vec = min(batch)
+        span.add_if_independent(_initial_fp(shift.alphabet, vec, p))
+        w = Word.from_window_vector(shift.alphabet, cands.lo, vec)
+        chosen.append(GeneratorEntry(w, 0, w))
+        if span.rank == rank:
+            return chosen
+    raise PipelineFailure(
+        "basis-completion" if quotient else "initial-basis",
+        f"initial-value basis incomplete: {span.rank} of {rank} directions "
+        f"with support <= {horizons.support_cap}; raise --support-cap")
 
 
 def lift_height(shift: GroupShift, x: Word, p: int, h: int,
@@ -337,7 +327,9 @@ def canonical_generators(shift: GroupShift, p: int,
     if e == 0:
         return CanonicalGeneratorSet(shift, p, (), 0, n_o, horizons)
     if e == 1:
-        entries = _select_base_case(shift, p, horizons)
+        rank = initial_value_space(shift, p, horizons)
+        entries = _pick_generators(shift, p, horizons,
+                                   FpSpan(p, shift.alphabet.rank), rank, quotient=False)
         return CanonicalGeneratorSet(shift, p, tuple(entries), len(entries),
                                      n_o, horizons)
 
@@ -368,20 +360,7 @@ def canonical_generators(shift: GroupShift, p: int,
             raise PipelineFailure(
                 "initial-basis",
                 "recursed initial symbols are dependent at this horizon")
-    completion: list[GeneratorEntry] = []
-    if span.rank < rank:
-        cands = _torsion_candidates(shift, p, horizons)
-        pool = sorted((_vec_quotient_support(shift.alphabet, vec, p), s, vec)
-                      for s, batch in _candidate_batches(
-                          cands, horizons.support_cap, horizons.enum_cap,
-                          "basis-completion")
-                      for vec in batch)
-        completion = _pick_basis(span, rank, cands, (vec for _, _, vec in pool))
-    if span.rank < rank:
-        raise PipelineFailure(
-            "basis-completion",
-            f"initial-value basis incomplete: {span.rank} of {rank} "
-            f"directions with support <= {horizons.support_cap}")
+    completion = _pick_generators(shift, p, horizons, span, rank, quotient=True)
     entries = sorted(lifted + completion, key=lambda e: -e.height)
     return CanonicalGeneratorSet(shift, p, tuple(entries), rank, n_o, horizons)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 Coords = tuple[int, ...]
 
@@ -82,15 +82,15 @@ class FiniteAbelianGroup:
     def rank(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         return tuple(p ** e for p, e in self.factors)
 
-    @property
+    @cached_property
     def order(self) -> int:
         return reduce(lambda a, b: a * b, self.orders, 1)
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         return reduce(math.lcm, self.orders, 1)
 
@@ -124,7 +124,7 @@ class FiniteAbelianGroup:
 
     # -- scaled embedding into Z/exponent -------------------------------------
 
-    @property
+    @cached_property
     def scale_factors(self) -> tuple[int, ...]:
         """Per-factor multiplier embedding Z/n_j into Z/exponent."""
         exp = self.exponent

@@ -214,6 +214,16 @@ def howell_form(rows: Sequence[Sequence[int]], modulus: int,
     return HowellForm(m, ncols, tuple(tuple(row) for row in work[:r]), tuple(pivots))
 
 
+def constrained_form(rows: Sequence[Sequence[int]], modulus: int,
+                     conditions: Sequence[tuple[int, int]], lo: int, hi: int) -> HowellForm:
+    """Canonical form of the projection to columns [lo, hi) of the submodule
+    {v in span(rows) : k * v[c] == 0 for every (c, k) in conditions}: the rows
+    of [conditions | kept part] zero on the condition columns span it."""
+    ext = [[(k * row[c]) % modulus for c, k in conditions] + list(row[lo:hi])
+           for row in rows]
+    return howell_form(ext, modulus, len(conditions) + hi - lo).zero_prefix(len(conditions))
+
+
 @dataclass(frozen=True)
 class RowSolver:
     """Expresses targets as Z-combinations of a fixed generating row list.
@@ -288,6 +298,9 @@ class FpSpan:
                 for i in range(self.ncols):
                     v[i] = (v[i] - c * row[i]) % p
         return v
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self._reduce(vec))
 
     def add_if_independent(self, vec: Sequence[int]) -> bool:
         v = self._reduce(vec)

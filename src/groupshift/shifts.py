@@ -16,7 +16,8 @@ import math
 from typing import Sequence
 
 from .groups import FiniteAbelianGroup
-from .residues import ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec, howell_form
+from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec,
+                       constrained_form, howell_form)
 from .words import Word, word_span
 
 
@@ -137,25 +138,18 @@ class WindowModule:
         submodule {v : v == 0 on zero_positions, kill_scale*v == 0 on
         kill_positions}; the torsion condition covers the whole window when
         kill_positions is None."""
-        m = self.modulus
         r = self.shift.alphabet.rank
 
-        def cols(positions) -> list[int]:
-            return [(pos - self.lo) * r + j for pos in positions for j in range(r)]
+        def cols(positions, k: int) -> list[tuple[int, int]]:
+            return [((pos - self.lo) * r + j, k) for pos in positions for j in range(r)]
 
         if kill_positions is None:
             kill_positions = range(self.lo, self.hi + 1)
-        zero_cols = cols(zero_positions)
-        kill_cols = cols(kill_positions) if kill_scale is not None else []
-        a = (keep_lo - self.lo) * r
-        b = (keep_hi - self.lo + 1) * r
-        # [conditions | kept part]: the rows zero on the condition columns span
-        # the constrained submodule's projection (Howell property)
-        rows = [[row[c] for c in zero_cols]
-                + [(kill_scale * row[c]) % m for c in kill_cols] + list(row[a:b])
-                for row in self.rows]
-        ncond = len(zero_cols) + len(kill_cols)
-        return howell_form(rows, m, ncond + b - a).zero_prefix(ncond)
+        conditions = cols(zero_positions, 1)
+        if kill_scale is not None:
+            conditions += cols(kill_positions, kill_scale)
+        return constrained_form(self.rows, self.modulus, conditions,
+                                (keep_lo - self.lo) * r, (keep_hi - self.lo + 1) * r)
 
 
 @lru_cache(maxsize=None)

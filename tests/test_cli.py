@@ -209,25 +209,35 @@ def test_internal_error_exit_three(tmp_path, capsys, monkeypatch):
 # -- limits become failing stages ----------------------------------------------
 
 
-def test_enum_cap_fails_a_certify_stage(tmp_path, capsys):
-    path = tmp_path / "full-z4.spec"
-    path.write_text(FULL_Z4)
-    code, out = run_cli(["certify", str(path), "--enum-cap", "1"], capsys)
+def test_support_cap_fails_a_certify_stage(tmp_path, capsys):
+    path = tmp_path / "delay-rep.spec"
+    path.write_text(DELAY_REP)
+    code, out = run_cli(["certify", str(path), "--support-cap", "1"], capsys)
     assert code == 1
-    assert ("prime.2.check.initial-basis: fail (candidate enumeration for "
-            "support 1 exceeds enum_cap 1; raise --enum-cap)") in out
+    assert ("prime.2.check.initial-basis: fail (initial-value basis incomplete: "
+            "0 of 1 directions with support <= 1; raise --support-cap)") in out
     assert "certificate: partial" in out
     assert "internal" not in out
 
 
-def test_enum_cap_fails_generators(tmp_path, capsys):
+def test_support_cap_fails_generators(tmp_path, capsys):
+    path = tmp_path / "delay-rep.spec"
+    path.write_text(DELAY_REP)
+    code, out = run_cli(["generators", str(path), "--support-cap", "1"], capsys)
+    assert code == 1
+    assert ("prime.2.failure: initial-basis: initial-value basis incomplete: "
+            "0 of 1 directions with support <= 1; raise --support-cap") in out
+    assert "verdict: negative" in out
+    assert "internal" not in out
+
+
+def test_enum_cap_is_an_oracle_flag_only(tmp_path, capsys):
     path = tmp_path / "full-z4.spec"
     path.write_text(FULL_Z4)
-    code, out = run_cli(["generators", str(path), "--enum-cap", "1"], capsys)
-    assert code == 1
-    assert ("prime.2.failure: initial-basis: candidate enumeration for "
-            "support 1 exceeds enum_cap 1; raise --enum-cap") in out
-    assert "verdict: negative" in out
+    for command in ("analyze", "generators", "certify"):
+        code = main([command, str(path), "--enum-cap", "5"])
+        assert code == 2
+        assert "unrecognized arguments: --enum-cap 5" in capsys.readouterr().err
 
 
 def test_enum_cap_fails_oracle(tmp_path, capsys):
@@ -245,6 +255,33 @@ def test_enum_cap_fails_oracle(tmp_path, capsys):
     assert code == 1 and "window code exceeds 0 elements" in out
     code, out = run_cli(["oracle", str(path), "--window", "0:3"], capsys)
     assert code == 0 and "code_size: 256" in out
+
+
+# -- numeric flags are checked at parse time -----------------------------------
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", "{spec}", "--horizon", "0"], "--horizon"),
+    (["certify", "{spec}", "--horizon", "-1"], "--horizon"),
+    (["analyze", "{spec}", "--horizon", "0"], "--horizon"),
+    (["certify", "{spec}", "--margin", "-1"], "--margin"),
+    (["generators", "{spec}", "--support-cap", "0"], "--support-cap"),
+    (["certify", "{spec}", "--block-cap", "-1"], "--block-cap"),
+    (["certify", "{spec}", "--n-cap", "-1"], "--n-cap"),
+    (["certify", "{spec}", "--trials", "-1"], "--trials"),
+    (["encode", "{spec}", "{spec}", "--margin", "x"], "--margin"),
+    (["analyze", "{spec}", "--ft-cap", "0"], "--ft-cap"),
+    (["oracle", "{spec}", "--window", "0:1", "--list-cap", "-1"], "--list-cap"),
+    (["oracle", "{spec}", "--window", "0:1", "--enum-cap", "-1"], "--enum-cap"),
+])
+def test_numeric_flags_rejected_at_parse_time(tmp_path, capsys, argv, flag):
+    path = tmp_path / "full-z4.spec"
+    path.write_text(FULL_Z4)
+    code = main([a.format(spec=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"argument {flag}: " in captured.err
+    assert "internal" not in captured.out + captured.err
 
 
 # -- horizon precedence: flag, then spec key, then derived default --------------

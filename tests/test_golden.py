@@ -17,7 +17,7 @@ import pytest
 from groupshift.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-SPECS = ["full-z4", "delay-rep", "z6", "z8-z4"]
+SPECS = ["full-z4", "delay-rep", "z6", "z8-z4", "z9-z3"]
 
 #: (command arguments before the spec, extra trailing argument, exit code)
 COMMANDS = {
@@ -25,7 +25,7 @@ COMMANDS = {
     "generators": (["generators"], [], {}),
     "certify-window": (["certify", "--window", "0:2"], [], {}),
     "certify-presentation": (["certify", "--check-presentation"], [],
-                             {"z6": 2, "z8-z4": 1}),
+                             {"z6": 2, "z8-z4": 1, "z9-z3": 1}),
     "oracle": (["oracle", "--window", "0:1"], [], {}),
     "encode": (["encode"], ["{spec}.msg"], {}),
     "encode-window": (["encode", "--window=-1:2"], ["{spec}.msg"], {}),
@@ -33,13 +33,11 @@ COMMANDS = {
     "encode-long-window": (["encode", "--window=100:140"], ["{spec}-long.msg"], {}),
 }
 
-# encode re-runs the whole certificate; the Z8 x Z4 one costs ~2 s a run and
-# its encoder is the identity, so its encode reports are left out.  Only the
-# delay rep has a long (600-symbol) message: its length-2 tap overlaps at
-# every position, so the encode sum is checked where placed taps collide.
+# Only the delay rep has a long (600-symbol) message: its length-2 tap
+# overlaps at every position, so the encode sum is checked where placed taps
+# collide.
 CASES = [(spec, name) for spec in SPECS for name in COMMANDS
-         if not (spec == "z8-z4" and name.startswith("encode"))
-         and (spec == "delay-rep" or "-long" not in name)]
+         if spec == "delay-rep" or "-long" not in name]
 
 
 def _argv(spec: str, name: str) -> tuple[list[str], int]:
