@@ -4,7 +4,8 @@ Reports are line-oriented ``key: value`` text on stdout, deterministic for
 fixed inputs and flags (timing goes to stderr).  Exit codes: 0 all checks
 passed, 1 a verdict was negative, 2 usage or parse error, 3 internal error
 (an unexpected exception; its traceback goes to stderr).  A numeric flag out
-of range is a usage error; only oracle, which enumerates, has --enum-cap.
+of range, or a spec or message file that cannot be read, is a usage error;
+only oracle, which enumerates, has --enum-cap.
 """
 
 from __future__ import annotations
@@ -22,11 +23,16 @@ from .encoders import (CanonicalGeneratorSet, ConjugacyCertificate, Encoder,
                        check_injectivity, check_noncatastrophic,
                        conjugacy_certificate, encode, presentation_encoder,
                        primary_shift)
-from .groups import FiniteAbelianGroup
-from .residues import ENUM_CAP, EnumerationCapExceeded, howell_form
+from .groups import FiniteAbelianGroup, is_prime
+from .residues import ENUM_CAP, MAX_MODULUS, EnumerationCapExceeded, howell_form
 from .shifts import GroupShift, enumerate_window_code, finite_type_memory
 from .specfmt import ShiftSpec, SpecParseError, parse_message, parse_spec
 from .words import Word, format_symbols
+
+
+class UsageError(Exception):
+    """Input the command cannot run on; reported with exit code 2."""
+
 
 DISCLAIMER = ("all verdicts are window-scale certificates at the recorded "
               "horizons, not infinite-horizon claims")
@@ -89,8 +95,15 @@ def _echo_horizons(report: Report, horizons: Horizons) -> None:
         report.add(f"horizon.{name}", getattr(horizons, name))
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
 def _load_spec(path: str) -> ShiftSpec:
-    return parse_spec(Path(path).read_text(encoding="utf-8"))
+    return parse_spec(_read_text(path))
 
 
 def _horizons_from_args(spec: ShiftSpec, args) -> Horizons:
@@ -177,7 +190,7 @@ def cmd_generators(args) -> int:
     report = Report()
     _echo_input(report, "generators", args.spec, spec)
     _echo_horizons(report, horizons)
-    primes = [args.prime] if args.prime else list(shift.alphabet.primes())
+    primes = [args.prime] if args.prime is not None else list(shift.alphabet.primes())
     negative = False
     for p in primes:
         part = primary_shift(shift, p)
@@ -213,7 +226,10 @@ def _certificate_report(report: Report, cert: ConjugacyCertificate) -> bool:
 def _presentation_audit(report: Report, shift: GroupShift,
                         horizons: Horizons, args) -> bool:
     """Audit the presentation's own generators as encoder taps."""
-    encoder = presentation_encoder(shift)
+    try:
+        encoder = presentation_encoder(shift)
+    except ValueError as exc:  # a generator of composite order is no tap
+        raise UsageError(str(exc)) from None
     _encoder_lines(report, "presentation_encoder", encoder)
     negative = False
     if len(set(encoder.tap_primes)) == 1:
@@ -273,8 +289,7 @@ def cmd_encode(args) -> int:
     if cert.product_encoder is None:
         return report.fail("encoder synthesis failed; run certify for details")
     encoder = cert.product_encoder
-    message = parse_message(Path(args.message).read_text(encoding="utf-8"),
-                            encoder.source)
+    message = parse_message(_read_text(args.message), encoder.source)
     window = tuple(args.window) if args.window else None
     image = encode(encoder, message, window)
     report.add("source", encoder.source.format())
@@ -329,15 +344,19 @@ def _window_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _at_least(lo: int):
-    """argparse type: an integer >= lo."""
+def _int_arg(ok, need: str):
+    """argparse type: an integer n with ok(n); else "must be <need>"."""
     def parse(text: str) -> int:
         n = int(text)
-        if n < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        if not ok(n):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {n}")
         return n
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _at_least(lo: int):
+    return _int_arg(lambda n: n >= lo, f">= {lo}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -373,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generators", help="canonical generating sets per prime")
     p.add_argument("spec")
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--prime", default=None,
+                   type=_int_arg(lambda n: n < MAX_MODULUS and is_prime(n),
+                                 "a prime below 2**31"),
+                   help="report only this prime")
     _add_common(p)
     p.set_defaults(func=cmd_generators)
 
@@ -417,7 +439,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except (SpecParseError, FileNotFoundError, ValueError) as exc:
+    except (SpecParseError, UsageError) as exc:
         sys.stdout.write(f"error: {exc}\n")
         return 2
     except Exception as exc:

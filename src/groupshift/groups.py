@@ -78,7 +78,7 @@ class FiniteAbelianGroup:
     def format(self) -> str:
         return " x ".join(f"Z{p ** e}" for p, e in self.factors) if self.factors else "Z1"
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return len(self.factors)
 

@@ -70,18 +70,13 @@ def annihilator(a: int, modulus: int) -> int:
     return modulus // math.gcd(a, modulus)
 
 
-def _vec_add_scaled(dst: list[int], src: Sequence[int], k: int, m: int) -> None:
-    for i, s in enumerate(src):
-        dst[i] = (dst[i] + k * s) % m
-
-
 def combine_rows(coeffs: Sequence[int], rows: Sequence[Sequence[int]], m: int,
                  width: int | None = None) -> list[int]:
     """sum_i coeffs[i] * rows[i] mod m (`width` sizes an empty row list)."""
     acc = [0] * (len(rows[0]) if rows else width or 0)
     for c, row in zip(coeffs, rows):
         if c:
-            _vec_add_scaled(acc, row, c, m)
+            acc = [(a + c * x) % m for a, x in zip(acc, row)]
     return acc
 
 
@@ -116,7 +111,7 @@ class HowellForm:
             q = res[c] // d
             if q:
                 coeffs[i] = q
-                _vec_add_scaled(res, self.rows[i], -q, m)
+                res[c:] = [(x - q * y) % m for x, y in zip(res[c:], self.rows[i][c:])]
         return tuple(res), tuple(coeffs)
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -153,65 +148,75 @@ class HowellForm:
             cur = acc
             for t in range(ranges[i]):
                 if t:
-                    cur = cur.copy()
-                    _vec_add_scaled(cur, self.rows[i], 1, m)
+                    cur = [(a + x) % m for a, x in zip(cur, self.rows[i])]
                 yield from rec(i + 1, cur)
 
         yield from rec(0, [0] * self.ncols)
 
 
 def howell_form(rows: Sequence[Sequence[int]], modulus: int,
-                ncols: int | None = None) -> HowellForm:
-    """Canonical Howell row form of the given rows (`ncols` sizes an empty list).
+                ncols: int | None = None, drop: int = 0) -> HowellForm:
+    """Canonical Howell row form of the given rows (`ncols` sizes an empty
+    list), or with `drop` = k its `zero_prefix(k)`, whose left-out rows are
+    never back-reduced.
 
-    Saturation gives the Howell property that `HowellForm.zero_prefix` reads.
+    Per column the pivot is the live entry of least gcd d with the modulus
+    (least valuation over Z/p^e), scaled to d; an entry d divides is cleared
+    by one subtraction, any other (composite moduli only) by an xgcd fold.
+    Live rows are zero left of the pivot column, so row operations start
+    there.  Saturation gives the Howell property that `zero_prefix` reads.
     """
     validate_modulus(modulus)
     m = modulus
     ncols = len(rows[0]) if rows else (ncols or 0)
-    work = [row for row in ([x % m for x in r] for r in rows) if any(row)]
-    r = 0
+    live = [row for row in ([x % m for x in r] for r in rows) if any(row)]
+    done: list[list[int]] = []
+    dropped = 0
     pivots: list[tuple[int, int]] = []
     for c in range(ncols):
-        idx = None
-        for i in range(r, len(work)):
-            if work[i][c] % m:
-                idx = i
-                break
-        if idx is None:
+        hits = [w for w in live if w[c]]
+        if not hits:
             continue
-        work[r], work[idx] = work[idx], work[r]
-        # fold every later row with a nonzero entry in column c into row r
-        for j in range(r + 1, len(work)):
-            if work[j][c] % m == 0:
-                continue
-            a, b = work[r][c], work[j][c]
-            g, x, y = xgcd(a, b)
-            u, v = -(b // g), a // g  # unimodular completion: det(x v - y u) = 1
-            rr, rj = work[r], work[j]
-            new_r = [(x * rr[k] + y * rj[k]) % m for k in range(ncols)]
-            new_j = [(u * rr[k] + v * rj[k]) % m for k in range(ncols)]
-            work[r], work[j] = new_r, new_j
-        # normalize the pivot to the divisor gcd(entry, modulus)
-        uu = unit_for(work[r][c], m)
-        if uu != 1:
-            work[r] = [(uu * x) % m for x in work[r]]
-        d = work[r][c]
+        gcds = [math.gcd(w[c], m) for w in hits]
+        d = min(gcds)
+        row = hits.pop(gcds.index(d))
+        u = unit_for(row[c], m)
+        tail = [(u * x) % m for x in row[c:]] if u != 1 else row[c:]
+        live = [w for w in live if not w[c]]
+        for rj in hits:
+            b = rj[c]
+            if b % d == 0:
+                q = b // d
+                t = [(y - q * x) % m for x, y in zip(tail, rj[c:])]
+            else:
+                # unimodular fold of the two rows: det(x v - y u) = 1
+                g, x, y = xgcd(d, b)
+                u, v = -(b // g), d // g
+                pairs = list(zip(tail, rj[c:]))
+                tail = [(x * s + y * z) % m for s, z in pairs]
+                t = [(u * s + v * z) % m for s, z in pairs]
+                d = g
+            if any(t):
+                rj[c:] = t
+                live.append(rj)
+        row[c:] = tail
         # reduce entries above the pivot into [0, d)
-        for k in range(r):
-            q = work[k][c] // d
+        for rk in done[dropped:]:
+            q = rk[c] // d
             if q:
-                _vec_add_scaled(work[k], work[r], -q, m)
+                rk[c:] = [(y - q * x) % m for x, y in zip(tail, rk[c:])]
         # saturation: the annihilator multiple of the pivot row re-enters the
         # worklist so later columns see every combination with zero lead
         ann = annihilator(d, m)
         if ann % m:
-            extra = [(ann * x) % m for x in work[r]]
+            extra = [(ann * x) % m for x in tail]
             if any(extra):
-                work.append(extra)
+                live.append([0] * c + extra)
+        done.append(row)
         pivots.append((c, d))
-        r += 1
-    return HowellForm(m, ncols, tuple(tuple(row) for row in work[:r]), tuple(pivots))
+        dropped += c < drop
+    form = HowellForm(m, ncols, tuple(tuple(row) for row in done), tuple(pivots))
+    return form.zero_prefix(drop) if drop else form
 
 
 def constrained_form(rows: Sequence[Sequence[int]], modulus: int,
@@ -221,7 +226,7 @@ def constrained_form(rows: Sequence[Sequence[int]], modulus: int,
     of [conditions | kept part] zero on the condition columns span it."""
     ext = [[(k * row[c]) % modulus for c, k in conditions] + list(row[lo:hi])
            for row in rows]
-    return howell_form(ext, modulus, len(conditions) + hi - lo).zero_prefix(len(conditions))
+    return howell_form(ext, modulus, len(conditions) + hi - lo, drop=len(conditions))
 
 
 @dataclass(frozen=True)
@@ -293,10 +298,9 @@ class FpSpan:
         p = self.p
         v = [x % p for x in vec]
         for lead, row in zip(self._lead, self._rows):
-            if v[lead]:
-                c = v[lead]
-                for i in range(self.ncols):
-                    v[i] = (v[i] - c * row[i]) % p
+            c = v[lead]
+            if c:
+                v[lead:] = [(x - c * y) % p for x, y in zip(v[lead:], row[lead:])]
         return v
 
     def contains(self, vec: Sequence[int]) -> bool:

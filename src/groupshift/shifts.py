@@ -311,29 +311,28 @@ def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int,
 
 def enumerate_window_code(shift: GroupShift, lo: int, hi: int,
                           cap: int = ENUM_CAP) -> tuple[tuple[int, ...], ...]:
-    """All window configurations of the code on [lo, hi], by set closure.
+    """All window configurations of the code on [lo, hi], by coset closure.
 
     Works directly on unscaled symbol tuples and never touches the canonical
-    form machinery, so it can serve as an independent cross-check.
+    form machinery, so it can serve as an independent cross-check.  With idx
+    the least k > 0 such that k*g lies in the code E built so far, E + <g> is
+    the disjoint union of the cosets E + k*g for 0 <= k < idx: each element
+    is built once, and a contributor already in E costs one membership probe.
     """
-    group = shift.alphabet
-    width = hi - lo + 1
-    zero = tuple([0] * (width * group.rank))
-    elements = {zero}
+    orders = shift.alphabet.orders * (hi - lo + 1)
+
+    def add(a, b):
+        return tuple((x + y) % n for x, y, n in zip(a, b, orders))
+
+    elements = {tuple([0] * len(orders))}
     for gi, t in shift.contributors(lo, hi):
         placed = shift.placed(gi, t)
-        flat: list[int] = []
-        for i in range(lo, hi + 1):
-            flat.extend(placed.value_at(i))
-        order = placed.restricted(lo, hi).order()
-        new = set()
-        for base in elements:
-            cur = list(base)
-            for _ in range(order):
-                new.add(tuple(cur))
-                cur = [(a + b) % n for a, b, n in
-                       zip(cur, flat, group.orders * width)]
-        elements = new
-        if len(elements) > cap:
-            raise EnumerationCapExceeded(f"window code exceeds {cap} elements")
+        g = tuple(x for i in range(lo, hi + 1) for x in placed.value_at(i))
+        multiples = [g]  # k*g for k = 1..idx
+        while multiples[-1] not in elements:
+            if len(elements) * (len(multiples) + 1) > cap:
+                raise EnumerationCapExceeded(f"window code exceeds {cap} elements")
+            multiples.append(add(multiples[-1], g))
+        elements = elements.union(*({add(e, kg) for e in elements}
+                                    for kg in multiples[:-1]))
     return tuple(sorted(elements))

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .groups import FiniteAbelianGroup, GroupSyntax
+from .residues import MAX_MODULUS
 from .shifts import GroupShift
 from .words import Word
 
@@ -93,6 +94,8 @@ def parse_spec(text: str) -> ShiftSpec:
                 syntax = GroupSyntax.parse(line.split(":", 1)[1].strip())
             except ValueError as exc:
                 raise SpecParseError(line_no, str(exc))
+            if syntax.group.exponent > MAX_MODULUS:
+                raise SpecParseError(line_no, "group exponent exceeds the 2**31 cap")
             continue
         if lowered.startswith("memory:"):
             try:

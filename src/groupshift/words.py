@@ -134,9 +134,11 @@ class Word:
 
     def window_vector(self, lo: int, hi: int) -> tuple[int, ...]:
         """Flattened scaled coordinates of the restriction to [lo, hi]."""
-        out: list[int] = []
-        for i in range(lo, hi + 1):
-            out.extend(self.group.coords_to_scaled(self.value_at(i)))
+        r = self.group.rank
+        out = [0] * ((hi - lo + 1) * r)
+        for i in range(max(lo, self.start), min(hi + 1, self.start + len(self.symbols))):
+            out[(i - lo) * r:(i - lo + 1) * r] = \
+                self.group.coords_to_scaled(self.symbols[i - self.start])
         return tuple(out)
 
     @classmethod

@@ -206,6 +206,74 @@ def test_internal_error_exit_three(tmp_path, capsys, monkeypatch):
     assert "Traceback" in captured.err
 
 
+def test_value_error_after_parsing_is_internal(tmp_path, capsys, monkeypatch):
+    import groupshift.cli as cli
+
+    def boom(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_certify", boom)
+    path = tmp_path / "full-z4.spec"
+    path.write_text(FULL_Z4)
+    code = main(["certify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "error: internal: ValueError: boom\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "generators", "certify", "oracle"])
+def test_unreadable_spec_exit_two(tmp_path, capsys, command):
+    binary = tmp_path / "binary.spec"
+    binary.write_bytes(b"group: Z4\ngen @0: \xff\xfe\n")
+    for path in (tmp_path, binary):
+        argv = [command, str(path)] + (["--window", "0:1"] if command == "oracle" else [])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, captured
+        assert captured.out.startswith("error: ") and "internal" not in captured.out
+        assert "Traceback" not in captured.err
+
+
+def test_unreadable_message_exit_two(tmp_path, capsys):
+    spec = tmp_path / "full-z4.spec"
+    spec.write_text(FULL_Z4)
+    msg = tmp_path / "msg.txt"
+    msg.write_bytes(b"0: \xff\n")
+    for path in (msg, tmp_path):
+        code, out = run_cli(["encode", str(spec), str(path)], capsys)
+        assert code == 2 and out.startswith("error: ") and "internal" not in out
+
+
+def test_group_exponent_above_the_modulus_cap_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.spec"
+    path.write_text("group: Z4294967296\ngen @0: 1\n")
+    for command in ("analyze", "certify"):
+        code, out = run_cli([command, str(path)], capsys)
+        assert code == 2
+        assert out == "error: line 1: group exponent exceeds the 2**31 cap\n"
+
+
+@pytest.mark.parametrize("value", ["0", "4", "-3", "1", "x", "2147483659"])
+def test_prime_flag_accepts_primes_only(tmp_path, capsys, value):
+    path = tmp_path / "full-z4.spec"
+    path.write_text(FULL_Z4)
+    code = main(["generators", str(path), "--prime", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "argument --prime: " in captured.err
+    assert captured.out == ""
+
+
+def test_prime_flag_selects_one_prime(tmp_path, capsys):
+    path = tmp_path / "z6.spec"
+    path.write_text("group: Z6\ngen @0: 1\n")
+    code, out = run_cli(["generators", str(path), "--prime", "3"], capsys)
+    assert code == 0
+    assert "prime.3.generator_count: 1" in out and "prime.2." not in out
+    code, out = run_cli(["generators", str(path)], capsys)
+    assert "prime.2.generator_count: 1" in out and "prime.3.generator_count: 1" in out
+
+
 # -- limits become failing stages ----------------------------------------------
 
 

@@ -1,12 +1,14 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshift.residues import (EnumerationCapExceeded, FpSpan, annihilator,
-                                 combine_rows, howell_form, is_prime,
-                                 row_solver, unit_for, xgcd)
+from groupshift.residues import (EnumerationCapExceeded, FpSpan, HowellForm,
+                                 annihilator, combine_rows, constrained_form,
+                                 howell_form, is_prime, row_solver, unit_for,
+                                 xgcd)
 
 from conftest import brute_force_span
 
@@ -31,7 +33,6 @@ def test_xgcd_identity():
 
 
 def test_unit_for_contract():
-    import math
     for m in MODULI:
         for a in range(m):
             u = unit_for(a, m)
@@ -248,6 +249,128 @@ def test_combine_rows_matches_naive_sum(mat, data):
              for i in range(len(rows[0]))]
     assert combine_rows(coeffs, rows, modulus) == naive
     assert combine_rows([], [], modulus, 3) == [0, 0, 0]
+
+
+# -- the live-column kernel against the full-width reference -------------------
+
+
+def reference_howell_form(rows, modulus, ncols=None):
+    """The full-width Howell kernel: first nonzero row as pivot, an xgcd fold
+    for every later nonzero entry, every row operation over all columns."""
+    m = modulus
+    ncols = len(rows[0]) if rows else (ncols or 0)
+    work = [row for row in ([x % m for x in r] for r in rows) if any(row)]
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        idx = next((i for i in range(r, len(work)) if work[i][c] % m), None)
+        if idx is None:
+            continue
+        work[r], work[idx] = work[idx], work[r]
+        for j in range(r + 1, len(work)):
+            if work[j][c] % m == 0:
+                continue
+            a, b = work[r][c], work[j][c]
+            g, x, y = xgcd(a, b)
+            u, v = -(b // g), a // g
+            rr, rj = work[r], work[j]
+            work[r] = [(x * rr[k] + y * rj[k]) % m for k in range(ncols)]
+            work[j] = [(u * rr[k] + v * rj[k]) % m for k in range(ncols)]
+        uu = unit_for(work[r][c], m)
+        if uu != 1:
+            work[r] = [(uu * x) % m for x in work[r]]
+        d = work[r][c]
+        for k in range(r):
+            q = work[k][c] // d
+            if q:
+                work[k] = [(a - q * b) % m for a, b in zip(work[k], work[r])]
+        ann = annihilator(d, m)
+        if ann % m:
+            extra = [(ann * x) % m for x in work[r]]
+            if any(extra):
+                work.append(extra)
+        pivots.append((c, d))
+        r += 1
+    return HowellForm(m, ncols, tuple(tuple(row) for row in work[:r]), tuple(pivots))
+
+
+PRIME_POWER_MODULI = [2, 4, 8, 9, 27, 25, 81]
+COMPOSITE_MODULI = [6, 12, 36, 72]
+
+
+@st.composite
+def kernel_inputs(draw, moduli):
+    """(modulus, rows, ncols): rows may be empty, tall, and hold zero and
+    duplicate rows; entries are biased towards zero divisors."""
+    m = draw(st.sampled_from(moduli))
+    ncols = draw(st.integers(1, 6))
+    divisors = [d for d in range(1, m) if m % d == 0]
+    entry = st.one_of(st.integers(0, m - 1),
+                      st.builds(lambda d, k: (d * k) % m,
+                                st.sampled_from(divisors), st.integers(1, m)))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=0, max_size=10))
+    extra = draw(st.lists(st.sampled_from(["zero", "duplicate"]), max_size=3))
+    for kind in extra:
+        at = draw(st.integers(0, len(rows)))
+        if kind == "zero" or not rows:
+            rows.insert(at, [0] * ncols)
+        else:
+            rows.insert(at, list(draw(st.sampled_from(rows))))
+    return m, rows, ncols
+
+
+def reference_reduce(form, vec):
+    """Greedy leading-term reduction with full-width row operations."""
+    m = form.modulus
+    res = [x % m for x in vec]
+    coeffs = []
+    for (c, d), row in zip(form.pivots, form.rows):
+        q = res[c] // d
+        coeffs.append(q)
+        res = [(x - q * y) % m for x, y in zip(res, row)]
+    return tuple(res), tuple(coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)),
+       st.data())
+def test_kernel_matches_full_width_reference(inp, data):
+    m, rows, ncols = inp
+    got = howell_form(rows, m, ncols)
+    ref = reference_howell_form(rows, m, ncols)
+    assert (got.rows, got.pivots, got.ncols) == (ref.rows, ref.pivots, ref.ncols)
+    vec = data.draw(st.lists(st.integers(0, m - 1), min_size=ncols, max_size=ncols))
+    assert got.reduce(vec) == reference_reduce(ref, vec)
+
+
+@pytest.mark.parametrize("rows, modulus", [
+    ([[2, 1, 0], [3, 0, 1]], 6),
+    ([[4, 1], [3, 1], [6, 5]], 12),
+    ([[4, 1, 0], [9, 2, 1]], 36),
+    ([[8, 1, 1], [9, 1, 0], [12, 0, 5]], 72),
+])
+def test_kernel_xgcd_fold_when_the_pivot_does_not_divide(rows, modulus):
+    # the least-gcd entry of column 0 does not divide another entry there
+    gcds = sorted(math.gcd(row[0], modulus) for row in rows)
+    assert any(g % gcds[0] for g in gcds)
+    got = howell_form(rows, modulus)
+    assert got == reference_howell_form(rows, modulus)
+    assert set(got.enumerate_elements()) == brute_force_span(rows, modulus, len(rows[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)),
+       st.data())
+def test_constrained_form_matches_reference_zero_prefix(inp, data):
+    m, rows, ncols = inp
+    conditions = data.draw(st.lists(st.tuples(st.integers(0, ncols - 1),
+                                              st.integers(1, m - 1)), max_size=4))
+    lo = data.draw(st.integers(0, ncols))
+    hi = data.draw(st.integers(lo, ncols))
+    ext = [[(k * row[c]) % m for c, k in conditions] + row[lo:hi] for row in rows]
+    ref = reference_howell_form(ext, m, len(conditions) + hi - lo)
+    assert constrained_form(rows, m, conditions, lo, hi) == ref.zero_prefix(len(conditions))
 
 
 # -- independence over F_p (FpSpan) -------------------------------------------

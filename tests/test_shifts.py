@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshift.residues import combine_rows, howell_form, row_solver
+from groupshift.residues import (EnumerationCapExceeded, combine_rows,
+                                 howell_form, row_solver)
 from groupshift.shifts import (GroupShift, enumerate_window_code,
                                finite_type_memory, member, splice,
                                supported_words)
@@ -241,3 +242,40 @@ def test_window_code_oracle_agrees_with_canonical_path():
             continue
         oracle = set(enumerate_window_code(g, lo, hi))
         assert oracle == window_code_as_set(g, lo, hi)
+
+
+def set_closure_window_code(shift, lo, hi):
+    """Reference oracle: add order(g) multiples of each contributor g to
+    every element built so far."""
+    group = shift.alphabet
+    width = hi - lo + 1
+    elements = {tuple([0] * (width * group.rank))}
+    for gi, t in shift.contributors(lo, hi):
+        placed = shift.placed(gi, t)
+        flat = []
+        for i in range(lo, hi + 1):
+            flat.extend(placed.value_at(i))
+        order = placed.restricted(lo, hi).order()
+        new = set()
+        for base in elements:
+            cur = list(base)
+            for _ in range(order):
+                new.add(tuple(cur))
+                cur = [(a + b) % n for a, b, n in zip(cur, flat, group.orders * width)]
+        elements = new
+    return tuple(sorted(elements))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(-2, 0), st.integers(0, 2))
+def test_coset_closure_matches_set_closure(rng, lo, extra):
+    shift = random_shift(rng, max_gens=3)
+    hi = lo + extra
+    if shift.alphabet.order ** (extra + 1) > 1 << 12:
+        return
+    ref = set_closure_window_code(shift, lo, hi)
+    assert enumerate_window_code(shift, lo, hi) == ref
+    # the cap bounds the final code size, as it bounded the set closure's
+    assert enumerate_window_code(shift, lo, hi, cap=len(ref)) == ref
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_window_code(shift, lo, hi, cap=len(ref) - 1)

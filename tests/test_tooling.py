@@ -42,6 +42,28 @@ assert 0 < t.counts["encoders.candidates_enumerated"] < 100, t.counts
 """
 
 
+#: A constrained projection and a solver build are one Howell reduction each,
+#: made through the counted module-level ``howell_form``; a private helper
+#: that bypassed it would read 0 here.
+REDUCTION_SCRIPT = """
+import tracer, ops
+from groupshift import residues
+t = tracer.Tracer()
+tracer.install(t)
+z8_z4 = ops.build_shift("Z8 x Z4", [(0, [(1, 2), (3, 1), (2, 2)]),
+                                    (0, [(0, 1), (4, 3)])])
+module = z8_z4.window(-2, 3)
+t.counts.clear()
+module.constrained_projection(0, 3, zero_positions=[-2, -1], kill_scale=2)
+assert t.counts["residues.howell_calls"] == 1, t.counts
+t.counts.clear()
+solver = residues.row_solver(module.rows, module.modulus)
+assert solver.express(module.rows[0]) is not None
+assert t.counts["residues.solver_builds"] == 1, t.counts
+assert t.counts["residues.howell_calls"] == 1, t.counts
+"""
+
+
 def _run_traced(script: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
@@ -56,3 +78,7 @@ def test_tracer_installs_on_every_hook_point():
 
 def test_generator_selection_enumerates_few_candidates():
     _run_traced(SELECTION_SCRIPT)
+
+
+def test_one_counted_reduction_per_projection_and_solver():
+    _run_traced(REDUCTION_SCRIPT)

@@ -84,6 +84,48 @@ def test_window_vector_roundtrip():
         assert back == w
 
 
+def dense_window_vector(w, lo, hi):
+    """The window vector by one scaled symbol per position, zeros included."""
+    out = []
+    for i in range(lo, hi + 1):
+        out.extend(w.group.coords_to_scaled(w.value_at(i)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("where", ["left", "right", "overlap", "inside", "zero"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_window_vector_matches_dense_loop(where, data):
+    group = FiniteAbelianGroup.parse(
+        data.draw(st.sampled_from(GROUPS + ["Z9 x Z3", "Z8 x Z4 x Z2"])))
+    if where == "zero":
+        w = Word.zero(group)
+        lo = data.draw(st.integers(-5, 5))
+        hi = data.draw(st.integers(lo, lo + 5))
+    else:
+        symbol = st.tuples(*(st.integers(0, n - 1) for n in group.orders))
+        syms = data.draw(st.lists(symbol, min_size=1, max_size=6))
+        syms[0] = syms[-1] = group.reduce_coords((1,) * group.rank)  # keep the support
+        w = Word.make(group, data.draw(st.integers(-4, 4)), syms)
+        first, last = w.first, w.last
+        if where == "left":
+            hi = data.draw(st.integers(first - 4, first - 1))
+            lo = data.draw(st.integers(hi - 4, hi))
+        elif where == "right":
+            lo = data.draw(st.integers(last + 1, last + 4))
+            hi = data.draw(st.integers(lo, lo + 4))
+        elif where == "overlap" and data.draw(st.booleans()):  # across the first
+            lo = data.draw(st.integers(first - 4, first - 1))
+            hi = data.draw(st.integers(first, last + 4))
+        elif where == "overlap":  # across the last
+            lo = data.draw(st.integers(first, last))
+            hi = data.draw(st.integers(last + 1, last + 4))
+        else:
+            lo = data.draw(st.integers(first, last))
+            hi = data.draw(st.integers(lo, last))
+    assert w.window_vector(lo, hi) == dense_window_vector(w, lo, hi)
+
+
 def test_word_span():
     z2 = FiniteAbelianGroup.parse("Z2")
     a = Word.make(z2, -2, [(1,)])
