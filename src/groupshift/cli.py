@@ -11,6 +11,7 @@ only oracle, which enumerates, has --enum-cap.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 import time
 import traceback
@@ -24,10 +25,11 @@ from .encoders import (CanonicalGeneratorSet, ConjugacyCertificate, Encoder,
                        conjugacy_certificate, encode, presentation_encoder,
                        primary_shift)
 from .groups import FiniteAbelianGroup, is_prime
-from .residues import ENUM_CAP, MAX_MODULUS, EnumerationCapExceeded, howell_form
+from .residues import (ENUM_CAP, MAX_MODULUS, EnumerationCapExceeded, HowellForm,
+                       howell_form)
 from .shifts import GroupShift, enumerate_window_code, finite_type_memory
 from .specfmt import ShiftSpec, SpecParseError, parse_message, parse_spec
-from .words import Word, format_symbols
+from .words import format_symbols
 
 
 class UsageError(Exception):
@@ -72,10 +74,15 @@ def _check_value(passed: bool, detail: str = "") -> str:
     return f"pass [{detail}]" if passed else f"fail ({detail})"
 
 
-def _format_window_row(group: FiniteAbelianGroup, vec) -> str:
+def _window_image_lines(report: Report, group: FiniteAbelianGroup, lo: int, hi: int,
+                        form: HowellForm) -> None:
+    """Size and Howell rows, as symbols, of a window image on [lo, hi]."""
     r = group.rank
-    return format_symbols(group, [group.scaled_to_coords(tuple(vec[i:i + r]))
-                                  for i in range(0, len(vec), r)])
+    report.add(f"window_image.{lo}..{hi}.size", form.size())
+    for i, row in enumerate(form.rows, start=1):
+        report.add(f"window_image.{lo}..{hi}.row.{i}",
+                   format_symbols(group, [group.scaled_to_coords(row[k:k + r])
+                                          for k in range(0, len(row), r)]))
 
 
 def _echo_input(report: Report, command: str, path: str, spec: ShiftSpec) -> None:
@@ -270,11 +277,7 @@ def cmd_certify(args) -> int:
     negative = _certificate_report(report, cert)
     if args.window:
         lo, hi = args.window
-        module = shift.window(lo, hi)
-        report.add(f"window_image.{lo}..{hi}.size", module.size())
-        for i, row in enumerate(module.form.rows, start=1):
-            report.add(f"window_image.{lo}..{hi}.row.{i}",
-                       _format_window_row(shift.alphabet, row))
+        _window_image_lines(report, shift.alphabet, lo, hi, shift.window(lo, hi).form)
     return report.finish(negative)
 
 
@@ -316,18 +319,15 @@ def cmd_oracle(args) -> int:
     report.add("code_size", len(elements))
     group = shift.alphabet
     r = group.rank
-    configs = [[flat[k * r:(k + 1) * r] for k in range(hi - lo + 1)]
-               for flat in elements]
     if len(elements) <= args.list_cap:
-        for i, syms in enumerate(configs, start=1):
-            report.add(f"element.{i}", format_symbols(group, syms))
-    scaled = [Word.make(group, lo, syms).window_vector(lo, hi) for syms in configs]
-    m = max(group.exponent, 2)
-    form = howell_form(scaled, m)
-    report.add(f"window_image.{lo}..{hi}.size", form.size())
-    for i, row in enumerate(form.rows, start=1):
-        report.add(f"window_image.{lo}..{hi}.row.{i}",
-                   _format_window_row(group, row))
+        for i, flat in enumerate(elements, start=1):
+            report.add(f"element.{i}", format_symbols(
+                group, [flat[k:k + r] for k in range(0, len(flat), r)]))
+    # enumerated coordinates are reduced, so scaling needs no reduction
+    factors = group.scale_factors * (hi - lo + 1)
+    scaled = [tuple(map(operator.mul, flat, factors)) for flat in elements]
+    _window_image_lines(report, group, lo, hi,
+                        howell_form(scaled, max(group.exponent, 2)))
     report.add("verdict", "pass")
     report.emit()
     return 0

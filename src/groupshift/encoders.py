@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
-from .residues import (FpSpan, HowellForm, Vec, combine_rows, constrained_form,
-                       howell_form, row_solver)
+from .residues import (HowellForm, Vec, combine_rows, constrained_form, howell_form,
+                       row_solver)
 from .shifts import (GroupShift, SupportedWords, member, supported_words,
                      torsion_window_projection)
 from .words import Word
@@ -101,15 +101,12 @@ def socle_shift(shift: GroupShift, p: int,
         raise ValueError(f"{p} does not divide exp(H)")
     if horizons is None:
         horizons = Horizons.derive(shift)
-    found = supported_words(shift, 0, horizons.support_cap - 1, horizons.margin,
-                            torsion_scale=p)
     gens: list[Word] = []
-    for w in found.words:
+    for w in _torsion_candidates(shift, p, horizons).words:
         normalized = w.shifted(w.first) if not w.is_zero else w
         if normalized not in gens:
             gens.append(normalized)
     result = GroupShift.make(shift.alphabet, gens)
-    r = shift.alphabet.rank
     for t in range(horizons.window_horizon + 1):
         target = torsion_window_projection(shift, 0, t, horizons.margin, p)
         got = result.window(0, t).form
@@ -124,28 +121,18 @@ def socle_shift(shift: GroupShift, p: int,
 # -- one-sided initial values and generator selection ------------------------
 
 
-def _initial_fp(group: FiniteAbelianGroup, vec, p: int) -> tuple[int, ...]:
-    """F_p coordinates of the first symbol of a p-torsion window vector."""
-    coords = group.scaled_to_coords(vec[:group.rank])
-    return group.torsion_coords_to_fp(coords, p)
-
-
 def initial_value_space(shift: GroupShift, p: int, horizons: Horizons) -> int:
     """F_p rank of the initial symbols of one-sided torsion members.
 
     Computed on the window [-margin, support_cap - 1 + margin] as the
-    projection to position 0 of the left-vanishing p-torsion submodule.
+    projection to position 0 of the left-vanishing p-torsion submodule,
+    whose Howell form is an F_p basis.
     """
     margin = horizons.margin
     reach = horizons.support_cap - 1 + margin
     module = shift.window(-margin, reach)
-    form = module.constrained_projection(0, 0,
-                                         zero_positions=range(-margin, 0),
-                                         kill_scale=p)
-    span = FpSpan(p, shift.alphabet.rank)
-    for row in form.rows:
-        span.add_if_independent(_initial_fp(shift.alphabet, row, p))
-    return span.rank
+    return module.constrained_projection(0, 0, zero_positions=range(-margin, 0),
+                                         kill_scale=p).rank
 
 
 def _torsion_candidates(shift: GroupShift, p: int,
@@ -211,9 +198,11 @@ def _levels(cap: int, quotient: bool):
             for q in range(cap + 1) for s in range(max(q, 1), cap + 1))
 
 
-def _candidate_batches(cands: SupportedWords, span: FpSpan, levels):
+def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
     """One batch per greedy pick: for each submodule of the level, its least
-    candidate whose initial symbol is outside `span` as it stands then.
+    candidate whose initial symbol is outside the span of `picked` (scaled
+    p-torsion symbols, extended by the caller between batches) as it stands
+    then.
 
     Earlier levels leave every initial symbol of their candidates in the
     span, so the least of a batch is what a greedy pass over all candidates
@@ -222,40 +211,42 @@ def _candidate_batches(cands: SupportedWords, span: FpSpan, levels):
     group = cands.shift.alphabet
     r, m, width = group.rank, cands.form.modulus, cands.form.ncols
     # x_j in pH <=> p^(e_j - 1) * v_j == 0 for the scaled coordinate v_j
-    kill = [span.p ** (e - 1) for _, e in group.factors]
-
-    def outside(head) -> bool:
-        return not span.contains(_initial_fp(group, head, span.p))
-
+    kill = [p ** (e - 1) for _, e in group.factors]
     for level, s, hots in levels:
         forms = [constrained_form(
             cands.form.rows, m, [(c, 1) for c in range(s * r, width)]
             + [(k * r + j, kill[j]) for k in range(s) if k not in hot for j in range(r)],
             0, s * r) for hot in hots]
-        while least := [v for v in (_least_outside(f, r, outside) for f in forms)
-                        if v is not None]:
+        while True:
+            span = howell_form(picked, m, r)
+            least = [v for v in (_least_outside(f, r, lambda h: not span.contains(h))
+                                 for f in forms) if v is not None]
+            if not least:
+                break
             yield level, [v + (0,) * (width - s * r) for v in least]
 
 
-def _pick_generators(shift: GroupShift, p: int, horizons: Horizons, span: FpSpan,
+def _pick_generators(shift: GroupShift, p: int, horizons: Horizons, picked: list,
                      rank: int, quotient: bool) -> list[GeneratorEntry]:
-    """Height-0 entries extending the span to the rank, by least support (the
-    base case) or, to complete the recursed symbols, least quotient support."""
+    """Height-0 entries extending the independent initial symbols `picked` to
+    the rank, by least support (the base case) or, to complete the recursed
+    symbols, least quotient support."""
     chosen: list[GeneratorEntry] = []
-    if span.rank == rank:
+    if len(picked) == rank:
         return chosen
+    r = shift.alphabet.rank
     cands = _torsion_candidates(shift, p, horizons)
     levels = _levels(horizons.support_cap, quotient)
-    for _, batch in _candidate_batches(cands, span, levels):
+    for _, batch in _candidate_batches(cands, p, picked, levels):
         vec = min(batch)
-        span.add_if_independent(_initial_fp(shift.alphabet, vec, p))
+        picked.append(vec[:r])
         w = Word.from_window_vector(shift.alphabet, cands.lo, vec)
         chosen.append(GeneratorEntry(w, 0, w))
-        if span.rank == rank:
+        if len(picked) == rank:
             return chosen
     raise PipelineFailure(
         "basis-completion" if quotient else "initial-basis",
-        f"initial-value basis incomplete: {span.rank} of {rank} directions "
+        f"initial-value basis incomplete: {len(picked)} of {rank} directions "
         f"with support <= {horizons.support_cap}; raise --support-cap")
 
 
@@ -328,8 +319,7 @@ def canonical_generators(shift: GroupShift, p: int,
         return CanonicalGeneratorSet(shift, p, (), 0, n_o, horizons)
     if e == 1:
         rank = initial_value_space(shift, p, horizons)
-        entries = _pick_generators(shift, p, horizons,
-                                   FpSpan(p, shift.alphabet.rank), rank, quotient=False)
+        entries = _pick_generators(shift, p, horizons, [], rank, quotient=False)
         return CanonicalGeneratorSet(shift, p, tuple(entries), len(entries),
                                      n_o, horizons)
 
@@ -353,14 +343,12 @@ def canonical_generators(shift: GroupShift, p: int,
         lifted.append(GeneratorEntry(entry.torsion_word, entry.height + 1, z))
 
     rank = initial_value_space(shift, p, horizons)
-    span = FpSpan(p, shift.alphabet.rank)
-    for entry in lifted:
-        if not span.add_if_independent(_initial_fp(
-                shift.alphabet, entry.torsion_word.window_vector(0, 0), p)):
-            raise PipelineFailure(
-                "initial-basis",
-                "recursed initial symbols are dependent at this horizon")
-    completion = _pick_generators(shift, p, horizons, span, rank, quotient=True)
+    h = shift.alphabet
+    picked = [e.torsion_word.window_vector(0, 0) for e in lifted]
+    if howell_form(picked, h.exponent, h.rank).rank < len(picked):
+        raise PipelineFailure("initial-basis",
+                              "recursed initial symbols are dependent at this horizon")
+    completion = _pick_generators(shift, p, horizons, picked, rank, quotient=True)
     entries = sorted(lifted + completion, key=lambda e: -e.height)
     return CanonicalGeneratorSet(shift, p, tuple(entries), rank, n_o, horizons)
 
@@ -445,7 +433,6 @@ def message_impulse(encoder: Encoder, j: int) -> Word:
 @dataclass(frozen=True)
 class InjectivityReport:
     block: int | None
-    cap: int
     dependent_combination: tuple[tuple[int, int, int], ...] | None
     # (tap index, placement, coefficient) of a vanishing combination
 
@@ -455,12 +442,13 @@ def check_injectivity(encoder: Encoder, block_cap: int) -> InjectivityReport:
     restrictions are linearly independent over F_p."""
     torsion = encoder.torsion_words()
     if not torsion:
-        return InjectivityReport(0, block_cap, None)
+        return InjectivityReport(0, None)
     if len(set(encoder.tap_primes)) != 1:
         raise ValueError("independence test needs a single-prime encoder; "
                          "run it per primary component")
     p = encoder.tap_primes[0]
-    group = encoder.alphabet
+    # a p-torsion scaled entry is k * (m // p), with k its F_p coordinate
+    unit = max(encoder.alphabet.exponent, 2) // p
     witness = None
     for n in range(block_cap + 1):
         vectors = []
@@ -469,21 +457,16 @@ def check_injectivity(encoder: Encoder, block_cap: int) -> InjectivityReport:
             if x.is_zero:
                 continue
             for t in range(-x.last, n - x.first + 1):
-                placed = x.shifted(-t)
-                clipped = placed.restricted(0, n)
-                if clipped.is_zero:
-                    continue
-                flat: list[int] = []
-                for i in range(0, n + 1):
-                    flat.extend(group.torsion_coords_to_fp(clipped.value_at(i), p))
-                vectors.append(tuple(flat))
-                labels.append((j, t))
+                vec = tuple(v // unit for v in x.shifted(-t).window_vector(0, n))
+                if any(vec):
+                    vectors.append(vec)
+                    labels.append((j, t))
         solver = row_solver(vectors, p)
         if solver.form.rank == len(vectors):
-            return InjectivityReport(n, block_cap, None)
+            return InjectivityReport(n, None)
         witness = tuple((labels[i][0], labels[i][1], c)
                         for i, c in enumerate(solver.kernel.rows[0]) if c)
-    return InjectivityReport(None, block_cap, witness)
+    return InjectivityReport(None, witness)
 
 
 def _tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
@@ -529,7 +512,6 @@ class NoncatastrophicityReport:
     ok: bool
     horizon: int
     witness: Word | None          # certified finite word with no finite preimage
-    finite_image_checked: int     # random finite messages verified to map to G_f
 
 
 def check_noncatastrophic(encoder: Encoder, shift: GroupShift, trials: int,
@@ -539,20 +521,18 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, trials: int,
     finite code, and every certified finite word up to the horizon has a
     finite preimage under the encoder."""
     rng = random.Random(seed)
-    checked = 0
     for _ in range(trials):
         msg = random_message(encoder, rng, horizon)
         image = encode(encoder, msg)
         if not member(shift, image, margin).certified_in:
-            return NoncatastrophicityReport(False, horizon, image, checked)
-        checked += 1
+            return NoncatastrophicityReport(False, horizon, image)
     slack = encoder.memory + horizon + 1
     for t in range(horizon + 1):
         words = supported_words(shift, 0, t, margin)
         for w in words.words:
             if solve_finite_preimage(encoder, w, slack) is None:
-                return NoncatastrophicityReport(False, horizon, w, checked)
-    return NoncatastrophicityReport(True, horizon, None, checked)
+                return NoncatastrophicityReport(False, horizon, w)
+    return NoncatastrophicityReport(True, horizon, None)
 
 
 def random_message(encoder: Encoder, rng: random.Random, reach: int) -> Word:
@@ -690,10 +670,9 @@ def _structure_checks(genset: CanonicalGeneratorSet,
     out.append(CheckResult("exact-powers", exact))
     hs = genset.heights
     out.append(CheckResult("heights-sorted", all(a >= b for a, b in zip(hs, hs[1:]))))
-    span = FpSpan(p, shift.alphabet.rank)
-    indep = all(span.add_if_independent(_initial_fp(
-        shift.alphabet, e.torsion_word.window_vector(0, 0), p))
-        for e in genset.entries)
+    initial = [e.torsion_word.window_vector(0, 0) for e in genset.entries]
+    h = shift.alphabet
+    indep = howell_form(initial, h.exponent, h.rank).rank == len(initial)
     out.append(CheckResult("initial-basis-independent", indep))
     torsion_ok = all(e.torsion_word.is_torsion(p) and
                      (e.torsion_word.is_zero or e.torsion_word.first == 0)

@@ -142,21 +142,6 @@ class FiniteAbelianGroup:
             out.append((x // s) % n)
         return tuple(out)
 
-    def torsion_coords_to_fp(self, a: Coords, p: int) -> Coords:
-        """Map a p-torsion element into F_p^rank coordinates."""
-        out = []
-        for x, (q, e) in zip(a, self.factors):
-            if q != p:
-                if x:
-                    raise ValueError("element is not p-torsion")
-                out.append(0)
-                continue
-            step = q ** (e - 1)
-            if x % step:
-                raise ValueError("element is not p-torsion")
-            out.append((x // step) % p)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class GroupSyntax:

@@ -3,7 +3,9 @@
 Everything here works with plain Python integers reduced into [0, m).  The
 canonical row form is the Howell form, which is unique per row span over any
 Z/m and therefore usable for module equality tests; plain row echelon is not
-canonical over rings with zero divisors.
+canonical over rings with zero divisors.  Over Z/p^e the p-torsion entries
+form p^(e-1) Z/p^e, a copy of F_p, so the Howell form of p-torsion vectors is
+an F_p basis: its rank is the F_p rank and `contains` is F_p membership.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .groups import is_prime
-
 MAX_MODULUS = 1 << 31
 #: Default cap on the elements a module or code enumeration may produce.
 ENUM_CAP = 1 << 20
@@ -23,7 +23,7 @@ Vec = tuple[int, ...]
 
 
 class EnumerationCapExceeded(Exception):
-    """A module enumeration would exceed the configured element cap."""
+    """An enumeration would exceed the configured element cap."""
 
 
 def validate_modulus(modulus: int) -> None:
@@ -133,10 +133,8 @@ class HowellForm:
     def spans_same(self, other: "HowellForm") -> bool:
         return (self.modulus, self.ncols, self.rows) == (other.modulus, other.ncols, other.rows)
 
-    def enumerate_elements(self, cap: int | None = None) -> Iterator[Vec]:
+    def enumerate_elements(self) -> Iterator[Vec]:
         """Yield every element of the row span exactly once."""
-        if cap is not None and self.size() > cap:
-            raise EnumerationCapExceeded(f"span has {self.size()} > {cap} elements")
         m = self.modulus
         ranges = [m // d for _, d in self.pivots]
         nrows = len(self.rows)
@@ -278,41 +276,3 @@ def row_solver(rows: Sequence[Sequence[int]], modulus: int,
     width = len(rows[0]) if rows else (ncols or 0)
     return RowSolver(modulus, tuple(tuple(x % modulus for x in r) for r in rows), width)
 
-
-class FpSpan:
-    """Incrementally maintained row space over F_p (for greedy basis selection)."""
-
-    def __init__(self, p: int, ncols: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.ncols = ncols
-        self._rows: list[list[int]] = []  # reduced echelon rows
-        self._lead: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, vec: Sequence[int]) -> list[int]:
-        p = self.p
-        v = [x % p for x in vec]
-        for lead, row in zip(self._lead, self._rows):
-            c = v[lead]
-            if c:
-                v[lead:] = [(x - c * y) % p for x, y in zip(v[lead:], row[lead:])]
-        return v
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self._reduce(vec))
-
-    def add_if_independent(self, vec: Sequence[int]) -> bool:
-        v = self._reduce(vec)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        inv = pow(v[lead], -1, self.p)
-        v = [(inv * x) % self.p for x in v]
-        self._rows.append(v)
-        self._lead.append(lead)
-        return True

@@ -244,8 +244,6 @@ def _splice_property_holds(shift: GroupShift, n: int, reach: int) -> bool:
     vanishing on the whole left half) matching it on the strict right part.
     """
     module = shift.window(-reach, n + reach)
-    if n + 1 > module.width:
-        return True
     block = list(range(0, n + 1))
     left_and_block = list(range(-reach, n + 1))
     lhs = module.constrained_projection(n + 1, n + reach, zero_positions=block)

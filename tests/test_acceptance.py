@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  All tolerances are exact
 """
 
 import contextlib
+import operator
 import random
 import subprocess
 import sys
@@ -85,10 +86,9 @@ def oracle_window_form(shift: GroupShift, hi: int):
     """Canonical form of the brute-force window code enumeration on [0, hi]."""
     group = shift.alphabet
     flats = enumerate_window_code(shift, 0, hi)
-    rows = [Word.make(group, 0,
-                      [flat[k * group.rank:(k + 1) * group.rank]
-                       for k in range(hi + 1)]).window_vector(0, hi)
-            for flat in flats]
+    # the enumerated coordinates are reduced: scaling needs no reduction
+    factors = group.scale_factors * (hi + 1)
+    rows = [tuple(map(operator.mul, flat, factors)) for flat in flats]
     return howell_form(rows, max(group.exponent, 2)), len(flats)
 
 

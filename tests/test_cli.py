@@ -1,4 +1,11 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshift.cli import main
 from groupshift.specfmt import (SpecParseError, format_spec, parse_message,
@@ -378,3 +385,79 @@ def test_horizon_key_honoured_by_certify_and_generators(tmp_path, capsys):
     assert "prime.2.check.window-surjectivity: pass [windows [0,0]..[0,2]]" in out
     _, out = run_cli(["generators", str(path)], capsys)
     assert "horizon.window_horizon: 7" in out
+
+
+# -- fuzzing the command line ---------------------------------------------------
+
+FUZZ_GROUPS = ["Z2", "Z3", "Z4", "Z6", "Z9", "Z2 x Z2", "Z2 x Z4"]
+
+#: Flags per command with values drawn from a small range that includes
+#: out-of-range ones; the common pipeline flags apply to every command but
+#: oracle.
+COMMON_FLAGS = {"--margin": (-1, 3), "--support-cap": (-1, 4), "--block-cap": (-1, 4),
+                "--n-cap": (-1, 4), "--horizon": (-1, 4), "--trials": (-1, 4),
+                "--seed": (-2, 2)}
+FUZZ_FLAGS = {
+    "analyze": dict(COMMON_FLAGS, **{"--ft-cap": (-1, 3)}),
+    "generators": dict(COMMON_FLAGS, **{"--prime": (-1, 5)}),
+    "certify": COMMON_FLAGS,
+    "certify --check-presentation": COMMON_FLAGS,
+    "encode": COMMON_FLAGS,
+    "oracle": {"--list-cap": (-1, 4), "--enum-cap": (-1, 40)},
+}
+
+
+@st.composite
+def fuzz_specs(draw):
+    group = draw(st.sampled_from(FUZZ_GROUPS))
+    orders = [int(part.strip()[1:]) for part in group.split("x")]
+
+    def symbol():
+        coords = [draw(st.integers(0, n - 1)) for n in orders]
+        return str(coords[0]) if len(orders) == 1 else f"({','.join(map(str, coords))})"
+
+    lines = [f"group: {group}"]
+    for _ in range(draw(st.integers(0, 2))):
+        body = " ".join(symbol() for _ in range(draw(st.integers(1, 2))))
+        lines.append(f"gen @{draw(st.integers(-1, 1))}: {body}")
+    for key, lo, hi in (("memory", 0, 3), ("horizon", 0, 4)):
+        if draw(st.booleans()):
+            lines.append(f"{key}: {draw(st.integers(lo, hi))}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzz_commands(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    argv = command.split()
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        argv += [flag, str(draw(st.integers(*flags[flag])))]
+    if command in ("certify", "encode", "oracle") and (command == "oracle" or draw(st.booleans())):
+        lo = draw(st.integers(-2, 2))
+        argv += ["--window", f"{lo}:{lo + draw(st.integers(-1, 2))}"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(fuzz_specs(), fuzz_commands(), st.sampled_from(["0: 1\n", "0: (1,0)\n1: (0,1)\n", ""]))
+def test_cli_fuzz_exit_codes_and_determinism(spec, argv, message):
+    # random specs, commands and flag values, in range or not: the exit code
+    # is a verdict or a usage error, never an internal error, and a rerun
+    # (warm caches) prints the same report
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, msg_path = Path(tmp, "fuzz.spec"), Path(tmp, "fuzz.msg")
+        spec_path.write_text(spec)
+        msg_path.write_text(message)
+        args = argv[:1] + [str(spec_path)] + (
+            [str(msg_path)] if argv[0] == "encode" else []) + argv[1:]
+        runs = []
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(args)
+            runs.append((code, out.getvalue()))
+    (code, out), rerun = runs
+    assert code in (0, 1, 2), (spec, args, out)
+    assert "error: internal" not in out, (spec, args, out)
+    assert rerun == (code, out), (spec, args)

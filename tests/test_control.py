@@ -18,10 +18,10 @@ def enumerated_index(shift, cap, past, ordered):
     for n in range(cap + 1):
         module = shift.window(-past, n + past)
         ok_all = True
-        for vec in module.form.enumerate_elements(1 << 16):
+        for vec in module.form.enumerate_elements():
             g = Word.from_window_vector(shift.alphabet, -past, vec)
             found = False
-            for vec1 in module.form.enumerate_elements(1 << 16):
+            for vec1 in module.form.enumerate_elements():
                 g1 = Word.from_window_vector(shift.alphabet, -past, vec1)
                 if not g1.agrees_on(g, -past, 0):
                     continue

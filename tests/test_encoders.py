@@ -1,17 +1,21 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from groupshift.encoders import (Encoder, Horizons,
                                  base_decompose, build_encoder,
                                  canonical_generators, check_injectivity,
                                  check_noncatastrophic, conjugacy_certificate,
                                  encode, lift_height, message_impulse,
-                                 multiple_shift, primary_shift,
+                                 multiple_shift, presentation_encoder, primary_shift,
                                  random_message, socle_shift,
                                  scaled_finite_words_check,
                                  solve_finite_preimage, word_height)
 from groupshift.groups import FiniteAbelianGroup
+from groupshift.residues import howell_form, row_solver
 from groupshift.shifts import GroupShift, member, enumerate_window_code
 from groupshift.words import Word
 
@@ -140,23 +144,51 @@ def test_initial_basis_spans_every_one_sided_torsion_word():
     # any further certified torsion word starting at 0 has its initial
     # symbol inside the span of the selected basis symbols
     from groupshift.encoders import _torsion_candidates
-    from groupshift.residues import FpSpan
     for shift in [GroupShift.full_shift(FiniteAbelianGroup.parse("Z2 x Z4")),
                   make_shift("Z2 x Z2", [(0, [(1, 0), (0, 1)])]),
                   make_shift("Z4", [(0, [1, 2])])]:
         gs = canonical_generators(shift, 2)
-        span = FpSpan(2, shift.alphabet.rank)
-        for e in gs.entries:
-            assert span.add_if_independent(
-                shift.alphabet.torsion_coords_to_fp(e.torsion_word.value_at(0), 2))
+        h = shift.alphabet
+        basis = [e.torsion_word.window_vector(0, 0) for e in gs.entries]
+        # scaled p-torsion symbols: the Howell form is their F_p span
+        span = howell_form(basis, h.exponent, h.rank)
+        assert span.rank == len(basis)
         cands = _torsion_candidates(shift, 2, gs.horizons)
-        for vec in cands.form.enumerate_elements(1 << 14):
-            w = Word.from_window_vector(shift.alphabet, cands.lo, vec)
+        for vec in cands.form.enumerate_elements():
+            w = Word.from_window_vector(h, cands.lo, vec)
             if w.is_zero or w.first != 0:
                 continue
-            # a symbol inside the span is not independent of it
-            assert not span.add_if_independent(
-                shift.alphabet.torsion_coords_to_fp(w.value_at(0), 2))
+            assert span.contains(w.window_vector(0, 0))
+
+
+def torsion_coords_to_fp(group, a, p):
+    """F_p coordinates of a p-torsion element: the per-factor map the
+    pipeline used before it read them off scaled entries."""
+    out = []
+    for x, (q, e) in zip(a, group.factors):
+        if q != p:
+            assert x == 0, "element is not p-torsion"
+            out.append(0)
+            continue
+        step = q ** (e - 1)
+        assert x % step == 0, "element is not p-torsion"
+        out.append((x // step) % p)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z4", "Z8", "Z9", "Z2 x Z4", "Z3 x Z9",
+                                  "Z2 x Z2 x Z4", "Z6", "Z2 x Z3", "Z4 x Z3",
+                                  "Z2 x Z9"])
+def test_scaled_torsion_entries_divide_to_fp_coordinates(name):
+    # every p-torsion element of the alphabet, for every prime: a scaled
+    # entry x over Z/m is k * (m // p) with k the F_p coordinate
+    group = FiniteAbelianGroup.parse(name)
+    m = group.exponent
+    for p in group.primes():
+        steps = [n // p if n % p == 0 else n for n in group.orders]
+        for a in itertools.product(*(range(0, n, s) for n, s in zip(group.orders, steps))):
+            scaled = group.coords_to_scaled(a)
+            assert tuple(x // (m // p) for x in scaled) == torsion_coords_to_fp(group, a, p)
 
 
 def test_mixed_alphabet_rejected():
@@ -246,6 +278,47 @@ def test_injectivity_delay_rep(delay_rep):
     enc = build_for(delay_rep)
     rep = check_injectivity(enc, 4)
     assert rep.block is not None
+
+
+def reference_injectivity(encoder, block_cap):
+    """(block, witness) with F_p rows built symbol by symbol from clipped
+    words, as check_injectivity did before it divided scaled entries."""
+    p, group = encoder.tap_primes[0], encoder.alphabet
+    witness = None
+    for n in range(block_cap + 1):
+        vectors, labels = [], []
+        for j, x in enumerate(encoder.torsion_words()):
+            for t in ([] if x.is_zero else range(-x.last, n - x.first + 1)):
+                clipped = x.shifted(-t).restricted(0, n)
+                if not clipped.is_zero:
+                    vectors.append(tuple(c for i in range(n + 1) for c in
+                                         torsion_coords_to_fp(group, clipped.value_at(i), p)))
+                    labels.append((j, t))
+        solver = row_solver(vectors, p)
+        if solver.form.rank == len(vectors):
+            return n, None
+        witness = tuple((labels[i][0], labels[i][1], c)
+                        for i, c in enumerate(solver.kernel.rows[0]) if c)
+    return None, witness
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["Z4", "Z9", "Z2 x Z4", "Z6", "Z2 x Z3", "Z4 x Z3", "Z2 x Z9"]),
+       st.randoms(use_true_random=False))
+def test_injectivity_matches_symbolwise_reference(name, rng):
+    # presentation encoders, as --check-presentation audits them: taps of
+    # p-power order, over p-group and mixed alphabets
+    group = FiniteAbelianGroup.parse(name)
+    p = rng.choice(group.primes())
+    taps = [Word.make(group, rng.randrange(-1, 2),
+                      [tuple(rng.randrange(n) if q == p else 0 for q, n in
+                             zip((q for q, _ in group.factors), group.orders))
+                       for _ in range(rng.randrange(1, 4))])
+            for _ in range(rng.randrange(1, 4))]
+    enc = presentation_encoder(GroupShift.make(group, taps))
+    assume(enc.taps)
+    rep = check_injectivity(enc, 3)
+    assert (rep.block, rep.dependent_combination) == reference_injectivity(enc, 3)
 
 
 # -- noncatastrophicity -----------------------------------------------------------

@@ -4,7 +4,8 @@ replaced.
 The reference lists every certified p-torsion candidate word with support
 [0, s-1] for s = 1..support_cap (each support length in lex order), sorts the
 completion pool by (quotient support, support, vector), and greedily keeps
-the candidates whose initial symbols extend the F_p span.  Patched in for
+the candidates whose initial symbols extend the F_p span, tested by brute
+force on the closure of the kept symbols.  Patched in for
 ``encoders._pick_generators``, it runs the rest of the pipeline unchanged,
 so both canonical generating sets must agree entry for entry.
 
@@ -13,18 +14,18 @@ selection is also compared on arbitrary p-torsion modules from a seeded span,
 and the least-element search on arbitrary modules against brute force.
 """
 
+import itertools
 from unittest import mock
 
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import random_shift
+from conftest import brute_force_span, random_shift
 from groupshift import encoders
 from groupshift.encoders import (GeneratorEntry, PipelineFailure,
-                                 _candidate_batches, _initial_fp, _least_outside,
-                                 _levels, _torsion_candidates,
-                                 canonical_generators)
+                                 _candidate_batches, _least_outside, _levels,
+                                 _torsion_candidates, canonical_generators)
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.residues import FpSpan, howell_form
+from groupshift.residues import howell_form
 from groupshift.shifts import GroupShift, SupportedWords
 from groupshift.words import Word
 
@@ -84,24 +85,30 @@ def eager_order(cands, p: int, max_len: int, quotient: bool):
     return (vec for _, _, vec in pool)
 
 
-def eager_picks(span, rank, cands, vecs) -> list:
+def eager_picks(picked, rank, cands, vecs) -> list:
+    """Greedy pass: keep each vector whose initial symbol lies outside the
+    closure of the kept symbols `picked` (extended in place)."""
+    m, r = cands.form.modulus, cands.shift.alphabet.rank
+    span = brute_force_span(picked, m, r)
     chosen = []
     for vec in vecs:
-        if span.add_if_independent(_initial_fp(cands.shift.alphabet, vec, span.p)):
+        if vec[:r] not in span:
             chosen.append(vec)
-            if span.rank == rank:
+            picked.append(vec[:r])
+            span = brute_force_span(picked, m, r)
+            if len(picked) == rank:
                 break
     return chosen
 
 
-def eager_pick_generators(shift, p, horizons, span, rank, quotient):
-    if span.rank == rank:
+def eager_pick_generators(shift, p, horizons, picked, rank, quotient):
+    if len(picked) == rank:
         return []
     cands = _torsion_candidates(shift, p, horizons)
     vecs = eager_order(cands, p, horizons.support_cap, quotient)
     chosen = [Word.from_window_vector(shift.alphabet, cands.lo, vec)
-              for vec in eager_picks(span, rank, cands, vecs)]
-    if span.rank < rank:
+              for vec in eager_picks(picked, rank, cands, vecs)]
+    if len(picked) < rank:
         raise PipelineFailure("basis-completion" if quotient else "initial-basis",
                               "reference basis incomplete")
     return [GeneratorEntry(w, 0, w) for w in chosen]
@@ -144,27 +151,26 @@ def test_picks_match_eager_reference(group, rng, add_torsion):
        st.booleans())
 def test_selection_matches_eager_reference_on_torsion_modules(group, rng, quotient):
     # random p-torsion rows stand in for the certified candidates; the span
-    # starts from random directions, as it does after the recursion
+    # starts from random scaled p-torsion symbols, as it does after the
+    # recursion
     h = FiniteAbelianGroup.parse(group)
     p, r, cap = h.primes()[0], h.rank, rng.randrange(2, 5)
-    unit = [s * p ** (e - 1) for s, (_, e) in zip(h.scale_factors, h.factors)]
-    rows = [[rng.randrange(p) * unit[j % r] for j in range(cap * r)]
+    unit = h.exponent // p  # every p-torsion scaled entry is a multiple
+    rows = [[rng.randrange(p) * unit for _ in range(cap * r)]
             for _ in range(rng.randrange(1, 8))]
     cands = SupportedWords(GroupShift.full_shift(h), 0, cap - 1,
                            howell_form(rows, h.exponent, cap * r))
-    seeds = [tuple(rng.randrange(p) for _ in range(r)) for _ in range(rng.randrange(r))]
-
-    def seeded() -> FpSpan:
-        span = FpSpan(p, r)
-        for v in seeds:
-            span.add_if_independent(v)
-        return span
-
-    expected = eager_picks(seeded(), r + 1, cands, eager_order(cands, p, cap, quotient))
-    span, got = seeded(), []
-    for _, batch in _candidate_batches(cands, span, _levels(cap, quotient)):
+    seeds = [tuple(rng.randrange(p) * unit for _ in range(r))
+             for _ in range(rng.randrange(r))]
+    # seeds may be dependent, so no count of kept symbols ends the pass
+    expected = eager_picks(list(seeds), None, cands,
+                           eager_order(cands, p, cap, quotient))
+    picked, got = list(seeds), []
+    # at most r independent symbols exist, so a correct search stops by then
+    batches = _candidate_batches(cands, p, picked, _levels(cap, quotient))
+    for _, batch in itertools.islice(batches, r + 1):
         got.append(min(batch))
-        span.add_if_independent(_initial_fp(h, got[-1], p))
+        picked.append(got[-1][:r])
     assert got == expected
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshift.residues import (EnumerationCapExceeded, FpSpan, HowellForm,
-                                 annihilator, combine_rows, constrained_form,
-                                 howell_form, is_prime, row_solver, unit_for,
-                                 xgcd)
+from groupshift.groups import FiniteAbelianGroup, is_prime
+from groupshift.residues import (HowellForm, annihilator, combine_rows,
+                                 constrained_form, howell_form, row_solver,
+                                 unit_for, xgcd)
 
 from conftest import brute_force_span
 
@@ -109,12 +109,6 @@ def test_howell_unique_under_row_shuffles(mat, rng):
         shuffled[0] = [(a + k * b) % modulus
                        for a, b in zip(shuffled[0], shuffled[1])]
     assert howell_form(shuffled, modulus).rows == f.rows
-
-
-def test_enumeration_cap():
-    f = howell_form([[1, 0], [0, 1]], 9)
-    with pytest.raises(EnumerationCapExceeded):
-        list(f.enumerate_elements(cap=80))
 
 
 # -- solving -----------------------------------------------------------------
@@ -373,30 +367,29 @@ def test_constrained_form_matches_reference_zero_prefix(inp, data):
     assert constrained_form(rows, m, conditions, lo, hi) == ref.zero_prefix(len(conditions))
 
 
-# -- independence over F_p (FpSpan) -------------------------------------------
+# -- independence over F_p: Howell forms of p-torsion vectors ----------------
 
 
-def independent(vectors, p, width=3):
-    span = FpSpan(p, width)
-    return all(span.add_if_independent(v) for v in vectors)
+def independent(vectors, p, width=3, e=2):
+    """F_p independence read off the Howell form over Z/p^e of the vectors
+    scaled into the p-torsion p^(e-1) Z/p^e."""
+    m = p ** e
+    scaled = [[(m // p) * x for x in v] for v in vectors]
+    return howell_form(scaled, m, width).rank == len(vectors)
 
 
 def test_independent_examples():
     assert independent([], 2) is True
     assert independent([(1, 1, 0), (1, 1, 0)], 2) is False
     assert independent([(1, 1, 0), (0, 1, 1)], 2) is True
-
-
-def test_independent_requires_prime():
-    with pytest.raises(ValueError):
-        FpSpan(4, 2)
+    assert independent([(0, 0, 0)], 3) is False
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_independent_agrees_with_exhaustive(p):
     import random as _random
     rng = _random.Random(7)
-    for _ in range(60):
+    for e in [1, 2, 3] * 20:
         k = rng.randrange(1, 5)
         width = rng.randrange(1, 4)
         vecs = [tuple(rng.randrange(p) for _ in range(width)) for _ in range(k)]
@@ -410,7 +403,31 @@ def test_independent_agrees_with_exhaustive(p):
             if not any(acc):
                 dependent = True
                 break
-        assert independent(vecs, p, width) == (not dependent)
+        assert independent(vecs, p, width, e) == (not dependent)
+
+
+#: p-group alphabets: every p-torsion scaled entry over Z/exponent is a
+#: multiple of exponent // p.
+P_GROUP_ALPHABETS = ["Z2", "Z4", "Z8", "Z9", "Z2 x Z4", "Z3 x Z9", "Z2 x Z2 x Z4"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(P_GROUP_ALPHABETS), st.randoms(use_true_random=False))
+def test_howell_form_of_torsion_vectors_is_an_fp_span(name, rng):
+    group = FiniteAbelianGroup.parse(name)
+    p, m = group.primes()[0], group.exponent
+    width = group.rank * rng.randrange(1, 3)
+
+    def torsion_vector():
+        return tuple(rng.randrange(p) * (m // p) for _ in range(width))
+
+    vecs = [torsion_vector() for _ in range(rng.randrange(5))]
+    span = brute_force_span(vecs, m, width)
+    form = howell_form(vecs, m, width)
+    # the span is an F_p space: p^rank elements
+    assert p ** form.rank == len(span)
+    for target in [torsion_vector() for _ in range(4)] + vecs:
+        assert form.contains(target) == (target in span)
 
 
 def test_row_solver_canonical_coefficients_deterministic():

@@ -18,7 +18,7 @@ def window_code_as_set(shift, lo, hi):
     """Window module elements via the canonical-form path, as flat symbol
     tuples, for comparison with the brute-force oracle."""
     out = set()
-    for vec in shift.window(lo, hi).form.enumerate_elements(1 << 18):
+    for vec in shift.window(lo, hi).form.enumerate_elements():
         w = Word.from_window_vector(shift.alphabet, lo, vec)
         flat = []
         for i in range(lo, hi + 1):
