@@ -17,15 +17,15 @@ import pytest
 from groupshift.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-SPECS = ["full-z4", "delay-rep", "z6", "z8-z4", "z9-z3"]
+SPECS = ["full-z4", "delay-rep", "z6", "z8-z4", "z9-z3", "order-witness"]
 
 #: (command arguments before the spec, extra trailing argument, exit code)
 COMMANDS = {
-    "analyze": (["analyze"], [], {}),
-    "generators": (["generators"], [], {}),
-    "certify-window": (["certify", "--window", "0:2"], [], {}),
+    "analyze": (["analyze"], [], {"order-witness": 1}),
+    "generators": (["generators"], [], {"order-witness": 1}),
+    "certify-window": (["certify", "--window", "0:2"], [], {"order-witness": 1}),
     "certify-presentation": (["certify", "--check-presentation"], [],
-                             {"z6": 2, "z8-z4": 1, "z9-z3": 1}),
+                             {"z6": 2, "z8-z4": 1, "z9-z3": 1, "order-witness": 1}),
     "oracle": (["oracle", "--window", "0:1"], [], {}),
     "encode": (["encode"], ["{spec}.msg"], {}),
     "encode-window": (["encode", "--window=-1:2"], ["{spec}.msg"], {}),
@@ -35,9 +35,11 @@ COMMANDS = {
 
 # Only the delay rep has a long (600-symbol) message: its length-2 tap
 # overlaps at every position, so the encode sum is checked where placed taps
-# collide.
+# collide.  The order-witness spec is not order-controllable: it pins the
+# failing search's witness, and has no encoder to encode with.
 CASES = [(spec, name) for spec in SPECS for name in COMMANDS
-         if spec == "delay-rep" or "-long" not in name]
+         if (spec == "delay-rep" or "-long" not in name)
+         and (spec != "order-witness" or not name.startswith("encode"))]
 
 
 def _argv(spec: str, name: str) -> tuple[list[str], int]:
