@@ -68,51 +68,58 @@ class ControllabilityReport:
 
 
 def _steering_condition(shift: GroupShift, n: int, past: int,
-                        order_constrained: bool) -> tuple[bool, Word | None]:
+                        scales: list[int | None]) -> bool:
     """Decide the steering condition at candidate index n, past window L.
 
-    Plain variant: every g in G|[-L, n+L] matches some g1 with the same past
-    [-L, 0] and zero tail [n+1, n+L], which is one inclusion of past
-    projections.  Ordered variant additionally demands order(g1|[1,n]) |
-    order(g|[1,n]); split by divisors d of exp(H), "order divides d" is the
-    linear condition d*(restriction to [1,n]) == 0, so each divisor d yields
-    one inclusion between d-constrained past projections.
+    Plain variant (scales [None]): every g in G|[-L, n+L] matches some g1
+    with the same past [-L, 0] and zero tail [n+1, n+L], which is one
+    equality of past projections.  Ordered variant additionally demands
+    order(g1|[1,n]) | order(g|[1,n]); split by divisors d of exp(H), "order
+    divides d" is the linear condition d*(restriction to [1,n]) == 0, so each
+    divisor d yields one equality between d-constrained past projections,
+    decided by one elimination.
     """
-    scales = [None] if not order_constrained else _divisors(shift.alphabet.exponent)
+    module = shift.window(-past, n + past)
+    return all(module.projection_kept(-past, 0, range(n + 1, n + past + 1),
+                                      kill_scale=d, kill_positions=range(1, n + 1))
+               for d in scales)
+
+
+def _steering_witness(shift: GroupShift, n: int, past: int,
+                      scales: list[int | None]) -> Word:
+    """A past in G|[-L, n+L] that no element with zero tail [n+1, n+L]
+    matches, at the first failing scale: the first row of the past
+    projection outside the tail-constrained one."""
     module = shift.window(-past, n + past)
     for d in scales:
-        # past projections of G|[-L, n+L] with d killing [1, n], without and
-        # with the zero tail [n+1, n+L]
         lhs = module.constrained_projection(-past, 0, kill_scale=d,
                                             kill_positions=range(1, n + 1))
         rhs = module.constrained_projection(-past, 0, range(n + 1, n + past + 1),
                                             kill_scale=d, kill_positions=range(1, n + 1))
         for row in lhs.rows:
             if not rhs.contains(row):
-                return False, Word.from_window_vector(shift.alphabet, -past, row)
-    return True, None
+                return Word.from_window_vector(shift.alphabet, -past, row)
+    raise ArithmeticError(f"steering condition at n={n}, L={past} has no witness")
 
 
 def _index_search(shift: GroupShift, cap: int, past: int | None,
-                  order_constrained: bool) -> IndexSearch:
-    """Scan candidates 0..cap, stopping _CONFIRM_STEPS after the first success."""
+                  order_constrained: bool, confirm: int) -> IndexSearch:
+    """Scan candidates 0..cap, stopping `confirm` candidates after the first
+    success; when none succeeds, the witness is the last failure's."""
+    scales = _divisors(shift.alphabet.exponent) if order_constrained else [None]
     horizons = []
     table = []
-    witness = None
     found = None
     n = 0
-    while n <= cap and (found is None or n <= min(cap, found + _CONFIRM_STEPS)):
-        length = past if past is not None else default_past_horizon(shift, n)
-        horizons.append(length)
-        ok, wit = _steering_condition(shift, n, length, order_constrained)
-        table.append(ok)
-        if ok and found is None:
+    while n <= cap and (found is None or n <= found + confirm):
+        horizons.append(past if past is not None else default_past_horizon(shift, n))
+        table.append(_steering_condition(shift, n, horizons[-1], scales))
+        if table[-1] and found is None:
             found = n
-        if not ok:
-            witness = wit
         n += 1
-    if found is not None:
-        witness = None
+    witness = None
+    if found is None:
+        witness = _steering_witness(shift, cap, horizons[-1], scales)
     return IndexSearch(found, cap, tuple(horizons), tuple(table), witness)
 
 
@@ -121,15 +128,16 @@ def controllability_index(shift: GroupShift, cap: int,
     """Least n <= cap steering every window past to zero, or absent."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, past, order_constrained=False)
+    return _index_search(shift, cap, past, False, _CONFIRM_STEPS)
 
 
-def order_controllability_index(shift: GroupShift, cap: int,
-                                past: int | None = None) -> IndexSearch:
-    """Least n <= cap steering with order divisibility on [1, n], or absent."""
+def order_controllability_index(shift: GroupShift, cap: int, past: int | None = None,
+                                confirm: int = _CONFIRM_STEPS) -> IndexSearch:
+    """Least n <= cap steering with order divisibility on [1, n], or absent;
+    `confirm` further candidates are scanned past the least."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, past, order_constrained=True)
+    return _index_search(shift, cap, past, True, confirm)
 
 
 def monotone_after_success(search: IndexSearch) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
@@ -212,13 +213,15 @@ def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
     r, m, width = group.rank, cands.form.modulus, cands.form.ncols
     # x_j in pH <=> p^(e_j - 1) * v_j == 0 for the scaled coordinate v_j
     kill = [p ** (e - 1) for _, e in group.factors]
+    spanned = None
     for level, s, hots in levels:
         forms = [constrained_form(
             cands.form.rows, m, [(c, 1) for c in range(s * r, width)]
             + [(k * r + j, kill[j]) for k in range(s) if k not in hot for j in range(r)],
             0, s * r) for hot in hots]
         while True:
-            span = howell_form(picked, m, r)
+            if spanned != len(picked):
+                span, spanned = howell_form(picked, m, r), len(picked)
             least = [v for v in (_least_outside(f, r, lambda h: not span.contains(h))
                                  for f in forms) if v is not None]
             if not least:
@@ -307,7 +310,7 @@ def canonical_generators(shift: GroupShift, p: int,
         horizons = Horizons.derive(shift)
     if not shift.generators:
         return CanonicalGeneratorSet(shift, p, (), 0, 0, horizons)
-    search = order_controllability_index(shift, horizons.n_cap)
+    search = order_controllability_index(shift, horizons.n_cap, confirm=0)
     if search.index is None:
         raise PipelineFailure(
             "order-controllability",
@@ -474,14 +477,23 @@ def _tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
     """Row solver over every nonzero tap placed at msg_lo..msg_hi, on the
     window covering all of them (and the support of `cover`).
 
-    Returns (solver, [(tap index, placement) per row], (lo, hi)).
+    Returns (solver, ((tap index, placement) per row), (lo, hi)).
     """
     nonzero = [j for j, tap in enumerate(taps) if not tap.is_zero]
     lo = msg_lo + min((taps[j].first for j in nonzero), default=0)
     hi = msg_hi + max((taps[j].last for j in nonzero), default=0)
     if cover is not None:
         lo, hi = min(lo, cover.first), max(hi, cover.last)
-    labels = [(j, t) for j in nonzero for t in range(msg_lo, msg_hi + 1)]
+    return _placed_tap_solver(alphabet, taps, msg_lo, msg_hi, lo, hi)
+
+
+@lru_cache(maxsize=8)
+def _placed_tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
+                       msg_lo: int, msg_hi: int, lo: int, hi: int):
+    """`_tap_solver` on the window [lo, hi]: shared by every word of one
+    window, as when each certified word of a support is solved for."""
+    labels = tuple((j, t) for j, tap in enumerate(taps) if not tap.is_zero
+                   for t in range(msg_lo, msg_hi + 1))
     rows = [taps[j].shifted(-t).window_vector(lo, hi) for j, t in labels]
     modulus = max(alphabet.exponent, 2)
     return row_solver(rows, modulus, (hi - lo + 1) * alphabet.rank), labels, (lo, hi)

@@ -152,11 +152,11 @@ class HowellForm:
         yield from rec(0, [0] * self.ncols)
 
 
-def howell_form(rows: Sequence[Sequence[int]], modulus: int,
-                ncols: int | None = None, drop: int = 0) -> HowellForm:
-    """Canonical Howell row form of the given rows (`ncols` sizes an empty
-    list), or with `drop` = k its `zero_prefix(k)`, whose left-out rows are
-    never back-reduced.
+def _eliminate(rows: Sequence[Sequence[int]], m: int, ncols: int,
+               drop: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Howell elimination: (rows, (column, pivot value) per row), pivot
+    columns ascending.  Rows with pivot column >= `drop` are in Howell form;
+    the rows left of it are never back-reduced.
 
     Per column the pivot is the live entry of least gcd d with the modulus
     (least valuation over Z/p^e), scaled to d; an entry d divides is cleared
@@ -164,9 +164,6 @@ def howell_form(rows: Sequence[Sequence[int]], modulus: int,
     Live rows are zero left of the pivot column, so row operations start
     there.  Saturation gives the Howell property that `zero_prefix` reads.
     """
-    validate_modulus(modulus)
-    m = modulus
-    ncols = len(rows[0]) if rows else (ncols or 0)
     live = [row for row in ([x % m for x in r] for r in rows) if any(row)]
     done: list[list[int]] = []
     dropped = 0
@@ -213,7 +210,17 @@ def howell_form(rows: Sequence[Sequence[int]], modulus: int,
         done.append(row)
         pivots.append((c, d))
         dropped += c < drop
-    form = HowellForm(m, ncols, tuple(tuple(row) for row in done), tuple(pivots))
+    return done, pivots
+
+
+def howell_form(rows: Sequence[Sequence[int]], modulus: int,
+                ncols: int | None = None, drop: int = 0) -> HowellForm:
+    """Canonical Howell row form of the given rows (`ncols` sizes an empty
+    list), or with `drop` = k its `zero_prefix(k)`."""
+    validate_modulus(modulus)
+    ncols = len(rows[0]) if rows else (ncols or 0)
+    done, pivots = _eliminate(rows, modulus, ncols, drop)
+    form = HowellForm(modulus, ncols, tuple(map(tuple, done)), tuple(pivots))
     return form.zero_prefix(drop) if drop else form
 
 
@@ -225,6 +232,30 @@ def constrained_form(rows: Sequence[Sequence[int]], modulus: int,
     ext = [[(k * row[c]) % modulus for c, k in conditions] + list(row[lo:hi])
            for row in rows]
     return howell_form(ext, modulus, len(conditions) + hi - lo, drop=len(conditions))
+
+
+def projection_kept(rows: Sequence[Sequence[int]], modulus: int,
+                    conditions: Sequence[tuple[int, int]], zero_cols: Sequence[int],
+                    lo: int, hi: int) -> bool:
+    """Whether zeroing `zero_cols` keeps the projection to [lo, hi) of the
+    `conditions` submodule: `constrained_form(rows, modulus, conditions, lo,
+    hi)` equals the form with (c, 1) added for every c in `zero_cols`.
+
+    One elimination over [conditions | zero columns | kept part]: its rows
+    with pivot in the kept part are the smaller projection, and by the Howell
+    property the rows with pivot among the zero columns (heads) span the
+    rest of the conditioned submodule with them, so the projections agree
+    exactly when every head's kept part lies in the smaller one.
+    """
+    validate_modulus(modulus)
+    k, drop = len(conditions), len(conditions) + len(zero_cols)
+    ext = [[(s * row[c]) % modulus for c, s in conditions]
+           + [row[c] for c in zero_cols] + list(row[lo:hi]) for row in rows]
+    done, pivots = _eliminate(ext, modulus, drop + hi - lo, drop)
+    kept = HowellForm(modulus, drop + hi - lo, tuple(map(tuple, done)),
+                      tuple(pivots)).zero_prefix(drop)
+    return all(kept.contains(row[drop:])
+               for row, (c, _) in zip(done, pivots) if k <= c < drop)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .groups import FiniteAbelianGroup
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec,
-                       constrained_form, howell_form)
+                       constrained_form, howell_form, projection_kept)
 from .words import Word, word_span
 
 
@@ -130,6 +130,20 @@ class WindowModule:
 
     # -- constrained submodules ------------------------------------------------
 
+    def _columns(self, keep_lo: int, keep_hi: int, zero_positions: Sequence[int],
+                 kill_scale: int | None, kill_positions: Sequence[int] | None):
+        """(zero columns, kill conditions, kept column range) of the window."""
+        r = self.shift.alphabet.rank
+
+        def cols(positions) -> list[int]:
+            return [(pos - self.lo) * r + j for pos in positions for j in range(r)]
+
+        if kill_positions is None:
+            kill_positions = range(self.lo, self.hi + 1)
+        kill = [] if kill_scale is None else [(c, kill_scale) for c in cols(kill_positions)]
+        return (cols(zero_positions), kill,
+                (keep_lo - self.lo) * r, (keep_hi - self.lo + 1) * r)
+
     def constrained_projection(self, keep_lo: int, keep_hi: int,
                                zero_positions: Sequence[int] = (),
                                kill_scale: int | None = None,
@@ -138,18 +152,19 @@ class WindowModule:
         submodule {v : v == 0 on zero_positions, kill_scale*v == 0 on
         kill_positions}; the torsion condition covers the whole window when
         kill_positions is None."""
-        r = self.shift.alphabet.rank
+        zero, kill, lo, hi = self._columns(keep_lo, keep_hi, zero_positions,
+                                           kill_scale, kill_positions)
+        return constrained_form(self.rows, self.modulus, [(c, 1) for c in zero] + kill,
+                                lo, hi)
 
-        def cols(positions, k: int) -> list[tuple[int, int]]:
-            return [((pos - self.lo) * r + j, k) for pos in positions for j in range(r)]
-
-        if kill_positions is None:
-            kill_positions = range(self.lo, self.hi + 1)
-        conditions = cols(zero_positions, 1)
-        if kill_scale is not None:
-            conditions += cols(kill_positions, kill_scale)
-        return constrained_form(self.rows, self.modulus, conditions,
-                                (keep_lo - self.lo) * r, (keep_hi - self.lo + 1) * r)
+    def projection_kept(self, keep_lo: int, keep_hi: int, zero_positions: Sequence[int],
+                        kill_scale: int | None = None,
+                        kill_positions: Sequence[int] | None = None) -> bool:
+        """Whether `constrained_projection` is the same with and without
+        `zero_positions`, decided by one elimination."""
+        zero, kill, lo, hi = self._columns(keep_lo, keep_hi, zero_positions,
+                                           kill_scale, kill_positions)
+        return projection_kept(self.rows, self.modulus, kill, zero, lo, hi)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -96,6 +97,25 @@ def test_n_c_at_most_n_o():
         assert rep.consistent()
         assert monotone_after_success(rep.plain)
         assert monotone_after_success(rep.ordered)
+
+
+def test_search_stopped_at_the_index_agrees():
+    # canonical generators read only the index and the witness, so the
+    # search may stop at the least index without confirming candidates
+    rng = random.Random(25)
+    shifts = [random_shift(rng) for _ in range(15)]
+    shifts.append(make_shift("Z2 x Z4", [(0, [(1, 3), (0, 0), (0, 3)])]))
+    found = absent = 0
+    for shift, cap in itertools.product(shifts, (0, 3)):
+        full = order_controllability_index(shift, cap)
+        least = order_controllability_index(shift, cap, confirm=0)
+        assert (least.index, least.witness) == (full.index, full.witness)
+        stop = cap if least.index is None else least.index
+        assert len(least.condition_table) == len(least.past_horizons) == stop + 1
+        assert least.condition_table == full.condition_table[:stop + 1]
+        found += least.index is not None
+        absent += least.index is None
+    assert found and absent
 
 
 def test_scaling_preserves_order_controllability():

@@ -13,10 +13,12 @@ from groupshift.encoders import (Encoder, Horizons,
                                  multiple_shift, presentation_encoder, primary_shift,
                                  random_message, socle_shift,
                                  scaled_finite_words_check,
-                                 solve_finite_preimage, word_height)
+                                 solve_finite_preimage, word_height,
+                                 _placed_tap_solver, _tap_solver)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form, row_solver
-from groupshift.shifts import GroupShift, member, enumerate_window_code
+from groupshift.shifts import (GroupShift, member, enumerate_window_code,
+                              supported_words)
 from groupshift.words import Word
 
 from conftest import make_shift
@@ -350,6 +352,28 @@ def test_preimage_solver_roundtrip(delay_rep):
         image = encode(enc, msg)
         got = solve_finite_preimage(enc, image, 6)
         assert got is not None and encode(enc, got) == image
+
+
+def test_tap_solver_shared_per_window_keeps_preimages():
+    # every certified word of one support window reuses one solver; the
+    # preimages equal those of a solver built afresh for each word
+    shift = GroupShift.full_shift(FiniteAbelianGroup.parse("Z2 x Z4"))
+    enc = build_for(shift)
+    slack = enc.memory + 4
+    words = supported_words(shift, 0, 2, 2).words
+    solvers = []
+    for w in words:
+        solver, labels, (lo, hi) = _tap_solver(enc.alphabet, enc.taps, w.first - slack,
+                                               w.last + slack, w)
+        fresh = _placed_tap_solver.__wrapped__(enc.alphabet, enc.taps, w.first - slack,
+                                               w.last + slack, lo, hi)
+        assert (fresh[1], fresh[2]) == (labels, (lo, hi))
+        target = w.window_vector(lo, hi)
+        assert solver.express(target) == fresh[0].express(target)
+        solvers.append(solver)
+        got = solve_finite_preimage(enc, w, slack)
+        assert got is not None and encode(enc, got) == w
+    assert len({id(s) for s in solvers}) < len(words)
 
 
 # -- base decomposition ------------------------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup, is_prime
 from groupshift.residues import (HowellForm, annihilator, combine_rows,
-                                 constrained_form, howell_form, row_solver,
-                                 unit_for, xgcd)
+                                 constrained_form, howell_form, projection_kept,
+                                 row_solver, unit_for, xgcd)
 
 from conftest import brute_force_span
 
@@ -365,6 +365,29 @@ def test_constrained_form_matches_reference_zero_prefix(inp, data):
     ext = [[(k * row[c]) % m for c, k in conditions] + row[lo:hi] for row in rows]
     ref = reference_howell_form(ext, m, len(conditions) + hi - lo)
     assert constrained_form(rows, m, conditions, lo, hi) == ref.zero_prefix(len(conditions))
+
+
+def two_form_projection_kept(rows, m, conditions, zero, lo, hi):
+    """Reference: every row of the conditioned projection lies in the one
+    with the zero columns added as conditions."""
+    small = constrained_form(rows, m, list(conditions) + [(c, 1) for c in zero], lo, hi)
+    return all(small.contains(row)
+               for row in constrained_form(rows, m, conditions, lo, hi).rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)),
+       st.data())
+def test_projection_kept_matches_two_form_reference(inp, data):
+    m, rows, ncols = inp
+    conditions = data.draw(st.lists(st.tuples(st.integers(0, ncols - 1),
+                                              st.integers(1, m - 1)), max_size=3))
+    zero = data.draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3,
+                              unique=True))
+    lo = data.draw(st.integers(0, ncols - 1))
+    hi = data.draw(st.integers(lo + 1, ncols))
+    assert projection_kept(rows, m, conditions, zero, lo, hi) == \
+        two_form_projection_kept(rows, m, conditions, zero, lo, hi)
 
 
 # -- independence over F_p: Howell forms of p-torsion vectors ----------------
