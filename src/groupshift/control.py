@@ -77,25 +77,33 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
     order(g1|[1,n]) | order(g|[1,n]); split by divisors d of exp(H), "order
     divides d" is the linear condition d*(restriction to [1,n]) == 0, so each
     divisor d yields one equality between d-constrained past projections,
-    decided by one elimination.
+    decided by one elimination.  The verdict is an all() over the scales, so
+    their order is free: a failing scale moves to the front of `scales`,
+    where the next candidate tries it first.
     """
     module = shift.window(-past, n + past)
-    return all(module.projection_kept(-past, 0, range(n + 1, n + past + 1),
-                                      kill_scale=d, kill_positions=range(1, n + 1))
-               for d in scales)
+    tail, kill = range(n + 1, n + past + 1), range(1, n + 1)
+    for i, d in enumerate(scales):
+        if not module.projection_kept(-past, 0, tail, kill_scale=d, kill_positions=kill):
+            scales.insert(0, scales.pop(i))
+            return False
+    return True
 
 
 def _steering_witness(shift: GroupShift, n: int, past: int,
                       scales: list[int | None]) -> Word:
     """A past in G|[-L, n+L] that no element with zero tail [n+1, n+L]
-    matches, at the first failing scale: the first row of the past
-    projection outside the tail-constrained one."""
+    matches, at the first failing scale in ascending order (found by one
+    elimination per scale): the first row of the past projection outside
+    the tail-constrained one."""
     module = shift.window(-past, n + past)
-    for d in scales:
-        lhs = module.constrained_projection(-past, 0, kill_scale=d,
-                                            kill_positions=range(1, n + 1))
-        rhs = module.constrained_projection(-past, 0, range(n + 1, n + past + 1),
-                                            kill_scale=d, kill_positions=range(1, n + 1))
+    tail, kill = range(n + 1, n + past + 1), range(1, n + 1)
+    for d in sorted(scales):
+        if module.projection_kept(-past, 0, tail, kill_scale=d, kill_positions=kill):
+            continue
+        lhs = module.constrained_projection(-past, 0, kill_scale=d, kill_positions=kill)
+        rhs = module.constrained_projection(-past, 0, tail, kill_scale=d,
+                                            kill_positions=kill)
         for row in lhs.rows:
             if not rhs.contains(row):
                 return Word.from_window_vector(shift.alphabet, -past, row)
@@ -105,7 +113,8 @@ def _steering_witness(shift: GroupShift, n: int, past: int,
 def _index_search(shift: GroupShift, cap: int, past: int | None,
                   order_constrained: bool, confirm: int) -> IndexSearch:
     """Scan candidates 0..cap, stopping `confirm` candidates after the first
-    success; when none succeeds, the witness is the last failure's."""
+    success; when none succeeds, the witness is the last failure's.  The
+    steering conditions reorder this call's own list of scales."""
     scales = _divisors(shift.alphabet.exponent) if order_constrained else [None]
     horizons = []
     table = []

@@ -245,14 +245,17 @@ def projection_kept(rows: Sequence[Sequence[int]], modulus: int,
     with pivot in the kept part are the smaller projection, and by the Howell
     property the rows with pivot among the zero columns (heads) span the
     rest of the conditioned submodule with them, so the projections agree
-    exactly when every head's kept part lies in the smaller one.
+    exactly when every head's kept part lies in the smaller one.  Nothing is
+    back-reduced, so these rows are not canonical; greedy leading-term
+    reduction still decides membership, which needs only the Howell property.
     """
     validate_modulus(modulus)
     k, drop = len(conditions), len(conditions) + len(zero_cols)
     ext = [[(s * row[c]) % modulus for c, s in conditions]
            + [row[c] for c in zero_cols] + list(row[lo:hi]) for row in rows]
-    done, pivots = _eliminate(ext, modulus, drop + hi - lo, drop)
-    kept = HowellForm(modulus, drop + hi - lo, tuple(map(tuple, done)),
+    ncols = drop + hi - lo
+    done, pivots = _eliminate(ext, modulus, ncols, ncols)
+    kept = HowellForm(modulus, ncols, tuple(map(tuple, done)),
                       tuple(pivots)).zero_prefix(drop)
     return all(kept.contains(row[drop:])
                for row, (c, _) in zip(done, pivots) if k <= c < drop)

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from groupshift.control import (analyze_controllability, controllability_index,
+from groupshift.control import (_divisors, _steering_witness,
+                                analyze_controllability, controllability_index,
                                 default_past_horizon, monotone_after_success,
                                 order_controllability_index,
                                 weak_controllability_check)
@@ -164,3 +165,62 @@ def test_cap_zero_negative_verdict(delay_rep):
     rep = controllability_index(delay_rep, 0)
     assert rep.index is None
     assert rep.witness is not None
+
+
+# -- the fail-fast search against an all-scales, two-form reference -----------
+
+
+def reference_search(shift, cap, confirm):
+    """(index, condition table, witness) of the order search, evaluating
+    every candidate over every scale in ascending order with two canonical
+    forms per scale; the witness is the first row of the first failing
+    scale's past projection outside the tail-constrained one."""
+    scales = _divisors(shift.alphabet.exponent)
+
+    def failing_rows(n):
+        past = default_past_horizon(shift, n)
+        module = shift.window(-past, n + past)
+        kill = range(1, n + 1)
+        for d in scales:
+            lhs = module.constrained_projection(-past, 0, kill_scale=d,
+                                                kill_positions=kill)
+            rhs = module.constrained_projection(-past, 0, range(n + 1, n + past + 1),
+                                                kill_scale=d, kill_positions=kill)
+            outside = [row for row in lhs.rows if not rhs.contains(row)]
+            if outside:
+                return past, outside
+        return past, []
+
+    table, found = [], None
+    for n in range(cap + 1):
+        if found is not None and n > found + confirm:
+            break
+        past, outside = failing_rows(n)
+        table.append(not outside)
+        if not outside and found is None:
+            found = n
+    witness = None
+    if found is None:
+        witness = Word.from_window_vector(shift.alphabet, -past, outside[0])
+    return found, tuple(table), witness
+
+
+def test_fail_fast_search_matches_reference():
+    rng = random.Random(26)
+    shifts = [random_shift(rng) for _ in range(10)]
+    shifts.append(make_shift("Z2 x Z4", [(0, [(1, 3), (0, 0), (0, 3)])]))
+    shifts.append(make_shift("Z8 x Z4", [(0, [(2, 0), (5, 2), (7, 3)])]))
+    absent = 0
+    for shift, cap in itertools.product(shifts, (0, 3, 16)):
+        for confirm in (2, 0):
+            index, table, witness = reference_search(shift, cap, confirm)
+            got = order_controllability_index(shift, cap, confirm=confirm)
+            assert (got.index, got.condition_table, got.witness) == \
+                (index, table, witness), (shift, cap, confirm)
+        if index is None:
+            absent += 1
+            scales = _divisors(shift.alphabet.exponent)
+            past = default_past_horizon(shift, cap)
+            for order in (scales[::-1], rng.sample(scales, len(scales))):
+                assert _steering_witness(shift, cap, past, order) == witness
+    assert absent >= 6

@@ -17,15 +17,18 @@ import pytest
 from groupshift.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-SPECS = ["full-z4", "delay-rep", "z6", "z8-z4", "z9-z3", "order-witness"]
+SPECS = ["full-z4", "delay-rep", "z6", "z8-z4", "z9-z3", "order-witness",
+         "scale-witness"]
+#: Specs that are not order-controllable and have no encoder to encode with.
+NEGATIVE = {"order-witness": 1, "scale-witness": 1}
 
 #: (command arguments before the spec, extra trailing argument, exit code)
 COMMANDS = {
-    "analyze": (["analyze"], [], {"order-witness": 1}),
-    "generators": (["generators"], [], {"order-witness": 1}),
-    "certify-window": (["certify", "--window", "0:2"], [], {"order-witness": 1}),
+    "analyze": (["analyze"], [], NEGATIVE),
+    "generators": (["generators"], [], NEGATIVE),
+    "certify-window": (["certify", "--window", "0:2"], [], NEGATIVE),
     "certify-presentation": (["certify", "--check-presentation"], [],
-                             {"z6": 2, "z8-z4": 1, "z9-z3": 1, "order-witness": 1}),
+                             {"z6": 2, "z8-z4": 1, "z9-z3": 1, **NEGATIVE}),
     "oracle": (["oracle", "--window", "0:1"], [], {}),
     "encode": (["encode"], ["{spec}.msg"], {}),
     "encode-window": (["encode", "--window=-1:2"], ["{spec}.msg"], {}),
@@ -35,11 +38,12 @@ COMMANDS = {
 
 # Only the delay rep has a long (600-symbol) message: its length-2 tap
 # overlaps at every position, so the encode sum is checked where placed taps
-# collide.  The order-witness spec is not order-controllable: it pins the
-# failing search's witness, and has no encoder to encode with.
+# collide.  The order-witness spec pins the failing search's witness; the
+# scale-witness spec fails at two scales with different witnesses at the
+# last candidate, so it pins the first failing scale in ascending order.
 CASES = [(spec, name) for spec in SPECS for name in COMMANDS
          if (spec == "delay-rep" or "-long" not in name)
-         and (spec != "order-witness" or not name.startswith("encode"))]
+         and (spec not in NEGATIVE or not name.startswith("encode"))]
 
 
 def _argv(spec: str, name: str) -> tuple[list[str], int]:

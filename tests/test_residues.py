@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup, is_prime
-from groupshift.residues import (HowellForm, annihilator, combine_rows,
+from groupshift.residues import (HowellForm, _eliminate, annihilator, combine_rows,
                                  constrained_form, howell_form, projection_kept,
                                  row_solver, unit_for, xgcd)
 
@@ -388,6 +388,33 @@ def test_projection_kept_matches_two_form_reference(inp, data):
     hi = data.draw(st.integers(lo + 1, ncols))
     assert projection_kept(rows, m, conditions, zero, lo, hi) == \
         two_form_projection_kept(rows, m, conditions, zero, lo, hi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(kernel_inputs([2, 4, 8, 9, 27]), kernel_inputs([6, 12, 72])),
+       st.data())
+def test_membership_without_back_reduction_matches_howell_form(inp, data):
+    # projection_kept reads membership off rows that are not back-reduced:
+    # greedy reduction needs only the Howell property, not canonical rows
+    m, rows, ncols = inp
+    done, pivots = _eliminate(rows, m, ncols, drop=ncols)
+    loose = HowellForm(m, ncols, tuple(map(tuple, done)), tuple(pivots))
+    form = howell_form(rows, m, ncols)
+    assert loose.pivots == form.pivots
+    entries = st.integers(0, m - 1)
+    members = [combine_rows(data.draw(st.lists(entries, min_size=len(rows),
+                                               max_size=len(rows))), rows, m, ncols)
+               for _ in range(3)]
+    changed = []
+    for vec in members:
+        i = data.draw(st.integers(0, ncols - 1))
+        changed.append(vec[:i] + [(vec[i] + data.draw(st.integers(1, m - 1))) % m]
+                       + vec[i + 1:])
+    randoms = [data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+               for _ in range(3)]
+    for vec in members + changed + randoms:
+        assert loose.contains(vec) == form.contains(vec)
+    assert all(loose.contains(vec) for vec in members)
 
 
 # -- independence over F_p: Howell forms of p-torsion vectors ----------------

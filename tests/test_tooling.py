@@ -7,6 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from groupshift import shifts
+from groupshift.control import _divisors, order_controllability_index
+from groupshift.specfmt import parse_spec
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -82,3 +86,18 @@ def test_generator_selection_enumerates_few_candidates():
 
 def test_one_counted_reduction_per_projection_and_solver():
     _run_traced(REDUCTION_SCRIPT)
+
+
+def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
+    # the tracer does not see projection_kept, so count its calls directly:
+    # a failing candidate stops at the scale that failed last, and the
+    # witness scale is found by one elimination per scale
+    calls = []
+    kept = shifts.projection_kept
+    monkeypatch.setattr(shifts, "projection_kept",
+                        lambda *args: calls.append(args) or kept(*args))
+    text = (ROOT / "tests" / "golden" / "order-witness.spec").read_text()
+    shift, cap = parse_spec(text).shift, 16
+    search = order_controllability_index(shift, cap, confirm=0)
+    assert search.index is None and search.witness is not None
+    assert len(calls) <= cap + 1 + len(_divisors(shift.alphabet.exponent))
