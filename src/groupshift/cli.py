@@ -272,8 +272,7 @@ def cmd_certify(args) -> int:
     _echo_horizons(report, horizons)
     if args.check_presentation:
         return report.finish(_presentation_audit(report, shift, horizons, args))
-    cert = conjugacy_certificate(shift, horizons, trials=args.trials,
-                                 seed=args.seed)
+    cert = conjugacy_certificate(shift, horizons, seed=args.seed)
     negative = _certificate_report(report, cert)
     if args.window:
         lo, hi = args.window
@@ -285,8 +284,7 @@ def cmd_encode(args) -> int:
     spec = _load_spec(args.spec)
     shift = spec.shift
     horizons = _horizons_from_args(spec, args)
-    cert = conjugacy_certificate(shift, horizons, trials=args.trials,
-                                 seed=args.seed)
+    cert = conjugacy_certificate(shift, horizons, seed=args.seed)
     report = Report()
     _echo_input(report, "encode", args.spec, spec)
     if cert.product_encoder is None:
@@ -359,7 +357,7 @@ def _at_least(lo: int):
     return _int_arg(lambda n: n >= lo, f">= {lo}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
     parser.add_argument("--margin", type=_at_least(0), default=None,
                         help="membership certification margin")
     parser.add_argument("--support-cap", type=_at_least(1), default=None,
@@ -370,10 +368,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="controllability index search cap")
     parser.add_argument("--horizon", type=_at_least(1), default=None,
                         help="window horizon for module checks")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized exact checks")
-    parser.add_argument("--trials", type=_at_least(0), default=64,
-                        help="random messages per invariant check")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="seed for the noncatastrophicity check's "
+                                 "random messages")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-presentation", action="store_true",
                    help="audit the spec's own generators as encoder taps "
                         "instead of synthesizing a canonical set")
-    _add_common(p)
+    _add_common(p, seed=True)
+    p.add_argument("--trials", type=_at_least(0), default=64,
+                   help="random messages of the --check-presentation "
+                        "noncatastrophicity check")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("encode", help="encode a message file with the "
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("message")
     p.add_argument("--window", type=_window_arg, default=None,
                    help="restrict the output to the window a:b")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("oracle", help="brute-force window code enumeration")

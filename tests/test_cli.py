@@ -359,6 +359,22 @@ def test_numeric_flags_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     assert "internal" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{spec}", "--trials", "4"],
+    ["generators", "{spec}", "--seed", "1"],
+    ["encode", "{spec}", "{spec}", "--trials", "4"],
+])
+def test_flags_only_on_commands_that_read_them(tmp_path, capsys, argv):
+    # --trials is read only by certify --check-presentation and --seed only
+    # by certify and encode; elsewhere either flag is a usage error
+    path = tmp_path / "full-z4.spec"
+    path.write_text(FULL_Z4)
+    code = main([a.format(spec=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
 # -- horizon precedence: flag, then spec key, then derived default --------------
 
 
@@ -393,16 +409,17 @@ FUZZ_GROUPS = ["Z2", "Z3", "Z4", "Z6", "Z9", "Z2 x Z2", "Z2 x Z4"]
 
 #: Flags per command with values drawn from a small range that includes
 #: out-of-range ones; the common pipeline flags apply to every command but
-#: oracle.
+#: oracle, `--seed` to certify and encode, `--trials` to certify only.
 COMMON_FLAGS = {"--margin": (-1, 3), "--support-cap": (-1, 4), "--block-cap": (-1, 4),
-                "--n-cap": (-1, 4), "--horizon": (-1, 4), "--trials": (-1, 4),
-                "--seed": (-2, 2)}
+                "--n-cap": (-1, 4), "--horizon": (-1, 4)}
+SEEDED_FLAGS = dict(COMMON_FLAGS, **{"--seed": (-2, 2)})
+CERTIFY_FLAGS = dict(SEEDED_FLAGS, **{"--trials": (-1, 4)})
 FUZZ_FLAGS = {
     "analyze": dict(COMMON_FLAGS, **{"--ft-cap": (-1, 3)}),
     "generators": dict(COMMON_FLAGS, **{"--prime": (-1, 5)}),
-    "certify": COMMON_FLAGS,
-    "certify --check-presentation": COMMON_FLAGS,
-    "encode": COMMON_FLAGS,
+    "certify": CERTIFY_FLAGS,
+    "certify --check-presentation": CERTIFY_FLAGS,
+    "encode": SEEDED_FLAGS,
     "oracle": {"--list-cap": (-1, 4), "--enum-cap": (-1, 40)},
 }
 

@@ -14,7 +14,8 @@ from groupshift.encoders import (Encoder, Horizons,
                                  random_message, socle_shift,
                                  scaled_finite_words_check,
                                  solve_finite_preimage, word_height,
-                                 _placed_tap_solver, _tap_solver)
+                                 _message_invariant_checks, _placed_tap_solver,
+                                 _tap_solver)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form, row_solver
 from groupshift.shifts import (GroupShift, member, enumerate_window_code,
@@ -250,6 +251,86 @@ def test_homomorphism_and_equivariance_random():
         for j, h in enumerate(enc.heights):
             image = encode(enc, message_impulse(enc, j))
             assert (2 ** (h + 1)) % image.order() == 0
+
+
+# -- exact encoder invariants against the sampled reference ------------------------
+
+
+def sampled_invariants(encoder, p, pairs):
+    """Reference for the exact encoder invariants: homomorphism and
+    shift-equivariance sampled on the given message pairs, and the order
+    bound read off the encoded impulses."""
+    hom = equi = True
+    for m1, m2 in pairs:
+        if encode(encoder, m1 + m2) != encode(encoder, m1) + encode(encoder, m2):
+            hom = False
+        if encode(encoder, m1.shifted(1)) != encode(encoder, m1).shifted(1):
+            equi = False
+    order_ok = True
+    for j, h in enumerate(encoder.heights):
+        image = encode(encoder, message_impulse(encoder, j))
+        if image.order() > p ** (h + 1) or (p ** (h + 1)) % image.order():
+            order_ok = False
+    return {"homomorphism": hom, "shift-equivariance": equi,
+            "order-bounds": order_ok}
+
+
+def random_pairs(encoder, trials=64, seed=0):
+    """`trials` pairs of random messages at reach 3, drawn from `seed`."""
+    rng = random.Random(seed)
+    return [(random_message(encoder, rng, 3), random_message(encoder, rng, 3))
+            for _ in range(trials)]
+
+
+def exact_invariants(encoder):
+    checks = _message_invariant_checks(encoder)
+    assert [c.name for c in checks] == ["homomorphism", "shift-equivariance",
+                                        "order-bounds"]
+    return {c.name: c.passed for c in checks}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["Z2", "Z4", "Z8", "Z9", "Z2 x Z4"]),
+       st.randoms(use_true_random=False), st.integers(0, 3))
+def test_exact_invariants_match_sampled_reference(name, rng, seed):
+    # single-prime encoders with random taps and heights 0..e-1, so some
+    # source factors are too small for their taps
+    group = FiniteAbelianGroup.parse(name)
+    (p,) = group.primes()
+    e = max(k for _, k in group.factors)
+    count = rng.randrange(1, 4)
+    taps = tuple(Word.make(group, rng.randrange(-1, 2),
+                           [tuple(rng.randrange(n) for n in group.orders)
+                            for _ in range(rng.randrange(1, 4))])
+                 for _ in range(count))
+    heights = tuple(rng.randrange(e) for _ in range(count))
+    source = FiniteAbelianGroup(tuple((p, h + 1) for h in heights))
+    enc = Encoder(group, source, taps, heights, (p,) * count)
+    exact = exact_invariants(enc)
+    reference = sampled_invariants(enc, p, random_pairs(enc, seed=seed))
+    assert exact["shift-equivariance"] and reference["shift-equivariance"]
+    assert exact["order-bounds"] == reference["order-bounds"]
+    assert exact["homomorphism"] == exact["order-bounds"]
+    if exact["homomorphism"]:
+        assert reference["homomorphism"]
+    # the carry pair (p^(h_j+1) - 1) * e_j, e_j fails exactly at the taps
+    # that break the order bound
+    for j, (tap, h) in enumerate(zip(taps, heights)):
+        impulse = message_impulse(enc, j)
+        carry = (impulse.scaled(p ** (h + 1) - 1), impulse)
+        assert sampled_invariants(enc, p, [carry])["homomorphism"] == \
+            tap.scaled(p ** (h + 1)).is_zero
+
+
+def test_broken_encoder_fails_homomorphism_and_order_bounds(z4):
+    # a tap of order 4 behind a Z2 coordinate: 1 + 1 = 0 in the source, but
+    # the two taps sum to 2 in the shift
+    enc = Encoder(z4, FiniteAbelianGroup.parse("Z2"), (Word.make(z4, 0, [(1,)]),),
+                  (0,), (2,))
+    verdicts = {"homomorphism": False, "shift-equivariance": True,
+                "order-bounds": False}
+    assert exact_invariants(enc) == verdicts
+    assert sampled_invariants(enc, 2, random_pairs(enc)) == verdicts
 
 
 # -- injectivity ----------------------------------------------------------------
