@@ -146,14 +146,12 @@ def cmd_analyze(args) -> int:
     report = Report()
     _echo_input(report, "analyze", args.spec, spec)
     _echo_horizons(report, horizons)
-    negative = False
-
-    weak = weak_controllability_check(shift, "self", horizon=horizons.window_horizon,
-                                      margin=horizons.margin)
-    report.add("weakly_controllable", weak.holds)
+    ctrl = analyze_controllability(shift, cap=horizons.n_cap,
+                                   horizon=horizons.window_horizon)
+    report.add("weakly_controllable", ctrl.weakly_controllable)
     report.add("weakly_controllable.windows",
-               " ".join(f"[{a},{b}]" for a, b in weak.windows))
-    negative |= not weak.holds
+               " ".join(f"[{a},{b}]" for a, b in ctrl.weak_witness_windows))
+    negative = not ctrl.weakly_controllable
 
     for p in shift.alphabet.primes():
         socle = weak_controllability_check(shift, "socle", p=p,
@@ -169,8 +167,6 @@ def cmd_analyze(args) -> int:
                ft.memory if ft.memory is not None else f"not-verified<={ft.cap}")
     negative |= ft.memory is None
 
-    ctrl = analyze_controllability(shift, cap=horizons.n_cap,
-                                   horizon=horizons.window_horizon)
     for label, search in (("controllability", ctrl.plain),
                           ("order_controllability", ctrl.ordered)):
         idx = search.index

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import _prime_power_factors
+from .residues import howell_form
 from .shifts import GroupShift, torsion_window_projection
 from .words import Word
 
@@ -84,7 +85,9 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
     module = shift.window(-past, n + past)
     tail, kill = range(n + 1, n + past + 1), range(1, n + 1)
     for i, d in enumerate(scales):
-        if not module.projection_kept(-past, 0, tail, kill_scale=d, kill_positions=kill):
+        kept, heads = module.projection_heads(-past, 0, tail, kill_scale=d,
+                                              kill_positions=kill)
+        if not all(map(kept.contains, heads)):
             scales.insert(0, scales.pop(i))
             return False
     return True
@@ -94,19 +97,19 @@ def _steering_witness(shift: GroupShift, n: int, past: int,
                       scales: list[int | None]) -> Word:
     """A past in G|[-L, n+L] that no element with zero tail [n+1, n+L]
     matches, at the first failing scale in ascending order (found by one
-    elimination per scale): the first row of the past projection outside
-    the tail-constrained one."""
+    elimination per scale): the first row of the canonical past projection
+    outside the tail-constrained one.  That canonical form is read off the
+    same elimination, as the Howell form of its kept rows and heads."""
     module = shift.window(-past, n + past)
     tail, kill = range(n + 1, n + past + 1), range(1, n + 1)
     for d in sorted(scales):
-        if module.projection_kept(-past, 0, tail, kill_scale=d, kill_positions=kill):
+        kept, heads = module.projection_heads(-past, 0, tail, kill_scale=d,
+                                              kill_positions=kill)
+        if all(map(kept.contains, heads)):
             continue
-        lhs = module.constrained_projection(-past, 0, kill_scale=d, kill_positions=kill)
-        rhs = module.constrained_projection(-past, 0, tail, kill_scale=d,
-                                            kill_positions=kill)
-        for row in lhs.rows:
-            if not rhs.contains(row):
-                return Word.from_window_vector(shift.alphabet, -past, row)
+        past_form = howell_form(list(kept.rows) + heads, kept.modulus, kept.ncols)
+        row = next(row for row in past_form.rows if not kept.contains(row))
+        return Word.from_window_vector(shift.alphabet, -past, row)
     raise ArithmeticError(f"steering condition at n={n}, L={past} has no witness")
 
 

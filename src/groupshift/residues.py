@@ -234,19 +234,20 @@ def constrained_form(rows: Sequence[Sequence[int]], modulus: int,
     return howell_form(ext, modulus, len(conditions) + hi - lo, drop=len(conditions))
 
 
-def projection_kept(rows: Sequence[Sequence[int]], modulus: int,
-                    conditions: Sequence[tuple[int, int]], zero_cols: Sequence[int],
-                    lo: int, hi: int) -> bool:
-    """Whether zeroing `zero_cols` keeps the projection to [lo, hi) of the
-    `conditions` submodule: `constrained_form(rows, modulus, conditions, lo,
-    hi)` equals the form with (c, 1) added for every c in `zero_cols`.
+def projection_heads(rows: Sequence[Sequence[int]], modulus: int,
+                     conditions: Sequence[tuple[int, int]], zero_cols: Sequence[int],
+                     lo: int, hi: int) -> tuple[HowellForm, list[Vec]]:
+    """(kept, heads) for the projection to [lo, hi) of the `conditions`
+    submodule with and without `zero_cols` zeroed.
 
     One elimination over [conditions | zero columns | kept part]: its rows
-    with pivot in the kept part are the smaller projection, and by the Howell
-    property the rows with pivot among the zero columns (heads) span the
-    rest of the conditioned submodule with them, so the projections agree
-    exactly when every head's kept part lies in the smaller one.  Nothing is
-    back-reduced, so these rows are not canonical; greedy leading-term
+    with pivot in the kept part (`kept`) span the projection with the zero
+    columns added as conditions, and by the Howell property the kept parts
+    of the rows with pivot among the zero columns (`heads`) span the one
+    without them together with `kept`.  So zeroing keeps the projection
+    exactly when every head lies in `kept`, and `howell_form(kept.rows +
+    heads)` is `constrained_form(rows, modulus, conditions, lo, hi)`.
+    Nothing is back-reduced, so `kept` is not canonical; greedy leading-term
     reduction still decides membership, which needs only the Howell property.
     """
     validate_modulus(modulus)
@@ -257,8 +258,7 @@ def projection_kept(rows: Sequence[Sequence[int]], modulus: int,
     done, pivots = _eliminate(ext, modulus, ncols, ncols)
     kept = HowellForm(modulus, ncols, tuple(map(tuple, done)),
                       tuple(pivots)).zero_prefix(drop)
-    return all(kept.contains(row[drop:])
-               for row, (c, _) in zip(done, pivots) if k <= c < drop)
+    return kept, [tuple(row[drop:]) for row, (c, _) in zip(done, pivots) if k <= c < drop]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .groups import FiniteAbelianGroup
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec,
-                       constrained_form, howell_form, projection_kept)
+                       constrained_form, howell_form, projection_heads)
 from .words import Word, word_span
 
 
@@ -157,14 +157,16 @@ class WindowModule:
         return constrained_form(self.rows, self.modulus, [(c, 1) for c in zero] + kill,
                                 lo, hi)
 
-    def projection_kept(self, keep_lo: int, keep_hi: int, zero_positions: Sequence[int],
-                        kill_scale: int | None = None,
-                        kill_positions: Sequence[int] | None = None) -> bool:
-        """Whether `constrained_projection` is the same with and without
-        `zero_positions`, decided by one elimination."""
+    def projection_heads(self, keep_lo: int, keep_hi: int, zero_positions: Sequence[int],
+                         kill_scale: int | None = None,
+                         kill_positions: Sequence[int] | None = None
+                         ) -> tuple[HowellForm, list[Vec]]:
+        """`residues.projection_heads` for `constrained_projection` with and
+        without `zero_positions`: one elimination, and the projection is the
+        same for both exactly when every head lies in the kept form."""
         zero, kill, lo, hi = self._columns(keep_lo, keep_hi, zero_positions,
                                            kill_scale, kill_positions)
-        return projection_kept(self.rows, self.modulus, kill, zero, lo, hi)
+        return projection_heads(self.rows, self.modulus, kill, zero, lo, hi)
 
 
 @lru_cache(maxsize=None)
@@ -256,14 +258,14 @@ def _splice_property_holds(shift: GroupShift, n: int, reach: int) -> bool:
     """Splice check on the window [-reach, n + reach] with the block [0, n].
 
     Every module element vanishing on the block must split as (something
-    vanishing on the whole left half) matching it on the strict right part.
+    vanishing on the whole left half) matching it on the strict right part:
+    zeroing the left half keeps the right projection of the block-vanishing
+    submodule, decided by one elimination.
     """
     module = shift.window(-reach, n + reach)
-    block = list(range(0, n + 1))
-    left_and_block = list(range(-reach, n + 1))
-    lhs = module.constrained_projection(n + 1, n + reach, zero_positions=block)
-    rhs = module.constrained_projection(n + 1, n + reach, zero_positions=left_and_block)
-    return lhs.spans_same(rhs)
+    kept, heads = module.projection_heads(n + 1, n + reach, range(-reach, 0),
+                                          kill_scale=1, kill_positions=range(0, n + 1))
+    return all(map(kept.contains, heads))
 
 
 def finite_type_memory(shift: GroupShift, cap: int,

@@ -18,8 +18,7 @@ from groupshift.control import (analyze_controllability,
                                 order_controllability_index)
 from groupshift.encoders import (Encoder, Horizons, base_decompose,
                                  canonical_generators, check_noncatastrophic,
-                                 conjugacy_certificate, encode,
-                                 message_impulse, multiple_shift,
+                                 conjugacy_certificate, encode, multiple_shift,
                                  primary_shift, random_message,
                                  scaled_finite_words_check,
                                  solve_finite_preimage)
@@ -150,7 +149,8 @@ def test_criterion_3_encoder_invariants(certified_collection):
                 assert encode(enc, a + b) == encode(enc, a) + encode(enc, b)
                 assert encode(enc, a.shifted(1)) == encode(enc, a).shifted(1)
             for j, (p, h) in enumerate(zip(enc.tap_primes, enc.heights)):
-                image = encode(enc, message_impulse(enc, j))
+                unit = [int(i == j) for i in range(enc.source.rank)]
+                image = encode(enc, Word.impulse(enc.source, unit))
                 assert (p ** (h + 1)) % image.order() == 0
 
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from groupshift.encoders import (Encoder, Horizons,
+from groupshift.encoders import (Encoder, Horizons, PipelineFailure,
                                  base_decompose, build_encoder,
                                  canonical_generators, check_injectivity,
                                  check_noncatastrophic, conjugacy_certificate,
-                                 encode, lift_height, message_impulse,
-                                 multiple_shift, presentation_encoder, primary_shift,
-                                 random_message, socle_shift,
+                                 encode, lift_height, multiple_shift,
+                                 presentation_encoder, primary_certificate,
+                                 primary_shift, random_message, socle_shift,
                                  scaled_finite_words_check,
                                  solve_finite_preimage, word_height,
                                  _message_invariant_checks, _placed_tap_solver,
@@ -22,7 +22,7 @@ from groupshift.shifts import (GroupShift, member, enumerate_window_code,
                               supported_words)
 from groupshift.words import Word
 
-from conftest import make_shift
+from conftest import make_shift, random_shift
 
 
 # -- derived shifts -----------------------------------------------------------
@@ -215,8 +215,8 @@ def build_for(shift, p=2):
 def test_encode_examples(z4):
     enc = build_for(GroupShift.full_shift(z4))
     assert encode(enc, Word.zero(enc.source)).is_zero
-    assert encode(enc, message_impulse(enc, 0)) == enc.taps[0]
     coords = [1] + [0] * (enc.source.rank - 1)
+    assert encode(enc, Word.impulse(enc.source, coords)) == enc.taps[0]
     m1 = Word.impulse(enc.source, coords, 0)
     m2 = Word.impulse(enc.source, [2 * c for c in coords], 3)
     assert encode(enc, m1 + m2) == encode(enc, m1) + encode(enc, m2)
@@ -249,7 +249,8 @@ def test_homomorphism_and_equivariance_random():
             assert encode(enc, a + b) == encode(enc, a) + encode(enc, b)
             assert encode(enc, a.shifted(1)) == encode(enc, a).shifted(1)
         for j, h in enumerate(enc.heights):
-            image = encode(enc, message_impulse(enc, j))
+            unit = [int(i == j) for i in range(enc.source.rank)]
+            image = encode(enc, Word.impulse(enc.source, unit))
             assert (2 ** (h + 1)) % image.order() == 0
 
 
@@ -268,7 +269,8 @@ def sampled_invariants(encoder, p, pairs):
             equi = False
     order_ok = True
     for j, h in enumerate(encoder.heights):
-        image = encode(encoder, message_impulse(encoder, j))
+        unit = [int(i == j) for i in range(encoder.source.rank)]
+        image = encode(encoder, Word.impulse(encoder.source, unit))
         if image.order() > p ** (h + 1) or (p ** (h + 1)) % image.order():
             order_ok = False
     return {"homomorphism": hom, "shift-equivariance": equi,
@@ -316,7 +318,7 @@ def test_exact_invariants_match_sampled_reference(name, rng, seed):
     # the carry pair (p^(h_j+1) - 1) * e_j, e_j fails exactly at the taps
     # that break the order bound
     for j, (tap, h) in enumerate(zip(taps, heights)):
-        impulse = message_impulse(enc, j)
+        impulse = Word.impulse(enc.source, [int(i == j) for i in range(count)])
         carry = (impulse.scaled(p ** (h + 1) - 1), impulse)
         assert sampled_invariants(enc, p, [carry])["homomorphism"] == \
             tap.scaled(p ** (h + 1)).is_zero
@@ -539,3 +541,72 @@ def test_certificate_encoder_image_matches_oracle(delay_rep):
     for t in range(3):
         assert set(enumerate_window_code(image_shift, 0, t)) == \
             set(enumerate_window_code(delay_rep, 0, t))
+
+
+# -- certificate lines that hold by construction -------------------------------------
+
+
+BY_CONSTRUCTION = ("exact-powers", "heights-sorted", "initial-basis-independent",
+                   "torsion-one-sided")
+
+
+def reference_structure(genset):
+    """The generating-set properties the certificate reports as passes,
+    computed from the entries as the certificate once did."""
+    shift, p = genset.shift, genset.prime
+    hs = genset.heights
+    initial = [e.torsion_word.window_vector(0, 0) for e in genset.entries]
+    h = shift.alphabet
+    return {
+        "exact-powers": all(e.tap.scaled(p ** e.height) == e.torsion_word
+                            for e in genset.entries),
+        "heights-sorted": all(a >= b for a, b in zip(hs, hs[1:])),
+        "initial-basis-independent":
+            howell_form(initial, h.exponent, h.rank).rank == len(initial),
+        "torsion-one-sided": all(e.torsion_word.is_torsion(p) and
+                                 (e.torsion_word.is_zero or e.torsion_word.first == 0)
+                                 for e in genset.entries),
+    }
+
+
+def test_by_construction_lines_hold_on_random_gensets():
+    rng = random.Random(43)
+    built = scaled = 0
+    for _ in range(40):
+        shift = random_shift(rng)
+        for p in shift.alphabet.primes():
+            part = primary_shift(shift, p)
+            try:
+                genset = canonical_generators(part, p)
+            except PipelineFailure:
+                continue
+            built += 1
+            reference = reference_structure(genset)
+            assert all(reference.values()), (part, reference)
+            for r in range(1, part.exponent_exponent(p)):
+                ok, detail = scaled_finite_words_check(part, p, r, genset.horizons)
+                assert ok, (part, r, detail)
+                scaled += 1
+            cert = primary_certificate(part, p, genset.horizons)
+            reported = {c.name: c.passed for c in cert.checks}
+            assert all(reported[name] for name in BY_CONSTRUCTION)
+            assert all(passed for name, passed in reported.items()
+                       if name.startswith("scaled-finite-words-r"))
+    assert built >= 40 and scaled >= 10
+
+
+def test_complete_product_taps_generate_the_shift_windows():
+    rng = random.Random(47)
+    complete = 0
+    for group in ["Z6", "Z2 x Z3", "Z2 x Z4 x Z3"]:
+        for _ in range(6):
+            shift = random_shift(rng, pool=[group])
+            cert = conjugacy_certificate(shift)
+            if not cert.complete:
+                continue
+            complete += 1
+            assert [c.name for c in cert.global_checks] == ["product-window-surjectivity"]
+            image = GroupShift.make(shift.alphabet, cert.product_encoder.taps)
+            for t in range(cert.horizons.window_horizon + 1):
+                assert image.window(0, t).form.spans_same(shift.window(0, t).form)
+    assert complete >= 15

@@ -18,9 +18,9 @@ from groupshift.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SPECS = ["full-z4", "delay-rep", "z6", "z8-z4", "z9-z3", "order-witness",
-         "scale-witness"]
+         "scale-witness", "mixed-witness"]
 #: Specs that are not order-controllable and have no encoder to encode with.
-NEGATIVE = {"order-witness": 1, "scale-witness": 1}
+NEGATIVE = {"order-witness": 1, "scale-witness": 1, "mixed-witness": 1}
 
 #: (command arguments before the spec, extra trailing argument, exit code)
 COMMANDS = {
@@ -28,7 +28,8 @@ COMMANDS = {
     "generators": (["generators"], [], NEGATIVE),
     "certify-window": (["certify", "--window", "0:2"], [], NEGATIVE),
     "certify-presentation": (["certify", "--check-presentation"], [],
-                             {"z6": 2, "z8-z4": 1, "z9-z3": 1, **NEGATIVE}),
+                             {"z6": 2, "z8-z4": 1, "z9-z3": 1, **NEGATIVE,
+                              "mixed-witness": 2}),
     "oracle": (["oracle", "--window", "0:1"], [], {}),
     "encode": (["encode"], ["{spec}.msg"], {}),
     "encode-window": (["encode", "--window=-1:2"], ["{spec}.msg"], {}),
@@ -41,6 +42,9 @@ COMMANDS = {
 # collide.  The order-witness spec pins the failing search's witness; the
 # scale-witness spec fails at two scales with different witnesses at the
 # last candidate, so it pins the first failing scale in ascending order.
+# The mixed-witness spec fails the order search over Z/12, so it pins the
+# witness on a composite modulus; its generator has order 12, so the
+# presentation audit refuses it as a usage error.
 CASES = [(spec, name) for spec in SPECS for name in COMMANDS
          if (spec == "delay-rep" or "-long" not in name)
          and (spec not in NEGATIVE or not name.startswith("encode"))]

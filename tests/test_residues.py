@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup, is_prime
 from groupshift.residues import (HowellForm, _eliminate, annihilator, combine_rows,
-                                 constrained_form, howell_form, projection_kept,
+                                 constrained_form, howell_form, projection_heads,
                                  row_solver, unit_for, xgcd)
 
 from conftest import brute_force_span
@@ -378,7 +378,7 @@ def two_form_projection_kept(rows, m, conditions, zero, lo, hi):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)),
        st.data())
-def test_projection_kept_matches_two_form_reference(inp, data):
+def test_projection_heads_matches_two_form_reference(inp, data):
     m, rows, ncols = inp
     conditions = data.draw(st.lists(st.tuples(st.integers(0, ncols - 1),
                                               st.integers(1, m - 1)), max_size=3))
@@ -386,15 +386,19 @@ def test_projection_kept_matches_two_form_reference(inp, data):
                               unique=True))
     lo = data.draw(st.integers(0, ncols - 1))
     hi = data.draw(st.integers(lo + 1, ncols))
-    assert projection_kept(rows, m, conditions, zero, lo, hi) == \
+    kept, heads = projection_heads(rows, m, conditions, zero, lo, hi)
+    assert all(map(kept.contains, heads)) == \
         two_form_projection_kept(rows, m, conditions, zero, lo, hi)
+    # the heads and the kept rows span the projection without the zero columns
+    assert howell_form(list(kept.rows) + heads, m, hi - lo) == \
+        constrained_form(rows, m, conditions, lo, hi)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(kernel_inputs([2, 4, 8, 9, 27]), kernel_inputs([6, 12, 72])),
        st.data())
 def test_membership_without_back_reduction_matches_howell_form(inp, data):
-    # projection_kept reads membership off rows that are not back-reduced:
+    # projection_heads reads membership off rows that are not back-reduced:
     # greedy reduction needs only the Howell property, not canonical rows
     m, rows, ncols = inp
     done, pivots = _eliminate(rows, m, ncols, drop=ncols)

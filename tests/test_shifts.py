@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from groupshift.residues import (EnumerationCapExceeded, combine_rows,
                                  howell_form, row_solver)
-from groupshift.shifts import (GroupShift, enumerate_window_code,
-                               finite_type_memory, member, splice,
-                               supported_words)
+from groupshift.shifts import (GroupShift, _splice_property_holds,
+                               enumerate_window_code, finite_type_memory, member,
+                               splice, supported_words)
 from groupshift.words import Word
 
 from conftest import make_shift, random_shift
@@ -227,6 +227,31 @@ def test_constrained_projection_matches_three_step_reference(group, rng):
         [None, [pos for pos in window if rng.random() < 0.5]])
     args = (keep_lo, keep_hi, zero_positions, kill_scale, kill_positions)
     assert module.constrained_projection(*args) == three_step_projection(module, *args)
+
+
+def two_form_splice_property(shift, n, reach):
+    """Reference: the right projections of the block-vanishing submodule with
+    and without the left half zeroed, built as two canonical forms."""
+    module = shift.window(-reach, n + reach)
+    lhs = module.constrained_projection(n + 1, n + reach, zero_positions=range(0, n + 1))
+    rhs = module.constrained_projection(n + 1, n + reach,
+                                        zero_positions=range(-reach, n + 1))
+    return lhs.spans_same(rhs)
+
+
+def test_splice_property_matches_two_form_reference():
+    # p-group and mixed alphabets; both verdicts must occur
+    rng = random.Random(41)
+    verdicts = set()
+    for group in P_GROUPS + MIXED_GROUPS:
+        for _ in range(6):
+            g = random_shift(rng, max_gens=2, max_support=4, pool=[group])
+            for n in range(1, 4):
+                for reach in range(1, 5):
+                    got = _splice_property_holds(g, n, reach)
+                    assert got == two_form_splice_property(g, n, reach), (g, n, reach)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # -- oracle vs module enumeration ----------------------------------------------

@@ -68,6 +68,25 @@ assert t.counts["residues.howell_calls"] == 1, t.counts
 """
 
 
+#: A failing order search reads its witness off the elimination that decided
+#: the failing scale: one small Howell form over the past columns, and no
+#: counted reduction anywhere else in the search.
+WITNESS_SCRIPT = """
+import tracer
+from pathlib import Path
+from groupshift import control
+from groupshift.specfmt import parse_spec
+t = tracer.Tracer()
+tracer.install(t)
+for name in ("order-witness", "scale-witness", "mixed-witness"):
+    shift = parse_spec(Path({golden!r}, name + ".spec").read_text()).shift
+    t.counts.clear()
+    search = control.order_controllability_index(shift, 16, confirm=0)
+    assert search.index is None and search.witness is not None, name
+    assert t.counts["residues.howell_calls"] == 1, (name, t.counts)
+"""
+
+
 def _run_traced(script: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
@@ -88,14 +107,18 @@ def test_one_counted_reduction_per_projection_and_solver():
     _run_traced(REDUCTION_SCRIPT)
 
 
+def test_failing_order_search_reads_its_witness_off_one_form():
+    _run_traced(WITNESS_SCRIPT.format(golden=str(ROOT / "tests" / "golden")))
+
+
 def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
-    # the tracer does not see projection_kept, so count its calls directly:
+    # the tracer does not see projection_heads, so count its calls directly:
     # a failing candidate stops at the scale that failed last, and the
     # witness scale is found by one elimination per scale
     calls = []
-    kept = shifts.projection_kept
-    monkeypatch.setattr(shifts, "projection_kept",
-                        lambda *args: calls.append(args) or kept(*args))
+    heads = shifts.projection_heads
+    monkeypatch.setattr(shifts, "projection_heads",
+                        lambda *args: calls.append(args) or heads(*args))
     text = (ROOT / "tests" / "golden" / "order-witness.spec").read_text()
     shift, cap = parse_spec(text).shift, 16
     search = order_controllability_index(shift, cap, confirm=0)
