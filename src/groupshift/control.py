@@ -69,7 +69,7 @@ class ControllabilityReport:
 
 
 def _steering_condition(shift: GroupShift, n: int, past: int,
-                        scales: list[int | None]) -> bool:
+                        scales: list[int | None], made: dict) -> bool:
     """Decide the steering condition at candidate index n, past window L.
 
     Plain variant (scales [None]): every g in G|[-L, n+L] matches some g1
@@ -80,13 +80,14 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
     divisor d yields one equality between d-constrained past projections,
     decided by one elimination.  The verdict is an all() over the scales, so
     their order is free: a failing scale moves to the front of `scales`,
-    where the next candidate tries it first.
+    where the next candidate tries it first.  `made` receives the
+    (kept, heads) elimination of each scale tried.
     """
     module = shift.window(-past, n + past)
     tail, kill = range(n + 1, n + past + 1), range(1, n + 1)
     for i, d in enumerate(scales):
-        kept, heads = module.projection_heads(-past, 0, tail, kill_scale=d,
-                                              kill_positions=kill)
+        kept, heads = made[d] = module.projection_heads(-past, 0, tail, kill_scale=d,
+                                                        kill_positions=kill)
         if not all(map(kept.contains, heads)):
             scales.insert(0, scales.pop(i))
             return False
@@ -94,17 +95,18 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
 
 
 def _steering_witness(shift: GroupShift, n: int, past: int,
-                      scales: list[int | None]) -> Word:
+                      scales: list[int | None], made: dict) -> Word:
     """A past in G|[-L, n+L] that no element with zero tail [n+1, n+L]
     matches, at the first failing scale in ascending order (found by one
-    elimination per scale): the first row of the canonical past projection
-    outside the tail-constrained one.  That canonical form is read off the
-    same elimination, as the Howell form of its kept rows and heads."""
+    elimination per scale, reused from `made` where the steering condition
+    at the same n and L already ran it): the first row of the canonical past
+    projection outside the tail-constrained one.  That canonical form is read
+    off the same elimination, as the Howell form of its kept rows and heads."""
     module = shift.window(-past, n + past)
     tail, kill = range(n + 1, n + past + 1), range(1, n + 1)
     for d in sorted(scales):
-        kept, heads = module.projection_heads(-past, 0, tail, kill_scale=d,
-                                              kill_positions=kill)
+        kept, heads = made[d] if d in made else module.projection_heads(
+            -past, 0, tail, kill_scale=d, kill_positions=kill)
         if all(map(kept.contains, heads)):
             continue
         past_form = howell_form(list(kept.rows) + heads, kept.modulus, kept.ncols)
@@ -116,8 +118,9 @@ def _steering_witness(shift: GroupShift, n: int, past: int,
 def _index_search(shift: GroupShift, cap: int, past: int | None,
                   order_constrained: bool, confirm: int) -> IndexSearch:
     """Scan candidates 0..cap, stopping `confirm` candidates after the first
-    success; when none succeeds, the witness is the last failure's.  The
-    steering conditions reorder this call's own list of scales."""
+    success; when none succeeds, the witness is the last failure's, read
+    off that candidate's eliminations where it made them.  The steering
+    conditions reorder this call's own list of scales."""
     scales = _divisors(shift.alphabet.exponent) if order_constrained else [None]
     horizons = []
     table = []
@@ -125,13 +128,14 @@ def _index_search(shift: GroupShift, cap: int, past: int | None,
     n = 0
     while n <= cap and (found is None or n <= found + confirm):
         horizons.append(past if past is not None else default_past_horizon(shift, n))
-        table.append(_steering_condition(shift, n, horizons[-1], scales))
+        made: dict = {}
+        table.append(_steering_condition(shift, n, horizons[-1], scales, made))
         if table[-1] and found is None:
             found = n
         n += 1
     witness = None
     if found is None:
-        witness = _steering_witness(shift, cap, horizons[-1], scales)
+        witness = _steering_witness(shift, cap, horizons[-1], scales, made)
     return IndexSearch(found, cap, tuple(horizons), tuple(table), witness)
 
 

@@ -6,20 +6,35 @@ Z/m and therefore usable for module equality tests; plain row echelon is not
 canonical over rings with zero divisors.  Over Z/p^e the p-torsion entries
 form p^(e-1) Z/p^e, a copy of F_p, so the Howell form of p-torsion vectors is
 an F_p basis: its rank is the F_p rank and `contains` is F_p membership.
+
+Every Howell form comes from one elimination kernel, `_eliminate`, which
+packs each row into one int: entry j sits in lane bits [j*w, (j+1)*w).  The
+lane width w is byte-aligned and holds every value a row operation forms
+(below 2m^2, the composite xgcd fold's bound), so a row operation is a few
+big-int operations and one lane reduction: `& MASK` for m = 2^e, SWAR
+Barrett for any other m.  Live rows wait in buckets keyed by their leading
+lane.  Packing and unpacking stay inside `_eliminate`: every function here
+takes and returns rows as sequences of ints.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 MAX_MODULUS = 1 << 31
 #: Default cap on the elements a module or code enumeration may produce.
 ENUM_CAP = 1 << 20
 
 Vec = tuple[int, ...]
+
+#: Little-endian struct codes of the lane widths up to 64 bits, in bytes.
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+#: Every byte value: `_BYTE_VALUES[:m]` are the residues below m <= 256.
+_BYTE_VALUES = bytes(range(256))
 
 
 class EnumerationCapExceeded(Exception):
@@ -152,8 +167,87 @@ class HowellForm:
         yield from rec(0, [0] * self.ncols)
 
 
+def _lane_bytes(bits: int) -> int:
+    """Bytes of a lane holding `bits` bits: a struct item size up to 64
+    bits, whole bytes past it."""
+    nbytes = -(-bits // 8)
+    return next((n for n in _CODES if n >= nbytes), nbytes)
+
+
+def _lane_layout(m: int, ncols: int) -> tuple[int, int, Callable[[int], int]]:
+    """(lane width w in bits, m in every lane, lane reduction mod m) for rows
+    of `ncols` residues mod m packed into one int.
+
+    Every value a row operation forms is below 2m^2 per lane (m^2 but for
+    the composite xgcd fold), so no lane carries into the next.  For
+    m = 2^e that value is below m^2 and `& MASK` reduces it (w >= 2e).  For
+    any other m it is SWAR Barrett: Q = ((Z * mu) >> s) & QMASK with
+    s = bits(2m^2 - 1) and mu = floor(2^s / m) leaves Z - m*Q in [0, 2m), and
+    one subtraction of m, selected per lane by the guard bit k of
+    Z - m*Q + 2^k - m, lands in [0, m); w holds (2m^2 - 1) * mu, and the
+    bits of Z * mu below s spill into the lane below, above QMASK.
+    Widths round up to 1, 2, 4 or 8 bytes, or to whole bytes past 64 bits.
+    """
+    if m & (m - 1) == 0:
+        w = 8 * _lane_bytes((m * m - 1).bit_length())
+        ones = ((1 << w * ncols) - 1) // ((1 << w) - 1)
+        return w, m * ones, ((m - 1) * ones).__and__
+    zmax = 2 * m * m - 1
+    s = zmax.bit_length()
+    mu = (1 << s) // m
+    w = 8 * _lane_bytes((zmax * mu).bit_length())
+    ones = ((1 << w * ncols) - 1) // ((1 << w) - 1)
+    qmask = ((1 << w - s) - 1) * ones
+    k = m.bit_length() + 1
+    guard = ((1 << k) - m) * ones
+
+    def barrett(z: int) -> int:
+        r = z - m * (((z * mu) >> s) & qmask)
+        return r - m * (((r + guard) >> k) & ones)
+
+    return w, m * ones, barrett
+
+
+def _lanes_to_bytes(vals: list[int], nbytes: int) -> bytes:
+    code = _CODES.get(nbytes)
+    if code:
+        return struct.pack(f"<{len(vals)}{code}", *vals)
+    return b"".join(x.to_bytes(nbytes, "little") for x in vals)
+
+
+def _lanes_from_bytes(raw: bytes, nbytes: int) -> tuple[int, ...]:
+    code = _CODES.get(nbytes)
+    if code:
+        return struct.unpack(f"<{len(raw) // nbytes}{code}", raw)
+    return tuple(int.from_bytes(raw[i:i + nbytes], "little")
+                 for i in range(0, len(raw), nbytes))
+
+
+def _pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int, w: int) -> list[int]:
+    """The rows as ints of `ncols` w-bit lanes, entries reduced mod m.
+
+    For m <= 256 entries that already lie in [0, m) are copied as bytes into
+    the low byte of each lane; any others are reduced first and packed by
+    `_lanes_to_bytes`.
+    """
+    if set(map(len, rows)) - {ncols}:
+        raise ValueError(f"rows must have {ncols} entries")
+    nbytes = w // 8
+    try:
+        low = b"".join(map(bytes, rows)) if m <= 256 else None
+    except ValueError:  # an entry outside [0, 256)
+        low = None
+    if low is not None and not low.translate(None, _BYTE_VALUES[:m]):
+        raw = bytearray(nbytes * len(low))
+        raw[::nbytes] = low
+    else:
+        raw = _lanes_to_bytes([x % m for r in rows for x in r], nbytes)
+    size = nbytes * ncols
+    return [int.from_bytes(raw[i * size:(i + 1) * size], "little") for i in range(len(rows))]
+
+
 def _eliminate(rows: Sequence[Sequence[int]], m: int, ncols: int,
-               drop: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
+               drop: int) -> tuple[list[Vec], list[tuple[int, int]]]:
     """Howell elimination: (rows, (column, pivot value) per row), pivot
     columns ascending.  Rows with pivot column >= `drop` are in Howell form;
     the rows left of it are never back-reduced.
@@ -161,56 +255,65 @@ def _eliminate(rows: Sequence[Sequence[int]], m: int, ncols: int,
     Per column the pivot is the live entry of least gcd d with the modulus
     (least valuation over Z/p^e), scaled to d; an entry d divides is cleared
     by one subtraction, any other (composite moduli only) by an xgcd fold.
-    Live rows are zero left of the pivot column, so row operations start
-    there.  Saturation gives the Howell property that `zero_prefix` reads.
+    Saturation gives the Howell property that `zero_prefix` reads.
+
+    Rows are packed inside this function only: each is one int with entry j
+    in lane bits [j*w, (j+1)*w) (`_lane_layout`), so a row operation
+    Y - q*X is the lane reduction of Y + q*(K - X), K holding m in every
+    lane.  Live rows sit in buckets by leading lane, each in the order the
+    rows went live, so a column touches only the rows that lead there.
     """
-    live = [row for row in ([x % m for x in r] for r in rows) if any(row)]
-    done: list[list[int]] = []
+    w, k_lanes, red = _lane_layout(m, ncols)
+    lane = (1 << w) - 1
+    buckets: list[list[int]] = [[] for _ in range(ncols)]
+
+    def go_live(row: int) -> None:
+        if row:
+            buckets[((row & -row).bit_length() - 1) // w].append(row)
+
+    for row in _pack_rows(rows, m, ncols, w):
+        go_live(row)
+    done: list[int] = []
     dropped = 0
     pivots: list[tuple[int, int]] = []
-    for c in range(ncols):
-        hits = [w for w in live if w[c]]
+    for c, hits in enumerate(buckets):
         if not hits:
             continue
-        gcds = [math.gcd(w[c], m) for w in hits]
+        at = c * w
+        gcds = [math.gcd((h >> at) & lane, m) for h in hits]
         d = min(gcds)
         row = hits.pop(gcds.index(d))
-        u = unit_for(row[c], m)
-        tail = [(u * x) % m for x in row[c:]] if u != 1 else row[c:]
-        live = [w for w in live if not w[c]]
+        a = (row >> at) & lane
+        tail = row if a == d else red(unit_for(a, m) * row)
+        neg = k_lanes - tail
         for rj in hits:
-            b = rj[c]
+            b = (rj >> at) & lane
             if b % d == 0:
-                q = b // d
-                t = [(y - q * x) % m for x, y in zip(tail, rj[c:])]
+                go_live(red(rj + b // d * neg))
             else:
                 # unimodular fold of the two rows: det(x v - y u) = 1
                 g, x, y = xgcd(d, b)
-                u, v = -(b // g), d // g
-                pairs = list(zip(tail, rj[c:]))
-                tail = [(x * s + y * z) % m for s, z in pairs]
-                t = [(u * s + v * z) % m for s, z in pairs]
+                go_live(red(-(b // g) % m * tail + d // g * rj))
+                tail = red(x % m * tail + y % m * rj)
+                neg = k_lanes - tail
                 d = g
-            if any(t):
-                rj[c:] = t
-                live.append(rj)
-        row[c:] = tail
+        buckets[c] = []
         # reduce entries above the pivot into [0, d)
-        for rk in done[dropped:]:
-            q = rk[c] // d
+        for i in range(dropped, len(done)):
+            q = ((done[i] >> at) & lane) // d
             if q:
-                rk[c:] = [(y - q * x) % m for x, y in zip(tail, rk[c:])]
+                done[i] = red(done[i] + q * neg)
         # saturation: the annihilator multiple of the pivot row re-enters the
         # worklist so later columns see every combination with zero lead
         ann = annihilator(d, m)
         if ann % m:
-            extra = [(ann * x) % m for x in tail]
-            if any(extra):
-                live.append([0] * c + extra)
-        done.append(row)
+            go_live(red(ann * tail))
+        done.append(tail)
         pivots.append((c, d))
         dropped += c < drop
-    return done, pivots
+    size = w // 8 * ncols
+    flat = _lanes_from_bytes(b"".join(row.to_bytes(size, "little") for row in done), w // 8)
+    return [flat[i * ncols:(i + 1) * ncols] for i in range(len(done))], pivots
 
 
 def howell_form(rows: Sequence[Sequence[int]], modulus: int,
@@ -220,7 +323,7 @@ def howell_form(rows: Sequence[Sequence[int]], modulus: int,
     validate_modulus(modulus)
     ncols = len(rows[0]) if rows else (ncols or 0)
     done, pivots = _eliminate(rows, modulus, ncols, drop)
-    form = HowellForm(modulus, ncols, tuple(map(tuple, done)), tuple(pivots))
+    form = HowellForm(modulus, ncols, tuple(done), tuple(pivots))
     return form.zero_prefix(drop) if drop else form
 
 
@@ -256,9 +359,8 @@ def projection_heads(rows: Sequence[Sequence[int]], modulus: int,
            + [row[c] for c in zero_cols] + list(row[lo:hi]) for row in rows]
     ncols = drop + hi - lo
     done, pivots = _eliminate(ext, modulus, ncols, ncols)
-    kept = HowellForm(modulus, ncols, tuple(map(tuple, done)),
-                      tuple(pivots)).zero_prefix(drop)
-    return kept, [tuple(row[drop:]) for row, (c, _) in zip(done, pivots) if k <= c < drop]
+    kept = HowellForm(modulus, ncols, tuple(done), tuple(pivots)).zero_prefix(drop)
+    return kept, [row[drop:] for row, (c, _) in zip(done, pivots) if k <= c < drop]
 
 
 @dataclass(frozen=True)

@@ -222,5 +222,5 @@ def test_fail_fast_search_matches_reference():
             scales = _divisors(shift.alphabet.exponent)
             past = default_past_horizon(shift, cap)
             for order in (scales[::-1], rng.sample(scales, len(scales))):
-                assert _steering_witness(shift, cap, past, order) == witness
+                assert _steering_witness(shift, cap, past, order, {}) == witness
     assert absent >= 6

@@ -1,14 +1,16 @@
+import functools
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup, is_prime
-from groupshift.residues import (HowellForm, _eliminate, annihilator, combine_rows,
-                                 constrained_form, howell_form, projection_heads,
-                                 row_solver, unit_for, xgcd)
+from groupshift.residues import (HowellForm, _eliminate, _lane_layout, annihilator,
+                                 combine_rows, constrained_form, howell_form,
+                                 projection_heads, row_solver, unit_for, xgcd)
 
 from conftest import brute_force_span
 
@@ -290,18 +292,34 @@ def reference_howell_form(rows, modulus, ncols=None):
 
 PRIME_POWER_MODULI = [2, 4, 8, 9, 27, 25, 81]
 COMPOSITE_MODULI = [6, 12, 36, 72]
+#: Every lane width of the packed kernel under both reductions: `& MASK`
+#: (powers of 2) in 1, 2, 4 and 8 bytes, SWAR Barrett in 1, 2, 4 and 8 bytes
+#: and, past 64 bits, in 10 (9699690 = 2*3*5*7*11*13*17*19) and 12 bytes.
+LANE_MODULI = [2, 4, 8, 2 ** 7, 2 ** 16, 2 ** 31, 3, 9, 27, 25, 3 ** 12, 3 ** 19, 5 ** 13,
+               6, 12, 9699690]
+
+
+@functools.lru_cache(maxsize=None)
+def proper_divisors(m):
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return sorted({d for s in small for d in (s, m // s)} - {m})
 
 
 @st.composite
-def kernel_inputs(draw, moduli):
+def kernel_inputs(draw, moduli, max_cols=6, reduced=True):
     """(modulus, rows, ncols): rows may be empty, tall, and hold zero and
-    duplicate rows; entries are biased towards zero divisors."""
+    duplicate rows; entries are biased towards zero and zero divisors, and
+    with `reduced` false may lie outside [0, m)."""
     m = draw(st.sampled_from(moduli))
-    ncols = draw(st.integers(1, 6))
-    divisors = [d for d in range(1, m) if m % d == 0]
-    entry = st.one_of(st.integers(0, m - 1),
+    ncols = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(0), st.integers(0, m - 1),
                       st.builds(lambda d, k: (d * k) % m,
-                                st.sampled_from(divisors), st.integers(1, m)))
+                                st.sampled_from(proper_divisors(m)), st.integers(1, m)))
+    if not reduced:
+        # one offset kind per input, so that for m <= 256 entries past m
+        # also come without a negative or huge entry beside them
+        offsets = draw(st.sampled_from([(0, 1), (0, 3), (0, -1), (0, 1 << 40)]))
+        entry = st.builds(lambda x, k: x + k * m, entry, st.sampled_from(offsets))
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=0, max_size=10))
     extra = draw(st.lists(st.sampled_from(["zero", "duplicate"]), max_size=3))
@@ -312,6 +330,82 @@ def kernel_inputs(draw, moduli):
         else:
             rows.insert(at, list(draw(st.sampled_from(rows))))
     return m, rows, ncols
+
+
+def reference_eliminate(rows, m, ncols, drop):
+    """The list kernel: `_eliminate` with each row a list of residues and
+    every live row scanned at every column."""
+    live = [row for row in ([x % m for x in r] for r in rows) if any(row)]
+    done = []
+    dropped = 0
+    pivots = []
+    for c in range(ncols):
+        hits = [w for w in live if w[c]]
+        if not hits:
+            continue
+        gcds = [math.gcd(w[c], m) for w in hits]
+        d = min(gcds)
+        row = hits.pop(gcds.index(d))
+        u = unit_for(row[c], m)
+        tail = [(u * x) % m for x in row[c:]] if u != 1 else row[c:]
+        live = [w for w in live if not w[c]]
+        for rj in hits:
+            b = rj[c]
+            if b % d == 0:
+                q = b // d
+                t = [(y - q * x) % m for x, y in zip(tail, rj[c:])]
+            else:
+                g, x, y = xgcd(d, b)
+                u, v = -(b // g), d // g
+                pairs = list(zip(tail, rj[c:]))
+                tail = [(x * s + y * z) % m for s, z in pairs]
+                t = [(u * s + v * z) % m for s, z in pairs]
+                d = g
+            if any(t):
+                rj[c:] = t
+                live.append(rj)
+        row[c:] = tail
+        for rk in done[dropped:]:
+            q = rk[c] // d
+            if q:
+                rk[c:] = [(y - q * x) % m for x, y in zip(tail, rk[c:])]
+        ann = annihilator(d, m)
+        if ann % m:
+            extra = [(ann * x) % m for x in tail]
+            if any(extra):
+                live.append([0] * c + extra)
+        done.append(row)
+        pivots.append((c, d))
+        dropped += c < drop
+    return [tuple(row) for row in done], pivots
+
+
+def test_lane_moduli_cover_every_lane_width():
+    layouts = {(m & (m - 1) == 0, _lane_layout(m, 1)[0]) for m in LANE_MODULI}
+    assert layouts == {(True, 8), (True, 16), (True, 32), (True, 64), (False, 8),
+                       (False, 16), (False, 32), (False, 64), (False, 80), (False, 96)}
+
+
+@pytest.mark.parametrize("m", LANE_MODULI)
+def test_lane_reduction_takes_every_row_operation_value_to_its_residue(m):
+    # row operations form lane values below m^2 for m = 2^e and below 2m^2
+    # (the composite xgcd fold) otherwise
+    top = m * m if m & (m - 1) == 0 else 2 * m * m
+    rng = random.Random(m)
+    vals = [0, 1, m - 1, m, m + 1, 2 * m - 1, m * m - 1, top - m, top - 1] + \
+        [rng.randrange(top) for _ in range(40)]
+    w, _, red = _lane_layout(m, len(vals))
+    got = red(sum(v << j * w for j, v in enumerate(vals)))
+    assert [(got >> j * w) & ((1 << w) - 1) for j in range(len(vals))] == [v % m for v in vals]
+
+
+@pytest.mark.parametrize("modulus", LANE_MODULI)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_packed_kernel_matches_list_kernel_for_every_drop(modulus, data):
+    m, rows, ncols = data.draw(kernel_inputs([modulus], max_cols=40, reduced=False))
+    for drop in range(ncols + 1):
+        assert _eliminate(rows, m, ncols, drop) == reference_eliminate(rows, m, ncols, drop)
 
 
 def reference_reduce(form, vec):

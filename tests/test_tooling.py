@@ -1,7 +1,9 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps library entry points by
 attribute name, so a renamed or removed entry point must fail here and not
-only under ``perfbench/run.py --trace 1``."""
+only under ``perfbench/run.py --trace 1``.  The package's runtime is the
+standard library alone, which a guard here keeps."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -114,13 +116,33 @@ def test_failing_order_search_reads_its_witness_off_one_form():
 def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
     # the tracer does not see projection_heads, so count its calls directly:
     # a failing candidate stops at the scale that failed last, and the
-    # witness scale is found by one elimination per scale
+    # witness reuses the last candidate's eliminations, adding one per scale
+    # that candidate did not reach
     calls = []
     heads = shifts.projection_heads
     monkeypatch.setattr(shifts, "projection_heads",
                         lambda *args: calls.append(args) or heads(*args))
-    text = (ROOT / "tests" / "golden" / "order-witness.spec").read_text()
-    shift, cap = parse_spec(text).shift, 16
-    search = order_controllability_index(shift, cap, confirm=0)
-    assert search.index is None and search.witness is not None
-    assert len(calls) <= cap + 1 + len(_divisors(shift.alphabet.exponent))
+    cap = 16
+    for name in ("order-witness", "scale-witness", "mixed-witness"):
+        text = (ROOT / "tests" / "golden" / f"{name}.spec").read_text()
+        shift = parse_spec(text).shift
+        calls.clear()
+        search = order_controllability_index(shift, cap, confirm=0)
+        assert search.index is None and search.witness is not None, name
+        assert len(calls) <= cap + len(_divisors(shift.alphabet.exponent)), name
+
+
+def test_runtime_imports_only_the_standard_library():
+    # numpy may be importable, but the package does not depend on it
+    for path in sorted((ROOT / "src" / "groupshift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "groupshift", \
+                    f"{path.name} imports {name}"
