@@ -18,7 +18,7 @@ import traceback
 from pathlib import Path
 
 from .control import (analyze_controllability, monotone_after_success,
-                      weak_controllability_check)
+                      socle_controllability)
 from .encoders import (CanonicalGeneratorSet, ConjugacyCertificate, Encoder,
                        Horizons, PipelineFailure, canonical_generators,
                        check_injectivity, check_noncatastrophic,
@@ -154,9 +154,7 @@ def cmd_analyze(args) -> int:
     negative = not ctrl.weakly_controllable
 
     for p in shift.alphabet.primes():
-        socle = weak_controllability_check(shift, "socle", p=p,
-                                           horizon=horizons.window_horizon,
-                                           margin=horizons.margin)
+        socle = socle_controllability(shift, p, horizons)
         report.add(f"socle.{p}.weakly_controllable", socle.holds)
         if not socle.holds:
             report.add(f"socle.{p}.detail", socle.detail)

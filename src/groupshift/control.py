@@ -5,7 +5,9 @@ modules generated by restrictions of finite-support members), the plain
 steering index n_c (any past can be driven to zero within n steps), and the
 order-respecting index n_o (the steering element's order on the steering
 block divides that of the original).  Every verdict records the window
-geometry it was computed at.
+geometry it was computed at.  Weak controllability of the p-torsion
+subshift is read off `shifts.torsion_presentation`, the presentation that
+`encoders.socle_shift` returns, so `analyze` and `certify` decide it alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from .groups import _prime_power_factors
 from .residues import howell_form
-from .shifts import GroupShift, torsion_window_projection
+from .shifts import GroupShift, Horizons, torsion_presentation
 from .words import Word
 
 #: Candidates scanned past the first success, so the condition table still
@@ -115,8 +117,8 @@ def _steering_witness(shift: GroupShift, n: int, past: int,
     raise ArithmeticError(f"steering condition at n={n}, L={past} has no witness")
 
 
-def _index_search(shift: GroupShift, cap: int, past: int | None,
-                  order_constrained: bool, confirm: int) -> IndexSearch:
+def _index_search(shift: GroupShift, cap: int, order_constrained: bool,
+                  confirm: int) -> IndexSearch:
     """Scan candidates 0..cap, stopping `confirm` candidates after the first
     success; when none succeeds, the witness is the last failure's, read
     off that candidate's eliminations where it made them.  The steering
@@ -127,7 +129,7 @@ def _index_search(shift: GroupShift, cap: int, past: int | None,
     found = None
     n = 0
     while n <= cap and (found is None or n <= found + confirm):
-        horizons.append(past if past is not None else default_past_horizon(shift, n))
+        horizons.append(default_past_horizon(shift, n))
         made: dict = {}
         table.append(_steering_condition(shift, n, horizons[-1], scales, made))
         if table[-1] and found is None:
@@ -139,21 +141,20 @@ def _index_search(shift: GroupShift, cap: int, past: int | None,
     return IndexSearch(found, cap, tuple(horizons), tuple(table), witness)
 
 
-def controllability_index(shift: GroupShift, cap: int,
-                          past: int | None = None) -> IndexSearch:
+def controllability_index(shift: GroupShift, cap: int) -> IndexSearch:
     """Least n <= cap steering every window past to zero, or absent."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, past, False, _CONFIRM_STEPS)
+    return _index_search(shift, cap, False, _CONFIRM_STEPS)
 
 
-def order_controllability_index(shift: GroupShift, cap: int, past: int | None = None,
+def order_controllability_index(shift: GroupShift, cap: int,
                                 confirm: int = _CONFIRM_STEPS) -> IndexSearch:
     """Least n <= cap steering with order divisibility on [1, n], or absent;
     `confirm` further candidates are scanned past the least."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, past, True, confirm)
+    return _index_search(shift, cap, True, confirm)
 
 
 def monotone_after_success(search: IndexSearch) -> bool:
@@ -174,46 +175,47 @@ class WeakControllabilityReport:
     detail: str = ""
 
 
+def socle_controllability(shift: GroupShift, p: int,
+                          horizons: Horizons) -> WeakControllabilityReport:
+    """Weak controllability of the p-torsion subshift on the windows
+    [0,0]..[0,window_horizon], read off `shifts.torsion_presentation`."""
+    _, failing = torsion_presentation(shift, p, horizons)
+    windows = tuple((0, t) for t in range(horizons.window_horizon + 1))
+    if failing is None:
+        return WeakControllabilityReport("socle", True, windows)
+    return WeakControllabilityReport(
+        "socle", False, windows,
+        f"torsion window [0,{failing}] not generated by finite torsion members")
+
+
 def weak_controllability_check(shift: GroupShift, derived: str = "self",
                                p: int | None = None, horizon: int = 4,
                                margin: int | None = None) -> WeakControllabilityReport:
     """Check that finite-support members generate every window module.
 
     derived selects the shift examined: "self" holds by construction and is
-    returned as that constant (every window contributor is a placed
-    generator, a finite-support member certified by its own padded window);
-    "socle" checks the p-torsion subshift.
+    returned as that constant on the windows [0,0]..[0,horizon-1] (every
+    window contributor is a placed generator, a finite-support member
+    certified by its own padded window); "socle" checks the p-torsion
+    subshift with `socle_controllability` at the derived horizons, with the
+    window horizon and margin given here.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if margin is None:
-        margin = shift.default_margin() + 1
-    windows = tuple((0, t) for t in range(horizon))
     if derived == "self":
-        return WeakControllabilityReport(derived, True, windows)
+        return WeakControllabilityReport(derived, True,
+                                         tuple((0, t) for t in range(horizon)))
     if derived != "socle":
         raise ValueError(f"unknown derived shift selector {derived!r}")
     if p is None:
         raise ValueError("socle check needs the prime p")
-    for lo, hi in windows:
-        target = torsion_window_projection(shift, lo, hi, margin, p)
-        # torsion words supported in [lo - reach, hi + reach], seen on [lo, hi]
-        reach = hi - lo + margin
-        a, b = lo - reach - margin, hi + reach + margin
-        pads = list(range(a, lo - reach)) + list(range(hi + reach + 1, b + 1))
-        got = shift.window(a, b).constrained_projection(
-            lo, hi, zero_positions=pads, kill_scale=p)
-        if not got.spans_same(target):
-            return WeakControllabilityReport(
-                derived, False, windows,
-                f"torsion window [{lo},{hi}] not generated by finite torsion members")
-    return WeakControllabilityReport(derived, True, windows)
+    return socle_controllability(
+        shift, p, Horizons.derive(shift, margin=margin, window_horizon=horizon))
 
 
 def analyze_controllability(shift: GroupShift, cap: int = 16,
-                            past: int | None = None,
                             horizon: int = 4) -> ControllabilityReport:
     weak = weak_controllability_check(shift, "self", horizon=horizon)
-    plain = controllability_index(shift, cap, past)
-    ordered = order_controllability_index(shift, cap, past)
+    plain = controllability_index(shift, cap)
+    ordered = order_controllability_index(shift, cap)
     return ControllabilityReport(shift, weak.holds, weak.windows, plain, ordered)

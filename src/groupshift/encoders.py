@@ -20,8 +20,8 @@ from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
 from .residues import (HowellForm, Vec, combine_rows, constrained_form, howell_form,
                        row_solver)
-from .shifts import (GroupShift, SupportedWords, member, supported_words,
-                     torsion_window_projection)
+from .shifts import (GroupShift, Horizons, SupportedWords, member, supported_words,
+                     torsion_presentation)
 from .words import Word
 
 
@@ -32,30 +32,6 @@ class PipelineFailure(Exception):
         super().__init__(f"{stage}: {detail}")
         self.stage = stage
         self.detail = detail
-
-
-@dataclass(frozen=True)
-class Horizons:
-    """All window sizes and caps used by the pipeline, kept for reports."""
-
-    margin: int          # membership certification margin
-    support_cap: int     # max support length searched for generator words
-    block_cap: int       # injectivity block search bound
-    window_horizon: int  # windows [0, T] checked up to this T
-    n_cap: int           # controllability index search cap
-
-    @classmethod
-    def derive(cls, shift: GroupShift, **overrides) -> "Horizons":
-        span = max(shift.span, 1)
-        values = dict(
-            margin=max(span, shift.memory_hint or 0, 2),
-            support_cap=2 * span + 2,
-            block_cap=max(16, 2 * span + 2),
-            window_horizon=max(4, span + 2),
-            n_cap=16,
-        )
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
 
 
 # -- derived shifts ----------------------------------------------------------
@@ -91,31 +67,21 @@ def scaled_finite_words_check(shift: GroupShift, p: int, r: int,
 
 def socle_shift(shift: GroupShift, p: int,
                 horizons: Horizons | None = None) -> GroupShift:
-    """Presentation of the p-torsion subshift G[p] by finite torsion words.
-
-    Generators come from a kernel search over certified supported-word
-    modules; the presentation is verified against the p-torsion projections
-    of G's windows up to the horizon and the search fails loudly when the
-    torsion windows are not generated by finite members at this scale.
+    """Presentation of the p-torsion subshift G[p] by finite torsion words
+    (`shifts.torsion_presentation`); fails loudly when it does not generate
+    the p-torsion projections of G's windows up to the horizon, i.e. when
+    G[p] is not weakly controllable at this scale.
     """
     if shift.alphabet.exponent % p != 0:
         raise ValueError(f"{p} does not divide exp(H)")
     if horizons is None:
         horizons = Horizons.derive(shift)
-    gens: list[Word] = []
-    for w in _torsion_candidates(shift, p, horizons).words:
-        normalized = w.shifted(w.first) if not w.is_zero else w
-        if normalized not in gens:
-            gens.append(normalized)
-    result = GroupShift.make(shift.alphabet, gens)
-    for t in range(horizons.window_horizon + 1):
-        target = torsion_window_projection(shift, 0, t, horizons.margin, p)
-        got = result.window(0, t).form
-        if not got.spans_same(target):
-            raise PipelineFailure(
-                "socle-presentation",
-                f"p-torsion window [0,{t}] not generated by finite torsion "
-                f"members with support <= {horizons.support_cap}")
+    result, failing = torsion_presentation(shift, p, horizons)
+    if failing is not None:
+        raise PipelineFailure(
+            "socle-presentation",
+            f"p-torsion window [0,{failing}] not generated by finite torsion "
+            f"members with support <= {horizons.support_cap}")
     return result
 
 
@@ -271,11 +237,8 @@ def lift_height(shift: GroupShift, x: Word, p: int, h: int,
     coeffs = solver.express(x.window_vector(lo, hi))
     if coeffs is None:
         return None
-    y = Word.from_window_vector(shift.alphabet, lo,
-                                combine_rows(coeffs, words.form.rows, m))
-    if y.scaled(scale) != x:
-        return None
-    return y
+    return Word.from_window_vector(shift.alphabet, lo,
+                                   combine_rows(coeffs, words.form.rows, m))
 
 
 def word_height(shift: GroupShift, x: Word, p: int, order_index: int,
@@ -346,11 +309,7 @@ def canonical_generators(shift: GroupShift, p: int,
         lifted.append(GeneratorEntry(entry.torsion_word, entry.height + 1, z))
 
     rank = initial_value_space(shift, p, horizons)
-    h = shift.alphabet
     picked = [e.torsion_word.window_vector(0, 0) for e in lifted]
-    if howell_form(picked, h.exponent, h.rank).rank < len(picked):
-        raise PipelineFailure("initial-basis",
-                              "recursed initial symbols are dependent at this horizon")
     completion = _pick_generators(shift, p, horizons, picked, rank, quotient=True)
     entries = sorted(lifted + completion, key=lambda e: -e.height)
     return CanonicalGeneratorSet(shift, p, tuple(entries), rank, n_o, horizons)
@@ -603,11 +562,7 @@ def base_decompose(shift: GroupShift, u: Word, pg_set: CanonicalGeneratorSet,
             f"p*u not expressible over the p*G taps with slack {slack}")
     used = tuple((i, t, c) for (i, t), c in zip(labels, coeffs) if c)
     w = Word.combine(shift.alphabet, [(c, lifts[i], t) for i, t, c in used])
-    v = u - w
-    if not v.scaled(p).is_zero:
-        raise PipelineFailure("torsion-split",
-                              "residual part is not p-torsion (inexact split)")
-    return BaseDecomposition(v, w, used)
+    return BaseDecomposition(u - w, w, used)
 
 
 # -- certificates ------------------------------------------------------------
@@ -671,11 +626,11 @@ def _structure_checks(genset: CanonicalGeneratorSet,
     reported as passes:
 
     - exact-powers: a height-0 entry is its own tap, and each division step
-      is a `lift_height`, which returns y only when y.scaled(p) == x;
+      is a `lift_height`, which solves p * y = x exactly;
     - heights-sorted: the entries are sorted by height, descending;
-    - initial-basis-independent: the recursed initial symbols are checked
-      independent or the stage raises, and each completion pick lies outside
-      the span of the earlier picks (p-torsion symbols, so an F_p span);
+    - initial-basis-independent: each level's picks lie outside the span of
+      its earlier picks (p-torsion symbols, so an F_p span), and lifting a
+      level's taps keeps its torsion words;
     - torsion-one-sided: every candidate is a certified p-torsion word on
       [0, support_cap - 1] picked for a nonzero initial symbol.
     """

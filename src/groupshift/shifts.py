@@ -243,6 +243,48 @@ def torsion_window_projection(shift: GroupShift, lo: int, hi: int, margin: int,
     return module.constrained_projection(lo, hi, kill_scale=p)
 
 
+@dataclass(frozen=True)
+class Horizons:
+    """All window sizes and caps used by the pipeline, kept for reports."""
+
+    margin: int          # membership certification margin
+    support_cap: int     # max support length searched for generator words
+    block_cap: int       # injectivity block search bound
+    window_horizon: int  # windows [0, T] checked up to this T
+    n_cap: int           # controllability index search cap
+
+    @classmethod
+    def derive(cls, shift: GroupShift, **overrides) -> "Horizons":
+        span = max(shift.span, 1)
+        values = dict(
+            margin=max(span, shift.memory_hint or 0, 2),
+            support_cap=2 * span + 2,
+            block_cap=max(16, 2 * span + 2),
+            window_horizon=max(4, span + 2),
+            n_cap=16,
+        )
+        values.update({k: v for k, v in overrides.items() if v is not None})
+        return cls(**values)
+
+
+def torsion_presentation(shift: GroupShift, p: int,
+                         horizons: Horizons) -> tuple[GroupShift, int | None]:
+    """The p-torsion subshift G[p] presented by the distinct translates to 0
+    of the certified p-torsion words supported in [0, support_cap - 1], and
+    the least t <= window_horizon for which that presentation does not
+    generate the p-torsion projection of G's window [0, t] (None when every
+    window passes, which is G[p]'s weak controllability at these horizons)."""
+    words = supported_words(shift, 0, horizons.support_cap - 1, horizons.margin,
+                            torsion_scale=p).words
+    result = GroupShift.make(shift.alphabet,
+                             list(dict.fromkeys(w.shifted(w.first) for w in words)))
+    failing = next((t for t in range(horizons.window_horizon + 1)
+                    if not result.window(0, t).form.spans_same(
+                        torsion_window_projection(shift, 0, t, horizons.margin, p))),
+                   None)
+    return result, failing
+
+
 # -- finite type -------------------------------------------------------------
 
 

@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from groupshift.control import (_divisors, _steering_witness,
+from groupshift.cli import main
+from groupshift.control import (_divisors, _steering_condition, _steering_witness,
                                 analyze_controllability, controllability_index,
                                 default_past_horizon, monotone_after_success,
                                 order_controllability_index,
                                 weak_controllability_check)
-from groupshift.encoders import multiple_shift
+from groupshift.encoders import PipelineFailure, multiple_shift, socle_shift
 from groupshift.shifts import GroupShift
+from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
 from conftest import make_shift, random_shift
@@ -74,6 +76,7 @@ def test_exponent_p_alphabet_equalizes_indices():
 
 
 def test_fast_path_matches_enumeration():
+    # the least candidate passing the steering condition at one past window
     rng = random.Random(22)
     checked = 0
     for _ in range(20):
@@ -82,10 +85,11 @@ def test_fast_path_matches_enumeration():
         if shift.window(-past, 3 + past).size() > 1 << 12:
             continue
         for ordered in (False, True):
-            fast = (order_controllability_index if ordered
-                    else controllability_index)(shift, 3, past=past)
+            scales = _divisors(shift.alphabet.exponent) if ordered else [None]
+            fast = next((n for n in range(4)
+                         if _steering_condition(shift, n, past, scales, {})), None)
             slow = enumerated_index(shift, 3, past, ordered)
-            assert fast.index == slow, (shift, ordered)
+            assert fast == slow, (shift, ordered)
         checked += 1
     assert checked >= 5
 
@@ -148,12 +152,37 @@ def test_reports_are_reproducible():
 def test_weak_controllability_variants(z4, delay_rep):
     g = GroupShift.full_shift(z4)
     assert weak_controllability_check(g, "self").holds
-    assert weak_controllability_check(g, "socle", p=2).holds
+    socle = weak_controllability_check(g, "socle", p=2)
+    assert socle.holds
+    assert socle.windows == tuple((0, t) for t in range(5))
     assert weak_controllability_check(delay_rep, "socle", p=2).holds
     with pytest.raises(ValueError):
         weak_controllability_check(g, "socle")
     with pytest.raises(ValueError):
         weak_controllability_check(g, "nonsense")
+
+
+#: G[2] is not generated by its finite torsion members on [0,4] at the
+#: default horizons; `analyze` and `certify` must both say so.
+SOCLE_FAILURE_SPEC = """group: Z4 x Z2 x Z2
+gen @0: (3,0,1) (1,0,1) (0,1,0)
+gen @0: (3,0,0) (0,0,1) (3,0,0)
+"""
+
+
+def test_socle_verdict_agrees_with_socle_shift(tmp_path, capsys):
+    shift = parse_spec(SOCLE_FAILURE_SPEC).shift
+    socle = weak_controllability_check(shift, "socle", p=2)
+    assert not socle.holds
+    assert socle.detail == ("torsion window [0,4] not generated by finite "
+                            "torsion members")
+    with pytest.raises(PipelineFailure, match=r"window \[0,4\] not generated"):
+        socle_shift(shift, 2)
+    path = tmp_path / "socle.spec"
+    path.write_text(SOCLE_FAILURE_SPEC)
+    assert main(["analyze", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "socle.2.weakly_controllable: no\nsocle.2.detail: torsion window [0,4]" in out
 
 
 def test_past_horizon_default():

@@ -89,7 +89,21 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 """
 
 
-def _run_traced(script: str) -> None:
+#: No benchmark workload checks `analyze` reports, so every 4th entry of its
+#: pool is compared here with the digest recorded for it.
+ANALYZE_POOL_SCRIPT = """
+import json, ops
+from pathlib import Path
+entries = json.loads(Path({pool!r}).read_text())["entries"][::4]
+assert len(entries) == 24, len(entries)
+for e in entries:
+    shift = ops.build_shift(e["alphabet"], e["gens"])
+    values, verdict = ops.analyze_values(ops.run_analyze(shift))
+    assert ops.digest(values) == e["ref"]["digest"], (e["key"], verdict)
+"""
+
+
+def _run_with_perfbench(script: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
@@ -98,19 +112,24 @@ def _run_traced(script: str) -> None:
 
 
 def test_tracer_installs_on_every_hook_point():
-    _run_traced(SCRIPT)
+    _run_with_perfbench(SCRIPT)
 
 
 def test_generator_selection_enumerates_few_candidates():
-    _run_traced(SELECTION_SCRIPT)
+    _run_with_perfbench(SELECTION_SCRIPT)
 
 
 def test_one_counted_reduction_per_projection_and_solver():
-    _run_traced(REDUCTION_SCRIPT)
+    _run_with_perfbench(REDUCTION_SCRIPT)
 
 
 def test_failing_order_search_reads_its_witness_off_one_form():
-    _run_traced(WITNESS_SCRIPT.format(golden=str(ROOT / "tests" / "golden")))
+    _run_with_perfbench(WITNESS_SCRIPT.format(golden=str(ROOT / "tests" / "golden")))
+
+
+def test_analyze_reports_match_the_pool_references():
+    _run_with_perfbench(ANALYZE_POOL_SCRIPT.format(
+        pool=str(ROOT / "perfbench" / "data" / "analyze.json")))
 
 
 def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
