@@ -13,8 +13,9 @@ lane width w is byte-aligned and holds every value a row operation forms
 (below 2m^2, the composite xgcd fold's bound), so a row operation is a few
 big-int operations and one lane reduction: `& MASK` for m = 2^e, SWAR
 Barrett for any other m.  Live rows wait in buckets keyed by their leading
-lane.  Packing and unpacking stay inside `_eliminate`: every function here
-takes and returns rows as sequences of ints.
+lane.  Window rows stay packed from `placed_rows` through `projection_heads`
+into `_eliminate`; `howell_form`, `constrained_form`, `HowellForm` and
+`RowSolver` take and return sequences of ints and pack at that boundary.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_MODULUS = 1 << 31
 #: Default cap on the elements a module or code enumeration may produce.
@@ -174,6 +175,7 @@ def _lane_bytes(bits: int) -> int:
     return next((n for n in _CODES if n >= nbytes), nbytes)
 
 
+@lru_cache(maxsize=1024)
 def _lane_layout(m: int, ncols: int) -> tuple[int, int, Callable[[int], int]]:
     """(lane width w in bits, m in every lane, lane reduction mod m) for rows
     of `ncols` residues mod m packed into one int.
@@ -215,16 +217,8 @@ def _lanes_to_bytes(vals: list[int], nbytes: int) -> bytes:
     return b"".join(x.to_bytes(nbytes, "little") for x in vals)
 
 
-def _lanes_from_bytes(raw: bytes, nbytes: int) -> tuple[int, ...]:
-    code = _CODES.get(nbytes)
-    if code:
-        return struct.unpack(f"<{len(raw) // nbytes}{code}", raw)
-    return tuple(int.from_bytes(raw[i:i + nbytes], "little")
-                 for i in range(0, len(raw), nbytes))
-
-
-def _pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int, w: int) -> list[int]:
-    """The rows as ints of `ncols` w-bit lanes, entries reduced mod m.
+def _pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
+    """The rows as ints of `ncols` lanes (`_lane_layout`), entries reduced mod m.
 
     For m <= 256 entries that already lie in [0, m) are copied as bytes into
     the low byte of each lane; any others are reduced first and packed by
@@ -232,7 +226,7 @@ def _pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int, w: int) -> lis
     """
     if set(map(len, rows)) - {ncols}:
         raise ValueError(f"rows must have {ncols} entries")
-    nbytes = w // 8
+    nbytes = _lane_layout(m, ncols)[0] // 8
     try:
         low = b"".join(map(bytes, rows)) if m <= 256 else None
     except ValueError:  # an entry outside [0, 256)
@@ -246,8 +240,28 @@ def _pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int, w: int) -> lis
     return [int.from_bytes(raw[i * size:(i + 1) * size], "little") for i in range(len(rows))]
 
 
-def _eliminate(rows: Sequence[Sequence[int]], m: int, ncols: int,
-               drop: int) -> tuple[list[Vec], list[tuple[int, int]]]:
+def placed_rows(vec: Sequence[int], modulus: int, offsets: Iterable[int],
+                ncols: int) -> list[int]:
+    """Packed rows of `ncols` columns, one per offset o, each holding entry j
+    of `vec` at column o + j (o may be negative) and 0 in every other column."""
+    w = _lane_layout(modulus, ncols)[0]
+    x = _pack_rows([vec], modulus, len(vec))[0]
+    cut = (1 << w * ncols) - 1
+    return [(x << o * w if o >= 0 else x >> -o * w) & cut for o in offsets]
+
+
+def unpack_rows(packed: Sequence[int], modulus: int, ncols: int) -> tuple[Vec, ...]:
+    """The residue tuples of packed rows of `ncols` columns."""
+    nbytes = _lane_layout(modulus, ncols)[0] // 8
+    raw = b"".join(row.to_bytes(nbytes * ncols, "little") for row in packed)
+    code = _CODES.get(nbytes)
+    flat = struct.unpack(f"<{len(raw) // nbytes}{code}", raw) if code else tuple(
+        int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes))
+    return tuple(flat[i * ncols:(i + 1) * ncols] for i in range(len(packed)))
+
+
+def _eliminate(rows: Iterable[int], m: int, ncols: int,
+               drop: int) -> tuple[tuple[Vec, ...], list[tuple[int, int]]]:
     """Howell elimination: (rows, (column, pivot value) per row), pivot
     columns ascending.  Rows with pivot column >= `drop` are in Howell form;
     the rows left of it are never back-reduced.
@@ -257,8 +271,8 @@ def _eliminate(rows: Sequence[Sequence[int]], m: int, ncols: int,
     by one subtraction, any other (composite moduli only) by an xgcd fold.
     Saturation gives the Howell property that `zero_prefix` reads.
 
-    Rows are packed inside this function only: each is one int with entry j
-    in lane bits [j*w, (j+1)*w) (`_lane_layout`), so a row operation
+    The rows come packed, each one int with entry j in [0, m) at lane bits
+    [j*w, (j+1)*w) (`_lane_layout`), and leave as tuples.  A row operation
     Y - q*X is the lane reduction of Y + q*(K - X), K holding m in every
     lane.  Live rows sit in buckets by leading lane, each in the order the
     rows went live, so a column touches only the rows that lead there.
@@ -271,7 +285,7 @@ def _eliminate(rows: Sequence[Sequence[int]], m: int, ncols: int,
         if row:
             buckets[((row & -row).bit_length() - 1) // w].append(row)
 
-    for row in _pack_rows(rows, m, ncols, w):
+    for row in rows:
         go_live(row)
     done: list[int] = []
     dropped = 0
@@ -311,9 +325,7 @@ def _eliminate(rows: Sequence[Sequence[int]], m: int, ncols: int,
         done.append(tail)
         pivots.append((c, d))
         dropped += c < drop
-    size = w // 8 * ncols
-    flat = _lanes_from_bytes(b"".join(row.to_bytes(size, "little") for row in done), w // 8)
-    return [flat[i * ncols:(i + 1) * ncols] for i in range(len(done))], pivots
+    return unpack_rows(done, m, ncols), pivots
 
 
 def howell_form(rows: Sequence[Sequence[int]], modulus: int,
@@ -322,8 +334,8 @@ def howell_form(rows: Sequence[Sequence[int]], modulus: int,
     list), or with `drop` = k its `zero_prefix(k)`."""
     validate_modulus(modulus)
     ncols = len(rows[0]) if rows else (ncols or 0)
-    done, pivots = _eliminate(rows, modulus, ncols, drop)
-    form = HowellForm(modulus, ncols, tuple(done), tuple(pivots))
+    done, pivots = _eliminate(_pack_rows(rows, modulus, ncols), modulus, ncols, drop)
+    form = HowellForm(modulus, ncols, done, tuple(pivots))
     return form.zero_prefix(drop) if drop else form
 
 
@@ -337,11 +349,12 @@ def constrained_form(rows: Sequence[Sequence[int]], modulus: int,
     return howell_form(ext, modulus, len(conditions) + hi - lo, drop=len(conditions))
 
 
-def projection_heads(rows: Sequence[Sequence[int]], modulus: int,
+def projection_heads(packed_rows: Iterable[int], modulus: int,
                      conditions: Sequence[tuple[int, int]], zero_cols: Sequence[int],
                      lo: int, hi: int) -> tuple[HowellForm, list[Vec]]:
     """(kept, heads) for the projection to [lo, hi) of the `conditions`
-    submodule with and without `zero_cols` zeroed.
+    submodule of the span of `packed_rows` (packed as by `placed_rows`) with
+    and without `zero_cols` zeroed.
 
     One elimination over [conditions | zero columns | kept part]: its rows
     with pivot in the kept part (`kept`) span the projection with the zero
@@ -352,14 +365,30 @@ def projection_heads(rows: Sequence[Sequence[int]], modulus: int,
     heads)` is `constrained_form(rows, modulus, conditions, lo, hi)`.
     Nothing is back-reduced, so `kept` is not canonical; greedy leading-term
     reduction still decides membership, which needs only the Howell property.
+    Columns move in runs sharing a scale, one shift, mask and product a run.
     """
     validate_modulus(modulus)
     k, drop = len(conditions), len(conditions) + len(zero_cols)
-    ext = [[(s * row[c]) % modulus for c, s in conditions]
-           + [row[c] for c in zero_cols] + list(row[lo:hi]) for row in rows]
     ncols = drop + hi - lo
+    w, _, red = _lane_layout(modulus, ncols)
+    runs: list[list[int]] = []  # [source column, target column, length, scale]
+    for j, (c, s) in enumerate([(c, s % modulus) for c, s in conditions]
+                               + [(c, 1) for c in [*zero_cols, *range(lo, hi)]]):
+        if runs and runs[-1][3] == s and runs[-1][0] + runs[-1][2] == c:
+            runs[-1][2] += 1
+        else:
+            runs.append([c, j, 1, s])
+    moves = [(c * w, (1 << n * w) - 1, s, j * w) for c, j, n, s in runs]
+    ext = []
+    for row in packed_rows:
+        x = 0
+        for at, cut, s, to in moves:
+            x |= ((row >> at) & cut) * s << to
+        ext.append(x)
+    if any(s != 1 for _, _, s, _ in moves):
+        ext = map(red, ext)  # a product stays below m^2 in its lane
     done, pivots = _eliminate(ext, modulus, ncols, ncols)
-    kept = HowellForm(modulus, ncols, tuple(done), tuple(pivots)).zero_prefix(drop)
+    kept = HowellForm(modulus, ncols, done, tuple(pivots)).zero_prefix(drop)
     return kept, [row[drop:] for row, (c, _) in zip(done, pivots) if k <= c < drop]
 
 

@@ -17,7 +17,8 @@ from typing import Sequence
 
 from .groups import FiniteAbelianGroup
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec,
-                       constrained_form, howell_form, projection_heads)
+                       constrained_form, howell_form, placed_rows, projection_heads,
+                       unpack_rows)
 from .words import Word, word_span
 
 
@@ -99,16 +100,21 @@ class GroupShift:
 
 @dataclass(frozen=True)
 class WindowModule:
-    """The projection of a group shift onto the window [lo, hi]."""
+    """The projection of a group shift onto the window [lo, hi]: the scaled
+    restriction of each contributor as one packed row, unpacked by `rows`."""
 
     shift: GroupShift
     lo: int
     hi: int
-    rows: tuple[Vec, ...]  # scaled restriction per contributor
+    packed: tuple[int, ...]
 
     @property
     def modulus(self) -> int:
         return max(self.shift.alphabet.exponent, 2)
+
+    @cached_property
+    def rows(self) -> tuple[Vec, ...]:
+        return unpack_rows(self.packed, self.modulus, self.rank_width)
 
     @property
     def width(self) -> int:
@@ -166,16 +172,21 @@ class WindowModule:
         same for both exactly when every head lies in the kept form."""
         zero, kill, lo, hi = self._columns(keep_lo, keep_hi, zero_positions,
                                            kill_scale, kill_positions)
-        return projection_heads(self.rows, self.modulus, kill, zero, lo, hi)
+        return projection_heads(self.packed, self.modulus, kill, zero, lo, hi)
 
 
 @lru_cache(maxsize=None)
 def _window_module(shift: GroupShift, lo: int, hi: int) -> WindowModule:
     if hi < lo:
         raise ValueError("empty window")
-    rows = tuple(shift.placed(gi, t).window_vector(lo, hi)
-                 for gi, t in shift.contributors(lo, hi))
-    return WindowModule(shift, lo, hi, rows)
+    # contributor (gi, t) of `GroupShift.contributors` is generator gi's
+    # vector at column (first + t - lo) * r: one packed row shifted by lanes
+    r, m = shift.alphabet.rank, max(shift.alphabet.exponent, 2)
+    ncols = (hi - lo + 1) * r
+    packed = [row for g in shift.generators
+              for row in placed_rows(g.window_vector(g.first, g.last), m,
+                                     range((1 - g.support_length) * r, ncols, r), ncols)]
+    return WindowModule(shift, lo, hi, tuple(packed))
 
 
 @dataclass(frozen=True)

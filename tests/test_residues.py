@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from groupshift.groups import FiniteAbelianGroup, is_prime
 from groupshift.residues import (HowellForm, _eliminate, _lane_layout, annihilator,
                                  combine_rows, constrained_form, howell_form,
-                                 projection_heads, row_solver, unit_for, xgcd)
+                                 placed_rows, projection_heads, row_solver, unit_for,
+                                 unpack_rows, xgcd)
 
 from conftest import brute_force_span
 
@@ -380,6 +381,11 @@ def reference_eliminate(rows, m, ncols, drop):
     return [tuple(row) for row in done], pivots
 
 
+def packed(rows, m, ncols):
+    """Each row packed by `placed_rows` at column offset 0."""
+    return [row for vec in rows for row in placed_rows(vec, m, [0], ncols)]
+
+
 def test_lane_moduli_cover_every_lane_width():
     layouts = {(m & (m - 1) == 0, _lane_layout(m, 1)[0]) for m in LANE_MODULI}
     assert layouts == {(True, 8), (True, 16), (True, 32), (True, 64), (False, 8),
@@ -399,13 +405,25 @@ def test_lane_reduction_takes_every_row_operation_value_to_its_residue(m):
     assert [(got >> j * w) & ((1 << w) - 1) for j in range(len(vals))] == [v % m for v in vals]
 
 
+@pytest.mark.parametrize("m", LANE_MODULI)
+def test_placed_rows_put_the_vector_at_each_offset(m):
+    rng = random.Random(m)
+    vec = [rng.randrange(m) for _ in range(4)]
+    ncols = 6
+    offsets = range(-len(vec), ncols + 1)  # the first and last rows are zero
+    want = tuple(tuple(vec[j - o] if 0 <= j - o < len(vec) else 0 for j in range(ncols))
+                 for o in offsets)
+    assert unpack_rows(placed_rows(vec, m, offsets, ncols), m, ncols) == want
+
+
 @pytest.mark.parametrize("modulus", LANE_MODULI)
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_packed_kernel_matches_list_kernel_for_every_drop(modulus, data):
     m, rows, ncols = data.draw(kernel_inputs([modulus], max_cols=40, reduced=False))
     for drop in range(ncols + 1):
-        assert _eliminate(rows, m, ncols, drop) == reference_eliminate(rows, m, ncols, drop)
+        done, pivots = _eliminate(packed(rows, m, ncols), m, ncols, drop)
+        assert (list(done), pivots) == reference_eliminate(rows, m, ncols, drop)
 
 
 def reference_reduce(form, vec):
@@ -480,12 +498,56 @@ def test_projection_heads_matches_two_form_reference(inp, data):
                               unique=True))
     lo = data.draw(st.integers(0, ncols - 1))
     hi = data.draw(st.integers(lo + 1, ncols))
-    kept, heads = projection_heads(rows, m, conditions, zero, lo, hi)
+    kept, heads = projection_heads(packed(rows, m, ncols), m, conditions, zero, lo, hi)
     assert all(map(kept.contains, heads)) == \
         two_form_projection_kept(rows, m, conditions, zero, lo, hi)
     # the heads and the kept rows span the projection without the zero columns
     assert howell_form(list(kept.rows) + heads, m, hi - lo) == \
         constrained_form(rows, m, conditions, lo, hi)
+
+
+def reference_projection_heads(rows, m, conditions, zero_cols, lo, hi):
+    """`projection_heads` with [conditions | zero columns | kept part] built
+    entry by entry from tuple rows."""
+    k, drop = len(conditions), len(conditions) + len(zero_cols)
+    ext = [[(s * row[c]) % m for c, s in conditions]
+           + [row[c] for c in zero_cols] + list(row[lo:hi]) for row in rows]
+    ncols = drop + hi - lo
+    done, pivots = _eliminate(packed(ext, m, ncols), m, ncols, ncols)
+    kept = HowellForm(m, ncols, done, tuple(pivots)).zero_prefix(drop)
+    return kept, [row[drop:] for row, (c, _) in zip(done, pivots) if k <= c < drop]
+
+
+#: A prime just below the 2**31 cap: its Barrett lanes are 96 bits wide.
+BIG_PRIME = 2 ** 31 - 1
+
+
+@st.composite
+def column_blocks(draw, ncols, scales):
+    """Blocks of contiguous columns, one scale per block, in any order and
+    possibly overlapping: (column, scale) pairs."""
+    blocks = draw(st.lists(st.tuples(st.integers(0, ncols - 1), st.integers(1, 3), scales),
+                           max_size=3))
+    return [(c, s) for start, n, s in blocks for c in range(start, min(start + n, ncols))]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(kernel_inputs([2, 4, 8, 9, 12, 27, BIG_PRIME], max_cols=8), st.data())
+def test_packed_projection_heads_matches_list_reference(inp, data):
+    m, rows, ncols = inp
+    assert _lane_layout(BIG_PRIME, 1)[0] > 64
+    scales = st.integers(0, 2 * m)  # d * x >= m for most entries x
+    conditions = data.draw(st.one_of(
+        st.lists(st.tuples(st.integers(0, ncols - 1), scales), max_size=4),
+        column_blocks(ncols, scales)))
+    zero = data.draw(st.one_of(
+        st.lists(st.integers(0, ncols - 1), max_size=3, unique=True),
+        column_blocks(ncols, st.just(1)).map(lambda pairs: [c for c, _ in pairs])))
+    lo = data.draw(st.integers(0, ncols))
+    hi = data.draw(st.integers(lo, ncols))
+    kept, heads = projection_heads(packed(rows, m, ncols), m, conditions, zero, lo, hi)
+    ref_kept, ref_heads = reference_projection_heads(rows, m, conditions, zero, lo, hi)
+    assert (kept.rows, kept.pivots, heads) == (ref_kept.rows, ref_kept.pivots, ref_heads)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -495,8 +557,8 @@ def test_membership_without_back_reduction_matches_howell_form(inp, data):
     # projection_heads reads membership off rows that are not back-reduced:
     # greedy reduction needs only the Howell property, not canonical rows
     m, rows, ncols = inp
-    done, pivots = _eliminate(rows, m, ncols, drop=ncols)
-    loose = HowellForm(m, ncols, tuple(map(tuple, done)), tuple(pivots))
+    done, pivots = _eliminate(packed(rows, m, ncols), m, ncols, drop=ncols)
+    loose = HowellForm(m, ncols, done, tuple(pivots))
     form = howell_form(rows, m, ncols)
     assert loose.pivots == form.pivots
     entries = st.integers(0, m - 1)

@@ -1,8 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from groupshift.groups import FiniteAbelianGroup
 
 from groupshift.residues import (EnumerationCapExceeded, combine_rows,
                                  howell_form, row_solver)
@@ -50,6 +52,40 @@ def test_far_window_has_three_contributors(z2):
     from conftest import brute_force_span
     span = brute_force_span(module.rows, 2, 2)
     assert set(module.form.enumerate_elements()) == span
+
+
+#: Rank >= 2 alphabets, 2^e moduli, odd p^e moduli and composite (Barrett) ones.
+ROW_GROUPS = ["Z2", "Z8", "Z4 x Z2", "Z2 x Z4 x Z8", "Z9", "Z27", "Z25", "Z3 x Z9",
+              "Z6", "Z12", "Z2 x Z2 x Z3"]
+
+
+@st.composite
+def shift_windows(draw):
+    """(shift, lo, hi): generators of support up to 5, windows from one
+    position wide, at negative lo and cutting supports at either edge."""
+    group = FiniteAbelianGroup.parse(draw(st.sampled_from(ROW_GROUPS)))
+    symbol = st.tuples(*(st.integers(0, n - 1) for n in group.orders))
+    gens = draw(st.lists(st.builds(lambda start, syms: Word.make(group, start, syms),
+                                   st.integers(-4, 4), st.lists(symbol, min_size=1, max_size=5)),
+                         min_size=1, max_size=3))
+    lo = draw(st.integers(-8, 6))
+    return GroupShift.make(group, gens), lo, lo + draw(st.integers(0, 7))
+
+
+def reference_window_rows(shift, lo, hi):
+    """Window rows built entry by entry, one restricted word per contributor."""
+    return tuple(shift.placed(gi, t).window_vector(lo, hi)
+                 for gi, t in shift.contributors(lo, hi))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shift_windows())
+@example((make_shift("Z2 x Z2 x Z3", [(0, [(1, 0, 2), (0, 1, 1), (1, 1, 0), (0, 0, 1)])]),
+          1, 2))
+@example((make_shift("Z27", [(-2, [3, 1, 9]), (1, [2, 0, 0, 5])]), -3, -1))
+def test_packed_window_rows_match_entrywise_rows(case):
+    shift, lo, hi = case
+    assert shift.window(lo, hi).rows == reference_window_rows(shift, lo, hi)
 
 
 def test_shift_equivariance_of_projections():

@@ -103,6 +103,21 @@ for e in entries:
 """
 
 
+#: The benchmark worker checks `certify` digests; every 8th entry of its pool
+#: with a recorded report is compared here as well.
+CERTIFY_POOL_SCRIPT = """
+import json, ops
+from pathlib import Path
+entries = [e for e in json.loads(Path({pool!r}).read_text())["entries"]
+           if e["ref"]["status"] == "ok"][::8]
+assert len(entries) == 20, len(entries)
+for e in entries:
+    shift = ops.build_shift(e["alphabet"], e["gens"])
+    values, verdict = ops.certify_values(ops.run_certify(shift))
+    assert ops.digest(values) == e["ref"]["digest"], (e["key"], verdict)
+"""
+
+
 def _run_with_perfbench(script: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
@@ -130,6 +145,11 @@ def test_failing_order_search_reads_its_witness_off_one_form():
 def test_analyze_reports_match_the_pool_references():
     _run_with_perfbench(ANALYZE_POOL_SCRIPT.format(
         pool=str(ROOT / "perfbench" / "data" / "analyze.json")))
+
+
+def test_certify_reports_match_the_pool_references():
+    _run_with_perfbench(CERTIFY_POOL_SCRIPT.format(
+        pool=str(ROOT / "perfbench" / "data" / "certify.json")))
 
 
 def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
