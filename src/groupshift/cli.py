@@ -225,7 +225,7 @@ def _certificate_report(report: Report, cert: ConjugacyCertificate) -> bool:
 
 
 def _presentation_audit(report: Report, shift: GroupShift,
-                        horizons: Horizons, args) -> bool:
+                        horizons: Horizons) -> bool:
     """Audit the presentation's own generators as encoder taps."""
     try:
         encoder = presentation_encoder(shift)
@@ -244,9 +244,8 @@ def _presentation_audit(report: Report, shift: GroupShift,
                              for j, t, c in inj.dependent_combination)
             report.add("presentation.check.dependent-combination", combo)
         negative |= inj.block is None
-    noncat = check_noncatastrophic(encoder, shift, trials=args.trials,
-                                   horizon=horizons.window_horizon,
-                                   margin=horizons.margin, seed=args.seed)
+    noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon,
+                                   horizons.margin)
     report.add("presentation.check.noncatastrophic", _check_value(noncat.ok))
     if not noncat.ok and noncat.witness is not None:
         report.add("presentation.check.witness",
@@ -265,8 +264,8 @@ def cmd_certify(args) -> int:
     _echo_input(report, "certify", args.spec, spec)
     _echo_horizons(report, horizons)
     if args.check_presentation:
-        return report.finish(_presentation_audit(report, shift, horizons, args))
-    cert = conjugacy_certificate(shift, horizons, seed=args.seed)
+        return report.finish(_presentation_audit(report, shift, horizons))
+    cert = conjugacy_certificate(shift, horizons)
     negative = _certificate_report(report, cert)
     if args.window:
         lo, hi = args.window
@@ -278,7 +277,7 @@ def cmd_encode(args) -> int:
     spec = _load_spec(args.spec)
     shift = spec.shift
     horizons = _horizons_from_args(spec, args)
-    cert = conjugacy_certificate(shift, horizons, seed=args.seed)
+    cert = conjugacy_certificate(shift, horizons)
     report = Report()
     _echo_input(report, "encode", args.spec, spec)
     if cert.product_encoder is None:
@@ -351,7 +350,7 @@ def _at_least(lo: int):
     return _int_arg(lambda n: n >= lo, f">= {lo}")
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--margin", type=_at_least(0), default=None,
                         help="membership certification margin")
     parser.add_argument("--support-cap", type=_at_least(1), default=None,
@@ -362,10 +361,6 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
                         help="controllability index search cap")
     parser.add_argument("--horizon", type=_at_least(1), default=None,
                         help="window horizon for module checks")
-    if seed:
-        parser.add_argument("--seed", type=int, default=0,
-                            help="seed for the noncatastrophicity check's "
-                                 "random messages")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,10 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-presentation", action="store_true",
                    help="audit the spec's own generators as encoder taps "
                         "instead of synthesizing a canonical set")
-    _add_common(p, seed=True)
-    p.add_argument("--trials", type=_at_least(0), default=64,
-                   help="random messages of the --check-presentation "
-                        "noncatastrophicity check")
+    _add_common(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("encode", help="encode a message file with the "
@@ -410,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("message")
     p.add_argument("--window", type=_window_arg, default=None,
                    help="restrict the output to the window a:b")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("oracle", help="brute-force window code enumeration")

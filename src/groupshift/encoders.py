@@ -12,14 +12,12 @@ handled one primary component at a time.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
 from .residues import (HowellForm, Vec, combine_rows, constrained_form, howell_form,
-                       row_solver)
+                       placed_rows, projection_heads, row_solver)
 from .shifts import (GroupShift, Horizons, SupportedWords, member, supported_words,
                      torsion_presentation)
 from .words import Word
@@ -432,21 +430,12 @@ def _tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
 
     Returns (solver, ((tap index, placement) per row), (lo, hi)).
     """
-    nonzero = [j for j, tap in enumerate(taps) if not tap.is_zero]
-    lo = msg_lo + min((taps[j].first for j in nonzero), default=0)
-    hi = msg_hi + max((taps[j].last for j in nonzero), default=0)
-    if cover is not None:
-        lo, hi = min(lo, cover.first), max(hi, cover.last)
-    return _placed_tap_solver(alphabet, taps, msg_lo, msg_hi, lo, hi)
-
-
-@lru_cache(maxsize=8)
-def _placed_tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
-                       msg_lo: int, msg_hi: int, lo: int, hi: int):
-    """`_tap_solver` on the window [lo, hi]: shared by every word of one
-    window, as when each certified word of a support is solved for."""
     labels = tuple((j, t) for j, tap in enumerate(taps) if not tap.is_zero
                    for t in range(msg_lo, msg_hi + 1))
+    lo = msg_lo + min((taps[j].first for j, _ in labels), default=0)
+    hi = msg_hi + max((taps[j].last for j, _ in labels), default=0)
+    if cover is not None:
+        lo, hi = min(lo, cover.first), max(hi, cover.last)
     rows = [taps[j].shifted(-t).window_vector(lo, hi) for j, t in labels]
     modulus = max(alphabet.exponent, 2)
     return row_solver(rows, modulus, (hi - lo + 1) * alphabet.rank), labels, (lo, hi)
@@ -455,7 +444,10 @@ def _placed_tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
 def solve_finite_preimage(encoder: Encoder, w: Word,
                           slack: int) -> Word | None:
     """A finite message encoding exactly to w, searched with message support
-    inside supp(w) padded by `slack`; None when no such message exists."""
+    inside supp(w) padded by `slack`; None when no such message exists.
+
+    No pipeline stage calls it: it is the one-word-at-a-time reference that
+    the tests hold `check_noncatastrophic`'s backward direction to."""
     if w.is_zero:
         return Word.zero(encoder.source)
     if not encoder.taps:
@@ -479,38 +471,52 @@ def solve_finite_preimage(encoder: Encoder, w: Word,
 class NoncatastrophicityReport:
     ok: bool
     horizon: int
-    witness: Word | None          # certified finite word with no finite preimage
+    witness: Word | None  # uncertified tap, or certified word with no preimage
 
 
-def check_noncatastrophic(encoder: Encoder, shift: GroupShift, trials: int,
-                          horizon: int, margin: int,
-                          seed: int = 0) -> NoncatastrophicityReport:
-    """Two window-scale directions: finite messages land in the certified
-    finite code, and every certified finite word up to the horizon has a
-    finite preimage under the encoder."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        msg = random_message(encoder, rng, horizon)
-        image = encode(encoder, msg)
-        if not member(shift, image, margin).certified_in:
-            return NoncatastrophicityReport(False, horizon, image)
-    slack = encoder.memory + horizon + 1
+def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
+                          margin: int) -> NoncatastrophicityReport:
+    """Both window-scale directions, each decided exactly; the witness is the
+    first failing tap, else the first failing certified word.
+
+    Forward: finite messages land in the certified finite code.  With the
+    order bounds, the images of finite messages are the finite sums of
+    placed taps, and G is a shift-invariant group, so they all lie in G
+    exactly when every tap does.  At a margin of at least G's memory the
+    tap certificates are membership itself; below it they need not be
+    closed under sums.
+
+    Backward: every certified word w supported in [f, l] with l - f <= the
+    horizon has a finite preimage whose message support lies in [f - s, l + s],
+    s = memory + horizon + 1.  Translated by -f, w lies in the certified words
+    on [0, t], t = l - f, and its messages in [-s, t + s], so one elimination
+    per t decides every such w: the span of each nonzero tap placed at -s..t+s
+    (covered whole by the window), cut to its elements zero outside [0, t],
+    must contain every row of the certified form on [0, t].
+    """
+    for tap in encoder.taps:
+        if not member(shift, tap, margin).certified_in:
+            return NoncatastrophicityReport(False, horizon, tap)
+    m, r = max(encoder.alphabet.exponent, 2), encoder.alphabet.rank
+    taps = [tap for tap in encoder.taps if not tap.is_zero]
+    first = min((tap.first for tap in taps), default=0)
+    last = max((tap.last for tap in taps), default=0)
+    s = encoder.memory + horizon + 1
     for t in range(horizon + 1):
-        words = supported_words(shift, 0, t, margin)
-        for w in words.words:
-            if solve_finite_preimage(encoder, w, slack) is None:
-                return NoncatastrophicityReport(False, horizon, w)
+        # the window [lo, hi] covers [0, t], which is columns [a, b), and
+        # every placed tap
+        lo, hi = min(0, first - s), max(t, last + t + s)
+        ncols, a, b = (hi - lo + 1) * r, -lo * r, (t + 1 - lo) * r
+        rows = [row for tap in taps for row in placed_rows(
+            tap.window_vector(tap.first, tap.last), m,
+            range((tap.first - s - lo) * r, (tap.first + t + s - lo) * r + 1, r), ncols)]
+        kept, _ = projection_heads(rows, m, (), [*range(a), *range(b, ncols)], a, b)
+        form = supported_words(shift, 0, t, margin).form
+        bad = next((row for row in form.rows if not kept.contains(row)), None)
+        if bad is not None:
+            return NoncatastrophicityReport(
+                False, horizon, Word.from_window_vector(shift.alphabet, 0, bad))
     return NoncatastrophicityReport(True, horizon, None)
-
-
-def random_message(encoder: Encoder, rng: random.Random, reach: int) -> Word:
-    src = encoder.source
-    if src.rank == 0:
-        return Word.zero(src)
-    start = rng.randrange(-reach, reach + 1)
-    length = rng.randrange(1, reach + 2)
-    syms = [tuple(rng.randrange(n) for n in src.orders) for _ in range(length)]
-    return Word.make(src, start, syms)
 
 
 # -- torsion decomposition of finite words (u = v + w) ------------------------
@@ -662,10 +668,9 @@ def _image_window_checks(encoder: Encoder, shift: GroupShift,
             CheckResult("window-injectivity", inj)]
 
 
-def primary_certificate(shift: GroupShift, p: int, horizons: Horizons,
-                        seed: int = 0) -> PrimaryCertificate:
-    """Run the whole per-prime pipeline and collect every check outcome;
-    `seed` draws the 8 random messages of the noncatastrophicity check."""
+def primary_certificate(shift: GroupShift, p: int,
+                        horizons: Horizons) -> PrimaryCertificate:
+    """Run the whole per-prime pipeline and collect every check outcome."""
     try:
         genset = canonical_generators(shift, p, horizons)
     except PipelineFailure as exc:
@@ -689,9 +694,8 @@ def primary_certificate(shift: GroupShift, p: int, horizons: Horizons,
         checks.append(CheckResult("independent-block", inj.block is not None,
                                   f"N={inj.block}" if inj.block is not None else
                                   f"no block <= {horizons.block_cap}"))
-        noncat = check_noncatastrophic(encoder, shift, trials=8,
-                                       horizon=horizons.window_horizon,
-                                       margin=horizons.margin, seed=seed)
+        noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon,
+                                       horizons.margin)
         checks.append(CheckResult(
             "noncatastrophic", noncat.ok,
             "" if noncat.ok else f"witness {noncat.witness.format()}"))
@@ -724,16 +728,16 @@ def conjugacy_certificate(shift: GroupShift,
                           trials: int | None = None,
                           seed: int = 0) -> ConjugacyCertificate:
     """Primary decomposition plus per-prime pipelines, assembled into one
-    product encoder; every stage outcome and horizon is recorded.  `seed`
-    goes to every prime.  `trials` is unused, as the encoder invariants are
-    decided exactly; it stays because `perfbench/ops.py` still passes it."""
+    product encoder; every stage outcome and horizon is recorded.  `trials`
+    and `seed` are ignored, as no check draws random messages; they stay
+    because `perfbench/ops.py:run_certify` still passes them."""
     if horizons is None:
         horizons = Horizons.derive(shift)
     primaries = []
     encoders: list[tuple[int, Encoder]] = []
     for p in shift.alphabet.primes():
         part_shift = primary_shift(shift, p)
-        cert = primary_certificate(part_shift, p, horizons, seed)
+        cert = primary_certificate(part_shift, p, horizons)
         primaries.append(cert)
         if cert.encoder is not None:
             encoders.append((p, cert.encoder))

@@ -67,3 +67,15 @@ def brute_force_span(rows, modulus, width):
                 cur = [(a + b) % modulus for a, b in zip(cur, row)]
         span = new
     return span
+
+
+def random_message(encoder, rng: random.Random, reach: int) -> Word:
+    """A random finite message over the encoder's source alphabet: 1 to
+    reach + 1 symbols starting in [-reach, reach]."""
+    src = encoder.source
+    if src.rank == 0:
+        return Word.zero(src)
+    start = rng.randrange(-reach, reach + 1)
+    length = rng.randrange(1, reach + 2)
+    syms = [tuple(rng.randrange(n) for n in src.orders) for _ in range(length)]
+    return Word.make(src, start, syms)

@@ -343,7 +343,7 @@ def test_enum_cap_fails_oracle(tmp_path, capsys):
     (["generators", "{spec}", "--support-cap", "0"], "--support-cap"),
     (["certify", "{spec}", "--block-cap", "-1"], "--block-cap"),
     (["certify", "{spec}", "--n-cap", "-1"], "--n-cap"),
-    (["certify", "{spec}", "--trials", "-1"], "--trials"),
+    (["encode", "{spec}", "{spec}", "--horizon", "0"], "--horizon"),
     (["encode", "{spec}", "{spec}", "--margin", "x"], "--margin"),
     (["analyze", "{spec}", "--ft-cap", "0"], "--ft-cap"),
     (["oracle", "{spec}", "--window", "0:1", "--list-cap", "-1"], "--list-cap"),
@@ -363,10 +363,13 @@ def test_numeric_flags_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     ["analyze", "{spec}", "--trials", "4"],
     ["generators", "{spec}", "--seed", "1"],
     ["encode", "{spec}", "{spec}", "--trials", "4"],
+    ["certify", "{spec}", "--trials", "-1"],
+    ["certify", "{spec}", "--check-presentation", "--seed", "1"],
+    ["encode", "{spec}", "{spec}", "--seed", "1"],
 ])
 def test_flags_only_on_commands_that_read_them(tmp_path, capsys, argv):
-    # --trials is read only by certify --check-presentation and --seed only
-    # by certify and encode; elsewhere either flag is a usage error
+    # no check draws random messages, so no command reads --trials or
+    # --seed; either flag is a usage error everywhere
     path = tmp_path / "full-z4.spec"
     path.write_text(FULL_Z4)
     code = main([a.format(spec=path) for a in argv])
@@ -409,17 +412,15 @@ FUZZ_GROUPS = ["Z2", "Z3", "Z4", "Z6", "Z9", "Z2 x Z2", "Z2 x Z4"]
 
 #: Flags per command with values drawn from a small range that includes
 #: out-of-range ones; the common pipeline flags apply to every command but
-#: oracle, `--seed` to certify and encode, `--trials` to certify only.
+#: oracle.
 COMMON_FLAGS = {"--margin": (-1, 3), "--support-cap": (-1, 4), "--block-cap": (-1, 4),
                 "--n-cap": (-1, 4), "--horizon": (-1, 4)}
-SEEDED_FLAGS = dict(COMMON_FLAGS, **{"--seed": (-2, 2)})
-CERTIFY_FLAGS = dict(SEEDED_FLAGS, **{"--trials": (-1, 4)})
 FUZZ_FLAGS = {
     "analyze": dict(COMMON_FLAGS, **{"--ft-cap": (-1, 3)}),
     "generators": dict(COMMON_FLAGS, **{"--prime": (-1, 5)}),
-    "certify": CERTIFY_FLAGS,
-    "certify --check-presentation": CERTIFY_FLAGS,
-    "encode": SEEDED_FLAGS,
+    "certify": COMMON_FLAGS,
+    "certify --check-presentation": COMMON_FLAGS,
+    "encode": COMMON_FLAGS,
     "oracle": {"--list-cap": (-1, 4), "--enum-cap": (-1, 40)},
 }
 

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from groupshift.encoders import (Encoder, Horizons, PipelineFailure,
@@ -11,18 +11,17 @@ from groupshift.encoders import (Encoder, Horizons, PipelineFailure,
                                  check_noncatastrophic, conjugacy_certificate,
                                  encode, lift_height, multiple_shift,
                                  presentation_encoder, primary_certificate,
-                                 primary_shift, random_message, socle_shift,
+                                 primary_shift, socle_shift,
                                  scaled_finite_words_check,
                                  solve_finite_preimage, word_height,
-                                 _message_invariant_checks, _placed_tap_solver,
-                                 _tap_solver)
+                                 _message_invariant_checks)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form, row_solver
 from groupshift.shifts import (GroupShift, member, enumerate_window_code,
-                              supported_words)
+                              finite_type_memory, supported_words)
 from groupshift.words import Word
 
-from conftest import make_shift, random_shift
+from conftest import make_shift, random_message, random_shift
 
 
 # -- derived shifts -----------------------------------------------------------
@@ -412,7 +411,7 @@ def test_injectivity_matches_symbolwise_reference(name, rng):
 def test_noncatastrophic_identity(z4):
     g = GroupShift.full_shift(z4)
     enc = build_for(g)
-    rep = check_noncatastrophic(enc, g, trials=8, horizon=3, margin=2)
+    rep = check_noncatastrophic(enc, g, horizon=3, margin=2)
     assert rep.ok
 
 
@@ -420,7 +419,7 @@ def test_difference_encoder_catastrophic(z2):
     g = GroupShift.full_shift(z2)
     diff_tap = Word.make(z2, 0, [(1,), (1,)])
     enc = Encoder(z2, FiniteAbelianGroup(((2, 1),)), (diff_tap,), (0,), (2,))
-    rep = check_noncatastrophic(enc, g, trials=4, horizon=3, margin=2)
+    rep = check_noncatastrophic(enc, g, horizon=3, margin=2)
     assert not rep.ok
     assert rep.witness is not None
     # the witness really has no finite preimage at a generous slack
@@ -437,26 +436,128 @@ def test_preimage_solver_roundtrip(delay_rep):
         assert got is not None and encode(enc, got) == image
 
 
-def test_tap_solver_shared_per_window_keeps_preimages():
-    # every certified word of one support window reuses one solver; the
-    # preimages equal those of a solver built afresh for each word
-    shift = GroupShift.full_shift(FiniteAbelianGroup.parse("Z2 x Z4"))
-    enc = build_for(shift)
-    slack = enc.memory + 4
-    words = supported_words(shift, 0, 2, 2).words
-    solvers = []
-    for w in words:
-        solver, labels, (lo, hi) = _tap_solver(enc.alphabet, enc.taps, w.first - slack,
-                                               w.last + slack, w)
-        fresh = _placed_tap_solver.__wrapped__(enc.alphabet, enc.taps, w.first - slack,
-                                               w.last + slack, lo, hi)
-        assert (fresh[1], fresh[2]) == (labels, (lo, hi))
-        target = w.window_vector(lo, hi)
-        assert solver.express(target) == fresh[0].express(target)
-        solvers.append(solver)
-        got = solve_finite_preimage(enc, w, slack)
-        assert got is not None and encode(enc, got) == w
-    assert len({id(s) for s in solvers}) < len(words)
+def per_word_backward(encoder, shift, horizon, margin):
+    """Reference for the backward direction: each certified word on [0, t],
+    t <= horizon, solved for alone with message slack memory + horizon + 1;
+    the first word with no finite preimage, else None."""
+    slack = encoder.memory + horizon + 1
+    for t in range(horizon + 1):
+        for w in supported_words(shift, 0, t, margin).words:
+            if solve_finite_preimage(encoder, w, slack) is None:
+                return w
+    return None
+
+
+def sampled_forward(encoder, shift, margin, rng, trials=64):
+    """Reference for the forward direction: the image of every unit impulse
+    and of `trials` random messages at reach 3, certified one by one; the
+    first image that fails, else None."""
+    src = encoder.source
+    impulses = [Word.impulse(src, [int(i == j) for i in range(src.rank)])
+                for j in range(src.rank)]
+    for msg in impulses + [random_message(encoder, rng, 3) for _ in range(trials)]:
+        image = encode(encoder, msg)
+        if not member(shift, image, margin).certified_in:
+            return image
+    return None
+
+
+def tap_encoder(group, taps):
+    """The encoder over single-prime taps with the least heights that keep
+    the order bounds: Z/p^e behind a tap of order p^e (Z/p behind a zero
+    tap)."""
+    (p,) = group.primes()
+    exps = [next(e for e in itertools.count(1) if p ** e >= tap.order()) for tap in taps]
+    return Encoder(group, FiniteAbelianGroup(tuple((p, e) for e in exps)), tuple(taps),
+                   tuple(e - 1 for e in exps), (p,) * len(taps))
+
+
+P_GROUPS = ["Z2", "Z3", "Z4", "Z8", "Z9", "Z2 x Z2", "Z2 x Z4"]
+
+
+def member_taps(shift, rng, count):
+    """`count` random taps in the shift: integer combinations of placed
+    generators, some of them zero."""
+    m = max(shift.alphabet.exponent, 2)
+    taps = []
+    for _ in range(count):
+        terms = [(rng.randrange(m) * rng.randrange(2), g, rng.randrange(-1, 2))
+                 for g in shift.generators]
+        taps.append(Word.combine(shift.alphabet, terms))
+    return taps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["synthesized", "presentation", "random"]),
+       st.randoms(use_true_random=False), st.integers(0, 3), st.integers(1, 3))
+def test_backward_direction_matches_per_word_reference(kind, rng, horizon, margin):
+    # one elimination per window against one preimage solve per certified
+    # word: same verdict, same witness, and a witness with no finite preimage
+    if kind == "presentation":
+        # taps of one prime's order over p-group and mixed alphabets, as
+        # --check-presentation audits them
+        group = FiniteAbelianGroup.parse(rng.choice(P_GROUPS + ["Z6", "Z2 x Z3"]))
+        p = rng.choice(group.primes())
+        primes = [q for q, _ in group.factors]
+        gens = [Word.make(group, rng.randrange(-1, 2),
+                          [tuple(rng.randrange(n) if q == p else 0
+                                 for q, n in zip(primes, group.orders))
+                           for _ in range(rng.randrange(1, 4))])
+                for _ in range(rng.randrange(1, 3))]
+        shift = GroupShift.make(group, gens)
+        assume(shift.generators)
+        enc = presentation_encoder(shift)
+    else:
+        shift = random_shift(rng, pool=P_GROUPS)
+        enc = None
+        if kind == "synthesized":
+            try:
+                enc = build_for(shift, shift.alphabet.primes()[0])
+            except PipelineFailure:  # not order-controllable: random taps
+                kind = "random"
+        if enc is None:
+            enc = tap_encoder(shift.alphabet, member_taps(shift, rng, rng.randrange(1, 4)))
+    assert all(member(shift, tap, margin).certified_in for tap in enc.taps)
+    rep = check_noncatastrophic(enc, shift, horizon=horizon, margin=margin)
+    expected = per_word_backward(enc, shift, horizon, margin)
+    event(f"{kind} encoder, backward direction {'fails' if expected else 'holds'}")
+    assert rep.ok == (expected is None)
+    assert rep.witness == expected
+    if not rep.ok:
+        assert member(shift, rep.witness, margin).certified_in
+        assert solve_finite_preimage(enc, rep.witness,
+                                     enc.memory + horizon + 1) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 2), st.integers(1, 3))
+def test_forward_direction_matches_sampled_reference(rng, extra, horizon):
+    # taps of the shift plus, when one of 20 random words lies outside it,
+    # that word; margins of at least the verified memory, where
+    # certification is closed under sums
+    shift = random_shift(rng, pool=P_GROUPS)
+    memory = finite_type_memory(shift, cap=4, horizon=horizon).memory
+    assume(memory is not None)
+    margin = memory + extra
+    group = shift.alphabet
+    outside = [w for w in (Word.make(group, rng.randrange(-1, 2),
+                                     [tuple(rng.randrange(n) for n in group.orders)
+                                      for _ in range(rng.randrange(1, 4))])
+                           for _ in range(20))
+               if not member(shift, w, margin).certified_in][:1]
+    taps = member_taps(shift, rng, rng.randrange(0, 3)) + outside
+    rng.shuffle(taps)
+    assume(taps)
+    enc = tap_encoder(group, taps)
+    rep = check_noncatastrophic(enc, shift, horizon=horizon, margin=margin)
+    forward_ok = rep.ok or member(shift, rep.witness, margin).certified_in
+    sampled = sampled_forward(enc, shift, margin, rng)
+    event(f"forward direction {'holds' if forward_ok else 'fails'}")
+    assert forward_ok == (sampled is None)
+    assert forward_ok == (not outside)
+    if not forward_ok:
+        assert rep.witness == next(tap for tap in taps
+                                   if not member(shift, tap, margin).certified_in)
 
 
 # -- base decomposition ------------------------------------------------------------
