@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
-from .residues import (HowellForm, Vec, combine_rows, constrained_form, howell_form,
+from .residues import (HowellForm, Vec, combine_rows, howell_form, pack_rows,
                        placed_rows, projection_heads, row_solver)
 from .shifts import (GroupShift, Horizons, SupportedWords, member, supported_words,
                      torsion_presentation)
@@ -177,12 +177,14 @@ def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
     r, m, width = group.rank, cands.form.modulus, cands.form.ncols
     # x_j in pH <=> p^(e_j - 1) * v_j == 0 for the scaled coordinate v_j
     kill = [p ** (e - 1) for _, e in group.factors]
+    packed = pack_rows(cands.form.rows, m, width)
     spanned = None
     for level, s, hots in levels:
-        forms = [constrained_form(
-            cands.form.rows, m, [(c, 1) for c in range(s * r, width)]
-            + [(k * r + j, kill[j]) for k in range(s) if k not in hot for j in range(r)],
-            0, s * r) for hot in hots]
+        forms = []
+        for hot in hots:
+            cold = [(k * r + j, kill[j]) for k in range(s) if k not in hot for j in range(r)]
+            kept, _ = projection_heads(packed, m, cold, range(s * r, width), 0, s * r)
+            forms.append(howell_form(kept.rows, m, s * r))
         while True:
             if spanned != len(picked):
                 span, spanned = howell_form(picked, m, r), len(picked)

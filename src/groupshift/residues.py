@@ -14,7 +14,9 @@ lane width w is byte-aligned and holds every value a row operation forms
 big-int operations and one lane reduction: `& MASK` for m = 2^e, SWAR
 Barrett for any other m.  Live rows wait in buckets keyed by their leading
 lane.  Window rows stay packed from `placed_rows` through `projection_heads`
-into `_eliminate`; `howell_form`, `constrained_form`, `HowellForm` and
+into `_eliminate`, and `projection_heads` is the one routine that builds
+constrained rows: a canonical constrained projection is its `kept` rows
+made canonical by `howell_form`.  `howell_form`, `HowellForm` and
 `RowSolver` take and return sequences of ints and pack at that boundary.
 """
 
@@ -217,7 +219,7 @@ def _lanes_to_bytes(vals: list[int], nbytes: int) -> bytes:
     return b"".join(x.to_bytes(nbytes, "little") for x in vals)
 
 
-def _pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
+def pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
     """The rows as ints of `ncols` lanes (`_lane_layout`), entries reduced mod m.
 
     For m <= 256 entries that already lie in [0, m) are copied as bytes into
@@ -245,7 +247,7 @@ def placed_rows(vec: Sequence[int], modulus: int, offsets: Iterable[int],
     """Packed rows of `ncols` columns, one per offset o, each holding entry j
     of `vec` at column o + j (o may be negative) and 0 in every other column."""
     w = _lane_layout(modulus, ncols)[0]
-    x = _pack_rows([vec], modulus, len(vec))[0]
+    x = pack_rows([vec], modulus, len(vec))[0]
     cut = (1 << w * ncols) - 1
     return [(x << o * w if o >= 0 else x >> -o * w) & cut for o in offsets]
 
@@ -329,24 +331,13 @@ def _eliminate(rows: Iterable[int], m: int, ncols: int,
 
 
 def howell_form(rows: Sequence[Sequence[int]], modulus: int,
-                ncols: int | None = None, drop: int = 0) -> HowellForm:
+                ncols: int | None = None) -> HowellForm:
     """Canonical Howell row form of the given rows (`ncols` sizes an empty
-    list), or with `drop` = k its `zero_prefix(k)`."""
+    list)."""
     validate_modulus(modulus)
     ncols = len(rows[0]) if rows else (ncols or 0)
-    done, pivots = _eliminate(_pack_rows(rows, modulus, ncols), modulus, ncols, drop)
-    form = HowellForm(modulus, ncols, done, tuple(pivots))
-    return form.zero_prefix(drop) if drop else form
-
-
-def constrained_form(rows: Sequence[Sequence[int]], modulus: int,
-                     conditions: Sequence[tuple[int, int]], lo: int, hi: int) -> HowellForm:
-    """Canonical form of the projection to columns [lo, hi) of the submodule
-    {v in span(rows) : k * v[c] == 0 for every (c, k) in conditions}: the rows
-    of [conditions | kept part] zero on the condition columns span it."""
-    ext = [[(k * row[c]) % modulus for c, k in conditions] + list(row[lo:hi])
-           for row in rows]
-    return howell_form(ext, modulus, len(conditions) + hi - lo, drop=len(conditions))
+    done, pivots = _eliminate(pack_rows(rows, modulus, ncols), modulus, ncols, 0)
+    return HowellForm(modulus, ncols, done, tuple(pivots))
 
 
 def projection_heads(packed_rows: Iterable[int], modulus: int,
@@ -361,8 +352,9 @@ def projection_heads(packed_rows: Iterable[int], modulus: int,
     columns added as conditions, and by the Howell property the kept parts
     of the rows with pivot among the zero columns (`heads`) span the one
     without them together with `kept`.  So zeroing keeps the projection
-    exactly when every head lies in `kept`, and `howell_form(kept.rows +
-    heads)` is `constrained_form(rows, modulus, conditions, lo, hi)`.
+    exactly when every head lies in `kept`; `howell_form(kept.rows)` is the
+    canonical projection with the zero columns as conditions and
+    `howell_form(kept.rows + heads)` the one without them.
     Nothing is back-reduced, so `kept` is not canonical; greedy leading-term
     reduction still decides membership, which needs only the Howell property.
     Columns move in runs sharing a scale, one shift, mask and product a run.

@@ -16,9 +16,8 @@ import math
 from typing import Sequence
 
 from .groups import FiniteAbelianGroup
-from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec,
-                       constrained_form, howell_form, placed_rows, projection_heads,
-                       unpack_rows)
+from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec, howell_form,
+                       placed_rows, projection_heads, unpack_rows)
 from .words import Word, word_span
 
 
@@ -101,7 +100,8 @@ class GroupShift:
 @dataclass(frozen=True)
 class WindowModule:
     """The projection of a group shift onto the window [lo, hi]: the scaled
-    restriction of each contributor as one packed row, unpacked by `rows`."""
+    restriction of each contributor as one packed row (`residues.unpack_rows`
+    gives the tuples)."""
 
     shift: GroupShift
     lo: int
@@ -111,10 +111,6 @@ class WindowModule:
     @property
     def modulus(self) -> int:
         return max(self.shift.alphabet.exponent, 2)
-
-    @cached_property
-    def rows(self) -> tuple[Vec, ...]:
-        return unpack_rows(self.packed, self.modulus, self.rank_width)
 
     @property
     def width(self) -> int:
@@ -126,7 +122,8 @@ class WindowModule:
 
     @cached_property
     def form(self) -> HowellForm:
-        return howell_form(self.rows, self.modulus, self.rank_width)
+        return howell_form(unpack_rows(self.packed, self.modulus, self.rank_width),
+                           self.modulus, self.rank_width)
 
     def size(self) -> int:
         return self.form.size()
@@ -136,20 +133,6 @@ class WindowModule:
 
     # -- constrained submodules ------------------------------------------------
 
-    def _columns(self, keep_lo: int, keep_hi: int, zero_positions: Sequence[int],
-                 kill_scale: int | None, kill_positions: Sequence[int] | None):
-        """(zero columns, kill conditions, kept column range) of the window."""
-        r = self.shift.alphabet.rank
-
-        def cols(positions) -> list[int]:
-            return [(pos - self.lo) * r + j for pos in positions for j in range(r)]
-
-        if kill_positions is None:
-            kill_positions = range(self.lo, self.hi + 1)
-        kill = [] if kill_scale is None else [(c, kill_scale) for c in cols(kill_positions)]
-        return (cols(zero_positions), kill,
-                (keep_lo - self.lo) * r, (keep_hi - self.lo + 1) * r)
-
     def constrained_projection(self, keep_lo: int, keep_hi: int,
                                zero_positions: Sequence[int] = (),
                                kill_scale: int | None = None,
@@ -158,10 +141,9 @@ class WindowModule:
         submodule {v : v == 0 on zero_positions, kill_scale*v == 0 on
         kill_positions}; the torsion condition covers the whole window when
         kill_positions is None."""
-        zero, kill, lo, hi = self._columns(keep_lo, keep_hi, zero_positions,
-                                           kill_scale, kill_positions)
-        return constrained_form(self.rows, self.modulus, [(c, 1) for c in zero] + kill,
-                                lo, hi)
+        kept, _ = self.projection_heads(keep_lo, keep_hi, zero_positions,
+                                        kill_scale, kill_positions)
+        return howell_form(kept.rows, self.modulus, kept.ncols)
 
     def projection_heads(self, keep_lo: int, keep_hi: int, zero_positions: Sequence[int],
                          kill_scale: int | None = None,
@@ -170,9 +152,16 @@ class WindowModule:
         """`residues.projection_heads` for `constrained_projection` with and
         without `zero_positions`: one elimination, and the projection is the
         same for both exactly when every head lies in the kept form."""
-        zero, kill, lo, hi = self._columns(keep_lo, keep_hi, zero_positions,
-                                           kill_scale, kill_positions)
-        return projection_heads(self.packed, self.modulus, kill, zero, lo, hi)
+        r = self.shift.alphabet.rank
+
+        def cols(positions) -> list[int]:
+            return [(pos - self.lo) * r + j for pos in positions for j in range(r)]
+
+        if kill_positions is None:
+            kill_positions = range(self.lo, self.hi + 1)
+        kill = [] if kill_scale is None else [(c, kill_scale) for c in cols(kill_positions)]
+        return projection_heads(self.packed, self.modulus, kill, cols(zero_positions),
+                                (keep_lo - self.lo) * r, (keep_hi - self.lo + 1) * r)
 
 
 @lru_cache(maxsize=None)

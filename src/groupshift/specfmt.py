@@ -80,8 +80,7 @@ class ShiftSpec:
 def parse_spec(text: str) -> ShiftSpec:
     syntax: GroupSyntax | None = None
     generators: list[Word] = []
-    memory: int | None = None
-    horizon: int | None = None
+    options: dict[str, int | None] = {"memory": None, "horizon": None}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -97,21 +96,16 @@ def parse_spec(text: str) -> ShiftSpec:
             if syntax.group.exponent > MAX_MODULUS:
                 raise SpecParseError(line_no, "group exponent exceeds the 2**31 cap")
             continue
-        if lowered.startswith("memory:"):
+        key = next((k for k in options if lowered.startswith(k + ":")), None)
+        if key:
+            if options[key] is not None:
+                raise SpecParseError(line_no, f"duplicate {key} line")
             try:
-                memory = int(line.split(":", 1)[1])
+                options[key] = int(line.split(":", 1)[1])
             except ValueError:
-                raise SpecParseError(line_no, "memory must be an integer")
-            if memory < 1:
-                raise SpecParseError(line_no, "memory must be positive")
-            continue
-        if lowered.startswith("horizon:"):
-            try:
-                horizon = int(line.split(":", 1)[1])
-            except ValueError:
-                raise SpecParseError(line_no, "horizon must be an integer")
-            if horizon < 1:
-                raise SpecParseError(line_no, "horizon must be positive")
+                raise SpecParseError(line_no, f"{key} must be an integer")
+            if options[key] < 1:
+                raise SpecParseError(line_no, f"{key} must be positive")
             continue
         m = _GEN_RE.match(line)
         if m:
@@ -127,7 +121,8 @@ def parse_spec(text: str) -> ShiftSpec:
         raise SpecParseError(line_no, f"unrecognized line {line!r}")
     if syntax is None:
         raise SpecParseError(0, "missing group line")
-    return ShiftSpec(GroupShift.make(syntax.group, generators, memory), horizon)
+    return ShiftSpec(GroupShift.make(syntax.group, generators, options["memory"]),
+                     options["horizon"])
 
 
 def format_spec(spec: ShiftSpec) -> str:

@@ -52,6 +52,19 @@ def test_parse_errors_carry_line_numbers():
         parse_spec("group: Z4\nmemory: 0\n")
 
 
+@pytest.mark.parametrize("key", ["memory", "horizon"])
+def test_repeated_spec_key_is_a_parse_error(tmp_path, capsys, key):
+    text = f"group: Z4\ngen @0: 1\n{key}: 2\n{key}: 3\n"
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(text)
+    assert err.value.line_no == 4
+    path = tmp_path / "repeated.spec"
+    path.write_text(text)
+    code, out = run_cli(["analyze", str(path)], capsys)
+    assert code == 2
+    assert f"line 4: duplicate {key} line" in out
+
+
 def test_spec_roundtrip():
     text = "group: Z4 x Z2\nmemory: 2\ngen @-1: (1,0) (2,1)\ngen @0: (0,1)\n"
     spec = parse_spec(text)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup, is_prime
 from groupshift.residues import (HowellForm, _eliminate, _lane_layout, annihilator,
-                                 combine_rows, constrained_form, howell_form,
-                                 placed_rows, projection_heads, row_solver, unit_for,
-                                 unpack_rows, xgcd)
+                                 combine_rows, howell_form, placed_rows, projection_heads,
+                                 row_solver, unit_for, unpack_rows, xgcd)
 
 from conftest import brute_force_span
 
@@ -465,18 +464,30 @@ def test_kernel_xgcd_fold_when_the_pivot_does_not_divide(rows, modulus):
     assert set(got.enumerate_elements()) == brute_force_span(rows, modulus, len(rows[0]))
 
 
+def constrained_form(rows, m, conditions, lo, hi):
+    """Reference canonical form of the projection to columns [lo, hi) of
+    {v in span(rows) : k * v[c] == 0 for every (c, k) in conditions}: the
+    rows of [conditions | kept part], built entry by entry from tuple rows,
+    that vanish on the condition columns."""
+    ext = [[(k * row[c]) % m for c, k in conditions] + list(row[lo:hi]) for row in rows]
+    return reference_howell_form(ext, m, len(conditions) + hi - lo).zero_prefix(
+        len(conditions))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)),
        st.data())
-def test_constrained_form_matches_reference_zero_prefix(inp, data):
+def test_constrained_projection_matches_reference_zero_prefix(inp, data):
+    # a canonical constrained projection is the Howell form of the kept rows
+    # of one packed elimination; scales >= m and repeated condition columns
+    # cover kill_scale = exp(H) (0 mod m) and per-factor kills
     m, rows, ncols = inp
     conditions = data.draw(st.lists(st.tuples(st.integers(0, ncols - 1),
-                                              st.integers(1, m - 1)), max_size=4))
+                                              st.integers(0, 2 * m)), max_size=4))
     lo = data.draw(st.integers(0, ncols))
     hi = data.draw(st.integers(lo, ncols))
-    ext = [[(k * row[c]) % m for c, k in conditions] + row[lo:hi] for row in rows]
-    ref = reference_howell_form(ext, m, len(conditions) + hi - lo)
-    assert constrained_form(rows, m, conditions, lo, hi) == ref.zero_prefix(len(conditions))
+    kept, _ = projection_heads(packed(rows, m, ncols), m, conditions, (), lo, hi)
+    assert howell_form(kept.rows, m, hi - lo) == constrained_form(rows, m, conditions, lo, hi)
 
 
 def two_form_projection_kept(rows, m, conditions, zero, lo, hi):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from groupshift.groups import FiniteAbelianGroup
 
 from groupshift.residues import (EnumerationCapExceeded, combine_rows,
-                                 howell_form, row_solver)
+                                 howell_form, row_solver, unpack_rows)
 from groupshift.shifts import (GroupShift, _splice_property_holds,
                                enumerate_window_code, finite_type_memory, member,
                                splice, supported_words)
@@ -50,7 +50,8 @@ def test_far_window_has_three_contributors(z2):
     assert module.size() <= 4
     # enumerate all sums of the contributing restrictions directly
     from conftest import brute_force_span
-    span = brute_force_span(module.rows, 2, 2)
+    span = brute_force_span(unpack_rows(module.packed, module.modulus, module.rank_width),
+                            2, 2)
     assert set(module.form.enumerate_elements()) == span
 
 
@@ -85,7 +86,9 @@ def reference_window_rows(shift, lo, hi):
 @example((make_shift("Z27", [(-2, [3, 1, 9]), (1, [2, 0, 0, 5])]), -3, -1))
 def test_packed_window_rows_match_entrywise_rows(case):
     shift, lo, hi = case
-    assert shift.window(lo, hi).rows == reference_window_rows(shift, lo, hi)
+    module = shift.window(lo, hi)
+    assert unpack_rows(module.packed, module.modulus, module.rank_width) == \
+        reference_window_rows(shift, lo, hi)
 
 
 def test_shift_equivariance_of_projections():
@@ -232,11 +235,11 @@ def three_step_projection(module, keep_lo, keep_hi, zero_positions=(),
         kill_positions = range(module.lo, module.hi + 1)
     zero_cols = cols(zero_positions)
     kill_cols = cols(kill_positions) if kill_scale is not None else []
-    rows = module.rows
+    rows = unpack_rows(module.packed, m, module.rank_width)
     if zero_cols or kill_cols:
         cond = [[row[c] for c in zero_cols] +
                 [(kill_scale * row[c]) % m for c in kill_cols] for row in rows]
-        rows = [combine_rows(coeffs, module.rows, m, module.rank_width)
+        rows = [combine_rows(coeffs, rows, m, module.rank_width)
                 for coeffs in row_solver(cond, m).kernel.rows]
     a = (keep_lo - module.lo) * r
     b = (keep_hi - module.lo + 1) * r

@@ -48,9 +48,10 @@ assert 0 < t.counts["encoders.candidates_enumerated"] < 100, t.counts
 """
 
 
-#: A constrained projection and a solver build are one Howell reduction each,
-#: made through the counted module-level ``howell_form``; a private helper
-#: that bypassed it would read 0 here.
+#: A constrained projection is one packed elimination plus one counted
+#: canonicalization of its kept rows, and a solver build is one Howell
+#: reduction: each is one call to the counted module-level ``howell_form``;
+#: a private helper that bypassed it would read 0 here.
 REDUCTION_SCRIPT = """
 import tracer, ops
 from groupshift import residues
@@ -63,8 +64,9 @@ t.counts.clear()
 module.constrained_projection(0, 3, zero_positions=[-2, -1], kill_scale=2)
 assert t.counts["residues.howell_calls"] == 1, t.counts
 t.counts.clear()
-solver = residues.row_solver(module.rows, module.modulus)
-assert solver.express(module.rows[0]) is not None
+rows = residues.unpack_rows(module.packed, module.modulus, module.rank_width)
+solver = residues.row_solver(rows, module.modulus)
+assert solver.express(rows[0]) is not None
 assert t.counts["residues.solver_builds"] == 1, t.counts
 assert t.counts["residues.howell_calls"] == 1, t.counts
 """
@@ -169,6 +171,22 @@ def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
         search = order_controllability_index(shift, cap, confirm=0)
         assert search.index is None and search.witness is not None, name
         assert len(calls) <= cap + len(_divisors(shift.alphabet.exponent)), name
+
+
+def test_constrained_projection_is_one_packed_elimination(monkeypatch):
+    # the tuple rows of a window never reach the kernel: the conditions are
+    # moved on packed rows by projection_heads, and only its kept rows are
+    # made canonical
+    calls = {"projection_heads": 0, "howell_form": 0}
+    for name in calls:
+        original = getattr(shifts, name)
+        monkeypatch.setattr(shifts, name, lambda *args, name=name, original=original:
+                            calls.__setitem__(name, calls[name] + 1) or original(*args))
+    z8_z4 = parse_spec(
+        "group: Z8 x Z4\ngen @0: (1,2) (3,1) (2,2)\ngen @0: (0,1) (4,3)\n").shift
+    module = z8_z4.window(-2, 3)
+    module.constrained_projection(0, 3, zero_positions=[-2, -1], kill_scale=2)
+    assert calls == {"projection_heads": 1, "howell_form": 1}
 
 
 def test_runtime_imports_only_the_standard_library():
