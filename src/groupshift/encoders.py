@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
-from .residues import (HowellForm, Vec, combine_rows, howell_form, pack_rows,
-                       placed_rows, projection_heads, row_solver)
+from .residues import (HowellForm, Vec, _bytes_to_lanes, _lane_bytes, _lanes_to_bytes,
+                       combine_rows, howell_form, pack_rows, placed_rows,
+                       projection_heads, row_solver)
 from .shifts import (GroupShift, Horizons, SupportedWords, member, supported_words,
                      torsion_presentation)
 from .words import Word
@@ -377,13 +378,51 @@ def encode(encoder: Encoder, message: Word,
     """Apply the encoder to a finitely supported message word.
 
     With a window, only the restriction of the output to it is returned.
+
+    The image is the convolution sum over j of message column j with tap j,
+    computed by Kronecker substitution as one int product per nonzero tap.
+    Coordinate k of output position lo + i is lane i*r + k, where r is the
+    alphabet rank and lo is the message start plus the least tap start.
+    Column j holds its entry at message position start + i in lane i*r, and
+    tap j holds its coordinates interleaved from lane (tap.start - least
+    start)*r, so each product lands every term c*x in its own lane.  Message
+    and taps are reduced, so no lane exceeds (max order - 1) * sum over j of
+    (n_j - 1) * len(tap_j), with n_j the source orders; lanes of that width
+    (`_lane_bytes`) never carry.
     """
     if message.group != encoder.source:
         raise ValueError("message is not over the encoder source alphabet")
-    terms = [(c, tap, t)
-             for t, coords in enumerate(message.symbols, start=message.start)
-             for c, tap in zip(coords, encoder.taps)]
-    return Word.combine(encoder.alphabet, terms, window)
+    alphabet = encoder.alphabet
+    used = [(j, n, tap) for j, (n, tap) in
+            enumerate(zip(encoder.source.orders, encoder.taps)) if tap.symbols]
+    if not used or not message.symbols:
+        return Word.zero(alphabet)
+    r = alphabet.rank
+    base = min(tap.start for _, _, tap in used)
+    bound = (max(alphabet.orders) - 1) * sum((n - 1) * len(tap.symbols)
+                                             for _, n, tap in used)
+    nbytes = _lane_bytes(bound.bit_length())
+    stride = r * nbytes
+    columns = list(zip(*message.symbols))
+    total = 0
+    for j, n, tap in used:
+        if n <= 256:
+            column = bytearray(stride * len(columns[j]))
+            column[::stride] = bytes(columns[j])
+        else:
+            column = b"".join(c.to_bytes(stride, "little") for c in columns[j])
+        interleaved = _lanes_to_bytes([x for sym in tap.symbols for x in sym], nbytes)
+        total += int.from_bytes(column, "little") * (
+            int.from_bytes(interleaved, "little") << 8 * stride * (tap.start - base))
+    lo = message.start + base
+    raw = total.to_bytes(-(-total.bit_length() // (8 * stride)) * stride, "little")
+    if window is not None:
+        a = max(window[0] - lo, 0)
+        raw = raw[stride * a:stride * max(window[1] + 1 - lo, a)]
+        lo += a
+    lanes = _bytes_to_lanes(raw, nbytes)
+    coords = [[x % m for x in lanes[k::r]] for k, m in enumerate(alphabet.orders)]
+    return Word.trimmed(alphabet, lo, list(zip(*coords)))
 
 
 @dataclass(frozen=True)
@@ -617,8 +656,9 @@ def _message_invariant_checks(encoder: Encoder) -> list[CheckResult]:
     Coordinate j of a message lies in [0, p^(h_j+1)), so encode(m1 + m2) -
     encode(m1) - encode(m2) is a sum of carries times p^(h_j+1) * tap_j: the
     encoder is a homomorphism exactly when the order bound holds.
-    Shift-equivariance holds by construction, as `Word.combine` places each
-    tap at its coordinate's own position.
+    Shift-equivariance holds by construction: `encode` multiplies message
+    position start + t into lane t*r, so shifting the message shifts the
+    image by as many positions.
     """
     bounded = all(tap.scaled(p ** (h + 1)).is_zero for tap, h, p in
                   zip(encoder.taps, encoder.heights, encoder.tap_primes))

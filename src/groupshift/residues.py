@@ -219,6 +219,15 @@ def _lanes_to_bytes(vals: list[int], nbytes: int) -> bytes:
     return b"".join(x.to_bytes(nbytes, "little") for x in vals)
 
 
+def _bytes_to_lanes(raw: bytes, nbytes: int) -> Sequence[int]:
+    """The little-endian lanes of `nbytes` bytes each in `raw`."""
+    code = _CODES.get(nbytes)
+    if code:
+        return struct.unpack(f"<{len(raw) // nbytes}{code}", raw)
+    return tuple(int.from_bytes(raw[i:i + nbytes], "little")
+                 for i in range(0, len(raw), nbytes))
+
+
 def pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
     """The rows as ints of `ncols` lanes (`_lane_layout`), entries reduced mod m.
 
@@ -256,9 +265,7 @@ def unpack_rows(packed: Sequence[int], modulus: int, ncols: int) -> tuple[Vec, .
     """The residue tuples of packed rows of `ncols` columns."""
     nbytes = _lane_layout(modulus, ncols)[0] // 8
     raw = b"".join(row.to_bytes(nbytes * ncols, "little") for row in packed)
-    code = _CODES.get(nbytes)
-    flat = struct.unpack(f"<{len(raw) // nbytes}{code}", raw) if code else tuple(
-        int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes))
+    flat = _bytes_to_lanes(raw, nbytes)
     return tuple(flat[i * ncols:(i + 1) * ncols] for i in range(len(packed)))
 
 

@@ -25,7 +25,13 @@ class Word:
     @classmethod
     def make(cls, group: FiniteAbelianGroup, start: int,
              symbols: Iterable[Sequence[int]]) -> "Word":
-        syms = [group.reduce_coords(tuple(s)) for s in symbols]
+        return cls.trimmed(group, start, [group.reduce_coords(tuple(s)) for s in symbols])
+
+    @classmethod
+    def trimmed(cls, group: FiniteAbelianGroup, start: int,
+                syms: Sequence[Coords]) -> "Word":
+        """The word of already reduced symbols placed from `start`, with the
+        zero symbols at both ends dropped."""
         lo = 0
         while lo < len(syms) and not any(syms[lo]):
             lo += 1
@@ -75,32 +81,29 @@ class Word:
 
     def restricted(self, lo: int, hi: int) -> "Word":
         """The word agreeing with this one on [lo, hi] and zero outside."""
-        return Word.combine(self.group, ((1, self, 0),), (lo, hi))
+        a = max(lo - self.start, 0)
+        return Word.trimmed(self.group, self.start + a,
+                            self.symbols[a:max(hi + 1 - self.start, a)])
 
     @classmethod
     def combine(cls, group: FiniteAbelianGroup,
-                terms: Iterable[tuple[int, "Word", int]],
-                window: tuple[int, int] | None = None) -> "Word":
+                terms: Iterable[tuple[int, "Word", int]]) -> "Word":
         """The sum of c * word.shifted(-t) over the (c, word, t) terms, built
-        in one buffer; with a window (lo, hi), only its restriction there."""
+        in one buffer."""
         placed = []
         for c, w, t in terms:
             if w.group != group:
                 raise ValueError("words over different alphabets")
             if c and w.symbols:
                 placed.append((c, w.symbols, w.start + t))
-        if window is not None:
-            lo, hi = window
-        elif placed:
-            lo = min(s for _, _, s in placed)
-            hi = max(s + len(syms) for _, syms, s in placed) - 1
-        else:
+        if not placed:
             return cls.zero(group)
+        lo = min(s for _, _, s in placed)
+        hi = max(s + len(syms) for _, syms, s in placed) - 1
         buf = [[0] * group.rank for _ in range(lo, hi + 1)]
         for c, syms, s in placed:
-            for i in range(max(lo, s), min(hi + 1, s + len(syms))):
-                acc = buf[i - lo]
-                for k, x in enumerate(syms[i - s]):
+            for acc, sym in zip(buf[s - lo:], syms):
+                for k, x in enumerate(sym):
                     acc[k] += c * x
         return cls.make(group, lo, buf)
 

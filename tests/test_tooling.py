@@ -11,7 +11,9 @@ from pathlib import Path
 
 from groupshift import shifts
 from groupshift.control import _divisors, order_controllability_index
-from groupshift.specfmt import parse_spec
+from groupshift.encoders import Horizons, conjugacy_certificate, encode
+from groupshift.specfmt import parse_message, parse_spec
+from groupshift.words import Word
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -187,6 +189,22 @@ def test_constrained_projection_is_one_packed_elimination(monkeypatch):
     module = z8_z4.window(-2, 3)
     module.constrained_projection(0, 3, zero_positions=[-2, -1], kill_scale=2)
     assert calls == {"projection_heads": 1, "howell_form": 1}
+
+
+def test_encode_is_packed_not_a_per_term_sum(monkeypatch):
+    # encode is one int product per tap: the placed (c, tap, t) term sum
+    # through Word.combine that it replaced must not come back
+    golden = ROOT / "tests" / "golden"
+    shift = parse_spec((golden / "delay-rep.spec").read_text()).shift
+    encoder = conjugacy_certificate(shift, Horizons.derive(shift)).product_encoder
+    message = parse_message((golden / "delay-rep-long.msg").read_text(), encoder.source)
+
+    def refuse(*args):
+        raise AssertionError("encode called Word.combine")
+    monkeypatch.setattr(Word, "combine", refuse)
+    for window, name in ((None, "encode-long"), ((100, 140), "encode-long-window")):
+        report = (golden / f"delay-rep.{name}.out").read_text().splitlines()
+        assert f"word: {encode(encoder, message, window).format()}" in report, name
 
 
 def test_runtime_imports_only_the_standard_library():
