@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import _prime_power_factors
-from .residues import howell_form
+from .residues import PackedRows, howell_form
 from .shifts import GroupShift, Horizons, torsion_presentation
 from .words import Word
 
@@ -111,8 +111,9 @@ def _steering_witness(shift: GroupShift, n: int, past: int,
             -past, 0, tail, kill_scale=d, kill_positions=kill)
         if all(map(kept.contains, heads)):
             continue
-        past_form = howell_form(list(kept.rows) + heads, kept.modulus, kept.ncols)
-        row = next(row for row in past_form.rows if not kept.contains(row))
+        past_form = howell_form(PackedRows((*kept.packed, *heads), kept.ncols), kept.modulus)
+        row = next(row for row, x in zip(past_form.rows, past_form.packed)
+                   if not kept.contains(x))
         return Word.from_window_vector(shift.alphabet, -past, row)
     raise ArithmeticError(f"steering condition at n={n}, L={past} has no witness")
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
-from .residues import (HowellForm, Vec, _bytes_to_lanes, _lane_bytes, _lanes_to_bytes,
-                       combine_rows, howell_form, pack_rows, placed_rows,
-                       projection_heads, row_solver)
+from .residues import (HowellForm, PackedRows, Vec, _bytes_to_lanes, _lane_bytes,
+                       _lane_layout, _lanes_to_bytes, combine_rows, howell_form,
+                       placed_rows, projection_heads, row_solver)
 from .shifts import (GroupShift, Horizons, SupportedWords, member, supported_words,
                      torsion_presentation)
 from .words import Word
@@ -57,9 +57,10 @@ def scaled_finite_words_check(shift: GroupShift, p: int, r: int,
     for t in range(horizons.window_horizon + 1):
         base = supported_words(shift, 0, t, horizons.margin)
         target = supported_words(scaled, 0, t, horizons.margin)
-        m = target.form.modulus
-        rows = [tuple((factor * x) % m for x in row) for row in base.form.rows]
-        if not howell_form(rows, m, target.form.ncols).spans_same(target.form):
+        m, ncols = target.form.modulus, target.form.ncols
+        red = _lane_layout(m, ncols)[2]  # a product stays below m^2 in its lane
+        rows = tuple(red(factor * x) for x in base.form.packed)
+        if not howell_form(PackedRows(rows, ncols), m).spans_same(target.form):
             return False, f"finite-word modules differ on [0,{t}] for r={r}"
     return True, ""
 
@@ -145,7 +146,8 @@ def _least_outside(form: HowellForm, r: int, outside) -> Vec | None:
     property).
     """
     i = sum(c < r for c, _ in form.pivots)
-    head = HowellForm(form.modulus, r, tuple(row[:r] for row in form.rows[:i]),
+    low = (1 << r * _lane_layout(form.modulus, r)[0]) - 1
+    head = HowellForm(form.modulus, r, tuple(row & low for row in form.packed[:i]),
                       form.pivots[:i])
     a = min(filter(outside, head.enumerate_elements()), default=None)
     if a is None:
@@ -178,14 +180,14 @@ def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
     r, m, width = group.rank, cands.form.modulus, cands.form.ncols
     # x_j in pH <=> p^(e_j - 1) * v_j == 0 for the scaled coordinate v_j
     kill = [p ** (e - 1) for _, e in group.factors]
-    packed = pack_rows(cands.form.rows, m, width)
     spanned = None
     for level, s, hots in levels:
         forms = []
         for hot in hots:
             cold = [(k * r + j, kill[j]) for k in range(s) if k not in hot for j in range(r)]
-            kept, _ = projection_heads(packed, m, cold, range(s * r, width), 0, s * r)
-            forms.append(howell_form(kept.rows, m, s * r))
+            kept, _ = projection_heads(cands.form.packed, m, cold, range(s * r, width),
+                                       0, s * r)
+            forms.append(howell_form(PackedRows(kept.packed, s * r), m))
         while True:
             if spanned != len(picked):
                 span, spanned = howell_form(picked, m, r), len(picked)
@@ -553,10 +555,10 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
             range((tap.first - s - lo) * r, (tap.first + t + s - lo) * r + 1, r), ncols)]
         kept, _ = projection_heads(rows, m, (), [*range(a), *range(b, ncols)], a, b)
         form = supported_words(shift, 0, t, margin).form
-        bad = next((row for row in form.rows if not kept.contains(row)), None)
+        bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
         if bad is not None:
             return NoncatastrophicityReport(
-                False, horizon, Word.from_window_vector(shift.alphabet, 0, bad))
+                False, horizon, Word.from_window_vector(shift.alphabet, 0, form.rows[bad]))
     return NoncatastrophicityReport(True, horizon, None)
 
 

@@ -13,11 +13,13 @@ lane width w is byte-aligned and holds every value a row operation forms
 (below 2m^2, the composite xgcd fold's bound), so a row operation is a few
 big-int operations and one lane reduction: `& MASK` for m = 2^e, SWAR
 Barrett for any other m.  Live rows wait in buckets keyed by their leading
-lane.  Window rows stay packed from `placed_rows` through `projection_heads`
-into `_eliminate`, and `projection_heads` is the one routine that builds
-constrained rows: a canonical constrained projection is its `kept` rows
-made canonical by `howell_form`.  `howell_form`, `HowellForm` and
-`RowSolver` take and return sequences of ints and pack at that boundary.
+lane.  Rows stay packed from `placed_rows` through `projection_heads` and
+`_eliminate` into `HowellForm`, whose `reduce`, `contains`, `zero_prefix`
+and `spans_same` work on one int per row; `HowellForm.rows` unpacks them
+for the callers that build words or report lines.  `howell_form` takes
+tuple rows or `PackedRows`, and `projection_heads` is the one routine that
+builds constrained rows: a canonical constrained projection is its `kept`
+rows made canonical by `howell_form`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_MODULUS = 1 << 31
 #: Default cap on the elements a module or code enumeration may produce.
@@ -100,16 +102,21 @@ def combine_rows(coeffs: Sequence[int], rows: Sequence[Sequence[int]], m: int,
 
 @dataclass(frozen=True)
 class HowellForm:
-    """Canonical row form over Z/modulus: unique for a given row span."""
+    """Canonical row form over Z/modulus: unique for a given row span.  Each
+    row is one packed int (`_lane_layout`)."""
 
     modulus: int
     ncols: int
-    rows: tuple[Vec, ...]
+    packed: tuple[int, ...]
     pivots: tuple[tuple[int, int], ...]  # (column, pivot value) per row
+
+    @cached_property
+    def rows(self) -> tuple[Vec, ...]:
+        return unpack_rows(self.packed, self.modulus, self.ncols)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.packed)
 
     def size(self) -> int:
         """Number of elements of the row span."""
@@ -118,38 +125,47 @@ class HowellForm:
             total *= self.modulus // d
         return total
 
-    def reduce(self, vec: Sequence[int]) -> tuple[Vec, Vec]:
-        """Greedy leading-term reduction: (residual, coefficients per row)."""
-        m = self.modulus
-        res = [x % m for x in vec]
-        if len(res) != self.ncols:
-            raise ValueError("dimension mismatch")
-        coeffs = [0] * len(self.rows)
-        for i, (c, d) in enumerate(self.pivots):
-            q = res[c] // d
+    def _reduce(self, vec: Sequence[int] | int) -> tuple[int, Vec]:
+        """(packed residual, coefficients per row) of greedy leading-term
+        reduction of `vec`, ncols residues or one packed row.  A step is
+        red(x + q*(K - row)), below m^2 per lane as in `_eliminate`."""
+        m, n = self.modulus, self.ncols
+        w, k_lanes, red = _lane_layout(m, n)
+        x = vec if isinstance(vec, int) else pack_rows([vec], m, n)[0]
+        lane = (1 << w) - 1
+        coeffs = []
+        for (c, d), row in zip(self.pivots, self.packed):
+            q = ((x >> c * w) & lane) // d
             if q:
-                coeffs[i] = q
-                res[c:] = [(x - q * y) % m for x, y in zip(res[c:], self.rows[i][c:])]
-        return tuple(res), tuple(coeffs)
+                x = red(x + q * (k_lanes - row))
+            coeffs.append(q)
+        return x, tuple(coeffs)
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        residual, _ = self.reduce(vec)
-        return not any(residual)
+    def reduce(self, vec: Sequence[int] | int) -> tuple[Vec, Vec]:
+        """Greedy leading-term reduction: (residual, coefficients per row)."""
+        x, coeffs = self._reduce(vec)
+        return unpack_rows([x], self.modulus, self.ncols)[0], coeffs
+
+    def contains(self, vec: Sequence[int] | int) -> bool:
+        return not self._reduce(vec)[0]
 
     def zero_prefix(self, k: int) -> "HowellForm":
         """Canonical form of {v[k:] : v in the span, v[:k] == 0}.
 
         By the Howell property the rows with pivot column >= k span exactly
         the span elements that vanish on the first k columns, and they are
-        already in Howell form, so no reduction runs.
+        already in Howell form, so no reduction runs: each is shifted down
+        by k lanes.
         """
         i = sum(c < k for c, _ in self.pivots)  # pivot columns ascend
+        at = k * _lane_layout(self.modulus, self.ncols)[0]
         return HowellForm(self.modulus, self.ncols - k,
-                          tuple(row[k:] for row in self.rows[i:]),
+                          tuple(row >> at for row in self.packed[i:]),
                           tuple((c - k, d) for c, d in self.pivots[i:]))
 
     def spans_same(self, other: "HowellForm") -> bool:
-        return (self.modulus, self.ncols, self.rows) == (other.modulus, other.ncols, other.rows)
+        return (self.modulus, self.ncols, self.packed) == (other.modulus, other.ncols,
+                                                           other.packed)
 
     def enumerate_elements(self) -> Iterator[Vec]:
         """Yield every element of the row span exactly once."""
@@ -269,33 +285,40 @@ def unpack_rows(packed: Sequence[int], modulus: int, ncols: int) -> tuple[Vec, .
     return tuple(flat[i * ncols:(i + 1) * ncols] for i in range(len(packed)))
 
 
+@lru_cache(maxsize=64)
+def _pivot_arithmetic(m: int) -> tuple[Callable[[int], int], ...]:
+    """Memoized gcd with m, `unit_for` and `annihilator` of lane values mod m."""
+    memo = lru_cache(maxsize=1024)
+    return (memo(partial(math.gcd, m)), memo(lambda a: unit_for(a, m)),
+            memo(lambda a: annihilator(a, m)))
+
+
 def _eliminate(rows: Iterable[int], m: int, ncols: int,
-               drop: int) -> tuple[tuple[Vec, ...], list[tuple[int, int]]]:
-    """Howell elimination: (rows, (column, pivot value) per row), pivot
-    columns ascending.  Rows with pivot column >= `drop` are in Howell form;
-    the rows left of it are never back-reduced.
+               drop: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Howell elimination: (packed rows, (column, pivot value) per row),
+    pivot columns ascending.  Rows with pivot column >= `drop` are in Howell
+    form; the rows left of it are never back-reduced.
 
-    Per column the pivot is the live entry of least gcd d with the modulus
-    (least valuation over Z/p^e), scaled to d; an entry d divides is cleared
-    by one subtraction, any other (composite moduli only) by an xgcd fold.
-    Saturation gives the Howell property that `zero_prefix` reads.
+    Per column the pivot is the first live entry of least gcd d with the
+    modulus (least valuation over Z/p^e), scaled to d; the scan stops at a
+    unit.  An entry d divides is cleared by one subtraction, any other
+    (composite moduli only) by an xgcd fold.  Saturation gives the Howell
+    property that `zero_prefix` reads.  Gcds, units and annihilators of lane
+    values are looked up in `_pivot_arithmetic`.
 
-    The rows come packed, each one int with entry j in [0, m) at lane bits
-    [j*w, (j+1)*w) (`_lane_layout`), and leave as tuples.  A row operation
-    Y - q*X is the lane reduction of Y + q*(K - X), K holding m in every
-    lane.  Live rows sit in buckets by leading lane, each in the order the
-    rows went live, so a column touches only the rows that lead there.
+    The rows come and leave packed, each one int with entry j in [0, m) at
+    lane bits [j*w, (j+1)*w) (`_lane_layout`).  A row operation Y - q*X is
+    the lane reduction of Y + q*(K - X), K holding m in every lane.  Live
+    rows sit in buckets by leading lane, each in the order the rows went
+    live, so a column touches only the rows that lead there.
     """
     w, k_lanes, red = _lane_layout(m, ncols)
+    gcd, unit, annihilate = _pivot_arithmetic(m)
     lane = (1 << w) - 1
     buckets: list[list[int]] = [[] for _ in range(ncols)]
-
-    def go_live(row: int) -> None:
+    for row in rows:
         if row:
             buckets[((row & -row).bit_length() - 1) // w].append(row)
-
-    for row in rows:
-        go_live(row)
     done: list[int] = []
     dropped = 0
     pivots: list[tuple[int, int]] = []
@@ -303,23 +326,30 @@ def _eliminate(rows: Iterable[int], m: int, ncols: int,
         if not hits:
             continue
         at = c * w
-        gcds = [math.gcd((h >> at) & lane, m) for h in hits]
-        d = min(gcds)
-        row = hits.pop(gcds.index(d))
+        d, best = m, 0  # every live entry here is nonzero, so its gcd is below m
+        for j, h in enumerate(hits):
+            g = gcd((h >> at) & lane)
+            if g < d:
+                d, best = g, j
+                if g == 1:
+                    break
+        row = hits.pop(best)
         a = (row >> at) & lane
-        tail = row if a == d else red(unit_for(a, m) * row)
+        tail = row if a == d else red(unit(a) * row)
         neg = k_lanes - tail
         for rj in hits:
             b = (rj >> at) & lane
             if b % d == 0:
-                go_live(red(rj + b // d * neg))
+                rj = red(rj + b // d * neg)
             else:
                 # unimodular fold of the two rows: det(x v - y u) = 1
                 g, x, y = xgcd(d, b)
-                go_live(red(-(b // g) % m * tail + d // g * rj))
-                tail = red(x % m * tail + y % m * rj)
+                rj, tail = (red(-(b // g) % m * tail + d // g * rj),
+                            red(x % m * tail + y % m * rj))
                 neg = k_lanes - tail
                 d = g
+            if rj:
+                buckets[((rj & -rj).bit_length() - 1) // w].append(rj)
         buckets[c] = []
         # reduce entries above the pivot into [0, d)
         for i in range(dropped, len(done)):
@@ -328,28 +358,41 @@ def _eliminate(rows: Iterable[int], m: int, ncols: int,
                 done[i] = red(done[i] + q * neg)
         # saturation: the annihilator multiple of the pivot row re-enters the
         # worklist so later columns see every combination with zero lead
-        ann = annihilator(d, m)
-        if ann % m:
-            go_live(red(ann * tail))
+        ann = annihilate(d)
+        if ann % m and (row := red(ann * tail)):
+            buckets[((row & -row).bit_length() - 1) // w].append(row)
         done.append(tail)
         pivots.append((c, d))
         dropped += c < drop
-    return unpack_rows(done, m, ncols), pivots
+    return done, pivots
 
 
-def howell_form(rows: Sequence[Sequence[int]], modulus: int,
+class PackedRows(NamedTuple):
+    """Rows packed by `pack_rows` for `howell_form`, entries in [0, m)."""
+
+    entries: tuple[int, ...]
+    ncols: int
+
+    @property
+    def nrows(self) -> int:
+        return len(self.entries)
+
+
+def howell_form(rows: Sequence[Sequence[int]] | PackedRows, modulus: int,
                 ncols: int | None = None) -> HowellForm:
     """Canonical Howell row form of the given rows (`ncols` sizes an empty
-    list)."""
+    list of tuple rows)."""
     validate_modulus(modulus)
-    ncols = len(rows[0]) if rows else (ncols or 0)
-    done, pivots = _eliminate(pack_rows(rows, modulus, ncols), modulus, ncols, 0)
-    return HowellForm(modulus, ncols, done, tuple(pivots))
+    if not isinstance(rows, PackedRows):
+        ncols = len(rows[0]) if rows else (ncols or 0)
+        rows = PackedRows(pack_rows(rows, modulus, ncols), ncols)
+    done, pivots = _eliminate(rows.entries, modulus, rows.ncols, 0)
+    return HowellForm(modulus, rows.ncols, tuple(done), tuple(pivots))
 
 
 def projection_heads(packed_rows: Iterable[int], modulus: int,
                      conditions: Sequence[tuple[int, int]], zero_cols: Sequence[int],
-                     lo: int, hi: int) -> tuple[HowellForm, list[Vec]]:
+                     lo: int, hi: int) -> tuple[HowellForm, list[int]]:
     """(kept, heads) for the projection to [lo, hi) of the `conditions`
     submodule of the span of `packed_rows` (packed as by `placed_rows`) with
     and without `zero_cols` zeroed.
@@ -357,13 +400,14 @@ def projection_heads(packed_rows: Iterable[int], modulus: int,
     One elimination over [conditions | zero columns | kept part]: its rows
     with pivot in the kept part (`kept`) span the projection with the zero
     columns added as conditions, and by the Howell property the kept parts
-    of the rows with pivot among the zero columns (`heads`) span the one
-    without them together with `kept`.  So zeroing keeps the projection
-    exactly when every head lies in `kept`; `howell_form(kept.rows)` is the
-    canonical projection with the zero columns as conditions and
-    `howell_form(kept.rows + heads)` the one without them.
-    Nothing is back-reduced, so `kept` is not canonical; greedy leading-term
-    reduction still decides membership, which needs only the Howell property.
+    of the rows with pivot among the zero columns (`heads`, packed rows of
+    kept width) span the one without them together with `kept`.  So zeroing
+    keeps the projection exactly when every head lies in `kept`; `howell_form`
+    of `PackedRows(kept.packed, ...)` is the canonical projection with the
+    zero columns as conditions, and with the heads appended the one without
+    them.  Nothing is back-reduced, so `kept` is not canonical; greedy
+    leading-term reduction still decides membership, which needs only the
+    Howell property.
     Columns move in runs sharing a scale, one shift, mask and product a run.
     """
     validate_modulus(modulus)
@@ -387,17 +431,18 @@ def projection_heads(packed_rows: Iterable[int], modulus: int,
     if any(s != 1 for _, _, s, _ in moves):
         ext = map(red, ext)  # a product stays below m^2 in its lane
     done, pivots = _eliminate(ext, modulus, ncols, ncols)
-    kept = HowellForm(modulus, ncols, done, tuple(pivots)).zero_prefix(drop)
-    return kept, [row[drop:] for row, (c, _) in zip(done, pivots) if k <= c < drop]
+    kept = HowellForm(modulus, ncols, tuple(done), tuple(pivots)).zero_prefix(drop)
+    return kept, [row >> drop * w for row, (c, _) in zip(done, pivots) if k <= c < drop]
 
 
 @dataclass(frozen=True)
 class RowSolver:
     """Expresses targets as Z-combinations of a fixed generating row list.
 
-    Built from one Howell form of the augmented rows [R | I]: the rows with a
-    pivot among R's columns give the form of R and the transform, and the
-    rest, read off by `zero_prefix`, the coefficient kernel {c : c @ R == 0}.
+    Built from one Howell form of the augmented rows [R | I], packed with
+    one identity lane per generator: the rows with a pivot among R's columns
+    give the form of R and the transform, and the rest, read off by
+    `zero_prefix`, the coefficient kernel {c : c @ R == 0}.
     Provides membership and one canonical coefficient vector per target.
     """
 
@@ -406,13 +451,16 @@ class RowSolver:
     ncols: int
 
     @cached_property
-    def _data(self) -> tuple[HowellForm, tuple[Vec, ...], HowellForm]:
-        m, n, k = self.modulus, self.ncols, len(self.gens)
-        aug = [list(g) + [int(i == j) for j in range(k)] for i, g in enumerate(self.gens)]
-        full = howell_form(aug, m, n + k)
+    def _data(self) -> tuple[HowellForm, tuple[int, ...], HowellForm]:
+        m, n = self.modulus, self.ncols
+        w = _lane_layout(m, n)[0]
+        aug = tuple(row | 1 << (n + i) * w
+                    for i, row in enumerate(pack_rows(self.gens, m, n)))
+        full = howell_form(PackedRows(aug, n + len(aug)), m)
         r = sum(c < n for c, _ in full.pivots)
-        form = HowellForm(m, n, tuple(row[:n] for row in full.rows[:r]), full.pivots[:r])
-        transform = tuple(row[n:] for row in full.rows[:r])
+        low = (1 << n * w) - 1
+        form = HowellForm(m, n, tuple(row & low for row in full.packed[:r]), full.pivots[:r])
+        transform = tuple(row >> n * w for row in full.packed[:r])
         return form, transform, full.zero_prefix(n)
 
     @property
@@ -426,10 +474,14 @@ class RowSolver:
     def express(self, target: Sequence[int]) -> Optional[Vec]:
         """Canonical coefficients c with c @ gens == target, or None."""
         form, transform, kernel = self._data
-        residual, row_coeffs = form.reduce(target)
-        if any(residual):
+        residual, row_coeffs = form._reduce(target)
+        if residual:
             return None
-        coeffs = combine_rows(row_coeffs, transform, self.modulus, len(self.gens))
+        red = _lane_layout(self.modulus, kernel.ncols)[2]
+        coeffs = 0
+        for c, row in zip(row_coeffs, transform):
+            if c:
+                coeffs = red(coeffs + c * row)  # below m^2 per lane
         # reduction by the kernel's Howell form picks one canonical solution
         return kernel.reduce(coeffs)[0]
 

@@ -16,8 +16,8 @@ import math
 from typing import Sequence
 
 from .groups import FiniteAbelianGroup
-from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, Vec, howell_form,
-                       placed_rows, projection_heads, unpack_rows)
+from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, PackedRows,
+                       howell_form, placed_rows, projection_heads)
 from .words import Word, word_span
 
 
@@ -100,8 +100,8 @@ class GroupShift:
 @dataclass(frozen=True)
 class WindowModule:
     """The projection of a group shift onto the window [lo, hi]: the scaled
-    restriction of each contributor as one packed row (`residues.unpack_rows`
-    gives the tuples)."""
+    restriction of each contributor as one packed row, which `form`, the
+    constrained projections and their heads keep packed."""
 
     shift: GroupShift
     lo: int
@@ -122,8 +122,7 @@ class WindowModule:
 
     @cached_property
     def form(self) -> HowellForm:
-        return howell_form(unpack_rows(self.packed, self.modulus, self.rank_width),
-                           self.modulus, self.rank_width)
+        return howell_form(PackedRows(self.packed, self.rank_width), self.modulus)
 
     def size(self) -> int:
         return self.form.size()
@@ -143,12 +142,12 @@ class WindowModule:
         kill_positions is None."""
         kept, _ = self.projection_heads(keep_lo, keep_hi, zero_positions,
                                         kill_scale, kill_positions)
-        return howell_form(kept.rows, self.modulus, kept.ncols)
+        return howell_form(PackedRows(kept.packed, kept.ncols), self.modulus)
 
     def projection_heads(self, keep_lo: int, keep_hi: int, zero_positions: Sequence[int],
                          kill_scale: int | None = None,
                          kill_positions: Sequence[int] | None = None
-                         ) -> tuple[HowellForm, list[Vec]]:
+                         ) -> tuple[HowellForm, list[int]]:
         """`residues.projection_heads` for `constrained_projection` with and
         without `zero_positions`: one elimination, and the projection is the
         same for both exactly when every head lies in the kept form."""

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup, is_prime
-from groupshift.residues import (HowellForm, _eliminate, _lane_layout, annihilator,
-                                 combine_rows, howell_form, placed_rows, projection_heads,
-                                 row_solver, unit_for, unpack_rows, xgcd)
+from groupshift.residues import (HowellForm, _eliminate, _lane_layout, _pivot_arithmetic,
+                                 annihilator, combine_rows, howell_form, pack_rows,
+                                 placed_rows, projection_heads, row_solver, unit_for,
+                                 unpack_rows, xgcd)
 
 from conftest import brute_force_span
 
@@ -287,7 +288,7 @@ def reference_howell_form(rows, modulus, ncols=None):
                 work.append(extra)
         pivots.append((c, d))
         r += 1
-    return HowellForm(m, ncols, tuple(tuple(row) for row in work[:r]), tuple(pivots))
+    return HowellForm(m, ncols, tuple(pack_rows(work[:r], m, ncols)), tuple(pivots))
 
 
 PRIME_POWER_MODULI = [2, 4, 8, 9, 27, 25, 81]
@@ -422,7 +423,8 @@ def test_packed_kernel_matches_list_kernel_for_every_drop(modulus, data):
     m, rows, ncols = data.draw(kernel_inputs([modulus], max_cols=40, reduced=False))
     for drop in range(ncols + 1):
         done, pivots = _eliminate(packed(rows, m, ncols), m, ncols, drop)
-        assert (list(done), pivots) == reference_eliminate(rows, m, ncols, drop)
+        assert (list(unpack_rows(done, m, ncols)), pivots) == \
+            reference_eliminate(rows, m, ncols, drop)
 
 
 def reference_reduce(form, vec):
@@ -513,19 +515,23 @@ def test_projection_heads_matches_two_form_reference(inp, data):
     assert all(map(kept.contains, heads)) == \
         two_form_projection_kept(rows, m, conditions, zero, lo, hi)
     # the heads and the kept rows span the projection without the zero columns
-    assert howell_form(list(kept.rows) + heads, m, hi - lo) == \
+    assert howell_form(list(kept.rows) + list(unpack_rows(heads, m, hi - lo)), m, hi - lo) == \
         constrained_form(rows, m, conditions, lo, hi)
 
 
 def reference_projection_heads(rows, m, conditions, zero_cols, lo, hi):
     """`projection_heads` with [conditions | zero columns | kept part] built
-    entry by entry from tuple rows."""
+    entry by entry from tuple rows, and its kept rows and heads cut from the
+    unpacked elimination."""
     k, drop = len(conditions), len(conditions) + len(zero_cols)
     ext = [[(s * row[c]) % m for c, s in conditions]
            + [row[c] for c in zero_cols] + list(row[lo:hi]) for row in rows]
     ncols = drop + hi - lo
     done, pivots = _eliminate(packed(ext, m, ncols), m, ncols, ncols)
-    kept = HowellForm(m, ncols, done, tuple(pivots)).zero_prefix(drop)
+    done = unpack_rows(done, m, ncols)
+    kept = [(row[drop:], (c - drop, d)) for row, (c, d) in zip(done, pivots) if c >= drop]
+    packed_kept = pack_rows([row for row, _ in kept], m, ncols - drop)
+    kept = HowellForm(m, ncols - drop, tuple(packed_kept), tuple(pivot for _, pivot in kept))
     return kept, [row[drop:] for row, (c, _) in zip(done, pivots) if k <= c < drop]
 
 
@@ -558,7 +564,8 @@ def test_packed_projection_heads_matches_list_reference(inp, data):
     hi = data.draw(st.integers(lo, ncols))
     kept, heads = projection_heads(packed(rows, m, ncols), m, conditions, zero, lo, hi)
     ref_kept, ref_heads = reference_projection_heads(rows, m, conditions, zero, lo, hi)
-    assert (kept.rows, kept.pivots, heads) == (ref_kept.rows, ref_kept.pivots, ref_heads)
+    assert (kept.rows, kept.pivots, list(unpack_rows(heads, m, hi - lo))) == \
+        (ref_kept.rows, ref_kept.pivots, ref_heads)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -569,7 +576,7 @@ def test_membership_without_back_reduction_matches_howell_form(inp, data):
     # greedy reduction needs only the Howell property, not canonical rows
     m, rows, ncols = inp
     done, pivots = _eliminate(packed(rows, m, ncols), m, ncols, drop=ncols)
-    loose = HowellForm(m, ncols, done, tuple(pivots))
+    loose = HowellForm(m, ncols, tuple(done), tuple(pivots))
     form = howell_form(rows, m, ncols)
     assert loose.pivots == form.pivots
     entries = st.integers(0, m - 1)
@@ -586,6 +593,118 @@ def test_membership_without_back_reduction_matches_howell_form(inp, data):
     for vec in members + changed + randoms:
         assert loose.contains(vec) == form.contains(vec)
     assert all(loose.contains(vec) for vec in members)
+
+
+# -- packed HowellForm and RowSolver against their tuple references ----------
+
+
+def tuple_reduce(rows, pivots, m, ncols, vec):
+    """Greedy leading-term reduction of a tuple vector by tuple rows:
+    (residual, coefficients per row)."""
+    res = [x % m for x in vec]
+    if len(res) != ncols:
+        raise ValueError("dimension mismatch")
+    coeffs = [0] * len(rows)
+    for i, (c, d) in enumerate(pivots):
+        q = res[c] // d
+        if q:
+            coeffs[i] = q
+            res[c:] = [(x - q * y) % m for x, y in zip(res[c:], rows[i][c:])]
+    return tuple(res), tuple(coeffs)
+
+
+def tuple_solver_data(gens, m, n):
+    """The solver's forms from tuple rows of [R | I]: ((form rows, pivots),
+    transform rows, (kernel rows, pivots))."""
+    k = len(gens)
+    aug = [list(g) + [int(i == j) for j in range(k)] for i, g in enumerate(gens)]
+    full = reference_howell_form(aug, m, n + k)
+    r = sum(c < n for c, _ in full.pivots)
+    return ((tuple(row[:n] for row in full.rows[:r]), full.pivots[:r]),
+            tuple(row[n:] for row in full.rows[:r]),
+            (tuple(row[n:] for row in full.rows[r:]),
+             tuple((c - n, d) for c, d in full.pivots[r:])))
+
+
+def tuple_express(gens, m, n, target):
+    (rows, pivots), transform, (krows, kpivots) = tuple_solver_data(gens, m, n)
+    residual, row_coeffs = tuple_reduce(rows, pivots, m, n, target)
+    if any(residual):
+        return None
+    coeffs = combine_rows(row_coeffs, transform, m, len(gens))
+    return tuple_reduce(krows, kpivots, m, len(gens), coeffs)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)),
+       st.data())
+def test_packed_form_operations_match_tuple_references(inp, data):
+    m, rows, ncols = inp
+    form = howell_form(rows, m, ncols)
+    entries = st.integers(0, m - 1)
+    member = combine_rows(data.draw(st.lists(entries, min_size=len(rows),
+                                             max_size=len(rows))), rows, m, ncols)
+    other = data.draw(st.lists(st.integers(-m, 2 * m), min_size=ncols, max_size=ncols))
+    for vec in (member, other):
+        want = tuple_reduce(form.rows, form.pivots, m, ncols, vec)
+        x = pack_rows([vec], m, ncols)[0]
+        assert form.reduce(vec) == form.reduce(x) == want
+        assert form.contains(vec) == form.contains(x) == (not any(want[0]))
+    assert form.contains(member)
+    for bad in (other + [0], other[1:]):
+        with pytest.raises(ValueError):
+            form.reduce(bad)
+        with pytest.raises(ValueError):
+            form.contains(bad)
+    k = data.draw(st.integers(0, ncols))
+    i = sum(c < k for c, _ in form.pivots)
+    sub = form.zero_prefix(k)
+    assert (sub.rows, sub.pivots, sub.ncols) == (
+        tuple(row[k:] for row in form.rows[i:]),
+        tuple((c - k, d) for c, d in form.pivots[i:]), ncols - k)
+    grown = howell_form(rows + [other], m, ncols)
+    assert form.spans_same(grown) == (form.rows == grown.rows)
+    assert form.spans_same(howell_form(rows[::-1] + [member], m, ncols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)),
+       st.data())
+def test_packed_row_solver_matches_tuple_reference(inp, data):
+    m, rows, ncols = inp
+    gens = [[x % m for x in row] for row in rows]
+    solver = row_solver(rows, m, ncols)
+    (frows, fpivots), _, (krows, kpivots) = tuple_solver_data(gens, m, ncols)
+    assert (solver.form.rows, solver.form.pivots, solver.form.ncols) == \
+        (frows, fpivots, ncols)
+    assert (solver.kernel.rows, solver.kernel.pivots, solver.kernel.ncols) == \
+        (krows, kpivots, len(rows))
+    entries = st.integers(0, m - 1)
+    member = combine_rows(data.draw(st.lists(entries, min_size=len(rows),
+                                             max_size=len(rows))), rows, m, ncols)
+    other = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    for target in (member, other):
+        assert solver.express(target) == tuple_express(gens, m, ncols, target)
+    assert solver.express(member) is not None
+    with pytest.raises(ValueError):
+        solver.express(member + [0])
+
+
+@pytest.mark.parametrize("m", [2, 8, 9, 27, 6, 12, 72, 2 ** 31, 3 ** 19])
+def test_pivot_arithmetic_memos_match_the_functions(m):
+    # every residue of a small modulus; zero, units and zero divisors of
+    # every valuation, sampled, for a large one
+    rng = random.Random(m)
+    p = 2 if m % 2 == 0 else 3
+    values = range(m) if m < 100 else [0, 1, m - 1] + [
+        p ** rng.randrange(m.bit_length()) * rng.randrange(1, m) % m for _ in range(300)]
+    gcd, unit, annihilate = _pivot_arithmetic(m)
+    for a in values:
+        assert (gcd(a), unit(a), annihilate(a)) == \
+            (math.gcd(a, m), unit_for(a, m), annihilator(a, m)), a
+    for memo in (_pivot_arithmetic, gcd, unit, annihilate):
+        assert memo.cache_info().maxsize is not None
+    assert _pivot_arithmetic(m) is _pivot_arithmetic(m)
 
 
 # -- independence over F_p: Howell forms of p-torsion vectors ----------------

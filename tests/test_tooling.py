@@ -93,6 +93,23 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 """
 
 
+#: The traced reductions of `certify` on the two ROADMAP cases, as recorded
+#: when Howell forms held tuple rows: a packed path that bypassed one of the
+#: counted entry points would read a different count here.
+COUNT_SCRIPT = """
+import corpus, ops, tracer
+t = tracer.Tracer()
+tracer.install(t)
+want = {"Z8 x Z4": [79, 5932, 162, 10, 8], "Z9 x Z3": [67, 4384, 134, 6, 4]}
+keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
+for alphabet, gens in corpus.ROADMAP_CASES:
+    t.counts.clear()
+    ops.run_certify(ops.build_shift(alphabet, gens))
+    got = [t.counts["residues." + k] for k in keys]
+    assert got == want[alphabet], (alphabet, got)
+"""
+
+
 #: No benchmark workload checks `analyze` reports, so every 4th entry of its
 #: pool is compared here with the digest recorded for it.
 ANALYZE_POOL_SCRIPT = """
@@ -144,6 +161,10 @@ def test_one_counted_reduction_per_projection_and_solver():
 
 def test_failing_order_search_reads_its_witness_off_one_form():
     _run_with_perfbench(WITNESS_SCRIPT.format(golden=str(ROOT / "tests" / "golden")))
+
+
+def test_certify_reduction_counts_on_the_roadmap_cases():
+    _run_with_perfbench(COUNT_SCRIPT)
 
 
 def test_analyze_reports_match_the_pool_references():
