@@ -18,7 +18,7 @@ from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
 from .residues import (HowellForm, PackedRows, Vec, _bytes_to_lanes, _lane_bytes,
                        _lane_layout, _lanes_to_bytes, combine_rows, howell_form,
-                       placed_rows, projection_heads, row_solver)
+                       placed_rows, projection_heads, row_solver, unpack_rows)
 from .shifts import (GroupShift, Horizons, SupportedWords, member, supported_words,
                      torsion_presentation)
 from .words import Word
@@ -145,15 +145,15 @@ def _least_outside(form: HowellForm, r: int, outside) -> Vec | None:
     greedy pivot reduction leaves the least element of the coset (Howell
     property).
     """
-    i = sum(c < r for c, _ in form.pivots)
-    low = (1 << r * _lane_layout(form.modulus, r)[0]) - 1
-    head = HowellForm(form.modulus, r, tuple(row & low for row in form.packed[:i]),
+    m, i = form.modulus, sum(c < r for c, _ in form.pivots)
+    at = r * _lane_layout(m, r)[0]
+    head = HowellForm(m, r, tuple(row & (1 << at) - 1 for row in form.packed[:i]),
                       form.pivots[:i])
     a = min(filter(outside, head.enumerate_elements()), default=None)
     if a is None:
         return None
-    lift = combine_rows(head.reduce(a)[1], form.rows[:i], form.modulus, form.ncols)
-    return a + form.zero_prefix(r).reduce(lift[r:])[0]
+    lift = combine_rows(head.reduce(a)[1], form.packed[:i], m, form.ncols)
+    return a + form.zero_prefix(r).reduce(lift >> at)[0]
 
 
 def _levels(cap: int, quotient: bool):
@@ -230,18 +230,17 @@ def lift_height(shift: GroupShift, x: Word, p: int, h: int,
     if h == 0 or x.is_zero:
         return x
     lo, hi = x.first - pad, x.last + pad
-    words = supported_words(shift, lo, hi, margin)
-    if not words.form.rows:
+    form = supported_words(shift, lo, hi, margin).form
+    if not form.packed:
         return None
-    m = words.form.modulus
-    scale = p ** h
-    scaled_rows = [tuple((scale * v) % m for v in row) for row in words.form.rows]
-    solver = row_solver(scaled_rows, m)
+    m, ncols = form.modulus, form.ncols
+    scale, red = pow(p, h, m), _lane_layout(m, ncols)[2]  # products stay below m^2
+    solver = row_solver(PackedRows(tuple(red(scale * x) for x in form.packed), ncols), m)
     coeffs = solver.express(x.window_vector(lo, hi))
     if coeffs is None:
         return None
-    return Word.from_window_vector(shift.alphabet, lo,
-                                   combine_rows(coeffs, words.form.rows, m))
+    y = combine_rows(coeffs, form.packed, m, ncols)
+    return Word.from_window_vector(shift.alphabet, lo, unpack_rows([y], m, ncols)[0])
 
 
 def word_height(shift: GroupShift, x: Word, p: int, order_index: int,
@@ -443,23 +442,24 @@ def check_injectivity(encoder: Encoder, block_cap: int) -> InjectivityReport:
     if len(set(encoder.tap_primes)) != 1:
         raise ValueError("independence test needs a single-prime encoder; "
                          "run it per primary component")
-    p = encoder.tap_primes[0]
+    p, r = encoder.tap_primes[0], encoder.alphabet.rank
     # a p-torsion scaled entry is k * (m // p), with k its F_p coordinate
     unit = max(encoder.alphabet.exponent, 2) // p
+    fp = [(j, x, [v // unit for v in x.window_vector(x.first, x.last)])
+          for j, x in enumerate(torsion) if not x.is_zero]
     witness = None
     for n in range(block_cap + 1):
-        vectors = []
-        labels = []
-        for j, x in enumerate(torsion):
-            if x.is_zero:
-                continue
-            for t in range(-x.last, n - x.first + 1):
-                vec = tuple(v // unit for v in x.shifted(-t).window_vector(0, n))
-                if any(vec):
-                    vectors.append(vec)
+        ncols = (n + 1) * r
+        rows, labels = [], []
+        for j, x, vec in fp:
+            # placement t = -x.last, ... puts x at column (x.first + t) * r
+            placed = placed_rows(vec, p, range((1 - x.support_length) * r, ncols, r), ncols)
+            for t, row in enumerate(placed, -x.last):
+                if row:
+                    rows.append(row)
                     labels.append((j, t))
-        solver = row_solver(vectors, p)
-        if solver.form.rank == len(vectors):
+        solver = row_solver(PackedRows(tuple(rows), ncols), p)
+        if solver.form.rank == len(rows):
             return InjectivityReport(n, None)
         witness = tuple((labels[i][0], labels[i][1], c)
                         for i, c in enumerate(solver.kernel.rows[0]) if c)
@@ -479,9 +479,10 @@ def _tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
     hi = msg_hi + max((taps[j].last for j, _ in labels), default=0)
     if cover is not None:
         lo, hi = min(lo, cover.first), max(hi, cover.last)
-    rows = [taps[j].shifted(-t).window_vector(lo, hi) for j, t in labels]
-    modulus = max(alphabet.exponent, 2)
-    return row_solver(rows, modulus, (hi - lo + 1) * alphabet.rank), labels, (lo, hi)
+    m, ncols = max(alphabet.exponent, 2), (hi - lo + 1) * alphabet.rank
+    rows = [row for tap in taps if not tap.is_zero
+            for row in tap.placed_rows(m, range(msg_lo, msg_hi + 1), lo, ncols)]
+    return row_solver(PackedRows(tuple(rows), ncols), m), labels, (lo, hi)
 
 
 def solve_finite_preimage(encoder: Encoder, w: Word,
@@ -550,9 +551,8 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
         # every placed tap
         lo, hi = min(0, first - s), max(t, last + t + s)
         ncols, a, b = (hi - lo + 1) * r, -lo * r, (t + 1 - lo) * r
-        rows = [row for tap in taps for row in placed_rows(
-            tap.window_vector(tap.first, tap.last), m,
-            range((tap.first - s - lo) * r, (tap.first + t + s - lo) * r + 1, r), ncols)]
+        rows = [row for tap in taps
+                for row in tap.placed_rows(m, range(-s, t + s + 1), lo, ncols)]
         kept, _ = projection_heads(rows, m, (), [*range(a), *range(b, ncols)], a, b)
         form = supported_words(shift, 0, t, margin).form
         bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
@@ -722,37 +722,29 @@ def primary_certificate(shift: GroupShift, p: int,
                                   (CheckResult(exc.stage, False, exc.detail),),
                                   exc.stage)
     encoder = build_encoder(genset)
-    checks: list[CheckResult] = []
+    socle_ok, detail = True, ""
     try:
-        socle_ok = True
-        detail = ""
-        try:
-            socle_shift(shift, p, horizons)
-        except PipelineFailure as exc:
-            socle_ok = False
-            detail = exc.detail
-        checks.append(CheckResult("socle-weakly-controllable", socle_ok, detail))
-        checks.extend(_structure_checks(genset, horizons))
-        checks.extend(_message_invariant_checks(encoder))
-        inj = check_injectivity(encoder, horizons.block_cap)
-        checks.append(CheckResult("independent-block", inj.block is not None,
-                                  f"N={inj.block}" if inj.block is not None else
-                                  f"no block <= {horizons.block_cap}"))
-        noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon,
-                                       horizons.margin)
-        checks.append(CheckResult(
-            "noncatastrophic", noncat.ok,
-            "" if noncat.ok else f"witness {noncat.witness.format()}"))
-        checks.extend(_image_window_checks(encoder, shift, horizons))
-        # canonical_generators passed scaled_finite_words_check at r = 1 on
-        # each recursion level p^k G, k = 0..e-2; chaining the levels gives
-        # p^r W_t(G) = W_t(p^r G) for every r < e
-        checks.extend(CheckResult(f"scaled-finite-words-r{r}", True)
-                      for r in range(1, shift.exponent_exponent(p)))
+        socle_shift(shift, p, horizons)
     except PipelineFailure as exc:
-        checks.append(CheckResult(exc.stage, False, exc.detail))
-        return PrimaryCertificate(p, shift, genset, encoder, tuple(checks),
-                                  exc.stage)
+        socle_ok, detail = False, exc.detail
+    checks = [CheckResult("socle-weakly-controllable", socle_ok, detail)]
+    checks.extend(_structure_checks(genset, horizons))
+    checks.extend(_message_invariant_checks(encoder))
+    inj = check_injectivity(encoder, horizons.block_cap)
+    checks.append(CheckResult("independent-block", inj.block is not None,
+                              f"N={inj.block}" if inj.block is not None else
+                              f"no block <= {horizons.block_cap}"))
+    noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon,
+                                   horizons.margin)
+    checks.append(CheckResult(
+        "noncatastrophic", noncat.ok,
+        "" if noncat.ok else f"witness {noncat.witness.format()}"))
+    checks.extend(_image_window_checks(encoder, shift, horizons))
+    # canonical_generators passed scaled_finite_words_check at r = 1 on
+    # each recursion level p^k G, k = 0..e-2; chaining the levels gives
+    # p^r W_t(G) = W_t(p^r G) for every r < e
+    checks.extend(CheckResult(f"scaled-finite-words-r{r}", True)
+                  for r in range(1, shift.exponent_exponent(p)))
     failing = next((c.name for c in checks if not c.passed), None)
     return PrimaryCertificate(p, shift, genset, encoder, tuple(checks), failing)
 

@@ -16,14 +16,16 @@ Barrett for any other m.  Live rows wait in buckets keyed by their leading
 lane.  Rows stay packed from `placed_rows` through `projection_heads` and
 `_eliminate` into `HowellForm`, whose `reduce`, `contains`, `zero_prefix`
 and `spans_same` work on one int per row; `HowellForm.rows` unpacks them
-for the callers that build words or report lines.  `howell_form` takes
-tuple rows or `PackedRows`, and `projection_heads` is the one routine that
-builds constrained rows: a canonical constrained projection is its `kept`
-rows made canonical by `howell_form`.
+for the callers that build words or report lines.  `howell_form` and
+`row_solver` take tuple rows or `PackedRows`, `RowSolver` solves on packed
+rows and `combine_rows` forms packed combinations.  `projection_heads` is
+the one routine that builds constrained rows: a canonical constrained
+projection is its `kept` rows made canonical by `howell_form`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -88,16 +90,6 @@ def annihilator(a: int, modulus: int) -> int:
     if a == 0:
         return 1
     return modulus // math.gcd(a, modulus)
-
-
-def combine_rows(coeffs: Sequence[int], rows: Sequence[Sequence[int]], m: int,
-                 width: int | None = None) -> list[int]:
-    """sum_i coeffs[i] * rows[i] mod m (`width` sizes an empty row list)."""
-    acc = [0] * (len(rows[0]) if rows else width or 0)
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = [(a + c * x) % m for a, x in zip(acc, row)]
-    return acc
 
 
 @dataclass(frozen=True)
@@ -169,21 +161,9 @@ class HowellForm:
 
     def enumerate_elements(self) -> Iterator[Vec]:
         """Yield every element of the row span exactly once."""
-        m = self.modulus
-        ranges = [m // d for _, d in self.pivots]
-        nrows = len(self.rows)
-
-        def rec(i: int, acc: list[int]) -> Iterator[Vec]:
-            if i == nrows:
-                yield tuple(acc)
-                return
-            cur = acc
-            for t in range(ranges[i]):
-                if t:
-                    cur = [(a + x) % m for a, x in zip(cur, self.rows[i])]
-                yield from rec(i + 1, cur)
-
-        yield from rec(0, [0] * self.ncols)
+        m, n = self.modulus, self.ncols
+        for coeffs in itertools.product(*(range(m // d) for _, d in self.pivots)):
+            yield unpack_rows([combine_rows(coeffs, self.packed, m, n)], m, n)[0]
 
 
 def _lane_bytes(bits: int) -> int:
@@ -378,14 +358,33 @@ class PackedRows(NamedTuple):
         return len(self.entries)
 
 
+def _as_packed(rows: Sequence[Sequence[int]] | PackedRows, modulus: int,
+               ncols: int | None) -> PackedRows:
+    """The rows packed (`ncols` sizes an empty list of tuple rows)."""
+    validate_modulus(modulus)
+    if isinstance(rows, PackedRows):
+        return rows
+    ncols = len(rows[0]) if rows else (ncols or 0)
+    return PackedRows(tuple(pack_rows(rows, modulus, ncols)), ncols)
+
+
+def combine_rows(coeffs: Iterable[int], rows: Iterable[int], m: int, ncols: int) -> int:
+    """sum_i coeffs[i] * rows[i] mod m over packed rows of `ncols` lanes, one
+    lane reduction per nonzero coefficient."""
+    red = _lane_layout(m, ncols)[2]
+    acc = 0
+    for c, row in zip(coeffs, rows):
+        c %= m
+        if c:
+            acc = red(acc + c * row)  # below m^2 per lane
+    return acc
+
+
 def howell_form(rows: Sequence[Sequence[int]] | PackedRows, modulus: int,
                 ncols: int | None = None) -> HowellForm:
     """Canonical Howell row form of the given rows (`ncols` sizes an empty
     list of tuple rows)."""
-    validate_modulus(modulus)
-    if not isinstance(rows, PackedRows):
-        ncols = len(rows[0]) if rows else (ncols or 0)
-        rows = PackedRows(pack_rows(rows, modulus, ncols), ncols)
+    rows = _as_packed(rows, modulus, ncols)
     done, pivots = _eliminate(rows.entries, modulus, rows.ncols, 0)
     return HowellForm(modulus, rows.ncols, tuple(done), tuple(pivots))
 
@@ -439,23 +438,21 @@ def projection_heads(packed_rows: Iterable[int], modulus: int,
 class RowSolver:
     """Expresses targets as Z-combinations of a fixed generating row list.
 
-    Built from one Howell form of the augmented rows [R | I], packed with
-    one identity lane per generator: the rows with a pivot among R's columns
-    give the form of R and the transform, and the rest, read off by
+    Built from one Howell form of the augmented rows [R | I], the packed
+    generators with one identity lane each: the rows with a pivot among R's
+    columns give the form of R and the transform, and the rest, read off by
     `zero_prefix`, the coefficient kernel {c : c @ R == 0}.
     Provides membership and one canonical coefficient vector per target.
     """
 
     modulus: int
-    gens: tuple[Vec, ...]
-    ncols: int
+    gens: PackedRows
 
     @cached_property
     def _data(self) -> tuple[HowellForm, tuple[int, ...], HowellForm]:
-        m, n = self.modulus, self.ncols
+        m, n = self.modulus, self.gens.ncols
         w = _lane_layout(m, n)[0]
-        aug = tuple(row | 1 << (n + i) * w
-                    for i, row in enumerate(pack_rows(self.gens, m, n)))
+        aug = tuple(row | 1 << (n + i) * w for i, row in enumerate(self.gens.entries))
         full = howell_form(PackedRows(aug, n + len(aug)), m)
         r = sum(c < n for c, _ in full.pivots)
         low = (1 << n * w) - 1
@@ -471,24 +468,17 @@ class RowSolver:
     def kernel(self) -> HowellForm:
         return self._data[2]
 
-    def express(self, target: Sequence[int]) -> Optional[Vec]:
+    def express(self, target: Sequence[int] | int) -> Optional[Vec]:
         """Canonical coefficients c with c @ gens == target, or None."""
         form, transform, kernel = self._data
         residual, row_coeffs = form._reduce(target)
         if residual:
             return None
-        red = _lane_layout(self.modulus, kernel.ncols)[2]
-        coeffs = 0
-        for c, row in zip(row_coeffs, transform):
-            if c:
-                coeffs = red(coeffs + c * row)  # below m^2 per lane
+        coeffs = combine_rows(row_coeffs, transform, self.modulus, kernel.ncols)
         # reduction by the kernel's Howell form picks one canonical solution
         return kernel.reduce(coeffs)[0]
 
 
-def row_solver(rows: Sequence[Sequence[int]], modulus: int,
+def row_solver(rows: Sequence[Sequence[int]] | PackedRows, modulus: int,
                ncols: int | None = None) -> RowSolver:
-    validate_modulus(modulus)
-    width = len(rows[0]) if rows else (ncols or 0)
-    return RowSolver(modulus, tuple(tuple(x % modulus for x in r) for r in rows), width)
-
+    return RowSolver(modulus, _as_packed(rows, modulus, ncols))

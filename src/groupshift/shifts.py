@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .groups import FiniteAbelianGroup
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, PackedRows,
-                       howell_form, placed_rows, projection_heads)
+                       howell_form, projection_heads)
 from .words import Word, word_span
 
 
@@ -167,13 +167,10 @@ class WindowModule:
 def _window_module(shift: GroupShift, lo: int, hi: int) -> WindowModule:
     if hi < lo:
         raise ValueError("empty window")
-    # contributor (gi, t) of `GroupShift.contributors` is generator gi's
-    # vector at column (first + t - lo) * r: one packed row shifted by lanes
-    r, m = shift.alphabet.rank, max(shift.alphabet.exponent, 2)
-    ncols = (hi - lo + 1) * r
+    # one row per contributor (gi, t) of `GroupShift.contributors`, in order
+    m, ncols = max(shift.alphabet.exponent, 2), (hi - lo + 1) * shift.alphabet.rank
     packed = [row for g in shift.generators
-              for row in placed_rows(g.window_vector(g.first, g.last), m,
-                                     range((1 - g.support_length) * r, ncols, r), ncols)]
+              for row in g.placed_rows(m, range(lo - g.last, hi - g.first + 1), lo, ncols)]
     return WindowModule(shift, lo, hi, tuple(packed))
 
 

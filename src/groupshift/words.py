@@ -8,6 +8,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from .groups import Coords, FiniteAbelianGroup
+from .residues import placed_rows
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,15 @@ class Word:
             out[(i - lo) * r:(i - lo + 1) * r] = \
                 self.group.coords_to_scaled(self.symbols[i - self.start])
         return tuple(out)
+
+    def placed_rows(self, modulus: int, placements: Iterable[int], lo: int,
+                    ncols: int) -> list[int]:
+        """One packed row (`residues.placed_rows`) per placement t: the window
+        vector of shifted(-t) on the `ncols` columns from position `lo`."""
+        vec = self.window_vector(self.start, self.start + len(self.symbols) - 1)
+        r = self.group.rank
+        return placed_rows(vec, modulus, [(self.start + t - lo) * r for t in placements],
+                           ncols)
 
     @classmethod
     def from_window_vector(cls, group: FiniteAbelianGroup, lo: int,

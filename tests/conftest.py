@@ -69,6 +69,17 @@ def brute_force_span(rows, modulus, width):
     return span
 
 
+
+def tuple_combine_rows(coeffs, rows, m, width=None):
+    """Reference for `residues.combine_rows` on tuple rows: sum_i coeffs[i] *
+    rows[i] mod m as a list (`width` sizes an empty row list)."""
+    acc = [0] * (len(rows[0]) if rows else width or 0)
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [(a + c * x) % m for a, x in zip(acc, row)]
+    return acc
+
+
 def random_message(encoder, rng: random.Random, reach: int) -> Word:
     """A random finite message over the encoder's source alphabet: 1 to
     reach + 1 symbols starting in [-reach, reach]."""

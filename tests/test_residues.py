@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup, is_prime
-from groupshift.residues import (HowellForm, _eliminate, _lane_layout, _pivot_arithmetic,
-                                 annihilator, combine_rows, howell_form, pack_rows,
-                                 placed_rows, projection_heads, row_solver, unit_for,
-                                 unpack_rows, xgcd)
+from groupshift.residues import (HowellForm, PackedRows, _eliminate, _lane_layout,
+                                 _pivot_arithmetic, annihilator, combine_rows, howell_form,
+                                 pack_rows, placed_rows, projection_heads, row_solver,
+                                 unit_for, unpack_rows, xgcd)
 
-from conftest import brute_force_span
+from conftest import brute_force_span, tuple_combine_rows
 
 MODULI = [2, 3, 4, 5, 8, 9, 12]
 
@@ -221,7 +221,7 @@ def test_express_is_kernel_reduction_of_coefficients(mat, data):
     x = data.draw(st.lists(st.integers(0, modulus - 1),
                            min_size=len(rows), max_size=len(rows)))
     solver = row_solver(rows, modulus)
-    target = combine_rows(x, rows, modulus)
+    target = tuple_combine_rows(x, rows, modulus)
     assert solver.express(target) == solver.kernel.reduce(x)[0]
 
 
@@ -234,18 +234,6 @@ def test_zero_prefix_matches_brute_force(mat, data):
     sub = howell_form(rows, modulus).zero_prefix(k)
     cut = [v[k:] for v in brute_force_span(rows, modulus, ncols) if not any(v[:k])]
     assert sub == howell_form(cut, modulus, ncols - k)
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_matrices, st.data())
-def test_combine_rows_matches_naive_sum(mat, data):
-    modulus, rows = mat
-    coeffs = data.draw(st.lists(st.integers(-2 * modulus, 2 * modulus),
-                                min_size=len(rows), max_size=len(rows)))
-    naive = [sum(c * row[i] for c, row in zip(coeffs, rows)) % modulus
-             for i in range(len(rows[0]))]
-    assert combine_rows(coeffs, rows, modulus) == naive
-    assert combine_rows([], [], modulus, 3) == [0, 0, 0]
 
 
 # -- the live-column kernel against the full-width reference -------------------
@@ -580,8 +568,8 @@ def test_membership_without_back_reduction_matches_howell_form(inp, data):
     form = howell_form(rows, m, ncols)
     assert loose.pivots == form.pivots
     entries = st.integers(0, m - 1)
-    members = [combine_rows(data.draw(st.lists(entries, min_size=len(rows),
-                                               max_size=len(rows))), rows, m, ncols)
+    members = [tuple_combine_rows(data.draw(st.lists(entries, min_size=len(rows),
+                                                     max_size=len(rows))), rows, m, ncols)
                for _ in range(3)]
     changed = []
     for vec in members:
@@ -595,7 +583,26 @@ def test_membership_without_back_reduction_matches_howell_form(inp, data):
     assert all(loose.contains(vec) for vec in members)
 
 
-# -- packed HowellForm and RowSolver against their tuple references ----------
+# -- packed HowellForm, combine_rows and RowSolver against tuple references ---
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_matrices.map(lambda t: (t[0], t[1], len(t[1][0]))),
+                 kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)),
+       st.data())
+def test_combine_rows_matches_naive_sum(mat, data):
+    # the tuple reference and the packed combination, on row lists that
+    # may be empty
+    modulus, rows, ncols = mat
+    coeffs = data.draw(st.lists(st.integers(-2 * modulus, 2 * modulus),
+                                min_size=len(rows), max_size=len(rows)))
+    naive = [sum(c * row[i] for c, row in zip(coeffs, rows)) % modulus
+             for i in range(ncols)]
+    assert tuple_combine_rows(coeffs, rows, modulus, ncols) == naive
+    packed_sum = combine_rows(coeffs, pack_rows(rows, modulus, ncols), modulus, ncols)
+    assert unpack_rows([packed_sum], modulus, ncols)[0] == tuple(naive)
+    assert tuple_combine_rows([], [], modulus, 3) == [0, 0, 0]
+    assert combine_rows([], [], modulus, 3) == 0
 
 
 def tuple_reduce(rows, pivots, m, ncols, vec):
@@ -631,7 +638,7 @@ def tuple_express(gens, m, n, target):
     residual, row_coeffs = tuple_reduce(rows, pivots, m, n, target)
     if any(residual):
         return None
-    coeffs = combine_rows(row_coeffs, transform, m, len(gens))
+    coeffs = tuple_combine_rows(row_coeffs, transform, m, len(gens))
     return tuple_reduce(krows, kpivots, m, len(gens), coeffs)[0]
 
 
@@ -642,8 +649,8 @@ def test_packed_form_operations_match_tuple_references(inp, data):
     m, rows, ncols = inp
     form = howell_form(rows, m, ncols)
     entries = st.integers(0, m - 1)
-    member = combine_rows(data.draw(st.lists(entries, min_size=len(rows),
-                                             max_size=len(rows))), rows, m, ncols)
+    member = tuple_combine_rows(data.draw(st.lists(entries, min_size=len(rows),
+                                                   max_size=len(rows))), rows, m, ncols)
     other = data.draw(st.lists(st.integers(-m, 2 * m), min_size=ncols, max_size=ncols))
     for vec in (member, other):
         want = tuple_reduce(form.rows, form.pivots, m, ncols, vec)
@@ -671,23 +678,26 @@ def test_packed_form_operations_match_tuple_references(inp, data):
 @given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)),
        st.data())
 def test_packed_row_solver_matches_tuple_reference(inp, data):
+    # the solver built from tuple rows and from the same rows packed
     m, rows, ncols = inp
     gens = [[x % m for x in row] for row in rows]
-    solver = row_solver(rows, m, ncols)
+    solvers = (row_solver(rows, m, ncols),
+               row_solver(PackedRows(tuple(pack_rows(rows, m, ncols)), ncols), m))
     (frows, fpivots), _, (krows, kpivots) = tuple_solver_data(gens, m, ncols)
-    assert (solver.form.rows, solver.form.pivots, solver.form.ncols) == \
-        (frows, fpivots, ncols)
-    assert (solver.kernel.rows, solver.kernel.pivots, solver.kernel.ncols) == \
-        (krows, kpivots, len(rows))
     entries = st.integers(0, m - 1)
-    member = combine_rows(data.draw(st.lists(entries, min_size=len(rows),
-                                             max_size=len(rows))), rows, m, ncols)
+    member = tuple_combine_rows(data.draw(st.lists(entries, min_size=len(rows),
+                                                   max_size=len(rows))), rows, m, ncols)
     other = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-    for target in (member, other):
-        assert solver.express(target) == tuple_express(gens, m, ncols, target)
-    assert solver.express(member) is not None
-    with pytest.raises(ValueError):
-        solver.express(member + [0])
+    for solver in solvers:
+        assert (solver.form.rows, solver.form.pivots, solver.form.ncols) == \
+            (frows, fpivots, ncols)
+        assert (solver.kernel.rows, solver.kernel.pivots, solver.kernel.ncols) == \
+            (krows, kpivots, len(rows))
+        for target in (member, other):
+            assert solver.express(target) == tuple_express(gens, m, ncols, target)
+        assert solver.express(member) is not None
+        with pytest.raises(ValueError):
+            solver.express(member + [0])
 
 
 @pytest.mark.parametrize("m", [2, 8, 9, 27, 6, 12, 72, 2 ** 31, 3 ** 19])

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup
 
-from groupshift.residues import (EnumerationCapExceeded, combine_rows,
-                                 howell_form, row_solver, unpack_rows)
+from groupshift.residues import (EnumerationCapExceeded, howell_form, row_solver,
+                                 unpack_rows)
 from groupshift.shifts import (GroupShift, _splice_property_holds,
                                enumerate_window_code, finite_type_memory, member,
                                splice, supported_words)
 from groupshift.words import Word
 
-from conftest import make_shift, random_shift
+from conftest import make_shift, random_shift, tuple_combine_rows
 
 
 def window_code_as_set(shift, lo, hi):
@@ -239,7 +239,7 @@ def three_step_projection(module, keep_lo, keep_hi, zero_positions=(),
     if zero_cols or kill_cols:
         cond = [[row[c] for c in zero_cols] +
                 [(kill_scale * row[c]) % m for c in kill_cols] for row in rows]
-        rows = [combine_rows(coeffs, rows, m, module.rank_width)
+        rows = [tuple_combine_rows(coeffs, rows, m, module.rank_width)
                 for coeffs in row_solver(cond, m).kernel.rows]
     a = (keep_lo - module.lo) * r
     b = (keep_hi - module.lo + 1) * r

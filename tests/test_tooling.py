@@ -11,7 +11,11 @@ from pathlib import Path
 
 from groupshift import shifts
 from groupshift.control import _divisors, order_controllability_index
-from groupshift.encoders import Horizons, conjugacy_certificate, encode
+from groupshift.encoders import (Horizons, check_injectivity, conjugacy_certificate, encode,
+                                 lift_height, solve_finite_preimage)
+from groupshift.groups import FiniteAbelianGroup
+from groupshift.residues import HowellForm
+from groupshift.shifts import GroupShift
 from groupshift.specfmt import parse_message, parse_spec
 from groupshift.words import Word
 
@@ -227,6 +231,33 @@ def test_encode_is_packed_not_a_per_term_sum(monkeypatch):
         report = (golden / f"delay-rep.{name}.out").read_text().splitlines()
         assert f"word: {encode(encoder, message, window).format()}" in report, name
 
+
+
+def test_solves_over_placed_taps_stay_packed(monkeypatch):
+    # a lift solves on the packed certified words and unpacks only the word
+    # it returns; the tap and injectivity solvers place each tap as packed
+    # rows, with no Word per placement
+    def refuse(*args):
+        raise AssertionError("unpacked rows or a placed Word")
+    golden = ROOT / "tests" / "golden"
+    shift = parse_spec((golden / "delay-rep.spec").read_text()).shift
+    encoder = conjugacy_certificate(shift, Horizons.derive(shift)).product_encoder
+    image = encode(encoder, Word.make(encoder.source, 0, [(1,) * encoder.source.rank] * 3))
+    z4 = FiniteAbelianGroup.parse("Z4")
+    echo = GroupShift.make(z4, [Word.make(z4, 0, [(1,), (1,)])])
+    x2 = Word.make(z4, 0, [(2,), (2,)])
+
+    monkeypatch.setattr(HowellForm, "rows", property(refuse))
+    assert lift_height(GroupShift.full_shift(z4), Word.impulse(z4, (2,)), 2, 1, 2, 2) == \
+        Word.impulse(z4, (1,))
+    y2 = lift_height(echo, x2, 2, 1, 2, 2)
+    assert y2 is not None and y2.scaled(2) == x2
+    monkeypatch.undo()
+
+    monkeypatch.setattr(Word, "shifted", refuse)
+    assert check_injectivity(encoder, 16).block is not None
+    message = solve_finite_preimage(encoder, image, 2)
+    assert message is not None and encode(encoder, message) == image
 
 def test_runtime_imports_only_the_standard_library():
     # numpy may be importable, but the package does not depend on it

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup
+from groupshift.residues import pack_rows
 from groupshift.words import Word, word_span
 
 GROUPS = ["Z2", "Z4", "Z2 x Z4", "Z6"]
@@ -125,6 +126,28 @@ def test_window_vector_matches_dense_loop(where, data):
             hi = data.draw(st.integers(lo, last))
     assert w.window_vector(lo, hi) == dense_window_vector(w, lo, hi)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["Z2", "Z4", "Z9", "Z2 x Z4", "Z3 x Z9", "Z8 x Z4 x Z2",
+                        "Z6", "Z12", "Z2 x Z6", "Z2 x Z4 x Z3"]), st.data())
+def test_placed_rows_match_packed_shifted_window_vectors(name, data):
+    # every placement from wholly left of the window, across its edges, to
+    # wholly right of it, and a few drawn at random
+    group = FiniteAbelianGroup.parse(name)
+    m = max(group.exponent, 2)
+    symbol = st.tuples(*(st.integers(0, n - 1) for n in group.orders))
+    w = Word.make(group, data.draw(st.integers(-6, 3)),
+                  data.draw(st.lists(symbol, max_size=5)))
+    lo = data.draw(st.integers(-5, 2))
+    hi = lo + data.draw(st.integers(0, 4))
+    first, last = (w.first, w.last) if w.symbols else (0, 0)
+    placements = [*range(lo - last - 2, hi - first + 3),
+                  *data.draw(st.lists(st.integers(-15, 15), max_size=4))]
+    ncols = (hi - lo + 1) * group.rank
+    want = [pack_rows([w.shifted(-t).window_vector(lo, hi)], m, ncols)[0]
+            for t in placements]
+    assert w.placed_rows(m, placements, lo, ncols) == want
 
 def test_word_span():
     z2 = FiniteAbelianGroup.parse("Z2")
