@@ -15,7 +15,7 @@ from .encoders import (CanonicalGeneratorSet, ConjugacyCertificate, Encoder,
                        check_noncatastrophic, conjugacy_certificate, encode,
                        lift_height, multiple_shift, socle_shift)
 from .residues import HowellForm, howell_form
-from .specfmt import ShiftSpec, SpecParseError, format_spec, parse_message, parse_spec
+from .specfmt import ShiftSpec, SpecParseError, parse_message, parse_spec
 
 __all__ = [
     "FiniteAbelianGroup", "primary_component", "Word", "GroupShift",
@@ -28,7 +28,7 @@ __all__ = [
     "check_noncatastrophic", "conjugacy_certificate", "encode",
     "lift_height", "multiple_shift", "socle_shift",
     "HowellForm", "howell_form", "ShiftSpec",
-    "SpecParseError", "format_spec", "parse_message", "parse_spec",
+    "SpecParseError", "parse_message", "parse_spec",
 ]
 
 __version__ = "0.1.0"

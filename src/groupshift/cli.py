@@ -22,8 +22,8 @@ from .control import (analyze_controllability, monotone_after_success,
 from .encoders import (CanonicalGeneratorSet, ConjugacyCertificate, Encoder,
                        Horizons, PipelineFailure, canonical_generators,
                        check_injectivity, check_noncatastrophic,
-                       conjugacy_certificate, encode, presentation_encoder,
-                       primary_shift)
+                       conjugacy_certificate, encode, independent_block_check,
+                       presentation_encoder, primary_shift)
 from .groups import FiniteAbelianGroup, is_prime
 from .residues import (ENUM_CAP, MAX_MODULUS, EnumerationCapExceeded, HowellForm,
                        howell_form)
@@ -235,10 +235,9 @@ def _presentation_audit(report: Report, shift: GroupShift,
     negative = False
     if len(set(encoder.tap_primes)) == 1:
         inj = check_injectivity(encoder, horizons.block_cap)
-        report.add("presentation.check.independent-block",
-                   _check_value(inj.block is not None,
-                                f"N={inj.block}" if inj.block is not None
-                                else f"no block <= {horizons.block_cap}"))
+        check = independent_block_check(inj, horizons.block_cap)
+        report.add(f"presentation.check.{check.name}",
+                   _check_value(check.passed, check.detail))
         if inj.block is None and inj.dependent_combination:
             combo = " ".join(f"tap{j}@{t}*{c}"
                              for j, t, c in inj.dependent_combination)

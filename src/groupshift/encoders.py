@@ -137,23 +137,21 @@ class CanonicalGeneratorSet:
         return tuple(e.tap for e in self.entries)
 
 
-def _least_outside(form: HowellForm, r: int, outside) -> Vec | None:
-    """The lex-least span element whose first r coordinates satisfy `outside`.
+def _least_outside(form: HowellForm, r: int, span: HowellForm) -> Vec | None:
+    """The lex-least element of the span of `form` whose first r coordinates
+    lie outside `span`: the last row with pivot < r whose head is outside.
 
-    The rows with pivot < r span the (small) first-block projection; its least
-    admissible element is lifted by them and reduced by the other rows, and
-    greedy pivot reduction leaves the least element of the coset (Howell
-    property).
+    By the Howell property the elements vanishing before row k's pivot are
+    the span of rows k onward, and they precede every other element in lex
+    order.  So for the last row k whose head is outside, the answer lies in
+    that span with row k's pivot entry, the least nonzero one there.  Every
+    element of row k's coset of the later rows is then admissible, and a
+    canonical row is the least element of its coset.
     """
-    m, i = form.modulus, sum(c < r for c, _ in form.pivots)
-    at = r * _lane_layout(m, r)[0]
-    head = HowellForm(m, r, tuple(row & (1 << at) - 1 for row in form.packed[:i]),
-                      form.pivots[:i])
-    a = min(filter(outside, head.enumerate_elements()), default=None)
-    if a is None:
-        return None
-    lift = combine_rows(head.reduce(a)[1], form.packed[:i], m, form.ncols)
-    return a + form.zero_prefix(r).reduce(lift >> at)[0]
+    cut = (1 << r * _lane_layout(form.modulus, r)[0]) - 1
+    k = next((k for k in reversed(range(sum(c < r for c, _ in form.pivots)))
+              if not span.contains(form.packed[k] & cut)), None)
+    return None if k is None else form.rows[k]
 
 
 def _levels(cap: int, quotient: bool):
@@ -170,7 +168,8 @@ def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
     """One batch per greedy pick: for each submodule of the level, its least
     candidate whose initial symbol is outside the span of `picked` (scaled
     p-torsion symbols, extended by the caller between batches) as it stands
-    then.
+    then, which is the last canonical row of the submodule's Howell form
+    whose head lies outside that span (`_least_outside`).
 
     Earlier levels leave every initial symbol of their candidates in the
     span, so the least of a batch is what a greedy pass over all candidates
@@ -191,8 +190,8 @@ def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
         while True:
             if spanned != len(picked):
                 span, spanned = howell_form(picked, m, r), len(picked)
-            least = [v for v in (_least_outside(f, r, lambda h: not span.contains(h))
-                                 for f in forms) if v is not None]
+            least = [v for v in (_least_outside(f, r, span) for f in forms)
+                     if v is not None]
             if not least:
                 break
             yield level, [v + (0,) * (width - s * r) for v in least]
@@ -624,6 +623,14 @@ class CheckResult:
     detail: str = ""
 
 
+def independent_block_check(inj: InjectivityReport, block_cap: int) -> CheckResult:
+    """The independent-block check of a `check_injectivity` report searched
+    up to `block_cap`."""
+    return CheckResult("independent-block", inj.block is not None,
+                       f"N={inj.block}" if inj.block is not None else
+                       f"no block <= {block_cap}")
+
+
 @dataclass(frozen=True)
 class PrimaryCertificate:
     prime: int
@@ -731,9 +738,7 @@ def primary_certificate(shift: GroupShift, p: int,
     checks.extend(_structure_checks(genset, horizons))
     checks.extend(_message_invariant_checks(encoder))
     inj = check_injectivity(encoder, horizons.block_cap)
-    checks.append(CheckResult("independent-block", inj.block is not None,
-                              f"N={inj.block}" if inj.block is not None else
-                              f"no block <= {horizons.block_cap}"))
+    checks.append(independent_block_check(inj, horizons.block_cap))
     noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon,
                                    horizons.margin)
     checks.append(CheckResult(

@@ -25,12 +25,11 @@ projection is its `kept` rows made canonical by `howell_form`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 MAX_MODULUS = 1 << 31
 #: Default cap on the elements a module or code enumeration may produce.
@@ -158,12 +157,6 @@ class HowellForm:
     def spans_same(self, other: "HowellForm") -> bool:
         return (self.modulus, self.ncols, self.packed) == (other.modulus, other.ncols,
                                                            other.packed)
-
-    def enumerate_elements(self) -> Iterator[Vec]:
-        """Yield every element of the row span exactly once."""
-        m, n = self.modulus, self.ncols
-        for coeffs in itertools.product(*(range(m // d) for _, d in self.pivots)):
-            yield unpack_rows([combine_rows(coeffs, self.packed, m, n)], m, n)[0]
 
 
 def _lane_bytes(bits: int) -> int:

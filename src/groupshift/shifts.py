@@ -44,15 +44,6 @@ class GroupShift:
             raise ValueError("declared memory must be positive")
         return cls(alphabet, gens, memory_hint)
 
-    @classmethod
-    def full_shift(cls, alphabet: FiniteAbelianGroup) -> "GroupShift":
-        gens = []
-        for j in range(alphabet.rank):
-            coords = [0] * alphabet.rank
-            coords[j] = 1
-            gens.append(Word.impulse(alphabet, coords))
-        return cls.make(alphabet, gens)
-
     @property
     def span(self) -> int:
         """Longest generator support length (0 for the zero shift)."""
@@ -163,7 +154,7 @@ class WindowModule:
                                 (keep_lo - self.lo) * r, (keep_hi - self.lo + 1) * r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _window_module(shift: GroupShift, lo: int, hi: int) -> WindowModule:
     if hi < lo:
         raise ValueError("empty window")
@@ -219,8 +210,7 @@ class SupportedWords:
                      for row in self.form.rows)
 
 
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
                     torsion_scale: int | None = None) -> SupportedWords:
     """Certified-at-margin words of the shift supported inside [lo, hi]."""
@@ -231,7 +221,9 @@ def supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
     return SupportedWords(shift, lo, hi, form)
 
 
-@lru_cache(maxsize=None)
+# maxsize=0 caches nothing, as no key repeats on the bench pools, and keeps
+# the `cache_clear` that perfbench/record.py calls on each shifts cache
+@lru_cache(maxsize=0)
 def torsion_window_projection(shift: GroupShift, lo: int, hi: int, margin: int,
                               p: int) -> HowellForm:
     """Projection onto [lo, hi] of the margin-padded p-torsion submodule."""

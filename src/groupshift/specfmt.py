@@ -125,18 +125,6 @@ def parse_spec(text: str) -> ShiftSpec:
                      options["horizon"])
 
 
-def format_spec(spec: ShiftSpec) -> str:
-    shift = spec.shift
-    lines = [f"group: {shift.alphabet.format()}"]
-    if shift.memory_hint is not None:
-        lines.append(f"memory: {shift.memory_hint}")
-    if spec.horizon_override is not None:
-        lines.append(f"horizon: {spec.horizon_override}")
-    for g in shift.generators:
-        lines.append("gen " + g.format())
-    return "\n".join(lines) + "\n"
-
-
 _MSG_RE = re.compile(r"^(-?\d+)\s*:\s*(.*)$")
 
 

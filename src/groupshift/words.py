@@ -47,11 +47,6 @@ class Word:
     def zero(cls, group: FiniteAbelianGroup) -> "Word":
         return cls(group, 0, ())
 
-    @classmethod
-    def impulse(cls, group: FiniteAbelianGroup, coords: Sequence[int],
-                position: int = 0) -> "Word":
-        return cls.make(group, position, [tuple(coords)])
-
     @property
     def is_zero(self) -> bool:
         return not self.symbols
@@ -79,12 +74,6 @@ class Word:
         if self.is_zero:
             return self
         return Word(self.group, self.start - n, self.symbols)
-
-    def restricted(self, lo: int, hi: int) -> "Word":
-        """The word agreeing with this one on [lo, hi] and zero outside."""
-        a = max(lo - self.start, 0)
-        return Word.trimmed(self.group, self.start + a,
-                            self.symbols[a:max(hi + 1 - self.start, a)])
 
     @classmethod
     def combine(cls, group: FiniteAbelianGroup,
@@ -127,9 +116,6 @@ class Word:
     def order(self) -> int:
         """Order of the word in the group H^(Z)."""
         return reduce(math.lcm, (self.group.order_of(s) for s in self.symbols), 1)
-
-    def is_torsion(self, p: int) -> bool:
-        return self.scaled(p).is_zero
 
     def agrees_on(self, other: "Word", lo: int, hi: int) -> bool:
         return all(self.value_at(i) == other.value_at(i) for i in range(lo, hi + 1))

@@ -1,10 +1,55 @@
+import itertools
 import random
 
 import pytest
 
 from groupshift.groups import FiniteAbelianGroup
+from groupshift.residues import combine_rows, unpack_rows
 from groupshift.shifts import GroupShift
+from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
+
+
+def impulse(group: FiniteAbelianGroup, coords, position: int = 0) -> Word:
+    return Word.make(group, position, [tuple(coords)])
+
+
+def full_shift(alphabet: FiniteAbelianGroup) -> GroupShift:
+    gens = []
+    for j in range(alphabet.rank):
+        coords = [0] * alphabet.rank
+        coords[j] = 1
+        gens.append(impulse(alphabet, coords))
+    return GroupShift.make(alphabet, gens)
+
+
+def restricted(w: Word, lo: int, hi: int) -> Word:
+    """The word agreeing with w on [lo, hi] and zero outside."""
+    a = max(lo - w.start, 0)
+    return Word.trimmed(w.group, w.start + a, w.symbols[a:max(hi + 1 - w.start, a)])
+
+
+def is_torsion(w: Word, p: int) -> bool:
+    return w.scaled(p).is_zero
+
+
+def enumerate_elements(form):
+    """Yield every element of the row span of a Howell form exactly once."""
+    m, n = form.modulus, form.ncols
+    for coeffs in itertools.product(*(range(m // d) for _, d in form.pivots)):
+        yield unpack_rows([combine_rows(coeffs, form.packed, m, n)], m, n)[0]
+
+
+def format_spec(spec: ShiftSpec) -> str:
+    shift = spec.shift
+    lines = [f"group: {shift.alphabet.format()}"]
+    if shift.memory_hint is not None:
+        lines.append(f"memory: {shift.memory_hint}")
+    if spec.horizon_override is not None:
+        lines.append(f"horizon: {spec.horizon_override}")
+    for g in shift.generators:
+        lines.append("gen " + g.format())
+    return "\n".join(lines) + "\n"
 
 
 def make_shift(group_text, gens, memory=None):
@@ -50,8 +95,7 @@ def random_shift(rng: random.Random, max_gens=2, max_support=3,
         if not w.is_zero:
             gens.append(w)
     if not gens:
-        gens = [Word.impulse(group, tuple(1 if i == 0 else 0
-                                          for i in range(group.rank)))]
+        gens = [impulse(group, tuple(1 if i == 0 else 0 for i in range(group.rank)))]
     return GroupShift.make(group, gens)
 
 

@@ -26,7 +26,7 @@ from groupshift.residues import howell_form
 from groupshift.shifts import GroupShift, enumerate_window_code
 from groupshift.words import Word
 
-from conftest import random_message
+from conftest import full_shift, impulse, random_message
 
 SEED = 20260810
 GROUP_POOL = ["Z2", "Z3", "Z4", "Z5", "Z7", "Z8", "Z2 x Z2", "Z2 x Z4",
@@ -96,7 +96,7 @@ def test_criterion_1_full_shift_identity():
     with criterion(1, "full-shift identity certificates"):
         for name in FULL_SHIFT_ALPHABETS:
             alphabet = FiniteAbelianGroup.parse(name)
-            shift = GroupShift.full_shift(alphabet)
+            shift = full_shift(alphabet)
             started = time.monotonic()
             cert = conjugacy_certificate(shift)
             elapsed = time.monotonic() - started
@@ -151,14 +151,14 @@ def test_criterion_3_encoder_invariants(certified_collection):
                 assert encode(enc, a.shifted(1)) == encode(enc, a).shifted(1)
             for j, (p, h) in enumerate(zip(enc.tap_primes, enc.heights)):
                 unit = [int(i == j) for i in range(enc.source.rank)]
-                image = encode(enc, Word.impulse(enc.source, unit))
+                image = encode(enc, impulse(enc.source, unit))
                 assert (p ** (h + 1)) % image.order() == 0
 
 
 def test_criterion_4_scaled_finite_words(certified_collection):
     collection, _ = certified_collection
     with criterion(4, "p^r-scaled finite words match the scaled shift"):
-        shifts = [GroupShift.full_shift(FiniteAbelianGroup.parse(n))
+        shifts = [full_shift(FiniteAbelianGroup.parse(n))
                   for n in FULL_SHIFT_ALPHABETS]
         shifts += [shift for shift, _ in collection]
         checked = 0
@@ -244,7 +244,7 @@ def test_criterion_6_index_consistency(certified_collection):
 def test_criterion_7_difference_encoder_flagged(tmp_path):
     with criterion(7, "difference encoder flagged as catastrophic, exit 1"):
         z2 = FiniteAbelianGroup.parse("Z2")
-        full = GroupShift.full_shift(z2)
+        full = full_shift(z2)
         tap = Word.make(z2, 0, [(1,), (1,)])  # impulse minus shifted impulse
         enc = Encoder(z2, FiniteAbelianGroup(((2, 1),)), (tap,), (0,), (2,))
         rep = check_noncatastrophic(enc, full, horizon=4, margin=2)

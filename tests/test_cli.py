@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.cli import main
-from groupshift.specfmt import (SpecParseError, format_spec, parse_message,
-                                parse_spec)
+from groupshift.specfmt import SpecParseError, parse_message, parse_spec
 from groupshift.groups import FiniteAbelianGroup
+
+from conftest import format_spec
 
 
 FULL_Z4 = "group: Z4\ngen @0: 1\n"
@@ -92,6 +93,18 @@ def test_certify_full_shift_exit_zero(tmp_path, capsys):
     assert "certificate: complete" in out
     assert "verdict: pass" in out
     assert "encoder.tap.1: @0: 1" in out
+
+
+def test_generators_and_certify_at_the_largest_prime_modulus(tmp_path, capsys):
+    # the initial-value projection of Z/(2^31 - 1) has 2^31 - 1 elements, so
+    # a generator pick that listed them ran out of memory
+    path = tmp_path / "large-prime.spec"
+    path.write_text("group: Z2147483647\ngen @0: 1 5\n")
+    code, out = run_cli(["generators", str(path)], capsys)
+    assert code == 0
+    code, out = run_cli(["certify", str(path)], capsys)
+    assert code == 0
+    assert "certificate: complete" in out
 
 
 def test_analyze_delay_rep(tmp_path, capsys):

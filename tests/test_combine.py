@@ -10,6 +10,8 @@ from groupshift.encoders import Encoder, encode
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.words import Word
 
+from conftest import impulse, restricted
+
 GROUPS = ["Z2", "Z4", "Z2 x Z3", "Z2 x Z4", "Z9"]
 
 
@@ -29,7 +31,7 @@ def fold_add(a: Word, b: Word) -> Word:
 
 
 def restrict(w: Word, window) -> Word:
-    """The restriction symbol by symbol (Word.restricted slices the symbols)."""
+    """The restriction symbol by symbol (`conftest.restricted` slices the symbols)."""
     if window is None:
         return w
     lo, hi = window
@@ -86,13 +88,13 @@ def test_add_and_restrict_match_fold(name, data):
     assert a - b == fold_add(a, -b)
     lo = data.draw(st.integers(-8, 8))
     hi = data.draw(st.integers(lo - 1, lo + 8))
-    assert a.restricted(lo, hi) == restrict(a, (lo, hi))
+    assert restricted(a, lo, hi) == restrict(a, (lo, hi))
 
 
 def test_combine_rejects_mixed_alphabets():
     z2, z4 = FiniteAbelianGroup.parse("Z2"), FiniteAbelianGroup.parse("Z4")
     with pytest.raises(ValueError):
-        Word.combine(z2, [(1, Word.impulse(z4, (1,)), 0)])
+        Word.combine(z2, [(1, impulse(z4, (1,)), 0)])
 
 
 @settings(max_examples=150, deadline=None)

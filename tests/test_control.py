@@ -10,11 +10,10 @@ from groupshift.control import (_divisors, _steering_condition, _steering_witnes
                                 order_controllability_index,
                                 weak_controllability_check)
 from groupshift.encoders import PipelineFailure, multiple_shift, socle_shift
-from groupshift.shifts import GroupShift
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
-from conftest import make_shift, random_shift
+from conftest import enumerate_elements, full_shift, make_shift, random_shift, restricted
 
 
 def enumerated_index(shift, cap, past, ordered):
@@ -22,18 +21,18 @@ def enumerated_index(shift, cap, past, ordered):
     for n in range(cap + 1):
         module = shift.window(-past, n + past)
         ok_all = True
-        for vec in module.form.enumerate_elements():
+        for vec in enumerate_elements(module.form):
             g = Word.from_window_vector(shift.alphabet, -past, vec)
             found = False
-            for vec1 in module.form.enumerate_elements():
+            for vec1 in enumerate_elements(module.form):
                 g1 = Word.from_window_vector(shift.alphabet, -past, vec1)
                 if not g1.agrees_on(g, -past, 0):
                     continue
-                if not g1.restricted(n + 1, n + past).is_zero:
+                if not restricted(g1, n + 1, n + past).is_zero:
                     continue
                 if ordered:
-                    d = g.restricted(1, n).order()
-                    if d % g1.restricted(1, n).order():
+                    d = restricted(g, 1, n).order()
+                    if d % restricted(g1, 1, n).order():
                         continue
                 found = True
                 break
@@ -46,7 +45,7 @@ def enumerated_index(shift, cap, past, ordered):
 
 
 def test_full_shift_indices(z4):
-    rep = analyze_controllability(GroupShift.full_shift(z4), cap=4)
+    rep = analyze_controllability(full_shift(z4), cap=4)
     assert rep.n_c == 0 and rep.n_o == 0
     assert rep.weakly_controllable
 
@@ -150,7 +149,7 @@ def test_reports_are_reproducible():
 
 
 def test_weak_controllability_variants(z4, delay_rep):
-    g = GroupShift.full_shift(z4)
+    g = full_shift(z4)
     assert weak_controllability_check(g, "self").holds
     socle = weak_controllability_check(g, "socle", p=2)
     assert socle.holds

@@ -21,14 +21,15 @@ from groupshift.shifts import (GroupShift, member, enumerate_window_code,
                               finite_type_memory, supported_words)
 from groupshift.words import Word
 
-from conftest import make_shift, random_message, random_shift
+from conftest import (enumerate_elements, full_shift, impulse, is_torsion, make_shift,
+                     random_message, random_shift, restricted)
 
 
 # -- derived shifts -----------------------------------------------------------
 
 
 def test_multiple_shift_examples(z4):
-    g = GroupShift.full_shift(z4)
+    g = full_shift(z4)
     assert multiple_shift(g, 2, 0) is g
     scaled = multiple_shift(g, 2, 1)
     assert [w.format() for w in scaled.generators] == ["@0: 2"]
@@ -40,7 +41,7 @@ def test_multiple_shift_examples(z4):
 
 
 def test_scaled_finite_words_lemma():
-    for shift in [GroupShift.full_shift(FiniteAbelianGroup.parse("Z8")),
+    for shift in [full_shift(FiniteAbelianGroup.parse("Z8")),
                   make_shift("Z8", [(0, [1, 2])]),
                   make_shift("Z4", [(0, [1, 2])]),
                   make_shift("Z2 x Z4", [(0, [(1, 1), (0, 2)])])]:
@@ -52,7 +53,7 @@ def test_scaled_finite_words_lemma():
 
 
 def test_socle_shift_examples(z4):
-    g = GroupShift.full_shift(z4)
+    g = full_shift(z4)
     socle = socle_shift(g, 2)
     # the torsion subshift of the full Z4 shift is the full shift over 2Z4
     assert socle.window(0, 2).size() == 8
@@ -60,7 +61,7 @@ def test_socle_shift_examples(z4):
         assert w.scaled(2).is_zero
     # exp(H) = p keeps the shift itself
     z2 = FiniteAbelianGroup.parse("Z2")
-    d = GroupShift.full_shift(z2)
+    d = full_shift(z2)
     assert socle_shift(d, 2).window(0, 1).form.spans_same(d.window(0, 1).form)
     with pytest.raises(ValueError):
         socle_shift(g, 3)
@@ -79,11 +80,11 @@ def test_socle_of_two_symbol_code():
 
 
 def test_lift_height_trivial_and_basic(z4):
-    g = GroupShift.full_shift(z4)
-    x = Word.impulse(z4, (2,))
+    g = full_shift(z4)
+    x = impulse(z4, (2,))
     assert lift_height(g, x, 2, 0, 2, 2) == x
     y = lift_height(g, x, 2, 1, 2, 2)
-    assert y == Word.impulse(z4, (1,))
+    assert y == impulse(z4, (1,))
     # inside the (1,1)-generated code, (2,2) divides back to (1,1)
     t = make_shift("Z4", [(0, [1, 1])])
     x2 = Word.make(t.alphabet, 0, [(2,), (2,)])
@@ -93,10 +94,10 @@ def test_lift_height_trivial_and_basic(z4):
 
 
 def test_word_height(z4):
-    g8 = GroupShift.full_shift(FiniteAbelianGroup.parse("Z8"))
-    x = Word.impulse(g8.alphabet, (4,))
+    g8 = full_shift(FiniteAbelianGroup.parse("Z8"))
+    x = impulse(g8.alphabet, (4,))
     assert word_height(g8, x, 2, 0, 2, 3) == 2
-    assert word_height(g8, Word.impulse(g8.alphabet, (2,)), 2, 0, 2, 3) == 1
+    assert word_height(g8, impulse(g8.alphabet, (2,)), 2, 0, 2, 3) == 1
     with pytest.raises(ValueError):
         word_height(g8, Word.zero(g8.alphabet), 2, 0, 2, 3)
 
@@ -107,7 +108,7 @@ def test_word_height(z4):
 def test_full_shift_prime_power_sets():
     for name, m, heights in [("Z2", 1, (0,)), ("Z4", 1, (1,)), ("Z8", 1, (2,)),
                              ("Z2 x Z4", 2, (1, 0))]:
-        g = GroupShift.full_shift(FiniteAbelianGroup.parse(name))
+        g = full_shift(FiniteAbelianGroup.parse(name))
         gs = canonical_generators(g, 2)
         assert len(gs.entries) == m
         assert gs.heights == heights
@@ -146,7 +147,7 @@ def test_initial_basis_spans_every_one_sided_torsion_word():
     # any further certified torsion word starting at 0 has its initial
     # symbol inside the span of the selected basis symbols
     from groupshift.encoders import _torsion_candidates
-    for shift in [GroupShift.full_shift(FiniteAbelianGroup.parse("Z2 x Z4")),
+    for shift in [full_shift(FiniteAbelianGroup.parse("Z2 x Z4")),
                   make_shift("Z2 x Z2", [(0, [(1, 0), (0, 1)])]),
                   make_shift("Z4", [(0, [1, 2])])]:
         gs = canonical_generators(shift, 2)
@@ -156,7 +157,7 @@ def test_initial_basis_spans_every_one_sided_torsion_word():
         span = howell_form(basis, h.exponent, h.rank)
         assert span.rank == len(basis)
         cands = _torsion_candidates(shift, 2, gs.horizons)
-        for vec in cands.form.enumerate_elements():
+        for vec in enumerate_elements(cands.form):
             w = Word.from_window_vector(h, cands.lo, vec)
             if w.is_zero or w.first != 0:
                 continue
@@ -194,7 +195,7 @@ def test_scaled_torsion_entries_divide_to_fp_coordinates(name):
 
 
 def test_mixed_alphabet_rejected():
-    g = GroupShift.full_shift(FiniteAbelianGroup.parse("Z6"))
+    g = full_shift(FiniteAbelianGroup.parse("Z6"))
     with pytest.raises(ValueError):
         canonical_generators(g, 2)
 
@@ -212,33 +213,33 @@ def build_for(shift, p=2):
 
 
 def test_encode_examples(z4):
-    enc = build_for(GroupShift.full_shift(z4))
+    enc = build_for(full_shift(z4))
     assert encode(enc, Word.zero(enc.source)).is_zero
     coords = [1] + [0] * (enc.source.rank - 1)
-    assert encode(enc, Word.impulse(enc.source, coords)) == enc.taps[0]
-    m1 = Word.impulse(enc.source, coords, 0)
-    m2 = Word.impulse(enc.source, [2 * c for c in coords], 3)
+    assert encode(enc, impulse(enc.source, coords)) == enc.taps[0]
+    m1 = impulse(enc.source, coords, 0)
+    m2 = impulse(enc.source, [2 * c for c in coords], 3)
     assert encode(enc, m1 + m2) == encode(enc, m1) + encode(enc, m2)
 
 
 def test_encode_windowed(delay_rep):
     enc = build_for(delay_rep)
     coords = [1] + [0] * (enc.source.rank - 1)
-    msg = Word.impulse(enc.source, coords, 0) + Word.impulse(enc.source, coords, 4)
+    msg = impulse(enc.source, coords, 0) + impulse(enc.source, coords, 4)
     full = encode(enc, msg)
     clipped = encode(enc, msg, window=(0, 2))
-    assert clipped == full.restricted(0, 2)
+    assert clipped == restricted(full, 0, 2)
 
 
 def test_encode_rejects_wrong_source(z4):
-    enc = build_for(GroupShift.full_shift(z4))
+    enc = build_for(full_shift(z4))
     with pytest.raises(ValueError):
-        encode(enc, Word.impulse(FiniteAbelianGroup.parse("Z2"), (1,)))
+        encode(enc, impulse(FiniteAbelianGroup.parse("Z2"), (1,)))
 
 
 def test_homomorphism_and_equivariance_random():
     rng = random.Random(31)
-    for shift in [GroupShift.full_shift(FiniteAbelianGroup.parse("Z8")),
+    for shift in [full_shift(FiniteAbelianGroup.parse("Z8")),
                   make_shift("Z2 x Z2", [(0, [(1, 0), (0, 1)])]),
                   make_shift("Z4", [(0, [1, 1])])]:
         enc = build_for(shift)
@@ -249,7 +250,7 @@ def test_homomorphism_and_equivariance_random():
             assert encode(enc, a.shifted(1)) == encode(enc, a).shifted(1)
         for j, h in enumerate(enc.heights):
             unit = [int(i == j) for i in range(enc.source.rank)]
-            image = encode(enc, Word.impulse(enc.source, unit))
+            image = encode(enc, impulse(enc.source, unit))
             assert (2 ** (h + 1)) % image.order() == 0
 
 
@@ -269,7 +270,7 @@ def sampled_invariants(encoder, p, pairs):
     order_ok = True
     for j, h in enumerate(encoder.heights):
         unit = [int(i == j) for i in range(encoder.source.rank)]
-        image = encode(encoder, Word.impulse(encoder.source, unit))
+        image = encode(encoder, impulse(encoder.source, unit))
         if image.order() > p ** (h + 1) or (p ** (h + 1)) % image.order():
             order_ok = False
     return {"homomorphism": hom, "shift-equivariance": equi,
@@ -317,8 +318,8 @@ def test_exact_invariants_match_sampled_reference(name, rng, seed):
     # the carry pair (p^(h_j+1) - 1) * e_j, e_j fails exactly at the taps
     # that break the order bound
     for j, (tap, h) in enumerate(zip(taps, heights)):
-        impulse = Word.impulse(enc.source, [int(i == j) for i in range(count)])
-        carry = (impulse.scaled(p ** (h + 1) - 1), impulse)
+        unit = impulse(enc.source, [int(i == j) for i in range(count)])
+        carry = (unit.scaled(p ** (h + 1) - 1), unit)
         assert sampled_invariants(enc, p, [carry])["homomorphism"] == \
             tap.scaled(p ** (h + 1)).is_zero
 
@@ -338,7 +339,7 @@ def test_broken_encoder_fails_homomorphism_and_order_bounds(z4):
 
 
 def test_injectivity_full_shift(z4):
-    enc = build_for(GroupShift.full_shift(z4))
+    enc = build_for(full_shift(z4))
     rep = check_injectivity(enc, 4)
     assert rep.block == 0
 
@@ -352,7 +353,7 @@ def test_injectivity_difference_encoder_never(z2):
 
 
 def test_injectivity_duplicate_taps_never(z2):
-    tap = Word.impulse(z2, (1,))
+    tap = impulse(z2, (1,))
     enc = Encoder(z2, FiniteAbelianGroup(((2, 1), (2, 1))), (tap, tap),
                   (0, 0), (2, 2))
     assert check_injectivity(enc, 5).block is None
@@ -373,7 +374,7 @@ def reference_injectivity(encoder, block_cap):
         vectors, labels = [], []
         for j, x in enumerate(encoder.torsion_words()):
             for t in ([] if x.is_zero else range(-x.last, n - x.first + 1)):
-                clipped = x.shifted(-t).restricted(0, n)
+                clipped = restricted(x.shifted(-t), 0, n)
                 if not clipped.is_zero:
                     vectors.append(tuple(c for i in range(n + 1) for c in
                                          torsion_coords_to_fp(group, clipped.value_at(i), p)))
@@ -409,14 +410,14 @@ def test_injectivity_matches_symbolwise_reference(name, rng):
 
 
 def test_noncatastrophic_identity(z4):
-    g = GroupShift.full_shift(z4)
+    g = full_shift(z4)
     enc = build_for(g)
     rep = check_noncatastrophic(enc, g, horizon=3, margin=2)
     assert rep.ok
 
 
 def test_difference_encoder_catastrophic(z2):
-    g = GroupShift.full_shift(z2)
+    g = full_shift(z2)
     diff_tap = Word.make(z2, 0, [(1,), (1,)])
     enc = Encoder(z2, FiniteAbelianGroup(((2, 1),)), (diff_tap,), (0,), (2,))
     rep = check_noncatastrophic(enc, g, horizon=3, margin=2)
@@ -453,7 +454,7 @@ def sampled_forward(encoder, shift, margin, rng, trials=64):
     and of `trials` random messages at reach 3, certified one by one; the
     first image that fails, else None."""
     src = encoder.source
-    impulses = [Word.impulse(src, [int(i == j) for i in range(src.rank)])
+    impulses = [impulse(src, [int(i == j) for i in range(src.rank)])
                 for j in range(src.rank)]
     for msg in impulses + [random_message(encoder, rng, 3) for _ in range(trials)]:
         image = encode(encoder, msg)
@@ -564,13 +565,13 @@ def test_forward_direction_matches_sampled_reference(rng, extra, horizon):
 
 
 def test_base_decompose_examples(z4):
-    g = GroupShift.full_shift(z4)
+    g = full_shift(z4)
     pg_set = canonical_generators(multiple_shift(g, 2, 1), 2)
-    u_t = Word.impulse(z4, (2,))  # torsion: v = u, w = 0
+    u_t = impulse(z4, (2,))  # torsion: v = u, w = 0
     dec = base_decompose(g, u_t, pg_set)
     assert dec.torsion_part == u_t and dec.tap_part.is_zero
 
-    u = Word.impulse(z4, (1,))
+    u = impulse(z4, (1,))
     dec = base_decompose(g, u, pg_set)
     assert dec.torsion_part + dec.tap_part == u
     assert dec.torsion_part.scaled(2).is_zero
@@ -579,9 +580,9 @@ def test_base_decompose_examples(z4):
 
 def test_base_decompose_random():
     rng = random.Random(35)
-    shifts = [GroupShift.full_shift(FiniteAbelianGroup.parse("Z4")),
+    shifts = [full_shift(FiniteAbelianGroup.parse("Z4")),
               make_shift("Z4", [(0, [1, 1])]),
-              GroupShift.full_shift(FiniteAbelianGroup.parse("Z8"))]
+              full_shift(FiniteAbelianGroup.parse("Z8"))]
     for shift in shifts:
         pg = multiple_shift(shift, 2, 1)
         pg_set = canonical_generators(pg, 2)
@@ -612,7 +613,7 @@ def test_base_decompose_random():
 
 def test_full_shift_certificates_all_complete():
     for name in ["Z2", "Z3", "Z4", "Z8", "Z2 x Z4", "Z6"]:
-        g = GroupShift.full_shift(FiniteAbelianGroup.parse(name))
+        g = full_shift(FiniteAbelianGroup.parse(name))
         cert = conjugacy_certificate(g)
         assert cert.complete, name
         assert cert.product_encoder is not None
@@ -625,7 +626,7 @@ def test_certificate_deterministic(delay_rep):
 
 
 def test_primary_shift_split():
-    g = GroupShift.full_shift(FiniteAbelianGroup.parse("Z6"))
+    g = full_shift(FiniteAbelianGroup.parse("Z6"))
     part2 = primary_shift(g, 2)
     part3 = primary_shift(g, 3)
     assert part2.alphabet.orders == (2,)
@@ -664,7 +665,7 @@ def reference_structure(genset):
         "heights-sorted": all(a >= b for a, b in zip(hs, hs[1:])),
         "initial-basis-independent":
             howell_form(initial, h.exponent, h.rank).rank == len(initial),
-        "torsion-one-sided": all(e.torsion_word.is_torsion(p) and
+        "torsion-one-sided": all(is_torsion(e.torsion_word, p) and
                                  (e.torsion_word.is_zero or e.torsion_word.first == 0)
                                  for e in genset.entries),
     }

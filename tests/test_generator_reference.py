@@ -19,7 +19,7 @@ from unittest import mock
 
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import brute_force_span, random_shift
+from conftest import brute_force_span, enumerate_elements, full_shift, random_shift
 from groupshift import encoders
 from groupshift.encoders import (GeneratorEntry, PipelineFailure,
                                  _candidate_batches, _least_outside, _levels,
@@ -56,7 +56,7 @@ def eager_batches(cands, max_len):
             raise ReferenceCapHit
         budget -= sub.size()
         batch = []
-        for rev_vec in sub.enumerate_elements():
+        for rev_vec in enumerate_elements(sub):
             vec = tuple(reversed(rev_vec))
             # exact support [0, s-1]
             if any(vec[:r]) and any(vec[(s - 1) * r:]):
@@ -158,7 +158,7 @@ def test_selection_matches_eager_reference_on_torsion_modules(group, rng, quotie
     unit = h.exponent // p  # every p-torsion scaled entry is a multiple
     rows = [[rng.randrange(p) * unit for _ in range(cap * r)]
             for _ in range(rng.randrange(1, 8))]
-    cands = SupportedWords(GroupShift.full_shift(h), 0, cap - 1,
+    cands = SupportedWords(full_shift(h), 0, cap - 1,
                            howell_form(rows, h.exponent, cap * r))
     seeds = [tuple(rng.randrange(p) * unit for _ in range(r))
              for _ in range(rng.randrange(r))]
@@ -175,18 +175,16 @@ def test_selection_matches_eager_reference_on_torsion_modules(group, rng, quotie
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([4, 8, 9]), st.randoms(use_true_random=False))
+@given(st.sampled_from([4, 8, 9, 6, 12]), st.randoms(use_true_random=False))
 def test_least_outside_is_the_least_admissible_element(m, rng):
-    # over Z/p^k with p^k > p the enumeration order of a Howell form is not
-    # lex order, and a lift by several head rows need not be reduced
+    # over Z/p^k with p^k > p, and over composite moduli, the enumeration
+    # order of a Howell form is not lex order; the picked span here is any
+    # submodule of (Z/m)^r, the empty one included
     r, width = rng.randrange(1, 4), rng.randrange(1, 3)
     rows = [[rng.randrange(m) for _ in range(r * width)] for _ in range(rng.randrange(1, 5))]
     form = howell_form(rows, m)
-    salt = rng.randrange(3)
-
-    def outside(head) -> bool:
-        # as in the search, the zero symbol is never admissible
-        return any(head) and (salt + sum(i * x for i, x in enumerate(head, 1))) % 3 == 0
-
-    admissible = [v for v in form.enumerate_elements() if outside(v[:r])]
-    assert _least_outside(form, r, outside) == min(admissible, default=None)
+    span = howell_form([[rng.randrange(m) for _ in range(r)]
+                        for _ in range(rng.randrange(3))], m, r)
+    least = min((v for v in enumerate_elements(form) if not span.contains(v[:r])),
+                default=None)
+    assert _least_outside(form, r, span) == least

@@ -13,7 +13,7 @@ from groupshift.residues import (HowellForm, PackedRows, _eliminate, _lane_layou
                                  pack_rows, placed_rows, projection_heads, row_solver,
                                  unit_for, unpack_rows, xgcd)
 
-from conftest import brute_force_span, tuple_combine_rows
+from conftest import brute_force_span, enumerate_elements, tuple_combine_rows
 
 MODULI = [2, 3, 4, 5, 8, 9, 12]
 
@@ -72,7 +72,7 @@ def test_howell_diag_two_mod_four():
     assert len(f.rows) == 2
     assert f.pivots == ((0, 2), (1, 2))
     span = brute_force_span([(2, 0), (0, 2)], 4, 2)
-    assert set(f.enumerate_elements()) == span
+    assert set(enumerate_elements(f)) == span
 
 
 @settings(max_examples=150, deadline=None)
@@ -84,7 +84,7 @@ def test_howell_idempotent_and_span_preserving(mat):
     assert again.rows == f.rows
     width = len(rows[0])
     span = brute_force_span(rows, modulus, width)
-    assert set(f.enumerate_elements()) == span
+    assert set(enumerate_elements(f)) == span
     assert f.size() == len(span)
 
 
@@ -451,7 +451,7 @@ def test_kernel_xgcd_fold_when_the_pivot_does_not_divide(rows, modulus):
     assert any(g % gcds[0] for g in gcds)
     got = howell_form(rows, modulus)
     assert got == reference_howell_form(rows, modulus)
-    assert set(got.enumerate_elements()) == brute_force_span(rows, modulus, len(rows[0]))
+    assert set(enumerate_elements(got)) == brute_force_span(rows, modulus, len(rows[0]))
 
 
 def constrained_form(rows, m, conditions, lo, hi):

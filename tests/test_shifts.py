@@ -13,14 +13,15 @@ from groupshift.shifts import (GroupShift, _splice_property_holds,
                                splice, supported_words)
 from groupshift.words import Word
 
-from conftest import make_shift, random_shift, tuple_combine_rows
+from conftest import (enumerate_elements, full_shift, impulse, make_shift, random_shift,
+                     restricted, tuple_combine_rows)
 
 
 def window_code_as_set(shift, lo, hi):
     """Window module elements via the canonical-form path, as flat symbol
     tuples, for comparison with the brute-force oracle."""
     out = set()
-    for vec in shift.window(lo, hi).form.enumerate_elements():
+    for vec in enumerate_elements(shift.window(lo, hi).form):
         w = Word.from_window_vector(shift.alphabet, lo, vec)
         flat = []
         for i in range(lo, hi + 1):
@@ -33,7 +34,7 @@ def window_code_as_set(shift, lo, hi):
 
 
 def test_full_shift_single_window(z4):
-    g = GroupShift.full_shift(z4)
+    g = full_shift(z4)
     assert g.window(0, 0).size() == 4
 
 
@@ -52,7 +53,7 @@ def test_far_window_has_three_contributors(z2):
     from conftest import brute_force_span
     span = brute_force_span(unpack_rows(module.packed, module.modulus, module.rank_width),
                             2, 2)
-    assert set(module.form.enumerate_elements()) == span
+    assert set(enumerate_elements(module.form)) == span
 
 
 #: Rank >= 2 alphabets, 2^e moduli, odd p^e moduli and composite (Barrett) ones.
@@ -113,7 +114,7 @@ def test_member_zero_and_generators(delay_rep):
 
 
 def test_member_rejects_non_member(delay_rep):
-    bad = Word.impulse(delay_rep.alphabet, (1, 1))
+    bad = impulse(delay_rep.alphabet, (1, 1))
     assert not member(delay_rep, bad, 2).certified_in
 
 
@@ -151,19 +152,19 @@ def test_difference_code_closure_is_full(z2):
     g = make_shift("Z2", [(0, [1, 1])])
     for t in range(4):
         assert g.window(0, t).size() == 2 ** (t + 1)
-    assert member(g, Word.impulse(z2, (1,)), 4).certified_in
+    assert member(g, impulse(z2, (1,)), 4).certified_in
 
 
 # -- finite type and splice ----------------------------------------------------
 
 
 def test_finite_type_full_shift(z4):
-    assert finite_type_memory(GroupShift.full_shift(z4), 4).memory == 1
+    assert finite_type_memory(full_shift(z4), 4).memory == 1
 
 
 def test_finite_type_cap_error(z4):
     with pytest.raises(ValueError):
-        finite_type_memory(GroupShift.full_shift(z4), 0)
+        finite_type_memory(full_shift(z4), 0)
 
 
 def test_finite_type_examples(delay_rep):
@@ -319,7 +320,7 @@ def set_closure_window_code(shift, lo, hi):
         flat = []
         for i in range(lo, hi + 1):
             flat.extend(placed.value_at(i))
-        order = placed.restricted(lo, hi).order()
+        order = restricted(placed, lo, hi).order()
         new = set()
         for base in elements:
             cur = list(base)

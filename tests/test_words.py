@@ -8,6 +8,8 @@ from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import pack_rows
 from groupshift.words import Word, word_span
 
+from conftest import impulse, is_torsion, restricted
+
 GROUPS = ["Z2", "Z4", "Z2 x Z4", "Z6"]
 
 
@@ -62,15 +64,15 @@ def test_order_and_torsion(group_name, rng):
     for q in {2, 3}:
         if n % q == 0:
             assert not w.scaled(n // q).is_zero
-    assert w.is_torsion(2) == w.scaled(2).is_zero
+    assert is_torsion(w, 2) == w.scaled(2).is_zero
 
 
 def test_restriction(z4):
     w = Word.make(z4, 0, [(1,), (2,), (3,)])
-    r = w.restricted(1, 5)
+    r = restricted(w, 1, 5)
     assert r.value_at(0) == (0,) and r.value_at(1) == (2,) and r.value_at(2) == (3,)
-    assert w.restricted(5, 9).is_zero
-    assert w.restricted(0, 2) == w
+    assert restricted(w, 5, 9).is_zero
+    assert restricted(w, 0, 2) == w
 
 
 def test_window_vector_roundtrip():
@@ -167,4 +169,4 @@ def test_format(z4):
 
 def test_alphabet_mismatch(z2, z4):
     with pytest.raises(ValueError):
-        Word.impulse(z2, (1,)) + Word.impulse(z4, (1,))
+        impulse(z2, (1,)) + impulse(z4, (1,))
