@@ -4,10 +4,12 @@ Three notions are decided on finite windows: weak controllability (window
 modules generated by restrictions of finite-support members), the plain
 steering index n_c (any past can be driven to zero within n steps), and the
 order-respecting index n_o (the steering element's order on the steering
-block divides that of the original).  Every verdict records the window
-geometry it was computed at.  Weak controllability of the p-torsion
-subshift is read off `shifts.torsion_presentation`, the presentation that
-`encoders.socle_shift` returns, so `analyze` and `certify` decide it alike.
+block divides that of the original).  The plain condition is the order
+condition's scale exp(H), decided by the same elimination, so n_c <= n_o.
+Every verdict records the window geometry it was computed at.  Weak
+controllability of the p-torsion subshift is read off
+`shifts.torsion_presentation`, the presentation that `encoders.socle_shift`
+returns, so `analyze` and `certify` decide it alike.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import _prime_power_factors
-from .residues import PackedRows, howell_form
+from .residues import HowellForm, PackedRows, howell_form
 from .shifts import GroupShift, Horizons, torsion_presentation
 from .words import Word
 
@@ -63,33 +65,39 @@ class ControllabilityReport:
     def n_o(self) -> int | None:
         return self.ordered.index
 
-    def consistent(self) -> bool:
-        """n_c <= n_o whenever both were found."""
-        if self.n_c is None or self.n_o is None:
-            return True
-        return self.n_c <= self.n_o
+
+def _steering_heads(shift: GroupShift, n: int, past: int, d: int,
+                    made: dict) -> tuple[HowellForm, list[int]]:
+    """The (kept, heads) elimination of the steering condition at candidate
+    index n, past window L and scale d, made once into `made[d]`.  At
+    d == exp(H) the order demand d*(restriction to [1,n]) == 0 is vacuous, so
+    that scale is eliminated with no condition columns: it is the plain
+    steering condition."""
+    if d not in made:
+        made[d] = shift.window(-past, n + past).projection_heads(
+            -past, 0, range(n + 1, n + past + 1),
+            kill_scale=None if d == shift.alphabet.exponent else d,
+            kill_positions=range(1, n + 1))
+    return made[d]
 
 
 def _steering_condition(shift: GroupShift, n: int, past: int,
-                        scales: list[int | None], made: dict) -> bool:
+                        scales: list[int], made: dict) -> bool:
     """Decide the steering condition at candidate index n, past window L.
 
-    Plain variant (scales [None]): every g in G|[-L, n+L] matches some g1
+    Plain variant (scales [exp(H)]): every g in G|[-L, n+L] matches some g1
     with the same past [-L, 0] and zero tail [n+1, n+L], which is one
     equality of past projections.  Ordered variant additionally demands
     order(g1|[1,n]) | order(g|[1,n]); split by divisors d of exp(H), "order
     divides d" is the linear condition d*(restriction to [1,n]) == 0, so each
     divisor d yields one equality between d-constrained past projections,
-    decided by one elimination.  The verdict is an all() over the scales, so
-    their order is free: a failing scale moves to the front of `scales`,
-    where the next candidate tries it first.  `made` receives the
-    (kept, heads) elimination of each scale tried.
+    decided by one elimination; the divisor exp(H) is the plain condition.
+    The verdict is an all() over the scales, so their order is free: a
+    failing scale moves to the front of `scales`, where the next candidate
+    tries it first.
     """
-    module = shift.window(-past, n + past)
-    tail, kill = range(n + 1, n + past + 1), range(1, n + 1)
     for i, d in enumerate(scales):
-        kept, heads = made[d] = module.projection_heads(-past, 0, tail, kill_scale=d,
-                                                        kill_positions=kill)
+        kept, heads = _steering_heads(shift, n, past, d, made)
         if not all(map(kept.contains, heads)):
             scales.insert(0, scales.pop(i))
             return False
@@ -97,18 +105,15 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
 
 
 def _steering_witness(shift: GroupShift, n: int, past: int,
-                      scales: list[int | None], made: dict) -> Word:
+                      scales: list[int], made: dict) -> Word:
     """A past in G|[-L, n+L] that no element with zero tail [n+1, n+L]
-    matches, at the first failing scale in ascending order (found by one
-    elimination per scale, reused from `made` where the steering condition
-    at the same n and L already ran it): the first row of the canonical past
-    projection outside the tail-constrained one.  That canonical form is read
-    off the same elimination, as the Howell form of its kept rows and heads."""
-    module = shift.window(-past, n + past)
-    tail, kill = range(n + 1, n + past + 1), range(1, n + 1)
+    matches, at the first failing scale in ascending order (read off the
+    eliminations in `made` where the steering condition at the same n and L
+    already ran them): the first row of the canonical past projection
+    outside the tail-constrained one.  That canonical form is read off the
+    same elimination, as the Howell form of its kept rows and heads."""
     for d in sorted(scales):
-        kept, heads = made[d] if d in made else module.projection_heads(
-            -past, 0, tail, kill_scale=d, kill_positions=kill)
+        kept, heads = _steering_heads(shift, n, past, d, made)
         if all(map(kept.contains, heads)):
             continue
         past_form = howell_form(PackedRows((*kept.packed, *heads), kept.ncols), kept.modulus)
@@ -118,13 +123,12 @@ def _steering_witness(shift: GroupShift, n: int, past: int,
     raise ArithmeticError(f"steering condition at n={n}, L={past} has no witness")
 
 
-def _index_search(shift: GroupShift, cap: int, order_constrained: bool,
+def _index_search(shift: GroupShift, cap: int, scales: list[int],
                   confirm: int) -> IndexSearch:
     """Scan candidates 0..cap, stopping `confirm` candidates after the first
     success; when none succeeds, the witness is the last failure's, read
-    off that candidate's eliminations where it made them.  The steering
-    conditions reorder this call's own list of scales."""
-    scales = _divisors(shift.alphabet.exponent) if order_constrained else [None]
+    off that candidate's eliminations.  The steering conditions reorder the
+    caller's fresh list of scales."""
     horizons = []
     table = []
     found = None
@@ -146,7 +150,7 @@ def controllability_index(shift: GroupShift, cap: int) -> IndexSearch:
     """Least n <= cap steering every window past to zero, or absent."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, False, _CONFIRM_STEPS)
+    return _index_search(shift, cap, [shift.alphabet.exponent], _CONFIRM_STEPS)
 
 
 def order_controllability_index(shift: GroupShift, cap: int,
@@ -155,7 +159,7 @@ def order_controllability_index(shift: GroupShift, cap: int,
     `confirm` further candidates are scanned past the least."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, True, confirm)
+    return _index_search(shift, cap, _divisors(shift.alphabet.exponent), confirm)
 
 
 def monotone_after_success(search: IndexSearch) -> bool:
@@ -170,7 +174,6 @@ def monotone_after_success(search: IndexSearch) -> bool:
 
 @dataclass(frozen=True)
 class WeakControllabilityReport:
-    derived: str
     holds: bool
     windows: tuple[tuple[int, int], ...]
     detail: str = ""
@@ -183,9 +186,9 @@ def socle_controllability(shift: GroupShift, p: int,
     _, failing = torsion_presentation(shift, p, horizons)
     windows = tuple((0, t) for t in range(horizons.window_horizon + 1))
     if failing is None:
-        return WeakControllabilityReport("socle", True, windows)
+        return WeakControllabilityReport(True, windows)
     return WeakControllabilityReport(
-        "socle", False, windows,
+        False, windows,
         f"torsion window [0,{failing}] not generated by finite torsion members")
 
 
@@ -204,8 +207,7 @@ def weak_controllability_check(shift: GroupShift, derived: str = "self",
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if derived == "self":
-        return WeakControllabilityReport(derived, True,
-                                         tuple((0, t) for t in range(horizon)))
+        return WeakControllabilityReport(True, tuple((0, t) for t in range(horizon)))
     if derived != "socle":
         raise ValueError(f"unknown derived shift selector {derived!r}")
     if p is None:

@@ -280,8 +280,6 @@ def torsion_presentation(shift: GroupShift, p: int,
 class FiniteTypeReport:
     memory: int | None
     cap: int
-    horizon: int
-    failures: tuple[tuple[int, int], ...]  # (candidate N, window reach L) that failed
 
 
 def _splice_property_holds(shift: GroupShift, n: int, reach: int) -> bool:
@@ -306,17 +304,11 @@ def finite_type_memory(shift: GroupShift, cap: int,
         raise ValueError("cap must be >= 1")
     if horizon is None:
         horizon = shift.span + 2
-    failures = []
     for n in range(1, cap + 1):
-        ok = True
-        for reach in range(1, horizon + n + 1):
-            if not _splice_property_holds(shift, n, reach):
-                failures.append((n, reach))
-                ok = False
-                break
-        if ok:
-            return FiniteTypeReport(n, cap, horizon, tuple(failures))
-    return FiniteTypeReport(None, cap, horizon, tuple(failures))
+        if all(_splice_property_holds(shift, n, reach)
+               for reach in range(1, horizon + n + 1)):
+            return FiniteTypeReport(n, cap)
+    return FiniteTypeReport(None, cap)
 
 
 def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int,

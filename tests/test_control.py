@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshift.cli import main
-from groupshift.control import (_divisors, _steering_condition, _steering_witness,
+from groupshift.control import (_divisors, _steering_condition, _steering_heads,
+                                _steering_witness,
                                 analyze_controllability, controllability_index,
                                 default_past_horizon, monotone_after_success,
                                 order_controllability_index,
@@ -61,7 +64,7 @@ def test_delay_rep_indices(delay_rep):
     assert rep.n_c == 1 and rep.n_o == 1
     assert monotone_after_success(rep.plain)
     assert monotone_after_success(rep.ordered)
-    assert rep.consistent()
+    assert rep.n_c <= rep.n_o
 
 
 def test_exponent_p_alphabet_equalizes_indices():
@@ -98,7 +101,7 @@ def test_n_c_at_most_n_o():
     for _ in range(15):
         shift = random_shift(rng)
         rep = analyze_controllability(shift, cap=6)
-        assert rep.consistent()
+        assert rep.n_o is None or rep.n_c <= rep.n_o
         assert monotone_after_success(rep.plain)
         assert monotone_after_success(rep.ordered)
 
@@ -252,3 +255,27 @@ def test_fail_fast_search_matches_reference():
             for order in (scales[::-1], rng.sample(scales, len(scales))):
                 assert _steering_witness(shift, cap, past, order, {}) == witness
     assert absent >= 6
+
+
+# -- the plain condition is the order search's scale exp(H) ----------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["Z8 x Z4", "Z9 x Z3", "Z12", "Z2 x Z2 x Z3"]),
+       st.randoms(use_true_random=False), st.integers(0, 4), st.integers(1, 5))
+def test_scale_exp_elimination_is_the_plain_one(group, rng, n, past):
+    # exp(H) * v == 0 holds for every v, so the condition columns at that
+    # scale are zero and the elimination without them is the same one
+    shift = random_shift(rng, max_gens=2, max_support=3, pool=[group])
+    exp = shift.alphabet.exponent
+    module = shift.window(-past, n + past)
+    args = (-past, 0, range(n + 1, n + past + 1))
+    kept, heads = module.projection_heads(*args, kill_scale=exp,
+                                          kill_positions=range(1, n + 1))
+    for got, got_heads in (module.projection_heads(*args, kill_scale=None,
+                                                   kill_positions=range(1, n + 1)),
+                           _steering_heads(shift, n, past, exp, {})):
+        assert (got.packed, got.pivots, got_heads) == (kept.packed, kept.pivots, heads)
+    n_c, n_o = controllability_index(shift, 4).index, order_controllability_index(shift, 4).index
+    if n_c is not None and n_o is not None:
+        assert n_c <= n_o

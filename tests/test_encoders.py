@@ -14,7 +14,7 @@ from groupshift.encoders import (Encoder, Horizons, PipelineFailure,
                                  primary_shift, socle_shift,
                                  scaled_finite_words_check,
                                  solve_finite_preimage, word_height,
-                                 _message_invariant_checks)
+                                 _image_window_checks, _message_invariant_checks)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form, row_solver
 from groupshift.shifts import (GroupShift, member, enumerate_window_code,
@@ -712,3 +712,42 @@ def test_complete_product_taps_generate_the_shift_windows():
             for t in range(cert.horizons.window_horizon + 1):
                 assert image.window(0, t).form.spans_same(shift.window(0, t).form)
     assert complete >= 15
+
+
+def random_tap_set(rng, shift):
+    """Taps from the generators: all of them, a subset, one replaced by its
+    sum with another, or each scaled (by non-units too); zero taps dropped."""
+    gens = list(shift.generators)
+    kind = rng.choice(["all", "subset", "sum", "scale"])
+    if kind == "subset":
+        gens = rng.sample(gens, rng.randrange(1, len(gens) + 1))
+    elif kind == "sum":
+        i, j = rng.randrange(len(gens)), rng.randrange(len(gens))
+        gens[i] = gens[i] + gens[j].shifted(rng.randrange(-1, 2))
+    elif kind == "scale":
+        gens = [g.scaled(rng.randrange(1, shift.alphabet.exponent + 1)) for g in gens]
+    return [g for g in gens if not g.is_zero] or list(shift.generators[:1])
+
+
+def test_one_window_surjectivity_matches_the_per_window_loop():
+    # the window module on [0, t] is the projection of the one on [0, H], so
+    # comparing the forms on [0, H] decides every window [0, t], t <= H
+    rng = random.Random(48)
+    verdicts = set()
+    for group in ["Z4", "Z8 x Z4", "Z9 x Z3", "Z6", "Z12", "Z2 x Z2 x Z3"]:
+        for _ in range(8):
+            shift = random_shift(rng, max_gens=3, pool=[group])
+            taps = random_tap_set(rng, shift)
+            k = len(taps)
+            encoder = Encoder(shift.alphabet, FiniteAbelianGroup(((2, 1),) * k),
+                              tuple(taps), (0,) * k, (2,) * k)
+            h = rng.randrange(0, 7)
+            horizons = Horizons.derive(shift, window_horizon=h)
+            image = GroupShift.make(shift.alphabet, taps)
+            reference = all(image.window(0, t).form.spans_same(shift.window(0, t).form)
+                            for t in range(h + 1))
+            check = _image_window_checks(encoder, shift, horizons)[0]
+            assert (check.name, check.passed, check.detail) == \
+                ("window-surjectivity", reference, f"windows [0,0]..[0,{h}]"), (shift, taps, h)
+            verdicts.add(reference)
+    assert verdicts == {True, False}

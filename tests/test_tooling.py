@@ -109,7 +109,7 @@ COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [79, 5932, 158, 10, 8], "Z9 x Z3": [67, 4384, 108, 6, 4]}
+want = {"Z8 x Z4": [69, 5402, 158, 10, 8], "Z9 x Z3": [57, 3854, 108, 6, 4]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -203,6 +203,25 @@ def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
         search = order_controllability_index(shift, cap, confirm=0)
         assert search.index is None and search.witness is not None, name
         assert len(calls) <= cap + len(_divisors(shift.alphabet.exponent)), name
+
+
+def test_no_steering_elimination_passes_a_vacuous_condition(monkeypatch):
+    # d * v == 0 holds for every v when d is 0 mod m, so the order search's
+    # scale exp(H) is the plain condition and is eliminated without condition
+    # columns; the failing searches of the witness specs may stop before that
+    # scale, the succeeding ones of the other specs reach it at their index
+    calls = []
+    heads = shifts.projection_heads
+    monkeypatch.setattr(shifts, "projection_heads",
+                        lambda *args: calls.append(args) or heads(*args))
+    for name in ("order-witness", "scale-witness", "mixed-witness", "delay-rep", "z8-z4",
+                 "z9-z3"):
+        text = (ROOT / "tests" / "golden" / f"{name}.spec").read_text()
+        shift = parse_spec(text).shift
+        calls.clear()
+        order_controllability_index(shift, 16)
+        assert calls, name
+        assert all(s % m for _, m, conditions, *_ in calls for _, s in conditions), name
 
 
 def test_constrained_projection_is_one_packed_elimination(monkeypatch):
