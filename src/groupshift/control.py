@@ -6,7 +6,9 @@ steering index n_c (any past can be driven to zero within n steps), and the
 order-respecting index n_o (the steering element's order on the steering
 block divides that of the original).  The plain condition is the order
 condition's scale exp(H), decided by the same elimination, so n_c <= n_o.
-Every verdict records the window geometry it was computed at.  Weak
+Every verdict records the window geometry it was computed at; a steering
+verdict on [-L, n+L] is decided exactly on a boundary window around the
+block [1, n], whose width does not grow with L (`_steering_verdict`).  Weak
 controllability of the p-torsion subshift is read off
 `shifts.torsion_presentation`, the presentation that `encoders.socle_shift`
 returns, so `analyze` and `certify` decide it alike.
@@ -17,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import _prime_power_factors
-from .residues import HowellForm, PackedRows, howell_form
+from .residues import (HowellForm, PackedRows, _eliminate, _lane_layout, howell_form,
+                       pack_rows, placed_rows, projection_heads, unpack_rows)
 from .shifts import GroupShift, Horizons, torsion_presentation
 from .words import Word
 
@@ -66,19 +69,100 @@ class ControllabilityReport:
         return self.ordered.index
 
 
-def _steering_heads(shift: GroupShift, n: int, past: int, d: int,
-                    made: dict) -> tuple[HowellForm, list[int]]:
+def _vacuous(shift: GroupShift, n: int, d: int) -> bool:
+    """True when d*(restriction to [1, n]) == 0 holds for every element: at
+    n == 0, where there is no position to constrain, and for d a multiple of
+    the exponent of the generated group, such as exp(H)."""
+    return n == 0 or d % shift.exponent == 0
+
+
+def _steering_heads(shift: GroupShift, n: int, past: int,
+                    d: int) -> tuple[HowellForm, list[int]]:
     """The (kept, heads) elimination of the steering condition at candidate
-    index n, past window L and scale d, made once into `made[d]`.  At
-    d == exp(H) the order demand d*(restriction to [1,n]) == 0 is vacuous, so
-    that scale is eliminated with no condition columns: it is the plain
-    steering condition."""
-    if d not in made:
-        made[d] = shift.window(-past, n + past).projection_heads(
-            -past, 0, range(n + 1, n + past + 1),
-            kill_scale=None if d == shift.alphabet.exponent else d,
-            kill_positions=range(1, n + 1))
-    return made[d]
+    index n and scale d on the full window [-L, n+L], L the past window.
+    Where the order demand is vacuous (`_vacuous`) it has no condition
+    columns: it is the plain steering condition.  Only the witness makes it,
+    to read a failing past off its heads."""
+    return shift.window(-past, n + past).projection_heads(
+        -past, 0, range(n + 1, n + past + 1),
+        kill_scale=None if _vacuous(shift, n, d) else d,
+        kill_positions=range(1, n + 1))
+
+
+def _near_end(shift: GroupShift, width: int, mirror: bool, made: dict) -> HowellForm:
+    """The near-end state S(width): the span of the placements ending at or
+    before width-1, cut at position 0, intersected with the vectors supported
+    on the last s-1 positions of [0, width-1] (s the span), as a canonical
+    form over those s-1 positions (positions below 0 read zero).  `mirror`
+    reverses every generator's symbols.
+
+    S(W+1) = (S(W) + placements ending at W) ∩ {vanishing at W-s+1}: the
+    s-position frame [W-s+1, W] is eliminated and its first position
+    dropped by `zero_prefix`.  From W = s-1 on no placement is cut, so the
+    step is a fixed map and the sequence stops at its first repeat.  The
+    placed generators and the sequence are kept in `made`."""
+    s, r = shift.span, shift.alphabet.rank
+    m, cols = max(shift.alphabet.exponent, 2), s * r
+    if ("near-end", mirror) not in made:
+        ends = []
+        for g in shift.generators:
+            syms = g.symbols[::-1] if mirror else g.symbols
+            vec = Word(g.group, 0, syms).window_vector(0, len(syms) - 1)
+            ends += placed_rows(vec, m, [(s - len(syms)) * r], cols)
+        made["near-end", mirror] = ends, [HowellForm(m, cols - r, (), ())]
+    ends, states = made["near-end", mirror]
+    w = _lane_layout(m, cols)[0]
+    while len(states) <= width and not (len(states) > s and
+                                        states[-1].packed == states[-2].packed):
+        cut = max(s - len(states), 0) * r * w  # frame positions below 0
+        done, pivots = _eliminate([*states[-1].packed, *(x >> cut << cut for x in ends)],
+                                  m, cols, 0)
+        states.append(HowellForm(m, cols, tuple(done), tuple(pivots)).zero_prefix(r))
+    return states[min(width, len(states) - 1)]
+
+
+def _steering_verdict(shift: GroupShift, n: int, past: int, d: int,
+                      made: dict) -> bool:
+    """The steering condition at candidate index n, past window L and scale
+    d, decided once per (n, L, verdict key) into `made` on the boundary
+    window [2-s, n+s-1] (clipped to [-L, n+L]), s the span.
+
+    The window holds the placements that meet the block [1, n] or straddle
+    it, the past near-end state S(L+1) on [2-s, 0] and the tail near-end
+    state on [n+1, n+s-1], the mirrored shift's S(L) with its positions
+    reversed (`_near_end`).  A placement that lies in the past or in the
+    tail meets the rest of [-L, n+L] only on those s-1 positions, so
+    standing in the submodule it generates there for it leaves the equality
+    of the two past projections unchanged.  One elimination: conditions
+    d*v on [1, n], zero columns on the tail near end, kept part on the past
+    near end; the condition holds when every head lies in the kept rows.
+    With s <= 1 no placement straddles a position, so it always holds."""
+    key = (n, past, None if _vacuous(shift, n, d) else d)
+    if key in made:
+        return made[key]
+    s, r = shift.span, shift.alphabet.rank
+    if s <= 1:
+        made[key] = True
+        return True
+    m = max(shift.alphabet.exponent, 2)
+    lo, hi = max(2 - s, -past), min(n + s - 1, n + past)
+    ncols = (hi - lo + 1) * r
+    w = _lane_layout(m, ncols)[0]
+    # the states read zero where the window is clipped, so the lanes that
+    # these shifts move out of [lo, hi] are zero
+    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past + 1, False, made).packed]
+    tail = unpack_rows(_near_end(shift, past, True, made).packed, m, (s - 1) * r)
+    rows += [x << (n + 1 - lo) * r * w for x in pack_rows(
+        [[x for i in range(s - 2, -1, -1) for x in row[i * r:(i + 1) * r]] for row in tail],
+        m, (s - 1) * r)]
+    for g in shift.generators:
+        rows += g.placed_rows(m, range(1 - g.last, n - g.first + 1), lo, ncols)
+    kill = [] if key[2] is None else [((p - lo) * r + j, d) for p in range(1, n + 1)
+                                      for j in range(r)]
+    kept, heads = projection_heads(rows, m, kill, range((n + 1 - lo) * r, ncols),
+                                   0, (1 - lo) * r)
+    made[key] = all(map(kept.contains, heads))
+    return made[key]
 
 
 def _steering_condition(shift: GroupShift, n: int, past: int,
@@ -91,14 +175,13 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
     order(g1|[1,n]) | order(g|[1,n]); split by divisors d of exp(H), "order
     divides d" is the linear condition d*(restriction to [1,n]) == 0, so each
     divisor d yields one equality between d-constrained past projections,
-    decided by one elimination; the divisor exp(H) is the plain condition.
-    The verdict is an all() over the scales, so their order is free: a
-    failing scale moves to the front of `scales`, where the next candidate
-    tries it first.
+    decided on the boundary window by `_steering_verdict`; every scale where
+    the demand is vacuous shares the plain verdict.  The verdict is an all()
+    over the scales, so their order is free: a failing scale moves to the
+    front of `scales`, where the next candidate tries it first.
     """
     for i, d in enumerate(scales):
-        kept, heads = _steering_heads(shift, n, past, d, made)
-        if not all(map(kept.contains, heads)):
+        if not _steering_verdict(shift, n, past, d, made):
             scales.insert(0, scales.pop(i))
             return False
     return True
@@ -107,15 +190,16 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
 def _steering_witness(shift: GroupShift, n: int, past: int,
                       scales: list[int], made: dict) -> Word:
     """A past in G|[-L, n+L] that no element with zero tail [n+1, n+L]
-    matches, at the first failing scale in ascending order (read off the
-    eliminations in `made` where the steering condition at the same n and L
-    already ran them): the first row of the canonical past projection
-    outside the tail-constrained one.  That canonical form is read off the
-    same elimination, as the Howell form of its kept rows and heads."""
+    matches, at the first failing scale in ascending order, found from the
+    boundary verdicts (read off `made` where the steering condition at the
+    same n and L already decided them): the first row of the canonical past
+    projection outside the tail-constrained one.  The rows are read off one
+    full-window elimination at that scale (`_steering_heads`), made
+    canonical as the Howell form of its kept rows and heads."""
     for d in sorted(scales):
-        kept, heads = _steering_heads(shift, n, past, d, made)
-        if all(map(kept.contains, heads)):
+        if _steering_verdict(shift, n, past, d, made):
             continue
+        kept, heads = _steering_heads(shift, n, past, d)
         past_form = howell_form(PackedRows((*kept.packed, *heads), kept.ncols), kept.modulus)
         row = next(row for row, x in zip(past_form.rows, past_form.packed)
                    if not kept.contains(x))
@@ -126,16 +210,16 @@ def _steering_witness(shift: GroupShift, n: int, past: int,
 def _index_search(shift: GroupShift, cap: int, scales: list[int],
                   confirm: int) -> IndexSearch:
     """Scan candidates 0..cap, stopping `confirm` candidates after the first
-    success; when none succeeds, the witness is the last failure's, read
-    off that candidate's eliminations.  The steering conditions reorder the
-    caller's fresh list of scales."""
+    success; when none succeeds, the witness is the last failure's.  One
+    dict holds the search's verdicts and near-end states.  The steering
+    conditions reorder the caller's fresh list of scales."""
     horizons = []
     table = []
     found = None
+    made: dict = {}
     n = 0
     while n <= cap and (found is None or n <= found + confirm):
         horizons.append(default_past_horizon(shift, n))
-        made: dict = {}
         table.append(_steering_condition(shift, n, horizons[-1], scales, made))
         if table[-1] and found is None:
             found = n

@@ -116,20 +116,33 @@ class HowellForm:
             total *= self.modulus // d
         return total
 
+    @cached_property
+    def _pivot_rows(self) -> dict[int, int]:
+        """Row index per pivot column."""
+        return {c: i for i, (c, _) in enumerate(self.pivots)}
+
     def _reduce(self, vec: Sequence[int] | int) -> tuple[int, Vec]:
         """(packed residual, coefficients per row) of greedy leading-term
         reduction of `vec`, ncols residues or one packed row.  A step is
-        red(x + q*(K - row)), below m^2 per lane as in `_eliminate`."""
+        red(x + q*(K - row)), below m^2 per lane as in `_eliminate`.  A row
+        changes only lanes from its pivot column on, so the scan jumps from
+        one nonzero lane of the residual to the next and visits no other
+        pivot."""
         m, n = self.modulus, self.ncols
         w, k_lanes, red = _lane_layout(m, n)
         x = vec if isinstance(vec, int) else pack_rows([vec], m, n)[0]
         lane = (1 << w) - 1
-        coeffs = []
-        for (c, d), row in zip(self.pivots, self.packed):
-            q = ((x >> c * w) & lane) // d
-            if q:
-                x = red(x + q * (k_lanes - row))
-            coeffs.append(q)
+        coeffs = [0] * len(self.packed)
+        at = 0  # lanes below bit `at` are final
+        while y := x >> at:
+            at += ((y & -y).bit_length() - 1) // w * w
+            i = self._pivot_rows.get(at // w)
+            if i is not None:
+                q = ((x >> at) & lane) // self.pivots[i][1]
+                if q:
+                    x = red(x + q * (k_lanes - self.packed[i]))
+                    coeffs[i] = q
+            at += w
         return x, tuple(coeffs)
 
     def reduce(self, vec: Sequence[int] | int) -> tuple[Vec, Vec]:

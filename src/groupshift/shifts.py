@@ -44,12 +44,12 @@ class GroupShift:
             raise ValueError("declared memory must be positive")
         return cls(alphabet, gens, memory_hint)
 
-    @property
+    @cached_property
     def span(self) -> int:
         """Longest generator support length (0 for the zero shift)."""
         return max((g.support_length for g in self.generators), default=0)
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         """Exponent of the generated group: lcm of the generator orders."""
         return reduce(math.lcm, (g.order() for g in self.generators), 1)

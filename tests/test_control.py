@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.cli import main
-from groupshift.control import (_divisors, _steering_condition, _steering_heads,
+from groupshift.control import (IndexSearch, _divisors, _steering_condition,
+                                _near_end, _steering_heads, _steering_verdict,
                                 _steering_witness,
                                 analyze_controllability, controllability_index,
                                 default_past_horizon, monotone_after_success,
                                 order_controllability_index,
                                 weak_controllability_check)
+from groupshift.residues import PackedRows, howell_form
 from groupshift.encoders import PipelineFailure, multiple_shift, socle_shift
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
@@ -87,7 +89,8 @@ def test_fast_path_matches_enumeration():
         if shift.window(-past, 3 + past).size() > 1 << 12:
             continue
         for ordered in (False, True):
-            scales = _divisors(shift.alphabet.exponent) if ordered else [None]
+            exp = shift.alphabet.exponent
+            scales = _divisors(exp) if ordered else [exp]
             fast = next((n for n in range(4)
                          if _steering_condition(shift, n, past, scales, {})), None)
             slow = enumerated_index(shift, 3, past, ordered)
@@ -274,8 +277,162 @@ def test_scale_exp_elimination_is_the_plain_one(group, rng, n, past):
                                           kill_positions=range(1, n + 1))
     for got, got_heads in (module.projection_heads(*args, kill_scale=None,
                                                    kill_positions=range(1, n + 1)),
-                           _steering_heads(shift, n, past, exp, {})):
+                           _steering_heads(shift, n, past, exp)):
         assert (got.packed, got.pivots, got_heads) == (kept.packed, kept.pivots, heads)
     n_c, n_o = controllability_index(shift, 4).index, order_controllability_index(shift, 4).index
     if n_c is not None and n_o is not None:
         assert n_c <= n_o
+
+
+# -- boundary-window verdicts against the full-window elimination ----------------
+
+
+def full_window_verdict(shift, n, past, d):
+    kept, heads = _steering_heads(shift, n, past, d)
+    return all(map(kept.contains, heads))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["Z2", "Z4", "Z8", "Z3", "Z9", "Z2 x Z4", "Z8 x Z4", "Z9 x Z3",
+                        "Z6", "Z12", "Z2 x Z2 x Z3"]),
+       st.randoms(use_true_random=False), st.integers(1, 4), st.integers(0, 16))
+def test_boundary_verdict_matches_the_full_window(group, rng, support, n):
+    # generators of 1..support symbols starting at -1..1, so the span-1
+    # shifts and generators of unequal length both occur; every divisor scale
+    shift = random_shift(rng, max_gens=3, max_support=support, pool=[group])
+    past = default_past_horizon(shift, n)
+    made = {}
+    for d in _divisors(shift.alphabet.exponent):
+        assert _steering_verdict(shift, n, past, d, made) == \
+            full_window_verdict(shift, n, past, d), (shift, n, d)
+
+
+def test_boundary_verdict_matches_the_full_window_at_short_past_windows():
+    # a past window shorter than the near end clips the boundary window
+    rng = random.Random(27)
+    for _ in range(25):
+        shift = random_shift(rng, max_gens=3, max_support=4,
+                             pool=["Z4", "Z6", "Z2 x Z4", "Z2 x Z2 x Z3"])
+        made = {}
+        for n, past in itertools.product(range(4), range(1, 4)):
+            for d in _divisors(shift.alphabet.exponent):
+                assert _steering_verdict(shift, n, past, d, made) == \
+                    full_window_verdict(shift, n, past, d), (shift, n, past, d)
+
+
+def test_near_end_states_match_their_definition():
+    # S(W): the span of the placements ending in [0, W-1], cut at 0, that
+    # vanishes off the last s-1 positions, read off one Howell form of the
+    # whole block; the recursion stops at a fixed point, which must not cut
+    # a sequence still shrinking
+    rng = random.Random(29)
+    longest = 0
+    for _ in range(40):
+        shift = random_shift(rng, max_gens=3, max_support=rng.randrange(2, 6),
+                             pool=["Z4", "Z8", "Z2 x Z4", "Z8 x Z4", "Z12", "Z9"])
+        s, r = shift.span, shift.alphabet.rank
+        m = max(shift.alphabet.exponent, 2)
+        for mirror in (False, True):
+            made = {}
+            gens = [Word.make(g.group, 0, g.symbols[::-1] if mirror else g.symbols)
+                    for g in shift.generators]
+            for width in range(s - 1, 3 * s + 12):
+                # every placement ending in [0, width-1], cut at 0
+                rows = [row for g in gens for row in g.placed_rows(
+                    m, range(1 - g.support_length, width - g.support_length + 1),
+                    0, width * r)]
+                direct = howell_form(PackedRows(tuple(rows), width * r), m, width * r)
+                want = direct.zero_prefix((width - s + 1) * r)
+                got = _near_end(shift, width, mirror, made)
+                assert (got.packed, got.pivots) == (want.packed, want.pivots), \
+                    (shift, mirror, width)
+            longest = max(longest, len(made["near-end", mirror][1]) - s)
+    assert longest >= 3
+
+
+# -- the searches against a copy of the full-window search -----------------------
+
+
+def reference_index_search(shift, cap, scales, confirm):
+    """The search on full windows: every verdict a full-window elimination
+    made once per (candidate, scale), the plain condition the scale exp(H)
+    with no condition columns, the witness read off the last candidate's
+    eliminations at its least failing scale."""
+    exp = shift.alphabet.exponent
+
+    def heads(n, past, d, made):
+        if d not in made:
+            made[d] = shift.window(-past, n + past).projection_heads(
+                -past, 0, range(n + 1, n + past + 1),
+                kill_scale=None if d == exp else d, kill_positions=range(1, n + 1))
+        return made[d]
+
+    def condition(n, past, made):
+        for i, d in enumerate(scales):
+            kept, hs = heads(n, past, d, made)
+            if not all(map(kept.contains, hs)):
+                scales.insert(0, scales.pop(i))
+                return False
+        return True
+
+    def witness(n, past, made):
+        for d in sorted(scales):
+            kept, hs = heads(n, past, d, made)
+            if all(map(kept.contains, hs)):
+                continue
+            form = howell_form(PackedRows((*kept.packed, *hs), kept.ncols), kept.modulus)
+            row = next(row for row, x in zip(form.rows, form.packed) if not kept.contains(x))
+            return Word.from_window_vector(shift.alphabet, -past, row)
+
+    horizons, table, found, n = [], [], None, 0
+    while n <= cap and (found is None or n <= found + confirm):
+        horizons.append(default_past_horizon(shift, n))
+        made = {}
+        table.append(condition(n, horizons[-1], made))
+        if table[-1] and found is None:
+            found = n
+        n += 1
+    w = witness(cap, horizons[-1], made) if found is None else None
+    return IndexSearch(found, cap, tuple(horizons), tuple(table), w)
+
+
+def test_searches_match_the_full_window_search():
+    rng = random.Random(28)
+    shifts = [random_shift(rng, max_support=rng.randrange(1, 5),
+                           pool=["Z2", "Z4", "Z8", "Z2 x Z4", "Z6", "Z12", "Z2 x Z2 x Z3"])
+              for _ in range(14)]
+    shifts.append(make_shift("Z2 x Z4", [(0, [(1, 3), (0, 0), (0, 3)])]))
+    shifts.append(make_shift("Z8 x Z4", [(0, [(2, 0), (5, 2), (7, 3)])]))
+    absent = 0
+    for shift, cap in itertools.product(shifts, (0, 3, 16)):
+        exp = shift.alphabet.exponent
+        assert controllability_index(shift, cap) == \
+            reference_index_search(shift, cap, [exp], 2), (shift, cap)
+        for confirm in (0, 2):
+            got = order_controllability_index(shift, cap, confirm=confirm)
+            assert got == reference_index_search(shift, cap, _divisors(exp), confirm), \
+                (shift, cap, confirm)
+        absent += got.index is None
+    assert absent >= 6
+
+
+def test_zero_shift_and_span_one_shifts_steer_at_once(tmp_path, capsys):
+    # no placement straddles a position: every verdict holds with no
+    # elimination, and the zero shift has no span at all
+    zero = parse_spec("group: Z2\n").shift
+    span_one = [make_shift("Z4", [(0, [2])]),
+                make_shift("Z2 x Z4", [(1, [(1, 2)]), (-1, [(0, 3)])]),
+                make_shift("Z12", [(0, [(2, 0)]), (3, [(0, 1)])])]
+    for shift in (zero, *span_one):
+        assert shift.span <= 1
+        for n, past in itertools.product(range(4), (1, 2, 5)):
+            for d in _divisors(shift.alphabet.exponent):
+                assert _steering_verdict(shift, n, past, d, {})
+                assert full_window_verdict(shift, n, past, d)
+        rep = analyze_controllability(shift, cap=3)
+        assert (rep.n_c, rep.n_o) == (0, 0)
+    path = tmp_path / "zero.spec"
+    path.write_text("group: Z2\n")
+    for command in ("analyze", "certify", "generators"):
+        assert main([command, str(path)]) == 0, command
+    assert "order_controllability_index: 0\n" in capsys.readouterr().out

@@ -10,8 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from groupshift import residues, shifts
-from groupshift.control import _divisors, order_controllability_index
+from groupshift import control, residues, shifts
+from groupshift.control import (_divisors, _steering_condition, default_past_horizon,
+                                order_controllability_index)
 from groupshift.encoders import (Horizons, check_injectivity, conjugacy_certificate, encode,
                                  lift_height, solve_finite_preimage)
 from groupshift.groups import FiniteAbelianGroup
@@ -104,12 +105,13 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 #: when Howell forms held tuple rows: a packed path that bypassed one of the
 #: counted entry points would read a different count here.  The membership
 #: tests are those of generator picks read off canonical rows, at most one
-#: per head row of a level's form.
+#: per head row of a level's form, and the heads of the steering verdicts
+#: on their boundary windows.
 COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [69, 5402, 158, 10, 8], "Z9 x Z3": [57, 3854, 108, 6, 4]}
+want = {"Z8 x Z4": [69, 5402, 55, 10, 8], "Z9 x Z3": [57, 3854, 60, 6, 4]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -186,15 +188,23 @@ def test_certify_reports_match_the_pool_references():
         pool=str(ROOT / "perfbench" / "data" / "certify.json")))
 
 
+def _record_steering_eliminations(monkeypatch, modules=(control, shifts)) -> list:
+    """The argument tuples of the `projection_heads` calls made through the
+    given modules: the steering verdicts call it from `control`, the
+    witness's full-window elimination from `shifts`."""
+    calls = []
+    for module in modules:
+        monkeypatch.setattr(module, "projection_heads",
+                            lambda *args: calls.append(args) or residues.projection_heads(*args))
+    return calls
+
+
 def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
     # the tracer does not see projection_heads, so count its calls directly:
     # a failing candidate stops at the scale that failed last, and the
-    # witness reuses the last candidate's eliminations, adding one per scale
+    # witness reuses the last candidate's verdicts, adding one per scale
     # that candidate did not reach
-    calls = []
-    heads = shifts.projection_heads
-    monkeypatch.setattr(shifts, "projection_heads",
-                        lambda *args: calls.append(args) or heads(*args))
+    calls = _record_steering_eliminations(monkeypatch, (control,))
     cap = 16
     for name in ("order-witness", "scale-witness", "mixed-witness"):
         text = (ROOT / "tests" / "golden" / f"{name}.spec").read_text()
@@ -205,15 +215,25 @@ def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
         assert len(calls) <= cap + len(_divisors(shift.alphabet.exponent)), name
 
 
+def test_failing_order_search_makes_one_full_window_elimination(monkeypatch):
+    # the verdicts run on boundary windows; only the witness eliminates the
+    # full window [-L, n+L], once, at its scale
+    calls = _record_steering_eliminations(monkeypatch, (shifts,))
+    for name, found in (("order-witness", False), ("scale-witness", False),
+                        ("mixed-witness", False), ("delay-rep", True), ("z8-z4", True)):
+        shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
+        calls.clear()
+        search = order_controllability_index(shift, 16, confirm=0)
+        assert (search.index is not None) == found, name
+        assert len(calls) == (not found), name
+
+
 def test_no_steering_elimination_passes_a_vacuous_condition(monkeypatch):
     # d * v == 0 holds for every v when d is 0 mod m, so the order search's
     # scale exp(H) is the plain condition and is eliminated without condition
     # columns; the failing searches of the witness specs may stop before that
     # scale, the succeeding ones of the other specs reach it at their index
-    calls = []
-    heads = shifts.projection_heads
-    monkeypatch.setattr(shifts, "projection_heads",
-                        lambda *args: calls.append(args) or heads(*args))
+    calls = _record_steering_eliminations(monkeypatch)
     for name in ("order-witness", "scale-witness", "mixed-witness", "delay-rep", "z8-z4",
                  "z9-z3"):
         text = (ROOT / "tests" / "golden" / f"{name}.spec").read_text()
@@ -222,6 +242,24 @@ def test_no_steering_elimination_passes_a_vacuous_condition(monkeypatch):
         order_controllability_index(shift, 16)
         assert calls, name
         assert all(s % m for _, m, conditions, *_ in calls for _, s in conditions), name
+
+
+def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
+    # a verdict eliminates the boundary window [2-s, n+s-1], whose width does
+    # not grow with the past window L: at most (n + 2s - 2) * rank columns
+    calls = _record_steering_eliminations(monkeypatch)
+    for name in ("order-witness", "scale-witness", "mixed-witness", "delay-rep", "z8-z4",
+                 "z9-z3"):
+        shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
+        scales = _divisors(shift.alphabet.exponent)
+        for n in range(0, 17, 4):
+            for past in (1, shift.span, default_past_horizon(shift, n), 60):
+                calls.clear()
+                _steering_condition(shift, n, past, list(scales), {})
+                bound = (n + 2 * shift.span - 2) * shift.alphabet.rank
+                assert calls, (name, n, past)
+                assert all(len(conditions) + len(zeros) + hi - lo <= bound
+                           for _, _, conditions, zeros, lo, hi in calls), (name, n, past)
 
 
 def test_constrained_projection_is_one_packed_elimination(monkeypatch):
