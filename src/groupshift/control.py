@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .groups import _prime_power_factors
 from .residues import (HowellForm, PackedRows, _eliminate, _lane_layout, howell_form,
-                       pack_rows, placed_rows, projection_heads, unpack_rows)
+                       pack_rows, projection_heads, unpack_rows)
 from .shifts import GroupShift, Horizons, torsion_presentation
 from .words import Word
 
@@ -76,20 +76,15 @@ def _vacuous(shift: GroupShift, n: int, d: int) -> bool:
     return n == 0 or d % shift.exponent == 0
 
 
-def _steering_heads(shift: GroupShift, n: int, past: int,
-                    d: int) -> tuple[HowellForm, list[int]]:
-    """The (kept, heads) elimination of the steering condition at candidate
-    index n and scale d on the full window [-L, n+L], L the past window.
-    Where the order demand is vacuous (`_vacuous`) it has no condition
-    columns: it is the plain steering condition.  Only the witness makes it,
-    to read a failing past off its heads."""
-    return shift.window(-past, n + past).projection_heads(
-        -past, 0, range(n + 1, n + past + 1),
-        kill_scale=None if _vacuous(shift, n, d) else d,
-        kill_positions=range(1, n + 1))
+def _past_rows(shift: GroupShift, past: int) -> list[int]:
+    """Packed rows on the L+1 positions [-L, 0] of the placements that end
+    there, cut at -L."""
+    m, r = max(shift.alphabet.exponent, 2), shift.alphabet.rank
+    return [x for g in shift.generators
+            for x in g.placed_rows(m, range(-past - g.last, 1 - g.last), -past, (past + 1) * r)]
 
 
-def _near_end(shift: GroupShift, width: int, mirror: bool, made: dict) -> HowellForm:
+def _near_end(shift: GroupShift, width: int, mirror: bool, ends: dict) -> HowellForm:
     """The near-end state S(width): the span of the placements ending at or
     before width-1, cut at position 0, intersected with the vectors supported
     on the last s-1 positions of [0, width-1] (s the span), as a canonical
@@ -100,73 +95,81 @@ def _near_end(shift: GroupShift, width: int, mirror: bool, made: dict) -> Howell
     s-position frame [W-s+1, W] is eliminated and its first position
     dropped by `zero_prefix`.  From W = s-1 on no placement is cut, so the
     step is a fixed map and the sequence stops at its first repeat.  The
-    placed generators and the sequence are kept in `made`."""
+    frame rows of the placements and the sequence are kept in `ends` per
+    `mirror`.  Computing each S(L+1) directly instead, one elimination of
+    the L+1 positions per candidate, gave about 19% fewer `certify` ops/s."""
     s, r = shift.span, shift.alphabet.rank
     m, cols = max(shift.alphabet.exponent, 2), s * r
-    if ("near-end", mirror) not in made:
-        ends = []
-        for g in shift.generators:
-            syms = g.symbols[::-1] if mirror else g.symbols
-            vec = Word(g.group, 0, syms).window_vector(0, len(syms) - 1)
-            ends += placed_rows(vec, m, [(s - len(syms)) * r], cols)
-        made["near-end", mirror] = ends, [HowellForm(m, cols - r, (), ())]
-    ends, states = made["near-end", mirror]
+    if mirror not in ends:
+        gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
+        frame = [x for g in gens for x in g.placed_rows(m, [-g.last], 1 - s, cols)]
+        ends[mirror] = frame, [HowellForm(m, cols - r, (), ())]
+    frame, states = ends[mirror]
     w = _lane_layout(m, cols)[0]
     while len(states) <= width and not (len(states) > s and
                                         states[-1].packed == states[-2].packed):
         cut = max(s - len(states), 0) * r * w  # frame positions below 0
-        done, pivots = _eliminate([*states[-1].packed, *(x >> cut << cut for x in ends)],
+        done, pivots = _eliminate([*states[-1].packed, *(x >> cut << cut for x in frame)],
                                   m, cols, 0)
         states.append(HowellForm(m, cols, tuple(done), tuple(pivots)).zero_prefix(r))
     return states[min(width, len(states) - 1)]
 
 
-def _steering_verdict(shift: GroupShift, n: int, past: int, d: int,
-                      made: dict) -> bool:
-    """The steering condition at candidate index n, past window L and scale
-    d, decided once per (n, L, verdict key) into `made` on the boundary
-    window [2-s, n+s-1] (clipped to [-L, n+L]), s the span.
+def _boundary_heads(shift: GroupShift, n: int, past: int, d: int | None,
+                    ends: dict) -> tuple[HowellForm, list[int]]:
+    """The (kept, heads) elimination of the steering condition at candidate
+    index n, past window L and scale d (None: no order demand) on the
+    boundary window [lo, hi] = [2-s, n+s-1] clipped to [-L, n+L], s the
+    span; the kept part is the past near end [lo, 0].
 
     The window holds the placements that meet the block [1, n] or straddle
-    it, the past near-end state S(L+1) on [2-s, 0] and the tail near-end
-    state on [n+1, n+s-1], the mirrored shift's S(L) with its positions
+    it, the past near-end state S(L+1) on [lo, 0] and the tail near-end
+    state on [n+1, hi], the mirrored shift's S(L) with its positions
     reversed (`_near_end`).  A placement that lies in the past or in the
-    tail meets the rest of [-L, n+L] only on those s-1 positions, so
-    standing in the submodule it generates there for it leaves the equality
-    of the two past projections unchanged.  One elimination: conditions
-    d*v on [1, n], zero columns on the tail near end, kept part on the past
-    near end; the condition holds when every head lies in the kept rows.
-    With s <= 1 no placement straddles a position, so it always holds."""
-    key = (n, past, None if _vacuous(shift, n, d) else d)
-    if key in made:
-        return made[key]
+    tail meets the rest of [-L, n+L] only on those near-end positions, so
+    standing in the submodule it generates there for it changes either past
+    projection of the full window only by the span of the past-only
+    placements.  Conditions d*v on [1, n], zero columns on the tail near
+    end, kept part on the past near end.  With s <= 1 no placement
+    straddles a position and there is nothing to eliminate."""
     s, r = shift.span, shift.alphabet.rank
-    if s <= 1:
-        made[key] = True
-        return True
     m = max(shift.alphabet.exponent, 2)
+    if s <= 1:
+        return HowellForm(m, 0, (), ()), []
     lo, hi = max(2 - s, -past), min(n + s - 1, n + past)
     ncols = (hi - lo + 1) * r
     w = _lane_layout(m, ncols)[0]
     # the states read zero where the window is clipped, so the lanes that
     # these shifts move out of [lo, hi] are zero
-    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past + 1, False, made).packed]
-    tail = unpack_rows(_near_end(shift, past, True, made).packed, m, (s - 1) * r)
+    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past + 1, False, ends).packed]
+    tail = unpack_rows(_near_end(shift, past, True, ends).packed, m, (s - 1) * r)
     rows += [x << (n + 1 - lo) * r * w for x in pack_rows(
         [[x for i in range(s - 2, -1, -1) for x in row[i * r:(i + 1) * r]] for row in tail],
         m, (s - 1) * r)]
     for g in shift.generators:
         rows += g.placed_rows(m, range(1 - g.last, n - g.first + 1), lo, ncols)
-    kill = [] if key[2] is None else [((p - lo) * r + j, d) for p in range(1, n + 1)
-                                      for j in range(r)]
-    kept, heads = projection_heads(rows, m, kill, range((n + 1 - lo) * r, ncols),
-                                   0, (1 - lo) * r)
-    made[key] = all(map(kept.contains, heads))
+    kill = [] if d is None else [((p - lo) * r + j, d) for p in range(1, n + 1)
+                                 for j in range(r)]
+    return projection_heads(rows, m, kill, range((n + 1 - lo) * r, ncols), 0, (1 - lo) * r)
+
+
+def _steering_verdict(shift: GroupShift, n: int, past: int, d: int, made: dict,
+                      ends: dict) -> tuple[HowellForm, list[int], bool]:
+    """(kept, heads, verdict) of the steering condition at candidate index n,
+    past window L and scale d, made once per (n, L, verdict key) into `made`
+    by one boundary elimination (`_boundary_heads`): the condition holds
+    when every head lies in the kept rows.  Every scale where the order
+    demand is vacuous (`_vacuous`) shares the verdict key of the plain
+    condition."""
+    key = (n, past, None if _vacuous(shift, n, d) else d)
+    if key not in made:
+        kept, heads = _boundary_heads(shift, n, past, key[2], ends)
+        made[key] = kept, heads, all(map(kept.contains, heads))
     return made[key]
 
 
 def _steering_condition(shift: GroupShift, n: int, past: int,
-                        scales: list[int], made: dict) -> bool:
+                        scales: list[int], made: dict, ends: dict) -> bool:
     """Decide the steering condition at candidate index n, past window L.
 
     Plain variant (scales [exp(H)]): every g in G|[-L, n+L] matches some g1
@@ -175,58 +178,69 @@ def _steering_condition(shift: GroupShift, n: int, past: int,
     order(g1|[1,n]) | order(g|[1,n]); split by divisors d of exp(H), "order
     divides d" is the linear condition d*(restriction to [1,n]) == 0, so each
     divisor d yields one equality between d-constrained past projections,
-    decided on the boundary window by `_steering_verdict`; every scale where
-    the demand is vacuous shares the plain verdict.  The verdict is an all()
-    over the scales, so their order is free: a failing scale moves to the
-    front of `scales`, where the next candidate tries it first.
+    decided on the boundary window by `_steering_verdict`.  The verdict is
+    an all() over the scales, so their order is free: a failing scale moves
+    to the front of `scales`, where the next candidate tries it first.
     """
     for i, d in enumerate(scales):
-        if not _steering_verdict(shift, n, past, d, made):
+        if not _steering_verdict(shift, n, past, d, made, ends)[2]:
             scales.insert(0, scales.pop(i))
             return False
     return True
 
 
-def _steering_witness(shift: GroupShift, n: int, past: int,
-                      scales: list[int], made: dict) -> Word:
+def _steering_witness(shift: GroupShift, n: int, past: int, scales: list[int],
+                      made: dict, ends: dict) -> Word:
     """A past in G|[-L, n+L] that no element with zero tail [n+1, n+L]
-    matches, at the first failing scale in ascending order, found from the
-    boundary verdicts (read off `made` where the steering condition at the
-    same n and L already decided them): the first row of the canonical past
-    projection outside the tail-constrained one.  The rows are read off one
-    full-window elimination at that scale (`_steering_heads`), made
-    canonical as the Howell form of its kept rows and heads."""
+    matches, at the first failing scale in ascending order: the first row of
+    the canonical past projection outside the tail-constrained one.
+
+    Both projections are the span of the placements ending in [-L, 0] plus
+    the failing boundary elimination's rows on [lo, 0], the kept rows for
+    the tail-constrained one and the heads too for the other.  One Howell
+    form over [-L, 0] and one marker column per head reads both: its rows
+    with pivot on [-L, 0], cut there, are the canonical past projection, and
+    such a row lies in the tail-constrained one exactly when its markers lie
+    in the span of the rows with pivot among the markers."""
     for d in sorted(scales):
-        if _steering_verdict(shift, n, past, d, made):
+        kept, heads, holds = _steering_verdict(shift, n, past, d, made, ends)
+        if holds:
             continue
-        kept, heads = _steering_heads(shift, n, past, d)
-        past_form = howell_form(PackedRows((*kept.packed, *heads), kept.ncols), kept.modulus)
-        row = next(row for row, x in zip(past_form.rows, past_form.packed)
-                   if not kept.contains(x))
-        return Word.from_window_vector(shift.alphabet, -past, row)
+        r, m = shift.alphabet.rank, kept.modulus
+        cols = (past + 1) * r
+        w = _lane_layout(m, cols)[0]
+        at = (max(2 - shift.span, -past) + past) * r * w  # lo on [-L, 0]
+        rows = [*_past_rows(shift, past), *(x << at for x in kept.packed),
+                *((x << at) + (1 << (cols + i) * w) for i, x in enumerate(heads))]
+        form = howell_form(PackedRows(tuple(rows), cols + len(heads)), m)
+        markers = form.zero_prefix(cols)
+        row = next(row for row, x, (c, _) in zip(form.rows, form.packed, form.pivots)
+                   if c < cols and not markers.contains(x >> cols * w))
+        return Word.from_window_vector(shift.alphabet, -past, row[:cols])
     raise ArithmeticError(f"steering condition at n={n}, L={past} has no witness")
 
 
 def _index_search(shift: GroupShift, cap: int, scales: list[int],
                   confirm: int) -> IndexSearch:
     """Scan candidates 0..cap, stopping `confirm` candidates after the first
-    success; when none succeeds, the witness is the last failure's.  One
-    dict holds the search's verdicts and near-end states.  The steering
-    conditions reorder the caller's fresh list of scales."""
+    success; when none succeeds, the witness is the last failure's.  The
+    search keeps its verdicts and its near-end states in one dict each.  The
+    steering conditions reorder the caller's fresh list of scales."""
     horizons = []
     table = []
     found = None
     made: dict = {}
+    ends: dict = {}
     n = 0
     while n <= cap and (found is None or n <= found + confirm):
         horizons.append(default_past_horizon(shift, n))
-        table.append(_steering_condition(shift, n, horizons[-1], scales, made))
+        table.append(_steering_condition(shift, n, horizons[-1], scales, made, ends))
         if table[-1] and found is None:
             found = n
         n += 1
     witness = None
     if found is None:
-        witness = _steering_witness(shift, cap, horizons[-1], scales, made)
+        witness = _steering_witness(shift, cap, horizons[-1], scales, made, ends)
     return IndexSearch(found, cap, tuple(horizons), tuple(table), witness)
 
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.cli import main
-from groupshift.control import (IndexSearch, _divisors, _steering_condition,
-                                _near_end, _steering_heads, _steering_verdict,
-                                _steering_witness,
+from groupshift.control import (IndexSearch, _divisors, _near_end, _steering_condition,
+                                _steering_verdict, _steering_witness,
                                 analyze_controllability, controllability_index,
                                 default_past_horizon, monotone_after_success,
                                 order_controllability_index,
@@ -92,7 +91,7 @@ def test_fast_path_matches_enumeration():
             exp = shift.alphabet.exponent
             scales = _divisors(exp) if ordered else [exp]
             fast = next((n for n in range(4)
-                         if _steering_condition(shift, n, past, scales, {})), None)
+                         if _steering_condition(shift, n, past, scales, {}, {})), None)
             slow = enumerated_index(shift, 3, past, ordered)
             assert fast == slow, (shift, ordered)
         checked += 1
@@ -256,7 +255,7 @@ def test_fail_fast_search_matches_reference():
             scales = _divisors(shift.alphabet.exponent)
             past = default_past_horizon(shift, cap)
             for order in (scales[::-1], rng.sample(scales, len(scales))):
-                assert _steering_witness(shift, cap, past, order, {}) == witness
+                assert _steering_witness(shift, cap, past, order, {}, {}) == witness
     assert absent >= 6
 
 
@@ -275,10 +274,10 @@ def test_scale_exp_elimination_is_the_plain_one(group, rng, n, past):
     args = (-past, 0, range(n + 1, n + past + 1))
     kept, heads = module.projection_heads(*args, kill_scale=exp,
                                           kill_positions=range(1, n + 1))
-    for got, got_heads in (module.projection_heads(*args, kill_scale=None,
-                                                   kill_positions=range(1, n + 1)),
-                           _steering_heads(shift, n, past, exp)):
-        assert (got.packed, got.pivots, got_heads) == (kept.packed, kept.pivots, heads)
+    got, got_heads = module.projection_heads(*args, kill_scale=None,
+                                             kill_positions=range(1, n + 1))
+    assert (got.packed, got.pivots, got_heads) == (kept.packed, kept.pivots, heads)
+    assert _steering_verdict(shift, n, past, exp, {}, {})[2] == all(map(kept.contains, heads))
     n_c, n_o = controllability_index(shift, 4).index, order_controllability_index(shift, 4).index
     if n_c is not None and n_o is not None:
         assert n_c <= n_o
@@ -288,7 +287,8 @@ def test_scale_exp_elimination_is_the_plain_one(group, rng, n, past):
 
 
 def full_window_verdict(shift, n, past, d):
-    kept, heads = _steering_heads(shift, n, past, d)
+    kept, heads = shift.window(-past, n + past).projection_heads(
+        -past, 0, range(n + 1, n + past + 1), kill_scale=d, kill_positions=range(1, n + 1))
     return all(map(kept.contains, heads))
 
 
@@ -301,9 +301,9 @@ def test_boundary_verdict_matches_the_full_window(group, rng, support, n):
     # shifts and generators of unequal length both occur; every divisor scale
     shift = random_shift(rng, max_gens=3, max_support=support, pool=[group])
     past = default_past_horizon(shift, n)
-    made = {}
+    made, ends = {}, {}
     for d in _divisors(shift.alphabet.exponent):
-        assert _steering_verdict(shift, n, past, d, made) == \
+        assert _steering_verdict(shift, n, past, d, made, ends)[2] == \
             full_window_verdict(shift, n, past, d), (shift, n, d)
 
 
@@ -313,10 +313,10 @@ def test_boundary_verdict_matches_the_full_window_at_short_past_windows():
     for _ in range(25):
         shift = random_shift(rng, max_gens=3, max_support=4,
                              pool=["Z4", "Z6", "Z2 x Z4", "Z2 x Z2 x Z3"])
-        made = {}
+        made, ends = {}, {}
         for n, past in itertools.product(range(4), range(1, 4)):
             for d in _divisors(shift.alphabet.exponent):
-                assert _steering_verdict(shift, n, past, d, made) == \
+                assert _steering_verdict(shift, n, past, d, made, ends)[2] == \
                     full_window_verdict(shift, n, past, d), (shift, n, past, d)
 
 
@@ -333,7 +333,7 @@ def test_near_end_states_match_their_definition():
         s, r = shift.span, shift.alphabet.rank
         m = max(shift.alphabet.exponent, 2)
         for mirror in (False, True):
-            made = {}
+            ends = {}
             gens = [Word.make(g.group, 0, g.symbols[::-1] if mirror else g.symbols)
                     for g in shift.generators]
             for width in range(s - 1, 3 * s + 12):
@@ -343,10 +343,10 @@ def test_near_end_states_match_their_definition():
                     0, width * r)]
                 direct = howell_form(PackedRows(tuple(rows), width * r), m, width * r)
                 want = direct.zero_prefix((width - s + 1) * r)
-                got = _near_end(shift, width, mirror, made)
+                got = _near_end(shift, width, mirror, ends)
                 assert (got.packed, got.pivots) == (want.packed, want.pivots), \
                     (shift, mirror, width)
-            longest = max(longest, len(made["near-end", mirror][1]) - s)
+            longest = max(longest, len(ends[mirror][1]) - s)
     assert longest >= 3
 
 
@@ -427,7 +427,7 @@ def test_zero_shift_and_span_one_shifts_steer_at_once(tmp_path, capsys):
         assert shift.span <= 1
         for n, past in itertools.product(range(4), (1, 2, 5)):
             for d in _divisors(shift.alphabet.exponent):
-                assert _steering_verdict(shift, n, past, d, {})
+                assert _steering_verdict(shift, n, past, d, {}, {})[2]
                 assert full_window_verdict(shift, n, past, d)
         rep = analyze_controllability(shift, cap=3)
         assert (rep.n_c, rep.n_o) == (0, 0)

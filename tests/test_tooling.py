@@ -190,8 +190,8 @@ def test_certify_reports_match_the_pool_references():
 
 def _record_steering_eliminations(monkeypatch, modules=(control, shifts)) -> list:
     """The argument tuples of the `projection_heads` calls made through the
-    given modules: the steering verdicts call it from `control`, the
-    witness's full-window elimination from `shifts`."""
+    given modules: the steering verdicts call it from `control`, and a
+    full-window elimination (`WindowModule.projection_heads`) from `shifts`."""
     calls = []
     for module in modules:
         monkeypatch.setattr(module, "projection_heads",
@@ -202,9 +202,9 @@ def _record_steering_eliminations(monkeypatch, modules=(control, shifts)) -> lis
 def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
     # the tracer does not see projection_heads, so count its calls directly:
     # a failing candidate stops at the scale that failed last, and the
-    # witness reuses the last candidate's verdicts, adding one per scale
+    # witness reuses the last candidate's eliminations, adding one per scale
     # that candidate did not reach
-    calls = _record_steering_eliminations(monkeypatch, (control,))
+    calls = _record_steering_eliminations(monkeypatch)
     cap = 16
     for name in ("order-witness", "scale-witness", "mixed-witness"):
         text = (ROOT / "tests" / "golden" / f"{name}.spec").read_text()
@@ -213,19 +213,6 @@ def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
         search = order_controllability_index(shift, cap, confirm=0)
         assert search.index is None and search.witness is not None, name
         assert len(calls) <= cap + len(_divisors(shift.alphabet.exponent)), name
-
-
-def test_failing_order_search_makes_one_full_window_elimination(monkeypatch):
-    # the verdicts run on boundary windows; only the witness eliminates the
-    # full window [-L, n+L], once, at its scale
-    calls = _record_steering_eliminations(monkeypatch, (shifts,))
-    for name, found in (("order-witness", False), ("scale-witness", False),
-                        ("mixed-witness", False), ("delay-rep", True), ("z8-z4", True)):
-        shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
-        calls.clear()
-        search = order_controllability_index(shift, 16, confirm=0)
-        assert (search.index is not None) == found, name
-        assert len(calls) == (not found), name
 
 
 def test_no_steering_elimination_passes_a_vacuous_condition(monkeypatch):
@@ -246,8 +233,15 @@ def test_no_steering_elimination_passes_a_vacuous_condition(monkeypatch):
 
 def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
     # a verdict eliminates the boundary window [2-s, n+s-1], whose width does
-    # not grow with the past window L: at most (n + 2s - 2) * rank columns
+    # not grow with the past window L: at most (n + 2s - 2) * rank columns;
+    # a failing search's witness reuses the cap candidate's eliminations
     calls = _record_steering_eliminations(monkeypatch)
+
+    def width_bound(n):
+        bound = (n + 2 * shift.span - 2) * shift.alphabet.rank
+        return all(len(conditions) + len(zeros) + hi - lo <= bound
+                   for _, _, conditions, zeros, lo, hi in calls)
+
     for name in ("order-witness", "scale-witness", "mixed-witness", "delay-rep", "z8-z4",
                  "z9-z3"):
         shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
@@ -255,11 +249,13 @@ def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
         for n in range(0, 17, 4):
             for past in (1, shift.span, default_past_horizon(shift, n), 60):
                 calls.clear()
-                _steering_condition(shift, n, past, list(scales), {})
-                bound = (n + 2 * shift.span - 2) * shift.alphabet.rank
-                assert calls, (name, n, past)
-                assert all(len(conditions) + len(zeros) + hi - lo <= bound
-                           for _, _, conditions, zeros, lo, hi in calls), (name, n, past)
+                _steering_condition(shift, n, past, list(scales), {}, {})
+                assert calls and width_bound(n), (name, n, past)
+        calls.clear()
+        search = order_controllability_index(shift, 16, confirm=0)
+        failing = name in ("order-witness", "scale-witness", "mixed-witness")
+        assert (search.witness is not None) == failing, name
+        assert calls and width_bound(16), name
 
 
 def test_constrained_projection_is_one_packed_elimination(monkeypatch):
