@@ -317,7 +317,7 @@ def cmd_oracle(args) -> int:
     factors = group.scale_factors * (hi - lo + 1)
     scaled = [tuple(map(operator.mul, flat, factors)) for flat in elements]
     _window_image_lines(report, group, lo, hi,
-                        howell_form(scaled, max(group.exponent, 2)))
+                        howell_form(scaled, group.modulus))
     report.add("verdict", "pass")
     report.emit()
     return 0

@@ -9,9 +9,9 @@ condition's scale exp(H), decided by the same elimination, so n_c <= n_o.
 Every verdict records the window geometry it was computed at; a steering
 verdict on [-L, n+L] is decided exactly on a boundary window around the
 block [1, n], whose width does not grow with L (`_steering_verdict`).  Weak
-controllability of the p-torsion subshift is read off
-`shifts.torsion_presentation`, the presentation that `encoders.socle_shift`
-returns, so `analyze` and `certify` decide it alike.
+controllability of the p-torsion subshift is read off the p-primary
+component's `shifts.torsion_presentation`, which `encoders.socle_shift`
+returns in `certify`, so `analyze` and `certify` decide it alike.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .groups import _prime_power_factors
 from .residues import (HowellForm, PackedRows, _eliminate, _lane_layout, howell_form,
                        pack_rows, projection_heads, unpack_rows)
-from .shifts import GroupShift, Horizons, torsion_presentation
+from .shifts import GroupShift, Horizons, primary_shift, torsion_presentation
 from .words import Word
 
 #: Candidates scanned past the first success, so the condition table still
@@ -79,7 +79,7 @@ def _vacuous(shift: GroupShift, n: int, d: int) -> bool:
 def _past_rows(shift: GroupShift, past: int) -> list[int]:
     """Packed rows on the L+1 positions [-L, 0] of the placements that end
     there, cut at -L."""
-    m, r = max(shift.alphabet.exponent, 2), shift.alphabet.rank
+    m, r = shift.alphabet.modulus, shift.alphabet.rank
     return [x for g in shift.generators
             for x in g.placed_rows(m, range(-past - g.last, 1 - g.last), -past, (past + 1) * r)]
 
@@ -99,7 +99,7 @@ def _near_end(shift: GroupShift, width: int, mirror: bool, ends: dict) -> Howell
     `mirror`.  Computing each S(L+1) directly instead, one elimination of
     the L+1 positions per candidate, gave about 19% fewer `certify` ops/s."""
     s, r = shift.span, shift.alphabet.rank
-    m, cols = max(shift.alphabet.exponent, 2), s * r
+    m, cols = shift.alphabet.modulus, s * r
     if mirror not in ends:
         gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
         frame = [x for g in gens for x in g.placed_rows(m, [-g.last], 1 - s, cols)]
@@ -133,7 +133,7 @@ def _boundary_heads(shift: GroupShift, n: int, past: int, d: int | None,
     end, kept part on the past near end.  With s <= 1 no placement
     straddles a position and there is nothing to eliminate."""
     s, r = shift.span, shift.alphabet.rank
-    m = max(shift.alphabet.exponent, 2)
+    m = shift.alphabet.modulus
     if s <= 1:
         return HowellForm(m, 0, (), ()), []
     lo, hi = max(2 - s, -past), min(n + s - 1, n + past)
@@ -280,8 +280,9 @@ class WeakControllabilityReport:
 def socle_controllability(shift: GroupShift, p: int,
                           horizons: Horizons) -> WeakControllabilityReport:
     """Weak controllability of the p-torsion subshift on the windows
-    [0,0]..[0,window_horizon], read off `shifts.torsion_presentation`."""
-    _, failing = torsion_presentation(shift, p, horizons)
+    [0,0]..[0,window_horizon], read off `shifts.torsion_presentation` of the
+    p-primary component, a direct summand of G that holds G[p]."""
+    _, failing = torsion_presentation(primary_shift(shift, p), p, horizons)
     windows = tuple((0, t) for t in range(horizons.window_horizon + 1))
     if failing is None:
         return WeakControllabilityReport(True, windows)

@@ -19,8 +19,8 @@ from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
 from .residues import (HowellForm, PackedRows, Vec, _bytes_to_lanes, _lane_bytes,
                        _lane_layout, _lanes_to_bytes, combine_rows, howell_form,
                        placed_rows, projection_heads, row_solver, unpack_rows)
-from .shifts import (GroupShift, Horizons, SupportedWords, member, supported_words,
-                     torsion_presentation)
+from .shifts import (GroupShift, Horizons, SupportedWords, member, primary_shift,
+                     supported_words, torsion_presentation)
 from .words import Word
 
 
@@ -42,7 +42,7 @@ def multiple_shift(shift: GroupShift, p: int, r: int) -> GroupShift:
         raise ValueError("r must be >= 0")
     if r == 0:
         return shift
-    if p ** r >= max(shift.alphabet.exponent, 2):
+    if p ** r >= shift.alphabet.modulus:
         raise ValueError(f"p^r = {p ** r} must stay below exp(H)")
     scale = p ** r
     return GroupShift.make(shift.alphabet, [g.scaled(scale) for g in shift.generators])
@@ -443,7 +443,7 @@ def check_injectivity(encoder: Encoder, block_cap: int) -> InjectivityReport:
                          "run it per primary component")
     p, r = encoder.tap_primes[0], encoder.alphabet.rank
     # a p-torsion scaled entry is k * (m // p), with k its F_p coordinate
-    unit = max(encoder.alphabet.exponent, 2) // p
+    unit = encoder.alphabet.modulus // p
     fp = [(j, x, [v // unit for v in x.window_vector(x.first, x.last)])
           for j, x in enumerate(torsion) if not x.is_zero]
     witness = None
@@ -478,7 +478,7 @@ def _tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
     hi = msg_hi + max((taps[j].last for j, _ in labels), default=0)
     if cover is not None:
         lo, hi = min(lo, cover.first), max(hi, cover.last)
-    m, ncols = max(alphabet.exponent, 2), (hi - lo + 1) * alphabet.rank
+    m, ncols = alphabet.modulus, (hi - lo + 1) * alphabet.rank
     rows = [row for tap in taps if not tap.is_zero
             for row in tap.placed_rows(m, range(msg_lo, msg_hi + 1), lo, ncols)]
     return row_solver(PackedRows(tuple(rows), ncols), m), labels, (lo, hi)
@@ -540,7 +540,7 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
     for tap in encoder.taps:
         if not member(shift, tap, margin).certified_in:
             return NoncatastrophicityReport(False, horizon, tap)
-    m, r = max(encoder.alphabet.exponent, 2), encoder.alphabet.rank
+    m, r = encoder.alphabet.modulus, encoder.alphabet.rank
     taps = [tap for tap in encoder.taps if not tap.is_zero]
     first = min((tap.first for tap in taps), default=0)
     last = max((tap.last for tap in taps), default=0)
@@ -752,16 +752,6 @@ def primary_certificate(shift: GroupShift, p: int,
                   for r in range(1, shift.exponent_exponent(p)))
     failing = next((c.name for c in checks if not c.passed), None)
     return PrimaryCertificate(p, shift, genset, encoder, tuple(checks), failing)
-
-
-def primary_shift(shift: GroupShift, p: int) -> GroupShift:
-    """The p-primary component of the shift, presented over the p-part of H."""
-    part = primary_component(shift.alphabet, p)
-    gens = []
-    for g in shift.generators:
-        syms = [part.project_coords(s) for s in g.symbols]
-        gens.append(Word.make(part.group, g.start, syms))
-    return GroupShift.make(part.group, gens)
 
 
 def conjugacy_certificate(shift: GroupShift,

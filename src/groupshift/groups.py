@@ -94,6 +94,11 @@ class FiniteAbelianGroup:
     def exponent(self) -> int:
         return reduce(math.lcm, self.orders, 1)
 
+    @cached_property
+    def modulus(self) -> int:
+        """Residue modulus of window vectors: exp(H), 2 for the trivial group."""
+        return max(self.exponent, 2)
+
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted({p for p, _ in self.factors}))
 

@@ -10,17 +10,18 @@ an F_p basis: its rank is the F_p rank and `contains` is F_p membership.
 Every Howell form comes from one elimination kernel, `_eliminate`, which
 packs each row into one int: entry j sits in lane bits [j*w, (j+1)*w).  The
 lane width w is byte-aligned and holds every value a row operation forms
-(below 2m^2, the composite xgcd fold's bound), so a row operation is a few
-big-int operations and one lane reduction: `& MASK` for m = 2^e, SWAR
-Barrett for any other m.  Live rows wait in buckets keyed by their leading
-lane.  Rows stay packed from `placed_rows` through `projection_heads` and
-`_eliminate` into `HowellForm`, whose `reduce`, `contains`, `zero_prefix`
-and `spans_same` work on one int per row; `HowellForm.rows` unpacks them
-for the callers that build words or report lines.  `howell_form` and
-`row_solver` take tuple rows or `PackedRows`, `RowSolver` solves on packed
-rows and `combine_rows` forms packed combinations.  `projection_heads` is
-the one routine that builds constrained rows: a canonical constrained
-projection is its `kept` rows made canonical by `howell_form`.
+(below m^2), so a row operation is a few big-int operations and one lane
+reduction: `& MASK` for m = 2^e, SWAR Barrett for any other m.  It runs
+over Z/p^e; a composite m is split into its prime powers by CRT.  Live rows
+wait in buckets keyed by their leading lane.  Rows stay packed from
+`placed_rows` through `projection_heads` and `_eliminate` into `HowellForm`,
+whose `reduce`, `contains`, `zero_prefix` and `spans_same` work on one int
+per row; `HowellForm.rows` unpacks them for the callers that build words or
+report lines.  `howell_form` and `row_solver` take tuple rows or
+`PackedRows`, `RowSolver` solves on packed rows and `combine_rows` forms
+packed combinations.  `projection_heads` is the one routine that builds
+constrained rows: a canonical constrained projection is its `kept` rows
+made canonical by `howell_form`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+from .groups import _prime_power_factors
+
 MAX_MODULUS = 1 << 31
 #: Default cap on the elements a module or code enumeration may produce.
 ENUM_CAP = 1 << 20
@@ -39,7 +42,7 @@ Vec = tuple[int, ...]
 
 #: Little-endian struct codes of the lane widths up to 64 bits, in bytes.
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-#: Every byte value: `_BYTE_VALUES[:m]` are the residues below m <= 256.
+#: Every byte value: `_BYTE_VALUES[:m]` repeated maps a byte to its residue mod m.
 _BYTE_VALUES = bytes(range(256))
 
 
@@ -52,43 +55,6 @@ def validate_modulus(modulus: int) -> None:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if modulus > MAX_MODULUS:
         raise ValueError(f"modulus {modulus} exceeds the 2**31 cap")
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y == g == gcd(a, b) and g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def unit_for(a: int, modulus: int) -> int:
-    """A unit u mod `modulus` with (a * u) % modulus == gcd(a, modulus)."""
-    a %= modulus
-    if a == 0:
-        return 1
-    g = math.gcd(a, modulus)
-    a1, m1 = a // g, modulus // g
-    inv = pow(a1, -1, m1) if m1 > 1 else 1
-    # lift inv to a unit modulo the full modulus
-    for t in range(modulus // m1):
-        c = (inv + t * m1) % modulus
-        if math.gcd(c, modulus) == 1:
-            return c
-    raise ArithmeticError("unit lift failed")  # pragma: no cover
-
-
-def annihilator(a: int, modulus: int) -> int:
-    """Generator of the ideal {x : a*x == 0 mod modulus}; 1 when a == 0."""
-    a %= modulus
-    if a == 0:
-        return 1
-    return modulus // math.gcd(a, modulus)
 
 
 @dataclass(frozen=True)
@@ -111,10 +77,7 @@ class HowellForm:
 
     def size(self) -> int:
         """Number of elements of the row span."""
-        total = 1
-        for _, d in self.pivots:
-            total *= self.modulus // d
-        return total
+        return math.prod(self.modulus // d for _, d in self.pivots)
 
     @cached_property
     def _pivot_rows(self) -> dict[int, int]:
@@ -184,21 +147,20 @@ def _lane_layout(m: int, ncols: int) -> tuple[int, int, Callable[[int], int]]:
     """(lane width w in bits, m in every lane, lane reduction mod m) for rows
     of `ncols` residues mod m packed into one int.
 
-    Every value a row operation forms is below 2m^2 per lane (m^2 but for
-    the composite xgcd fold), so no lane carries into the next.  For
-    m = 2^e that value is below m^2 and `& MASK` reduces it (w >= 2e).  For
+    Every value a row operation forms is below m^2 per lane, so no lane
+    carries into the next.  For m = 2^e `& MASK` reduces it (w >= 2e).  For
     any other m it is SWAR Barrett: Q = ((Z * mu) >> s) & QMASK with
-    s = bits(2m^2 - 1) and mu = floor(2^s / m) leaves Z - m*Q in [0, 2m), and
+    s = bits(m^2 - 1) and mu = floor(2^s / m) leaves Z - m*Q in [0, 2m), and
     one subtraction of m, selected per lane by the guard bit k of
-    Z - m*Q + 2^k - m, lands in [0, m); w holds (2m^2 - 1) * mu, and the
+    Z - m*Q + 2^k - m, lands in [0, m); w holds (m^2 - 1) * mu, and the
     bits of Z * mu below s spill into the lane below, above QMASK.
     Widths round up to 1, 2, 4 or 8 bytes, or to whole bytes past 64 bits.
     """
+    zmax = m * m - 1
     if m & (m - 1) == 0:
-        w = 8 * _lane_bytes((m * m - 1).bit_length())
+        w = 8 * _lane_bytes(zmax.bit_length())
         ones = ((1 << w * ncols) - 1) // ((1 << w) - 1)
         return w, m * ones, ((m - 1) * ones).__and__
-    zmax = 2 * m * m - 1
     s = zmax.bit_length()
     mu = (1 << s) // m
     w = 8 * _lane_bytes((zmax * mu).bit_length())
@@ -233,9 +195,9 @@ def _bytes_to_lanes(raw: bytes, nbytes: int) -> Sequence[int]:
 def pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
     """The rows as ints of `ncols` lanes (`_lane_layout`), entries reduced mod m.
 
-    For m <= 256 entries that already lie in [0, m) are copied as bytes into
-    the low byte of each lane; any others are reduced first and packed by
-    `_lanes_to_bytes`.
+    For m <= 256 entries in [0, 256) are reduced by one byte translation and
+    copied into the low byte of each lane; any others are reduced one by one
+    and packed by `_lanes_to_bytes`.
     """
     if set(map(len, rows)) - {ncols}:
         raise ValueError(f"rows must have {ncols} entries")
@@ -244,9 +206,9 @@ def pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
         low = b"".join(map(bytes, rows)) if m <= 256 else None
     except ValueError:  # an entry outside [0, 256)
         low = None
-    if low is not None and not low.translate(None, _BYTE_VALUES[:m]):
+    if low is not None:
         raw = bytearray(nbytes * len(low))
-        raw[::nbytes] = low
+        raw[::nbytes] = low.translate((_BYTE_VALUES[:m] * -(-256 // m))[:256])
     else:
         raw = _lanes_to_bytes([x % m for r in rows for x in r], nbytes)
     size = nbytes * ncols
@@ -272,11 +234,15 @@ def unpack_rows(packed: Sequence[int], modulus: int, ncols: int) -> tuple[Vec, .
 
 
 @lru_cache(maxsize=64)
-def _pivot_arithmetic(m: int) -> tuple[Callable[[int], int], ...]:
-    """Memoized gcd with m, `unit_for` and `annihilator` of lane values mod m."""
+def _pivot_arithmetic(m: int) -> tuple[tuple[tuple[int, int], ...], Callable, Callable]:
+    """((prime power q, CRT idempotent) per prime of m, memoized gcd with m,
+    memoized unit of nonzero lane values mod m = p^e): a = p^v * a' has the
+    unit a'^-1 mod p^(e-v), which takes it to its gcd p^v."""
     memo = lru_cache(maxsize=1024)
-    return (memo(partial(math.gcd, m)), memo(lambda a: unit_for(a, m)),
-            memo(lambda a: annihilator(a, m)))
+    gcd = memo(partial(math.gcd, m))
+    parts = tuple((p ** e, m // p ** e * pow(m // p ** e, -1, p ** e))
+                  for p, e in _prime_power_factors(m))
+    return parts, gcd, memo(lambda a: pow(a // gcd(a), -1, m // gcd(a)))
 
 
 def _eliminate(rows: Iterable[int], m: int, ncols: int,
@@ -285,12 +251,12 @@ def _eliminate(rows: Iterable[int], m: int, ncols: int,
     pivot columns ascending.  Rows with pivot column >= `drop` are in Howell
     form; the rows left of it are never back-reduced.
 
-    Per column the pivot is the first live entry of least gcd d with the
-    modulus (least valuation over Z/p^e), scaled to d; the scan stops at a
-    unit.  An entry d divides is cleared by one subtraction, any other
-    (composite moduli only) by an xgcd fold.  Saturation gives the Howell
-    property that `zero_prefix` reads.  Gcds, units and annihilators of lane
-    values are looked up in `_pivot_arithmetic`.
+    Over m = p^e the pivot per column is the first live entry of least
+    valuation, scaled to its gcd d with m; the scan stops at a unit.  d
+    divides every entry of its column, so one subtraction clears each.
+    Saturation gives the Howell property that `zero_prefix` reads.  Gcds and
+    units of lane values are looked up in `_pivot_arithmetic`.  A composite
+    m is split into its prime powers by `_crt_eliminate`.
 
     The rows come and leave packed, each one int with entry j in [0, m) at
     lane bits [j*w, (j+1)*w) (`_lane_layout`).  A row operation Y - q*X is
@@ -298,8 +264,10 @@ def _eliminate(rows: Iterable[int], m: int, ncols: int,
     rows sit in buckets by leading lane, each in the order the rows went
     live, so a column touches only the rows that lead there.
     """
+    parts, gcd, unit = _pivot_arithmetic(m)
+    if len(parts) > 1:
+        return _crt_eliminate(rows, m, ncols, drop, parts)
     w, k_lanes, red = _lane_layout(m, ncols)
-    gcd, unit, annihilate = _pivot_arithmetic(m)
     lane = (1 << w) - 1
     buckets: list[list[int]] = [[] for _ in range(ncols)]
     for row in rows:
@@ -324,17 +292,7 @@ def _eliminate(rows: Iterable[int], m: int, ncols: int,
         tail = row if a == d else red(unit(a) * row)
         neg = k_lanes - tail
         for rj in hits:
-            b = (rj >> at) & lane
-            if b % d == 0:
-                rj = red(rj + b // d * neg)
-            else:
-                # unimodular fold of the two rows: det(x v - y u) = 1
-                g, x, y = xgcd(d, b)
-                rj, tail = (red(-(b // g) % m * tail + d // g * rj),
-                            red(x % m * tail + y % m * rj))
-                neg = k_lanes - tail
-                d = g
-            if rj:
+            if rj := red(rj + ((rj >> at) & lane) // d * neg):
                 buckets[((rj & -rj).bit_length() - 1) // w].append(rj)
         buckets[c] = []
         # reduce entries above the pivot into [0, d)
@@ -342,13 +300,44 @@ def _eliminate(rows: Iterable[int], m: int, ncols: int,
             q = ((done[i] >> at) & lane) // d
             if q:
                 done[i] = red(done[i] + q * neg)
-        # saturation: the annihilator multiple of the pivot row re-enters the
+        # saturation: the annihilator m/d times the pivot row re-enters the
         # worklist so later columns see every combination with zero lead
-        ann = annihilate(d)
-        if ann % m and (row := red(ann * tail)):
+        if d > 1 and (row := red(m // d * tail)):
             buckets[((row & -row).bit_length() - 1) // w].append(row)
         done.append(tail)
         pivots.append((c, d))
+        dropped += c < drop
+    return done, pivots
+
+
+def _crt_eliminate(rows: Iterable[int], m: int, ncols: int, drop: int,
+                   parts: tuple[tuple[int, int], ...]) -> tuple[list[int], list[tuple[int, int]]]:
+    """`_eliminate` over a composite m: one elimination per prime power q of
+    m with no back-reduction, merged per pivot column into the sum of
+    e_q * (D / d_q) * row_q over the q with a pivot d_q there, e_q the CRT
+    idempotent and D = m / prod(q / d_q) the merged pivot.  It is a unit
+    multiple of row_q mod each such q and zero mod the others, so the Howell
+    property holds, and back-reduction as in `_eliminate` makes the rows
+    from `drop` on the unique Howell form."""
+    w, k_lanes, red = _lane_layout(m, ncols)
+    flat = unpack_rows(list(rows), m, ncols)
+    merge: dict[int, list[tuple[int, int, int, int]]] = {}  # column: (q/d_q, e_q, d_q, row_q)
+    for q, e in parts:
+        q_rows, q_pivots = _eliminate(pack_rows(flat, q, ncols), q, ncols, ncols)
+        for row, (c, d) in zip(pack_rows(unpack_rows(q_rows, q, ncols), m, ncols), q_pivots):
+            merge.setdefault(c, []).append((q // d, e, d, row))
+    done, pivots, dropped, lane = [], [], 0, (1 << w) - 1
+    for c in sorted(merge):
+        big = m // math.prod(t[0] for t in merge[c])
+        tail = combine_rows([e * (big // d) for _, e, d, _ in merge[c]],
+                            [t[3] for t in merge[c]], m, ncols)
+        at, neg = c * w, k_lanes - tail
+        for i in range(dropped, len(done)):
+            q = ((done[i] >> at) & lane) // big
+            if q:
+                done[i] = red(done[i] + q * neg)
+        done.append(tail)
+        pivots.append((c, big))
         dropped += c < drop
     return done, pivots
 

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache, reduce
 import math
 from typing import Sequence
 
-from .groups import FiniteAbelianGroup
+from .groups import FiniteAbelianGroup, primary_component
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, PackedRows,
                        howell_form, projection_heads)
 from .words import Word, word_span
@@ -88,6 +88,16 @@ class GroupShift:
         return self.memory_hint if self.memory_hint is not None else max(self.span, 1)
 
 
+def primary_shift(shift: GroupShift, p: int) -> GroupShift:
+    """The p-primary component of the shift, presented over the p-part of H."""
+    part = primary_component(shift.alphabet, p)
+    gens = []
+    for g in shift.generators:
+        syms = [part.project_coords(s) for s in g.symbols]
+        gens.append(Word.make(part.group, g.start, syms))
+    return GroupShift.make(part.group, gens)
+
+
 @dataclass(frozen=True)
 class WindowModule:
     """The projection of a group shift onto the window [lo, hi]: the scaled
@@ -101,7 +111,7 @@ class WindowModule:
 
     @property
     def modulus(self) -> int:
-        return max(self.shift.alphabet.exponent, 2)
+        return self.shift.alphabet.modulus
 
     @property
     def width(self) -> int:
@@ -159,7 +169,7 @@ def _window_module(shift: GroupShift, lo: int, hi: int) -> WindowModule:
     if hi < lo:
         raise ValueError("empty window")
     # one row per contributor (gi, t) of `GroupShift.contributors`, in order
-    m, ncols = max(shift.alphabet.exponent, 2), (hi - lo + 1) * shift.alphabet.rank
+    m, ncols = shift.alphabet.modulus, (hi - lo + 1) * shift.alphabet.rank
     packed = [row for g in shift.generators
               for row in g.placed_rows(m, range(lo - g.last, hi - g.first + 1), lo, ncols)]
     return WindowModule(shift, lo, hi, tuple(packed))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,43 @@ from groupshift.residues import combine_rows, unpack_rows
 from groupshift.shifts import GroupShift
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with a*x + b*y == g == gcd(a, b) and g >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def unit_for(a: int, modulus: int) -> int:
+    """A unit u mod `modulus` with (a * u) % modulus == gcd(a, modulus)."""
+    a %= modulus
+    if a == 0:
+        return 1
+    g = math.gcd(a, modulus)
+    a1, m1 = a // g, modulus // g
+    inv = pow(a1, -1, m1) if m1 > 1 else 1
+    # lift inv to a unit modulo the full modulus
+    for t in range(modulus // m1):
+        c = (inv + t * m1) % modulus
+        if math.gcd(c, modulus) == 1:
+            return c
+    raise ArithmeticError("unit lift failed")  # pragma: no cover
+
+
+def annihilator(a: int, modulus: int) -> int:
+    """Generator of the ideal {x : a*x == 0 mod modulus}; 1 when a == 0."""
+    a %= modulus
+    if a == 0:
+        return 1
+    return modulus // math.gcd(a, modulus)
 
 
 def impulse(group: FiniteAbelianGroup, coords, position: int = 0) -> Word:

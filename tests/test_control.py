@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from groupshift.control import (IndexSearch, _divisors, _near_end, _steering_con
                                 weak_controllability_check)
 from groupshift.residues import PackedRows, howell_form
 from groupshift.encoders import PipelineFailure, multiple_shift, socle_shift
+from groupshift.groups import FiniteAbelianGroup
+from groupshift.shifts import GroupShift, Horizons, primary_shift, torsion_presentation
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
@@ -187,6 +191,41 @@ def test_socle_verdict_agrees_with_socle_shift(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
     out = capsys.readouterr().out
     assert "socle.2.weakly_controllable: no\nsocle.2.detail: torsion window [0,4]" in out
+
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def mixed_shifts():
+    """The mixed-alphabet entries of the `analyze` bench pool, the
+    `mixed-witness` golden spec and derandomized random mixed shifts."""
+    group = FiniteAbelianGroup.parse
+    pool = json.loads((ROOT / "perfbench" / "data" / "analyze.json").read_text())["entries"]
+    for e in pool:
+        alphabet = group(e["alphabet"])
+        if len(alphabet.primes()) > 1:
+            yield GroupShift.make(alphabet, [Word.make(alphabet, start, syms)
+                                             for start, syms in e["gens"]])
+    yield parse_spec((ROOT / "tests" / "golden" / "mixed-witness.spec").read_text()).shift
+    rng = random.Random(24)
+    for _ in range(24):
+        yield random_shift(rng, max_gens=3, pool=["Z6", "Z12", "Z2 x Z2 x Z3",
+                                                  "Z2 x Z4 x Z3"])
+
+
+def test_torsion_presentation_is_decided_on_the_primary_component():
+    # G[p] lies in the p-primary component, a direct summand of G, so the
+    # failing window is the same on either shift
+    failing = []
+    for shift in mixed_shifts():
+        horizons = Horizons.derive(shift)
+        for p in shift.alphabet.primes():
+            got = torsion_presentation(primary_shift(shift, p), p, horizons)[1]
+            assert got == torsion_presentation(shift, p, horizons)[1], (shift, p)
+            failing.append(got)
+    assert len(failing) >= 2 * (32 + 1 + 24)
+    assert any(t is not None for t in failing) and None in failing
 
 
 def test_past_horizon_default():

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup, is_prime
 from groupshift.residues import (HowellForm, PackedRows, _eliminate, _lane_layout,
-                                 _pivot_arithmetic, annihilator, combine_rows, howell_form,
-                                 pack_rows, placed_rows, projection_heads, row_solver,
-                                 unit_for, unpack_rows, xgcd)
+                                 _pivot_arithmetic, combine_rows, howell_form, pack_rows,
+                                 placed_rows, projection_heads, row_solver, unpack_rows)
 
-from conftest import brute_force_span, enumerate_elements, tuple_combine_rows
+from conftest import (annihilator, brute_force_span, enumerate_elements,
+                      tuple_combine_rows, unit_for, xgcd)
 
 MODULI = [2, 3, 4, 5, 8, 9, 12]
 
@@ -280,12 +280,13 @@ def reference_howell_form(rows, modulus, ncols=None):
 
 
 PRIME_POWER_MODULI = [2, 4, 8, 9, 27, 25, 81]
-COMPOSITE_MODULI = [6, 12, 36, 72]
+#: With three primes, some columns have a pivot for one prime and not another.
+COMPOSITE_MODULI = [6, 12, 30, 36, 60, 72]
 #: Every lane width of the packed kernel under both reductions: `& MASK`
 #: (powers of 2) in 1, 2, 4 and 8 bytes, SWAR Barrett in 1, 2, 4 and 8 bytes
-#: and, past 64 bits, in 10 (9699690 = 2*3*5*7*11*13*17*19) and 12 bytes.
-LANE_MODULI = [2, 4, 8, 2 ** 7, 2 ** 16, 2 ** 31, 3, 9, 27, 25, 3 ** 12, 3 ** 19, 5 ** 13,
-               6, 12, 9699690]
+#: and, past 64 bits, in 9 (9699690 = 2*3*5*7*11*13*17*19), 10 and 12 bytes.
+LANE_MODULI = [2, 4, 8, 2 ** 7, 2 ** 16, 2 ** 31, 3, 9, 27, 25, 5 ** 4, 3 ** 12, 5 ** 11,
+               3 ** 19, 5 ** 13, 6, 12, 9699690]
 
 
 @functools.lru_cache(maxsize=None)
@@ -377,14 +378,14 @@ def packed(rows, m, ncols):
 def test_lane_moduli_cover_every_lane_width():
     layouts = {(m & (m - 1) == 0, _lane_layout(m, 1)[0]) for m in LANE_MODULI}
     assert layouts == {(True, 8), (True, 16), (True, 32), (True, 64), (False, 8),
-                       (False, 16), (False, 32), (False, 64), (False, 80), (False, 96)}
+                       (False, 16), (False, 32), (False, 64), (False, 72), (False, 80),
+                       (False, 96)}
 
 
 @pytest.mark.parametrize("m", LANE_MODULI)
 def test_lane_reduction_takes_every_row_operation_value_to_its_residue(m):
-    # row operations form lane values below m^2 for m = 2^e and below 2m^2
-    # (the composite xgcd fold) otherwise
-    top = m * m if m & (m - 1) == 0 else 2 * m * m
+    # row operations form lane values below m^2
+    top = m * m
     rng = random.Random(m)
     vals = [0, 1, m - 1, m, m + 1, 2 * m - 1, m * m - 1, top - m, top - 1] + \
         [rng.randrange(top) for _ in range(40)]
@@ -411,8 +412,16 @@ def test_packed_kernel_matches_list_kernel_for_every_drop(modulus, data):
     m, rows, ncols = data.draw(kernel_inputs([modulus], max_cols=40, reduced=False))
     for drop in range(ncols + 1):
         done, pivots = _eliminate(packed(rows, m, ncols), m, ncols, drop)
-        assert (list(unpack_rows(done, m, ncols)), pivots) == \
-            reference_eliminate(rows, m, ncols, drop)
+        got, want = list(unpack_rows(done, m, ncols)), reference_eliminate(rows, m, ncols, drop)
+        if len(_pivot_arithmetic(m)[0]) == 1:
+            assert (got, pivots) == want
+            continue
+        # a composite m goes through the CRT split: left of `drop` another
+        # basis that is not back-reduced, from `drop` on the Howell form
+        assert pivots == want[1]
+        assert [r for r, (c, _) in zip(got, pivots) if c >= drop] == \
+            [r for r, (c, _) in zip(want[0], want[1]) if c >= drop]
+        assert howell_form(got, m, ncols) == howell_form(want[0], m, ncols)
 
 
 def reference_reduce(form, vec):
@@ -703,18 +712,28 @@ def test_packed_row_solver_matches_tuple_reference(inp, data):
 @pytest.mark.parametrize("m", [2, 8, 9, 27, 6, 12, 72, 2 ** 31, 3 ** 19])
 def test_pivot_arithmetic_memos_match_the_functions(m):
     # every residue of a small modulus; zero, units and zero divisors of
-    # every valuation, sampled, for a large one
+    # every valuation, sampled, for a large one; the kernel takes no unit of
+    # zero and saturates a pivot d by m // d.  A composite modulus is split
+    # into its prime powers, each with its CRT idempotent.
+    parts, gcd, unit = _pivot_arithmetic(m)
+    assert _pivot_arithmetic(m) is _pivot_arithmetic(m)
+    for memo in (_pivot_arithmetic, gcd, unit):
+        assert memo.cache_info().maxsize is not None
+    if len(parts) > 1:
+        assert math.prod(q for q, _ in parts) == m
+        for q, e in parts:
+            assert _pivot_arithmetic(q)[0] == ((q, 1),)
+            assert (e % q, e % (m // q)) == (1, 0)
+        return
+    assert parts == ((m, 1),)
     rng = random.Random(m)
     p = 2 if m % 2 == 0 else 3
     values = range(m) if m < 100 else [0, 1, m - 1] + [
         p ** rng.randrange(m.bit_length()) * rng.randrange(1, m) % m for _ in range(300)]
-    gcd, unit, annihilate = _pivot_arithmetic(m)
     for a in values:
-        assert (gcd(a), unit(a), annihilate(a)) == \
-            (math.gcd(a, m), unit_for(a, m), annihilator(a, m)), a
-    for memo in (_pivot_arithmetic, gcd, unit, annihilate):
-        assert memo.cache_info().maxsize is not None
-    assert _pivot_arithmetic(m) is _pivot_arithmetic(m)
+        assert gcd(a) == math.gcd(a, m), a
+        if a:
+            assert (unit(a), m // gcd(a)) == (unit_for(a, m), annihilator(a, m)), a
 
 
 # -- independence over F_p: Howell forms of p-torsion vectors ----------------
