@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .groups import _prime_power_factors
 from .residues import (HowellForm, PackedRows, _eliminate, _lane_layout, howell_form,
-                       pack_rows, projection_heads, unpack_rows)
+                       projection_heads)
 from .shifts import GroupShift, Horizons, primary_shift, torsion_presentation
 from .words import Word
 
@@ -79,9 +79,9 @@ def _vacuous(shift: GroupShift, n: int, d: int) -> bool:
 def _past_rows(shift: GroupShift, past: int) -> list[int]:
     """Packed rows on the L+1 positions [-L, 0] of the placements that end
     there, cut at -L."""
-    m, r = shift.alphabet.modulus, shift.alphabet.rank
+    r = shift.alphabet.rank
     return [x for g in shift.generators
-            for x in g.placed_rows(m, range(-past - g.last, 1 - g.last), -past, (past + 1) * r)]
+            for x in g.placed_rows(range(-past - g.last, 1 - g.last), -past, (past + 1) * r)]
 
 
 def _near_end(shift: GroupShift, width: int, mirror: bool, ends: dict) -> HowellForm:
@@ -102,7 +102,7 @@ def _near_end(shift: GroupShift, width: int, mirror: bool, ends: dict) -> Howell
     m, cols = shift.alphabet.modulus, s * r
     if mirror not in ends:
         gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
-        frame = [x for g in gens for x in g.placed_rows(m, [-g.last], 1 - s, cols)]
+        frame = [x for g in gens for x in g.placed_rows([-g.last], 1 - s, cols)]
         ends[mirror] = frame, [HowellForm(m, cols - r, (), ())]
     frame, states = ends[mirror]
     w = _lane_layout(m, cols)[0]
@@ -125,32 +125,33 @@ def _boundary_heads(shift: GroupShift, n: int, past: int, d: int | None,
     The window holds the placements that meet the block [1, n] or straddle
     it, the past near-end state S(L+1) on [lo, 0] and the tail near-end
     state on [n+1, hi], the mirrored shift's S(L) with its positions
-    reversed (`_near_end`).  A placement that lies in the past or in the
-    tail meets the rest of [-L, n+L] only on those near-end positions, so
-    standing in the submodule it generates there for it changes either past
-    projection of the full window only by the span of the past-only
-    placements.  Conditions d*v on [1, n], zero columns on the tail near
-    end, kept part on the past near end.  With s <= 1 no placement
-    straddles a position and there is nothing to eliminate."""
+    reversed (`_near_end`) by lane shifts, once per state into `ends`.  A
+    placement that lies in the past or in the tail meets the rest of
+    [-L, n+L] only on those near-end positions, so standing in the submodule
+    it generates there for it changes either past projection of the full
+    window only by the span of the past-only placements.  Conditions d*v on
+    [1, n], zero columns on the tail near end, kept part on the past near
+    end.  With s <= 1 no placement straddles a position and there is
+    nothing to eliminate."""
     s, r = shift.span, shift.alphabet.rank
     m = shift.alphabet.modulus
     if s <= 1:
         return HowellForm(m, 0, (), ()), []
     lo, hi = max(2 - s, -past), min(n + s - 1, n + past)
-    ncols = (hi - lo + 1) * r
+    ncols, tail_col = (hi - lo + 1) * r, (n + 1 - lo) * r
     w = _lane_layout(m, ncols)[0]
     # the states read zero where the window is clipped, so the lanes that
     # these shifts move out of [lo, hi] are zero
     rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past + 1, False, ends).packed]
-    tail = unpack_rows(_near_end(shift, past, True, ends).packed, m, (s - 1) * r)
-    rows += [x << (n + 1 - lo) * r * w for x in pack_rows(
-        [[x for i in range(s - 2, -1, -1) for x in row[i * r:(i + 1) * r]] for row in tail],
-        m, (s - 1) * r)]
+    state, tails = _near_end(shift, past, True, ends).packed, ends.setdefault("tails", {})
+    if state not in tails:
+        tails[state] = [sum((x >> i * r * w & (1 << r * w) - 1) << (s - 2 - i) * r * w
+                            for i in range(s - 1)) for x in state]
+    rows += [x << tail_col * w for x in tails[state]]
     for g in shift.generators:
-        rows += g.placed_rows(m, range(1 - g.last, n - g.first + 1), lo, ncols)
-    kill = [] if d is None else [((p - lo) * r + j, d) for p in range(1, n + 1)
-                                 for j in range(r)]
-    return projection_heads(rows, m, kill, range((n + 1 - lo) * r, ncols), 0, (1 - lo) * r)
+        rows += g.placed_rows(range(1 - g.last, n - g.first + 1), lo, ncols)
+    kill = [] if d is None else [((1 - lo) * r, n * r, d)]
+    return projection_heads(rows, m, kill, [(tail_col, ncols - tail_col)], 0, (1 - lo) * r)
 
 
 def _steering_verdict(shift: GroupShift, n: int, past: int, d: int, made: dict,

@@ -183,8 +183,9 @@ def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
     for level, s, hots in levels:
         forms = []
         for hot in hots:
-            cold = [(k * r + j, kill[j]) for k in range(s) if k not in hot for j in range(r)]
-            kept, _ = projection_heads(cands.form.packed, m, cold, range(s * r, width),
+            cold = [(k * r + j, 1, kill[j]) for k in range(s) if k not in hot
+                    for j in range(r)]
+            kept, _ = projection_heads(cands.form.packed, m, cold, [(s * r, width - s * r)],
                                        0, s * r)
             forms.append(howell_form(PackedRows(kept.packed, s * r), m))
         while True:
@@ -480,7 +481,7 @@ def _tap_solver(alphabet: FiniteAbelianGroup, taps: tuple[Word, ...],
         lo, hi = min(lo, cover.first), max(hi, cover.last)
     m, ncols = alphabet.modulus, (hi - lo + 1) * alphabet.rank
     rows = [row for tap in taps if not tap.is_zero
-            for row in tap.placed_rows(m, range(msg_lo, msg_hi + 1), lo, ncols)]
+            for row in tap.placed_rows(range(msg_lo, msg_hi + 1), lo, ncols)]
     return row_solver(PackedRows(tuple(rows), ncols), m), labels, (lo, hi)
 
 
@@ -551,8 +552,8 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
         lo, hi = min(0, first - s), max(t, last + t + s)
         ncols, a, b = (hi - lo + 1) * r, -lo * r, (t + 1 - lo) * r
         rows = [row for tap in taps
-                for row in tap.placed_rows(m, range(-s, t + s + 1), lo, ncols)]
-        kept, _ = projection_heads(rows, m, (), [*range(a), *range(b, ncols)], a, b)
+                for row in tap.placed_rows(range(-s, t + s + 1), lo, ncols)]
+        kept, _ = projection_heads(rows, m, (), [(0, a), (b, ncols - b)], a, b)
         form = supported_words(shift, 0, t, margin).form
         bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
         if bad is not None:

@@ -15,13 +15,13 @@ reduction: `& MASK` for m = 2^e, SWAR Barrett for any other m.  It runs
 over Z/p^e; a composite m is split into its prime powers by CRT.  Live rows
 wait in buckets keyed by their leading lane.  Rows stay packed from
 `placed_rows` through `projection_heads` and `_eliminate` into `HowellForm`,
-whose `reduce`, `contains`, `zero_prefix` and `spans_same` work on one int
-per row; `HowellForm.rows` unpacks them for the callers that build words or
-report lines.  `howell_form` and `row_solver` take tuple rows or
-`PackedRows`, `RowSolver` solves on packed rows and `combine_rows` forms
-packed combinations.  `projection_heads` is the one routine that builds
-constrained rows: a canonical constrained projection is its `kept` rows
-made canonical by `howell_form`.
+whose `reduce`, `contains`, `zero_prefix`, `prefix` and `spans_same` work
+on one int per row; `HowellForm.rows` unpacks them for the callers that
+build words or report lines.  `howell_form` and `row_solver` take tuple
+rows or `PackedRows`, `RowSolver` solves on packed rows and `combine_rows`
+forms packed combinations.  `projection_heads` is the one routine that builds
+constrained rows, moving column runs: a canonical constrained projection is
+its `kept` rows made canonical by `howell_form`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .groups import _prime_power_factors
@@ -130,6 +131,15 @@ class HowellForm:
                           tuple(row >> at for row in self.packed[i:]),
                           tuple((c - k, d) for c, d in self.pivots[i:]))
 
+    def prefix(self, k: int) -> "HowellForm":
+        """Canonical form of the projection to the first k columns: by the
+        Howell property, as in `zero_prefix`, the rows with pivot column < k,
+        each cut to k lanes."""
+        i = sum(c < k for c, _ in self.pivots)
+        cut = (1 << k * _lane_layout(self.modulus, self.ncols)[0]) - 1
+        return HowellForm(self.modulus, k, tuple(row & cut for row in self.packed[:i]),
+                          self.pivots[:i])
+
     def spans_same(self, other: "HowellForm") -> bool:
         return (self.modulus, self.ncols, self.packed) == (other.modulus, other.ncols,
                                                            other.packed)
@@ -215,12 +225,13 @@ def pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
     return [int.from_bytes(raw[i * size:(i + 1) * size], "little") for i in range(len(rows))]
 
 
-def placed_rows(vec: Sequence[int], modulus: int, offsets: Iterable[int],
+def placed_rows(vec: Sequence[int] | int, modulus: int, offsets: Iterable[int],
                 ncols: int) -> list[int]:
     """Packed rows of `ncols` columns, one per offset o, each holding entry j
-    of `vec` at column o + j (o may be negative) and 0 in every other column."""
+    of `vec` (residues or one packed row) at column o + j (o may be
+    negative) and 0 in every other column."""
     w = _lane_layout(modulus, ncols)[0]
-    x = pack_rows([vec], modulus, len(vec))[0]
+    x = vec if isinstance(vec, int) else pack_rows([vec], modulus, len(vec))[0]
     cut = (1 << w * ncols) - 1
     return [(x << o * w if o >= 0 else x >> -o * w) & cut for o in offsets]
 
@@ -385,11 +396,14 @@ def howell_form(rows: Sequence[Sequence[int]] | PackedRows, modulus: int,
 
 
 def projection_heads(packed_rows: Iterable[int], modulus: int,
-                     conditions: Sequence[tuple[int, int]], zero_cols: Sequence[int],
+                     conditions: Sequence[tuple[int, int, int]],
+                     zeros: Sequence[tuple[int, int]],
                      lo: int, hi: int) -> tuple[HowellForm, list[int]]:
     """(kept, heads) for the projection to [lo, hi) of the `conditions`
     submodule of the span of `packed_rows` (packed as by `placed_rows`) with
-    and without `zero_cols` zeroed.
+    and without the `zeros` columns zeroed.  A condition is a run (first
+    column, count, scale): scale*v[c] == 0 on each of its columns; a zero
+    run is (first column, count).
 
     One elimination over [conditions | zero columns | kept part]: its rows
     with pivot in the kept part (`kept`) span the projection with the zero
@@ -402,28 +416,30 @@ def projection_heads(packed_rows: Iterable[int], modulus: int,
     them.  Nothing is back-reduced, so `kept` is not canonical; greedy
     leading-term reduction still decides membership, which needs only the
     Howell property.
-    Columns move in runs sharing a scale, one shift, mask and product a run.
+    A run moves by one shift and mask (adjacent runs of one scale as one);
+    runs of scale other than 1 take a product and one lane reduction a row.
     """
     validate_modulus(modulus)
-    k, drop = len(conditions), len(conditions) + len(zero_cols)
-    ncols = drop + hi - lo
-    w, _, red = _lane_layout(modulus, ncols)
-    runs: list[list[int]] = []  # [source column, target column, length, scale]
-    for j, (c, s) in enumerate([(c, s % modulus) for c, s in conditions]
-                               + [(c, 1) for c in [*zero_cols, *range(lo, hi)]]):
-        if runs and runs[-1][3] == s and runs[-1][0] + runs[-1][2] == c:
-            runs[-1][2] += 1
-        else:
-            runs.append([c, j, 1, s])
-    moves = [(c * w, (1 << n * w) - 1, s, j * w) for c, j, n, s in runs]
+    runs: list[list[int]] = []  # [source column, count, scale]
+    for c, n, s in [*conditions, *((c, n, 1) for c, n in zeros), (lo, hi - lo, 1)]:
+        if runs and runs[-1][2] == s % modulus and runs[-1][0] + runs[-1][1] == c:
+            runs[-1][1] += n
+        elif n:
+            runs.append([c, n, s % modulus])
+    k = sum(n for _, n, _ in conditions)
+    drop = k + sum(n for _, n in zeros)
+    w, _, red = _lane_layout(modulus, ncols := drop + hi - lo)
+    moves = [(c * w, (1 << n * w) - 1, to * w, s) for (c, n, s), to in
+             zip(runs, accumulate([n for _, n, _ in runs], initial=0))]
+    plain, scaled = [mv[:3] for mv in moves if mv[3] == 1], [mv for mv in moves if mv[3] != 1]
     ext = []
     for row in packed_rows:
-        x = 0
-        for at, cut, s, to in moves:
-            x |= ((row >> at) & cut) * s << to
-        ext.append(x)
-    if any(s != 1 for _, _, s, _ in moves):
-        ext = map(red, ext)  # a product stays below m^2 in its lane
+        x = y = 0
+        for at, cut, to in plain:
+            x |= (row >> at & cut) << to
+        for at, cut, to, s in scaled:
+            y |= (row >> at & cut) * s << to  # below m^2 per lane
+        ext.append(x | red(y) if scaled else x)
     done, pivots = _eliminate(ext, modulus, ncols, ncols)
     kept = HowellForm(modulus, ncols, tuple(done), tuple(pivots)).zero_prefix(drop)
     return kept, [row >> drop * w for row, (c, _) in zip(done, pivots) if k <= c < drop]

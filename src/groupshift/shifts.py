@@ -152,16 +152,13 @@ class WindowModule:
         """`residues.projection_heads` for `constrained_projection` with and
         without `zero_positions`: one elimination, and the projection is the
         same for both exactly when every head lies in the kept form."""
-        r = self.shift.alphabet.rank
-
-        def cols(positions) -> list[int]:
-            return [(pos - self.lo) * r + j for pos in positions for j in range(r)]
-
+        lo, r = self.lo, self.shift.alphabet.rank
         if kill_positions is None:
-            kill_positions = range(self.lo, self.hi + 1)
-        kill = [] if kill_scale is None else [(c, kill_scale) for c in cols(kill_positions)]
-        return projection_heads(self.packed, self.modulus, kill, cols(zero_positions),
-                                (keep_lo - self.lo) * r, (keep_hi - self.lo + 1) * r)
+            kill_positions = range(lo, self.hi + 1)
+        kill = [((p - lo) * r, r, kill_scale) for p in kill_positions if kill_scale is not None]
+        return projection_heads(self.packed, self.modulus, kill,
+                                [((p - lo) * r, r) for p in zero_positions],
+                                (keep_lo - lo) * r, (keep_hi - lo + 1) * r)
 
 
 @lru_cache(maxsize=64)
@@ -169,9 +166,9 @@ def _window_module(shift: GroupShift, lo: int, hi: int) -> WindowModule:
     if hi < lo:
         raise ValueError("empty window")
     # one row per contributor (gi, t) of `GroupShift.contributors`, in order
-    m, ncols = shift.alphabet.modulus, (hi - lo + 1) * shift.alphabet.rank
+    ncols = (hi - lo + 1) * shift.alphabet.rank
     packed = [row for g in shift.generators
-              for row in g.placed_rows(m, range(lo - g.last, hi - g.first + 1), lo, ncols)]
+              for row in g.placed_rows(range(lo - g.last, hi - g.first + 1), lo, ncols)]
     return WindowModule(shift, lo, hi, tuple(packed))
 
 
@@ -271,13 +268,16 @@ def torsion_presentation(shift: GroupShift, p: int,
     of the certified p-torsion words supported in [0, support_cap - 1], and
     the least t <= window_horizon for which that presentation does not
     generate the p-torsion projection of G's window [0, t] (None when every
-    window passes, which is G[p]'s weak controllability at these horizons)."""
+    window passes, which is G[p]'s weak controllability at these horizons).
+    The presentation's window module on [0, t] is the projection of the one
+    on [0, H], so each is read off that one form by `HowellForm.prefix`."""
     words = supported_words(shift, 0, horizons.support_cap - 1, horizons.margin,
                             torsion_scale=p).words
     result = GroupShift.make(shift.alphabet,
                              list(dict.fromkeys(w.shifted(w.first) for w in words)))
+    top, r = result.window(0, horizons.window_horizon).form, shift.alphabet.rank
     failing = next((t for t in range(horizons.window_horizon + 1)
-                    if not result.window(0, t).form.spans_same(
+                    if not top.prefix((t + 1) * r).spans_same(
                         torsion_window_projection(shift, 0, t, horizons.margin, p))),
                    None)
     return result, failing

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .groups import Coords, FiniteAbelianGroup
-from .residues import placed_rows
+from .residues import pack_rows, placed_rows
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,19 @@ class Word:
                 self.group.coords_to_scaled(self.symbols[i - self.start])
         return tuple(out)
 
-    def placed_rows(self, modulus: int, placements: Iterable[int], lo: int,
-                    ncols: int) -> list[int]:
+    @cached_property
+    def _packed(self) -> int:
+        """The window vector on the support packed once at the lanes of
+        `group.modulus`; a placement is one shift and one mask of it."""
+        vec = self.window_vector(self.start, self.start + len(self.symbols) - 1)
+        return pack_rows([vec], self.group.modulus, len(vec))[0]
+
+    def placed_rows(self, placements: Iterable[int], lo: int, ncols: int) -> list[int]:
         """One packed row (`residues.placed_rows`) per placement t: the window
         vector of shifted(-t) on the `ncols` columns from position `lo`."""
-        vec = self.window_vector(self.start, self.start + len(self.symbols) - 1)
         r = self.group.rank
-        return placed_rows(vec, modulus, [(self.start + t - lo) * r for t in placements],
-                           ncols)
+        return placed_rows(self._packed, self.group.modulus,
+                           [(self.start + t - lo) * r for t in placements], ncols)
 
     @classmethod
     def from_window_vector(cls, group: FiniteAbelianGroup, lo: int,

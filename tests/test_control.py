@@ -378,7 +378,7 @@ def test_near_end_states_match_their_definition():
             for width in range(s - 1, 3 * s + 12):
                 # every placement ending in [0, width-1], cut at 0
                 rows = [row for g in gens for row in g.placed_rows(
-                    m, range(1 - g.support_length, width - g.support_length + 1),
+                    range(1 - g.support_length, width - g.support_length + 1),
                     0, width * r)]
                 direct = howell_form(PackedRows(tuple(rows), width * r), m, width * r)
                 want = direct.zero_prefix((width - s + 1) * r)

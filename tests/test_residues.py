@@ -463,6 +463,40 @@ def test_kernel_xgcd_fold_when_the_pivot_does_not_divide(rows, modulus):
     assert set(enumerate_elements(got)) == brute_force_span(rows, modulus, len(rows[0]))
 
 
+def columns(runs):
+    """The (column, scale) pairs of (first column, count, scale) runs, one
+    per column in run order."""
+    return [(c, s) for first, n, s in runs for c in range(first, first + n)]
+
+
+def single_columns(ncols, scales, max_size, unique=False):
+    """Per-column conditions drawn as (column, scale) pairs, each turned into
+    a run of one column."""
+    return st.lists(st.tuples(st.integers(0, ncols - 1), scales), max_size=max_size,
+                    unique_by=(lambda cs: cs[0]) if unique else None).map(
+        lambda pairs: [(c, 1, s) for c, s in pairs])
+
+
+@st.composite
+def column_runs(draw, ncols, scales):
+    """(first column, count, scale) runs in any column order, possibly
+    overlapping or empty; each drawn block is split in two adjacent runs of
+    one scale."""
+    runs = []
+    for first, n, s in draw(st.lists(st.tuples(st.integers(0, ncols - 1),
+                                               st.integers(0, 4), scales), max_size=3)):
+        n = min(n, ncols - first)
+        cut = draw(st.integers(0, n))
+        runs += [(first, cut, s), (first + cut, n - cut, s)]
+    return runs
+
+
+def zero_runs(runs):
+    """Runs of scale 1 as the (first column, count) zero runs of
+    `projection_heads`, and their columns in run order."""
+    return [(first, n) for first, n, _ in runs], [c for c, _ in columns(runs)]
+
+
 def constrained_form(rows, m, conditions, lo, hi):
     """Reference canonical form of the projection to columns [lo, hi) of
     {v in span(rows) : k * v[c] == 0 for every (c, k) in conditions}: the
@@ -481,12 +515,13 @@ def test_constrained_projection_matches_reference_zero_prefix(inp, data):
     # of one packed elimination; scales >= m and repeated condition columns
     # cover kill_scale = exp(H) (0 mod m) and per-factor kills
     m, rows, ncols = inp
-    conditions = data.draw(st.lists(st.tuples(st.integers(0, ncols - 1),
-                                              st.integers(0, 2 * m)), max_size=4))
+    conditions = data.draw(st.one_of(single_columns(ncols, st.integers(0, 2 * m), 4),
+                                     column_runs(ncols, st.integers(0, 2 * m))))
     lo = data.draw(st.integers(0, ncols))
     hi = data.draw(st.integers(lo, ncols))
     kept, _ = projection_heads(packed(rows, m, ncols), m, conditions, (), lo, hi)
-    assert howell_form(kept.rows, m, hi - lo) == constrained_form(rows, m, conditions, lo, hi)
+    assert howell_form(kept.rows, m, hi - lo) == \
+        constrained_form(rows, m, columns(conditions), lo, hi)
 
 
 def two_form_projection_kept(rows, m, conditions, zero, lo, hi):
@@ -502,18 +537,19 @@ def two_form_projection_kept(rows, m, conditions, zero, lo, hi):
        st.data())
 def test_projection_heads_matches_two_form_reference(inp, data):
     m, rows, ncols = inp
-    conditions = data.draw(st.lists(st.tuples(st.integers(0, ncols - 1),
-                                              st.integers(1, m - 1)), max_size=3))
-    zero = data.draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3,
-                              unique=True))
+    conditions = data.draw(st.one_of(single_columns(ncols, st.integers(1, m - 1), 3),
+                                     column_runs(ncols, st.integers(1, m - 1))))
+    zero, zero_cols = zero_runs(data.draw(st.one_of(
+        single_columns(ncols, st.just(1), 3, unique=True).filter(bool),
+        column_runs(ncols, st.just(1)).filter(columns))))
     lo = data.draw(st.integers(0, ncols - 1))
     hi = data.draw(st.integers(lo + 1, ncols))
     kept, heads = projection_heads(packed(rows, m, ncols), m, conditions, zero, lo, hi)
     assert all(map(kept.contains, heads)) == \
-        two_form_projection_kept(rows, m, conditions, zero, lo, hi)
+        two_form_projection_kept(rows, m, columns(conditions), zero_cols, lo, hi)
     # the heads and the kept rows span the projection without the zero columns
     assert howell_form(list(kept.rows) + list(unpack_rows(heads, m, hi - lo)), m, hi - lo) == \
-        constrained_form(rows, m, conditions, lo, hi)
+        constrained_form(rows, m, columns(conditions), lo, hi)
 
 
 def reference_projection_heads(rows, m, conditions, zero_cols, lo, hi):
@@ -536,31 +572,21 @@ def reference_projection_heads(rows, m, conditions, zero_cols, lo, hi):
 BIG_PRIME = 2 ** 31 - 1
 
 
-@st.composite
-def column_blocks(draw, ncols, scales):
-    """Blocks of contiguous columns, one scale per block, in any order and
-    possibly overlapping: (column, scale) pairs."""
-    blocks = draw(st.lists(st.tuples(st.integers(0, ncols - 1), st.integers(1, 3), scales),
-                           max_size=3))
-    return [(c, s) for start, n, s in blocks for c in range(start, min(start + n, ncols))]
-
-
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(kernel_inputs([2, 4, 8, 9, 12, 27, BIG_PRIME], max_cols=8), st.data())
 def test_packed_projection_heads_matches_list_reference(inp, data):
     m, rows, ncols = inp
     assert _lane_layout(BIG_PRIME, 1)[0] > 64
     scales = st.integers(0, 2 * m)  # d * x >= m for most entries x
-    conditions = data.draw(st.one_of(
-        st.lists(st.tuples(st.integers(0, ncols - 1), scales), max_size=4),
-        column_blocks(ncols, scales)))
-    zero = data.draw(st.one_of(
-        st.lists(st.integers(0, ncols - 1), max_size=3, unique=True),
-        column_blocks(ncols, st.just(1)).map(lambda pairs: [c for c, _ in pairs])))
+    conditions = data.draw(st.one_of(single_columns(ncols, scales, 4),
+                                     column_runs(ncols, scales)))
+    zero, zero_cols = zero_runs(data.draw(st.one_of(
+        single_columns(ncols, st.just(1), 3, unique=True), column_runs(ncols, st.just(1)))))
     lo = data.draw(st.integers(0, ncols))
     hi = data.draw(st.integers(lo, ncols))
     kept, heads = projection_heads(packed(rows, m, ncols), m, conditions, zero, lo, hi)
-    ref_kept, ref_heads = reference_projection_heads(rows, m, conditions, zero, lo, hi)
+    ref_kept, ref_heads = reference_projection_heads(rows, m, columns(conditions), zero_cols,
+                                                     lo, hi)
     assert (kept.rows, kept.pivots, list(unpack_rows(heads, m, hi - lo))) == \
         (ref_kept.rows, ref_kept.pivots, ref_heads)
 
@@ -590,6 +616,18 @@ def test_membership_without_back_reduction_matches_howell_form(inp, data):
     for vec in members + changed + randoms:
         assert loose.contains(vec) == form.contains(vec)
     assert all(loose.contains(vec) for vec in members)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI)))
+def test_prefix_is_the_form_of_the_cut_rows(inp):
+    # the rows with pivot before k, cut to k columns, are the Howell form of
+    # the projection to the first k columns: no reduction is needed
+    m, rows, ncols = inp
+    form, empty = howell_form(rows, m, ncols), howell_form([], m, ncols)
+    for k in range(ncols + 1):
+        assert form.prefix(k) == howell_form([row[:k] for row in rows], m, k), k
+        assert empty.prefix(k) == howell_form([], m, k), k
 
 
 # -- packed HowellForm, combine_rows and RowSolver against tuple references ---

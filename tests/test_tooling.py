@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from groupshift import control, residues, shifts
+from groupshift import control, residues, shifts, words
 from groupshift.control import (_divisors, _steering_condition, default_past_horizon,
                                 order_controllability_index)
 from groupshift.encoders import (Horizons, check_injectivity, conjugacy_certificate, encode,
@@ -101,17 +101,18 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 """
 
 
-#: The traced reductions of `certify` on the two ROADMAP cases, as recorded
-#: when Howell forms held tuple rows: a packed path that bypassed one of the
-#: counted entry points would read a different count here.  The membership
-#: tests are those of generator picks read off canonical rows, at most one
-#: per head row of a level's form, and the heads of the steering verdicts
-#: on their boundary windows.
+#: The traced reductions of `certify` on the two ROADMAP cases: a packed path
+#: that bypassed one of the counted entry points would read a different count
+#: here.  The torsion presentation reads its window forms [0, t] off the one
+#: on [0, H] (`HowellForm.prefix`), H fewer reductions than one per window.
+#: The membership tests are those of generator picks read off canonical rows,
+#: at most one per head row of a level's form, and the heads of the steering
+#: verdicts on their boundary windows.
 COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [69, 5402, 55, 10, 8], "Z9 x Z3": [57, 3854, 60, 6, 4]}
+want = {"Z8 x Z4": [64, 5182, 55, 10, 8], "Z9 x Z3": [52, 3634, 60, 6, 4]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -228,7 +229,7 @@ def test_no_steering_elimination_passes_a_vacuous_condition(monkeypatch):
         calls.clear()
         order_controllability_index(shift, 16)
         assert calls, name
-        assert all(s % m for _, m, conditions, *_ in calls for _, s in conditions), name
+        assert all(s % m for _, m, conditions, *_ in calls for _, _, s in conditions), name
 
 
 def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
@@ -239,8 +240,9 @@ def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
 
     def width_bound(n):
         bound = (n + 2 * shift.span - 2) * shift.alphabet.rank
-        return all(len(conditions) + len(zeros) + hi - lo <= bound
-                   for _, _, conditions, zeros, lo, hi in calls)
+        # conditions are (first column, count, scale) runs, zeros (first, count)
+        return all(sum(n for _, n, _ in conditions) + sum(n for _, n in zeros) + hi - lo
+                   <= bound for _, _, conditions, zeros, lo, hi in calls)
 
     for name in ("order-witness", "scale-witness", "mixed-witness", "delay-rep", "z8-z4",
                  "z9-z3"):
@@ -256,6 +258,51 @@ def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
         failing = name in ("order-witness", "scale-witness", "mixed-witness")
         assert (search.witness is not None) == failing, name
         assert calls and width_bound(16), name
+
+
+def test_certify_packs_each_word_once(monkeypatch):
+    # a Word packs its support once and places copies of that row by shifts:
+    # every `pack_rows` call made from words.py packs a Word object not packed
+    # before (equal words built apart, such as mirrored generators, pack apart)
+    packed = []
+
+    def record(rows, m, ncols):
+        packed.append(sys._getframe(1).f_locals["self"])
+        return residues.pack_rows(rows, m, ncols)
+    monkeypatch.setattr(words, "pack_rows", record)
+    shift = parse_spec((ROOT / "tests" / "golden" / "z8-z4.spec").read_text()).shift
+    assert conjugacy_certificate(shift, Horizons.derive(shift)).complete
+    assert packed
+    assert len({id(w) for w in packed}) == len(packed)  # `packed` keeps each alive
+
+
+def test_steering_verdicts_reverse_no_state_after_the_first(monkeypatch):
+    # the tail near-end states are reversed once each, by lane shifts, so no
+    # boundary elimination after a failing search's first packs or unpacks rows
+    verdicts, seen = [], []  # seen: the verdict number of each call inside one
+    boundary = control._boundary_heads
+
+    def counted(*args):
+        verdicts.append(True)
+        try:
+            return boundary(*args)
+        finally:
+            verdicts[-1] = False
+    monkeypatch.setattr(control, "_boundary_heads", counted)
+    for module in (residues, words, control):
+        for name in ("pack_rows", "unpack_rows"):
+            if hasattr(module, name):
+                original = getattr(residues, name)
+                monkeypatch.setattr(module, name, lambda *args, original=original: (
+                    verdicts and verdicts[-1] and seen.append(len(verdicts)))
+                    or original(*args))
+    for name in ("order-witness", "scale-witness"):
+        shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
+        verdicts.clear()
+        seen.clear()
+        search = order_controllability_index(shift, 16, confirm=0)
+        assert search.index is None and len(verdicts) > 1, name
+        assert set(seen) <= {1}, (name, seen)
 
 
 def test_constrained_projection_is_one_packed_elimination(monkeypatch):

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.residues import pack_rows
+from groupshift.residues import pack_rows, placed_rows
 from groupshift.words import Word, word_span
 
 from conftest import impulse, is_torsion, restricted
@@ -149,7 +149,35 @@ def test_placed_rows_match_packed_shifted_window_vectors(name, data):
     ncols = (hi - lo + 1) * group.rank
     want = [pack_rows([w.shifted(-t).window_vector(lo, hi)], m, ncols)[0]
             for t in placements]
-    assert w.placed_rows(m, placements, lo, ncols) == want
+    assert w.placed_rows(placements, lo, ncols) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["Z2", "Z4", "Z8", "Z9", "Z27", "Z2 x Z4", "Z6", "Z2 x Z2 x Z3"]),
+       st.data())
+def test_placed_rows_reuse_the_word_packed_once(name, data):
+    # the word's packed support, built on its first placement and shifted
+    # for every later one, against `residues.placed_rows` packing the window
+    # vector afresh; mirrored and `shifted` words, placements running off
+    # either end of windows of 1 to 40 columns
+    group = FiniteAbelianGroup.parse(name)
+    m, r = group.modulus, group.rank
+    symbol = st.tuples(*(st.integers(0, n - 1) for n in group.orders))
+    w = Word.make(group, data.draw(st.integers(-6, 3)),
+                  data.draw(st.lists(symbol, min_size=1, max_size=8)))
+    assume(not w.is_zero)
+    if data.draw(st.booleans()):
+        w = Word(group, 0, w.symbols[::-1])
+    w = w.shifted(data.draw(st.integers(-8, 8)))
+    for _ in range(2):
+        lo = data.draw(st.integers(-12, 12))
+        ncols = data.draw(st.integers(1, 40 // r)) * r
+        hi = lo + ncols // r - 1
+        placements = [*range(lo - w.last - 3, hi - w.first + 4),
+                      *data.draw(st.lists(st.integers(-60, 60), max_size=4))]
+        want = placed_rows(w.window_vector(w.first, w.last), m,
+                           [(w.first + t - lo) * r for t in placements], ncols)
+        assert w.placed_rows(placements, lo, ncols) == want
 
 def test_word_span():
     z2 = FiniteAbelianGroup.parse("Z2")
