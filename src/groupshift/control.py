@@ -8,7 +8,9 @@ block divides that of the original).  The plain condition is the order
 condition's scale exp(H), decided by the same elimination, so n_c <= n_o.
 Every verdict records the window geometry it was computed at; a steering
 verdict on [-L, n+L] is decided exactly on a boundary window around the
-block [1, n], whose width does not grow with L (`_steering_verdict`).  Weak
+block [1, n], whose width does not grow with L (`_steering_verdict`); a
+monotone condition table (`_steering_is_monotone`) is searched by probing
+the candidates 0, 1, 2, 4, ..., cap and read off the index.  Weak
 controllability of the p-torsion subshift is read off the p-primary
 component's `shifts.torsion_presentation`, which `encoders.socle_shift`
 returns in `certify`, so `analyze` and `certify` decide it alike.
@@ -24,8 +26,9 @@ from .residues import (HowellForm, PackedRows, _eliminate, _lane_layout, howell_
 from .shifts import GroupShift, Horizons, primary_shift, torsion_presentation
 from .words import Word
 
-#: Candidates scanned past the first success, so the condition table still
-#: witnesses monotonicity past the index.
+#: Candidates the condition table runs past the first success: read off
+#: the index when the table is monotone (`_steering_is_monotone`), decided
+#: otherwise, so the table still witnesses monotonicity past the index.
 _CONFIRM_STEPS = 2
 
 
@@ -48,7 +51,7 @@ class IndexSearch:
     index: int | None
     cap: int
     past_horizons: tuple[int, ...]       # L used per candidate n = 0..cap
-    condition_table: tuple[bool, ...]    # condition verdict per candidate n
+    condition_table: tuple[bool, ...]    # verdict per n, or off a monotone table's index
     witness: Word | None                 # failing window element when absent
 
 
@@ -221,44 +224,74 @@ def _steering_witness(shift: GroupShift, n: int, past: int, scales: list[int],
     raise ArithmeticError(f"steering condition at n={n}, L={past} has no witness")
 
 
-def _index_search(shift: GroupShift, cap: int, scales: list[int],
-                  confirm: int) -> IndexSearch:
-    """Scan candidates 0..cap, stopping `confirm` candidates after the first
-    success; when none succeeds, the witness is the last failure's.  The
-    search keeps its verdicts and its near-end states in one dict each.  The
-    steering conditions reorder the caller's fresh list of scales."""
-    horizons = []
-    table = []
-    found = None
-    made: dict = {}
-    ends: dict = {}
-    n = 0
-    while n <= cap and (found is None or n <= found + confirm):
-        horizons.append(default_past_horizon(shift, n))
-        table.append(_steering_condition(shift, n, horizons[-1], scales, made, ends))
-        if table[-1] and found is None:
-            found = n
-        n += 1
-    witness = None
-    if found is None:
-        witness = _steering_witness(shift, cap, horizons[-1], scales, made, ends)
-    return IndexSearch(found, cap, tuple(horizons), tuple(table), witness)
+def _steering_is_monotone(shift: GroupShift, ends: dict) -> bool:
+    """True when V(n, L(n)) is monotone in n: the span s is at most 1 (every
+    verdict holds), or both near-end states are fixed from L(0) = 2s on (the
+    past one at width L(0)+1, the tail one at width L(0)).  Then V(n, L) is
+    one verdict for all L >= L(0) >= s-1, and V(n, L+1) implies V(n+1, L):
+    the element V(n, L+1) gives for a lift of g to [-L-1, n+1+L], cut back
+    to [-L, n+1+L], matches g's past, is zero on [n+1, n+1+L] and meets
+    d*v == 0 on [1, n+1]."""
+    if shift.span <= 1:
+        return True
+    past = default_past_horizon(shift, 0)
+    return all(_near_end(shift, w + 1, mirror, ends).packed ==
+               _near_end(shift, w, mirror, ends).packed
+               for w, mirror in ((past + 1, False), (past, True)))
 
 
-def controllability_index(shift: GroupShift, cap: int) -> IndexSearch:
+def _index_search(shift: GroupShift, cap: int, scales: list[int], confirm: int,
+                  memo: tuple[dict, dict] | None) -> IndexSearch:
+    """Least candidate n <= cap whose steering condition holds, with the
+    condition table run `confirm` candidates past it (to cap, and the cap
+    candidate's witness, when none holds).  A monotone table
+    (`_steering_is_monotone`) is probed at 0, 1, 2, 4, ..., cap, scanned
+    upward in the bracket below the first passing probe and read off the
+    index; otherwise every candidate is decided in ascending order.  `memo`
+    holds the verdicts and near-end states, for searches over one shift to
+    share; the conditions reorder the caller's fresh list of scales."""
+    made, ends = memo or ({}, {})
+    decided: dict[int, bool] = {}
+
+    def decide(n: int) -> bool:
+        if n not in decided:
+            decided[n] = _steering_condition(shift, n, default_past_horizon(shift, n),
+                                             scales, made, ends)
+        return decided[n]
+
+    monotone = _steering_is_monotone(shift, ends)
+    probes = sorted({0, cap, *(1 << k for k in range(cap.bit_length()))}) \
+        if monotone else range(cap + 1)
+    found, low = None, 0
+    for probe in probes:
+        if decide(probe):
+            found = next(n for n in range(low, probe + 1) if decide(n))
+            break
+        low = probe + 1
+    size = cap + 1 if found is None else min(cap, found + confirm) + 1
+    table = tuple(found is not None and n >= found if monotone else decide(n)
+                  for n in range(size))
+    witness = None if found is not None else _steering_witness(
+        shift, cap, default_past_horizon(shift, cap), scales, made, ends)
+    return IndexSearch(found, cap, tuple(default_past_horizon(shift, n) for n in range(size)),
+                       table, witness)
+
+
+def controllability_index(shift: GroupShift, cap: int,
+                          memo: tuple[dict, dict] | None = None) -> IndexSearch:
     """Least n <= cap steering every window past to zero, or absent."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, [shift.alphabet.exponent], _CONFIRM_STEPS)
+    return _index_search(shift, cap, [shift.alphabet.exponent], _CONFIRM_STEPS, memo)
 
 
-def order_controllability_index(shift: GroupShift, cap: int,
-                                confirm: int = _CONFIRM_STEPS) -> IndexSearch:
+def order_controllability_index(shift: GroupShift, cap: int, confirm: int = _CONFIRM_STEPS,
+                                memo: tuple[dict, dict] | None = None) -> IndexSearch:
     """Least n <= cap steering with order divisibility on [1, n], or absent;
-    `confirm` further candidates are scanned past the least."""
+    the table runs `confirm` candidates past the least."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, _divisors(shift.alphabet.exponent), confirm)
+    return _index_search(shift, cap, _divisors(shift.alphabet.exponent), confirm, memo)
 
 
 def monotone_after_success(search: IndexSearch) -> bool:
@@ -319,6 +352,7 @@ def weak_controllability_check(shift: GroupShift, derived: str = "self",
 def analyze_controllability(shift: GroupShift, cap: int = 16,
                             horizon: int = 4) -> ControllabilityReport:
     weak = weak_controllability_check(shift, "self", horizon=horizon)
-    plain = controllability_index(shift, cap)
-    ordered = order_controllability_index(shift, cap)
+    memo = {}, {}  # the plain verdicts are the order search's scale-exp(H) ones
+    plain = controllability_index(shift, cap, memo)
+    ordered = order_controllability_index(shift, cap, memo=memo)
     return ControllabilityReport(shift, weak.holds, weak.windows, plain, ordered)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.cli import main
-from groupshift.control import (IndexSearch, _divisors, _near_end, _steering_condition,
+from groupshift.control import (IndexSearch, _divisors, _index_search, _near_end,
+                                _steering_condition, _steering_is_monotone,
                                 _steering_verdict, _steering_witness,
                                 analyze_controllability, controllability_index,
                                 default_past_horizon, monotone_after_success,
@@ -277,25 +278,49 @@ def reference_search(shift, cap, confirm):
     return found, tuple(table), witness
 
 
+#: A Z8 shift whose tail near-end state reaches its fixed point at width 9,
+#: past L(0) = 8: its searches decide every candidate in ascending order.
+LATE_FIXED_POINT = make_shift("Z8", [(0, [6, 4, 0, 5])])
+
+
 def test_fail_fast_search_matches_reference():
+    # prime-power, composite and span <= 1 shifts, and one whose indices lie
+    # inside a probe bracket; the socle-failure shift (a certify pool entry)
+    # has its tail state fixed exactly at width L(0), the least the probes
+    # accept
     rng = random.Random(26)
     shifts = [random_shift(rng) for _ in range(10)]
+    shifts += [random_shift(rng, pool=["Z6", "Z12", "Z2 x Z2 x Z3"]) for _ in range(4)]
     shifts.append(make_shift("Z2 x Z4", [(0, [(1, 3), (0, 0), (0, 3)])]))
     shifts.append(make_shift("Z8 x Z4", [(0, [(2, 0), (5, 2), (7, 3)])]))
-    absent = 0
-    for shift, cap in itertools.product(shifts, (0, 3, 16)):
+    shifts.append(make_shift("Z2 x Z4", [(0, [(1, 2), (0, 0), (0, 0), (0, 1)])]))  # index 3
+    shifts += [make_shift("Z4", [(0, [2])]), make_shift("Z12", [(0, [(2, 0)]), (3, [(0, 1)])])]
+    shifts += [parse_spec(SOCLE_FAILURE_SPEC).shift, LATE_FIXED_POINT]
+    assert not _steering_is_monotone(LATE_FIXED_POINT, {})
+    socle, ends = shifts[-2], {}
+    tail = [_near_end(socle, w, True, ends).packed
+            for w in range(default_past_horizon(socle, 0) - 1, default_past_horizon(socle, 0) + 2)]
+    assert tail[0] != tail[1] == tail[2] and _steering_is_monotone(socle, {})
+    absent = probed = 0
+    for shift, cap in itertools.product(shifts, (0, 1, 3, 16)):
+        exp = shift.alphabet.exponent
         for confirm in (2, 0):
             index, table, witness = reference_search(shift, cap, confirm)
             got = order_controllability_index(shift, cap, confirm=confirm)
             assert (got.index, got.condition_table, got.witness) == \
                 (index, table, witness), (shift, cap, confirm)
+            assert got.past_horizons == \
+                tuple(default_past_horizon(shift, n) for n in range(len(table)))
+            assert _index_search(shift, cap, [exp], confirm, None) == \
+                reference_index_search(shift, cap, [exp], confirm), (shift, cap, confirm)
+        probed += _steering_is_monotone(shift, {})
         if index is None:
             absent += 1
-            scales = _divisors(shift.alphabet.exponent)
+            scales = _divisors(exp)
             past = default_past_horizon(shift, cap)
             for order in (scales[::-1], rng.sample(scales, len(scales))):
                 assert _steering_witness(shift, cap, past, order, {}, {}) == witness
-    assert absent >= 6
+    assert absent >= 6 and probed >= 4 * (len(shifts) - 1)
 
 
 # -- the plain condition is the order search's scale exp(H) ----------------------
@@ -357,6 +382,22 @@ def test_boundary_verdict_matches_the_full_window_at_short_past_windows():
             for d in _divisors(shift.alphabet.exponent):
                 assert _steering_verdict(shift, n, past, d, made, ends)[2] == \
                     full_window_verdict(shift, n, past, d), (shift, n, past, d)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["Z2", "Z4", "Z8", "Z9", "Z2 x Z4", "Z8 x Z4", "Z9 x Z3", "Z6", "Z12",
+                        "Z2 x Z2 x Z3"]),
+       st.randoms(use_true_random=False), st.integers(1, 4), st.integers(0, 5),
+       st.integers(1, 5))
+def test_steering_verdict_carries_to_the_next_candidate(group, rng, support, n, past):
+    # V(n, L+1) implies V(n+1, L) at window scale, whether or not the
+    # near-end states are fixed: cut back to [-L, n+1+L], the element that
+    # V(n, L+1) gives for a lift of g to [-L-1, n+1+L] matches g's past, is
+    # zero on [n+1, n+1+L] and meets d*v == 0 on [1, n+1]
+    shift = random_shift(rng, max_gens=3, max_support=support, pool=[group])
+    for d in _divisors(shift.alphabet.exponent):
+        if full_window_verdict(shift, n, past + 1, d):
+            assert full_window_verdict(shift, n + 1, past, d), (shift, n, past, d)
 
 
 def test_near_end_states_match_their_definition():

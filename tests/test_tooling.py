@@ -202,9 +202,10 @@ def _record_steering_eliminations(monkeypatch, modules=(control, shifts)) -> lis
 
 def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
     # the tracer does not see projection_heads, so count its calls directly:
-    # a failing candidate stops at the scale that failed last, and the
-    # witness reuses the last candidate's eliminations, adding one per scale
-    # that candidate did not reach
+    # the monotone search probes the candidates 0, 1, 2, 4, ..., cap only, a
+    # failing candidate stops at the scale that failed last, and the witness
+    # reuses the cap candidate's eliminations, adding one per scale that
+    # candidate did not reach
     calls = _record_steering_eliminations(monkeypatch)
     cap = 16
     for name in ("order-witness", "scale-witness", "mixed-witness"):
@@ -213,7 +214,8 @@ def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
         calls.clear()
         search = order_controllability_index(shift, cap, confirm=0)
         assert search.index is None and search.witness is not None, name
-        assert len(calls) <= cap + len(_divisors(shift.alphabet.exponent)), name
+        assert len(calls) <= cap.bit_length() + 1 + len(_divisors(shift.alphabet.exponent)), \
+            name
 
 
 def test_no_steering_elimination_passes_a_vacuous_condition(monkeypatch):
