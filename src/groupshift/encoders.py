@@ -526,9 +526,9 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
     Forward: finite messages land in the certified finite code.  With the
     order bounds, the images of finite messages are the finite sums of
     placed taps, and G is a shift-invariant group, so they all lie in G
-    exactly when every tap does.  At a margin of at least G's memory the
-    tap certificates are membership itself; below it they need not be
-    closed under sums.
+    exactly when every tap does.  At a margin above G's memory the tap
+    certificates are membership itself; below it they need not be closed
+    under sums.
 
     Backward: every certified word w supported in [f, l] with l - f <= the
     horizon has a finite preimage whose message support lies in [f - s, l + s],

@@ -6,18 +6,23 @@ a finite window [a, b] is the module spanned by the restrictions of every
 shifted generator whose support meets the window, including the partial
 overlaps at the window edges; this makes weak controllability hold by
 construction, and membership of finite words is certified window by window.
+A steering condition (`control`) or the splice property of
+`finite_type_memory` is one elimination on a boundary window around its
+block, with near-end states for the placements wholly on either side, kept
+with the verdicts in one table per shift (`GroupShift.boundary_table`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import count
 import math
 from typing import Sequence
 
 from .groups import FiniteAbelianGroup, primary_component
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, PackedRows,
-                       howell_form, projection_heads)
+                       _eliminate, _lane_layout, howell_form, projection_heads)
 from .words import Word, word_span
 
 
@@ -48,6 +53,13 @@ class GroupShift:
     def span(self) -> int:
         """Longest generator support length (0 for the zero shift)."""
         return max((g.support_length for g in self.generators), default=0)
+
+    @cached_property
+    def boundary_table(self) -> dict:
+        """The near-end states of `_near_end` per side (True: mirrored), the
+        reversed mirrored ones under "tails" and the verdicts of
+        `_boundary_heads` per argument tuple, shared by every search."""
+        return {}
 
     @cached_property
     def exponent(self) -> int:
@@ -141,24 +153,14 @@ class WindowModule:
         submodule {v : v == 0 on zero_positions, kill_scale*v == 0 on
         kill_positions}; the torsion condition covers the whole window when
         kill_positions is None."""
-        kept, _ = self.projection_heads(keep_lo, keep_hi, zero_positions,
-                                        kill_scale, kill_positions)
-        return howell_form(PackedRows(kept.packed, kept.ncols), self.modulus)
-
-    def projection_heads(self, keep_lo: int, keep_hi: int, zero_positions: Sequence[int],
-                         kill_scale: int | None = None,
-                         kill_positions: Sequence[int] | None = None
-                         ) -> tuple[HowellForm, list[int]]:
-        """`residues.projection_heads` for `constrained_projection` with and
-        without `zero_positions`: one elimination, and the projection is the
-        same for both exactly when every head lies in the kept form."""
         lo, r = self.lo, self.shift.alphabet.rank
         if kill_positions is None:
             kill_positions = range(lo, self.hi + 1)
         kill = [((p - lo) * r, r, kill_scale) for p in kill_positions if kill_scale is not None]
-        return projection_heads(self.packed, self.modulus, kill,
-                                [((p - lo) * r, r) for p in zero_positions],
-                                (keep_lo - lo) * r, (keep_hi - lo + 1) * r)
+        kept, _ = projection_heads(self.packed, self.modulus, kill,
+                                   [((p - lo) * r, r) for p in zero_positions],
+                                   (keep_lo - lo) * r, (keep_hi - lo + 1) * r)
+        return howell_form(PackedRows(kept.packed, kept.ncols), self.modulus)
 
 
 @lru_cache(maxsize=64)
@@ -186,7 +188,8 @@ def member(shift: GroupShift, w: Word, margin: int | None = None) -> MembershipC
     """Certify membership of w on its support padded by the margin.
 
     certified-in means the padded restriction lies in the window module; for
-    shifts of finite type with memory <= margin the verdict is exact.
+    shifts of finite type with memory < margin the verdict is exact, as the
+    splice block of memory N holds N + 1 positions.
     """
     if margin is None:
         margin = shift.default_margin()
@@ -283,6 +286,90 @@ def torsion_presentation(shift: GroupShift, p: int,
     return result, failing
 
 
+# -- boundary windows with near-end states -----------------------------------
+
+
+def _near_end(shift: GroupShift, width: int, mirror: bool) -> HowellForm:
+    """The near-end state S(width): the span of the placements ending at or
+    before width-1, cut at position 0, intersected with the vectors supported
+    on the last s-1 positions of [0, width-1] (s the span), as a canonical
+    form over those s-1 positions (positions below 0 read zero).  `mirror`
+    reverses every generator's symbols.
+
+    S(W+1) = (S(W) + placements ending at W) ∩ {vanishing at W-s+1}: the
+    s-position frame [W-s+1, W] is eliminated and its first position
+    dropped by `zero_prefix`.  From W = s-1 on no placement is cut, so the
+    step is a fixed map and the sequence stops at its first repeat.  The
+    placements' frame rows and the sequence live in the shift's table."""
+    s, r = shift.span, shift.alphabet.rank
+    m, cols, table = shift.alphabet.modulus, s * r, shift.boundary_table
+    if mirror not in table:
+        gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
+        frame = [x for g in gens for x in g.placed_rows([-g.last], 1 - s, cols)]
+        table[mirror] = frame, [HowellForm(m, cols - r, (), ())]
+    frame, states = table[mirror]
+    w = _lane_layout(m, cols)[0]
+    while len(states) <= width and not (len(states) > s and
+                                        states[-1].packed == states[-2].packed):
+        cut = max(s - len(states), 0) * r * w  # frame positions below 0
+        done, pivots = _eliminate([*states[-1].packed, *(x >> cut << cut for x in frame)],
+                                  m, cols, 0)
+        states.append(HowellForm(m, cols, tuple(done), tuple(pivots)).zero_prefix(r))
+    return states[min(width, len(states) - 1)]
+
+
+def _states_fixed(shift: GroupShift, past: int, tail: int) -> bool:
+    """True when s <= 1, or when S(width) is fixed from width `past` >= s-1
+    on and the mirrored one from width `tail` >= s-1 on."""
+    return shift.span <= 1 or all(
+        _near_end(shift, w + 1, mirror).packed == _near_end(shift, w, mirror).packed
+        for w, mirror in ((past, False), (tail, True)))
+
+
+def _boundary_heads(shift: GroupShift, block: int, d: int | None, past: int,
+                    tail: int) -> tuple[HowellForm, list[int], bool]:
+    """(kept, heads, verdict) of the window question on the block [1, block]
+    with d*v == 0 there (d None: no condition), a past [1-past, 0] and a tail
+    [block+1, block+tail]: one elimination on the boundary window [lo, hi] =
+    [2-s, block+s-1] clipped to those, s the span, made once per shift into
+    its table.  It keeps the past near end [lo, 0] and zeroes the tail one;
+    the verdict, that zeroing the tail keeps the past projection, holds when
+    every head lies in the kept rows.
+
+    The window holds the placements that meet the block or straddle it, the
+    past state S(past) on [lo, 0] and the mirrored shift's S(tail), reversed
+    once per state by lane shifts, on [block+1, hi] (`_near_end`).  A
+    placement wholly in the past or the tail meets the rest of the full
+    window only on those near-end positions, so standing in the submodule it
+    generates there for it changes either past projection of the full window
+    only by the span of the past-only placements.  With s <= 1 no placement
+    straddles a position and nothing is eliminated."""
+    key, table = (block, d, past, tail), shift.boundary_table
+    if key in table:
+        return table[key]
+    s, r, m = shift.span, shift.alphabet.rank, shift.alphabet.modulus
+    if s <= 1:
+        return HowellForm(m, 0, (), ()), [], True
+    lo, hi = max(2 - s, 1 - past), min(block + s - 1, block + tail)
+    ncols, tail_col = (hi - lo + 1) * r, (block + 1 - lo) * r
+    w = _lane_layout(m, ncols)[0]
+    # the states read zero where the window is clipped, so the lanes that
+    # these shifts move out of [lo, hi] are zero
+    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past, False).packed]
+    state, tails = _near_end(shift, tail, True).packed, table.setdefault("tails", {})
+    if state not in tails:
+        tails[state] = [sum((x >> i * r * w & (1 << r * w) - 1) << (s - 2 - i) * r * w
+                            for i in range(s - 1)) for x in state]
+    rows += [x << tail_col * w for x in tails[state]]
+    for g in shift.generators:
+        rows += g.placed_rows(range(1 - g.last, block - g.first + 1), lo, ncols)
+    kill = [] if d is None else [((1 - lo) * r, block * r, d)]
+    kept, heads = projection_heads(rows, m, kill, [(tail_col, ncols - tail_col)], 0,
+                                   (1 - lo) * r)
+    table[key] = kept, heads, all(map(kept.contains, heads))
+    return table[key]
+
+
 # -- finite type -------------------------------------------------------------
 
 
@@ -292,31 +379,25 @@ class FiniteTypeReport:
     cap: int
 
 
-def _splice_property_holds(shift: GroupShift, n: int, reach: int) -> bool:
-    """Splice check on the window [-reach, n + reach] with the block [0, n].
-
-    Every module element vanishing on the block must split as (something
-    vanishing on the whole left half) matching it on the strict right part:
-    zeroing the left half keeps the right projection of the block-vanishing
-    submodule, decided by one elimination.
-    """
-    module = shift.window(-reach, n + reach)
-    kept, heads = module.projection_heads(n + 1, n + reach, range(-reach, 0),
-                                          kill_scale=1, kill_positions=range(0, n + 1))
-    return all(map(kept.contains, heads))
-
-
 def finite_type_memory(shift: GroupShift, cap: int,
                        horizon: int | None = None) -> FiniteTypeReport:
-    """Least N <= cap with the verified splice property, scanning window
-    reaches up to the horizon; absent when no candidate passes."""
+    """Least N <= cap with the splice property at every reach R <= horizon
+    + N (the horizon defaults to span + 2), absent when none has it.  At R,
+    every element of [-R, N+R] vanishing on the block [0, N] matches on
+    [N+1, N+R] one that also vanishes on [-R, -1]; that is, the submodule
+    vanishing on the block splits into its parts vanishing on either side,
+    so the left side may be kept instead: `_boundary_heads` at scale 1 on
+    the block translated to [1, N+1].  From the first R >= s-1 where both
+    states are fixed the window is unclipped and every verdict is the same,
+    so the scan stops there."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if horizon is None:
         horizon = shift.span + 2
+    fixed = next(R for R in count(max(shift.span - 1, 1)) if _states_fixed(shift, R, R))
     for n in range(1, cap + 1):
-        if all(_splice_property_holds(shift, n, reach)
-               for reach in range(1, horizon + n + 1)):
+        if all(_boundary_heads(shift, n + 1, 1, reach, reach)[2]
+               for reach in range(1, min(horizon + n, fixed) + 1)):
             return FiniteTypeReport(n, cap)
     return FiniteTypeReport(None, cap)
 

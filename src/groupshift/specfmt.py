@@ -3,7 +3,7 @@
 Spec file:
     group: Z4 x Z2
     gen @-1: (1,0) (2,1)
-    memory: 2            # optional declared block length
+    memory: 2            # optional declared memory N (splice block [0, N])
     horizon: 6           # optional window horizon (the --horizon flag wins)
 
 Symbols are comma-separated coordinate tuples, one coordinate per factor as

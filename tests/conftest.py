@@ -5,7 +5,7 @@ import random
 import pytest
 
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.residues import combine_rows, unpack_rows
+from groupshift.residues import combine_rows, projection_heads, unpack_rows
 from groupshift.shifts import GroupShift
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
@@ -65,6 +65,34 @@ def restricted(w: Word, lo: int, hi: int) -> Word:
     """The word agreeing with w on [lo, hi] and zero outside."""
     a = max(lo - w.start, 0)
     return Word.trimmed(w.group, w.start + a, w.symbols[a:max(hi + 1 - w.start, a)])
+
+
+def window_projection_heads(module, keep_lo, keep_hi, zero_positions, kill_scale=None,
+                            kill_positions=None):
+    """`residues.projection_heads` on a window module, with positions for
+    columns: the projection to [keep_lo, keep_hi] of {v : kill_scale*v == 0
+    on kill_positions (the whole window when None)} with and without
+    `zero_positions` zeroed, as `WindowModule.constrained_projection` runs
+    it."""
+    lo, r = module.lo, module.shift.alphabet.rank
+    if kill_positions is None:
+        kill_positions = range(lo, module.hi + 1)
+    kill = [((p - lo) * r, r, kill_scale) for p in kill_positions if kill_scale is not None]
+    return projection_heads(module.packed, module.modulus, kill,
+                            [((p - lo) * r, r) for p in zero_positions],
+                            (keep_lo - lo) * r, (keep_hi - lo + 1) * r)
+
+
+def splice_property_holds(shift: GroupShift, n: int, reach: int) -> bool:
+    """Reference splice check on the full window [-reach, n + reach] with the
+    block [0, n]: every element vanishing on the block matches on the strict
+    right part one that also vanishes on the whole left half, so zeroing the
+    left half keeps the right projection of the block-vanishing submodule,
+    decided by one elimination."""
+    kept, heads = window_projection_heads(shift.window(-reach, n + reach), n + 1, n + reach,
+                                          range(-reach, 0), kill_scale=1,
+                                          kill_positions=range(0, n + 1))
+    return all(map(kept.contains, heads))
 
 
 def is_torsion(w: Word, p: int) -> bool:

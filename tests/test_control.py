@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshift.cli import main
-from groupshift.control import (IndexSearch, _divisors, _index_search, _near_end,
-                                _steering_condition, _steering_is_monotone,
-                                _steering_verdict, _steering_witness,
+from groupshift.control import (IndexSearch, _divisors, _index_search, _steering_condition,
+                                _steering_is_monotone, _steering_verdict, _steering_witness,
                                 analyze_controllability, controllability_index,
                                 default_past_horizon, monotone_after_success,
                                 order_controllability_index,
@@ -18,11 +17,13 @@ from groupshift.control import (IndexSearch, _divisors, _index_search, _near_end
 from groupshift.residues import PackedRows, howell_form
 from groupshift.encoders import PipelineFailure, multiple_shift, socle_shift
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.shifts import GroupShift, Horizons, primary_shift, torsion_presentation
+from groupshift.shifts import (GroupShift, Horizons, _near_end, primary_shift,
+                               torsion_presentation)
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
-from conftest import enumerate_elements, full_shift, make_shift, random_shift, restricted
+from conftest import (enumerate_elements, full_shift, make_shift, random_shift, restricted,
+                      window_projection_heads)
 
 
 def enumerated_index(shift, cap, past, ordered):
@@ -96,7 +97,7 @@ def test_fast_path_matches_enumeration():
             exp = shift.alphabet.exponent
             scales = _divisors(exp) if ordered else [exp]
             fast = next((n for n in range(4)
-                         if _steering_condition(shift, n, past, scales, {}, {})), None)
+                         if _steering_condition(shift, n, past, scales)), None)
             slow = enumerated_index(shift, 3, past, ordered)
             assert fast == slow, (shift, ordered)
         checked += 1
@@ -296,11 +297,11 @@ def test_fail_fast_search_matches_reference():
     shifts.append(make_shift("Z2 x Z4", [(0, [(1, 2), (0, 0), (0, 0), (0, 1)])]))  # index 3
     shifts += [make_shift("Z4", [(0, [2])]), make_shift("Z12", [(0, [(2, 0)]), (3, [(0, 1)])])]
     shifts += [parse_spec(SOCLE_FAILURE_SPEC).shift, LATE_FIXED_POINT]
-    assert not _steering_is_monotone(LATE_FIXED_POINT, {})
-    socle, ends = shifts[-2], {}
-    tail = [_near_end(socle, w, True, ends).packed
+    assert not _steering_is_monotone(LATE_FIXED_POINT)
+    socle = shifts[-2]
+    tail = [_near_end(socle, w, True).packed
             for w in range(default_past_horizon(socle, 0) - 1, default_past_horizon(socle, 0) + 2)]
-    assert tail[0] != tail[1] == tail[2] and _steering_is_monotone(socle, {})
+    assert tail[0] != tail[1] == tail[2] and _steering_is_monotone(socle)
     absent = probed = 0
     for shift, cap in itertools.product(shifts, (0, 1, 3, 16)):
         exp = shift.alphabet.exponent
@@ -311,15 +312,15 @@ def test_fail_fast_search_matches_reference():
                 (index, table, witness), (shift, cap, confirm)
             assert got.past_horizons == \
                 tuple(default_past_horizon(shift, n) for n in range(len(table)))
-            assert _index_search(shift, cap, [exp], confirm, None) == \
+            assert _index_search(shift, cap, [exp], confirm) == \
                 reference_index_search(shift, cap, [exp], confirm), (shift, cap, confirm)
-        probed += _steering_is_monotone(shift, {})
+        probed += _steering_is_monotone(shift)
         if index is None:
             absent += 1
             scales = _divisors(exp)
             past = default_past_horizon(shift, cap)
             for order in (scales[::-1], rng.sample(scales, len(scales))):
-                assert _steering_witness(shift, cap, past, order, {}, {}) == witness
+                assert _steering_witness(shift, cap, past, order) == witness
     assert absent >= 6 and probed >= 4 * (len(shifts) - 1)
 
 
@@ -336,12 +337,12 @@ def test_scale_exp_elimination_is_the_plain_one(group, rng, n, past):
     exp = shift.alphabet.exponent
     module = shift.window(-past, n + past)
     args = (-past, 0, range(n + 1, n + past + 1))
-    kept, heads = module.projection_heads(*args, kill_scale=exp,
+    kept, heads = window_projection_heads(module, *args, kill_scale=exp,
                                           kill_positions=range(1, n + 1))
-    got, got_heads = module.projection_heads(*args, kill_scale=None,
+    got, got_heads = window_projection_heads(module, *args, kill_scale=None,
                                              kill_positions=range(1, n + 1))
     assert (got.packed, got.pivots, got_heads) == (kept.packed, kept.pivots, heads)
-    assert _steering_verdict(shift, n, past, exp, {}, {})[2] == all(map(kept.contains, heads))
+    assert _steering_verdict(shift, n, past, exp)[2] == all(map(kept.contains, heads))
     n_c, n_o = controllability_index(shift, 4).index, order_controllability_index(shift, 4).index
     if n_c is not None and n_o is not None:
         assert n_c <= n_o
@@ -351,8 +352,9 @@ def test_scale_exp_elimination_is_the_plain_one(group, rng, n, past):
 
 
 def full_window_verdict(shift, n, past, d):
-    kept, heads = shift.window(-past, n + past).projection_heads(
-        -past, 0, range(n + 1, n + past + 1), kill_scale=d, kill_positions=range(1, n + 1))
+    kept, heads = window_projection_heads(
+        shift.window(-past, n + past), -past, 0, range(n + 1, n + past + 1), kill_scale=d,
+        kill_positions=range(1, n + 1))
     return all(map(kept.contains, heads))
 
 
@@ -365,9 +367,8 @@ def test_boundary_verdict_matches_the_full_window(group, rng, support, n):
     # shifts and generators of unequal length both occur; every divisor scale
     shift = random_shift(rng, max_gens=3, max_support=support, pool=[group])
     past = default_past_horizon(shift, n)
-    made, ends = {}, {}
     for d in _divisors(shift.alphabet.exponent):
-        assert _steering_verdict(shift, n, past, d, made, ends)[2] == \
+        assert _steering_verdict(shift, n, past, d)[2] == \
             full_window_verdict(shift, n, past, d), (shift, n, d)
 
 
@@ -377,10 +378,9 @@ def test_boundary_verdict_matches_the_full_window_at_short_past_windows():
     for _ in range(25):
         shift = random_shift(rng, max_gens=3, max_support=4,
                              pool=["Z4", "Z6", "Z2 x Z4", "Z2 x Z2 x Z3"])
-        made, ends = {}, {}
         for n, past in itertools.product(range(4), range(1, 4)):
             for d in _divisors(shift.alphabet.exponent):
-                assert _steering_verdict(shift, n, past, d, made, ends)[2] == \
+                assert _steering_verdict(shift, n, past, d)[2] == \
                     full_window_verdict(shift, n, past, d), (shift, n, past, d)
 
 
@@ -413,7 +413,6 @@ def test_near_end_states_match_their_definition():
         s, r = shift.span, shift.alphabet.rank
         m = max(shift.alphabet.exponent, 2)
         for mirror in (False, True):
-            ends = {}
             gens = [Word.make(g.group, 0, g.symbols[::-1] if mirror else g.symbols)
                     for g in shift.generators]
             for width in range(s - 1, 3 * s + 12):
@@ -423,10 +422,10 @@ def test_near_end_states_match_their_definition():
                     0, width * r)]
                 direct = howell_form(PackedRows(tuple(rows), width * r), m, width * r)
                 want = direct.zero_prefix((width - s + 1) * r)
-                got = _near_end(shift, width, mirror, ends)
+                got = _near_end(shift, width, mirror)
                 assert (got.packed, got.pivots) == (want.packed, want.pivots), \
                     (shift, mirror, width)
-            longest = max(longest, len(ends[mirror][1]) - s)
+            longest = max(longest, len(shift.boundary_table[mirror][1]) - s)
     assert longest >= 3
 
 
@@ -442,8 +441,8 @@ def reference_index_search(shift, cap, scales, confirm):
 
     def heads(n, past, d, made):
         if d not in made:
-            made[d] = shift.window(-past, n + past).projection_heads(
-                -past, 0, range(n + 1, n + past + 1),
+            made[d] = window_projection_heads(
+                shift.window(-past, n + past), -past, 0, range(n + 1, n + past + 1),
                 kill_scale=None if d == exp else d, kill_positions=range(1, n + 1))
         return made[d]
 
@@ -507,7 +506,7 @@ def test_zero_shift_and_span_one_shifts_steer_at_once(tmp_path, capsys):
         assert shift.span <= 1
         for n, past in itertools.product(range(4), (1, 2, 5)):
             for d in _divisors(shift.alphabet.exponent):
-                assert _steering_verdict(shift, n, past, d, {}, {})[2]
+                assert _steering_verdict(shift, n, past, d)[2]
                 assert full_window_verdict(shift, n, past, d)
         rep = analyze_controllability(shift, cap=3)
         assert (rep.n_c, rep.n_o) == (0, 0)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,13 +9,13 @@ from groupshift.groups import FiniteAbelianGroup
 
 from groupshift.residues import (EnumerationCapExceeded, howell_form, row_solver,
                                  unpack_rows)
-from groupshift.shifts import (GroupShift, _splice_property_holds,
+from groupshift.shifts import (GroupShift, _boundary_heads, _states_fixed,
                                enumerate_window_code, finite_type_memory, member,
                                splice, supported_words)
 from groupshift.words import Word
 
 from conftest import (enumerate_elements, full_shift, impulse, make_shift, random_shift,
-                     restricted, tuple_combine_rows)
+                      restricted, splice_property_holds, tuple_combine_rows)
 
 
 def window_code_as_set(shift, lo, hi):
@@ -143,6 +144,23 @@ def test_member_monotone_in_margin():
         for earlier, later in zip(verdicts, verdicts[1:]):
             if not earlier:
                 assert not later
+
+
+def test_membership_needs_a_margin_past_the_memory():
+    # the splice block of memory N is [0, N], N + 1 positions, so exact
+    # membership needs a margin of at least N + 1: this certify-pool shift
+    # has memory 3, and at margin 3 it certifies a word that no wider margin
+    # does, while the words supported at 0 are the same from margin 4 on
+    shift = make_shift("Z4 x Z2 x Z2", [(0, [(3, 0, 1), (1, 0, 1), (0, 1, 0)]),
+                                        (0, [(3, 0, 0), (0, 0, 1), (3, 0, 0)])])
+    assert finite_type_memory(shift, 8).memory == 3
+    word = impulse(shift.alphabet, (1, 1, 0))
+    exact = supported_words(shift, 0, 0, 4).form
+    assert member(shift, word, 3).certified_in
+    assert not supported_words(shift, 0, 0, 3).form.spans_same(exact)
+    for margin in (4, 6, 12, 30):
+        assert supported_words(shift, 0, 0, margin).form.spans_same(exact), margin
+        assert not member(shift, word, margin).certified_in, margin
 
 
 # -- the difference code is dense (its closure is the full shift) -------------
@@ -279,19 +297,56 @@ def two_form_splice_property(shift, n, reach):
     return lhs.spans_same(rhs)
 
 
+def delay_shift(group, head, tail, k):
+    """The tail symbol echoes the head k steps later: over Z2 x Z2 the
+    second coordinate echoes the first, of memory max(k - 1, 1), as the
+    splice block [0, N] holds N + 1 positions."""
+    return make_shift(group, [(0, [head] + [(0,) * len(head)] * (k - 1) + [tail])])
+
+
+def full_scan_memory(shift, cap, horizon):
+    """`finite_type_memory` scanning every reach 1..horizon+N on the full
+    window, with no stop at the near-end states' fixed point."""
+    return next((n for n in range(1, cap + 1)
+                 if all(splice_property_holds(shift, n, reach)
+                        for reach in range(1, horizon + n + 1))), None)
+
+
 def test_splice_property_matches_two_form_reference():
-    # p-group and mixed alphabets; both verdicts must occur
+    # the boundary verdict at scale 1, which keeps the left side, the
+    # full-window reference and the two-form reference, which keep the right
+    # one, agree at reaches 1..R*+3, R* the first reach >= s-1 at which both
+    # near-end states are fixed, where finite_type_memory stops its scan;
+    # p-group and mixed alphabets, spans <= 1 and delay shifts of memory
+    # 1..5; both verdicts must occur, and the early-stopped memory must equal
+    # the full scan's at horizons 1, 4 and 9, with the memories 1..4 and
+    # not-verified all met at cap 4
     rng = random.Random(41)
-    verdicts = set()
-    for group in P_GROUPS + MIXED_GROUPS:
-        for _ in range(6):
-            g = random_shift(rng, max_gens=2, max_support=4, pool=[group])
-            for n in range(1, 4):
-                for reach in range(1, 5):
-                    got = _splice_property_holds(g, n, reach)
-                    assert got == two_form_splice_property(g, n, reach), (g, n, reach)
-                    verdicts.add(got)
+    cases = [random_shift(rng, max_gens=2, max_support=4, pool=[group])
+             for group in P_GROUPS + MIXED_GROUPS for _ in range(6)]
+    cases += [make_shift("Z4", [(0, [2])]), make_shift("Z2 x Z3", [(1, [(1, 2)]), (-1, [(0, 1)])]),
+              GroupShift.make(FiniteAbelianGroup.parse("Z2"), [])]
+    cases += [delay_shift(*echo, k) for echo in (("Z2 x Z2", (1, 0), (0, 1)),
+                                                 ("Z2 x Z2 x Z3", (1, 0, 1), (0, 1, 0)))
+              for k in range(1, 7)]
+    cases.append(make_shift("Z4 x Z2 x Z2", [(1, [(1, 0, 1), (0, 0, 0), (3, 1, 0)]),
+                                             (0, [(0, 1, 0), (0, 0, 1), (2, 1, 0), (1, 1, 0)])]))
+    verdicts, memories = set(), set()
+    for g in cases:
+        fixed = next(R for R in itertools.count(max(g.span - 1, 1))
+                     if _states_fixed(g, R, R))
+        for n in range(1, 4):
+            for reach in range(1, fixed + 4):
+                got = _boundary_heads(g, n + 1, 1, reach, reach)[2]
+                assert got == splice_property_holds(g, n, reach) == \
+                    two_form_splice_property(g, n, reach), (g, n, reach)
+                verdicts.add(got)
+        for horizon in (1, 4, 9):
+            memory = finite_type_memory(g, 4, horizon).memory
+            assert memory == full_scan_memory(g, 4, horizon), (g, horizon)
+            memories.add(memory)
     assert verdicts == {True, False}
+    assert memories == {1, 2, 3, 4, None}
 
 
 # -- oracle vs module enumeration ----------------------------------------------

@@ -11,13 +11,13 @@ import sys
 from pathlib import Path
 
 from groupshift import control, residues, shifts, words
-from groupshift.control import (_divisors, _steering_condition, default_past_horizon,
-                                order_controllability_index)
+from groupshift.control import (_divisors, _steering_condition, analyze_controllability,
+                                default_past_horizon, order_controllability_index)
 from groupshift.encoders import (Horizons, check_injectivity, conjugacy_certificate, encode,
                                  lift_height, solve_finite_preimage)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import HowellForm
-from groupshift.shifts import GroupShift
+from groupshift.shifts import GroupShift, finite_type_memory
 from groupshift.specfmt import parse_message, parse_spec
 from groupshift.words import Word
 
@@ -189,14 +189,14 @@ def test_certify_reports_match_the_pool_references():
         pool=str(ROOT / "perfbench" / "data" / "certify.json")))
 
 
-def _record_steering_eliminations(monkeypatch, modules=(control, shifts)) -> list:
-    """The argument tuples of the `projection_heads` calls made through the
-    given modules: the steering verdicts call it from `control`, and a
-    full-window elimination (`WindowModule.projection_heads`) from `shifts`."""
+def _record_steering_eliminations(monkeypatch) -> list:
+    """The argument tuples of the `projection_heads` calls made from `shifts`:
+    the boundary-window eliminations of the steering verdicts and of the
+    finite-type scan (`_boundary_heads`), and the constrained projections of
+    window modules (`WindowModule.constrained_projection`)."""
     calls = []
-    for module in modules:
-        monkeypatch.setattr(module, "projection_heads",
-                            lambda *args: calls.append(args) or residues.projection_heads(*args))
+    monkeypatch.setattr(shifts, "projection_heads",
+                        lambda *args: calls.append(args) or residues.projection_heads(*args))
     return calls
 
 
@@ -248,18 +248,60 @@ def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
 
     for name in ("order-witness", "scale-witness", "mixed-witness", "delay-rep", "z8-z4",
                  "z9-z3"):
-        shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
+        text = (ROOT / "tests" / "golden" / f"{name}.spec").read_text()
+        shift = parse_spec(text).shift
         scales = _divisors(shift.alphabet.exponent)
         for n in range(0, 17, 4):
             for past in (1, shift.span, default_past_horizon(shift, n), 60):
                 calls.clear()
-                _steering_condition(shift, n, past, list(scales), {}, {})
+                _steering_condition(shift, n, past, list(scales))
                 assert calls and width_bound(n), (name, n, past)
         calls.clear()
-        search = order_controllability_index(shift, 16, confirm=0)
+        # a fresh shift, whose table holds none of the verdicts above
+        search = order_controllability_index(parse_spec(text).shift, 16, confirm=0)
         failing = name in ("order-witness", "scale-witness", "mixed-witness")
         assert (search.witness is not None) == failing, name
         assert calls and width_bound(16), name
+
+
+def test_finite_type_scan_eliminates_boundary_windows_only(monkeypatch):
+    # each splice verdict is one elimination on the boundary window around
+    # the block [0, N], whose condition run holds (N + 1) * rank columns: at
+    # most (N + 2s - 1) * rank columns in all, and no window module is built
+    calls = _record_steering_eliminations(monkeypatch)
+
+    def no_window(*args):
+        raise AssertionError("finite_type_memory built a window module")
+    monkeypatch.setattr(GroupShift, "window", no_window)
+    for path in sorted((ROOT / "tests" / "golden").glob("*.spec")):
+        shift = parse_spec(path.read_text()).shift
+        calls.clear()
+        finite_type_memory(shift, cap=8, horizon=Horizons.derive(shift).window_horizon)
+        assert calls or shift.span <= 1, path.name
+        for _, _, conditions, zeros, lo, hi in calls:
+            (_, block, _), = conditions
+            assert block + sum(n for _, n in zeros) + hi - lo <= \
+                block + 2 * (shift.span - 1) * shift.alphabet.rank, path.name
+
+
+def test_analyze_builds_each_near_end_state_once(monkeypatch):
+    # the plain search, the order search and the splice scan of one analyze
+    # read the near-end states off one table on the shift, so every
+    # elimination that `_near_end` (the one caller of `_eliminate` in
+    # `shifts`) makes adds a state to it
+    built = []
+    monkeypatch.setattr(shifts, "_eliminate",
+                        lambda *args: built.append(args) or residues._eliminate(*args))
+    for path in sorted((ROOT / "tests" / "golden").glob("*.spec")):
+        shift = parse_spec(path.read_text()).shift
+        horizons = Horizons.derive(shift)
+        built.clear()
+        analyze_controllability(shift, cap=horizons.n_cap, horizon=horizons.window_horizon)
+        finite_type_memory(shift, cap=8, horizon=horizons.window_horizon)
+        table = shift.boundary_table
+        states = sum(len(table[mirror][1]) - 1 for mirror in (False, True) if mirror in table)
+        assert len(built) == states, path.name
+        assert states or shift.span <= 1, path.name
 
 
 def test_certify_packs_each_word_once(monkeypatch):
