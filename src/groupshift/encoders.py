@@ -18,7 +18,7 @@ from .control import order_controllability_index
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
 from .residues import (HowellForm, PackedRows, Vec, _bytes_to_lanes, _lane_bytes,
                        _lane_layout, _lanes_to_bytes, combine_rows, howell_form,
-                       placed_rows, projection_heads, row_solver, unpack_rows)
+                       placed_rows, projection_heads, residue_table, row_solver, unpack_rows)
 from .shifts import (GroupShift, Horizons, SupportedWords, member, primary_shift,
                      supported_words, torsion_presentation)
 from .words import Word
@@ -389,7 +389,8 @@ def encode(encoder: Encoder, message: Word,
     start)*r, so each product lands every term c*x in its own lane.  Message
     and taps are reduced, so no lane exceeds (max order - 1) * sum over j of
     (n_j - 1) * len(tap_j), with n_j the source orders; lanes of that width
-    (`_lane_bytes`) never carry.
+    (`_lane_bytes`) never carry.  Byte lanes are reduced by one translation
+    (`residue_table`) per alphabet coordinate, wider lanes lane by lane.
     """
     if message.group != encoder.source:
         raise ValueError("message is not over the encoder source alphabet")
@@ -421,8 +422,12 @@ def encode(encoder: Encoder, message: Word,
         a = max(window[0] - lo, 0)
         raw = raw[stride * a:stride * max(window[1] + 1 - lo, a)]
         lo += a
-    lanes = _bytes_to_lanes(raw, nbytes)
-    coords = [[x % m for x in lanes[k::r]] for k, m in enumerate(alphabet.orders)]
+    if nbytes == 1:
+        # bound <= 255 with a sum >= 1, so every order is at most 256
+        coords = [raw[k::r].translate(residue_table(m)) for k, m in enumerate(alphabet.orders)]
+    else:
+        lanes = _bytes_to_lanes(raw, nbytes)
+        coords = [[x % m for x in lanes[k::r]] for k, m in enumerate(alphabet.orders)]
     return Word.trimmed(alphabet, lo, list(zip(*coords)))
 
 

@@ -43,8 +43,13 @@ Vec = tuple[int, ...]
 
 #: Little-endian struct codes of the lane widths up to 64 bits, in bytes.
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-#: Every byte value: `_BYTE_VALUES[:m]` repeated maps a byte to its residue mod m.
+#: Every byte value, in order; `residue_table` repeats a prefix of it.
 _BYTE_VALUES = bytes(range(256))
+
+
+def residue_table(m: int) -> bytes:
+    """The `bytes.translate` table taking each byte to its residue mod m."""
+    return (_BYTE_VALUES[:m] * -(-256 // m))[:256]
 
 
 class EnumerationCapExceeded(Exception):
@@ -205,9 +210,9 @@ def _bytes_to_lanes(raw: bytes, nbytes: int) -> Sequence[int]:
 def pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
     """The rows as ints of `ncols` lanes (`_lane_layout`), entries reduced mod m.
 
-    For m <= 256 entries in [0, 256) are reduced by one byte translation and
-    copied into the low byte of each lane; any others are reduced one by one
-    and packed by `_lanes_to_bytes`.
+    For m <= 256 entries in [0, 256) are reduced by one byte translation
+    (`residue_table`) and copied into the low byte of each lane; any others
+    are reduced one by one and packed by `_lanes_to_bytes`.
     """
     if set(map(len, rows)) - {ncols}:
         raise ValueError(f"rows must have {ncols} entries")
@@ -218,7 +223,7 @@ def pack_rows(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
         low = None
     if low is not None:
         raw = bytearray(nbytes * len(low))
-        raw[::nbytes] = low.translate((_BYTE_VALUES[:m] * -(-256 // m))[:256])
+        raw[::nbytes] = low.translate(residue_table(m))
     else:
         raw = _lanes_to_bytes([x % m for r in rows for x in r], nbytes)
     size = nbytes * ncols

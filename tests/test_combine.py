@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from groupshift.encoders import Encoder, encode
 from groupshift.groups import FiniteAbelianGroup
+from groupshift.residues import _lane_bytes
 from groupshift.words import Word
 
 from conftest import impulse, restricted
@@ -121,10 +122,61 @@ def test_long_overlapping_encode_matches_fold():
         assert encode(enc, message, window) == fold_encode(enc, message, window)
 
 
-#: Alphabets with orders past 256 (Z3125, Z1024) and past 2^32 (Z2^40,
-#: Z3^21), so the lanes of `encode` take every width: 1, 2, 4 and 8 bytes,
-#: and whole bytes past 64 bits.
-WIDE_ALPHABETS = [(), ((2, 1),), ((2, 3), (3, 1)), ((5, 5),), ((2, 10), (2, 1)),
+def image_windows(enc: Encoder, message: Word):
+    """No window, windows before and after the image, across each of its ends
+    and inside it."""
+    taps = [tap for tap in enc.taps if tap.symbols]
+    lo = message.start + min(tap.start for tap in taps)
+    hi = message.start + len(message.symbols) + max(tap.start + len(tap.symbols)
+                                                    for tap in taps) - 2
+    return [None, (lo - 9, lo - 1), (hi + 1, hi + 9), (lo - 3, lo + 4), (hi - 4, hi + 3),
+            (lo + 2, hi - 2)]
+
+
+def lane_bytes(enc: Encoder) -> int:
+    """The lane width of `encode`: its bound on a lane, in bytes."""
+    bound = (max(enc.alphabet.orders) - 1) * sum(
+        (n - 1) * len(tap.symbols) for n, tap in zip(enc.source.orders, enc.taps))
+    return _lane_bytes(bound.bit_length())
+
+
+def lane_boundary_encoder(alphabet: str, source, taps) -> Encoder:
+    alphabet = FiniteAbelianGroup.parse(alphabet)
+    source = FiniteAbelianGroup(source)
+    return Encoder(alphabet, source, tuple(Word.make(alphabet, t, syms) for t, syms in taps),
+                   (0,) * source.rank, (2,) * source.rank)
+
+
+#: (encoder, lane bytes).  Over Z17 from Z2 a tap of 16s on a message of 1s
+#: reaches the bound 16 * len(tap): 240 fits a byte, 256 does not.  A
+#: one-symbol tap over Z256 bounds a lane by 255, so order 256 runs on byte
+#: lanes, with the identity table.  Each coordinate of Z2 x Z9 x Z4 is
+#: reduced by its own table.
+LANE_BOUNDARIES = [
+    (lane_boundary_encoder("Z17", ((2, 1),), [(-3, [(16,)] * 15)]), 1),
+    (lane_boundary_encoder("Z17", ((2, 1),), [(-3, [(16,)] * 16)]), 2),
+    (lane_boundary_encoder("Z256", ((2, 1),), [(2, [(255,)])]), 1),
+    (lane_boundary_encoder("Z2 x Z9 x Z4", ((2, 1), (3, 1)),
+                           [(-1, [(1, 8, 3), (0, 5, 2), (1, 8, 3)]),
+                            (1, [(1, 8, 3), (1, 0, 1), (0, 7, 0), (1, 8, 3)])]), 1),
+]
+
+
+@pytest.mark.parametrize("enc, nbytes", LANE_BOUNDARIES)
+def test_encode_at_lane_width_boundaries_matches_fold(enc, nbytes):
+    assert lane_bytes(enc) == nbytes
+    orders = enc.source.orders
+    for message in (Word.make(enc.source, 5, [tuple(n - 1 for n in orders)] * 40),
+                    Word.make(enc.source, -7, [tuple((i * i + i // 3) % n for n in orders)
+                                               for i in range(1, 50)])):
+        for window in image_windows(enc, message):
+            assert encode(enc, message, window) == fold_encode(enc, message, window)
+
+
+#: Alphabets with orders up to 256 (Z256 on byte lanes for short taps), past
+#: 256 (Z3125, Z1024) and past 2^32 (Z2^40, Z3^21), so the lanes of `encode`
+#: take every width: 1, 2, 4 and 8 bytes, and whole bytes past 64 bits.
+WIDE_ALPHABETS = [(), ((2, 1),), ((2, 3), (3, 1)), ((2, 8),), ((5, 5),), ((2, 10), (2, 1)),
                   ((2, 40),), ((3, 21), (2, 1))]
 #: Sources with orders past 256 (Z16807, Z2^33) pack their columns entry by
 #: entry.

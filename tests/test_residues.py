@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from groupshift.groups import FiniteAbelianGroup, is_prime
 from groupshift.residues import (HowellForm, PackedRows, _eliminate, _lane_layout,
                                  _pivot_arithmetic, combine_rows, howell_form, pack_rows,
-                                 placed_rows, projection_heads, row_solver, unpack_rows)
+                                 placed_rows, projection_heads, residue_table, row_solver,
+                                 unpack_rows)
 
 from conftest import (annihilator, brute_force_span, enumerate_elements,
                       tuple_combine_rows, unit_for, xgcd)
@@ -392,6 +393,11 @@ def test_lane_reduction_takes_every_row_operation_value_to_its_residue(m):
     w, _, red = _lane_layout(m, len(vals))
     got = red(sum(v << j * w for j, v in enumerate(vals)))
     assert [(got >> j * w) & ((1 << w) - 1) for j in range(len(vals))] == [v % m for v in vals]
+
+
+def test_residue_table_reduces_every_byte():
+    for m in range(2, 257):
+        assert bytes(range(256)).translate(residue_table(m)) == bytes(b % m for b in range(256))
 
 
 @pytest.mark.parametrize("m", LANE_MODULI)

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from groupshift import control, residues, shifts, words
+from groupshift import control, encoders, residues, shifts, words
 from groupshift.control import (_divisors, _steering_condition, analyze_controllability,
                                 default_past_horizon, order_controllability_index)
 from groupshift.encoders import (Horizons, check_injectivity, conjugacy_certificate, encode,
@@ -367,15 +367,18 @@ def test_constrained_projection_is_one_packed_elimination(monkeypatch):
 
 def test_encode_is_packed_not_a_per_term_sum(monkeypatch):
     # encode is one int product per tap: the placed (c, tap, t) term sum
-    # through Word.combine that it replaced must not come back
+    # through Word.combine that it replaced must not come back; the delay
+    # representation has byte lanes, which are reduced by one translation per
+    # coordinate and never unpacked lane by lane
     golden = ROOT / "tests" / "golden"
     shift = parse_spec((golden / "delay-rep.spec").read_text()).shift
     encoder = conjugacy_certificate(shift, Horizons.derive(shift)).product_encoder
     message = parse_message((golden / "delay-rep-long.msg").read_text(), encoder.source)
 
     def refuse(*args):
-        raise AssertionError("encode called Word.combine")
+        raise AssertionError("encode called Word.combine or unpacked its lanes")
     monkeypatch.setattr(Word, "combine", refuse)
+    monkeypatch.setattr(encoders, "_bytes_to_lanes", refuse)
     for window, name in ((None, "encode-long"), ((100, 140), "encode-long-window")):
         report = (golden / f"delay-rep.{name}.out").read_text().splitlines()
         assert f"word: {encode(encoder, message, window).format()}" in report, name
