@@ -13,8 +13,8 @@ finite type too (`shifts._boundary_heads`), in the shift's one table; a
 monotone condition table (`_steering_is_monotone`) is searched by probing
 the candidates 0, 1, 2, 4, ..., cap and read off the index.  Weak
 controllability of the p-torsion subshift is read off the p-primary
-component's `shifts.torsion_presentation`, which `encoders.socle_shift`
-returns in `certify`, so `analyze` and `certify` decide it alike.
+component's `shifts.torsion_presentation`, as `certify`'s socle line is,
+so `analyze` and `certify` decide it alike.
 """
 
 from __future__ import annotations

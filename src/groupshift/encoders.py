@@ -12,6 +12,7 @@ handled one primary component at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .control import order_controllability_index
@@ -19,8 +20,8 @@ from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
 from .residues import (HowellForm, PackedRows, Vec, _bytes_to_lanes, _lane_bytes,
                        _lane_layout, _lanes_to_bytes, combine_rows, howell_form,
                        placed_rows, projection_heads, residue_table, row_solver, unpack_rows)
-from .shifts import (GroupShift, Horizons, SupportedWords, member, primary_shift,
-                     supported_words, torsion_presentation)
+from .shifts import (GroupShift, Horizons, SupportedWords, _boundary_rows, member,
+                     primary_shift, supported_words, torsion_presentation)
 from .words import Word
 
 
@@ -65,24 +66,30 @@ def scaled_finite_words_check(shift: GroupShift, p: int, r: int,
     return True, ""
 
 
+def _socle_failure(failing: int, horizons: Horizons) -> str:
+    return (f"p-torsion window [0,{failing}] not generated by finite torsion "
+            f"members with support <= {horizons.support_cap}")
+
+
 def socle_shift(shift: GroupShift, p: int,
                 horizons: Horizons | None = None) -> GroupShift:
-    """Presentation of the p-torsion subshift G[p] by finite torsion words
-    (`shifts.torsion_presentation`); fails loudly when it does not generate
-    the p-torsion projections of G's windows up to the horizon, i.e. when
-    G[p] is not weakly controllable at this scale.
+    """Presentation of the p-torsion subshift G[p] by the distinct translates
+    to 0 of its certified finite torsion words on [0, support_cap - 1]; fails
+    loudly when it does not generate the p-torsion projections of G's
+    windows up to the horizon (`shifts.torsion_presentation`, which decides
+    that on the packed rows alone), i.e. when G[p] is not weakly
+    controllable at this scale.
     """
     if shift.alphabet.exponent % p != 0:
         raise ValueError(f"{p} does not divide exp(H)")
     if horizons is None:
         horizons = Horizons.derive(shift)
-    result, failing = torsion_presentation(shift, p, horizons)
+    failing = torsion_presentation(shift, p, horizons)[1]
     if failing is not None:
-        raise PipelineFailure(
-            "socle-presentation",
-            f"p-torsion window [0,{failing}] not generated by finite torsion "
-            f"members with support <= {horizons.support_cap}")
-    return result
+        raise PipelineFailure("socle-presentation", _socle_failure(failing, horizons))
+    words = _torsion_candidates(shift, p, horizons).words
+    return GroupShift.make(shift.alphabet,
+                           list(dict.fromkeys(w.shifted(w.first) for w in words)))
 
 
 # -- one-sided initial values and generator selection ------------------------
@@ -246,7 +253,10 @@ def lift_height(shift: GroupShift, x: Word, p: int, h: int,
 def word_height(shift: GroupShift, x: Word, p: int, order_index: int,
                 margin: int, max_h: int) -> int:
     """Largest h <= max_h with a certified finite y solving p^h y = x,
-    preimage supports padded by h*(order index + 1) per division step."""
+    preimage supports padded by h*(order index + 1) per division step.  A
+    nonzero x has height below e for exp(G) = p^e, as p^e kills every
+    certified y, so max_h = e - 1 decides it with no lift past the
+    exponent."""
     if x.is_zero:
         raise ValueError("height of the zero word is infinite")
     h = 0
@@ -536,29 +546,27 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
     under sums.
 
     Backward: every certified word w supported in [f, l] with l - f <= the
-    horizon has a finite preimage whose message support lies in [f - s, l + s],
-    s = memory + horizon + 1.  Translated by -f, w lies in the certified words
-    on [0, t], t = l - f, and its messages in [-s, t + s], so one elimination
-    per t decides every such w: the span of each nonzero tap placed at -s..t+s
-    (covered whole by the window), cut to its elements zero outside [0, t],
-    must contain every row of the certified form on [0, t].
+    horizon has a finite preimage.  Translated by 1 - f, w lies in the
+    certified words on the block [1, t+1], t = l - f, and one elimination per
+    t decides every such w on the boundary window [2-s, t+s] of the shift T
+    generated by the taps, s = span(T) (`shifts._boundary_rows`): the taps
+    placed to meet the block, T's whole-placement zero state on the past
+    near end [2-s, 0] and the mirrored one on the tail near end [t+2, t+s],
+    each at its fixed point (`shifts._near_end`).  A placement off the block
+    meets the window only on a near end, and the states hold what every
+    finite message wholly on that side can leave there, so the block
+    projection of the elements vanishing on both near ends is the set of
+    finite images supported in the block, whatever the message support.
+    Every row of the certified form on [0, t] must lie in it.
     """
     for tap in encoder.taps:
         if not member(shift, tap, margin).certified_in:
             return NoncatastrophicityReport(False, horizon, tap)
-    m, r = encoder.alphabet.modulus, encoder.alphabet.rank
-    taps = [tap for tap in encoder.taps if not tap.is_zero]
-    first = min((tap.first for tap in taps), default=0)
-    last = max((tap.last for tap in taps), default=0)
-    s = encoder.memory + horizon + 1
+    taps = GroupShift.make(encoder.alphabet, encoder.taps)
     for t in range(horizon + 1):
-        # the window [lo, hi] covers [0, t], which is columns [a, b), and
-        # every placed tap
-        lo, hi = min(0, first - s), max(t, last + t + s)
-        ncols, a, b = (hi - lo + 1) * r, -lo * r, (t + 1 - lo) * r
-        rows = [row for tap in taps
-                for row in tap.placed_rows(range(-s, t + s + 1), lo, ncols)]
-        kept, _ = projection_heads(rows, m, (), [(0, a), (b, ncols - b)], a, b)
+        rows, ncols, a, b = _boundary_rows(taps, t + 1, math.inf, math.inf, whole=True)
+        kept, _ = projection_heads(rows, encoder.alphabet.modulus, (),
+                                   [(0, a), (b, ncols - b)], a, b)
         form = supported_words(shift, 0, t, margin).form
         bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
         if bad is not None:
@@ -699,8 +707,9 @@ def _structure_checks(genset: CanonicalGeneratorSet,
     """
     shift, p = genset.shift, genset.prime
     emax = shift.exponent_exponent(p)
+    # p^emax kills every certified word, so no height reaches emax
     maximal = all(word_height(shift, e.torsion_word, p, genset.order_index,
-                              horizons.margin, emax) == e.height
+                              horizons.margin, emax - 1) == e.height
                   for e in genset.entries)
     return [CheckResult("exact-powers", True), CheckResult("heights-sorted", True),
             CheckResult("initial-basis-independent", True),
@@ -735,12 +744,9 @@ def primary_certificate(shift: GroupShift, p: int,
                                   (CheckResult(exc.stage, False, exc.detail),),
                                   exc.stage)
     encoder = build_encoder(genset)
-    socle_ok, detail = True, ""
-    try:
-        socle_shift(shift, p, horizons)
-    except PipelineFailure as exc:
-        socle_ok, detail = False, exc.detail
-    checks = [CheckResult("socle-weakly-controllable", socle_ok, detail)]
+    failing = torsion_presentation(shift, p, horizons)[1]
+    checks = [CheckResult("socle-weakly-controllable", failing is None,
+                          "" if failing is None else _socle_failure(failing, horizons))]
     checks.extend(_structure_checks(genset, horizons))
     checks.extend(_message_invariant_checks(encoder))
     inj = check_injectivity(encoder, horizons.block_cap)

@@ -296,15 +296,19 @@ def _eliminate(rows: Iterable[int], m: int, ncols: int,
         if not hits:
             continue
         at = c * w
-        d, best = m, 0  # every live entry here is nonzero, so its gcd is below m
-        for j, h in enumerate(hits):
-            g = gcd((h >> at) & lane)
-            if g < d:
-                d, best = g, j
-                if g == 1:
-                    break
-        row = hits.pop(best)
-        a = (row >> at) & lane
+        if len(hits) == 1:  # a lone live row is the pivot row
+            row = hits.pop()
+            d = gcd(a := (row >> at) & lane)
+        else:
+            d, best = m, 0  # every live entry here is nonzero, so its gcd is below m
+            for j, h in enumerate(hits):
+                g = gcd((h >> at) & lane)
+                if g < d:
+                    d, best = g, j
+                    if g == 1:
+                        break
+            row = hits.pop(best)
+            a = (row >> at) & lane
         tail = row if a == d else red(unit(a) * row)
         neg = k_lanes - tail
         for rj in hits:
@@ -446,7 +450,9 @@ def projection_heads(packed_rows: Iterable[int], modulus: int,
             y |= (row >> at & cut) * s << to  # below m^2 per lane
         ext.append(x | red(y) if scaled else x)
     done, pivots = _eliminate(ext, modulus, ncols, ncols)
-    kept = HowellForm(modulus, ncols, tuple(done), tuple(pivots)).zero_prefix(drop)
+    i = sum(c < drop for c, _ in pivots)  # pivot columns ascend
+    kept = HowellForm(modulus, hi - lo, tuple(row >> drop * w for row in done[i:]),
+                      tuple((c - drop, d) for c, d in pivots[i:]))
     return kept, [row >> drop * w for row, (c, _) in zip(done, pivots) if k <= c < drop]
 
 

@@ -6,10 +6,11 @@ a finite window [a, b] is the module spanned by the restrictions of every
 shifted generator whose support meets the window, including the partial
 overlaps at the window edges; this makes weak controllability hold by
 construction, and membership of finite words is certified window by window.
-A steering condition (`control`) or the splice property of
-`finite_type_memory` is one elimination on a boundary window around its
-block, with near-end states for the placements wholly on either side, kept
-with the verdicts in one table per shift (`GroupShift.boundary_table`).
+A steering condition (`control`), the splice property of
+`finite_type_memory` or the backward noncatastrophicity of an encoder's
+taps is one elimination on a boundary window around its block, with
+near-end states for the placements wholly on either side, kept with the
+verdicts in one table per shift (`GroupShift.boundary_table`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Sequence
 
 from .groups import FiniteAbelianGroup, primary_component
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, PackedRows,
-                       _eliminate, _lane_layout, howell_form, projection_heads)
+                       _eliminate, _lane_layout, howell_form, placed_rows,
+                       projection_heads)
 from .words import Word, word_span
 
 
@@ -56,9 +58,10 @@ class GroupShift:
 
     @cached_property
     def boundary_table(self) -> dict:
-        """The near-end states of `_near_end` per side (True: mirrored), the
-        reversed mirrored ones under "tails" and the verdicts of
-        `_boundary_heads` per argument tuple, shared by every search."""
+        """The near-end states of `_near_end` per side (True: mirrored; the
+        whole-placement ones under (side, True)), the reversed mirrored ones
+        under "tails" and the verdicts of `_boundary_heads` per argument
+        tuple, shared by every search."""
         return {}
 
     @cached_property
@@ -266,54 +269,73 @@ class Horizons:
 
 
 def torsion_presentation(shift: GroupShift, p: int,
-                         horizons: Horizons) -> tuple[GroupShift, int | None]:
-    """The p-torsion subshift G[p] presented by the distinct translates to 0
-    of the certified p-torsion words supported in [0, support_cap - 1], and
-    the least t <= window_horizon for which that presentation does not
-    generate the p-torsion projection of G's window [0, t] (None when every
-    window passes, which is G[p]'s weak controllability at these horizons).
-    The presentation's window module on [0, t] is the projection of the one
-    on [0, H], so each is read off that one form by `HowellForm.prefix`."""
-    words = supported_words(shift, 0, horizons.support_cap - 1, horizons.margin,
-                            torsion_scale=p).words
-    result = GroupShift.make(shift.alphabet,
-                             list(dict.fromkeys(w.shifted(w.first) for w in words)))
-    top, r = result.window(0, horizons.window_horizon).form, shift.alphabet.rank
-    failing = next((t for t in range(horizons.window_horizon + 1)
-                    if not top.prefix((t + 1) * r).spans_same(
-                        torsion_window_projection(shift, 0, t, horizons.margin, p))),
-                   None)
-    return result, failing
+                         horizons: Horizons) -> tuple[HowellForm, int | None]:
+    """The window form on [0, window_horizon] of the p-torsion subshift G[p]
+    presented by the distinct translates to 0 of the certified p-torsion
+    words supported in [0, support_cap - 1] (`encoders.socle_shift` builds
+    that presentation), and the least t <= window_horizon for which it does
+    not generate the p-torsion projection of G's window [0, t] (None when
+    every window passes, which is G[p]'s weak controllability at these
+    horizons).
+
+    The form is built from the candidates' packed rows: each is moved down
+    to its first nonzero position, and each distinct one is placed at every
+    offset that meets [0, H].  Its window forms on [0, t] are its projections,
+    read off by `HowellForm.prefix`.  When p kills G (exp(G) divides p) the
+    p-torsion projection of [0, t] is G's window module there, a prefix of
+    the one on [0, H]."""
+    r, m, top = shift.alphabet.rank, shift.alphabet.modulus, horizons.window_horizon
+    cands = supported_words(shift, 0, horizons.support_cap - 1, horizons.margin,
+                            torsion_scale=p).form
+    ncols = (top + 1) * r
+    pos = r * _lane_layout(m, ncols)[0]  # bits per position
+    starts = dict.fromkeys(x >> ((x & -x).bit_length() - 1) // pos * pos for x in cands.packed)
+    rows = [row for x in starts for row in placed_rows(
+        x, m, range(-((x.bit_length() - 1) // pos) * r, ncols, r), ncols)]
+    form = howell_form(PackedRows(tuple(rows), ncols), m)
+    window = shift.window(0, top).form if p % shift.exponent == 0 else None
+    failing = next((t for t in range(top + 1) if not form.prefix((t + 1) * r).spans_same(
+        torsion_window_projection(shift, 0, t, horizons.margin, p) if window is None
+        else window.prefix((t + 1) * r))), None)
+    return form, failing
 
 
 # -- boundary windows with near-end states -----------------------------------
 
 
-def _near_end(shift: GroupShift, width: int, mirror: bool) -> HowellForm:
+def _near_end(shift: GroupShift, width: float, mirror: bool,
+              whole: bool = False) -> HowellForm:
     """The near-end state S(width): the span of the placements ending at or
     before width-1, cut at position 0, intersected with the vectors supported
     on the last s-1 positions of [0, width-1] (s the span), as a canonical
     form over those s-1 positions (positions below 0 read zero).  `mirror`
-    reverses every generator's symbols.
+    reverses every generator's symbols.  With `whole` a placement reaching
+    below 0 is left out instead of cut, as a finite message places whole
+    generators: these states rise with the width, and `math.inf` reads
+    their fixed point.
 
     S(W+1) = (S(W) + placements ending at W) ∩ {vanishing at W-s+1}: the
     s-position frame [W-s+1, W] is eliminated and its first position
-    dropped by `zero_prefix`.  From W = s-1 on no placement is cut, so the
-    step is a fixed map and the sequence stops at its first repeat.  The
-    placements' frame rows and the sequence live in the shift's table."""
+    dropped by `zero_prefix`.  From W = s-1 on no placement is cut or left
+    out, so the step is a fixed map and the sequence stops at its first
+    repeat.  The placements' frame rows and the sequence live in the
+    shift's table."""
     s, r = shift.span, shift.alphabet.rank
     m, cols, table = shift.alphabet.modulus, s * r, shift.boundary_table
-    if mirror not in table:
+    key = (mirror, True) if whole else mirror
+    if key not in table:
         gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
-        frame = [x for g in gens for x in g.placed_rows([-g.last], 1 - s, cols)]
-        table[mirror] = frame, [HowellForm(m, cols - r, (), ())]
-    frame, states = table[mirror]
+        frame = [(len(g.symbols), x) for g in gens
+                 for x in g.placed_rows([-g.last], 1 - s, cols)]
+        table[key] = frame, [HowellForm(m, max(cols - r, 0), (), ())]
+    frame, states = table[key]
     w = _lane_layout(m, cols)[0]
-    while len(states) <= width and not (len(states) > s and
-                                        states[-1].packed == states[-2].packed):
+    while s > 1 and len(states) <= width and not (len(states) > s and
+                                                  states[-1].packed == states[-2].packed):
         cut = max(s - len(states), 0) * r * w  # frame positions below 0
-        done, pivots = _eliminate([*states[-1].packed, *(x >> cut << cut for x in frame)],
-                                  m, cols, 0)
+        step = [x for n, x in frame if n <= len(states)] if whole else \
+            [x >> cut << cut for _, x in frame]
+        done, pivots = _eliminate([*states[-1].packed, *step], m, cols, 0)
         states.append(HowellForm(m, cols, tuple(done), tuple(pivots)).zero_prefix(r))
     return states[min(width, len(states) - 1)]
 
@@ -326,46 +348,56 @@ def _states_fixed(shift: GroupShift, past: int, tail: int) -> bool:
         for w, mirror in ((past, False), (tail, True)))
 
 
-def _boundary_heads(shift: GroupShift, block: int, d: int | None, past: int,
-                    tail: int) -> tuple[HowellForm, list[int], bool]:
-    """(kept, heads, verdict) of the window question on the block [1, block]
-    with d*v == 0 there (d None: no condition), a past [1-past, 0] and a tail
-    [block+1, block+tail]: one elimination on the boundary window [lo, hi] =
-    [2-s, block+s-1] clipped to those, s the span, made once per shift into
-    its table.  It keeps the past near end [lo, 0] and zeroes the tail one;
-    the verdict, that zeroing the tail keeps the past projection, holds when
-    every head lies in the kept rows.
-
-    The window holds the placements that meet the block or straddle it, the
-    past state S(past) on [lo, 0] and the mirrored shift's S(tail), reversed
-    once per state by lane shifts, on [block+1, hi] (`_near_end`).  A
-    placement wholly in the past or the tail meets the rest of the full
-    window only on those near-end positions, so standing in the submodule it
-    generates there for it changes either past projection of the full window
-    only by the span of the past-only placements.  With s <= 1 no placement
-    straddles a position and nothing is eliminated."""
-    key, table = (block, d, past, tail), shift.boundary_table
-    if key in table:
-        return table[key]
-    s, r, m = shift.span, shift.alphabet.rank, shift.alphabet.modulus
-    if s <= 1:
-        return HowellForm(m, 0, (), ()), [], True
+def _boundary_rows(shift: GroupShift, block: int, past: float, tail: float,
+                   whole: bool = False) -> tuple[list[int], int, int, int]:
+    """(rows, ncols, block column, tail column) of the boundary window
+    [lo, hi] = [2-s, block+s-1] clipped to [1-past, block+tail], s the span
+    (at least 1), around the block [1, block]: the past state S(past) on
+    [lo, 0], the mirrored shift's S(tail), reversed once per state by lane
+    shifts, on [block+1, hi] (`_near_end`, with `whole` passed on), and
+    every placement that meets the block."""
+    s, r, m = max(shift.span, 1), shift.alphabet.rank, shift.alphabet.modulus
     lo, hi = max(2 - s, 1 - past), min(block + s - 1, block + tail)
     ncols, tail_col = (hi - lo + 1) * r, (block + 1 - lo) * r
     w = _lane_layout(m, ncols)[0]
     # the states read zero where the window is clipped, so the lanes that
     # these shifts move out of [lo, hi] are zero
-    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past, False).packed]
-    state, tails = _near_end(shift, tail, True).packed, table.setdefault("tails", {})
+    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past, False, whole).packed]
+    state = _near_end(shift, tail, True, whole).packed
+    tails = shift.boundary_table.setdefault("tails", {})
     if state not in tails:
         tails[state] = [sum((x >> i * r * w & (1 << r * w) - 1) << (s - 2 - i) * r * w
                             for i in range(s - 1)) for x in state]
     rows += [x << tail_col * w for x in tails[state]]
     for g in shift.generators:
         rows += g.placed_rows(range(1 - g.last, block - g.first + 1), lo, ncols)
-    kill = [] if d is None else [((1 - lo) * r, block * r, d)]
-    kept, heads = projection_heads(rows, m, kill, [(tail_col, ncols - tail_col)], 0,
-                                   (1 - lo) * r)
+    return rows, ncols, (1 - lo) * r, tail_col
+
+
+def _boundary_heads(shift: GroupShift, block: int, d: int | None, past: int,
+                    tail: int) -> tuple[HowellForm, list[int], bool]:
+    """(kept, heads, verdict) of the window question on the block [1, block]
+    with d*v == 0 there (d None: no condition), a past [1-past, 0] and a tail
+    [block+1, block+tail]: one elimination on the boundary window of
+    `_boundary_rows`, made once per shift into its table.  It keeps the past
+    near end [lo, 0] and zeroes the tail one; the verdict, that zeroing the
+    tail keeps the past projection, holds when every head lies in the kept
+    rows.
+
+    A placement wholly in the past or the tail meets the rest of the full
+    window only on the near-end positions, so standing in the submodule it
+    generates there for it changes either past projection of the full window
+    only by the span of the past-only placements.  With s <= 1 no placement
+    straddles a position and nothing is eliminated."""
+    key, table = (block, d, past, tail), shift.boundary_table
+    if key in table:
+        return table[key]
+    if shift.span <= 1:
+        return HowellForm(shift.alphabet.modulus, 0, (), ()), [], True
+    rows, ncols, block_col, tail_col = _boundary_rows(shift, block, past, tail)
+    kill = [] if d is None else [(block_col, block * shift.alphabet.rank, d)]
+    kept, heads = projection_heads(rows, shift.alphabet.modulus, kill,
+                                   [(tail_col, ncols - tail_col)], 0, block_col)
     table[key] = kept, heads, all(map(kept.contains, heads))
     return table[key]
 

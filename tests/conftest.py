@@ -6,7 +6,7 @@ import pytest
 
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import combine_rows, projection_heads, unpack_rows
-from groupshift.shifts import GroupShift
+from groupshift.shifts import GroupShift, member, supported_words
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
 
@@ -93,6 +93,34 @@ def splice_property_holds(shift: GroupShift, n: int, reach: int) -> bool:
                                           range(-reach, 0), kill_scale=1,
                                           kill_positions=range(0, n + 1))
     return all(map(kept.contains, heads))
+
+
+def slack_noncatastrophic(encoder, shift: GroupShift, horizon: int, margin: int):
+    """Reference for `encoders.check_noncatastrophic`, its elimination at a
+    message slack: the same forward tap loop, then for each t <= horizon the
+    span of each nonzero tap placed at -s..t+s, s = memory + horizon + 1, on
+    a window covering all of them, cut to its elements zero outside [0, t],
+    must contain every row of the certified form on [0, t].  Returns
+    (verdict, witness) as the report does."""
+    for tap in encoder.taps:
+        if not member(shift, tap, margin).certified_in:
+            return False, tap
+    m, r = encoder.alphabet.modulus, encoder.alphabet.rank
+    taps = [tap for tap in encoder.taps if not tap.is_zero]
+    first = min((tap.first for tap in taps), default=0)
+    last = max((tap.last for tap in taps), default=0)
+    s = encoder.memory + horizon + 1
+    for t in range(horizon + 1):
+        lo, hi = min(0, first - s), max(t, last + t + s)
+        ncols, a, b = (hi - lo + 1) * r, -lo * r, (t + 1 - lo) * r
+        rows = [row for tap in taps
+                for row in tap.placed_rows(range(-s, t + s + 1), lo, ncols)]
+        kept, _ = projection_heads(rows, m, (), [(0, a), (b, ncols - b)], a, b)
+        form = supported_words(shift, 0, t, margin).form
+        bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
+        if bad is not None:
+            return False, Word.from_window_vector(shift.alphabet, 0, form.rows[bad])
+    return True, None
 
 
 def is_torsion(w: Word, p: int) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from groupshift.residues import PackedRows, howell_form
 from groupshift.encoders import PipelineFailure, multiple_shift, socle_shift
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.shifts import (GroupShift, Horizons, _near_end, primary_shift,
-                               torsion_presentation)
+                               supported_words, torsion_presentation,
+                               torsion_window_projection)
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
@@ -182,6 +184,7 @@ gen @0: (3,0,0) (0,0,1) (3,0,0)
 
 def test_socle_verdict_agrees_with_socle_shift(tmp_path, capsys):
     shift = parse_spec(SOCLE_FAILURE_SPEC).shift
+    assert checked_torsion_presentation(shift, 2, Horizons.derive(shift)) == 4
     socle = weak_controllability_check(shift, "socle", p=2)
     assert not socle.holds
     assert socle.detail == ("torsion window [0,4] not generated by finite "
@@ -216,18 +219,42 @@ def mixed_shifts():
                                                   "Z2 x Z4 x Z3"])
 
 
+def checked_torsion_presentation(shift, p, horizons):
+    """The failing window of `torsion_presentation`, after checking its form
+    against the window module of the presentation built from the candidate
+    words and its failing window against `torsion_window_projection`; when
+    p kills the shift, the G windows it reads off the form on [0, H] are
+    checked against `torsion_window_projection` too."""
+    form, failing = torsion_presentation(shift, p, horizons)
+    top, r, margin = horizons.window_horizon, shift.alphabet.rank, horizons.margin
+    words = supported_words(shift, 0, horizons.support_cap - 1, margin,
+                            torsion_scale=p).words
+    presentation = GroupShift.make(shift.alphabet, [w.shifted(w.first) for w in words])
+    assert form.spans_same(presentation.window(0, top).form), (shift, p)
+    torsion = [torsion_window_projection(shift, 0, t, margin, p) for t in range(top + 1)]
+    if p % shift.exponent == 0:
+        assert all(shift.window(0, top).form.prefix((t + 1) * r).spans_same(torsion[t])
+                   for t in range(top + 1)), (shift, p)
+    assert failing == next((t for t in range(top + 1)
+                            if not form.prefix((t + 1) * r).spans_same(torsion[t])), None)
+    return failing
+
+
 def test_torsion_presentation_is_decided_on_the_primary_component():
     # G[p] lies in the p-primary component, a direct summand of G, so the
     # failing window is the same on either shift
-    failing = []
+    failing, killed = [], 0
     for shift in mixed_shifts():
         horizons = Horizons.derive(shift)
         for p in shift.alphabet.primes():
-            got = torsion_presentation(primary_shift(shift, p), p, horizons)[1]
-            assert got == torsion_presentation(shift, p, horizons)[1], (shift, p)
+            part = primary_shift(shift, p)
+            got = checked_torsion_presentation(part, p, horizons)
+            assert got == checked_torsion_presentation(shift, p, horizons), (shift, p)
             failing.append(got)
+            killed += p % part.exponent == 0
     assert len(failing) >= 2 * (32 + 1 + 24)
     assert any(t is not None for t in failing) and None in failing
+    assert killed >= 10
 
 
 def test_past_horizon_default():
@@ -401,32 +428,44 @@ def test_steering_verdict_carries_to_the_next_candidate(group, rng, support, n, 
 
 
 def test_near_end_states_match_their_definition():
-    # S(W): the span of the placements ending in [0, W-1], cut at 0, that
-    # vanishes off the last s-1 positions, read off one Howell form of the
-    # whole block; the recursion stops at a fixed point, which must not cut
-    # a sequence still shrinking
+    # S(W): the span of the placements ending in [0, W-1], cut at 0 (or, for
+    # whole-placement states, those starting at 0 or later), that vanishes
+    # off the last s-1 positions, read off one Howell form of the whole
+    # block; the recursion stops at a fixed point, which must not cut a
+    # sequence still moving, and width inf reads that fixed point
     rng = random.Random(29)
-    longest = 0
+    longest = rising = 0
     for _ in range(40):
         shift = random_shift(rng, max_gens=3, max_support=rng.randrange(2, 6),
                              pool=["Z4", "Z8", "Z2 x Z4", "Z8 x Z4", "Z12", "Z9"])
         s, r = shift.span, shift.alphabet.rank
         m = max(shift.alphabet.exponent, 2)
-        for mirror in (False, True):
+        for mirror, whole in itertools.product((False, True), (False, True)):
             gens = [Word.make(g.group, 0, g.symbols[::-1] if mirror else g.symbols)
                     for g in shift.generators]
-            for width in range(s - 1, 3 * s + 12):
-                # every placement ending in [0, width-1], cut at 0
+
+            def direct(width):
+                # every placement ending in [0, width-1], cut at 0 or whole
                 rows = [row for g in gens for row in g.placed_rows(
-                    range(1 - g.support_length, width - g.support_length + 1),
-                    0, width * r)]
-                direct = howell_form(PackedRows(tuple(rows), width * r), m, width * r)
-                want = direct.zero_prefix((width - s + 1) * r)
-                got = _near_end(shift, width, mirror)
+                    range(0 if whole else 1 - g.support_length,
+                          width - g.support_length + 1), 0, width * r)]
+                form = howell_form(PackedRows(tuple(rows), width * r), m, width * r)
+                return form.zero_prefix((width - s + 1) * r)
+
+            for width in range(s - 1, 3 * s + 12):
+                got, want = _near_end(shift, width, mirror, whole), direct(width)
                 assert (got.packed, got.pivots) == (want.packed, want.pivots), \
-                    (shift, mirror, width)
-            longest = max(longest, len(shift.boundary_table[mirror][1]) - s)
-    assert longest >= 3
+                    (shift, mirror, whole, width)
+            states = shift.boundary_table[(mirror, True) if whole else mirror][1]
+            if whole:
+                fixed = _near_end(shift, math.inf, mirror, True)
+                want = direct(len(states) + s)
+                assert (fixed.packed, fixed.pivots) == (want.packed, want.pivots), \
+                    (shift, mirror)
+                rising = max(rising, len(states) - s)
+            else:
+                longest = max(longest, len(states) - s)
+    assert longest >= 3 and rising >= 3
 
 
 # -- the searches against a copy of the full-window search -----------------------

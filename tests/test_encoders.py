@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -19,10 +21,11 @@ from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form, row_solver
 from groupshift.shifts import (GroupShift, member, enumerate_window_code,
                               finite_type_memory, supported_words)
+from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
 from conftest import (enumerate_elements, full_shift, impulse, is_torsion, make_shift,
-                     random_message, random_shift, restricted)
+                     random_message, random_shift, restricted, slack_noncatastrophic)
 
 
 # -- derived shifts -----------------------------------------------------------
@@ -427,6 +430,22 @@ def test_difference_encoder_catastrophic(z2):
     assert solve_finite_preimage(enc, rep.witness, 8) is None
 
 
+def test_backward_direction_needs_no_message_slack():
+    # 2 + 6x^2 + 5x^3 is 5x^3 times a unit of Z8[x, 1/x], so every finite
+    # word has a finite preimage; the impulse needs message slack 8, past
+    # memory + horizon + 1 at horizons 1 and 2, where an elimination at that
+    # slack reports it as the witness
+    z8 = FiniteAbelianGroup.parse("Z8")
+    tap = Word.make(z8, -1, [(2,), (0,), (6,), (5,)])
+    enc = Encoder(z8, FiniteAbelianGroup(((2, 3),)), (tap,), (2,), (2,))
+    impulse8 = impulse(z8, (1,))
+    assert solve_finite_preimage(enc, impulse8, 7) is None
+    assert solve_finite_preimage(enc, impulse8, 8) is not None
+    for horizon in (1, 2):
+        assert slack_noncatastrophic(enc, full_shift(z8), horizon, 2) == (False, impulse8)
+        assert check_noncatastrophic(enc, full_shift(z8), horizon, 2).ok
+
+
 def test_preimage_solver_roundtrip(delay_rep):
     enc = build_for(delay_rep)
     rng = random.Random(33)
@@ -559,6 +578,66 @@ def test_forward_direction_matches_sampled_reference(rng, extra, horizon):
     if not forward_ok:
         assert rep.witness == next(tap for tap in taps
                                    if not member(shift, tap, margin).certified_in)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def noncatastrophicity_cases():
+    """(label, encoder, shift, horizon, margin): criterion 7's difference
+    encoder, the presentation encoders of the golden specs that
+    `--check-presentation` audits, and the canonical and presentation
+    encoders of every 4th `certify` pool entry with a recorded report."""
+    z2 = FiniteAbelianGroup.parse("Z2")
+    diff = Encoder(z2, FiniteAbelianGroup(((2, 1),)), (Word.make(z2, 0, [(1,), (1,)]),),
+                   (0,), (2,))
+    for horizon in range(5):
+        yield "difference", diff, full_shift(z2), horizon, 2
+    shifts = [(path.name, parse_spec(path.read_text()).shift)
+              for path in sorted((ROOT / "tests" / "golden").glob("*.spec"))]
+    pool = json.loads((ROOT / "perfbench" / "data" / "certify.json").read_text())["entries"]
+    for e in [e for e in pool if e["ref"]["status"] == "ok"][::4]:
+        group = FiniteAbelianGroup.parse(e["alphabet"])
+        shifts.append((e["key"], GroupShift.make(
+            group, [Word.make(group, start, syms) for start, syms in e["gens"]])))
+    for label, shift in shifts:
+        horizons = Horizons.derive(shift)
+        try:
+            audits = [(presentation_encoder(shift), shift)]
+        except ValueError:  # a generator of composite order is no tap
+            audits = []
+        audits += [(pc.encoder, pc.shift)
+                   for pc in conjugacy_certificate(shift, horizons).primaries if pc.encoder]
+        for enc, target in audits:
+            for horizon in sorted({horizons.window_horizon, 2, 4}):
+                yield label, enc, target, horizon, horizons.margin
+
+
+def test_noncatastrophicity_matches_the_slack_elimination():
+    # boundary windows with whole-placement near-end states against the
+    # elimination over every tap placed at -s..t+s, s = memory + horizon + 1
+    negative = 0
+    for label, enc, shift, horizon, margin in noncatastrophicity_cases():
+        rep = check_noncatastrophic(enc, shift, horizon, margin)
+        assert (rep.ok, rep.witness) == slack_noncatastrophic(enc, shift, horizon, margin), \
+            (label, horizon)
+        negative += not rep.ok
+    assert negative >= 10
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 4]), st.integers(1, 3))
+def test_catastrophic_taps_match_the_slack_elimination(rng, horizon, margin):
+    # taps of the shift, some of them differences w - w.shifted(-1), which
+    # have no finite preimage for words such as w itself
+    shift = random_shift(rng, pool=P_GROUPS)
+    taps = [w - w.shifted(-1) if rng.randrange(2) else w
+            for w in member_taps(shift, rng, rng.randrange(1, 4))]
+    assume(any(not tap.is_zero for tap in taps))
+    enc = tap_encoder(shift.alphabet, taps)
+    rep = check_noncatastrophic(enc, shift, horizon, margin)
+    event(f"backward direction {'holds' if rep.ok else 'fails'}")
+    assert (rep.ok, rep.witness) == slack_noncatastrophic(enc, shift, horizon, margin)
 
 
 # -- base decomposition ------------------------------------------------------------

@@ -104,7 +104,9 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 #: The traced reductions of `certify` on the two ROADMAP cases: a packed path
 #: that bypassed one of the counted entry points would read a different count
 #: here.  The torsion presentation reads its window forms [0, t] off the one
-#: on [0, H] (`HowellForm.prefix`), H fewer reductions than one per window.
+#: on [0, H] (`HowellForm.prefix`), H fewer reductions than one per window,
+#: and builds that form from packed rows, with no presentation shift; no
+#: height is lifted to the exponent.
 #: The membership tests are those of generator picks read off canonical rows,
 #: at most one per head row of a level's form, and the heads of the steering
 #: verdicts on their boundary windows.
@@ -112,7 +114,7 @@ COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [64, 5182, 55, 10, 8], "Z9 x Z3": [52, 3634, 60, 6, 4]}
+want = {"Z8 x Z4": [62, 4594, 55, 9, 7], "Z9 x Z3": [50, 3334, 60, 5, 3]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -282,6 +284,69 @@ def test_finite_type_scan_eliminates_boundary_windows_only(monkeypatch):
             (_, block, _), = conditions
             assert block + sum(n for _, n in zeros) + hi - lo <= \
                 block + 2 * (shift.span - 1) * shift.alphabet.rank, path.name
+
+
+def test_noncatastrophicity_eliminates_boundary_windows_only(monkeypatch):
+    # the backward direction decides the certified words on [0, t] on the
+    # boundary window [2-s, t+s] of the taps, s their span, whose width does
+    # not grow with a message slack: at most (t + 2s - 1) * rank columns
+    calls = []
+    monkeypatch.setattr(encoders, "projection_heads",
+                        lambda *args: calls.append(args) or residues.projection_heads(*args))
+    checked = 0
+    for path in sorted((ROOT / "tests" / "golden").glob("*.spec")):
+        shift = parse_spec(path.read_text()).shift
+        horizons = Horizons.derive(shift)
+        audits = [(pc.encoder, pc.shift) for pc in conjugacy_certificate(shift).primaries
+                  if pc.encoder]
+        try:
+            audits.append((encoders.presentation_encoder(shift), shift))
+        except ValueError:  # a generator of composite order is no tap
+            pass
+        for enc, target in audits:
+            calls.clear()
+            encoders.check_noncatastrophic(enc, target, horizons.window_horizon,
+                                           horizons.margin)
+            r = enc.alphabet.rank
+            for _, _, conditions, zeros, lo, hi in calls:
+                t = (hi - lo) // r - 1  # the kept block is [0, t]
+                assert not conditions and sum(n for _, n in zeros) + hi - lo <= \
+                    (t + 2 * enc.memory - 1) * r, path.name
+            checked += len(calls)
+    assert checked
+
+
+def test_exponent_p_primaries_read_torsion_windows_off_the_window_form(monkeypatch):
+    # when p kills a primary, its p-torsion windows are its window modules,
+    # prefixes of the one on [0, H], so no torsion projection is eliminated;
+    # a p^e primary with e > 1 still makes them
+    made = []
+    projection = shifts.torsion_window_projection
+
+    def recorded(shift, lo, hi, margin, p):
+        made.append((shift.exponent, p))
+        return projection(shift, lo, hi, margin, p)
+    monkeypatch.setattr(shifts, "torsion_window_projection", recorded)
+    for name in ("full-z4", "delay-rep", "z6", "z8-z4", "z9-z3"):
+        shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
+        assert conjugacy_certificate(shift).complete, name
+    assert made and all(p % e for e, p in made), made
+
+
+def test_no_height_is_lifted_to_the_exponent(monkeypatch):
+    # p^e kills every certified word of a shift of exponent p^e, so a lift to
+    # height e always fails and heights-maximal stops below it
+    asked = []
+    lift = encoders.lift_height
+
+    def recorded(shift, x, p, h, *args):
+        asked.append((h, shift.exponent_exponent(p)))
+        return lift(shift, x, p, h, *args)
+    monkeypatch.setattr(encoders, "lift_height", recorded)
+    for name in ("full-z4", "z8-z4", "z9-z3"):
+        shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
+        assert conjugacy_certificate(shift).complete, name
+    assert asked and all(h < e for h, e in asked), asked
 
 
 def test_analyze_builds_each_near_end_state_once(monkeypatch):
