@@ -56,8 +56,8 @@ def scaled_finite_words_check(shift: GroupShift, p: int, r: int,
     scaled = multiple_shift(shift, p, r)
     factor = p ** r
     for t in range(horizons.window_horizon + 1):
-        base = supported_words(shift, 0, t, horizons.margin)
-        target = supported_words(scaled, 0, t, horizons.margin)
+        base = supported_words(shift, 0, t)
+        target = supported_words(scaled, 0, t)
         m, ncols = target.form.modulus, target.form.ncols
         red = _lane_layout(m, ncols)[2]  # a product stays below m^2 in its lane
         rows = tuple(red(factor * x) for x in base.form.packed)
@@ -87,7 +87,7 @@ def socle_shift(shift: GroupShift, p: int,
     failing = torsion_presentation(shift, p, horizons)[1]
     if failing is not None:
         raise PipelineFailure("socle-presentation", _socle_failure(failing, horizons))
-    words = _torsion_candidates(shift, p, horizons).words
+    words = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p).words
     return GroupShift.make(shift.alphabet,
                            list(dict.fromkeys(w.shifted(w.first) for w in words)))
 
@@ -107,14 +107,6 @@ def initial_value_space(shift: GroupShift, p: int, horizons: Horizons) -> int:
     module = shift.window(-margin, reach)
     return module.constrained_projection(0, 0, zero_positions=range(-margin, 0),
                                          kill_scale=p).rank
-
-
-def _torsion_candidates(shift: GroupShift, p: int,
-                        horizons: Horizons) -> SupportedWords:
-    """Certified p-torsion words supported in [0, support_cap - 1], all
-    certified on one common window so initial values stay comparable."""
-    return supported_words(shift, 0, horizons.support_cap - 1, horizons.margin,
-                           torsion_scale=p)
 
 
 @dataclass(frozen=True)
@@ -214,7 +206,7 @@ def _pick_generators(shift: GroupShift, p: int, horizons: Horizons, picked: list
     if len(picked) == rank:
         return chosen
     r = shift.alphabet.rank
-    cands = _torsion_candidates(shift, p, horizons)
+    cands = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p)
     levels = _levels(horizons.support_cap, quotient)
     for _, batch in _candidate_batches(cands, p, picked, levels):
         vec = min(batch)
@@ -229,15 +221,14 @@ def _pick_generators(shift: GroupShift, p: int, horizons: Horizons, picked: list
         f"with support <= {horizons.support_cap}; raise --support-cap")
 
 
-def lift_height(shift: GroupShift, x: Word, p: int, h: int,
-                pad: int, margin: int) -> Word | None:
+def lift_height(shift: GroupShift, x: Word, p: int, h: int, pad: int) -> Word | None:
     """A certified finite word y with p^h * y == x, canonical and with
     support inside supp(x) padded by `pad`; None when no such word exists
-    at this scale."""
+    there (exact: `supported_words` takes no margin)."""
     if h == 0 or x.is_zero:
         return x
     lo, hi = x.first - pad, x.last + pad
-    form = supported_words(shift, lo, hi, margin).form
+    form = supported_words(shift, lo, hi).form
     if not form.packed:
         return None
     m, ncols = form.modulus, form.ncols
@@ -250,10 +241,9 @@ def lift_height(shift: GroupShift, x: Word, p: int, h: int,
     return Word.from_window_vector(shift.alphabet, lo, unpack_rows([y], m, ncols)[0])
 
 
-def word_height(shift: GroupShift, x: Word, p: int, order_index: int,
-                margin: int, max_h: int) -> int:
-    """Largest h <= max_h with a certified finite y solving p^h y = x,
-    preimage supports padded by h*(order index + 1) per division step.  A
+def word_height(shift: GroupShift, x: Word, p: int, order_index: int, max_h: int) -> int:
+    """Largest h <= max_h with a certified finite y solving p^h y = x, by
+    exact lifts with supports padded by h*(order index + 1) per step.  A
     nonzero x has height below e for exp(G) = p^e, as p^e kills every
     certified y, so max_h = e - 1 decides it with no lift past the
     exponent."""
@@ -262,7 +252,7 @@ def word_height(shift: GroupShift, x: Word, p: int, order_index: int,
     h = 0
     while h < max_h:
         pad = (h + 1) * (order_index + 1)
-        if lift_height(shift, x, p, h + 1, pad, margin) is None:
+        if lift_height(shift, x, p, h + 1, pad) is None:
             break
         h += 1
     return h
@@ -311,7 +301,7 @@ def canonical_generators(shift: GroupShift, p: int,
         z = None
         for attempt in range(2):
             pad = (n_o + 1) * (attempt + 1) + attempt * horizons.margin
-            z = lift_height(shift, entry.tap, p, 1, pad, horizons.margin)
+            z = lift_height(shift, entry.tap, p, 1, pad)
             if z is not None:
                 break
         if z is None:
@@ -567,7 +557,7 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
         rows, ncols, a, b = _boundary_rows(taps, t + 1, math.inf, math.inf, whole=True)
         kept, _ = projection_heads(rows, encoder.alphabet.modulus, (),
                                    [(0, a), (b, ncols - b)], a, b)
-        form = supported_words(shift, 0, t, margin).form
+        form = supported_words(shift, 0, t).form
         bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
         if bad is not None:
             return NoncatastrophicityReport(
@@ -604,8 +594,7 @@ def base_decompose(shift: GroupShift, u: Word, pg_set: CanonicalGeneratorSet,
     taps = pg_set.taps
     lifts = []
     for tap in taps:
-        z = lift_height(shift, tap, p, 1, (pg_set.order_index + 1) * 2 +
-                        horizons.margin, horizons.margin)
+        z = lift_height(shift, tap, p, 1, (pg_set.order_index + 1) * 2 + horizons.margin)
         if z is None:
             raise PipelineFailure("tap-division",
                                   f"no p-division of {tap.format()} in the ambient shift")
@@ -709,7 +698,7 @@ def _structure_checks(genset: CanonicalGeneratorSet,
     emax = shift.exponent_exponent(p)
     # p^emax kills every certified word, so no height reaches emax
     maximal = all(word_height(shift, e.torsion_word, p, genset.order_index,
-                              horizons.margin, emax - 1) == e.height
+                              emax - 1) == e.height
                   for e in genset.entries)
     return [CheckResult("exact-powers", True), CheckResult("heights-sorted", True),
             CheckResult("initial-basis-independent", True),

@@ -7,7 +7,8 @@ shifted generator whose support meets the window, including the partial
 overlaps at the window edges; this makes weak controllability hold by
 construction, and membership of finite words is certified window by window.
 A steering condition (`control`), the splice property of
-`finite_type_memory` or the backward noncatastrophicity of an encoder's
+`finite_type_memory`, the certified words of a given support
+(`supported_words`) or the backward noncatastrophicity of an encoder's
 taps is one elimination on a boundary window around its block, with
 near-end states for the placements wholly on either side, kept with the
 verdicts in one table per shift (`GroupShift.boundary_table`).
@@ -210,7 +211,7 @@ def member(shift: GroupShift, w: Word, margin: int | None = None) -> MembershipC
 
 @dataclass(frozen=True)
 class SupportedWords:
-    """Module of window-certified words supported inside [lo, hi]."""
+    """Module of the certified words supported inside [lo, hi]."""
 
     shift: GroupShift
     lo: int
@@ -224,14 +225,18 @@ class SupportedWords:
 
 
 @lru_cache(maxsize=64)
-def supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
+def supported_words(shift: GroupShift, lo: int, hi: int,
                     torsion_scale: int | None = None) -> SupportedWords:
-    """Certified-at-margin words of the shift supported inside [lo, hi]."""
-    module = shift.window(lo - margin, hi + margin)
-    pads = list(range(lo - margin, lo)) + list(range(hi + 1, hi + margin + 1))
-    form = module.constrained_projection(lo, hi, zero_positions=pads,
-                                         kill_scale=torsion_scale)
-    return SupportedWords(shift, lo, hi, form)
+    """The certified words supported inside [lo, hi] (torsion_scale * w == 0
+    when given), exactly and with no margin: moved to the block [1, hi-lo+1],
+    the elements of its boundary window (`_boundary_rows`, cut states at their
+    fixed points) vanishing on both near ends, so torsion binds the block."""
+    rows, ncols, a, b = _boundary_rows(shift, hi - lo + 1, math.inf, math.inf)
+    kill = [] if torsion_scale is None else [(a, b - a, torsion_scale)]
+    kept, _ = projection_heads(rows, shift.alphabet.modulus, kill,
+                               [(0, a), (b, ncols - b)], a, b)
+    return SupportedWords(shift, lo, hi, howell_form(PackedRows(kept.packed, kept.ncols),
+                                                     shift.alphabet.modulus))
 
 
 # maxsize=0 caches nothing, as no key repeats on the bench pools, and keeps
@@ -248,7 +253,7 @@ def torsion_window_projection(shift: GroupShift, lo: int, hi: int, margin: int,
 class Horizons:
     """All window sizes and caps used by the pipeline, kept for reports."""
 
-    margin: int          # membership certification margin
+    margin: int          # pad of member, torsion windows, initial values, lifts
     support_cap: int     # max support length searched for generator words
     block_cap: int       # injectivity block search bound
     window_horizon: int  # windows [0, T] checked up to this T
@@ -285,8 +290,7 @@ def torsion_presentation(shift: GroupShift, p: int,
     p-torsion projection of [0, t] is G's window module there, a prefix of
     the one on [0, H]."""
     r, m, top = shift.alphabet.rank, shift.alphabet.modulus, horizons.window_horizon
-    cands = supported_words(shift, 0, horizons.support_cap - 1, horizons.margin,
-                            torsion_scale=p).form
+    cands = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p).form
     ncols = (top + 1) * r
     pos = r * _lane_layout(m, ncols)[0]  # bits per position
     starts = dict.fromkeys(x >> ((x & -x).bit_length() - 1) // pos * pos for x in cands.packed)

@@ -6,7 +6,7 @@ import pytest
 
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import combine_rows, projection_heads, unpack_rows
-from groupshift.shifts import GroupShift, member, supported_words
+from groupshift.shifts import GroupShift, SupportedWords, member, supported_words
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
 
@@ -95,6 +95,20 @@ def splice_property_holds(shift: GroupShift, n: int, reach: int) -> bool:
     return all(map(kept.contains, heads))
 
 
+def padded_supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
+                           torsion_scale: int | None = None) -> SupportedWords:
+    """Reference for `shifts.supported_words`: the words certified at a
+    margin, the projection to [lo, hi] of the elements of the window [lo -
+    margin, hi + margin] that vanish on both pads (with torsion_scale * v ==
+    0 on the whole window when given).  It equals the exact form once the
+    margin exceeds the shift's memory, and can be larger below that."""
+    module = shift.window(lo - margin, hi + margin)
+    pads = list(range(lo - margin, lo)) + list(range(hi + 1, hi + margin + 1))
+    form = module.constrained_projection(lo, hi, zero_positions=pads,
+                                         kill_scale=torsion_scale)
+    return SupportedWords(shift, lo, hi, form)
+
+
 def slack_noncatastrophic(encoder, shift: GroupShift, horizon: int, margin: int):
     """Reference for `encoders.check_noncatastrophic`, its elimination at a
     message slack: the same forward tap loop, then for each t <= horizon the
@@ -116,7 +130,7 @@ def slack_noncatastrophic(encoder, shift: GroupShift, horizon: int, margin: int)
         rows = [row for tap in taps
                 for row in tap.placed_rows(range(-s, t + s + 1), lo, ncols)]
         kept, _ = projection_heads(rows, m, (), [(0, a), (b, ncols - b)], a, b)
-        form = supported_words(shift, 0, t, margin).form
+        form = supported_words(shift, 0, t).form
         bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
         if bad is not None:
             return False, Word.from_window_vector(shift.alphabet, 0, form.rows[bad])

@@ -216,8 +216,7 @@ def test_criterion_5_torsion_tap_decomposition(certified_collection):
                 if i not in lifts:
                     lifts[i] = lift_height(
                         part, pg_set.taps[i], p, 1,
-                        (pg_set.order_index + 1) * 2 + pg_set.horizons.margin,
-                        pg_set.horizons.margin)
+                        (pg_set.order_index + 1) * 2 + pg_set.horizons.margin)
                 rebuilt = rebuilt + lifts[i].shifted(-t).scaled(c)
             assert rebuilt == dec.tap_part
             done += 1

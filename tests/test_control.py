@@ -174,7 +174,7 @@ def test_weak_controllability_variants(z4, delay_rep):
         weak_controllability_check(g, "nonsense")
 
 
-#: G[2] is not generated by its finite torsion members on [0,4] at the
+#: G[2] is not generated by its finite torsion members on [0,3] at the
 #: default horizons; `analyze` and `certify` must both say so.
 SOCLE_FAILURE_SPEC = """group: Z4 x Z2 x Z2
 gen @0: (3,0,1) (1,0,1) (0,1,0)
@@ -184,18 +184,18 @@ gen @0: (3,0,0) (0,0,1) (3,0,0)
 
 def test_socle_verdict_agrees_with_socle_shift(tmp_path, capsys):
     shift = parse_spec(SOCLE_FAILURE_SPEC).shift
-    assert checked_torsion_presentation(shift, 2, Horizons.derive(shift)) == 4
+    assert checked_torsion_presentation(shift, 2, Horizons.derive(shift)) == 3
     socle = weak_controllability_check(shift, "socle", p=2)
     assert not socle.holds
-    assert socle.detail == ("torsion window [0,4] not generated by finite "
+    assert socle.detail == ("torsion window [0,3] not generated by finite "
                             "torsion members")
-    with pytest.raises(PipelineFailure, match=r"window \[0,4\] not generated"):
+    with pytest.raises(PipelineFailure, match=r"window \[0,3\] not generated"):
         socle_shift(shift, 2)
     path = tmp_path / "socle.spec"
     path.write_text(SOCLE_FAILURE_SPEC)
     assert main(["analyze", str(path)]) == 1
     out = capsys.readouterr().out
-    assert "socle.2.weakly_controllable: no\nsocle.2.detail: torsion window [0,4]" in out
+    assert "socle.2.weakly_controllable: no\nsocle.2.detail: torsion window [0,3]" in out
 
 
 
@@ -227,8 +227,7 @@ def checked_torsion_presentation(shift, p, horizons):
     checked against `torsion_window_projection` too."""
     form, failing = torsion_presentation(shift, p, horizons)
     top, r, margin = horizons.window_horizon, shift.alphabet.rank, horizons.margin
-    words = supported_words(shift, 0, horizons.support_cap - 1, margin,
-                            torsion_scale=p).words
+    words = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p).words
     presentation = GroupShift.make(shift.alphabet, [w.shifted(w.first) for w in words])
     assert form.spans_same(presentation.window(0, top).form), (shift, p)
     torsion = [torsion_window_projection(shift, 0, t, margin, p) for t in range(top + 1)]

@@ -85,13 +85,13 @@ def test_socle_of_two_symbol_code():
 def test_lift_height_trivial_and_basic(z4):
     g = full_shift(z4)
     x = impulse(z4, (2,))
-    assert lift_height(g, x, 2, 0, 2, 2) == x
-    y = lift_height(g, x, 2, 1, 2, 2)
+    assert lift_height(g, x, 2, 0, 2) == x
+    y = lift_height(g, x, 2, 1, 2)
     assert y == impulse(z4, (1,))
     # inside the (1,1)-generated code, (2,2) divides back to (1,1)
     t = make_shift("Z4", [(0, [1, 1])])
     x2 = Word.make(t.alphabet, 0, [(2,), (2,)])
-    y2 = lift_height(t, x2, 2, 1, 2, 2)
+    y2 = lift_height(t, x2, 2, 1, 2)
     assert y2 is not None and y2.scaled(2) == x2
     assert member(t, y2, 2).certified_in
 
@@ -99,10 +99,10 @@ def test_lift_height_trivial_and_basic(z4):
 def test_word_height(z4):
     g8 = full_shift(FiniteAbelianGroup.parse("Z8"))
     x = impulse(g8.alphabet, (4,))
-    assert word_height(g8, x, 2, 0, 2, 3) == 2
-    assert word_height(g8, impulse(g8.alphabet, (2,)), 2, 0, 2, 3) == 1
+    assert word_height(g8, x, 2, 0, 3) == 2
+    assert word_height(g8, impulse(g8.alphabet, (2,)), 2, 0, 3) == 1
     with pytest.raises(ValueError):
-        word_height(g8, Word.zero(g8.alphabet), 2, 0, 2, 3)
+        word_height(g8, Word.zero(g8.alphabet), 2, 0, 3)
 
 
 # -- canonical generating sets ---------------------------------------------------
@@ -149,7 +149,6 @@ def test_difference_presentation_yields_impulse():
 def test_initial_basis_spans_every_one_sided_torsion_word():
     # any further certified torsion word starting at 0 has its initial
     # symbol inside the span of the selected basis symbols
-    from groupshift.encoders import _torsion_candidates
     for shift in [full_shift(FiniteAbelianGroup.parse("Z2 x Z4")),
                   make_shift("Z2 x Z2", [(0, [(1, 0), (0, 1)])]),
                   make_shift("Z4", [(0, [1, 2])])]:
@@ -159,7 +158,7 @@ def test_initial_basis_spans_every_one_sided_torsion_word():
         # scaled p-torsion symbols: the Howell form is their F_p span
         span = howell_form(basis, h.exponent, h.rank)
         assert span.rank == len(basis)
-        cands = _torsion_candidates(shift, 2, gs.horizons)
+        cands = supported_words(shift, 0, gs.horizons.support_cap - 1, torsion_scale=2)
         for vec in enumerate_elements(cands.form):
             w = Word.from_window_vector(h, cands.lo, vec)
             if w.is_zero or w.first != 0:
@@ -456,13 +455,13 @@ def test_preimage_solver_roundtrip(delay_rep):
         assert got is not None and encode(enc, got) == image
 
 
-def per_word_backward(encoder, shift, horizon, margin):
+def per_word_backward(encoder, shift, horizon):
     """Reference for the backward direction: each certified word on [0, t],
     t <= horizon, solved for alone with message slack memory + horizon + 1;
     the first word with no finite preimage, else None."""
     slack = encoder.memory + horizon + 1
     for t in range(horizon + 1):
-        for w in supported_words(shift, 0, t, margin).words:
+        for w in supported_words(shift, 0, t).words:
             if solve_finite_preimage(encoder, w, slack) is None:
                 return w
     return None
@@ -539,7 +538,7 @@ def test_backward_direction_matches_per_word_reference(kind, rng, horizon, margi
             enc = tap_encoder(shift.alphabet, member_taps(shift, rng, rng.randrange(1, 4)))
     assert all(member(shift, tap, margin).certified_in for tap in enc.taps)
     rep = check_noncatastrophic(enc, shift, horizon=horizon, margin=margin)
-    expected = per_word_backward(enc, shift, horizon, margin)
+    expected = per_word_backward(enc, shift, horizon)
     event(f"{kind} encoder, backward direction {'fails' if expected else 'holds'}")
     assert rep.ok == (expected is None)
     assert rep.witness == expected
@@ -681,7 +680,6 @@ def test_base_decompose_random():
                 if i not in lifted:
                     lifted[i] = lift_height(shift, pg_set.taps[i], 2, 1,
                                             (pg_set.order_index + 1) * 2 +
-                                            pg_set.horizons.margin,
                                             pg_set.horizons.margin)
                 rebuilt = rebuilt + lifted[i].shifted(-t).scaled(c)
             assert rebuilt == dec.tap_part

@@ -23,10 +23,10 @@ from conftest import brute_force_span, enumerate_elements, full_shift, random_sh
 from groupshift import encoders
 from groupshift.encoders import (GeneratorEntry, PipelineFailure,
                                  _candidate_batches, _least_outside, _levels,
-                                 _torsion_candidates, canonical_generators)
+                                 canonical_generators)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form
-from groupshift.shifts import GroupShift, SupportedWords
+from groupshift.shifts import GroupShift, SupportedWords, supported_words
 from groupshift.words import Word
 
 #: Candidates the reference may list before a draw is skipped.
@@ -104,7 +104,7 @@ def eager_picks(picked, rank, cands, vecs) -> list:
 def eager_pick_generators(shift, p, horizons, picked, rank, quotient):
     if len(picked) == rank:
         return []
-    cands = _torsion_candidates(shift, p, horizons)
+    cands = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p)
     vecs = eager_order(cands, p, horizons.support_cap, quotient)
     chosen = [Word.from_window_vector(shift.alphabet, cands.lo, vec)
               for vec in eager_picks(picked, rank, cands, vecs)]

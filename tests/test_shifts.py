@@ -14,8 +14,9 @@ from groupshift.shifts import (GroupShift, _boundary_heads, _states_fixed,
                                splice, supported_words)
 from groupshift.words import Word
 
-from conftest import (enumerate_elements, full_shift, impulse, make_shift, random_shift,
-                      restricted, splice_property_holds, tuple_combine_rows)
+from conftest import (enumerate_elements, full_shift, impulse, make_shift,
+                      padded_supported_words, random_shift, restricted,
+                      splice_property_holds, tuple_combine_rows)
 
 
 def window_code_as_set(shift, lo, hi):
@@ -150,16 +151,17 @@ def test_membership_needs_a_margin_past_the_memory():
     # the splice block of memory N is [0, N], N + 1 positions, so exact
     # membership needs a margin of at least N + 1: this certify-pool shift
     # has memory 3, and at margin 3 it certifies a word that no wider margin
-    # does, while the words supported at 0 are the same from margin 4 on
+    # does; the words certified at a margin and supported at 0 differ from
+    # the exact ones at margin 3 and equal them from margin 4 on
     shift = make_shift("Z4 x Z2 x Z2", [(0, [(3, 0, 1), (1, 0, 1), (0, 1, 0)]),
                                         (0, [(3, 0, 0), (0, 0, 1), (3, 0, 0)])])
     assert finite_type_memory(shift, 8).memory == 3
     word = impulse(shift.alphabet, (1, 1, 0))
-    exact = supported_words(shift, 0, 0, 4).form
+    exact = supported_words(shift, 0, 0).form
     assert member(shift, word, 3).certified_in
-    assert not supported_words(shift, 0, 0, 3).form.spans_same(exact)
+    assert not padded_supported_words(shift, 0, 0, 3).form.spans_same(exact)
     for margin in (4, 6, 12, 30):
-        assert supported_words(shift, 0, 0, margin).form.spans_same(exact), margin
+        assert padded_supported_words(shift, 0, 0, margin).form.spans_same(exact), margin
         assert not member(shift, word, margin).certified_in, margin
 
 
@@ -217,16 +219,16 @@ def test_splice_disagreement_rejected(delay_rep):
 
 
 def test_supported_words_delay_rep(delay_rep):
-    sw = supported_words(delay_rep, 0, 1, 3)
+    sw = supported_words(delay_rep, 0, 1)
     assert [w.format() for w in sw.words] == ["@0: (1,0) (0,1)"]
-    assert not supported_words(delay_rep, 0, 0, 3).words
+    assert not supported_words(delay_rep, 0, 0).words
 
 
 def test_supported_words_are_members():
     rng = random.Random(12)
     for _ in range(10):
         g = random_shift(rng)
-        sw = supported_words(g, 0, 3, 2)
+        sw = supported_words(g, 0, 3)
         for w in sw.words:
             assert member(g, w, 2).certified_in
             assert w.is_zero or (w.first >= 0 and w.last <= 3)
@@ -234,7 +236,7 @@ def test_supported_words_are_members():
 
 def test_supported_words_torsion():
     g = make_shift("Z4", [(0, [1, 2])])
-    sw = supported_words(g, 0, 2, 3, torsion_scale=2)
+    sw = supported_words(g, 0, 2, torsion_scale=2)
     assert sw.words
     for w in sw.words:
         assert w.scaled(2).is_zero
@@ -285,6 +287,23 @@ def test_constrained_projection_matches_three_step_reference(group, rng):
         [None, [pos for pos in window if rng.random() < 0.5]])
     args = (keep_lo, keep_hi, zero_positions, kill_scale, kill_positions)
     assert module.constrained_projection(*args) == three_step_projection(module, *args)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(P_GROUPS + MIXED_GROUPS), st.randoms(use_true_random=False))
+def test_supported_words_match_the_padded_reference(group, rng):
+    # the padded form is exact at a margin past the memory: at the verified
+    # memory + 1, and at max(3s + 6, 12), past every memory these draws reach
+    g = random_shift(rng, max_gens=2, max_support=3, pool=[group])
+    lo = rng.randrange(-2, 2)
+    hi = lo + rng.randrange(0, 5)
+    memory = finite_type_memory(g, 6).memory
+    margins = [max(3 * g.span + 6, 12)] + ([memory + 1] if memory is not None else [])
+    for scale in [None, *g.alphabet.primes()]:
+        exact = supported_words(g, lo, hi, torsion_scale=scale).form
+        for margin in margins:
+            assert exact == padded_supported_words(g, lo, hi, margin, scale).form, \
+                (scale, margin)
 
 
 def two_form_splice_property(shift, n, reach):

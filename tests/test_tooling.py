@@ -316,6 +316,19 @@ def test_noncatastrophicity_eliminates_boundary_windows_only(monkeypatch):
     assert checked
 
 
+def test_supported_words_build_no_window_module():
+    # certified words are one elimination on the boundary window of the
+    # near-end states, not a projection of a margin-padded window module
+    rng = random.Random(31)
+    shifts.supported_words.cache_clear()
+    for _ in range(10):
+        shift = random_shift(rng)
+        before = shifts._window_module.cache_info().misses
+        for scale in (None, shift.alphabet.primes()[0]):
+            shifts.supported_words(shift, -1, 2, torsion_scale=scale)
+            assert shifts._window_module.cache_info().misses == before, (shift, scale)
+
+
 def test_exponent_p_primaries_read_torsion_windows_off_the_window_form(monkeypatch):
     # when p kills a primary, its p-torsion windows are its window modules,
     # prefixes of the one on [0, H], so no torsion projection is eliminated;
@@ -465,9 +478,9 @@ def test_solves_over_placed_taps_stay_packed(monkeypatch):
     x2 = Word.make(z4, 0, [(2,), (2,)])
 
     monkeypatch.setattr(HowellForm, "rows", property(refuse))
-    assert lift_height(full_shift(z4), impulse(z4, (2,)), 2, 1, 2, 2) == \
+    assert lift_height(full_shift(z4), impulse(z4, (2,)), 2, 1, 2) == \
         impulse(z4, (1,))
-    y2 = lift_height(echo, x2, 2, 1, 2, 2)
+    y2 = lift_height(echo, x2, 2, 1, 2)
     assert y2 is not None and y2.scaled(2) == x2
     monkeypatch.undo()
 
@@ -524,7 +537,7 @@ def test_shift_caches_stay_within_their_bounds():
         if shift not in seen:
             seen.add(shift)
             shift.window(0, 3)
-            shifts.supported_words(shift, 0, 2, 2)
+            shifts.supported_words(shift, 0, 2)
     for cache in (shifts._window_module, shifts.supported_words,
                   residues._lane_layout, residues._pivot_arithmetic):
         info = cache.cache_info()
