@@ -84,7 +84,7 @@ def socle_shift(shift: GroupShift, p: int,
         raise ValueError(f"{p} does not divide exp(H)")
     if horizons is None:
         horizons = Horizons.derive(shift)
-    failing = torsion_presentation(shift, p, horizons)[1]
+    failing = torsion_presentation(shift, p, horizons)[2]
     if failing is not None:
         raise PipelineFailure("socle-presentation", _socle_failure(failing, horizons))
     words = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p).words
@@ -95,18 +95,15 @@ def socle_shift(shift: GroupShift, p: int,
 # -- one-sided initial values and generator selection ------------------------
 
 
-def initial_value_space(shift: GroupShift, p: int, horizons: Horizons) -> int:
-    """F_p rank of the initial symbols of one-sided torsion members.
-
-    Computed on the window [-margin, support_cap - 1 + margin] as the
-    projection to position 0 of the left-vanishing p-torsion submodule,
-    whose Howell form is an F_p basis.
-    """
-    margin = horizons.margin
-    reach = horizons.support_cap - 1 + margin
-    module = shift.window(-margin, reach)
-    return module.constrained_projection(0, 0, zero_positions=range(-margin, 0),
-                                         kill_scale=p).rank
+def initial_value_space(shift: GroupShift, p: int) -> int:
+    """F_p rank of the initial symbols of one-sided torsion members, exactly:
+    the block of the boundary window of [1, 1] (`shifts._boundary_rows`)
+    with the cut state S on the past near end, zeroed, and the torsion state
+    T_p on the tail, p*v == 0 on the block and the tail.  The kept rows have
+    the Howell property, so they count an F_p basis."""
+    rows, ncols, a, b = _boundary_rows(shift, 1, math.inf, math.inf, (1, p))
+    return projection_heads(rows, shift.alphabet.modulus, [(a, ncols - a, p)],
+                            [(0, a)], a, b)[0].rank
 
 
 @dataclass(frozen=True)
@@ -286,7 +283,7 @@ def canonical_generators(shift: GroupShift, p: int,
     if e == 0:
         return CanonicalGeneratorSet(shift, p, (), 0, n_o, horizons)
     if e == 1:
-        rank = initial_value_space(shift, p, horizons)
+        rank = initial_value_space(shift, p)
         entries = _pick_generators(shift, p, horizons, [], rank, quotient=False)
         return CanonicalGeneratorSet(shift, p, tuple(entries), len(entries),
                                      n_o, horizons)
@@ -310,7 +307,7 @@ def canonical_generators(shift: GroupShift, p: int,
                 f"no certified finite y with p*y = {entry.tap.format()}")
         lifted.append(GeneratorEntry(entry.torsion_word, entry.height + 1, z))
 
-    rank = initial_value_space(shift, p, horizons)
+    rank = initial_value_space(shift, p)
     picked = [e.torsion_word.window_vector(0, 0) for e in lifted]
     completion = _pick_generators(shift, p, horizons, picked, rank, quotient=True)
     entries = sorted(lifted + completion, key=lambda e: -e.height)
@@ -536,27 +533,29 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
     under sums.
 
     Backward: every certified word w supported in [f, l] with l - f <= the
-    horizon has a finite preimage.  Translated by 1 - f, w lies in the
-    certified words on the block [1, t+1], t = l - f, and one elimination per
-    t decides every such w on the boundary window [2-s, t+s] of the shift T
-    generated by the taps, s = span(T) (`shifts._boundary_rows`): the taps
-    placed to meet the block, T's whole-placement zero state on the past
-    near end [2-s, 0] and the mirrored one on the tail near end [t+2, t+s],
-    each at its fixed point (`shifts._near_end`).  A placement off the block
-    meets the window only on a near end, and the states hold what every
-    finite message wholly on that side can leave there, so the block
-    projection of the elements vanishing on both near ends is the set of
-    finite images supported in the block, whatever the message support.
-    Every row of the certified form on [0, t] must lie in it.
+    horizon H has a finite preimage.  Translated by 1 - f, w lies in the
+    certified words on [1, t+1], t = l - f, and one elimination decides
+    every such w on the boundary window [2-s, H+s] of the block [1, H+1] of
+    the shift T generated by the taps, s = span(T) (`shifts._boundary_rows`):
+    the taps placed to meet the block, T's whole-placement zero state on the
+    past near end [2-s, 0] and the mirrored one on the tail near end
+    [H+2, H+s], each at its fixed point (`shifts._near_end`).  A placement
+    off the block meets the window only on a near end, and the states hold
+    what every finite message wholly on that side can leave there, so the
+    block projection of the elements vanishing on both near ends is the set
+    I_H of finite images supported in the block, whatever the message
+    support; its elements supported in [1, t+1] are I_t.  Every row of the
+    certified form on [0, t] must lie in it.
     """
     for tap in encoder.taps:
         if not member(shift, tap, margin).certified_in:
             return NoncatastrophicityReport(False, horizon, tap)
     taps = GroupShift.make(encoder.alphabet, encoder.taps)
+    rows, ncols, a, b = _boundary_rows(taps, horizon + 1, math.inf, math.inf,
+                                       ("whole", "whole"))
+    kept, _ = projection_heads(rows, encoder.alphabet.modulus, (),
+                               [(0, a), (b, ncols - b)], a, b)
     for t in range(horizon + 1):
-        rows, ncols, a, b = _boundary_rows(taps, t + 1, math.inf, math.inf, whole=True)
-        kept, _ = projection_heads(rows, encoder.alphabet.modulus, (),
-                                   [(0, a), (b, ncols - b)], a, b)
         form = supported_words(shift, 0, t).form
         bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
         if bad is not None:
@@ -733,7 +732,7 @@ def primary_certificate(shift: GroupShift, p: int,
                                   (CheckResult(exc.stage, False, exc.detail),),
                                   exc.stage)
     encoder = build_encoder(genset)
-    failing = torsion_presentation(shift, p, horizons)[1]
+    failing = torsion_presentation(shift, p, horizons)[2]
     checks = [CheckResult("socle-weakly-controllable", failing is None,
                           "" if failing is None else _socle_failure(failing, horizons))]
     checks.extend(_structure_checks(genset, horizons))

@@ -8,10 +8,11 @@ overlaps at the window edges; this makes weak controllability hold by
 construction, and membership of finite words is certified window by window.
 A steering condition (`control`), the splice property of
 `finite_type_memory`, the certified words of a given support
-(`supported_words`) or the backward noncatastrophicity of an encoder's
-taps is one elimination on a boundary window around its block, with
-near-end states for the placements wholly on either side, kept with the
-verdicts in one table per shift (`GroupShift.boundary_table`).
+(`supported_words`), the p-torsion windows (`torsion_presentation`) or the
+backward noncatastrophicity of an encoder's taps is one elimination on a
+boundary window around its block, with near-end states of one kind per side
+for the placements wholly on either side, kept with the verdicts in one
+table per shift (`GroupShift.boundary_table`).
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class GroupShift:
 
     @cached_property
     def boundary_table(self) -> dict:
-        """The near-end states of `_near_end` per side (True: mirrored; the
-        whole-placement ones under (side, True)), the reversed mirrored ones
+        """The near-end state sequences of `_near_end` under "states", per
+        (side, kind) (side True: mirrored), the reversed mirrored states
         under "tails" and the verdicts of `_boundary_heads` per argument
         tuple, shared by every search."""
         return {}
@@ -99,9 +100,6 @@ class GroupShift:
 
     def window(self, lo: int, hi: int) -> "WindowModule":
         return _window_module(self, lo, hi)
-
-    def default_margin(self) -> int:
-        return self.memory_hint if self.memory_hint is not None else max(self.span, 1)
 
 
 def primary_shift(shift: GroupShift, p: int) -> GroupShift:
@@ -156,7 +154,7 @@ class WindowModule:
         """Canonical form of the projection to [keep_lo, keep_hi] of the
         submodule {v : v == 0 on zero_positions, kill_scale*v == 0 on
         kill_positions}; the torsion condition covers the whole window when
-        kill_positions is None."""
+        kill_positions is None; only the tests call it."""
         lo, r = self.lo, self.shift.alphabet.rank
         if kill_positions is None:
             kill_positions = range(lo, self.hi + 1)
@@ -193,10 +191,10 @@ def member(shift: GroupShift, w: Word, margin: int | None = None) -> MembershipC
 
     certified-in means the padded restriction lies in the window module; for
     shifts of finite type with memory < margin the verdict is exact, as the
-    splice block of memory N holds N + 1 positions.
+    splice block of memory N holds N + 1 positions; default `Horizons.margin`.
     """
     if margin is None:
-        margin = shift.default_margin()
+        margin = Horizons.derive(shift).margin
     if margin < 0:
         raise ValueError("margin must be >= 0")
     if w.is_zero:
@@ -239,8 +237,8 @@ def supported_words(shift: GroupShift, lo: int, hi: int,
                                                      shift.alphabet.modulus))
 
 
-# maxsize=0 caches nothing, as no key repeats on the bench pools, and keeps
-# the `cache_clear` that perfbench/record.py calls on each shifts cache
+# the tests' reference of `torsion_presentation`'s exact windows; maxsize=0
+# caches nothing and keeps the `cache_clear` that perfbench/record.py calls
 @lru_cache(maxsize=0)
 def torsion_window_projection(shift: GroupShift, lo: int, hi: int, margin: int,
                               p: int) -> HowellForm:
@@ -253,7 +251,7 @@ def torsion_window_projection(shift: GroupShift, lo: int, hi: int, margin: int,
 class Horizons:
     """All window sizes and caps used by the pipeline, kept for reports."""
 
-    margin: int          # pad of member, torsion windows, initial values, lifts
+    margin: int          # pad of member and of the lifts
     support_cap: int     # max support length searched for generator words
     block_cap: int       # injectivity block search bound
     window_horizon: int  # windows [0, T] checked up to this T
@@ -273,22 +271,21 @@ class Horizons:
         return cls(**values)
 
 
-def torsion_presentation(shift: GroupShift, p: int,
-                         horizons: Horizons) -> tuple[HowellForm, int | None]:
-    """The window form on [0, window_horizon] of the p-torsion subshift G[p]
-    presented by the distinct translates to 0 of the certified p-torsion
-    words supported in [0, support_cap - 1] (`encoders.socle_shift` builds
-    that presentation), and the least t <= window_horizon for which it does
-    not generate the p-torsion projection of G's window [0, t] (None when
-    every window passes, which is G[p]'s weak controllability at these
-    horizons).
+def torsion_presentation(shift: GroupShift, p: int, horizons: Horizons
+                         ) -> tuple[HowellForm, HowellForm, int | None]:
+    """(F, T, t): the window form F on [0, window_horizon] = [0, H] of the
+    p-torsion subshift G[p] presented by the distinct translates to 0 of the
+    certified p-torsion words supported in [0, support_cap - 1]
+    (`encoders.socle_shift` builds that presentation), the p-torsion form T
+    of G on [0, H], and the least t <= H at which F does not generate T's
+    window (None when every window passes, which is G[p]'s weak
+    controllability at these horizons).
 
-    The form is built from the candidates' packed rows: each is moved down
-    to its first nonzero position, and each distinct one is placed at every
-    offset that meets [0, H].  Its window forms on [0, t] are its projections,
-    read off by `HowellForm.prefix`.  When p kills G (exp(G) divides p) the
-    p-torsion projection of [0, t] is G's window module there, a prefix of
-    the one on [0, H]."""
+    F is built from the candidates' packed rows: each is moved down to its
+    first nonzero position, and each distinct one is placed at every offset
+    that meets [0, H].  T is exact: the block [1, H+1] of its boundary window
+    (`_boundary_rows`) with T_p at its fixed point on both near ends and
+    p*v == 0 on every column.  Their windows [0, t] are `HowellForm.prefix`es."""
     r, m, top = shift.alphabet.rank, shift.alphabet.modulus, horizons.window_horizon
     cands = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p).form
     ncols = (top + 1) * r
@@ -297,49 +294,53 @@ def torsion_presentation(shift: GroupShift, p: int,
     rows = [row for x in starts for row in placed_rows(
         x, m, range(-((x.bit_length() - 1) // pos) * r, ncols, r), ncols)]
     form = howell_form(PackedRows(tuple(rows), ncols), m)
-    window = shift.window(0, top).form if p % shift.exponent == 0 else None
+    rows, width, a, b = _boundary_rows(shift, top + 1, math.inf, math.inf, (p, p))
+    kept, _ = projection_heads(rows, m, [(0, width, p)], [], a, b)
+    torsion = howell_form(PackedRows(kept.packed, kept.ncols), m)
     failing = next((t for t in range(top + 1) if not form.prefix((t + 1) * r).spans_same(
-        torsion_window_projection(shift, 0, t, horizons.margin, p) if window is None
-        else window.prefix((t + 1) * r))), None)
-    return form, failing
+        torsion.prefix((t + 1) * r))), None)
+    return form, torsion, failing
 
 
 # -- boundary windows with near-end states -----------------------------------
 
 
 def _near_end(shift: GroupShift, width: float, mirror: bool,
-              whole: bool = False) -> HowellForm:
-    """The near-end state S(width): the span of the placements ending at or
-    before width-1, cut at position 0, intersected with the vectors supported
-    on the last s-1 positions of [0, width-1] (s the span), as a canonical
-    form over those s-1 positions (positions below 0 read zero).  `mirror`
-    reverses every generator's symbols.  With `whole` a placement reaching
-    below 0 is left out instead of cut, as a finite message places whole
-    generators: these states rise with the width, and `math.inf` reads
-    their fixed point.
+              kind: int | str = 1) -> HowellForm:
+    """The near-end state T_d(width) of kind d: the span of the placements
+    ending at or before width-1, cut at position 0, with d*v == 0 on
+    [0, width-s] (s the span), projected to the last s-1 positions of
+    [0, width-1] as a canonical form (positions below 0 read zero); d = 1 is
+    the cut state S.  `mirror` reverses every generator's symbols.  Of kind
+    "whole" (d = 1) a placement reaching below 0 is left out instead of cut,
+    as a finite message places whole generators: these states rise with
+    the width, and `math.inf` reads their fixed point.
 
-    S(W+1) = (S(W) + placements ending at W) ∩ {vanishing at W-s+1}: the
-    s-position frame [W-s+1, W] is eliminated and its first position
-    dropped by `zero_prefix`.  From W = s-1 on no placement is cut or left
-    out, so the step is a fixed map and the sequence stops at its first
+    T_d(W+1) = (T_d(W) + placements ending at W) ∩ {d*v == 0 at W-s+1}: the
+    s-position frame [W-s+1, W] is eliminated with its first position scaled
+    by d, which `zero_prefix` drops.  From W = s-1 on no placement is cut or
+    left out, so the step is a fixed map and the sequence stops at its first
     repeat.  The placements' frame rows and the sequence live in the
     shift's table."""
     s, r = shift.span, shift.alphabet.rank
-    m, cols, table = shift.alphabet.modulus, s * r, shift.boundary_table
-    key = (mirror, True) if whole else mirror
-    if key not in table:
+    m, cols = shift.alphabet.modulus, s * r
+    table = shift.boundary_table.setdefault("states", {})
+    if (mirror, kind) not in table:
         gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
         frame = [(len(g.symbols), x) for g in gens
                  for x in g.placed_rows([-g.last], 1 - s, cols)]
-        table[key] = frame, [HowellForm(m, max(cols - r, 0), (), ())]
-    frame, states = table[key]
-    w = _lane_layout(m, cols)[0]
+        table[mirror, kind] = frame, [HowellForm(m, max(cols - r, 0), (), ())]
+    frame, states = table[mirror, kind]
+    w, _, red = _lane_layout(m, cols)
     while s > 1 and len(states) <= width and not (len(states) > s and
                                                   states[-1].packed == states[-2].packed):
         cut = max(s - len(states), 0) * r * w  # frame positions below 0
-        step = [x for n, x in frame if n <= len(states)] if whole else \
+        step = [x for n, x in frame if n <= len(states)] if kind == "whole" else \
             [x >> cut << cut for _, x in frame]
-        done, pivots = _eliminate([*states[-1].packed, *step], m, cols, 0)
+        rows = [*states[-1].packed, *step]
+        if kind not in (1, "whole"):  # scale the first position, below m^2 per lane
+            rows = [red(x + (kind - 1) * (x & (1 << r * w) - 1)) for x in rows]
+        done, pivots = _eliminate(rows, m, cols, 0)
         states.append(HowellForm(m, cols, tuple(done), tuple(pivots)).zero_prefix(r))
     return states[min(width, len(states) - 1)]
 
@@ -353,21 +354,21 @@ def _states_fixed(shift: GroupShift, past: int, tail: int) -> bool:
 
 
 def _boundary_rows(shift: GroupShift, block: int, past: float, tail: float,
-                   whole: bool = False) -> tuple[list[int], int, int, int]:
+                   kinds: tuple = (1, 1)) -> tuple[list[int], int, int, int]:
     """(rows, ncols, block column, tail column) of the boundary window
     [lo, hi] = [2-s, block+s-1] clipped to [1-past, block+tail], s the span
-    (at least 1), around the block [1, block]: the past state S(past) on
-    [lo, 0], the mirrored shift's S(tail), reversed once per state by lane
-    shifts, on [block+1, hi] (`_near_end`, with `whole` passed on), and
-    every placement that meets the block."""
+    (at least 1), around the block [1, block]: the past state of kind
+    kinds[0] at width `past` on [lo, 0], the mirrored shift's of kind
+    kinds[1] at width `tail`, reversed once per state by lane shifts, on
+    [block+1, hi] (`_near_end`), and every placement that meets the block."""
     s, r, m = max(shift.span, 1), shift.alphabet.rank, shift.alphabet.modulus
     lo, hi = max(2 - s, 1 - past), min(block + s - 1, block + tail)
     ncols, tail_col = (hi - lo + 1) * r, (block + 1 - lo) * r
     w = _lane_layout(m, ncols)[0]
     # the states read zero where the window is clipped, so the lanes that
     # these shifts move out of [lo, hi] are zero
-    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past, False, whole).packed]
-    state = _near_end(shift, tail, True, whole).packed
+    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past, False, kinds[0]).packed]
+    state = _near_end(shift, tail, True, kinds[1]).packed
     tails = shift.boundary_table.setdefault("tails", {})
     if state not in tails:
         tails[state] = [sum((x >> i * r * w & (1 << r * w) - 1) << (s - 2 - i) * r * w
@@ -449,9 +450,8 @@ def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int,
         raise ValueError("alphabet mismatch")
     if not x1.agrees_on(x2, k, k + n):
         raise ValueError("words disagree on the splice block")
-    cert1 = member(shift, x1, margin)
-    cert2 = member(shift, x2, margin)
-    if not (cert1.certified_in and cert2.certified_in):
+    margin = Horizons.derive(shift).margin if margin is None else margin
+    if not all(member(shift, x, margin).certified_in for x in (x1, x2)):
         raise ValueError("splice inputs must be certified members")
     span = word_span([x1, x2])
     if span is None:
@@ -461,11 +461,9 @@ def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int,
     glued = Word.make(shift.alphabet, lo,
                       [x1.value_at(i) if i <= k + n else x2.value_at(i)
                        for i in range(lo, hi + 1)])
-    solver_margin = shift.span + n if margin is None else margin + n
-    cert = member(shift, glued, solver_margin)
-    if not cert.certified_in:
+    if not member(shift, glued, margin + n).certified_in:
         raise SpliceFailed(
-            f"glued word not certified within margin {solver_margin}; "
+            f"glued word not certified within margin {margin + n}; "
             f"evidence against finite type at N={n}")
     return glued
 

@@ -6,7 +6,8 @@ import pytest
 
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import combine_rows, projection_heads, unpack_rows
-from groupshift.shifts import GroupShift, SupportedWords, member, supported_words
+from groupshift.shifts import (GroupShift, SupportedWords, finite_type_memory, member,
+                               supported_words)
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
 
@@ -107,6 +108,26 @@ def padded_supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
     form = module.constrained_projection(lo, hi, zero_positions=pads,
                                          kill_scale=torsion_scale)
     return SupportedWords(shift, lo, hi, form)
+
+
+def exact_margins(shift: GroupShift) -> list[int]:
+    """Margins at which the padded references are exact: max(3s + 6, 12),
+    past every memory the tests' draws reach, and the verified memory + 1
+    where `finite_type_memory` finds one below 7."""
+    memory = finite_type_memory(shift, 6).memory
+    return [max(3 * shift.span + 6, 12)] + ([memory + 1] if memory is not None else [])
+
+
+def padded_initial_value_space(shift: GroupShift, p: int, margin: int,
+                               support_cap: int) -> int:
+    """Reference for `encoders.initial_value_space`, its margin-padded
+    projection: the F_p rank of the projection to position 0 of the
+    p-torsion elements of the window [-margin, support_cap - 1 + margin]
+    that vanish on [-margin, -1].  It equals the exact rank once the margin
+    exceeds the shift's memory."""
+    module = shift.window(-margin, support_cap - 1 + margin)
+    return module.constrained_projection(0, 0, zero_positions=range(-margin, 0),
+                                         kill_scale=p).rank
 
 
 def slack_noncatastrophic(encoder, shift: GroupShift, horizon: int, margin: int):

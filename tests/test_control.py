@@ -15,7 +15,7 @@ from groupshift.control import (IndexSearch, _divisors, _index_search, _steering
                                 default_past_horizon, monotone_after_success,
                                 order_controllability_index,
                                 weak_controllability_check)
-from groupshift.residues import PackedRows, howell_form
+from groupshift.residues import PackedRows, howell_form, projection_heads
 from groupshift.encoders import PipelineFailure, multiple_shift, socle_shift
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.shifts import (GroupShift, Horizons, _near_end, primary_shift,
@@ -24,8 +24,8 @@ from groupshift.shifts import (GroupShift, Horizons, _near_end, primary_shift,
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
-from conftest import (enumerate_elements, full_shift, make_shift, random_shift, restricted,
-                      window_projection_heads)
+from conftest import (enumerate_elements, exact_margins, full_shift, make_shift, random_shift,
+                      restricted, window_projection_heads)
 
 
 def enumerated_index(shift, cap, past, ordered):
@@ -222,20 +222,25 @@ def mixed_shifts():
 def checked_torsion_presentation(shift, p, horizons):
     """The failing window of `torsion_presentation`, after checking its form
     against the window module of the presentation built from the candidate
-    words and its failing window against `torsion_window_projection`; when
-    p kills the shift, the G windows it reads off the form on [0, H] are
-    checked against `torsion_window_projection` too."""
-    form, failing = torsion_presentation(shift, p, horizons)
-    top, r, margin = horizons.window_horizon, shift.alphabet.rank, horizons.margin
+    words, its exact p-torsion form on [0, H] against
+    `torsion_window_projection` at each margin past the memory
+    (`exact_margins`), so that their windows [0, t], the prefixes, agree,
+    and its failing window against those windows; when p kills the shift,
+    its p-torsion windows are its window modules, which are checked too."""
+    form, torsion, failing = torsion_presentation(shift, p, horizons)
+    top, r = horizons.window_horizon, shift.alphabet.rank
     words = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p).words
     presentation = GroupShift.make(shift.alphabet, [w.shifted(w.first) for w in words])
     assert form.spans_same(presentation.window(0, top).form), (shift, p)
-    torsion = [torsion_window_projection(shift, 0, t, margin, p) for t in range(top + 1)]
+    for margin in exact_margins(shift):
+        assert torsion.spans_same(torsion_window_projection(shift, 0, top, margin, p)), \
+            (shift, p, margin)
+    windows = [torsion.prefix((t + 1) * r) for t in range(top + 1)]
     if p % shift.exponent == 0:
-        assert all(shift.window(0, top).form.prefix((t + 1) * r).spans_same(torsion[t])
+        assert all(shift.window(0, top).form.prefix((t + 1) * r).spans_same(windows[t])
                    for t in range(top + 1)), (shift, p)
     assert failing == next((t for t in range(top + 1)
-                            if not form.prefix((t + 1) * r).spans_same(torsion[t])), None)
+                            if not form.prefix((t + 1) * r).spans_same(windows[t])), None)
     return failing
 
 
@@ -427,44 +432,51 @@ def test_steering_verdict_carries_to_the_next_candidate(group, rng, support, n, 
 
 
 def test_near_end_states_match_their_definition():
-    # S(W): the span of the placements ending in [0, W-1], cut at 0 (or, for
-    # whole-placement states, those starting at 0 or later), that vanishes
-    # off the last s-1 positions, read off one Howell form of the whole
-    # block; the recursion stops at a fixed point, which must not cut a
-    # sequence still moving, and width inf reads that fixed point
+    # T_d(W): the span of the placements ending in [0, W-1], cut at 0 (or,
+    # for whole-placement states, those starting at 0 or later), with
+    # d*v == 0 on [0, W-s], projected to the last s-1 positions, for every
+    # divisor d of exp(H) (d = 1: the cut state S, which vanishes off them),
+    # read off one elimination of the whole block; the recursion stops at a
+    # fixed point, which must not cut a sequence still moving, and width
+    # inf reads that fixed point
     rng = random.Random(29)
-    longest = rising = 0
+    longest = rising = scaled = 0
     for _ in range(40):
         shift = random_shift(rng, max_gens=3, max_support=rng.randrange(2, 6),
                              pool=["Z4", "Z8", "Z2 x Z4", "Z8 x Z4", "Z12", "Z9"])
-        s, r = shift.span, shift.alphabet.rank
-        m = max(shift.alphabet.exponent, 2)
-        for mirror, whole in itertools.product((False, True), (False, True)):
+        s, r, m = shift.span, shift.alphabet.rank, shift.alphabet.modulus
+        kinds = [*_divisors(shift.alphabet.exponent), "whole"]
+        for mirror, kind in itertools.product((False, True), kinds):
             gens = [Word.make(g.group, 0, g.symbols[::-1] if mirror else g.symbols)
                     for g in shift.generators]
+            whole, d = kind == "whole", 1 if kind == "whole" else kind
 
             def direct(width):
                 # every placement ending in [0, width-1], cut at 0 or whole
                 rows = [row for g in gens for row in g.placed_rows(
                     range(0 if whole else 1 - g.support_length,
                           width - g.support_length + 1), 0, width * r)]
-                form = howell_form(PackedRows(tuple(rows), width * r), m, width * r)
-                return form.zero_prefix((width - s + 1) * r)
+                cut = (width - s + 1) * r
+                kept, _ = projection_heads(rows, m, [(0, cut, d)], [], cut, width * r)
+                return howell_form(PackedRows(kept.packed, kept.ncols), m)
 
             for width in range(s - 1, 3 * s + 12):
-                got, want = _near_end(shift, width, mirror, whole), direct(width)
+                got, want = _near_end(shift, width, mirror, kind), direct(width)
                 assert (got.packed, got.pivots) == (want.packed, want.pivots), \
-                    (shift, mirror, whole, width)
-            states = shift.boundary_table[(mirror, True) if whole else mirror][1]
+                    (shift, mirror, kind, width)
+            states = shift.boundary_table["states"][mirror, kind][1]
             if whole:
-                fixed = _near_end(shift, math.inf, mirror, True)
+                fixed = _near_end(shift, math.inf, mirror, kind)
                 want = direct(len(states) + s)
                 assert (fixed.packed, fixed.pivots) == (want.packed, want.pivots), \
                     (shift, mirror)
                 rising = max(rising, len(states) - s)
             else:
                 longest = max(longest, len(states) - s)
-    assert longest >= 3 and rising >= 3
+                # a torsion state fixed apart from the cut one
+                scaled += d > 1 and \
+                    states[-1].packed != shift.boundary_table["states"][mirror, 1][1][-1].packed
+    assert longest >= 3 and rising >= 3 and scaled >= 12, (longest, rising, scaled)
 
 
 # -- the searches against a copy of the full-window search -----------------------

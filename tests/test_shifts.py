@@ -5,18 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from groupshift.encoders import initial_value_space
 from groupshift.groups import FiniteAbelianGroup
 
 from groupshift.residues import (EnumerationCapExceeded, howell_form, row_solver,
                                  unpack_rows)
-from groupshift.shifts import (GroupShift, _boundary_heads, _states_fixed,
+from groupshift.shifts import (GroupShift, Horizons, _boundary_heads, _states_fixed,
                                enumerate_window_code, finite_type_memory, member,
-                               splice, supported_words)
+                               primary_shift, splice, supported_words,
+                               torsion_presentation, torsion_window_projection)
 from groupshift.words import Word
 
-from conftest import (enumerate_elements, full_shift, impulse, make_shift,
-                      padded_supported_words, random_shift, restricted,
-                      splice_property_holds, tuple_combine_rows)
+from conftest import (enumerate_elements, exact_margins, full_shift, impulse, make_shift,
+                      padded_initial_value_space, padded_supported_words, random_shift,
+                      restricted, splice_property_holds, tuple_combine_rows)
 
 
 def window_code_as_set(shift, lo, hi):
@@ -131,6 +133,19 @@ def test_member_finite_sums_certified():
                 rng.randrange(1, g.alphabet.exponent + 1))
         for margin in (0, 1, 2, 4):
             assert member(g, w, margin).certified_in
+
+
+def test_member_defaults_to_the_derived_margin():
+    # one default margin: `member` pads by Horizons.margin when given none,
+    # with and without a declared memory
+    rng = random.Random(32)
+    for _ in range(20):
+        g = random_shift(rng)
+        g = GroupShift.make(g.alphabet, g.generators, rng.choice([None, 1, 3, 5]))
+        syms = [tuple(rng.randrange(n) for n in g.alphabet.orders)
+                for _ in range(rng.randrange(1, 4))]
+        w = Word.make(g.alphabet, rng.randrange(-2, 2), syms)
+        assert member(g, w) == member(g, w, Horizons.derive(g).margin), g
 
 
 def test_member_monotone_in_margin():
@@ -297,13 +312,33 @@ def test_supported_words_match_the_padded_reference(group, rng):
     g = random_shift(rng, max_gens=2, max_support=3, pool=[group])
     lo = rng.randrange(-2, 2)
     hi = lo + rng.randrange(0, 5)
-    memory = finite_type_memory(g, 6).memory
-    margins = [max(3 * g.span + 6, 12)] + ([memory + 1] if memory is not None else [])
     for scale in [None, *g.alphabet.primes()]:
         exact = supported_words(g, lo, hi, torsion_scale=scale).form
-        for margin in margins:
+        for margin in exact_margins(g):
             assert exact == padded_supported_words(g, lo, hi, margin, scale).form, \
                 (scale, margin)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(P_GROUPS + MIXED_GROUPS), st.randoms(use_true_random=False))
+def test_torsion_windows_and_initial_values_match_the_padded_reference(group, rng):
+    # on each primary component, composite alphabets through theirs: every
+    # window [0, t], t <= H, of the exact p-torsion form that
+    # `torsion_presentation` returns is the padded p-torsion projection, and
+    # the exact initial-value rank is the padded one, at each margin past
+    # the memory
+    g = random_shift(rng, max_gens=2, max_support=3, pool=[group])
+    for p in g.alphabet.primes():
+        part = primary_shift(g, p)
+        horizons = Horizons.derive(part, window_horizon=rng.randrange(0, 6))
+        torsion, r = torsion_presentation(part, p, horizons)[1], part.alphabet.rank
+        rank = initial_value_space(part, p)
+        for margin in exact_margins(part):
+            for t in range(horizons.window_horizon + 1):
+                assert torsion.prefix((t + 1) * r).spans_same(
+                    torsion_window_projection(part, 0, t, margin, p)), (p, margin, t)
+            assert rank == padded_initial_value_space(part, p, margin, horizons.support_cap), \
+                (p, margin)
 
 
 def two_form_splice_property(shift, n, reach):

@@ -17,7 +17,7 @@ from groupshift.encoders import (Horizons, check_injectivity, conjugacy_certific
                                  lift_height, solve_finite_preimage)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import HowellForm
-from groupshift.shifts import GroupShift, finite_type_memory
+from groupshift.shifts import GroupShift, finite_type_memory, primary_shift, torsion_presentation
 from groupshift.specfmt import parse_message, parse_spec
 from groupshift.words import Word
 
@@ -105,8 +105,10 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 #: that bypassed one of the counted entry points would read a different count
 #: here.  The torsion presentation reads its window forms [0, t] off the one
 #: on [0, H] (`HowellForm.prefix`), H fewer reductions than one per window,
-#: and builds that form from packed rows, with no presentation shift; no
-#: height is lifted to the exponent.
+#: and builds that form from packed rows, with no presentation shift; G's
+#: p-torsion windows are read off one exact form the same way, and the
+#: initial-value rank off uncanonicalized kept rows; no height is lifted to
+#: the exponent.
 #: The membership tests are those of generator picks read off canonical rows,
 #: at most one per head row of a level's form, and the heads of the steering
 #: verdicts on their boundary windows.
@@ -114,7 +116,7 @@ COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [62, 4594, 55, 9, 7], "Z9 x Z3": [50, 3334, 60, 5, 3]}
+want = {"Z8 x Z4": [54, 4364, 55, 9, 7], "Z9 x Z3": [43, 3108, 60, 5, 3]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -329,21 +331,33 @@ def test_supported_words_build_no_window_module():
             assert shifts._window_module.cache_info().misses == before, (shift, scale)
 
 
-def test_exponent_p_primaries_read_torsion_windows_off_the_window_form(monkeypatch):
-    # when p kills a primary, its p-torsion windows are its window modules,
-    # prefixes of the one on [0, H], so no torsion projection is eliminated;
-    # a p^e primary with e > 1 still makes them
-    made = []
-    projection = shifts.torsion_window_projection
+def test_certify_reads_torsion_windows_and_initial_values_off_the_engine(monkeypatch):
+    # the socle's p-torsion windows and the initial-value space are exact
+    # boundary-window eliminations on torsion near-end states: no padded
+    # torsion projection or constrained projection is made, whatever the
+    # exponent, and neither stage builds a window module
+    made, misses = [], []
+    for owner, name in ((shifts, "torsion_window_projection"),
+                        (shifts.WindowModule, "constrained_projection")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original, **kw:
+                            made.append(name) or original(*args, **kw))
+    for name in ("torsion_presentation", "initial_value_space"):
+        original = getattr(encoders, name)
 
-    def recorded(shift, lo, hi, margin, p):
-        made.append((shift.exponent, p))
-        return projection(shift, lo, hi, margin, p)
-    monkeypatch.setattr(shifts, "torsion_window_projection", recorded)
+        def counted(*args, name=name, original=original):
+            before = shifts._window_module.cache_info().misses
+            try:
+                return original(*args)
+            finally:
+                misses.append((name, shifts._window_module.cache_info().misses - before))
+        monkeypatch.setattr(encoders, name, counted)
     for name in ("full-z4", "delay-rep", "z6", "z8-z4", "z9-z3"):
         shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
         assert conjugacy_certificate(shift).complete, name
-    assert made and all(p % e for e, p in made), made
+    assert not made, made
+    assert {name for name, _ in misses} == {"torsion_presentation", "initial_value_space"}
+    assert all(n == 0 for _, n in misses), misses
 
 
 def test_no_height_is_lifted_to_the_exponent(monkeypatch):
@@ -364,10 +378,11 @@ def test_no_height_is_lifted_to_the_exponent(monkeypatch):
 
 def test_analyze_builds_each_near_end_state_once(monkeypatch):
     # the plain search, the order search and the splice scan of one analyze
-    # read the near-end states off one table on the shift, so every
+    # read the near-end states off one table on the shift, and its socle
+    # lines the torsion states off one on each primary component, so every
     # elimination that `_near_end` (the one caller of `_eliminate` in
-    # `shifts`) makes adds a state to it
-    built = []
+    # `shifts`) makes adds a state to one of them
+    built, kinds = [], set()
     monkeypatch.setattr(shifts, "_eliminate",
                         lambda *args: built.append(args) or residues._eliminate(*args))
     for path in sorted((ROOT / "tests" / "golden").glob("*.spec")):
@@ -376,10 +391,16 @@ def test_analyze_builds_each_near_end_state_once(monkeypatch):
         built.clear()
         analyze_controllability(shift, cap=horizons.n_cap, horizon=horizons.window_horizon)
         finite_type_memory(shift, cap=8, horizon=horizons.window_horizon)
-        table = shift.boundary_table
-        states = sum(len(table[mirror][1]) - 1 for mirror in (False, True) if mirror in table)
+        parts = [primary_shift(shift, p) for p in shift.alphabet.primes()]
+        for p, part in zip(shift.alphabet.primes(), parts):
+            torsion_presentation(part, p, horizons)
+        # every state sequence, of every kind, on the shift and its components
+        tables = [g.boundary_table.get("states", {}) for g in (shift, *parts)]
+        states = sum(len(states) - 1 for table in tables for _, states in table.values())
         assert len(built) == states, path.name
         assert states or shift.span <= 1, path.name
+        kinds.update(kind for table in tables for _, kind in table)
+    assert kinds >= {1, 2, 3}, kinds  # cut states, and torsion states for p = 2, 3
 
 
 def test_certify_packs_each_word_once(monkeypatch):
