@@ -243,8 +243,7 @@ def _presentation_audit(report: Report, shift: GroupShift,
                              for j, t, c in inj.dependent_combination)
             report.add("presentation.check.dependent-combination", combo)
         negative |= inj.block is None
-    noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon,
-                                   horizons.margin)
+    noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon)
     report.add("presentation.check.noncatastrophic", _check_value(noncat.ok))
     if not noncat.ok and noncat.witness is not None:
         report.add("presentation.check.witness",
@@ -351,7 +350,7 @@ def _at_least(lo: int):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--margin", type=_at_least(0), default=None,
-                        help="membership certification margin")
+                        help="support pad of the tap-lift searches")
     parser.add_argument("--support-cap", type=_at_least(1), default=None,
                         help="max support length for generator searches")
     parser.add_argument("--block-cap", type=_at_least(0), default=None,

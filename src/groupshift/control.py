@@ -249,11 +249,11 @@ def weak_controllability_check(shift: GroupShift, derived: str = "self",
 
     derived selects the shift examined: "self" holds by construction and is
     returned as that constant on the windows [0,0]..[0,horizon-1] (every
-    window contributor is a placed generator, a finite-support member
-    certified by its own padded window); "socle" checks the p-torsion
-    subshift with `socle_controllability` at the derived horizons, with the
-    window horizon given here.  The margin reaches no verdict; it stays
-    because perfbench/ops.py:run_analyze passes it.
+    window contributor is a placed generator, a finite-support member);
+    "socle" checks the p-torsion subshift with `socle_controllability` at
+    the derived horizons, with the window horizon given here.  The margin
+    reaches no verdict; it stays because perfbench/ops.py:run_analyze
+    passes it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

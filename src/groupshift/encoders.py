@@ -517,20 +517,18 @@ def solve_finite_preimage(encoder: Encoder, w: Word,
 class NoncatastrophicityReport:
     ok: bool
     horizon: int
-    witness: Word | None  # uncertified tap, or certified word with no preimage
+    witness: Word | None  # tap outside G, or certified word with no preimage
 
 
-def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
-                          margin: int) -> NoncatastrophicityReport:
+def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
+                          horizon: int) -> NoncatastrophicityReport:
     """Both window-scale directions, each decided exactly; the witness is the
     first failing tap, else the first failing certified word.
 
-    Forward: finite messages land in the certified finite code.  With the
-    order bounds, the images of finite messages are the finite sums of
-    placed taps, and G is a shift-invariant group, so they all lie in G
-    exactly when every tap does.  At a margin above G's memory the tap
-    certificates are membership itself; below it they need not be closed
-    under sums.
+    Forward: finite messages land in G.  With the order bounds, the images
+    of finite messages are the finite sums of placed taps, and G is a
+    shift-invariant group, so they all lie in G exactly when every tap
+    does, which `shifts.member` decides exactly.
 
     Backward: every certified word w supported in [f, l] with l - f <= the
     horizon H has a finite preimage.  Translated by 1 - f, w lies in the
@@ -548,7 +546,7 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift, horizon: int,
     certified form on [0, t] must lie in it.
     """
     for tap in encoder.taps:
-        if not member(shift, tap, margin).certified_in:
+        if not member(shift, tap):
             return NoncatastrophicityReport(False, horizon, tap)
     taps = GroupShift.make(encoder.alphabet, encoder.taps)
     rows, ncols, a, b = _boundary_rows(taps, horizon + 1, math.inf, math.inf,
@@ -739,8 +737,7 @@ def primary_certificate(shift: GroupShift, p: int,
     checks.extend(_message_invariant_checks(encoder))
     inj = check_injectivity(encoder, horizons.block_cap)
     checks.append(independent_block_check(inj, horizons.block_cap))
-    noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon,
-                                   horizons.margin)
+    noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon)
     checks.append(CheckResult(
         "noncatastrophic", noncat.ok,
         "" if noncat.ok else f"witness {noncat.witness.format()}"))

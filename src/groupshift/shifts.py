@@ -5,14 +5,14 @@ all integer shifts of its generator words.  The projection of that group onto
 a finite window [a, b] is the module spanned by the restrictions of every
 shifted generator whose support meets the window, including the partial
 overlaps at the window edges; this makes weak controllability hold by
-construction, and membership of finite words is certified window by window.
-A steering condition (`control`), the splice property of
+construction.  A steering condition (`control`), the splice property of
 `finite_type_memory`, the certified words of a given support
-(`supported_words`), the p-torsion windows (`torsion_presentation`) or the
-backward noncatastrophicity of an encoder's taps is one elimination on a
-boundary window around its block, with near-end states of one kind per side
-for the placements wholly on either side, kept with the verdicts in one
-table per shift (`GroupShift.boundary_table`).
+(`supported_words`, which `member` reads), the p-torsion windows
+(`torsion_presentation`) or the backward noncatastrophicity of an
+encoder's taps is one elimination on a boundary window around its block,
+with near-end states of one kind per side for the placements wholly on
+either side, kept with the verdicts in one table per shift
+(`GroupShift.boundary_table`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .words import Word, word_span
 
 
 class SpliceFailed(Exception):
-    """No splice word was found inside the solver window."""
+    """The glued word is not in the shift."""
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,6 @@ class WindowModule:
     def size(self) -> int:
         return self.form.size()
 
-    def contains_word(self, w: Word) -> bool:
-        return self.form.contains(w.window_vector(self.lo, self.hi))
-
     # -- constrained submodules ------------------------------------------------
 
     def constrained_projection(self, keep_lo: int, keep_hi: int,
@@ -174,34 +171,6 @@ def _window_module(shift: GroupShift, lo: int, hi: int) -> WindowModule:
     packed = [row for g in shift.generators
               for row in g.placed_rows(range(lo - g.last, hi - g.first + 1), lo, ncols)]
     return WindowModule(shift, lo, hi, tuple(packed))
-
-
-@dataclass(frozen=True)
-class MembershipCertificate:
-    """Window-scale membership verdict for a finite word."""
-
-    word: Word
-    margin: int
-    window: tuple[int, int]
-    certified_in: bool
-
-
-def member(shift: GroupShift, w: Word, margin: int | None = None) -> MembershipCertificate:
-    """Certify membership of w on its support padded by the margin.
-
-    certified-in means the padded restriction lies in the window module; for
-    shifts of finite type with memory < margin the verdict is exact, as the
-    splice block of memory N holds N + 1 positions; default `Horizons.margin`.
-    """
-    if margin is None:
-        margin = Horizons.derive(shift).margin
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    if w.is_zero:
-        return MembershipCertificate(w, margin, (0, 0), True)
-    lo, hi = w.first - margin, w.last + margin
-    module = shift.window(lo, hi)
-    return MembershipCertificate(w, margin, (lo, hi), module.contains_word(w))
 
 
 # -- certified words with prescribed support --------------------------------
@@ -237,6 +206,14 @@ def supported_words(shift: GroupShift, lo: int, hi: int,
                                                      shift.alphabet.modulus))
 
 
+def member(shift: GroupShift, w: Word) -> bool:
+    """Whether w lies in the shift, exactly: a lookup in the certified words
+    supported in w's support, translated to start at 0 so that every word
+    of one length shares one form."""
+    return w.is_zero or supported_words(shift, 0, w.last - w.first).form.contains(
+        w.window_vector(w.first, w.last))
+
+
 # the tests' reference of `torsion_presentation`'s exact windows; maxsize=0
 # caches nothing and keeps the `cache_clear` that perfbench/record.py calls
 @lru_cache(maxsize=0)
@@ -251,7 +228,7 @@ def torsion_window_projection(shift: GroupShift, lo: int, hi: int, margin: int,
 class Horizons:
     """All window sizes and caps used by the pipeline, kept for reports."""
 
-    margin: int          # pad of member and of the lifts
+    margin: int          # support pad of the tap-lift searches
     support_cap: int     # max support length searched for generator words
     block_cap: int       # injectivity block search bound
     window_horizon: int  # windows [0, T] checked up to this T
@@ -439,20 +416,18 @@ def finite_type_memory(shift: GroupShift, cap: int,
     return FiniteTypeReport(None, cap)
 
 
-def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int,
-           margin: int | None = None) -> Word:
-    """The word equal to x1 left of k+n and to x2 right of k, certified.
+def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int) -> Word:
+    """The word equal to x1 left of k+n and to x2 right of k, checked.
 
-    The inputs must agree on the block [k, k+n]; the gluing is unique and the
-    work is certifying membership inside a bounded window.
+    The inputs must be members that agree on the block [k, k+n]; the gluing
+    is unique, and a member whenever n is at least the shift's memory.
     """
     if x1.group != shift.alphabet or x2.group != shift.alphabet:
         raise ValueError("alphabet mismatch")
     if not x1.agrees_on(x2, k, k + n):
         raise ValueError("words disagree on the splice block")
-    margin = Horizons.derive(shift).margin if margin is None else margin
-    if not all(member(shift, x, margin).certified_in for x in (x1, x2)):
-        raise ValueError("splice inputs must be certified members")
+    if not (member(shift, x1) and member(shift, x2)):
+        raise ValueError("splice inputs must be members")
     span = word_span([x1, x2])
     if span is None:
         return Word.zero(shift.alphabet)
@@ -461,10 +436,8 @@ def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int,
     glued = Word.make(shift.alphabet, lo,
                       [x1.value_at(i) if i <= k + n else x2.value_at(i)
                        for i in range(lo, hi + 1)])
-    if not member(shift, glued, margin + n).certified_in:
-        raise SpliceFailed(
-            f"glued word not certified within margin {margin + n}; "
-            f"evidence against finite type at N={n}")
+    if not member(shift, glued):
+        raise SpliceFailed(f"glued word is not in the shift: no splice at N={n}")
     return glued
 
 

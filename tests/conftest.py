@@ -6,8 +6,7 @@ import pytest
 
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import combine_rows, projection_heads, unpack_rows
-from groupshift.shifts import (GroupShift, SupportedWords, finite_type_memory, member,
-                               supported_words)
+from groupshift.shifts import GroupShift, SupportedWords, finite_type_memory, supported_words
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
 
@@ -110,6 +109,18 @@ def padded_supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
     return SupportedWords(shift, lo, hi, form)
 
 
+def padded_member(shift: GroupShift, w: Word, margin: int) -> bool:
+    """Reference for `shifts.member`, its margin-padded window: whether the
+    restriction of w to its support padded by the margin lies in the window
+    module there.  It equals membership once the margin exceeds the shift's
+    memory, as the splice block of memory N holds N + 1 positions, and can
+    accept a non-member below that."""
+    if w.is_zero:
+        return True
+    lo, hi = w.first - margin, w.last + margin
+    return shift.window(lo, hi).form.contains(w.window_vector(lo, hi))
+
+
 def exact_margins(shift: GroupShift) -> list[int]:
     """Margins at which the padded references are exact: max(3s + 6, 12),
     past every memory the tests' draws reach, and the verified memory + 1
@@ -130,21 +141,23 @@ def padded_initial_value_space(shift: GroupShift, p: int, margin: int,
                                          kill_scale=p).rank
 
 
-def slack_noncatastrophic(encoder, shift: GroupShift, horizon: int, margin: int):
+def slack_noncatastrophic(encoder, shift: GroupShift, horizon: int, margin: int,
+                          slack: int | None = None):
     """Reference for `encoders.check_noncatastrophic`, its elimination at a
-    message slack: the same forward tap loop, then for each t <= horizon the
-    span of each nonzero tap placed at -s..t+s, s = memory + horizon + 1, on
-    a window covering all of them, cut to its elements zero outside [0, t],
-    must contain every row of the certified form on [0, t].  Returns
-    (verdict, witness) as the report does."""
+    message slack: the forward tap loop at the margin (`padded_member`),
+    then for each t <= horizon the span of each nonzero tap placed at
+    -s..t+s, s = the slack (default memory + horizon + 1), on a window
+    covering all of them, cut to its elements zero outside [0, t], must
+    contain every row of the certified form on [0, t].  Returns (verdict,
+    witness) as the report does."""
     for tap in encoder.taps:
-        if not member(shift, tap, margin).certified_in:
+        if not padded_member(shift, tap, margin):
             return False, tap
     m, r = encoder.alphabet.modulus, encoder.alphabet.rank
     taps = [tap for tap in encoder.taps if not tap.is_zero]
     first = min((tap.first for tap in taps), default=0)
     last = max((tap.last for tap in taps), default=0)
-    s = encoder.memory + horizon + 1
+    s = encoder.memory + horizon + 1 if slack is None else slack
     for t in range(horizon + 1):
         lo, hi = min(0, first - s), max(t, last + t + s)
         ncols, a, b = (hi - lo + 1) * r, -lo * r, (t + 1 - lo) * r

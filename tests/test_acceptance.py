@@ -246,7 +246,7 @@ def test_criterion_7_difference_encoder_flagged(tmp_path):
         full = full_shift(z2)
         tap = Word.make(z2, 0, [(1,), (1,)])  # impulse minus shifted impulse
         enc = Encoder(z2, FiniteAbelianGroup(((2, 1),)), (tap,), (0,), (2,))
-        rep = check_noncatastrophic(enc, full, horizon=4, margin=2)
+        rep = check_noncatastrophic(enc, full, horizon=4)
         assert not rep.ok
         assert rep.witness is not None
         assert solve_finite_preimage(enc, rep.witness, 10) is None

@@ -25,7 +25,8 @@ from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
 from conftest import (enumerate_elements, full_shift, impulse, is_torsion, make_shift,
-                     random_message, random_shift, restricted, slack_noncatastrophic)
+                     padded_member, random_message, random_shift, restricted,
+                     slack_noncatastrophic)
 
 
 # -- derived shifts -----------------------------------------------------------
@@ -93,7 +94,7 @@ def test_lift_height_trivial_and_basic(z4):
     x2 = Word.make(t.alphabet, 0, [(2,), (2,)])
     y2 = lift_height(t, x2, 2, 1, 2)
     assert y2 is not None and y2.scaled(2) == x2
-    assert member(t, y2, 2).certified_in
+    assert member(t, y2)
 
 
 def test_word_height(z4):
@@ -414,7 +415,7 @@ def test_injectivity_matches_symbolwise_reference(name, rng):
 def test_noncatastrophic_identity(z4):
     g = full_shift(z4)
     enc = build_for(g)
-    rep = check_noncatastrophic(enc, g, horizon=3, margin=2)
+    rep = check_noncatastrophic(enc, g, horizon=3)
     assert rep.ok
 
 
@@ -422,7 +423,7 @@ def test_difference_encoder_catastrophic(z2):
     g = full_shift(z2)
     diff_tap = Word.make(z2, 0, [(1,), (1,)])
     enc = Encoder(z2, FiniteAbelianGroup(((2, 1),)), (diff_tap,), (0,), (2,))
-    rep = check_noncatastrophic(enc, g, horizon=3, margin=2)
+    rep = check_noncatastrophic(enc, g, horizon=3)
     assert not rep.ok
     assert rep.witness is not None
     # the witness really has no finite preimage at a generous slack
@@ -442,7 +443,7 @@ def test_backward_direction_needs_no_message_slack():
     assert solve_finite_preimage(enc, impulse8, 8) is not None
     for horizon in (1, 2):
         assert slack_noncatastrophic(enc, full_shift(z8), horizon, 2) == (False, impulse8)
-        assert check_noncatastrophic(enc, full_shift(z8), horizon, 2).ok
+        assert check_noncatastrophic(enc, full_shift(z8), horizon).ok
 
 
 def test_preimage_solver_roundtrip(delay_rep):
@@ -455,11 +456,19 @@ def test_preimage_solver_roundtrip(delay_rep):
         assert got is not None and encode(enc, got) == image
 
 
+def translated_slack(encoder, horizon):
+    """The references' message slack memory + horizon + 1, counted from the
+    taps translated to start at 0: a tap that starts at k moves every
+    preimage by -k, so the slack grows by the largest |k|."""
+    return encoder.memory + horizon + 1 + max(
+        (abs(tap.first) for tap in encoder.taps if not tap.is_zero), default=0)
+
+
 def per_word_backward(encoder, shift, horizon):
     """Reference for the backward direction: each certified word on [0, t],
-    t <= horizon, solved for alone with message slack memory + horizon + 1;
-    the first word with no finite preimage, else None."""
-    slack = encoder.memory + horizon + 1
+    t <= horizon, solved for alone at the translated slack; the first word
+    with no finite preimage, else None."""
+    slack = translated_slack(encoder, horizon)
     for t in range(horizon + 1):
         for w in supported_words(shift, 0, t).words:
             if solve_finite_preimage(encoder, w, slack) is None:
@@ -469,14 +478,15 @@ def per_word_backward(encoder, shift, horizon):
 
 def sampled_forward(encoder, shift, margin, rng, trials=64):
     """Reference for the forward direction: the image of every unit impulse
-    and of `trials` random messages at reach 3, certified one by one; the
-    first image that fails, else None."""
+    and of `trials` random messages at reach 3, each checked on its own
+    padded window (`padded_member`); the first image that fails, else
+    None."""
     src = encoder.source
     impulses = [impulse(src, [int(i == j) for i in range(src.rank)])
                 for j in range(src.rank)]
     for msg in impulses + [random_message(encoder, rng, 3) for _ in range(trials)]:
         image = encode(encoder, msg)
-        if not member(shift, image, margin).certified_in:
+        if not padded_member(shift, image, margin):
             return image
     return None
 
@@ -508,8 +518,8 @@ def member_taps(shift, rng, count):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(["synthesized", "presentation", "random"]),
-       st.randoms(use_true_random=False), st.integers(0, 3), st.integers(1, 3))
-def test_backward_direction_matches_per_word_reference(kind, rng, horizon, margin):
+       st.randoms(use_true_random=False), st.integers(0, 3))
+def test_backward_direction_matches_per_word_reference(kind, rng, horizon):
     # one elimination per window against one preimage solve per certified
     # word: same verdict, same witness, and a witness with no finite preimage
     if kind == "presentation":
@@ -536,47 +546,47 @@ def test_backward_direction_matches_per_word_reference(kind, rng, horizon, margi
                 kind = "random"
         if enc is None:
             enc = tap_encoder(shift.alphabet, member_taps(shift, rng, rng.randrange(1, 4)))
-    assert all(member(shift, tap, margin).certified_in for tap in enc.taps)
-    rep = check_noncatastrophic(enc, shift, horizon=horizon, margin=margin)
+    assert all(member(shift, tap) for tap in enc.taps)
+    rep = check_noncatastrophic(enc, shift, horizon=horizon)
     expected = per_word_backward(enc, shift, horizon)
     event(f"{kind} encoder, backward direction {'fails' if expected else 'holds'}")
     assert rep.ok == (expected is None)
     assert rep.witness == expected
     if not rep.ok:
-        assert member(shift, rep.witness, margin).certified_in
+        assert member(shift, rep.witness)
         assert solve_finite_preimage(enc, rep.witness,
-                                     enc.memory + horizon + 1) is None
+                                     translated_slack(enc, horizon)) is None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 2), st.integers(1, 3))
 def test_forward_direction_matches_sampled_reference(rng, extra, horizon):
     # taps of the shift plus, when one of 20 random words lies outside it,
-    # that word; margins of at least the verified memory, where
-    # certification is closed under sums
+    # that word; the sampled reference pads each image by a margin past the
+    # verified memory, where the padded check is membership
     shift = random_shift(rng, pool=P_GROUPS)
-    memory = finite_type_memory(shift, cap=4, horizon=horizon).memory
+    memory = finite_type_memory(shift, cap=4).memory
     assume(memory is not None)
-    margin = memory + extra
+    margin = memory + 1 + extra
     group = shift.alphabet
     outside = [w for w in (Word.make(group, rng.randrange(-1, 2),
                                      [tuple(rng.randrange(n) for n in group.orders)
                                       for _ in range(rng.randrange(1, 4))])
                            for _ in range(20))
-               if not member(shift, w, margin).certified_in][:1]
+               if not member(shift, w)][:1]
     taps = member_taps(shift, rng, rng.randrange(0, 3)) + outside
     rng.shuffle(taps)
     assume(taps)
     enc = tap_encoder(group, taps)
-    rep = check_noncatastrophic(enc, shift, horizon=horizon, margin=margin)
-    forward_ok = rep.ok or member(shift, rep.witness, margin).certified_in
+    rep = check_noncatastrophic(enc, shift, horizon=horizon)
+    forward_ok = rep.ok or member(shift, rep.witness)
     sampled = sampled_forward(enc, shift, margin, rng)
     event(f"forward direction {'holds' if forward_ok else 'fails'}")
     assert forward_ok == (sampled is None)
     assert forward_ok == (not outside)
     if not forward_ok:
         assert rep.witness == next(tap for tap in taps
-                                   if not member(shift, tap, margin).certified_in)
+                                   if not member(shift, tap))
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -617,7 +627,7 @@ def test_noncatastrophicity_matches_the_slack_elimination():
     # elimination over every tap placed at -s..t+s, s = memory + horizon + 1
     negative = 0
     for label, enc, shift, horizon, margin in noncatastrophicity_cases():
-        rep = check_noncatastrophic(enc, shift, horizon, margin)
+        rep = check_noncatastrophic(enc, shift, horizon)
         assert (rep.ok, rep.witness) == slack_noncatastrophic(enc, shift, horizon, margin), \
             (label, horizon)
         negative += not rep.ok
@@ -634,9 +644,10 @@ def test_catastrophic_taps_match_the_slack_elimination(rng, horizon, margin):
             for w in member_taps(shift, rng, rng.randrange(1, 4))]
     assume(any(not tap.is_zero for tap in taps))
     enc = tap_encoder(shift.alphabet, taps)
-    rep = check_noncatastrophic(enc, shift, horizon, margin)
+    rep = check_noncatastrophic(enc, shift, horizon)
     event(f"backward direction {'holds' if rep.ok else 'fails'}")
-    assert (rep.ok, rep.witness) == slack_noncatastrophic(enc, shift, horizon, margin)
+    assert (rep.ok, rep.witness) == slack_noncatastrophic(enc, shift, horizon, margin,
+                                                          translated_slack(enc, horizon))
 
 
 # -- base decomposition ------------------------------------------------------------

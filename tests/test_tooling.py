@@ -108,7 +108,8 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 #: and builds that form from packed rows, with no presentation shift; G's
 #: p-torsion windows are read off one exact form the same way, and the
 #: initial-value rank off uncanonicalized kept rows; no height is lifted to
-#: the exponent.
+#: the exponent; a tap's membership reads the cached certified words, with
+#: no window form of its own.
 #: The membership tests are those of generator picks read off canonical rows,
 #: at most one per head row of a level's form, and the heads of the steering
 #: verdicts on their boundary windows.
@@ -116,7 +117,7 @@ COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [54, 4364, 55, 9, 7], "Z9 x Z3": [43, 3108, 60, 5, 3]}
+want = {"Z8 x Z4": [53, 4126, 55, 9, 7], "Z9 x Z3": [42, 2870, 60, 5, 3]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -307,8 +308,7 @@ def test_noncatastrophicity_eliminates_boundary_windows_only(monkeypatch):
             pass
         for enc, target in audits:
             calls.clear()
-            encoders.check_noncatastrophic(enc, target, horizons.window_horizon,
-                                           horizons.margin)
+            encoders.check_noncatastrophic(enc, target, horizons.window_horizon)
             r = enc.alphabet.rank
             for _, _, conditions, zeros, lo, hi in calls:
                 t = (hi - lo) // r - 1  # the kept block is [0, t]
@@ -329,6 +329,19 @@ def test_supported_words_build_no_window_module():
         for scale in (None, shift.alphabet.primes()[0]):
             shifts.supported_words(shift, -1, 2, torsion_scale=scale)
             assert shifts._window_module.cache_info().misses == before, (shift, scale)
+
+
+def test_member_builds_no_window_module():
+    # membership is a lookup in the exact certified words of the word's
+    # support, not a margin-padded window module around it
+    rng = random.Random(34)
+    for _ in range(10):
+        shift = random_shift(rng)
+        before = shifts._window_module.cache_info().misses
+        ones = impulse(shift.alphabet, [1] * shift.alphabet.rank)
+        for w in (shift.generators[0].shifted(2), ones):
+            shifts.member(shift, w)
+        assert shifts._window_module.cache_info().misses == before, shift
 
 
 def test_certify_reads_torsion_windows_and_initial_values_off_the_engine(monkeypatch):
