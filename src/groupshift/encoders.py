@@ -20,8 +20,8 @@ from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
 from .residues import (HowellForm, PackedRows, Vec, _bytes_to_lanes, _lane_bytes,
                        _lane_layout, _lanes_to_bytes, combine_rows, howell_form,
                        placed_rows, projection_heads, residue_table, row_solver, unpack_rows)
-from .shifts import (GroupShift, Horizons, SupportedWords, _boundary_rows, member,
-                     primary_shift, supported_words, torsion_presentation)
+from .shifts import (GroupShift, Horizons, _boundary_rows, primary_shift,
+                     supported_words, torsion_presentation)
 from .words import Word
 
 
@@ -52,16 +52,16 @@ def multiple_shift(shift: GroupShift, p: int, r: int) -> GroupShift:
 def scaled_finite_words_check(shift: GroupShift, p: int, r: int,
                               horizons: Horizons) -> tuple[bool, str]:
     """Window-scale equality of p^r * (certified words of G) and the
-    certified words of the p^r G presentation."""
-    scaled = multiple_shift(shift, p, r)
-    factor = p ** r
-    for t in range(horizons.window_horizon + 1):
-        base = supported_words(shift, 0, t)
-        target = supported_words(scaled, 0, t)
-        m, ncols = target.form.modulus, target.form.ncols
-        red = _lane_layout(m, ncols)[2]  # a product stays below m^2 in its lane
-        rows = tuple(red(factor * x) for x in base.form.packed)
-        if not howell_form(PackedRows(rows, ncols), m).spans_same(target.form):
+    certified words of the p^r G presentation on every [0, t], t <= H: one
+    form on [0, H] per shift, each [0, t] read off it by `zero_prefix`."""
+    h, rank, factor = horizons.window_horizon, shift.alphabet.rank, p ** r
+    base = supported_words(shift, h + 1)
+    scaled = supported_words(multiple_shift(shift, p, r), h + 1)
+    m, red = base.modulus, _lane_layout(base.modulus, base.ncols)[2]  # products < m^2
+    for t in range(h + 1):
+        target = scaled.zero_prefix((h - t) * rank)
+        rows = tuple(red(factor * x) for x in base.zero_prefix((h - t) * rank).packed)
+        if not howell_form(PackedRows(rows, target.ncols), m).spans_same(target):
             return False, f"finite-word modules differ on [0,{t}] for r={r}"
     return True, ""
 
@@ -87,7 +87,8 @@ def socle_shift(shift: GroupShift, p: int,
     failing = torsion_presentation(shift, p, horizons)[2]
     if failing is not None:
         raise PipelineFailure("socle-presentation", _socle_failure(failing, horizons))
-    words = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p).words
+    words = (Word.from_window_vector(shift.alphabet, 0, row) for row in
+             supported_words(shift, horizons.support_cap, torsion_scale=p).rows)
     return GroupShift.make(shift.alphabet,
                            list(dict.fromkeys(w.shifted(w.first) for w in words)))
 
@@ -160,7 +161,8 @@ def _levels(cap: int, quotient: bool):
             for q in range(cap + 1) for s in range(max(q, 1), cap + 1))
 
 
-def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
+def _candidate_batches(group: FiniteAbelianGroup, cands: HowellForm, p: int,
+                       picked: list, levels):
     """One batch per greedy pick: for each submodule of the level, its least
     candidate whose initial symbol is outside the span of `picked` (scaled
     p-torsion symbols, extended by the caller between batches) as it stands
@@ -171,8 +173,7 @@ def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
     span, so the least of a batch is what a greedy pass over all candidates
     sorted by (level, vector) would pick next.
     """
-    group = cands.shift.alphabet
-    r, m, width = group.rank, cands.form.modulus, cands.form.ncols
+    r, m, width = group.rank, cands.modulus, cands.ncols
     # x_j in pH <=> p^(e_j - 1) * v_j == 0 for the scaled coordinate v_j
     kill = [p ** (e - 1) for _, e in group.factors]
     spanned = None
@@ -181,7 +182,7 @@ def _candidate_batches(cands: SupportedWords, p: int, picked: list, levels):
         for hot in hots:
             cold = [(k * r + j, 1, kill[j]) for k in range(s) if k not in hot
                     for j in range(r)]
-            kept, _ = projection_heads(cands.form.packed, m, cold, [(s * r, width - s * r)],
+            kept, _ = projection_heads(cands.packed, m, cold, [(s * r, width - s * r)],
                                        0, s * r)
             forms.append(howell_form(PackedRows(kept.packed, s * r), m))
         while True:
@@ -203,12 +204,12 @@ def _pick_generators(shift: GroupShift, p: int, horizons: Horizons, picked: list
     if len(picked) == rank:
         return chosen
     r = shift.alphabet.rank
-    cands = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p)
+    cands = supported_words(shift, horizons.support_cap, torsion_scale=p)
     levels = _levels(horizons.support_cap, quotient)
-    for _, batch in _candidate_batches(cands, p, picked, levels):
+    for _, batch in _candidate_batches(shift.alphabet, cands, p, picked, levels):
         vec = min(batch)
         picked.append(vec[:r])
-        w = Word.from_window_vector(shift.alphabet, cands.lo, vec)
+        w = Word.from_window_vector(shift.alphabet, 0, vec)
         chosen.append(GeneratorEntry(w, 0, w))
         if len(picked) == rank:
             return chosen
@@ -221,11 +222,12 @@ def _pick_generators(shift: GroupShift, p: int, horizons: Horizons, picked: list
 def lift_height(shift: GroupShift, x: Word, p: int, h: int, pad: int) -> Word | None:
     """A certified finite word y with p^h * y == x, canonical and with
     support inside supp(x) padded by `pad`; None when no such word exists
-    there (exact: `supported_words` takes no margin)."""
+    there (exact: `supported_words` takes no margin, and reads the words of
+    that width at 0, so lifts at every offset share one form)."""
     if h == 0 or x.is_zero:
         return x
     lo, hi = x.first - pad, x.last + pad
-    form = supported_words(shift, lo, hi).form
+    form = supported_words(shift, hi - lo + 1)
     if not form.packed:
         return None
     m, ncols = form.modulus, form.ncols
@@ -523,12 +525,13 @@ class NoncatastrophicityReport:
 def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
                           horizon: int) -> NoncatastrophicityReport:
     """Both window-scale directions, each decided exactly; the witness is the
-    first failing tap, else the first failing certified word.
+    first failing tap, else the first failing certified word.  Both read
+    one certified form on [0, W-1], W the larger of H+1 and the longest tap.
 
     Forward: finite messages land in G.  With the order bounds, the images
     of finite messages are the finite sums of placed taps, and G is a
     shift-invariant group, so they all lie in G exactly when every tap
-    does, which `shifts.member` decides exactly.
+    does: a lookup in the form's `zero_prefix` of the tap's length.
 
     Backward: every certified word w supported in [f, l] with l - f <= the
     horizon H has a finite preimage.  Translated by 1 - f, w lies in the
@@ -543,10 +546,13 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
     block projection of the elements vanishing on both near ends is the set
     I_H of finite images supported in the block, whatever the message
     support; its elements supported in [1, t+1] are I_t.  Every row of the
-    certified form on [0, t] must lie in it.
+    certified words on [0, t], the form's `zero_prefix`, must lie in it.
     """
+    width = max([horizon + 1, *(tap.support_length for tap in encoder.taps)])
+    words, r = supported_words(shift, width), shift.alphabet.rank
     for tap in encoder.taps:
-        if not member(shift, tap):
+        if not (tap.is_zero or words.zero_prefix((width - tap.support_length) * r)
+                .contains(tap.window_vector(tap.first, tap.last))):
             return NoncatastrophicityReport(False, horizon, tap)
     taps = GroupShift.make(encoder.alphabet, encoder.taps)
     rows, ncols, a, b = _boundary_rows(taps, horizon + 1, math.inf, math.inf,
@@ -554,7 +560,7 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
     kept, _ = projection_heads(rows, encoder.alphabet.modulus, (),
                                [(0, a), (b, ncols - b)], a, b)
     for t in range(horizon + 1):
-        form = supported_words(shift, 0, t).form
+        form = words.zero_prefix((width - 1 - t) * r)
         bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
         if bad is not None:
             return NoncatastrophicityReport(

@@ -6,8 +6,8 @@ a finite window [a, b] is the module spanned by the restrictions of every
 shifted generator whose support meets the window, including the partial
 overlaps at the window edges; this makes weak controllability hold by
 construction.  A steering condition (`control`), the splice property of
-`finite_type_memory`, the certified words of a given support
-(`supported_words`, which `member` reads), the p-torsion windows
+`finite_type_memory`, the certified words of a width (`supported_words`: one
+form, read off by `zero_prefix` for narrower windows), the p-torsion windows
 (`torsion_presentation`) or the backward noncatastrophicity of an
 encoder's taps is one elimination on a boundary window around its block,
 with near-end states of one kind per side for the placements wholly on
@@ -176,41 +176,27 @@ def _window_module(shift: GroupShift, lo: int, hi: int) -> WindowModule:
 # -- certified words with prescribed support --------------------------------
 
 
-@dataclass(frozen=True)
-class SupportedWords:
-    """Module of the certified words supported inside [lo, hi]."""
-
-    shift: GroupShift
-    lo: int
-    hi: int
-    form: HowellForm
-
-    @cached_property
-    def words(self) -> tuple[Word, ...]:
-        return tuple(Word.from_window_vector(self.shift.alphabet, self.lo, row)
-                     for row in self.form.rows)
-
-
 @lru_cache(maxsize=64)
-def supported_words(shift: GroupShift, lo: int, hi: int,
-                    torsion_scale: int | None = None) -> SupportedWords:
-    """The certified words supported inside [lo, hi] (torsion_scale * w == 0
-    when given), exactly and with no margin: moved to the block [1, hi-lo+1],
-    the elements of its boundary window (`_boundary_rows`, cut states at their
-    fixed points) vanishing on both near ends, so torsion binds the block."""
-    rows, ncols, a, b = _boundary_rows(shift, hi - lo + 1, math.inf, math.inf)
+def supported_words(shift: GroupShift, width: int,
+                    torsion_scale: int | None = None) -> HowellForm:
+    """The certified words supported inside [0, width-1] (torsion_scale * w
+    == 0 when given), exactly and with no margin: moved to the block [1,
+    width], the elements of its boundary window (`_boundary_rows`, cut states
+    at their fixed points) vanishing on both near ends, so torsion binds the
+    block.  G is shift-invariant and a Howell form is unique for its span, so
+    the words on [0, t] are `zero_prefix((width-1-t) * rank)`, moved to 0."""
+    rows, ncols, a, b = _boundary_rows(shift, width, math.inf, math.inf)
     kill = [] if torsion_scale is None else [(a, b - a, torsion_scale)]
     kept, _ = projection_heads(rows, shift.alphabet.modulus, kill,
                                [(0, a), (b, ncols - b)], a, b)
-    return SupportedWords(shift, lo, hi, howell_form(PackedRows(kept.packed, kept.ncols),
-                                                     shift.alphabet.modulus))
+    return howell_form(PackedRows(kept.packed, kept.ncols), shift.alphabet.modulus)
 
 
 def member(shift: GroupShift, w: Word) -> bool:
     """Whether w lies in the shift, exactly: a lookup in the certified words
-    supported in w's support, translated to start at 0 so that every word
-    of one length shares one form."""
-    return w.is_zero or supported_words(shift, 0, w.last - w.first).form.contains(
+    of w's support length, translated to start at 0 so that every word of
+    one length shares one form."""
+    return w.is_zero or supported_words(shift, w.support_length).contains(
         w.window_vector(w.first, w.last))
 
 
@@ -264,7 +250,7 @@ def torsion_presentation(shift: GroupShift, p: int, horizons: Horizons
     (`_boundary_rows`) with T_p at its fixed point on both near ends and
     p*v == 0 on every column.  Their windows [0, t] are `HowellForm.prefix`es."""
     r, m, top = shift.alphabet.rank, shift.alphabet.modulus, horizons.window_horizon
-    cands = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p).form
+    cands = supported_words(shift, horizons.support_cap, torsion_scale=p)
     ncols = (top + 1) * r
     pos = r * _lane_layout(m, ncols)[0]  # bits per position
     starts = dict.fromkeys(x >> ((x & -x).bit_length() - 1) // pos * pos for x in cands.packed)

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.residues import combine_rows, projection_heads, unpack_rows
-from groupshift.shifts import GroupShift, SupportedWords, finite_type_memory, supported_words
+from groupshift.residues import HowellForm, combine_rows, projection_heads, unpack_rows
+from groupshift.shifts import GroupShift, finite_type_memory, supported_words
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
 
@@ -96,7 +96,7 @@ def splice_property_holds(shift: GroupShift, n: int, reach: int) -> bool:
 
 
 def padded_supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
-                           torsion_scale: int | None = None) -> SupportedWords:
+                           torsion_scale: int | None = None) -> HowellForm:
     """Reference for `shifts.supported_words`: the words certified at a
     margin, the projection to [lo, hi] of the elements of the window [lo -
     margin, hi + margin] that vanish on both pads (with torsion_scale * v ==
@@ -104,9 +104,13 @@ def padded_supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
     margin exceeds the shift's memory, and can be larger below that."""
     module = shift.window(lo - margin, hi + margin)
     pads = list(range(lo - margin, lo)) + list(range(hi + 1, hi + margin + 1))
-    form = module.constrained_projection(lo, hi, zero_positions=pads,
+    return module.constrained_projection(lo, hi, zero_positions=pads,
                                          kill_scale=torsion_scale)
-    return SupportedWords(shift, lo, hi, form)
+
+
+def form_words(shift: GroupShift, form: HowellForm) -> list[Word]:
+    """The words of the rows of a certified-words form, placed at 0."""
+    return [Word.from_window_vector(shift.alphabet, 0, row) for row in form.rows]
 
 
 def padded_member(shift: GroupShift, w: Word, margin: int) -> bool:
@@ -141,15 +145,24 @@ def padded_initial_value_space(shift: GroupShift, p: int, margin: int,
                                          kill_scale=p).rank
 
 
+def translated_slack(encoder, horizon: int) -> int:
+    """The references' message slack memory + horizon + 1, counted from the
+    taps translated to start at 0: a tap that starts at k moves every
+    preimage by -k, so the slack grows by the largest |k|."""
+    return encoder.memory + horizon + 1 + max(
+        (abs(tap.first) for tap in encoder.taps if not tap.is_zero), default=0)
+
+
 def slack_noncatastrophic(encoder, shift: GroupShift, horizon: int, margin: int,
                           slack: int | None = None):
     """Reference for `encoders.check_noncatastrophic`, its elimination at a
     message slack: the forward tap loop at the margin (`padded_member`),
     then for each t <= horizon the span of each nonzero tap placed at
-    -s..t+s, s = the slack (default memory + horizon + 1), on a window
-    covering all of them, cut to its elements zero outside [0, t], must
-    contain every row of the certified form on [0, t].  Returns (verdict,
-    witness) as the report does."""
+    -s..t+s, s = the slack (default `translated_slack`, so that translating
+    the taps does not change the verdict), on a window covering all of
+    them, cut to its elements zero outside [0, t], must contain every row of
+    the certified form on [0, t], built for that width alone.  Returns
+    (verdict, witness) as the report does."""
     for tap in encoder.taps:
         if not padded_member(shift, tap, margin):
             return False, tap
@@ -157,14 +170,14 @@ def slack_noncatastrophic(encoder, shift: GroupShift, horizon: int, margin: int,
     taps = [tap for tap in encoder.taps if not tap.is_zero]
     first = min((tap.first for tap in taps), default=0)
     last = max((tap.last for tap in taps), default=0)
-    s = encoder.memory + horizon + 1 if slack is None else slack
+    s = translated_slack(encoder, horizon) if slack is None else slack
     for t in range(horizon + 1):
         lo, hi = min(0, first - s), max(t, last + t + s)
         ncols, a, b = (hi - lo + 1) * r, -lo * r, (t + 1 - lo) * r
         rows = [row for tap in taps
                 for row in tap.placed_rows(range(-s, t + s + 1), lo, ncols)]
         kept, _ = projection_heads(rows, m, (), [(0, a), (b, ncols - b)], a, b)
-        form = supported_words(shift, 0, t).form
+        form = supported_words(shift, t + 1)
         bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
         if bad is not None:
             return False, Word.from_window_vector(shift.alphabet, 0, form.rows[bad])

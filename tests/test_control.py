@@ -24,8 +24,8 @@ from groupshift.shifts import (GroupShift, Horizons, _near_end, primary_shift,
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
-from conftest import (enumerate_elements, exact_margins, full_shift, make_shift, random_shift,
-                      restricted, window_projection_heads)
+from conftest import (enumerate_elements, exact_margins, form_words, full_shift, make_shift,
+                      random_shift, restricted, window_projection_heads)
 
 
 def enumerated_index(shift, cap, past, ordered):
@@ -229,7 +229,7 @@ def checked_torsion_presentation(shift, p, horizons):
     its p-torsion windows are its window modules, which are checked too."""
     form, torsion, failing = torsion_presentation(shift, p, horizons)
     top, r = horizons.window_horizon, shift.alphabet.rank
-    words = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p).words
+    words = form_words(shift, supported_words(shift, horizons.support_cap, torsion_scale=p))
     presentation = GroupShift.make(shift.alphabet, [w.shifted(w.first) for w in words])
     assert form.spans_same(presentation.window(0, top).form), (shift, p)
     for margin in exact_margins(shift):

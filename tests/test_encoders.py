@@ -24,9 +24,9 @@ from groupshift.shifts import (GroupShift, member, enumerate_window_code,
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
-from conftest import (enumerate_elements, full_shift, impulse, is_torsion, make_shift,
-                     padded_member, random_message, random_shift, restricted,
-                     slack_noncatastrophic)
+from conftest import (enumerate_elements, form_words, full_shift, impulse, is_torsion,
+                     make_shift, padded_member, random_message, random_shift, restricted,
+                     slack_noncatastrophic, translated_slack)
 
 
 # -- derived shifts -----------------------------------------------------------
@@ -159,9 +159,9 @@ def test_initial_basis_spans_every_one_sided_torsion_word():
         # scaled p-torsion symbols: the Howell form is their F_p span
         span = howell_form(basis, h.exponent, h.rank)
         assert span.rank == len(basis)
-        cands = supported_words(shift, 0, gs.horizons.support_cap - 1, torsion_scale=2)
-        for vec in enumerate_elements(cands.form):
-            w = Word.from_window_vector(h, cands.lo, vec)
+        cands = supported_words(shift, gs.horizons.support_cap, torsion_scale=2)
+        for vec in enumerate_elements(cands):
+            w = Word.from_window_vector(h, 0, vec)
             if w.is_zero or w.first != 0:
                 continue
             assert span.contains(w.window_vector(0, 0))
@@ -442,7 +442,8 @@ def test_backward_direction_needs_no_message_slack():
     assert solve_finite_preimage(enc, impulse8, 7) is None
     assert solve_finite_preimage(enc, impulse8, 8) is not None
     for horizon in (1, 2):
-        assert slack_noncatastrophic(enc, full_shift(z8), horizon, 2) == (False, impulse8)
+        assert slack_noncatastrophic(enc, full_shift(z8), horizon, 2,
+                                     slack=enc.memory + horizon + 1) == (False, impulse8)
         assert check_noncatastrophic(enc, full_shift(z8), horizon).ok
 
 
@@ -456,21 +457,13 @@ def test_preimage_solver_roundtrip(delay_rep):
         assert got is not None and encode(enc, got) == image
 
 
-def translated_slack(encoder, horizon):
-    """The references' message slack memory + horizon + 1, counted from the
-    taps translated to start at 0: a tap that starts at k moves every
-    preimage by -k, so the slack grows by the largest |k|."""
-    return encoder.memory + horizon + 1 + max(
-        (abs(tap.first) for tap in encoder.taps if not tap.is_zero), default=0)
-
-
 def per_word_backward(encoder, shift, horizon):
     """Reference for the backward direction: each certified word on [0, t],
     t <= horizon, solved for alone at the translated slack; the first word
     with no finite preimage, else None."""
     slack = translated_slack(encoder, horizon)
     for t in range(horizon + 1):
-        for w in supported_words(shift, 0, t).words:
+        for w in form_words(shift, supported_words(shift, t + 1)):
             if solve_finite_preimage(encoder, w, slack) is None:
                 return w
     return None
@@ -646,8 +639,7 @@ def test_catastrophic_taps_match_the_slack_elimination(rng, horizon, margin):
     enc = tap_encoder(shift.alphabet, taps)
     rep = check_noncatastrophic(enc, shift, horizon)
     event(f"backward direction {'holds' if rep.ok else 'fails'}")
-    assert (rep.ok, rep.witness) == slack_noncatastrophic(enc, shift, horizon, margin,
-                                                          translated_slack(enc, horizon))
+    assert (rep.ok, rep.witness) == slack_noncatastrophic(enc, shift, horizon, margin)
 
 
 # -- base decomposition ------------------------------------------------------------

@@ -19,14 +19,14 @@ from unittest import mock
 
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import brute_force_span, enumerate_elements, full_shift, random_shift
+from conftest import brute_force_span, enumerate_elements, random_shift
 from groupshift import encoders
 from groupshift.encoders import (GeneratorEntry, PipelineFailure,
                                  _candidate_batches, _least_outside, _levels,
                                  canonical_generators)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form
-from groupshift.shifts import GroupShift, SupportedWords, supported_words
+from groupshift.shifts import GroupShift, supported_words
 from groupshift.words import Word
 
 #: Candidates the reference may list before a draw is skipped.
@@ -37,15 +37,14 @@ class ReferenceCapHit(Exception):
     pass
 
 
-def eager_batches(cands, max_len):
-    """Per-support-length batches of candidate vectors with first index 0,
-    shortest supports first and each batch in lex order."""
-    form = cands.form
+def eager_batches(group, form, max_len):
+    """Per-support-length batches of the candidate vectors of `form` with
+    first index 0, shortest supports first and each batch in lex order."""
     if not form.rows:
         return
     width = form.ncols
     rev_form = howell_form([tuple(reversed(row)) for row in form.rows], form.modulus)
-    r = cands.shift.alphabet.rank
+    r = group.rank
     budget = REFERENCE_CAP
     for s in range(1, min(max_len, width // r) + 1):
         # reversed vectors zero on their first width - s*r coordinates
@@ -75,20 +74,20 @@ def quotient_support(group, vec, p: int) -> int:
     return hot[-1] - hot[0] + 1 if hot else 0
 
 
-def eager_order(cands, p: int, max_len: int, quotient: bool):
+def eager_order(group, form, p: int, max_len: int, quotient: bool):
     """Every candidate vector, in the order the greedy pass visits them."""
-    batches = eager_batches(cands, max_len)
+    batches = eager_batches(group, form, max_len)
     if not quotient:
         return (vec for _, batch in batches for vec in batch)
-    pool = sorted((quotient_support(cands.shift.alphabet, vec, p), s, vec)
+    pool = sorted((quotient_support(group, vec, p), s, vec)
                   for s, batch in batches for vec in batch)
     return (vec for _, _, vec in pool)
 
 
-def eager_picks(picked, rank, cands, vecs) -> list:
+def eager_picks(picked, rank, group, form, vecs) -> list:
     """Greedy pass: keep each vector whose initial symbol lies outside the
     closure of the kept symbols `picked` (extended in place)."""
-    m, r = cands.form.modulus, cands.shift.alphabet.rank
+    m, r = form.modulus, group.rank
     span = brute_force_span(picked, m, r)
     chosen = []
     for vec in vecs:
@@ -104,10 +103,11 @@ def eager_picks(picked, rank, cands, vecs) -> list:
 def eager_pick_generators(shift, p, horizons, picked, rank, quotient):
     if len(picked) == rank:
         return []
-    cands = supported_words(shift, 0, horizons.support_cap - 1, torsion_scale=p)
-    vecs = eager_order(cands, p, horizons.support_cap, quotient)
-    chosen = [Word.from_window_vector(shift.alphabet, cands.lo, vec)
-              for vec in eager_picks(picked, rank, cands, vecs)]
+    group = shift.alphabet
+    cands = supported_words(shift, horizons.support_cap, torsion_scale=p)
+    vecs = eager_order(group, cands, p, horizons.support_cap, quotient)
+    chosen = [Word.from_window_vector(group, 0, vec)
+              for vec in eager_picks(picked, rank, group, cands, vecs)]
     if len(picked) < rank:
         raise PipelineFailure("basis-completion" if quotient else "initial-basis",
                               "reference basis incomplete")
@@ -158,16 +158,15 @@ def test_selection_matches_eager_reference_on_torsion_modules(group, rng, quotie
     unit = h.exponent // p  # every p-torsion scaled entry is a multiple
     rows = [[rng.randrange(p) * unit for _ in range(cap * r)]
             for _ in range(rng.randrange(1, 8))]
-    cands = SupportedWords(full_shift(h), 0, cap - 1,
-                           howell_form(rows, h.exponent, cap * r))
+    cands = howell_form(rows, h.exponent, cap * r)
     seeds = [tuple(rng.randrange(p) * unit for _ in range(r))
              for _ in range(rng.randrange(r))]
     # seeds may be dependent, so no count of kept symbols ends the pass
-    expected = eager_picks(list(seeds), None, cands,
-                           eager_order(cands, p, cap, quotient))
+    expected = eager_picks(list(seeds), None, h, cands,
+                           eager_order(h, cands, p, cap, quotient))
     picked, got = list(seeds), []
     # at most r independent symbols exist, so a correct search stops by then
-    batches = _candidate_batches(cands, p, picked, _levels(cap, quotient))
+    batches = _candidate_batches(h, cands, p, picked, _levels(cap, quotient))
     for _, batch in itertools.islice(batches, r + 1):
         got.append(min(batch))
         picked.append(got[-1][:r])

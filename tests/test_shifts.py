@@ -16,9 +16,10 @@ from groupshift.shifts import (GroupShift, Horizons, _boundary_heads, _states_fi
                                torsion_presentation, torsion_window_projection)
 from groupshift.words import Word
 
-from conftest import (enumerate_elements, exact_margins, full_shift, impulse, make_shift,
-                      padded_initial_value_space, padded_member, padded_supported_words,
-                      random_shift, restricted, splice_property_holds, tuple_combine_rows)
+from conftest import (enumerate_elements, exact_margins, form_words, full_shift, impulse,
+                      make_shift, padded_initial_value_space, padded_member,
+                      padded_supported_words, random_shift, restricted, splice_property_holds,
+                      tuple_combine_rows)
 
 
 def window_code_as_set(shift, lo, hi):
@@ -160,12 +161,12 @@ def test_membership_needs_a_margin_past_the_memory():
                                         (0, [(3, 0, 0), (0, 0, 1), (3, 0, 0)])])
     assert finite_type_memory(shift, 8).memory == 3
     word = impulse(shift.alphabet, (1, 1, 0))
-    exact = supported_words(shift, 0, 0).form
+    exact = supported_words(shift, 1)
     assert padded_member(shift, word, 3)
     assert not member(shift, word)
-    assert not padded_supported_words(shift, 0, 0, 3).form.spans_same(exact)
+    assert not padded_supported_words(shift, 0, 0, 3).spans_same(exact)
     for margin in (4, 6, 12, 30):
-        assert padded_supported_words(shift, 0, 0, margin).form.spans_same(exact), margin
+        assert padded_supported_words(shift, 0, 0, margin).spans_same(exact), margin
         assert not padded_member(shift, word, margin), margin
 
 
@@ -235,26 +236,26 @@ def test_splice_rejects_a_glue_outside_the_shift():
 
 
 def test_supported_words_delay_rep(delay_rep):
-    sw = supported_words(delay_rep, 0, 1)
-    assert [w.format() for w in sw.words] == ["@0: (1,0) (0,1)"]
-    assert not supported_words(delay_rep, 0, 0).words
+    sw = supported_words(delay_rep, 2)
+    assert [w.format() for w in form_words(delay_rep, sw)] == ["@0: (1,0) (0,1)"]
+    assert not supported_words(delay_rep, 1).packed
 
 
 def test_supported_words_are_members():
     rng = random.Random(12)
     for _ in range(10):
         g = random_shift(rng)
-        sw = supported_words(g, 0, 3)
-        for w in sw.words:
+        sw = supported_words(g, 4)
+        for w in form_words(g, sw):
             assert member(g, w)
             assert w.is_zero or (w.first >= 0 and w.last <= 3)
 
 
 def test_supported_words_torsion():
     g = make_shift("Z4", [(0, [1, 2])])
-    sw = supported_words(g, 0, 2, torsion_scale=2)
-    assert sw.words
-    for w in sw.words:
+    sw = form_words(g, supported_words(g, 3, torsion_scale=2))
+    assert sw
+    for w in sw:
         assert w.scaled(2).is_zero
 
 
@@ -309,15 +310,24 @@ def test_constrained_projection_matches_three_step_reference(group, rng):
 @given(st.sampled_from(P_GROUPS + MIXED_GROUPS), st.randoms(use_true_random=False))
 def test_supported_words_match_the_padded_reference(group, rng):
     # the padded form is exact at a margin past the memory: at the verified
-    # memory + 1, and at max(3s + 6, 12), past every memory these draws reach
+    # memory + 1, and at max(3s + 6, 12), past every memory these draws
+    # reach; the words on [lo, hi] are those of its width at 0, as G is
+    # shift-invariant, and each narrower window [0, t] is the widest form's
+    # zero_prefix, its rows with pivot past the first width-1-t positions
     g = random_shift(rng, max_gens=2, max_support=3, pool=[group])
     lo = rng.randrange(-2, 2)
     hi = lo + rng.randrange(0, 5)
+    width, r = hi - lo + 1, g.alphabet.rank
     for scale in [None, *g.alphabet.primes()]:
-        exact = supported_words(g, lo, hi, torsion_scale=scale).form
+        exact = supported_words(g, width, torsion_scale=scale)
         for margin in exact_margins(g):
-            assert exact == padded_supported_words(g, lo, hi, margin, scale).form, \
+            assert exact == padded_supported_words(g, lo, hi, margin, scale), \
                 (scale, margin)
+        for t in range(width - 1):
+            narrow = exact.zero_prefix((width - 1 - t) * r)
+            own = supported_words(g, t + 1, torsion_scale=scale)
+            assert (narrow.packed, narrow.pivots, narrow.ncols) == \
+                (own.packed, own.pivots, own.ncols), (scale, t)
 
 
 def test_member_matches_the_padded_reference():

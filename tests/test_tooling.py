@@ -109,7 +109,9 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 #: p-torsion windows are read off one exact form the same way, and the
 #: initial-value rank off uncanonicalized kept rows; no height is lifted to
 #: the exponent; a tap's membership reads the cached certified words, with
-#: no window form of its own.
+#: no window form of its own; the certified words on [0, t], t <= H, of the
+#: scaled and noncatastrophicity checks are read off one form on [0, H] by
+#: `zero_prefix`, and lifts share one form per width at every offset.
 #: The membership tests are those of generator picks read off canonical rows,
 #: at most one per head row of a level's form, and the heads of the steering
 #: verdicts on their boundary windows.
@@ -117,7 +119,7 @@ COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [53, 4126, 55, 9, 7], "Z9 x Z3": [42, 2870, 60, 5, 3]}
+want = {"Z8 x Z4": [38, 3576, 55, 9, 7], "Z9 x Z3": [32, 2540, 60, 5, 3]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -327,8 +329,40 @@ def test_supported_words_build_no_window_module():
         shift = random_shift(rng)
         before = shifts._window_module.cache_info().misses
         for scale in (None, shift.alphabet.primes()[0]):
-            shifts.supported_words(shift, -1, 2, torsion_scale=scale)
+            shifts.supported_words(shift, 4, torsion_scale=scale)
             assert shifts._window_module.cache_info().misses == before, (shift, scale)
+
+
+def test_window_families_build_one_certified_form():
+    # each window family [0, t], t <= H, is read off one certified-words
+    # form by zero_prefix: the scaled check builds the form on [0, H] for G
+    # and for p*G, and the noncatastrophicity check builds one form, as wide
+    # as H+1 and the longest tap, for the windows and the taps' membership
+    # (one elimination per window made 2(H+1) and H+1 of them, plus one per
+    # further tap length); z8-z4 and z9-z3 add passing scaled checks to
+    # full-z4's
+    def misses():
+        return shifts.supported_words.cache_info().misses
+
+    scaled = noncat = 0
+    for name, primes in (("full-z4", (2,)), ("delay-rep", (2,)), ("z6", (2, 3)),
+                         ("mixed-witness", (3,)), ("z8-z4", (2,)), ("z9-z3", (3,))):
+        shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
+        horizons = Horizons.derive(shift)
+        h = horizons.window_horizon
+        for p in primes:
+            part = primary_shift(shift, p)
+            if part.exponent > p:
+                shifts.supported_words.cache_clear()
+                assert encoders.scaled_finite_words_check(part, p, 1, horizons)[0], name
+                assert misses() == 2, (name, p, misses())
+                scaled += 1
+            enc = encoders.build_encoder(encoders.canonical_generators(part, p, horizons))
+            shifts.supported_words.cache_clear()
+            assert encoders.check_noncatastrophic(enc, part, h).ok, name
+            assert misses() == 1, (name, p, misses())
+            noncat += 1
+    assert (scaled, noncat) == (3, 7)
 
 
 def test_member_builds_no_window_module():
@@ -571,7 +605,7 @@ def test_shift_caches_stay_within_their_bounds():
         if shift not in seen:
             seen.add(shift)
             shift.window(0, 3)
-            shifts.supported_words(shift, 0, 2)
+            shifts.supported_words(shift, 3)
     for cache in (shifts._window_module, shifts.supported_words,
                   residues._lane_layout, residues._pivot_arithmetic):
         info = cache.cache_info()
