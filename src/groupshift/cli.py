@@ -350,7 +350,7 @@ def _at_least(lo: int):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--margin", type=_at_least(0), default=None,
-                        help="support pad of the tap-lift searches")
+                        help="echoed in the report; no verdict reads it")
     parser.add_argument("--support-cap", type=_at_least(1), default=None,
                         help="max support length for generator searches")
     parser.add_argument("--block-cap", type=_at_least(0), default=None,

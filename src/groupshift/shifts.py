@@ -25,8 +25,7 @@ from typing import Sequence
 
 from .groups import FiniteAbelianGroup, primary_component
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, PackedRows,
-                       _eliminate, _lane_layout, howell_form, placed_rows,
-                       projection_heads)
+                       _eliminate, _lane_layout, howell_form, projection_heads)
 from .words import Word, word_span
 
 
@@ -214,7 +213,7 @@ def torsion_window_projection(shift: GroupShift, lo: int, hi: int, margin: int,
 class Horizons:
     """All window sizes and caps used by the pipeline, kept for reports."""
 
-    margin: int          # support pad of the tap-lift searches
+    margin: int          # echoed in the report; only `base_decompose` reads it
     support_cap: int     # max support length searched for generator words
     block_cap: int       # injectivity block search bound
     window_horizon: int  # windows [0, T] checked up to this T
@@ -237,29 +236,24 @@ class Horizons:
 def torsion_presentation(shift: GroupShift, p: int, horizons: Horizons
                          ) -> tuple[HowellForm, HowellForm, int | None]:
     """(F, T, t): the window form F on [0, window_horizon] = [0, H] of the
-    p-torsion subshift G[p] presented by the distinct translates to 0 of the
-    certified p-torsion words supported in [0, support_cap - 1]
-    (`encoders.socle_shift` builds that presentation), the p-torsion form T
-    of G on [0, H], and the least t <= H at which F does not generate T's
-    window (None when every window passes, which is G[p]'s weak
-    controllability at these horizons).
+    finite p-torsion words of G, of any support, which present the p-torsion
+    subshift G[p] when it is weakly controllable, the p-torsion form T of G
+    on [0, H], and the least t <= H at which F does not generate T's window
+    (None when every window passes, which is G[p]'s weak controllability at
+    the window horizon).
 
-    F is built from the candidates' packed rows: each is moved down to its
-    first nonzero position, and each distinct one is placed at every offset
-    that meets [0, H].  T is exact: the block [1, H+1] of its boundary window
-    (`_boundary_rows`) with T_p at its fixed point on both near ends and
-    p*v == 0 on every column.  Their windows [0, t] are `HowellForm.prefix`es."""
+    Both are exact: the block [1, H+1] of its boundary window
+    (`_boundary_rows`) with p*v == 0 on every column, with U_p at its fixed
+    point (elements zero far out) on both near ends for F and T_p at its
+    fixed point (every element) for T.  Their windows [0, t] are
+    `HowellForm.prefix`es."""
     r, m, top = shift.alphabet.rank, shift.alphabet.modulus, horizons.window_horizon
-    cands = supported_words(shift, horizons.support_cap, torsion_scale=p)
-    ncols = (top + 1) * r
-    pos = r * _lane_layout(m, ncols)[0]  # bits per position
-    starts = dict.fromkeys(x >> ((x & -x).bit_length() - 1) // pos * pos for x in cands.packed)
-    rows = [row for x in starts for row in placed_rows(
-        x, m, range(-((x.bit_length() - 1) // pos) * r, ncols, r), ncols)]
-    form = howell_form(PackedRows(tuple(rows), ncols), m)
-    rows, width, a, b = _boundary_rows(shift, top + 1, math.inf, math.inf, (p, p))
-    kept, _ = projection_heads(rows, m, [(0, width, p)], [], a, b)
-    torsion = howell_form(PackedRows(kept.packed, kept.ncols), m)
+    forms = []
+    for kind in (("far", p), p):
+        rows, width, a, b = _boundary_rows(shift, top + 1, math.inf, math.inf, (kind, kind))
+        kept, _ = projection_heads(rows, m, [(0, width, p)], [], a, b)
+        forms.append(howell_form(PackedRows(kept.packed, kept.ncols), m))
+    form, torsion = forms
     failing = next((t for t in range(top + 1) if not form.prefix((t + 1) * r).spans_same(
         torsion.prefix((t + 1) * r))), None)
     return form, torsion, failing
@@ -269,40 +263,46 @@ def torsion_presentation(shift: GroupShift, p: int, horizons: Horizons
 
 
 def _near_end(shift: GroupShift, width: float, mirror: bool,
-              kind: int | str = 1) -> HowellForm:
+              kind: int | str | tuple = 1) -> HowellForm:
     """The near-end state T_d(width) of kind d: the span of the placements
     ending at or before width-1, cut at position 0, with d*v == 0 on
     [0, width-s] (s the span), projected to the last s-1 positions of
     [0, width-1] as a canonical form (positions below 0 read zero); d = 1 is
     the cut state S.  `mirror` reverses every generator's symbols.  Of kind
     "whole" (d = 1) a placement reaching below 0 is left out instead of cut,
-    as a finite message places whole generators: these states rise with
-    the width, and `math.inf` reads their fixed point.
+    as a finite message places whole generators.  Of kind ("far", d) no
+    placement is cut and the first state is S(inf), "zero far out": U_d is
+    the footprint of the elements that vanish far out and are d-torsion on
+    the `width` positions before the last s-1.  "whole" and "far" states
+    rise with the width, and `math.inf` reads their fixed point.
 
     T_d(W+1) = (T_d(W) + placements ending at W) ∩ {d*v == 0 at W-s+1}: the
     s-position frame [W-s+1, W] is eliminated with its first position scaled
-    by d, which `zero_prefix` drops.  From W = s-1 on no placement is cut or
-    left out, so the step is a fixed map and the sequence stops at its first
-    repeat.  The placements' frame rows and the sequence live in the
-    shift's table."""
+    by d, which `zero_prefix` drops.  From W = s-1 on (from the start for
+    "far") no placement is cut or left out, so the step is a fixed map and
+    the sequence stops at its first repeat.  The placements' frame rows and
+    the sequence live in the shift's table."""
     s, r = shift.span, shift.alphabet.rank
     m, cols = shift.alphabet.modulus, s * r
+    far = isinstance(kind, tuple)
     table = shift.boundary_table.setdefault("states", {})
     if (mirror, kind) not in table:
         gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
         frame = [(len(g.symbols), x) for g in gens
                  for x in g.placed_rows([-g.last], 1 - s, cols)]
-        table[mirror, kind] = frame, [HowellForm(m, max(cols - r, 0), (), ())]
+        table[mirror, kind] = frame, [_near_end(shift, math.inf, mirror) if far else
+                                      HowellForm(m, max(cols - r, 0), (), ())]
     frame, states = table[mirror, kind]
+    d = kind[1] if far else kind
     w, _, red = _lane_layout(m, cols)
-    while s > 1 and len(states) <= width and not (len(states) > s and
+    while s > 1 and len(states) <= width and not (len(states) > (1 if far else s) and
                                                   states[-1].packed == states[-2].packed):
-        cut = max(s - len(states), 0) * r * w  # frame positions below 0
+        cut = 0 if far else max(s - len(states), 0) * r * w  # frame positions below 0
         step = [x for n, x in frame if n <= len(states)] if kind == "whole" else \
             [x >> cut << cut for _, x in frame]
         rows = [*states[-1].packed, *step]
-        if kind not in (1, "whole"):  # scale the first position, below m^2 per lane
-            rows = [red(x + (kind - 1) * (x & (1 << r * w) - 1)) for x in rows]
+        if d not in (1, "whole"):  # scale the first position, below m^2 per lane
+            rows = [red(x + (d - 1) * (x & (1 << r * w) - 1)) for x in rows]
         done, pivots = _eliminate(rows, m, cols, 0)
         states.append(HowellForm(m, cols, tuple(done), tuple(pivots)).zero_prefix(r))
     return states[min(width, len(states) - 1)]

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.residues import HowellForm, combine_rows, projection_heads, unpack_rows
+from groupshift.encoders import lift_height
+from groupshift.residues import (HowellForm, PackedRows, _lane_layout, combine_rows, howell_form,
+                                 placed_rows, projection_heads, unpack_rows)
 from groupshift.shifts import GroupShift, finite_type_memory, supported_words
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
@@ -106,6 +108,40 @@ def padded_supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
     pads = list(range(lo - margin, lo)) + list(range(hi + 1, hi + margin + 1))
     return module.constrained_projection(lo, hi, zero_positions=pads,
                                          kill_scale=torsion_scale)
+
+
+def padded_word_height(shift: GroupShift, x: Word, p: int, order_index: int,
+                       max_h: int) -> int:
+    """Reference for `encoders.divisible`, the padded height search: the
+    largest h <= max_h with a certified finite y solving p^h y = x, by lifts
+    with supports padded by h*(order index + 1) per step.  It can stop below
+    the height where every y is wider than that pad."""
+    if x.is_zero:
+        raise ValueError("height of the zero word is infinite")
+    h = 0
+    while h < max_h:
+        pad = (h + 1) * (order_index + 1)
+        if lift_height(shift, x, p, h + 1, pad) is None:
+            break
+        h += 1
+    return h
+
+
+def capped_torsion_form(shift: GroupShift, p: int, top: int, cap: int) -> HowellForm:
+    """Reference for the form F of `shifts.torsion_presentation`: the window
+    form on [0, top] of G[p] presented by the distinct translates to 0 of the
+    certified p-torsion words supported in [0, cap - 1].  Each candidate's
+    packed row is moved down to its first nonzero position, and each
+    distinct one is placed at every offset that meets [0, top].  It lies in
+    the exact F, and equals it once the cap reaches the words that F needs."""
+    r, m = shift.alphabet.rank, shift.alphabet.modulus
+    cands = supported_words(shift, cap, torsion_scale=p)
+    ncols = (top + 1) * r
+    pos = r * _lane_layout(m, ncols)[0]  # bits per position
+    starts = dict.fromkeys(x >> ((x & -x).bit_length() - 1) // pos * pos for x in cands.packed)
+    rows = [row for x in starts for row in placed_rows(
+        x, m, range(-((x.bit_length() - 1) // pos) * r, ncols, r), ncols)]
+    return howell_form(PackedRows(tuple(rows), ncols), m)
 
 
 def form_words(shift: GroupShift, form: HowellForm) -> list[Word]:

@@ -24,8 +24,9 @@ from groupshift.shifts import (GroupShift, Horizons, _near_end, primary_shift,
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
-from conftest import (enumerate_elements, exact_margins, form_words, full_shift, make_shift,
-                      random_shift, restricted, window_projection_heads)
+from conftest import (capped_torsion_form, enumerate_elements, exact_margins, form_words,
+                      full_shift, make_shift, random_shift, restricted,
+                      window_projection_heads)
 
 
 def enumerated_index(shift, cap, past, ordered):
@@ -220,18 +221,24 @@ def mixed_shifts():
 
 
 def checked_torsion_presentation(shift, p, horizons):
-    """The failing window of `torsion_presentation`, after checking its form
-    against the window module of the presentation built from the candidate
-    words, its exact p-torsion form on [0, H] against
+    """The failing window of `torsion_presentation`, after checking its
+    exact form F of the finite p-torsion words against the capped
+    presentations by the candidate words supported in [0, cap - 1]
+    (`capped_torsion_form`, itself checked against the window module of the
+    presentation shift) at cap = support_cap and 2 * support_cap + 2, which
+    no draw here needs, its exact p-torsion form on [0, H] against
     `torsion_window_projection` at each margin past the memory
     (`exact_margins`), so that their windows [0, t], the prefixes, agree,
     and its failing window against those windows; when p kills the shift,
     its p-torsion windows are its window modules, which are checked too."""
     form, torsion, failing = torsion_presentation(shift, p, horizons)
-    top, r = horizons.window_horizon, shift.alphabet.rank
-    words = form_words(shift, supported_words(shift, horizons.support_cap, torsion_scale=p))
+    top, r, cap = horizons.window_horizon, shift.alphabet.rank, horizons.support_cap
+    words = form_words(shift, supported_words(shift, cap, torsion_scale=p))
     presentation = GroupShift.make(shift.alphabet, [w.shifted(w.first) for w in words])
-    assert form.spans_same(presentation.window(0, top).form), (shift, p)
+    assert capped_torsion_form(shift, p, top, cap).spans_same(
+        presentation.window(0, top).form), (shift, p)
+    for capped in (cap, 2 * cap + 2):
+        assert form.spans_same(capped_torsion_form(shift, p, top, capped)), (shift, p, capped)
     for margin in exact_margins(shift):
         assert torsion.spans_same(torsion_window_projection(shift, 0, top, margin, p)), \
             (shift, p, margin)
@@ -429,6 +436,31 @@ def test_steering_verdict_carries_to_the_next_candidate(group, rng, support, n, 
     for d in _divisors(shift.alphabet.exponent):
         if full_window_verdict(shift, n, past + 1, d):
             assert full_window_verdict(shift, n + 1, past, d), (shift, n, past, d)
+
+
+def test_far_states_rise_to_their_fixed_point():
+    # U_d starts at S(inf), the footprint of the elements that vanish far
+    # out, and a zero position is d-torsion, so every state lies in the
+    # next; a strict rise multiplies the state's size by p at least, so over
+    # Z/p^e the chain is fixed within e*(s-1)*r steps, where it stops, and
+    # width inf reads that fixed point
+    rng = random.Random(31)
+    longest = 0
+    for _ in range(40):
+        shift = random_shift(rng, max_gens=3, max_support=rng.randrange(2, 6),
+                             pool=["Z4", "Z8", "Z2 x Z4", "Z8 x Z4", "Z9", "Z3 x Z9"])
+        s, r, m = shift.span, shift.alphabet.rank, shift.alphabet.modulus
+        e = round(math.log(m, shift.alphabet.primes()[0]))
+        for mirror, d in itertools.product((False, True), _divisors(shift.alphabet.exponent)):
+            fixed = _near_end(shift, math.inf, mirror, ("far", d))
+            states = shift.boundary_table["states"][mirror, ("far", d)][1]
+            assert states[0] == _near_end(shift, math.inf, mirror), (shift, mirror, d)
+            for k, (state, after) in enumerate(zip(states, states[1:])):
+                assert all(map(after.contains, state.packed)), (shift, mirror, d, k)
+            assert fixed == states[-1] and (len(states) == 1 or states[-2] == fixed)
+            assert len(states) - 2 <= e * (s - 1) * r, (shift, mirror, d)
+            longest = max(longest, len(states) - 2)
+    assert longest >= 2, longest
 
 
 def test_near_end_states_match_their_definition():

@@ -11,11 +11,11 @@ from groupshift.encoders import (Encoder, Horizons, PipelineFailure,
                                  base_decompose, build_encoder,
                                  canonical_generators, check_injectivity,
                                  check_noncatastrophic, conjugacy_certificate,
-                                 encode, lift_height, multiple_shift,
+                                 divisible, encode, lift_height, multiple_shift,
                                  presentation_encoder, primary_certificate,
                                  primary_shift, socle_shift,
                                  scaled_finite_words_check,
-                                 solve_finite_preimage, word_height,
+                                 solve_finite_preimage,
                                  _image_window_checks, _message_invariant_checks)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form, row_solver
@@ -25,8 +25,8 @@ from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
 from conftest import (enumerate_elements, form_words, full_shift, impulse, is_torsion,
-                     make_shift, padded_member, random_message, random_shift, restricted,
-                     slack_noncatastrophic, translated_slack)
+                     make_shift, padded_member, padded_word_height, random_message,
+                     random_shift, restricted, slack_noncatastrophic, translated_slack)
 
 
 # -- derived shifts -----------------------------------------------------------
@@ -97,13 +97,17 @@ def test_lift_height_trivial_and_basic(z4):
     assert member(t, y2)
 
 
-def test_word_height(z4):
+def test_divisible():
     g8 = full_shift(FiniteAbelianGroup.parse("Z8"))
-    x = impulse(g8.alphabet, (4,))
-    assert word_height(g8, x, 2, 0, 3) == 2
-    assert word_height(g8, impulse(g8.alphabet, (2,)), 2, 0, 3) == 1
-    with pytest.raises(ValueError):
-        word_height(g8, Word.zero(g8.alphabet), 2, 0, 3)
+    assert [divisible(g8, impulse(g8.alphabet, (4,)), 2, h) for h in (1, 2)] == [True, True]
+    assert [divisible(g8, impulse(g8.alphabet, (2,)), 2, h) for h in (1, 2)] == [True, False]
+    assert not divisible(g8, impulse(g8.alphabet, (1,)), 2, 1)
+    assert divisible(g8, impulse(g8.alphabet, (6,), 5), 2, 1)
+    # heights are read in G, not in the alphabet: in the shift 2 * Z8^Z, 4 is
+    # 2 * 2 but not 4 * y for any y in it
+    twice = make_shift("Z8", [(0, [2])])
+    assert [divisible(twice, impulse(twice.alphabet, (4,)), 2, h) for h in (1, 2)] == \
+        [True, False]
 
 
 # -- canonical generating sets ---------------------------------------------------
@@ -772,6 +776,12 @@ def test_by_construction_lines_hold_on_random_gensets():
             cert = primary_certificate(part, p, genset.horizons)
             reported = {c.name: c.passed for c in cert.checks}
             assert all(reported[name] for name in BY_CONSTRUCTION)
+            # heights-maximal is the padded height search at a pad past
+            # every lift these draws need
+            emax, pad = part.exponent_exponent(p), 4 * part.span + 12
+            assert reported["heights-maximal"] == all(
+                padded_word_height(part, e.torsion_word, p, pad, emax - 1) == e.height
+                for e in genset.entries), part
             assert all(passed for name, passed in reported.items()
                        if name.startswith("scaled-finite-words-r"))
     assert built >= 40 and scaled >= 10

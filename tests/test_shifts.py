@@ -2,10 +2,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from groupshift.encoders import initial_value_space
+from groupshift.encoders import divisible, initial_value_space, lift_height
 from groupshift.groups import FiniteAbelianGroup
 
 from groupshift.residues import (EnumerationCapExceeded, howell_form, row_solver,
@@ -304,6 +304,38 @@ def test_constrained_projection_matches_three_step_reference(group, rng):
         [None, [pos for pos in window if rng.random() < 0.5]])
     args = (keep_lo, keep_hi, zero_positions, kill_scale, kill_positions)
     assert module.constrained_projection(*args) == three_step_projection(module, *args)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(P_GROUPS + MIXED_GROUPS), st.randoms(use_true_random=True))
+def test_divisible_matches_the_padded_lift(group, rng):
+    # exact divisibility is the padded lift at a pad past every y that the
+    # draws reach, on each primary component: the multiples x = p^h * y of
+    # sums y of two placed certified words with random coefficients, often
+    # narrower than y, and x plus a certified word, often no multiple; every
+    # yes is lifted at that pad, to a certified y
+    shift = random_shift(rng, max_gens=3, max_support=4, pool=[group])
+    for p in shift.alphabet.primes():
+        part = primary_shift(shift, p)
+        e, m = part.exponent_exponent(p), part.alphabet.modulus
+        pad = 4 * part.span + 12
+        words = form_words(part, supported_words(part, rng.randrange(1, 6)))
+        for _ in range(12 if words and e > 1 else 0):
+            y = Word.combine(part.alphabet, [(rng.randrange(m), rng.choice(words),
+                                              rng.randrange(3)) for _ in range(2)])
+            z = rng.choice([Word.zero(part.alphabet), rng.choice(words)])
+            x = y.scaled(p ** rng.randrange(1, e)) + z
+            if x.is_zero:
+                continue
+            event("multiple plus a word" if not z.is_zero else "multiple of a wider y"
+                  if y.support_length > x.support_length else "multiple")
+            for h in range(1, e):
+                lift = lift_height(part, x, p, h, pad)
+                assert divisible(part, x, p, h) == (lift is not None), (part, x, h)
+                if lift is None:
+                    event("no multiple at some height")
+                else:
+                    assert lift.scaled(p ** h) == x and member(part, lift)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -103,15 +103,17 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 
 #: The traced reductions of `certify` on the two ROADMAP cases: a packed path
 #: that bypassed one of the counted entry points would read a different count
-#: here.  The torsion presentation reads its window forms [0, t] off the one
-#: on [0, H] (`HowellForm.prefix`), H fewer reductions than one per window,
-#: and builds that form from packed rows, with no presentation shift; G's
-#: p-torsion windows are read off one exact form the same way, and the
-#: initial-value rank off uncanonicalized kept rows; no height is lifted to
-#: the exponent; a tap's membership reads the cached certified words, with
-#: no window form of its own; the certified words on [0, t], t <= H, of the
-#: scaled and noncatastrophicity checks are read off one form on [0, H] by
-#: `zero_prefix`, and lifts share one form per width at every offset.
+#: here.  The torsion presentation reads its windows [0, t] off two exact
+#: forms on [0, H] (`HowellForm.prefix`), of the finite p-torsion words and
+#: of G's p-torsion, H fewer reductions than one per window, with no
+#: candidate presentation; the initial-value rank is read off
+#: uncanonicalized kept rows; a height is one exact divisibility test (one
+#: reduction and one membership test), none at the exponent, and a tap is
+#: lifted once where its first pad holds it; a tap's membership reads the
+#: cached certified words, with no window form of its own; the certified
+#: words on [0, t], t <= H, of the scaled and noncatastrophicity checks are
+#: read off one form on [0, H] by `zero_prefix`, and lifts share one form
+#: per width at every offset.
 #: The membership tests are those of generator picks read off canonical rows,
 #: at most one per head row of a level's form, and the heads of the steering
 #: verdicts on their boundary windows.
@@ -119,7 +121,7 @@ COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [38, 3576, 55, 9, 7], "Z9 x Z3": [32, 2540, 60, 5, 3]}
+want = {"Z8 x Z4": [33, 2806, 56, 5, 3], "Z9 x Z3": [31, 2526, 61, 3, 1]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -408,15 +410,16 @@ def test_certify_reads_torsion_windows_and_initial_values_off_the_engine(monkeyp
 
 
 def test_no_height_is_lifted_to_the_exponent(monkeypatch):
-    # p^e kills every certified word of a shift of exponent p^e, so a lift to
-    # height e always fails and heights-maximal stops below it
+    # p^e kills every certified word of a shift of exponent p^e, so no word
+    # is divisible at height e and heights-maximal tests below it, where
+    # p^h stays below exp(H) as `divisible` needs
     asked = []
-    lift = encoders.lift_height
+    divisible = encoders.divisible
 
-    def recorded(shift, x, p, h, *args):
+    def recorded(shift, x, p, h):
         asked.append((h, shift.exponent_exponent(p)))
-        return lift(shift, x, p, h, *args)
-    monkeypatch.setattr(encoders, "lift_height", recorded)
+        return divisible(shift, x, p, h)
+    monkeypatch.setattr(encoders, "divisible", recorded)
     for name in ("full-z4", "z8-z4", "z9-z3"):
         shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
         assert conjugacy_certificate(shift).complete, name
