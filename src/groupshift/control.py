@@ -9,12 +9,13 @@ condition's scale exp(H), decided by the same elimination, so n_c <= n_o.
 Every verdict records the window geometry it was computed at; a steering
 verdict on [-L, n+L] is decided exactly on a boundary window around the
 block [1, n], whose width does not grow with L, by the engine that decides
-finite type too (`shifts._boundary_heads`), in the shift's one table; a
-monotone condition table (`_steering_is_monotone`) is searched by probing
-the candidates 0, 1, 2, 4, ..., cap and read off the index.  Weak
-controllability of the p-torsion subshift is read off the p-primary
-component's `shifts.torsion_presentation`, as `certify`'s socle line is,
-so `analyze` and `certify` decide it alike.
+finite type too (`shifts._boundary_heads`), in the shift's one table.  The
+past window is raised to the reach where both near-end states are fixed
+(`default_past_horizon`), so the condition table is monotone: it is
+searched by probing the candidates 0, 1, 2, 4, ..., cap and read off the
+index.  Weak controllability of the p-torsion subshift is read off the
+p-primary component's `shifts.torsion_presentation`, as `certify`'s socle
+line is, so `analyze` and `certify` decide it alike.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from dataclasses import dataclass
 
 from .groups import _prime_power_factors
 from .residues import HowellForm, PackedRows, _lane_layout, howell_form
-from .shifts import (GroupShift, Horizons, _boundary_heads, _states_fixed, primary_shift,
+from .shifts import (GroupShift, Horizons, _boundary_heads, _fixed_reach, primary_shift,
                      torsion_presentation)
 from .words import Word
 
-#: Candidates the condition table runs past the first success: read off
-#: the index when the table is monotone (`_steering_is_monotone`), decided
-#: otherwise, so the table still witnesses monotonicity past the index.
+#: Candidates the condition table runs past the index, read off it, so that
+#: `analyze` shows the condition staying satisfied.
 _CONFIRM_STEPS = 2
 
 
@@ -41,8 +41,14 @@ def _divisors(n: int) -> list[int]:
 
 
 def default_past_horizon(shift: GroupShift, candidate: int) -> int:
-    """Past-window length used when none is given: 2 * (span + candidate)."""
-    return max(1, 2 * (shift.span + candidate))
+    """Past-window length L(n) used when none is given: 2 * (span + n),
+    raised to the reach R where both near-end states are fixed
+    (`shifts._fixed_reach`).  At L >= R the verdict V(n, L) is the one at
+    L = inf, and V(n, L+1) implies V(n+1, L): the element V(n, L+1) gives
+    for a lift of g to [-L-1, n+1+L], cut back to [-L, n+1+L], matches g's
+    past, is zero on [n+1, n+1+L] and meets d*v == 0 on [1, n+1].  So the
+    verdicts at L(n) are monotone in n, for every shift."""
+    return max(2 * (shift.span + candidate), _fixed_reach(shift))
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,8 @@ class IndexSearch:
 
     index: int | None
     cap: int
-    past_horizons: tuple[int, ...]       # L used per candidate n = 0..cap
-    condition_table: tuple[bool, ...]    # verdict per n, or off a monotone table's index
+    past_horizons: tuple[int, ...]       # L(n) per candidate n in the table
+    condition_table: tuple[bool, ...]    # verdict per n, read off the index
     witness: Word | None                 # failing window element when absent
 
 
@@ -147,78 +153,43 @@ def _steering_witness(shift: GroupShift, n: int, past: int, scales: list[int]) -
     raise ArithmeticError(f"steering condition at n={n}, L={past} has no witness")
 
 
-def _steering_is_monotone(shift: GroupShift) -> bool:
-    """True when V(n, L(n)) is monotone in n: the span s is at most 1 (every
-    verdict holds), or both near-end states are fixed from L(0) = 2s on (the
-    past one at width L(0)+1, the tail one at width L(0)).  Then V(n, L) is
-    one verdict for all L >= L(0) >= s-1, and V(n, L+1) implies V(n+1, L):
-    the element V(n, L+1) gives for a lift of g to [-L-1, n+1+L], cut back
-    to [-L, n+1+L], matches g's past, is zero on [n+1, n+1+L] and meets
-    d*v == 0 on [1, n+1]."""
-    past = default_past_horizon(shift, 0)
-    return _states_fixed(shift, past + 1, past)
-
-
-def _index_search(shift: GroupShift, cap: int, scales: list[int],
-                  confirm: int) -> IndexSearch:
+def _index_search(shift: GroupShift, cap: int, scales: list[int]) -> IndexSearch:
     """Least candidate n <= cap whose steering condition holds, with the
-    condition table run `confirm` candidates past it (to cap, and the cap
-    candidate's witness, when none holds).  A monotone table
-    (`_steering_is_monotone`) is probed at 0, 1, 2, 4, ..., cap, scanned
-    upward in the bracket below the first passing probe and read off the
-    index; otherwise every candidate is decided in ascending order.  The
-    verdicts and near-end states live in the shift's table, so searches
-    over one shift share them; the conditions reorder the caller's fresh
-    list of scales."""
-    decided: dict[int, bool] = {}
-
+    condition table run `_CONFIRM_STEPS` candidates past it (to cap, and
+    the cap candidate's witness, when none holds).  The table is monotone
+    (`default_past_horizon`), so the candidates 0, 1, 2, 4, ..., cap are
+    probed, the bracket below the first passing probe is scanned upward and
+    the table is read off the index.  The verdicts and near-end states live
+    in the shift's table, so searches over one shift share them; the
+    conditions reorder the caller's fresh list of scales."""
     def decide(n: int) -> bool:
-        if n not in decided:
-            decided[n] = _steering_condition(shift, n, default_past_horizon(shift, n), scales)
-        return decided[n]
+        return _steering_condition(shift, n, default_past_horizon(shift, n), scales)
 
-    monotone = _steering_is_monotone(shift)
-    probes = sorted({0, cap, *(1 << k for k in range(cap.bit_length()))}) \
-        if monotone else range(cap + 1)
     found, low = None, 0
-    for probe in probes:
+    for probe in sorted({0, cap, *(1 << k for k in range(cap.bit_length()))}):
         if decide(probe):
-            found = next(n for n in range(low, probe + 1) if decide(n))
+            found = next((n for n in range(low, probe) if decide(n)), probe)
             break
         low = probe + 1
-    size = cap + 1 if found is None else min(cap, found + confirm) + 1
-    table = tuple(found is not None and n >= found if monotone else decide(n)
-                  for n in range(size))
+    size = cap + 1 if found is None else min(cap, found + _CONFIRM_STEPS) + 1
     witness = None if found is not None else _steering_witness(
         shift, cap, default_past_horizon(shift, cap), scales)
     return IndexSearch(found, cap, tuple(default_past_horizon(shift, n) for n in range(size)),
-                       table, witness)
+                       tuple(found is not None and n >= found for n in range(size)), witness)
 
 
 def controllability_index(shift: GroupShift, cap: int) -> IndexSearch:
     """Least n <= cap steering every window past to zero, or absent."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, [shift.alphabet.exponent], _CONFIRM_STEPS)
+    return _index_search(shift, cap, [shift.alphabet.exponent])
 
 
-def order_controllability_index(shift: GroupShift, cap: int,
-                                confirm: int = _CONFIRM_STEPS) -> IndexSearch:
-    """Least n <= cap steering with order divisibility on [1, n], or absent;
-    the table runs `confirm` candidates past the least."""
+def order_controllability_index(shift: GroupShift, cap: int) -> IndexSearch:
+    """Least n <= cap steering with order divisibility on [1, n], or absent."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    return _index_search(shift, cap, _divisors(shift.alphabet.exponent), confirm)
-
-
-def monotone_after_success(search: IndexSearch) -> bool:
-    """True when the condition stays satisfied for every n past the first."""
-    seen = False
-    for ok in search.condition_table:
-        if seen and not ok:
-            return False
-        seen = seen or ok
-    return True
+    return _index_search(shift, cap, _divisors(shift.alphabet.exponent))
 
 
 @dataclass(frozen=True)

@@ -272,7 +272,7 @@ def canonical_generators(shift: GroupShift, p: int,
         horizons = Horizons.derive(shift)
     if not shift.generators:
         return CanonicalGeneratorSet(shift, p, (), 0, 0, horizons)
-    search = order_controllability_index(shift, horizons.n_cap, confirm=0)
+    search = order_controllability_index(shift, horizons.n_cap)
     if search.index is None:
         raise PipelineFailure(
             "order-controllability",
@@ -679,8 +679,7 @@ def _message_invariant_checks(encoder: Encoder) -> list[CheckResult]:
             CheckResult("order-bounds", bounded)]
 
 
-def _structure_checks(genset: CanonicalGeneratorSet,
-                      horizons: Horizons) -> list[CheckResult]:
+def _structure_checks(genset: CanonicalGeneratorSet) -> list[CheckResult]:
     """The generating-set lines.  Only heights-maximal is decided here,
     exactly: no entry of height h < e - 1 is `divisible` at h + 1, which
     with divisibility at h (exact-powers) and its monotonicity in h makes h
@@ -737,7 +736,7 @@ def primary_certificate(shift: GroupShift, p: int,
     failing = torsion_presentation(shift, p, horizons)[2]
     checks = [CheckResult("socle-weakly-controllable", failing is None,
                           "" if failing is None else _socle_failure(failing))]
-    checks.extend(_structure_checks(genset, horizons))
+    checks.extend(_structure_checks(genset))
     checks.extend(_message_invariant_checks(encoder))
     inj = check_injectivity(encoder, horizons.block_cap)
     checks.append(independent_block_check(inj, horizons.block_cap))

@@ -61,8 +61,8 @@ class GroupShift:
     def boundary_table(self) -> dict:
         """The near-end state sequences of `_near_end` under "states", per
         (side, kind) (side True: mirrored), the reversed mirrored states
-        under "tails" and the verdicts of `_boundary_heads` per argument
-        tuple, shared by every search."""
+        under "tails", `_fixed_reach` under "reach" and the verdicts of
+        `_boundary_heads` per argument tuple, shared by every search."""
         return {}
 
     @cached_property
@@ -308,12 +308,19 @@ def _near_end(shift: GroupShift, width: float, mirror: bool,
     return states[min(width, len(states) - 1)]
 
 
-def _states_fixed(shift: GroupShift, past: int, tail: int) -> bool:
-    """True when s <= 1, or when S(width) is fixed from width `past` >= s-1
-    on and the mirrored one from width `tail` >= s-1 on."""
-    return shift.span <= 1 or all(
-        _near_end(shift, w + 1, mirror).packed == _near_end(shift, w, mirror).packed
-        for w, mirror in ((past, False), (tail, True)))
+def _fixed_reach(shift: GroupShift) -> int:
+    """The least reach R >= max(s-1, 1) from which the cut state S(width)
+    and the mirrored one are both fixed (R = 1 when s <= 1, where no state
+    moves), made once per shift into its table.  At every past and tail
+    width >= R the boundary window is unclipped and both near ends read
+    S(inf), so every verdict of `_boundary_heads` there is its verdict at
+    width inf."""
+    table = shift.boundary_table
+    if "reach" not in table:
+        table["reach"] = next(R for R in count(max(shift.span - 1, 1)) if all(
+            _near_end(shift, R + 1, mirror).packed == _near_end(shift, R, mirror).packed
+            for mirror in (False, True)))
+    return table["reach"]
 
 
 def _boundary_rows(shift: GroupShift, block: int, past: float, tail: float,
@@ -387,14 +394,13 @@ def finite_type_memory(shift: GroupShift, cap: int,
     [N+1, N+R] one that also vanishes on [-R, -1]; that is, the submodule
     vanishing on the block splits into its parts vanishing on either side,
     so the left side may be kept instead: `_boundary_heads` at scale 1 on
-    the block translated to [1, N+1].  From the first R >= s-1 where both
-    states are fixed the window is unclipped and every verdict is the same,
-    so the scan stops there."""
+    the block translated to [1, N+1].  From `_fixed_reach` on every verdict
+    is the same, so the scan stops there."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if horizon is None:
         horizon = shift.span + 2
-    fixed = next(R for R in count(max(shift.span - 1, 1)) if _states_fixed(shift, R, R))
+    fixed = _fixed_reach(shift)
     for n in range(1, cap + 1):
         if all(_boundary_heads(shift, n + 1, 1, reach, reach)[2]
                for reach in range(1, min(horizon + n, fixed) + 1)):

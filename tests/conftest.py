@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from groupshift.control import _divisors, _steering_condition, default_past_horizon
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.encoders import lift_height
 from groupshift.residues import (HowellForm, PackedRows, _lane_layout, combine_rows, howell_form,
@@ -288,6 +289,22 @@ def random_shift(rng: random.Random, max_gens=2, max_support=3,
     if not gens:
         gens = [impulse(group, tuple(1 if i == 0 else 0 for i in range(group.rank)))]
     return GroupShift.make(group, gens)
+
+
+def assert_decided_table(shift: GroupShift, search, ordered: bool) -> None:
+    """Decide every candidate n <= cap of the search with `_steering_condition`
+    at `default_past_horizon`, on a fresh copy of the shift whose table holds
+    none of the search's verdicts: the verdicts are monotone, hold first at
+    the search's index, and begin with its condition table, which the
+    search reads off that index."""
+    fresh = GroupShift(shift.alphabet, shift.generators, shift.memory_hint)
+    exp = shift.alphabet.exponent
+    scales = _divisors(exp) if ordered else [exp]
+    verdicts = [_steering_condition(fresh, n, default_past_horizon(fresh, n), scales)
+                for n in range(search.cap + 1)]
+    assert verdicts == sorted(verdicts), (shift, verdicts)
+    assert search.index == next((n for n, ok in enumerate(verdicts) if ok), None), shift
+    assert tuple(verdicts[:len(search.condition_table)]) == search.condition_table, shift
 
 
 def brute_force_span(rows, modulus, width):

@@ -13,9 +13,7 @@ import time
 
 import pytest
 
-from groupshift.control import (analyze_controllability,
-                                monotone_after_success,
-                                order_controllability_index)
+from groupshift.control import analyze_controllability, order_controllability_index
 from groupshift.encoders import (Encoder, Horizons, base_decompose,
                                  canonical_generators, check_noncatastrophic,
                                  conjugacy_certificate, encode, multiple_shift,
@@ -26,7 +24,7 @@ from groupshift.residues import howell_form
 from groupshift.shifts import GroupShift, enumerate_window_code
 from groupshift.words import Word
 
-from conftest import full_shift, impulse, random_message
+from conftest import assert_decided_table, full_shift, impulse, random_message
 
 SEED = 20260810
 GROUP_POOL = ["Z2", "Z3", "Z4", "Z5", "Z7", "Z8", "Z2 x Z2", "Z2 x Z4",
@@ -234,8 +232,9 @@ def test_criterion_6_index_consistency(certified_collection):
                 shifts.append(extra)
         for shift in shifts:
             rep = analyze_controllability(shift, cap=8)
-            assert monotone_after_success(rep.plain), shift
-            assert monotone_after_success(rep.ordered), shift
+            # the tables are read off the indices, so decide every candidate
+            assert_decided_table(shift, rep.plain, ordered=False)
+            assert_decided_table(shift, rep.ordered, ordered=True)
             if rep.n_c is not None and rep.n_o is not None:
                 assert rep.n_c <= rep.n_o, shift
 

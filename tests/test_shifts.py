@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from groupshift.groups import FiniteAbelianGroup
 
 from groupshift.residues import (EnumerationCapExceeded, howell_form, row_solver,
                                  unpack_rows)
-from groupshift.shifts import (GroupShift, Horizons, _boundary_heads, _states_fixed,
+from groupshift.shifts import (GroupShift, Horizons, _boundary_heads, _fixed_reach,
                                enumerate_window_code, finite_type_memory, member,
                                primary_shift, splice, SpliceFailed, supported_words,
                                torsion_presentation, torsion_window_projection)
@@ -461,8 +460,7 @@ def test_splice_property_matches_two_form_reference():
                                              (0, [(0, 1, 0), (0, 0, 1), (2, 1, 0), (1, 1, 0)])]))
     verdicts, memories = set(), set()
     for g in cases:
-        fixed = next(R for R in itertools.count(max(g.span - 1, 1))
-                     if _states_fixed(g, R, R))
+        fixed = _fixed_reach(g)
         for n in range(1, 4):
             for reach in range(1, fixed + 4):
                 got = _boundary_heads(g, n + 1, 1, reach, reach)[2]

@@ -95,7 +95,7 @@ tracer.install(t)
 for name in ("order-witness", "scale-witness", "mixed-witness"):
     shift = parse_spec(Path({golden!r}, name + ".spec").read_text()).shift
     t.counts.clear()
-    search = control.order_controllability_index(shift, 16, confirm=0)
+    search = control.order_controllability_index(shift, 16)
     assert search.index is None and search.witness is not None, name
     assert t.counts["residues.howell_calls"] == 1, (name, t.counts)
 """
@@ -211,7 +211,7 @@ def _record_steering_eliminations(monkeypatch) -> list:
 
 def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
     # the tracer does not see projection_heads, so count its calls directly:
-    # the monotone search probes the candidates 0, 1, 2, 4, ..., cap only, a
+    # the search probes the candidates 0, 1, 2, 4, ..., cap only, a
     # failing candidate stops at the scale that failed last, and the witness
     # reuses the cap candidate's eliminations, adding one per scale that
     # candidate did not reach
@@ -221,7 +221,7 @@ def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
         text = (ROOT / "tests" / "golden" / f"{name}.spec").read_text()
         shift = parse_spec(text).shift
         calls.clear()
-        search = order_controllability_index(shift, cap, confirm=0)
+        search = order_controllability_index(shift, cap)
         assert search.index is None and search.witness is not None, name
         assert len(calls) <= cap.bit_length() + 1 + len(_divisors(shift.alphabet.exponent)), \
             name
@@ -267,7 +267,7 @@ def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
                 assert calls and width_bound(n), (name, n, past)
         calls.clear()
         # a fresh shift, whose table holds none of the verdicts above
-        search = order_controllability_index(parse_spec(text).shift, 16, confirm=0)
+        search = order_controllability_index(parse_spec(text).shift, 16)
         failing = name in ("order-witness", "scale-witness", "mixed-witness")
         assert (search.witness is not None) == failing, name
         assert calls and width_bound(16), name
@@ -493,7 +493,7 @@ def test_steering_verdicts_reverse_no_state_after_the_first(monkeypatch):
         shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
         verdicts.clear()
         seen.clear()
-        search = order_controllability_index(shift, 16, confirm=0)
+        search = order_controllability_index(shift, 16)
         assert search.index is None and len(verdicts) > 1, name
         assert set(seen) <= {1}, (name, seen)
 
