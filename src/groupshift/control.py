@@ -14,8 +14,8 @@ past window is raised to the reach where both near-end states are fixed
 (`default_past_horizon`), so the condition table is monotone: it is
 searched by probing the candidates 0, 1, 2, 4, ..., cap and read off the
 index.  Weak controllability of the p-torsion subshift is read off the
-p-primary component's `shifts.torsion_presentation`, as `certify`'s socle
-line is, so `analyze` and `certify` decide it alike.
+p-primary component's `shifts.torsion_presentation` (`certify` passes it
+by construction, as it needs n_o).
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ with y_j a certified finite word.  The taps y_j induce the sliding
 homomorphism onto the shift; injectivity, noncatastrophicity and window
 surjectivity are certified at recorded horizons, and a mixed alphabet is
 handled one primary component at a time.
+
+The pipeline refuses a component without an order-controllability index
+n = n_o, which is a cut: if d*g == 0 on [k+1, k+n], g in G, d | exp(H), some
+g' in G equals g on (-inf, k], is 0 from k+n+1 on and has d*g' == 0 on
+[k+1, k+n] (the order steering condition at scale d, decided at the whole
+past).  Tap division, the socle line and heights-maximal follow from it.
 """
 
 from __future__ import annotations
@@ -15,13 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .control import order_controllability_index
+from .control import order_controllability_index, socle_controllability
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
 from .residues import (HowellForm, PackedRows, Vec, _bytes_to_lanes, _lane_bytes,
                        _lane_layout, _lanes_to_bytes, combine_rows, howell_form,
                        placed_rows, projection_heads, residue_table, row_solver, unpack_rows)
-from .shifts import (GroupShift, Horizons, _boundary_rows, primary_shift,
-                     supported_words, torsion_presentation)
+from .shifts import GroupShift, Horizons, _boundary_rows, primary_shift, supported_words
 from .words import Word
 
 
@@ -66,26 +71,22 @@ def scaled_finite_words_check(shift: GroupShift, p: int, r: int,
     return True, ""
 
 
-def _socle_failure(failing: int) -> str:
-    return f"p-torsion window [0,{failing}] not generated by finite torsion members"
-
-
 def socle_shift(shift: GroupShift, p: int,
                 horizons: Horizons | None = None) -> GroupShift:
     """Presentation of the p-torsion subshift G[p] by the distinct translates
     to 0 of its certified finite torsion words on [0, support_cap - 1]; fails
     loudly when the finite torsion words, of any support, do not generate
-    the p-torsion projections of G's windows up to the horizon
-    (`shifts.torsion_presentation`, exact), i.e. when G[p] is not weakly
-    controllable at this scale.
+    the p-torsion projections of G's windows up to the horizon, i.e. when
+    G[p] is not weakly controllable at this scale, with `analyze`'s verdict
+    and detail (`control.socle_controllability`).
     """
     if shift.alphabet.exponent % p != 0:
         raise ValueError(f"{p} does not divide exp(H)")
     if horizons is None:
         horizons = Horizons.derive(shift)
-    failing = torsion_presentation(shift, p, horizons)[2]
-    if failing is not None:
-        raise PipelineFailure("socle-presentation", _socle_failure(failing))
+    socle = socle_controllability(shift, p, horizons)
+    if not socle.holds:
+        raise PipelineFailure("socle-presentation", socle.detail)
     words = (Word.from_window_vector(shift.alphabet, 0, row) for row in
              supported_words(shift, horizons.support_cap, torsion_scale=p).rows)
     return GroupShift.make(shift.alphabet,
@@ -222,8 +223,8 @@ def lift_height(shift: GroupShift, x: Word, p: int, h: int, pad: int) -> Word | 
     """A certified finite word y with p^h * y == x, canonical and with
     support inside supp(x) padded by `pad`; None when no such word exists
     there (exact: `supported_words` takes no margin, and reads the words of
-    that width at 0, so lifts at every offset share one form); `divisible`
-    decides whether any y exists."""
+    that width at 0, so lifts at every offset share one form); at a pad >= n_o
+    it finds one whenever any finite y exists (`canonical_generators`)."""
     if h == 0 or x.is_zero:
         return x
     lo, hi = x.first - pad, x.last + pad
@@ -240,21 +241,6 @@ def lift_height(shift: GroupShift, x: Word, p: int, h: int, pad: int) -> Word | 
     return Word.from_window_vector(shift.alphabet, lo, unpack_rows([y], m, ncols)[0])
 
 
-def divisible(shift: GroupShift, x: Word, p: int, h: int) -> bool:
-    """Whether x = p^h * y for a certified finite word y of any support,
-    exactly, for p^h below exp(H).  Moved to the block [1, B], B its support
-    length, x must lie in p^h times the rows of its boundary window
-    (`shifts._boundary_rows`) with U_{p^h} at its fixed point on both near
-    ends: those rows span the windows of the y that vanish far out and are
-    p^h-torsion off the block, and p^h * y must vanish on the near ends."""
-    d, m = p ** h, shift.alphabet.modulus
-    rows, ncols, a, _ = _boundary_rows(shift, x.support_length, math.inf, math.inf,
-                                       (("far", d),) * 2)
-    red = _lane_layout(m, ncols)[2]  # products stay below m^2
-    form = howell_form(PackedRows(tuple(red(d * row) for row in rows), ncols), m)
-    return form.contains(x.placed_rows([1 - x.first], 1 - a // shift.alphabet.rank, ncols)[0])
-
-
 def canonical_generators(shift: GroupShift, p: int,
                          horizons: Horizons | None = None) -> CanonicalGeneratorSet:
     """The canonical generating set of an order-controllable p-group shift.
@@ -264,6 +250,12 @@ def canonical_generators(shift: GroupShift, p: int,
     its taps are divided by p inside G, and the initial-value basis is
     completed by height-0 torsion words of minimal quotient support.
     Refuses when the order-controllability check fails.
+
+    Tap division is one lift at pad n_o + 1, by the cut (module docstring):
+    if x = p^h * y, y finite, supp x in [a, b], cutting y at k = b gives
+    y1 with p^h*y1 == x, 0 from b+n_o+1 on; cutting y1 at k = a-n_o-1 gives
+    y2, 0 from a on, with p^h*y2 == 0; so p^h*(y1 - y2) == x with y1 - y2
+    finite in [a-n_o, b+n_o].
     """
     if not shift.alphabet.is_p_group(p):
         raise ValueError("canonical generators need a p-group alphabet; "
@@ -295,15 +287,11 @@ def canonical_generators(shift: GroupShift, p: int,
 
     lifted: list[GeneratorEntry] = []
     for entry in sub.entries:
-        pad = n_o + 1
-        z = lift_height(shift, entry.tap, p, 1, pad)
-        if z is None and not divisible(shift, entry.tap, p, 1):
+        z = lift_height(shift, entry.tap, p, 1, n_o + 1)
+        if z is None:
             raise PipelineFailure(
                 "tap-division",
                 f"no certified finite y with p*y = {entry.tap.format()}")
-        while z is None:  # ends, as the lift exists
-            pad *= 2
-            z = lift_height(shift, entry.tap, p, 1, pad)
         lifted.append(GeneratorEntry(entry.torsion_word, entry.height + 1, z))
 
     rank = initial_value_space(shift, p)
@@ -679,13 +667,14 @@ def _message_invariant_checks(encoder: Encoder) -> list[CheckResult]:
             CheckResult("order-bounds", bounded)]
 
 
-def _structure_checks(genset: CanonicalGeneratorSet) -> list[CheckResult]:
-    """The generating-set lines.  Only heights-maximal is decided here,
-    exactly: no entry of height h < e - 1 is `divisible` at h + 1, which
-    with divisibility at h (exact-powers) and its monotonicity in h makes h
-    maximal.  The other four hold by construction in `canonical_generators`
-    and are reported as passes:
+def _structure_checks() -> list[CheckResult]:
+    """The socle and generating-set lines, which hold by construction once
+    `canonical_generators` passes, as passes:
 
+    - socle-weakly-controllable: for g in G[p], the cuts of the module
+      docstring at d = p, at k = t and k = -n_o-1, give g1 == g on
+      (-inf, t] and g2 == 0 from 0 on, so g1 - g2 is a finite p-torsion
+      word equal to g on [0, t];
     - exact-powers: a height-0 entry is its own tap, and each division step
       is a `lift_height`, which solves p * y = x exactly;
     - heights-sorted: the entries are sorted by height, descending;
@@ -693,17 +682,16 @@ def _structure_checks(genset: CanonicalGeneratorSet) -> list[CheckResult]:
       its earlier picks (p-torsion symbols, so an F_p span), and lifting a
       level's taps keeps its torsion words;
     - torsion-one-sided: every candidate is a certified p-torsion word on
-      [0, support_cap - 1] picked for a nonzero initial symbol.
+      [0, support_cap - 1] picked for a nonzero initial symbol;
+    - heights-maximal, by induction over the p*G recursion: a lifted entry
+      x = p^(h+2) * y' would be p^(h+1) * (p*y') in p*G, against its height
+      h there; a completion pick x = p*y' would be a one-sided p-torsion
+      member of p*G, with its initial symbol in the span of p*G's picks,
+      which `_pick_generators` picks outside of.
     """
-    shift, p = genset.shift, genset.prime
-    emax = shift.exponent_exponent(p)
-    # p^emax kills every certified word, so no height reaches emax
-    maximal = not any(e.height + 1 < emax and divisible(shift, e.torsion_word, p, e.height + 1)
-                      for e in genset.entries)
-    return [CheckResult("exact-powers", True), CheckResult("heights-sorted", True),
-            CheckResult("initial-basis-independent", True),
-            CheckResult("torsion-one-sided", True),
-            CheckResult("heights-maximal", maximal)]
+    return [CheckResult(name, True) for name in (
+        "socle-weakly-controllable", "exact-powers", "heights-sorted",
+        "initial-basis-independent", "torsion-one-sided", "heights-maximal")]
 
 
 def _image_window_checks(encoder: Encoder, shift: GroupShift,
@@ -725,7 +713,8 @@ def _image_window_checks(encoder: Encoder, shift: GroupShift,
 
 def primary_certificate(shift: GroupShift, p: int,
                         horizons: Horizons) -> PrimaryCertificate:
-    """Run the whole per-prime pipeline and collect every check outcome."""
+    """Run the whole per-prime pipeline and collect every check outcome; the
+    socle line passes by construction (`_structure_checks`)."""
     try:
         genset = canonical_generators(shift, p, horizons)
     except PipelineFailure as exc:
@@ -733,10 +722,7 @@ def primary_certificate(shift: GroupShift, p: int,
                                   (CheckResult(exc.stage, False, exc.detail),),
                                   exc.stage)
     encoder = build_encoder(genset)
-    failing = torsion_presentation(shift, p, horizons)[2]
-    checks = [CheckResult("socle-weakly-controllable", failing is None,
-                          "" if failing is None else _socle_failure(failing))]
-    checks.extend(_structure_checks(genset))
+    checks = _structure_checks()
     checks.extend(_message_invariant_checks(encoder))
     inj = check_injectivity(encoder, horizons.block_cap)
     checks.append(independent_block_check(inj, horizons.block_cap))

@@ -9,7 +9,7 @@ from groupshift.groups import FiniteAbelianGroup
 from groupshift.encoders import lift_height
 from groupshift.residues import (HowellForm, PackedRows, _lane_layout, combine_rows, howell_form,
                                  placed_rows, projection_heads, unpack_rows)
-from groupshift.shifts import GroupShift, finite_type_memory, supported_words
+from groupshift.shifts import GroupShift, _boundary_rows, finite_type_memory, supported_words
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
 
@@ -111,12 +111,30 @@ def padded_supported_words(shift: GroupShift, lo: int, hi: int, margin: int,
                                          kill_scale=torsion_scale)
 
 
+def divisible(shift: GroupShift, x: Word, p: int, h: int) -> bool:
+    """Reference for the tap division and the heights of
+    `encoders.canonical_generators`: whether x = p^h * y for a certified
+    finite word y of any support, exactly, for p^h below exp(H).  Moved to
+    the block [1, B], B its support length, x must lie in p^h times the rows
+    of its boundary window (`shifts._boundary_rows`) with U_{p^h} at its
+    fixed point on both near ends: those rows span the windows of the y that
+    vanish far out and are p^h-torsion off the block, and p^h * y must
+    vanish on the near ends."""
+    d, m = p ** h, shift.alphabet.modulus
+    rows, ncols, a, _ = _boundary_rows(shift, x.support_length, math.inf, math.inf,
+                                       (("far", d),) * 2)
+    red = _lane_layout(m, ncols)[2]  # products stay below m^2
+    form = howell_form(PackedRows(tuple(red(d * row) for row in rows), ncols), m)
+    return form.contains(x.placed_rows([1 - x.first], 1 - a // shift.alphabet.rank, ncols)[0])
+
+
 def padded_word_height(shift: GroupShift, x: Word, p: int, order_index: int,
                        max_h: int) -> int:
-    """Reference for `encoders.divisible`, the padded height search: the
-    largest h <= max_h with a certified finite y solving p^h y = x, by lifts
-    with supports padded by h*(order index + 1) per step.  It can stop below
-    the height where every y is wider than that pad."""
+    """Reference for the heights of `encoders.canonical_generators`, the
+    padded height search: the largest h <= max_h with a certified finite y
+    solving p^h y = x, by lifts with supports padded by h*(order index + 1)
+    per step.  It can stop below the height where every y is wider than
+    that pad, which `divisible` decides exactly."""
     if x.is_zero:
         raise ValueError("height of the zero word is infinite")
     h = 0

@@ -180,7 +180,9 @@ def test_weak_controllability_variants(z4, delay_rep):
 
 
 #: G[2] is not generated by its finite torsion members on [0,3] at the
-#: default horizons; `analyze` and `certify` must both say so.
+#: default horizons; `analyze` and `socle_shift` must say so, and `certify`
+#: stops before its socle line, at the order-controllability search that
+#: the socle verdict follows from.
 SOCLE_FAILURE_SPEC = """group: Z4 x Z2 x Z2
 gen @0: (3,0,1) (1,0,1) (0,1,0)
 gen @0: (3,0,0) (0,0,1) (3,0,0)
@@ -194,8 +196,11 @@ def test_socle_verdict_agrees_with_socle_shift(tmp_path, capsys):
     assert not socle.holds
     assert socle.detail == ("torsion window [0,3] not generated by finite "
                             "torsion members")
-    with pytest.raises(PipelineFailure, match=r"window \[0,3\] not generated"):
+    with pytest.raises(PipelineFailure) as failure:
         socle_shift(shift, 2)
+    assert (failure.value.stage, failure.value.detail) == ("socle-presentation", socle.detail)
+    cert = conjugacy_certificate(shift)
+    assert [pc.failing_stage for pc in cert.primaries] == ["order-controllability"]
     path = tmp_path / "socle.spec"
     path.write_text(SOCLE_FAILURE_SPEC)
     assert main(["analyze", str(path)]) == 1

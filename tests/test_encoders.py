@@ -11,7 +11,7 @@ from groupshift.encoders import (Encoder, Horizons, PipelineFailure,
                                  base_decompose, build_encoder,
                                  canonical_generators, check_injectivity,
                                  check_noncatastrophic, conjugacy_certificate,
-                                 divisible, encode, lift_height, multiple_shift,
+                                 encode, lift_height, multiple_shift,
                                  presentation_encoder, primary_certificate,
                                  primary_shift, socle_shift,
                                  scaled_finite_words_check,
@@ -20,13 +20,14 @@ from groupshift.encoders import (Encoder, Horizons, PipelineFailure,
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form, row_solver
 from groupshift.shifts import (GroupShift, member, enumerate_window_code,
-                              finite_type_memory, supported_words)
+                              finite_type_memory, supported_words, torsion_presentation)
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
-from conftest import (enumerate_elements, form_words, full_shift, impulse, is_torsion,
-                     make_shift, padded_member, padded_word_height, random_message,
-                     random_shift, restricted, slack_noncatastrophic, translated_slack)
+from conftest import (divisible, enumerate_elements, form_words, full_shift, impulse,
+                     is_torsion, make_shift, padded_member, padded_word_height,
+                     random_message, random_shift, restricted, slack_noncatastrophic,
+                     translated_slack)
 
 
 # -- derived shifts -----------------------------------------------------------
@@ -785,6 +786,58 @@ def test_by_construction_lines_hold_on_random_gensets():
             assert all(passed for name, passed in reported.items()
                        if name.startswith("scaled-finite-words-r"))
     assert built >= 40 and scaled >= 10
+
+
+def socle_and_heights_hold(shift):
+    """Check, on each primary component where `canonical_generators`
+    succeeds at the shift's derived horizons, the two lines the certificate
+    reports by construction against their exact deciders: the socle verdict
+    of `torsion_presentation`, and no entry of height h < e - 1 `divisible`
+    at h + 1.  Returns the number of components built and of the entries
+    below e - 1."""
+    horizons, built, below = Horizons.derive(shift), 0, 0
+    for p in shift.alphabet.primes():
+        part = primary_shift(shift, p)
+        try:
+            genset = canonical_generators(part, p, horizons)
+        except PipelineFailure:
+            continue
+        built += 1
+        assert torsion_presentation(part, p, horizons)[2] is None, (part, p)
+        e = part.exponent_exponent(p)
+        for x in genset.entries:
+            if x.height + 1 < e:
+                below += 1
+                assert not divisible(part, x.torsion_word, p, x.height + 1), (part, p, x)
+    return built, below
+
+
+def corpus_shifts():
+    """The golden specs' shifts and the shifts of both benchmark pools."""
+    for path in sorted((ROOT / "tests" / "golden").glob("*.spec")):
+        yield parse_spec(path.read_text()).shift
+    for pool in ("certify", "analyze"):
+        data = json.loads((ROOT / "perfbench" / "data" / f"{pool}.json").read_text())
+        for e in data["entries"]:
+            group = FiniteAbelianGroup.parse(e["alphabet"])
+            yield GroupShift.make(group, [Word.make(group, start, syms)
+                                          for start, syms in e["gens"]])
+
+
+def test_socle_and_heights_hold_on_the_corpus():
+    # order controllability, which the generators need, makes the socle
+    # verdict and heights-maximal hold (`encoders._structure_checks`)
+    built, below = map(sum, zip(*map(socle_and_heights_hold, corpus_shifts())))
+    assert built >= 200 and below >= 20, (built, below)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_socle_and_heights_hold_on_random_p_group_shifts(rng):
+    shift = random_shift(rng, max_gens=3, max_support=4,
+                         pool=["Z8", "Z2 x Z4", "Z2 x Z8", "Z4 x Z8", "Z3 x Z9"])
+    built, below = socle_and_heights_hold(shift)
+    event(f"{built} built, {'some' if below else 'no'} entry below e - 1")
 
 
 def test_complete_product_taps_generate_the_shift_windows():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from groupshift.encoders import divisible, initial_value_space, lift_height
+from groupshift.control import order_controllability_index
+from groupshift.encoders import initial_value_space, lift_height
 from groupshift.groups import FiniteAbelianGroup
 
 from groupshift.residues import (EnumerationCapExceeded, howell_form, row_solver,
@@ -15,8 +16,8 @@ from groupshift.shifts import (GroupShift, Horizons, _boundary_heads, _fixed_rea
                                torsion_presentation, torsion_window_projection)
 from groupshift.words import Word
 
-from conftest import (enumerate_elements, exact_margins, form_words, full_shift, impulse,
-                      make_shift, padded_initial_value_space, padded_member,
+from conftest import (divisible, enumerate_elements, exact_margins, form_words, full_shift,
+                      impulse, make_shift, padded_initial_value_space, padded_member,
                       padded_supported_words, random_shift, restricted, splice_property_holds,
                       tuple_combine_rows)
 
@@ -312,12 +313,15 @@ def test_divisible_matches_the_padded_lift(group, rng):
     # draws reach, on each primary component: the multiples x = p^h * y of
     # sums y of two placed certified words with random coefficients, often
     # narrower than y, and x plus a certified word, often no multiple; every
-    # yes is lifted at that pad, to a certified y
+    # yes is lifted at that pad, to a certified y.  Where the component is
+    # order controllable, the cut at its index n_o puts a lift within pad
+    # n_o whenever x is divisible, which `canonical_generators` relies on
     shift = random_shift(rng, max_gens=3, max_support=4, pool=[group])
     for p in shift.alphabet.primes():
         part = primary_shift(shift, p)
         e, m = part.exponent_exponent(p), part.alphabet.modulus
         pad = 4 * part.span + 12
+        n_o = order_controllability_index(part, 16).index
         words = form_words(part, supported_words(part, rng.randrange(1, 6)))
         for _ in range(12 if words and e > 1 else 0):
             y = Word.combine(part.alphabet, [(rng.randrange(m), rng.choice(words),
@@ -331,6 +335,11 @@ def test_divisible_matches_the_padded_lift(group, rng):
             for h in range(1, e):
                 lift = lift_height(part, x, p, h, pad)
                 assert divisible(part, x, p, h) == (lift is not None), (part, x, h)
+                if n_o is not None:
+                    assert (lift_height(part, x, p, h, n_o) is None) == (lift is None), \
+                        (part, x, h, n_o)
+                    if n_o and lift is not None and lift_height(part, x, p, h, n_o - 1) is None:
+                        event("lift needs the whole pad n_o")
                 if lift is None:
                     event("no multiple at some height")
                 else:

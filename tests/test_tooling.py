@@ -103,14 +103,10 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 
 #: The traced reductions of `certify` on the two ROADMAP cases: a packed path
 #: that bypassed one of the counted entry points would read a different count
-#: here.  The torsion presentation reads its windows [0, t] off two exact
-#: forms on [0, H] (`HowellForm.prefix`), of the finite p-torsion words and
-#: of G's p-torsion, H fewer reductions than one per window, with no
-#: candidate presentation; the initial-value rank is read off
-#: uncanonicalized kept rows; a height is one exact divisibility test (one
-#: reduction and one membership test), none at the exponent, and a tap is
-#: lifted once where its first pad holds it; a tap's membership reads the
-#: cached certified words, with no window form of its own; the certified
+#: here.  The socle line and the heights hold by construction, with no
+#: reduction of their own; the initial-value rank is read off
+#: uncanonicalized kept rows; a tap is lifted once, at pad n_o + 1; a tap's
+#: membership reads the cached certified words, with no window form of its own; the certified
 #: words on [0, t], t <= H, of the scaled and noncatastrophicity checks are
 #: read off one form on [0, H] by `zero_prefix`, and lifts share one form
 #: per width at every offset.
@@ -121,7 +117,7 @@ COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [33, 2806, 56, 5, 3], "Z9 x Z3": [31, 2526, 61, 3, 1]}
+want = {"Z8 x Z4": [30, 2388, 55, 5, 3], "Z9 x Z3": [28, 2108, 60, 3, 1]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -381,45 +377,46 @@ def test_member_builds_no_window_module():
 
 
 def test_certify_reads_torsion_windows_and_initial_values_off_the_engine(monkeypatch):
-    # the socle's p-torsion windows and the initial-value space are exact
-    # boundary-window eliminations on torsion near-end states: no padded
-    # torsion projection or constrained projection is made, whatever the
-    # exponent, and neither stage builds a window module
+    # the initial-value space is an exact boundary-window elimination on
+    # torsion near-end states: no padded torsion projection or constrained
+    # projection is made, whatever the exponent, and it builds no window
+    # module; the socle line holds by construction, so certify reads no
+    # torsion presentation
     made, misses = [], []
     for owner, name in ((shifts, "torsion_window_projection"),
-                        (shifts.WindowModule, "constrained_projection")):
+                        (shifts.WindowModule, "constrained_projection"),
+                        (shifts, "torsion_presentation"),
+                        (control, "torsion_presentation")):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, name=name, original=original, **kw:
                             made.append(name) or original(*args, **kw))
-    for name in ("torsion_presentation", "initial_value_space"):
-        original = getattr(encoders, name)
+    initial_value_space = encoders.initial_value_space
 
-        def counted(*args, name=name, original=original):
-            before = shifts._window_module.cache_info().misses
-            try:
-                return original(*args)
-            finally:
-                misses.append((name, shifts._window_module.cache_info().misses - before))
-        monkeypatch.setattr(encoders, name, counted)
+    def counted(*args):
+        before = shifts._window_module.cache_info().misses
+        try:
+            return initial_value_space(*args)
+        finally:
+            misses.append(shifts._window_module.cache_info().misses - before)
+    monkeypatch.setattr(encoders, "initial_value_space", counted)
     for name in ("full-z4", "delay-rep", "z6", "z8-z4", "z9-z3"):
         shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
         assert conjugacy_certificate(shift).complete, name
     assert not made, made
-    assert {name for name, _ in misses} == {"torsion_presentation", "initial_value_space"}
-    assert all(n == 0 for _, n in misses), misses
+    assert misses and all(n == 0 for n in misses), misses
 
 
 def test_no_height_is_lifted_to_the_exponent(monkeypatch):
     # p^e kills every certified word of a shift of exponent p^e, so no word
-    # is divisible at height e and heights-maximal tests below it, where
-    # p^h stays below exp(H) as `divisible` needs
+    # is lifted to height e: every lift stays below it, where p^h stays
+    # below exp(H)
     asked = []
-    divisible = encoders.divisible
+    lift = encoders.lift_height
 
-    def recorded(shift, x, p, h):
+    def recorded(shift, x, p, h, pad):
         asked.append((h, shift.exponent_exponent(p)))
-        return divisible(shift, x, p, h)
-    monkeypatch.setattr(encoders, "divisible", recorded)
+        return lift(shift, x, p, h, pad)
+    monkeypatch.setattr(encoders, "lift_height", recorded)
     for name in ("full-z4", "z8-z4", "z9-z3"):
         shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
         assert conjugacy_certificate(shift).complete, name
