@@ -106,10 +106,10 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 #: here.  The socle line and the heights hold by construction, with no
 #: reduction of their own; the initial-value rank is read off
 #: uncanonicalized kept rows; a tap is lifted once, at pad n_o + 1; a tap's
-#: membership reads the cached certified words, with no window form of its own; the certified
-#: words on [0, t], t <= H, of the scaled and noncatastrophicity checks are
-#: read off one form on [0, H] by `zero_prefix`, and lifts share one form
-#: per width at every offset.
+#: membership reads the cached certified words, with no window form of its
+#: own; the certified words on [0, t], t <= H, of the scaled and
+#: noncatastrophicity checks are read off one form on [0, H] by
+#: `zero_prefix`, and lifts share one form per width at every offset.
 #: The membership tests are those of generator picks read off canonical rows,
 #: at most one per head row of a level's form, and the heads of the steering
 #: verdicts on their boundary windows.
