@@ -5,25 +5,25 @@ synthesis with conjugacy certificates."""
 from .groups import FiniteAbelianGroup, primary_component
 from .words import Word
 from .shifts import (GroupShift, WindowModule, enumerate_window_code,
-                     finite_type_memory, member, splice)
+                     finite_type_memory, member)
 from .control import (ControllabilityReport, analyze_controllability,
                       controllability_index, order_controllability_index,
                       weak_controllability_check)
 from .encoders import (CanonicalGeneratorSet, ConjugacyCertificate, Encoder,
-                       Horizons, base_decompose, build_encoder,
-                       canonical_generators, check_injectivity,
-                       check_noncatastrophic, conjugacy_certificate, encode,
-                       lift_height, multiple_shift, socle_shift)
+                       Horizons, build_encoder, canonical_generators,
+                       check_injectivity, check_noncatastrophic,
+                       conjugacy_certificate, encode, lift_height,
+                       multiple_shift, socle_shift)
 from .residues import HowellForm, howell_form
 from .specfmt import ShiftSpec, SpecParseError, parse_message, parse_spec
 
 __all__ = [
     "FiniteAbelianGroup", "primary_component", "Word", "GroupShift",
     "WindowModule", "enumerate_window_code", "finite_type_memory", "member",
-    "splice", "ControllabilityReport", "analyze_controllability",
+    "ControllabilityReport", "analyze_controllability",
     "controllability_index", "order_controllability_index",
     "weak_controllability_check", "CanonicalGeneratorSet",
-    "ConjugacyCertificate", "Encoder", "Horizons", "base_decompose",
+    "ConjugacyCertificate", "Encoder", "Horizons",
     "build_encoder", "canonical_generators", "check_injectivity",
     "check_noncatastrophic", "conjugacy_certificate", "encode",
     "lift_height", "multiple_shift", "socle_shift",

@@ -553,57 +553,6 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
     return NoncatastrophicityReport(True, horizon, None)
 
 
-# -- torsion decomposition of finite words (u = v + w) ------------------------
-
-
-@dataclass(frozen=True)
-class BaseDecomposition:
-    torsion_part: Word                      # v with p*v == 0
-    tap_part: Word                          # w, a combination of shifted taps
-    coefficients: tuple[tuple[int, int, int], ...]  # (tap index, placement, coeff)
-
-
-def base_decompose(shift: GroupShift, u: Word, pg_set: CanonicalGeneratorSet,
-                   slack: int | None = None) -> BaseDecomposition:
-    """Split a certified finite word as u = v + w with p*v = 0 and w a
-    finite combination of the p-divided taps of the p*G generating set.
-
-    p*u is expressed over the shifted taps of p*G (they generate its finite
-    words); dividing each tap by p inside G gives w, and v := u - w is then
-    p-torsion automatically.
-    """
-    p = pg_set.prime
-    horizons = pg_set.horizons
-    if slack is None:
-        slack = horizons.margin + pg_set.order_index + 1
-    if u.is_zero:
-        return BaseDecomposition(u, u, ())
-    pu = u.scaled(p)
-    taps = pg_set.taps
-    lifts = []
-    for tap in taps:
-        z = lift_height(shift, tap, p, 1, (pg_set.order_index + 1) * 2 + horizons.margin)
-        if z is None:
-            raise PipelineFailure("tap-division",
-                                  f"no p-division of {tap.format()} in the ambient shift")
-        lifts.append(z)
-    if pu.is_zero:
-        return BaseDecomposition(u, Word.zero(shift.alphabet), ())
-    if all(t.is_zero for t in taps):
-        raise PipelineFailure("torsion-split",
-                              "p*u nonzero but the p*G generating set is empty")
-    solver, labels, (lo, hi) = _tap_solver(shift.alphabet, taps, u.first - slack,
-                                           u.last + slack, pu)
-    coeffs = solver.express(pu.window_vector(lo, hi))
-    if coeffs is None:
-        raise PipelineFailure(
-            "torsion-split",
-            f"p*u not expressible over the p*G taps with slack {slack}")
-    used = tuple((i, t, c) for (i, t), c in zip(labels, coeffs) if c)
-    w = Word.combine(shift.alphabet, [(c, lifts[i], t) for i, t, c in used])
-    return BaseDecomposition(u - w, w, used)
-
-
 # -- certificates ------------------------------------------------------------
 
 

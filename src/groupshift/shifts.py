@@ -26,11 +26,7 @@ from typing import Sequence
 from .groups import FiniteAbelianGroup, primary_component
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, PackedRows,
                        _eliminate, _lane_layout, howell_form, projection_heads)
-from .words import Word, word_span
-
-
-class SpliceFailed(Exception):
-    """The glued word is not in the shift."""
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -102,8 +98,12 @@ class GroupShift:
 
 
 def primary_shift(shift: GroupShift, p: int) -> GroupShift:
-    """The p-primary component of the shift, presented over the p-part of H."""
+    """The p-primary component of the shift, presented over the p-part of H:
+    the shift itself when H is a p-group, so that every stage shares its
+    table of near-end states and verdicts (`boundary_table`)."""
     part = primary_component(shift.alphabet, p)
+    if part.group == shift.alphabet:
+        return shift
     gens = []
     for g in shift.generators:
         syms = [part.project_coords(s) for s in g.symbols]
@@ -137,9 +137,6 @@ class WindowModule:
     @cached_property
     def form(self) -> HowellForm:
         return howell_form(PackedRows(self.packed, self.rank_width), self.modulus)
-
-    def size(self) -> int:
-        return self.form.size()
 
     # -- constrained submodules ------------------------------------------------
 
@@ -213,7 +210,7 @@ def torsion_window_projection(shift: GroupShift, lo: int, hi: int, margin: int,
 class Horizons:
     """All window sizes and caps used by the pipeline, kept for reports."""
 
-    margin: int          # echoed in the report; only `base_decompose` reads it
+    margin: int          # echoed in the report only; no stage reads it
     support_cap: int     # max support length searched for generator words
     block_cap: int       # injectivity block search bound
     window_horizon: int  # windows [0, T] checked up to this T
@@ -406,31 +403,6 @@ def finite_type_memory(shift: GroupShift, cap: int,
                for reach in range(1, min(horizon + n, fixed) + 1)):
             return FiniteTypeReport(n, cap)
     return FiniteTypeReport(None, cap)
-
-
-def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int) -> Word:
-    """The word equal to x1 left of k+n and to x2 right of k, checked.
-
-    The inputs must be members that agree on the block [k, k+n]; the gluing
-    is unique, and a member whenever n is at least the shift's memory.
-    """
-    if x1.group != shift.alphabet or x2.group != shift.alphabet:
-        raise ValueError("alphabet mismatch")
-    if not x1.agrees_on(x2, k, k + n):
-        raise ValueError("words disagree on the splice block")
-    if not (member(shift, x1) and member(shift, x2)):
-        raise ValueError("splice inputs must be members")
-    span = word_span([x1, x2])
-    if span is None:
-        return Word.zero(shift.alphabet)
-    lo = min(span[0], k) - 1
-    hi = max(span[1], k + n) + 1
-    glued = Word.make(shift.alphabet, lo,
-                      [x1.value_at(i) if i <= k + n else x2.value_at(i)
-                       for i in range(lo, hi + 1)])
-    if not member(shift, glued):
-        raise SpliceFailed(f"glued word is not in the shift: no splice at N={n}")
-    return glued
 
 
 # -- brute-force window code enumeration (independent oracle path) -----------

@@ -117,9 +117,6 @@ class Word:
         """Order of the word in the group H^(Z)."""
         return reduce(math.lcm, (self.group.order_of(s) for s in self.symbols), 1)
 
-    def agrees_on(self, other: "Word", lo: int, hi: int) -> bool:
-        return all(self.value_at(i) == other.value_at(i) for i in range(lo, hi + 1))
-
     # -- window vectors (scaled embedding into Z/exp(H)) ----------------------
 
     def window_vector(self, lo: int, hi: int) -> tuple[int, ...]:
@@ -173,16 +170,3 @@ def format_symbols(group: FiniteAbelianGroup, symbols: Iterable[Coords]) -> str:
         parts = ["(" + ",".join(str(c) for c in s) + ")" for s in symbols]
     return " ".join(parts) if parts else "0"
 
-
-def word_span(words: Iterable[Word]) -> tuple[int, int] | None:
-    """Smallest interval containing the supports of all nonzero words."""
-    lo = None
-    hi = None
-    for w in words:
-        if w.is_zero:
-            continue
-        lo = w.first if lo is None else min(lo, w.first)
-        hi = w.last if hi is None else max(hi, w.last)
-    if lo is None:
-        return None
-    return lo, hi

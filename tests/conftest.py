@@ -1,15 +1,18 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
+from typing import Iterable
 
 import pytest
 
 from groupshift.control import _divisors, _steering_condition, default_past_horizon
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.encoders import lift_height
+from groupshift.encoders import CanonicalGeneratorSet, PipelineFailure, _tap_solver, lift_height
 from groupshift.residues import (HowellForm, PackedRows, _lane_layout, combine_rows, howell_form,
                                  placed_rows, projection_heads, unpack_rows)
-from groupshift.shifts import GroupShift, _boundary_rows, finite_type_memory, supported_words
+from groupshift.shifts import (GroupShift, _boundary_rows, finite_type_memory, member,
+                               supported_words)
 from groupshift.specfmt import ShiftSpec
 from groupshift.words import Word
 
@@ -68,6 +71,25 @@ def restricted(w: Word, lo: int, hi: int) -> Word:
     """The word agreeing with w on [lo, hi] and zero outside."""
     a = max(lo - w.start, 0)
     return Word.trimmed(w.group, w.start + a, w.symbols[a:max(hi + 1 - w.start, a)])
+
+
+def agrees_on(x: Word, y: Word, lo: int, hi: int) -> bool:
+    """Whether x and y have the same symbols on [lo, hi]."""
+    return all(x.value_at(i) == y.value_at(i) for i in range(lo, hi + 1))
+
+
+def word_span(words: Iterable[Word]) -> tuple[int, int] | None:
+    """Smallest interval containing the supports of all nonzero words."""
+    lo = None
+    hi = None
+    for w in words:
+        if w.is_zero:
+            continue
+        lo = w.first if lo is None else min(lo, w.first)
+        hi = w.last if hi is None else max(hi, w.last)
+    if lo is None:
+        return None
+    return lo, hi
 
 
 def window_projection_heads(module, keep_lo, keep_hi, zero_positions, kill_scale=None,
@@ -360,3 +382,83 @@ def random_message(encoder, rng: random.Random, reach: int) -> Word:
     length = rng.randrange(1, reach + 2)
     syms = [tuple(rng.randrange(n) for n in src.orders) for _ in range(length)]
     return Word.make(src, start, syms)
+
+
+# -- steps of the paper's proofs, kept as reference code -----------------------
+
+
+class SpliceFailed(Exception):
+    """The glued word is not in the shift."""
+
+
+def splice(shift: GroupShift, x1: Word, x2: Word, k: int, n: int) -> Word:
+    """The word equal to x1 left of k+n and to x2 right of k, checked.
+
+    The inputs must be members that agree on the block [k, k+n]; the gluing
+    is unique, and a member whenever n is at least the shift's memory.
+    """
+    if x1.group != shift.alphabet or x2.group != shift.alphabet:
+        raise ValueError("alphabet mismatch")
+    if not agrees_on(x1, x2, k, k + n):
+        raise ValueError("words disagree on the splice block")
+    if not (member(shift, x1) and member(shift, x2)):
+        raise ValueError("splice inputs must be members")
+    span = word_span([x1, x2])
+    if span is None:
+        return Word.zero(shift.alphabet)
+    lo = min(span[0], k) - 1
+    hi = max(span[1], k + n) + 1
+    glued = Word.make(shift.alphabet, lo,
+                      [x1.value_at(i) if i <= k + n else x2.value_at(i)
+                       for i in range(lo, hi + 1)])
+    if not member(shift, glued):
+        raise SpliceFailed(f"glued word is not in the shift: no splice at N={n}")
+    return glued
+
+
+@dataclass(frozen=True)
+class BaseDecomposition:
+    torsion_part: Word                      # v with p*v == 0
+    tap_part: Word                          # w, a combination of shifted taps
+    coefficients: tuple[tuple[int, int, int], ...]  # (tap index, placement, coeff)
+
+
+def base_decompose(shift: GroupShift, u: Word, pg_set: CanonicalGeneratorSet,
+                   slack: int | None = None) -> BaseDecomposition:
+    """Split a certified finite word as u = v + w with p*v = 0 and w a
+    finite combination of the p-divided taps of the p*G generating set.
+
+    p*u is expressed over the shifted taps of p*G (they generate its finite
+    words); dividing each tap by p inside G gives w, and v := u - w is then
+    p-torsion automatically.
+    """
+    p = pg_set.prime
+    horizons = pg_set.horizons
+    if slack is None:
+        slack = horizons.margin + pg_set.order_index + 1
+    if u.is_zero:
+        return BaseDecomposition(u, u, ())
+    pu = u.scaled(p)
+    taps = pg_set.taps
+    lifts = []
+    for tap in taps:
+        z = lift_height(shift, tap, p, 1, (pg_set.order_index + 1) * 2 + horizons.margin)
+        if z is None:
+            raise PipelineFailure("tap-division",
+                                  f"no p-division of {tap.format()} in the ambient shift")
+        lifts.append(z)
+    if pu.is_zero:
+        return BaseDecomposition(u, Word.zero(shift.alphabet), ())
+    if all(t.is_zero for t in taps):
+        raise PipelineFailure("torsion-split",
+                              "p*u nonzero but the p*G generating set is empty")
+    solver, labels, (lo, hi) = _tap_solver(shift.alphabet, taps, u.first - slack,
+                                           u.last + slack, pu)
+    coeffs = solver.express(pu.window_vector(lo, hi))
+    if coeffs is None:
+        raise PipelineFailure(
+            "torsion-split",
+            f"p*u not expressible over the p*G taps with slack {slack}")
+    used = tuple((i, t, c) for (i, t), c in zip(labels, coeffs) if c)
+    w = Word.combine(shift.alphabet, [(c, lifts[i], t) for i, t, c in used])
+    return BaseDecomposition(u - w, w, used)

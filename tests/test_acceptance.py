@@ -14,17 +14,17 @@ import time
 import pytest
 
 from groupshift.control import analyze_controllability, order_controllability_index
-from groupshift.encoders import (Encoder, Horizons, base_decompose,
-                                 canonical_generators, check_noncatastrophic,
-                                 conjugacy_certificate, encode, multiple_shift,
-                                 primary_shift, scaled_finite_words_check,
+from groupshift.encoders import (Encoder, Horizons, canonical_generators,
+                                 check_noncatastrophic, conjugacy_certificate, encode,
+                                 multiple_shift, primary_shift, scaled_finite_words_check,
                                  solve_finite_preimage)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form
 from groupshift.shifts import GroupShift, enumerate_window_code
 from groupshift.words import Word
 
-from conftest import assert_decided_table, full_shift, impulse, random_message
+from conftest import (assert_decided_table, base_decompose, full_shift, impulse,
+                      random_message)
 
 SEED = 20260810
 GROUP_POOL = ["Z2", "Z3", "Z4", "Z5", "Z7", "Z8", "Z2 x Z2", "Z2 x Z4",

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from groupshift.encoders import (Encoder, Horizons, PipelineFailure,
-                                 base_decompose, build_encoder,
+from groupshift.encoders import (Encoder, Horizons, PipelineFailure, build_encoder,
                                  canonical_generators, check_injectivity,
                                  check_noncatastrophic, conjugacy_certificate,
                                  encode, lift_height, multiple_shift,
@@ -24,8 +23,8 @@ from groupshift.shifts import (GroupShift, member, enumerate_window_code,
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
-from conftest import (divisible, enumerate_elements, form_words, full_shift, impulse,
-                     is_torsion, make_shift, padded_member, padded_word_height,
+from conftest import (base_decompose, divisible, enumerate_elements, form_words, full_shift,
+                     impulse, is_torsion, make_shift, padded_member, padded_word_height,
                      random_message, random_shift, restricted, slack_noncatastrophic,
                      translated_slack)
 
@@ -61,7 +60,7 @@ def test_socle_shift_examples(z4):
     g = full_shift(z4)
     socle = socle_shift(g, 2)
     # the torsion subshift of the full Z4 shift is the full shift over 2Z4
-    assert socle.window(0, 2).size() == 8
+    assert socle.window(0, 2).form.size() == 8
     for w in socle.generators:
         assert w.scaled(2).is_zero
     # exp(H) = p keeps the shift itself
@@ -716,8 +715,21 @@ def test_primary_shift_split():
     part3 = primary_shift(g, 3)
     assert part2.alphabet.orders == (2,)
     assert part3.alphabet.orders == (3,)
-    assert part2.window(0, 1).size() == 4
-    assert part3.window(0, 1).size() == 9
+    assert part2.window(0, 1).form.size() == 4
+    assert part3.window(0, 1).form.size() == 9
+
+
+def test_primary_shift_of_a_p_group_is_the_shift():
+    # over a p-group alphabet the component is the shift itself, with its
+    # declared memory and its table of near-end states; a mixed alphabet is
+    # projected onto its p-part, with no declared memory
+    s = make_shift("Z8 x Z4", [(0, [(2, 2), (0, 1), (6, 3)])], memory=3)
+    assert primary_shift(s, 2) is s
+    mixed = make_shift("Z2 x Z3", [(0, [(1, 1), (0, 2)])], memory=2)
+    part = primary_shift(mixed, 3)
+    assert part.alphabet.orders == (3,) and part.memory_hint is None
+    assert [g.format() for g in part.generators] == ["@0: 1 2"]
+    assert primary_shift(s, 3).generators == ()
 
 
 def test_certificate_encoder_image_matches_oracle(delay_rep):

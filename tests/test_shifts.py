@@ -12,13 +12,14 @@ from groupshift.residues import (EnumerationCapExceeded, howell_form, row_solver
                                  unpack_rows)
 from groupshift.shifts import (GroupShift, Horizons, _boundary_heads, _fixed_reach,
                                enumerate_window_code, finite_type_memory, member,
-                               primary_shift, splice, SpliceFailed, supported_words,
+                               primary_shift, supported_words,
                                torsion_presentation, torsion_window_projection)
 from groupshift.words import Word
 
-from conftest import (divisible, enumerate_elements, exact_margins, form_words, full_shift,
-                      impulse, make_shift, padded_initial_value_space, padded_member,
-                      padded_supported_words, random_shift, restricted, splice_property_holds,
+from conftest import (SpliceFailed, agrees_on, divisible, enumerate_elements, exact_margins,
+                      form_words, full_shift, impulse, make_shift,
+                      padded_initial_value_space, padded_member, padded_supported_words,
+                      random_shift, restricted, splice, splice_property_holds,
                       tuple_combine_rows)
 
 
@@ -40,12 +41,12 @@ def window_code_as_set(shift, lo, hi):
 
 def test_full_shift_single_window(z4):
     g = full_shift(z4)
-    assert g.window(0, 0).size() == 4
+    assert g.window(0, 0).form.size() == 4
 
 
 def test_zero_shift_window(z4):
     g = GroupShift.make(z4, [])
-    assert g.window(2, 5).size() == 1
+    assert g.window(2, 5).form.size() == 1
 
 
 def test_far_window_has_three_contributors(z2):
@@ -53,7 +54,7 @@ def test_far_window_has_three_contributors(z2):
     g = make_shift("Z2", [(0, [1, 1])])
     module = g.window(5, 6)
     assert len(g.contributors(5, 6)) == 3
-    assert module.size() <= 4
+    assert module.form.size() <= 4
     # enumerate all sums of the contributing restrictions directly
     from conftest import brute_force_span
     span = brute_force_span(unpack_rows(module.packed, module.modulus, module.rank_width),
@@ -176,7 +177,7 @@ def test_membership_needs_a_margin_past_the_memory():
 def test_difference_code_closure_is_full(z2):
     g = make_shift("Z2", [(0, [1, 1])])
     for t in range(4):
-        assert g.window(0, t).size() == 2 ** (t + 1)
+        assert g.window(0, t).form.size() == 2 ** (t + 1)
     assert member(g, impulse(z2, (1,)))
 
 
@@ -208,10 +209,10 @@ def test_splice_trivial_and_truncation(delay_rep):
     assert out == x1
     # gluing where the block is inside the supports
     x2 = g.shifted(-2)
-    assert x1.agrees_on(x2, 2, 3)
+    assert agrees_on(x1, x2, 2, 3)
     glued = splice(delay_rep, x1, x2, 2, 1)
     assert member(delay_rep, glued)
-    assert glued.agrees_on(x1, -5, 3) and glued.agrees_on(x2, 2, 10)
+    assert agrees_on(glued, x1, -5, 3) and agrees_on(glued, x2, 2, 10)
 
 
 def test_splice_disagreement_rejected(delay_rep):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import pack_rows, placed_rows
-from groupshift.words import Word, word_span
+from groupshift.words import Word
 
-from conftest import impulse, is_torsion, restricted
+from conftest import impulse, is_torsion, restricted, word_span
 
 GROUPS = ["Z2", "Z4", "Z2 x Z4", "Z6"]
 
