@@ -115,10 +115,9 @@ def _load_spec(path: str) -> ShiftSpec:
 def _horizons_from_args(spec: ShiftSpec, args) -> Horizons:
     """Flag first, then the spec's horizon: key, then the derived default."""
     horizon = args.horizon if args.horizon is not None else spec.horizon_override
-    overrides = dict(margin=args.margin, support_cap=args.support_cap,
-                     block_cap=args.block_cap, n_cap=args.n_cap,
-                     window_horizon=horizon)
-    return Horizons.derive(spec.shift, **overrides)
+    return Horizons.derive(spec.shift, support_cap=args.support_cap,
+                           block_cap=args.block_cap, n_cap=args.n_cap,
+                           window_horizon=horizon)
 
 
 def _genset_lines(report: Report, prefix: str, genset: CanonicalGeneratorSet) -> None:
@@ -350,8 +349,6 @@ def _at_least(lo: int):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--margin", type=_at_least(0), default=None,
-                        help="echoed in the report; no verdict reads it")
     parser.add_argument("--support-cap", type=_at_least(1), default=None,
                         help="max support length for generator searches")
     parser.add_argument("--block-cap", type=_at_least(0), default=None,

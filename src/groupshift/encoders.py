@@ -5,9 +5,10 @@ finite-support p-torsion words x_j starting at position 0 whose initial
 symbols form a basis of the initial-value space of one-sided torsion
 members, each with the maximal height h_j realized as x_j = p^{h_j} * y_j
 with y_j a certified finite word.  The taps y_j induce the sliding
-homomorphism onto the shift; injectivity, noncatastrophicity and window
-surjectivity are certified at recorded horizons, and a mixed alphabet is
-handled one primary component at a time.
+homomorphism onto the shift.  Its independent block and noncatastrophicity
+are certified at recorded horizons; its order bounds, window injectivity
+and window surjectivity hold by construction (`_by_construction_checks`).  A
+mixed alphabet is handled one primary component at a time.
 
 The pipeline refuses a component without an order-controllability index
 n = n_o, which is a cut: if d*g == 0 on [k+1, k+n], g in G, d | exp(H), some
@@ -224,7 +225,7 @@ def lift_height(shift: GroupShift, x: Word, p: int, h: int, pad: int) -> Word | 
     support inside supp(x) padded by `pad`; None when no such word exists
     there (exact: `supported_words` takes no margin, and reads the words of
     that width at 0, so lifts at every offset share one form); at a pad >= n_o
-    it finds one whenever any finite y exists (`canonical_generators`)."""
+    it finds one whenever any y in G exists (`canonical_generators`)."""
     if h == 0 or x.is_zero:
         return x
     lo, hi = x.first - pad, x.last + pad
@@ -251,11 +252,12 @@ def canonical_generators(shift: GroupShift, p: int,
     completed by height-0 torsion words of minimal quotient support.
     Refuses when the order-controllability check fails.
 
-    Tap division is one lift at pad n_o + 1, by the cut (module docstring):
-    if x = p^h * y, y finite, supp x in [a, b], cutting y at k = b gives
-    y1 with p^h*y1 == x, 0 from b+n_o+1 on; cutting y1 at k = a-n_o-1 gives
-    y2, 0 from a on, with p^h*y2 == 0; so p^h*(y1 - y2) == x with y1 - y2
-    finite in [a-n_o, b+n_o].
+    Tap division is one lift at pad n_o + 1, which always exists, by the
+    cut (module docstring): if x = p^h * y, y in G (finite or not), supp x
+    in [a, b], cutting y at k = b gives y1 with p^h*y1 == x, 0 from
+    b+n_o+1 on; cutting y1 at k = a-n_o-1 gives y2, 0 from a on, with
+    p^h*y2 == 0; so p^h*(y1 - y2) == x with y1 - y2 finite in
+    [a-n_o, b+n_o].  Every tap of p*G is p*y for some y in G.
     """
     if not shift.alphabet.is_p_group(p):
         raise ValueError("canonical generators need a p-group alphabet; "
@@ -285,14 +287,9 @@ def canonical_generators(shift: GroupShift, p: int,
         raise PipelineFailure("scaled-finite-words", detail)
     sub = canonical_generators(multiple_shift(shift, p, 1), p, horizons)
 
-    lifted: list[GeneratorEntry] = []
-    for entry in sub.entries:
-        z = lift_height(shift, entry.tap, p, 1, n_o + 1)
-        if z is None:
-            raise PipelineFailure(
-                "tap-division",
-                f"no certified finite y with p*y = {entry.tap.format()}")
-        lifted.append(GeneratorEntry(entry.torsion_word, entry.height + 1, z))
+    lifted = [GeneratorEntry(e.torsion_word, e.height + 1,
+                             lift_height(shift, e.tap, p, 1, n_o + 1))
+              for e in sub.entries]
 
     rank = initial_value_space(shift, p)
     picked = [e.torsion_word.window_vector(0, 0) for e in lifted]
@@ -599,26 +596,10 @@ class ConjugacyCertificate:
             all(c.passed for c in self.global_checks)
 
 
-def _message_invariant_checks(encoder: Encoder) -> list[CheckResult]:
-    """The encoder invariants, decided exactly.
-
-    Coordinate j of a message lies in [0, p^(h_j+1)), so encode(m1 + m2) -
-    encode(m1) - encode(m2) is a sum of carries times p^(h_j+1) * tap_j: the
-    encoder is a homomorphism exactly when the order bound holds.
-    Shift-equivariance holds by construction: `encode` multiplies message
-    position start + t into lane t*r, so shifting the message shifts the
-    image by as many positions.
-    """
-    bounded = all(tap.scaled(p ** (h + 1)).is_zero for tap, h, p in
-                  zip(encoder.taps, encoder.heights, encoder.tap_primes))
-    return [CheckResult("homomorphism", bounded),
-            CheckResult("shift-equivariance", True),
-            CheckResult("order-bounds", bounded)]
-
-
-def _structure_checks() -> list[CheckResult]:
-    """The socle and generating-set lines, which hold by construction once
-    `canonical_generators` passes, as passes:
+def _by_construction_checks() -> list[CheckResult]:
+    """The structure and message lines, which hold by construction once
+    `canonical_generators` passes, as passes; `primary_certificate` adds
+    the window lines, which hold by construction as well:
 
     - socle-weakly-controllable: for g in G[p], the cuts of the module
       docstring at d = p, at k = t and k = -n_o-1, give g1 == g on
@@ -636,34 +617,43 @@ def _structure_checks() -> list[CheckResult]:
       x = p^(h+2) * y' would be p^(h+1) * (p*y') in p*G, against its height
       h there; a completion pick x = p*y' would be a one-sided p-torsion
       member of p*G, with its initial symbol in the span of p*G's picks,
-      which `_pick_generators` picks outside of.
+      which `_pick_generators` picks outside of;
+    - order-bounds and homomorphism: each tap satisfies p^h * y = x with x
+      p-torsion, so p^(h+1) * y == 0; coordinate j of a message lies in
+      [0, p^(h_j+1)), so encode(m1 + m2) - encode(m1) - encode(m2), a sum
+      of carries times p^(h_j+1) * tap_j, is 0;
+    - shift-equivariance: `encode` multiplies message position start + t
+      into lane t*r, so shifting the message shifts the image by as many
+      positions;
+    - window-injectivity: suppose a nonzero message has image 0, and let M
+      be the maximum of h_j - v_p(c) over its nonzero coefficients c.
+      Multiplying the image by p^M, the terms below M vanish by the order
+      bounds, and what is left is a sum of u * x_j placed at t with u != 0
+      mod p.  At the least placement t in it only the initial symbols
+      x_j(0) meet position t, and they are F_p-independent
+      (initial-basis-independent): a contradiction;
+    - window-surjectivity: the taps are certified words, so the shift T
+      they generate lies in G.  Conversely, by induction over the p*G
+      recursion, each left-bounded w in G is a sum, convergent position by
+      position, of taps placed at positions bounded below: p*w is such a
+      sum over p*G's taps p*y_k, so w - sum c * y_k placed at t is a
+      left-bounded p-torsion member.  Its first symbol lies in the exact
+      `initial_value_space`, which the torsion words' initial symbols
+      span; subtract and repeat.  Each g in G equals on [0, t] such a w,
+      g minus its cut at k = -n_o-1 and d = exp(H), and only finitely many
+      placements meet [0, t], so G's window [0, t] is T's.
     """
     return [CheckResult(name, True) for name in (
         "socle-weakly-controllable", "exact-powers", "heights-sorted",
-        "initial-basis-independent", "torsion-one-sided", "heights-maximal")]
-
-
-def _image_window_checks(encoder: Encoder, shift: GroupShift,
-                         horizons: Horizons) -> list[CheckResult]:
-    # each window module on [0, t] is the projection of the one on [0, H], so
-    # equal modules on [0, H] give equal modules on every [0, t]
-    h = horizons.window_horizon
-    surj = GroupShift.make(shift.alphabet, encoder.taps).window(0, h).form.spans_same(
-        shift.window(0, h).form)
-    # kernel triviality: messages on a window encoding to zero on a full
-    # cover must be trivial coordinatewise
-    solver, labels, _ = _tap_solver(encoder.alphabet, encoder.taps, 0, h)
-    orders = [encoder.source.orders[j] for j, _ in labels]
-    inj = not any(c % orders[i] for row in solver.kernel.rows
-                  for i, c in enumerate(row))
-    return [CheckResult("window-surjectivity", surj, f"windows [0,0]..[0,{h}]"),
-            CheckResult("window-injectivity", inj)]
+        "initial-basis-independent", "torsion-one-sided", "heights-maximal",
+        "homomorphism", "shift-equivariance", "order-bounds")]
 
 
 def primary_certificate(shift: GroupShift, p: int,
                         horizons: Horizons) -> PrimaryCertificate:
-    """Run the whole per-prime pipeline and collect every check outcome; the
-    socle line passes by construction (`_structure_checks`)."""
+    """Run the whole per-prime pipeline and collect every check outcome;
+    only the independent block and noncatastrophicity are decided here, the
+    other lines pass by construction (`_by_construction_checks`)."""
     try:
         genset = canonical_generators(shift, p, horizons)
     except PipelineFailure as exc:
@@ -671,15 +661,16 @@ def primary_certificate(shift: GroupShift, p: int,
                                   (CheckResult(exc.stage, False, exc.detail),),
                                   exc.stage)
     encoder = build_encoder(genset)
-    checks = _structure_checks()
-    checks.extend(_message_invariant_checks(encoder))
+    h = horizons.window_horizon
+    checks = _by_construction_checks()
     inj = check_injectivity(encoder, horizons.block_cap)
     checks.append(independent_block_check(inj, horizons.block_cap))
-    noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon)
+    noncat = check_noncatastrophic(encoder, shift, h)
     checks.append(CheckResult(
         "noncatastrophic", noncat.ok,
         "" if noncat.ok else f"witness {noncat.witness.format()}"))
-    checks.extend(_image_window_checks(encoder, shift, horizons))
+    checks += [CheckResult("window-surjectivity", True, f"windows [0,0]..[0,{h}]"),
+               CheckResult("window-injectivity", True)]
     # canonical_generators passed scaled_finite_words_check at r = 1 on
     # each recursion level p^k G, k = 0..e-2; chaining the levels gives
     # p^r W_t(G) = W_t(p^r G) for every r < e

@@ -8,7 +8,8 @@ import pytest
 
 from groupshift.control import _divisors, _steering_condition, default_past_horizon
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.encoders import CanonicalGeneratorSet, PipelineFailure, _tap_solver, lift_height
+from groupshift.encoders import (CanonicalGeneratorSet, CheckResult, Encoder, Horizons,
+                                 PipelineFailure, _tap_solver, lift_height)
 from groupshift.residues import (HowellForm, PackedRows, _lane_layout, combine_rows, howell_form,
                                  placed_rows, projection_heads, unpack_rows)
 from groupshift.shifts import (GroupShift, _boundary_rows, finite_type_memory, member,
@@ -462,3 +463,40 @@ def base_decompose(shift: GroupShift, u: Word, pg_set: CanonicalGeneratorSet,
     used = tuple((i, t, c) for (i, t), c in zip(labels, coeffs) if c)
     w = Word.combine(shift.alphabet, [(c, lifts[i], t) for i, t, c in used])
     return BaseDecomposition(u - w, w, used)
+
+
+# -- deciders of certificate lines that hold by construction, kept as reference code
+
+
+def _message_invariant_checks(encoder: Encoder) -> list[CheckResult]:
+    """The encoder invariants, decided exactly.
+
+    Coordinate j of a message lies in [0, p^(h_j+1)), so encode(m1 + m2) -
+    encode(m1) - encode(m2) is a sum of carries times p^(h_j+1) * tap_j: the
+    encoder is a homomorphism exactly when the order bound holds.
+    Shift-equivariance holds by construction: `encode` multiplies message
+    position start + t into lane t*r, so shifting the message shifts the
+    image by as many positions.
+    """
+    bounded = all(tap.scaled(p ** (h + 1)).is_zero for tap, h, p in
+                  zip(encoder.taps, encoder.heights, encoder.tap_primes))
+    return [CheckResult("homomorphism", bounded),
+            CheckResult("shift-equivariance", True),
+            CheckResult("order-bounds", bounded)]
+
+
+def _image_window_checks(encoder: Encoder, shift: GroupShift,
+                         horizons: Horizons) -> list[CheckResult]:
+    # each window module on [0, t] is the projection of the one on [0, H], so
+    # equal modules on [0, H] give equal modules on every [0, t]
+    h = horizons.window_horizon
+    surj = GroupShift.make(shift.alphabet, encoder.taps).window(0, h).form.spans_same(
+        shift.window(0, h).form)
+    # kernel triviality: messages on a window encoding to zero on a full
+    # cover must be trivial coordinatewise
+    solver, labels, _ = _tap_solver(encoder.alphabet, encoder.taps, 0, h)
+    orders = [encoder.source.orders[j] for j, _ in labels]
+    inj = not any(c % orders[i] for row in solver.kernel.rows
+                  for i, c in enumerate(row))
+    return [CheckResult("window-surjectivity", surj, f"windows [0,0]..[0,{h}]"),
+            CheckResult("window-injectivity", inj)]

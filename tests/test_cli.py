@@ -365,12 +365,12 @@ def test_enum_cap_fails_oracle(tmp_path, capsys):
     (["certify", "{spec}", "--horizon", "0"], "--horizon"),
     (["certify", "{spec}", "--horizon", "-1"], "--horizon"),
     (["analyze", "{spec}", "--horizon", "0"], "--horizon"),
-    (["certify", "{spec}", "--margin", "-1"], "--margin"),
+    (["analyze", "{spec}", "--n-cap", "-1"], "--n-cap"),
     (["generators", "{spec}", "--support-cap", "0"], "--support-cap"),
     (["certify", "{spec}", "--block-cap", "-1"], "--block-cap"),
     (["certify", "{spec}", "--n-cap", "-1"], "--n-cap"),
     (["encode", "{spec}", "{spec}", "--horizon", "0"], "--horizon"),
-    (["encode", "{spec}", "{spec}", "--margin", "x"], "--margin"),
+    (["encode", "{spec}", "{spec}", "--block-cap", "x"], "--block-cap"),
     (["analyze", "{spec}", "--ft-cap", "0"], "--ft-cap"),
     (["oracle", "{spec}", "--window", "0:1", "--list-cap", "-1"], "--list-cap"),
     (["oracle", "{spec}", "--window", "0:1", "--enum-cap", "-1"], "--enum-cap"),
@@ -392,10 +392,13 @@ def test_numeric_flags_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     ["certify", "{spec}", "--trials", "-1"],
     ["certify", "{spec}", "--check-presentation", "--seed", "1"],
     ["encode", "{spec}", "{spec}", "--seed", "1"],
+    ["certify", "{spec}", "--margin", "-1"],
+    ["encode", "{spec}", "{spec}", "--margin", "x"],
 ])
 def test_flags_only_on_commands_that_read_them(tmp_path, capsys, argv):
     # no check draws random messages, so no command reads --trials or
-    # --seed; either flag is a usage error everywhere
+    # --seed, and no verdict reads the margin; each flag is a usage error
+    # everywhere
     path = tmp_path / "full-z4.spec"
     path.write_text(FULL_Z4)
     code = main([a.format(spec=path) for a in argv])
@@ -439,8 +442,8 @@ FUZZ_GROUPS = ["Z2", "Z3", "Z4", "Z6", "Z9", "Z2 x Z2", "Z2 x Z4"]
 #: Flags per command with values drawn from a small range that includes
 #: out-of-range ones; the common pipeline flags apply to every command but
 #: oracle.
-COMMON_FLAGS = {"--margin": (-1, 3), "--support-cap": (-1, 4), "--block-cap": (-1, 4),
-                "--n-cap": (-1, 4), "--horizon": (-1, 4)}
+COMMON_FLAGS = {"--support-cap": (-1, 4), "--block-cap": (-1, 4), "--n-cap": (-1, 4),
+                "--horizon": (-1, 4)}
 FUZZ_FLAGS = {
     "analyze": dict(COMMON_FLAGS, **{"--ft-cap": (-1, 3)}),
     "generators": dict(COMMON_FLAGS, **{"--prime": (-1, 5)}),

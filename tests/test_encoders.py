@@ -14,8 +14,7 @@ from groupshift.encoders import (Encoder, Horizons, PipelineFailure, build_encod
                                  presentation_encoder, primary_certificate,
                                  primary_shift, socle_shift,
                                  scaled_finite_words_check,
-                                 solve_finite_preimage,
-                                 _image_window_checks, _message_invariant_checks)
+                                 solve_finite_preimage)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import howell_form, row_solver
 from groupshift.shifts import (GroupShift, member, enumerate_window_code,
@@ -23,10 +22,11 @@ from groupshift.shifts import (GroupShift, member, enumerate_window_code,
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
-from conftest import (base_decompose, divisible, enumerate_elements, form_words, full_shift,
-                     impulse, is_torsion, make_shift, padded_member, padded_word_height,
-                     random_message, random_shift, restricted, slack_noncatastrophic,
-                     translated_slack)
+from conftest import (_image_window_checks, _message_invariant_checks, base_decompose,
+                      divisible, enumerate_elements, form_words, full_shift, impulse,
+                      is_torsion, make_shift, padded_member, padded_word_height,
+                      random_message, random_shift, restricted, slack_noncatastrophic,
+                      translated_slack)
 
 
 # -- derived shifts -----------------------------------------------------------
@@ -746,7 +746,8 @@ def test_certificate_encoder_image_matches_oracle(delay_rep):
 
 
 BY_CONSTRUCTION = ("exact-powers", "heights-sorted", "initial-basis-independent",
-                   "torsion-one-sided")
+                   "torsion-one-sided", "homomorphism", "order-bounds",
+                   "window-surjectivity", "window-injectivity")
 
 
 def reference_structure(genset):
@@ -768,6 +769,30 @@ def reference_structure(genset):
     }
 
 
+def by_construction_holds(part, p, horizons):
+    """The primary certificate of `part` at `horizons`, None when the
+    pipeline refuses it, after holding each line it reports by construction
+    to its decider: the structure reference, the message and window
+    deciders the certificate once ran, and the tap division of every tap of
+    p*G at pad n_o + 1."""
+    cert = primary_certificate(part, p, horizons)
+    genset = cert.genset
+    if genset is None:
+        return None
+    reference = reference_structure(genset)
+    assert all(reference.values()), (part, reference)
+    decided = (_message_invariant_checks(cert.encoder)
+               + _image_window_checks(cert.encoder, part, horizons))
+    assert all(c.passed for c in decided), (part, decided)
+    if part.exponent_exponent(p) > 1:
+        sub = canonical_generators(multiple_shift(part, p, 1), p, horizons)
+        assert all(lift_height(part, tap, p, 1, genset.order_index + 1) is not None
+                   for tap in sub.taps), part
+    reported = {c.name: c.passed for c in cert.checks}
+    assert all(reported[name] for name in BY_CONSTRUCTION), (part, reported)
+    return cert
+
+
 def test_by_construction_lines_hold_on_random_gensets():
     rng = random.Random(43)
     built = scaled = 0
@@ -775,20 +800,16 @@ def test_by_construction_lines_hold_on_random_gensets():
         shift = random_shift(rng)
         for p in shift.alphabet.primes():
             part = primary_shift(shift, p)
-            try:
-                genset = canonical_generators(part, p)
-            except PipelineFailure:
+            cert = by_construction_holds(part, p, Horizons.derive(part))
+            if cert is None:
                 continue
             built += 1
-            reference = reference_structure(genset)
-            assert all(reference.values()), (part, reference)
+            genset = cert.genset
             for r in range(1, part.exponent_exponent(p)):
                 ok, detail = scaled_finite_words_check(part, p, r, genset.horizons)
                 assert ok, (part, r, detail)
                 scaled += 1
-            cert = primary_certificate(part, p, genset.horizons)
             reported = {c.name: c.passed for c in cert.checks}
-            assert all(reported[name] for name in BY_CONSTRUCTION)
             # heights-maximal is the padded height search at a pad past
             # every lift these draws need
             emax, pad = part.exponent_exponent(p), 4 * part.span + 12
@@ -798,6 +819,14 @@ def test_by_construction_lines_hold_on_random_gensets():
             assert all(passed for name, passed in reported.items()
                        if name.startswith("scaled-finite-words-r"))
     assert built >= 40 and scaled >= 10
+
+
+def test_by_construction_lines_hold_on_the_corpus():
+    # the golden specs and both benchmark pools, which hold every `ok`
+    # `certify` pool entry
+    built = sum(by_construction_holds(primary_shift(shift, p), p, Horizons.derive(shift))
+                is not None for shift in corpus_shifts() for p in shift.alphabet.primes())
+    assert built >= 200, built
 
 
 def socle_and_heights_hold(shift):

@@ -103,9 +103,10 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 
 #: The traced reductions of `certify` on the two ROADMAP cases: a packed path
 #: that bypassed one of the counted entry points would read a different count
-#: here.  The socle line and the heights hold by construction, with no
-#: reduction of their own; the initial-value rank is read off
-#: uncanonicalized kept rows; a tap is lifted once, at pad n_o + 1; a tap's
+#: here.  The socle line, the heights, the order bounds and the window
+#: lines hold by construction, with no reduction of their own; the
+#: initial-value rank is read off uncanonicalized kept rows; a tap is
+#: lifted once, at pad n_o + 1; a tap's
 #: membership reads the cached certified words, with no window form of its
 #: own; the certified words on [0, t], t <= H, of the scaled and
 #: noncatastrophicity checks are read off one form on [0, H] by
@@ -117,7 +118,7 @@ COUNT_SCRIPT = """
 import corpus, ops, tracer
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [30, 2388, 55, 5, 3], "Z9 x Z3": [28, 2108, 60, 3, 1]}
+want = {"Z8 x Z4": [27, 1776, 55, 4, 3], "Z9 x Z3": [25, 1496, 60, 2, 1]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
