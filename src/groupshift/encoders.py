@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .control import order_controllability_index, socle_controllability
 from .groups import FiniteAbelianGroup, _prime_power_factors, primary_component
@@ -43,8 +45,11 @@ class PipelineFailure(Exception):
 # -- derived shifts ----------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def multiple_shift(shift: GroupShift, p: int, r: int) -> GroupShift:
-    """Presentation of p^r G: generators scaled by p^r (zero words dropped)."""
+    """Presentation of p^r G: generators scaled by p^r (zero words dropped);
+    one object per argument, so `canonical_generators` recurses into the
+    shift whose near-end states `scaled_finite_words_check` built."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if r == 0:
@@ -323,6 +328,38 @@ class Encoder:
         return tuple(t.scaled(p ** h) for t, h, p in
                      zip(self.taps, self.heights, self.tap_primes))
 
+    @cached_property
+    def _plan(self) -> tuple | None:
+        """The per-encoder half of `encode`'s Kronecker substitution: (least
+        tap start b, lane bytes, (j, n_j, packed tap j) per nonzero tap j,
+        one `residue_table` per alphabet coordinate on byte lanes or None);
+        None when every tap is zero.  Lane i*r + k holds coordinate k of
+        output position message start + b + i (r the alphabet rank): tap j
+        is interleaved from lane (tap.start - b)*r and message column j puts
+        its entry at position start + i in lane i*r, so one product per tap
+        lands every term c*x in its own lane.  Message and taps are reduced,
+        so no lane exceeds (max order - 1) * sum_j (n_j - 1) * len(tap_j),
+        n_j the source orders, and lanes of that width (`_lane_bytes`) never
+        carry; on byte lanes that bound is at most 255, so every order is at
+        most 256.  Per message, `encode` packs the used columns, multiplies,
+        and reduces byte lanes by one translation per coordinate, wider
+        lanes lane by lane."""
+        used = [(j, n, tap) for j, (n, tap) in
+                enumerate(zip(self.source.orders, self.taps)) if tap.symbols]
+        if not used:
+            return None
+        orders = self.alphabet.orders
+        base = min(tap.start for _, _, tap in used)
+        bound = (max(orders) - 1) * sum((n - 1) * len(tap.symbols) for _, n, tap in used)
+        nbytes = _lane_bytes(bound.bit_length())
+        bits = 8 * self.alphabet.rank * nbytes  # per output position
+        packed = tuple(
+            (j, n, int.from_bytes(_lanes_to_bytes([x for sym in tap.symbols for x in sym], nbytes),
+                                  "little") << bits * (tap.start - base))
+            for j, n, tap in used)
+        tables = [residue_table(m) for m in orders] if nbytes == 1 else None
+        return base, nbytes, packed, tables
+
 
 def build_encoder(genset: CanonicalGeneratorSet) -> Encoder:
     p = genset.prime
@@ -357,59 +394,35 @@ def presentation_encoder(shift: GroupShift) -> Encoder:
 
 def encode(encoder: Encoder, message: Word,
            window: tuple[int, int] | None = None) -> Word:
-    """Apply the encoder to a finitely supported message word.
-
-    With a window, only the restriction of the output to it is returned.
-
-    The image is the convolution sum over j of message column j with tap j,
-    computed by Kronecker substitution as one int product per nonzero tap.
-    Coordinate k of output position lo + i is lane i*r + k, where r is the
-    alphabet rank and lo is the message start plus the least tap start.
-    Column j holds its entry at message position start + i in lane i*r, and
-    tap j holds its coordinates interleaved from lane (tap.start - least
-    start)*r, so each product lands every term c*x in its own lane.  Message
-    and taps are reduced, so no lane exceeds (max order - 1) * sum over j of
-    (n_j - 1) * len(tap_j), with n_j the source orders; lanes of that width
-    (`_lane_bytes`) never carry.  Byte lanes are reduced by one translation
-    (`residue_table`) per alphabet coordinate, wider lanes lane by lane.
-    """
+    """Apply the encoder to a finitely supported message word, restricted
+    to the window when one is given (`Encoder._plan`)."""
     if message.group != encoder.source:
         raise ValueError("message is not over the encoder source alphabet")
-    alphabet = encoder.alphabet
-    used = [(j, n, tap) for j, (n, tap) in
-            enumerate(zip(encoder.source.orders, encoder.taps)) if tap.symbols]
-    if not used or not message.symbols:
+    alphabet, plan, symbols = encoder.alphabet, encoder._plan, message.symbols
+    if plan is None or not symbols:
         return Word.zero(alphabet)
-    r = alphabet.rank
-    base = min(tap.start for _, _, tap in used)
-    bound = (max(alphabet.orders) - 1) * sum((n - 1) * len(tap.symbols)
-                                             for _, n, tap in used)
-    nbytes = _lane_bytes(bound.bit_length())
+    base, nbytes, packed, tables = plan
+    r, total = alphabet.rank, 0
     stride = r * nbytes
-    columns = list(zip(*message.symbols))
-    total = 0
-    for j, n, tap in used:
+    for j, n, tap in packed:
         if n <= 256:
-            column = bytearray(stride * len(columns[j]))
-            column[::stride] = bytes(columns[j])
+            column = bytearray(stride * len(symbols))
+            column[::stride] = bytes(map(itemgetter(j), symbols))
         else:
-            column = b"".join(c.to_bytes(stride, "little") for c in columns[j])
-        interleaved = _lanes_to_bytes([x for sym in tap.symbols for x in sym], nbytes)
-        total += int.from_bytes(column, "little") * (
-            int.from_bytes(interleaved, "little") << 8 * stride * (tap.start - base))
+            column = b"".join(sym[j].to_bytes(stride, "little") for sym in symbols)
+        total += int.from_bytes(column, "little") * tap
     lo = message.start + base
     raw = total.to_bytes(-(-total.bit_length() // (8 * stride)) * stride, "little")
     if window is not None:
         a = max(window[0] - lo, 0)
         raw = raw[stride * a:stride * max(window[1] + 1 - lo, a)]
         lo += a
-    if nbytes == 1:
-        # bound <= 255 with a sum >= 1, so every order is at most 256
-        coords = [raw[k::r].translate(residue_table(m)) for k, m in enumerate(alphabet.orders)]
+    if tables is not None:
+        coords = [raw[k::r].translate(table) for k, table in enumerate(tables)]
     else:
         lanes = _bytes_to_lanes(raw, nbytes)
         coords = [[x % m for x in lanes[k::r]] for k, m in enumerate(alphabet.orders)]
-    return Word.trimmed(alphabet, lo, list(zip(*coords)))
+    return Word.trimmed(alphabet, lo, tuple(zip(*coords)))
 
 
 @dataclass(frozen=True)
@@ -690,34 +703,19 @@ def conjugacy_certificate(shift: GroupShift,
     because `perfbench/ops.py:run_certify` still passes them."""
     if horizons is None:
         horizons = Horizons.derive(shift)
-    primaries = []
-    encoders: list[tuple[int, Encoder]] = []
-    for p in shift.alphabet.primes():
-        part_shift = primary_shift(shift, p)
-        cert = primary_certificate(part_shift, p, horizons)
-        primaries.append(cert)
-        if cert.encoder is not None:
-            encoders.append((p, cert.encoder))
-    product = None
-    global_checks: list[CheckResult] = []
-    if all(c.complete for c in primaries):
-        factors: list[tuple[int, int]] = []
-        taps: list[Word] = []
-        heights: list[int] = []
-        tap_primes: list[int] = []
-        for p, enc in encoders:
-            part = primary_component(shift.alphabet, p)
-            factors.extend(enc.source.factors)
-            taps.extend(Word.make(shift.alphabet, tap.start,
-                                  [part.embed_coords(s) for s in tap.symbols])
-                        for tap in enc.taps)
-            heights.extend(enc.heights)
-            tap_primes.extend(enc.tap_primes)
-        product = Encoder(shift.alphabet, FiniteAbelianGroup(tuple(factors)),
-                          tuple(taps), tuple(heights), tuple(tap_primes))
-        # a window module is the direct sum of its primary components, which
-        # are the primary shifts' windows, so the product taps' windows equal
-        # the shift's once every primary passed window-surjectivity
-        global_checks.append(CheckResult("product-window-surjectivity", True))
-    return ConjugacyCertificate(shift, horizons, tuple(primaries), product,
-                                tuple(global_checks))
+    primaries = tuple(primary_certificate(primary_shift(shift, p), p, horizons)
+                      for p in shift.alphabet.primes())
+    if not all(c.complete for c in primaries):
+        return ConjugacyCertificate(shift, horizons, primaries, None, ())
+    parts = [(primary_component(shift.alphabet, c.prime), c.encoder) for c in primaries]
+    product = Encoder(
+        shift.alphabet, FiniteAbelianGroup(tuple(f for _, e in parts for f in e.source.factors)),
+        tuple(Word.make(shift.alphabet, tap.start, [part.embed_coords(s) for s in tap.symbols])
+              for part, e in parts for tap in e.taps),
+        tuple(h for _, e in parts for h in e.heights),
+        tuple(q for _, e in parts for q in e.tap_primes))
+    # a window module is the direct sum of its primary components, which are
+    # the primary shifts' windows, so the product taps' windows equal the
+    # shift's once every primary passed window-surjectivity
+    return ConjugacyCertificate(shift, horizons, primaries, product,
+                                (CheckResult("product-window-surjectivity", True),))

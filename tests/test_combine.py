@@ -197,3 +197,55 @@ def test_wide_lane_encode_matches_fold(factors, source_factors, data):
     window = data.draw(st.one_of(st.none(), st.tuples(
         st.integers(-40, 40), st.integers(0, 30)).map(lambda t: (t[0], t[0] + t[1]))))
     assert encode(enc, message, window) == fold_encode(enc, message, window)
+
+
+def all_zero_message(source: FiniteAbelianGroup, start: int, length: int) -> Word:
+    """A message of zero symbols, built untrimmed."""
+    return Word(source, start, ((0,) * source.rank,) * length)
+
+
+PLAN_WINDOWS = st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 30))
+                        .map(lambda t: (t[0], t[0] + t[1])), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(WIDE_ALPHABETS), st.sampled_from(WIDE_SOURCES), st.data())
+def test_one_encoder_encodes_many_messages_from_its_plan(factors, source_factors, data):
+    # the plan is built by the first call and read by every later one, over
+    # sources past order 256, lanes past one byte, zero taps, and the empty
+    # and all-zero messages; building it changes neither equality nor hash
+    alphabet = FiniteAbelianGroup(factors)
+    source = FiniteAbelianGroup(source_factors)
+    tap = st.one_of(st.just(Word.zero(alphabet)), words_over(alphabet, 4))
+    taps = tuple(data.draw(st.lists(tap, min_size=source.rank, max_size=source.rank)))
+    enc, twin = (Encoder(alphabet, source, taps, (0,) * source.rank, (2,) * source.rank)
+                 for _ in range(2))
+    before = hash(enc)
+    messages = [Word.zero(source), all_zero_message(source, -2, 6),
+                *data.draw(st.lists(words_over(source, 12), min_size=1, max_size=3))]
+    for message in messages:
+        for window in (None, *data.draw(PLAN_WINDOWS)):
+            assert encode(enc, message, window) == fold_encode(enc, message, window)
+    assert "_plan" in vars(enc) and "_plan" not in vars(twin)
+    assert enc == twin and hash(enc) == hash(twin) == before
+
+
+def test_plan_with_zero_taps_wide_lanes_and_wide_sources_matches_fold():
+    # one encoder over Z1024 x Z2 from Z16807 x Z2 x Z2^33 x Z3 with one zero
+    # tap: 8-byte lanes, columns packed entry by entry and from bytes, one
+    # tap skipped, reused across messages and windows
+    alphabet = FiniteAbelianGroup(((2, 10), (2, 1)))
+    source = FiniteAbelianGroup(((7, 5), (2, 1), (2, 33), (3, 1)))
+    taps = (Word.make(alphabet, -1, [(1023, 1), (5, 0), (700, 1)]), Word.zero(alphabet),
+            Word.make(alphabet, 2, [(3, 1), (0, 0), (1000, 0), (1, 1)]),
+            Word.make(alphabet, 0, [(512, 1)]))
+    enc = Encoder(alphabet, source, taps, (0,) * 4, (2,) * 4)
+    assert lane_bytes(enc) == 8
+    rows = [tuple((i * 7919 + 13 * k) % n for k, n in enumerate(source.orders))
+            for i in range(60)]
+    messages = [Word.make(source, -20, rows), Word.make(source, 4, rows[:7]),
+                Word.zero(source), all_zero_message(source, 0, 9),
+                Word.make(source, 0, [tuple(n - 1 for n in source.orders)] * 25)]
+    for message in messages:
+        for window in image_windows(enc, message) if message.symbols else [None]:
+            assert encode(enc, message, window) == fold_encode(enc, message, window)

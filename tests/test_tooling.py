@@ -4,6 +4,7 @@ only under ``perfbench/run.py --trace 1``.  The package's runtime is the
 standard library alone, which a guard here keeps."""
 
 import ast
+import dataclasses
 import os
 import random
 import subprocess
@@ -532,6 +533,40 @@ def test_encode_is_packed_not_a_per_term_sum(monkeypatch):
         report = (golden / f"delay-rep.{name}.out").read_text().splitlines()
         assert f"word: {encode(encoder, message, window).format()}" in report, name
 
+
+
+def test_encode_packs_each_tap_once_per_encoder(monkeypatch):
+    # the taps are packed once, into the encoder's plan; later messages and
+    # windows pack only their own columns
+    golden = ROOT / "tests" / "golden"
+    shift = parse_spec((golden / "z8-z4.spec").read_text()).shift
+    encoder = dataclasses.replace(
+        conjugacy_certificate(shift, Horizons.derive(shift)).product_encoder)
+    packed = []
+    monkeypatch.setattr(encoders, "_lanes_to_bytes", lambda vals, nbytes:
+                        packed.append(vals) or residues._lanes_to_bytes(vals, nbytes))
+    rows = [tuple((i * 5 + k) % n for k, n in enumerate(encoder.source.orders))
+            for i in range(1, 40)]
+    for message, window in ((rows, None), (rows[::-1], (3, 20)), (rows[:5], None)):
+        assert not encode(encoder, Word.make(encoder.source, 0, message), window).is_zero
+    taps = sum(1 for tap in encoder.taps if tap.symbols)
+    assert taps > 1 and len(packed) == taps
+
+
+def test_generators_recurse_into_the_checked_multiple(monkeypatch):
+    # the p*G whose certified words scaled_finite_words_check compares is the
+    # object canonical_generators recurses into, so the recursion reads the
+    # near-end states the check built instead of building them again
+    made = []
+    original = encoders.multiple_shift
+    monkeypatch.setattr(encoders, "multiple_shift", lambda *args:
+                        made.append((args, original(*args))) or made[-1][1])
+    shift = parse_spec((ROOT / "tests" / "golden" / "z8-z4.spec").read_text()).shift
+    assert conjugacy_certificate(shift, Horizons.derive(shift)).complete
+    objects = {}
+    for args, scaled in made:
+        objects.setdefault(args, set()).add(id(scaled))  # `made` keeps each alive
+    assert len(made) > len(objects) and all(len(ids) == 1 for ids in objects.values())
 
 
 def test_solves_over_placed_taps_stay_packed(monkeypatch):
