@@ -233,7 +233,8 @@ def test_one_encoder_encodes_many_messages_from_its_plan(factors, source_factors
 def test_plan_with_zero_taps_wide_lanes_and_wide_sources_matches_fold():
     # one encoder over Z1024 x Z2 from Z16807 x Z2 x Z2^33 x Z3 with one zero
     # tap: 8-byte lanes, columns packed entry by entry and from bytes, one
-    # tap skipped, reused across messages and windows
+    # tap skipped, reused across messages and windows; the last message is
+    # nonzero only where the tap is zero, so its image is zero
     alphabet = FiniteAbelianGroup(((2, 10), (2, 1)))
     source = FiniteAbelianGroup(((7, 5), (2, 1), (2, 33), (3, 1)))
     taps = (Word.make(alphabet, -1, [(1023, 1), (5, 0), (700, 1)]), Word.zero(alphabet),
@@ -245,7 +246,9 @@ def test_plan_with_zero_taps_wide_lanes_and_wide_sources_matches_fold():
             for i in range(60)]
     messages = [Word.make(source, -20, rows), Word.make(source, 4, rows[:7]),
                 Word.zero(source), all_zero_message(source, 0, 9),
-                Word.make(source, 0, [tuple(n - 1 for n in source.orders)] * 25)]
+                Word.make(source, 0, [tuple(n - 1 for n in source.orders)] * 25),
+                Word.make(source, 3, [(0, 1, 0, 0)] * 4)]  # only the zero tap's column
     for message in messages:
         for window in image_windows(enc, message) if message.symbols else [None]:
             assert encode(enc, message, window) == fold_encode(enc, message, window)
+    assert encode(enc, messages[-1]).is_zero

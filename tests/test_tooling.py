@@ -4,7 +4,6 @@ only under ``perfbench/run.py --trace 1``.  The package's runtime is the
 standard library alone, which a guard here keeps."""
 
 import ast
-import dataclasses
 import os
 import random
 import subprocess
@@ -540,8 +539,7 @@ def test_encode_packs_each_tap_once_per_encoder(monkeypatch):
     # windows pack only their own columns
     golden = ROOT / "tests" / "golden"
     shift = parse_spec((golden / "z8-z4.spec").read_text()).shift
-    encoder = dataclasses.replace(
-        conjugacy_certificate(shift, Horizons.derive(shift)).product_encoder)
+    encoder = conjugacy_certificate(shift, Horizons.derive(shift)).product_encoder
     packed = []
     monkeypatch.setattr(encoders, "_lanes_to_bytes", lambda vals, nbytes:
                         packed.append(vals) or residues._lanes_to_bytes(vals, nbytes))
