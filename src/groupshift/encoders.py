@@ -14,7 +14,8 @@ The pipeline refuses a component without an order-controllability index
 n = n_o, which is a cut: if d*g == 0 on [k+1, k+n], g in G, d | exp(H), some
 g' in G equals g on (-inf, k], is 0 from k+n+1 on and has d*g' == 0 on
 [k+1, k+n] (the order steering condition at scale d, decided at the whole
-past).  Tap division, the socle line and heights-maximal follow from it.
+past).  Tap division, the socle line, heights-maximal and the exact
+initial-value rank follow from it.
 """
 
 from __future__ import annotations
@@ -99,18 +100,7 @@ def socle_shift(shift: GroupShift, p: int,
                            list(dict.fromkeys(w.shifted(w.first) for w in words)))
 
 
-# -- one-sided initial values and generator selection ------------------------
-
-
-def initial_value_space(shift: GroupShift, p: int) -> int:
-    """F_p rank of the initial symbols of one-sided torsion members, exactly:
-    the block of the boundary window of [1, 1] (`shifts._boundary_rows`)
-    with the cut state S on the past near end, zeroed, and the torsion state
-    T_p on the tail, p*v == 0 on the block and the tail.  The kept rows have
-    the Howell property, so they count an F_p basis."""
-    rows, ncols, a, b = _boundary_rows(shift, 1, math.inf, math.inf, (1, p))
-    return projection_heads(rows, shift.alphabet.modulus, [(a, ncols - a, p)],
-                            [(0, a)], a, b)[0].rank
+# -- generator selection -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -127,9 +117,13 @@ class CanonicalGeneratorSet:
     shift: GroupShift
     prime: int
     entries: tuple[GeneratorEntry, ...]  # heights descending
-    socle_rank: int
     order_index: int
     horizons: Horizons
+
+    @property
+    def socle_rank(self) -> int:
+        """The initial-value rank (`_by_construction_checks`)."""
+        return len(self.entries)
 
     @property
     def heights(self) -> tuple[int, ...]:
@@ -263,14 +257,19 @@ def canonical_generators(shift: GroupShift, p: int,
     b+n_o+1 on; cutting y1 at k = a-n_o-1 gives y2, 0 from a on, with
     p^h*y2 == 0; so p^h*(y1 - y2) == x with y1 - y2 finite in
     [a-n_o, b+n_o].  Every tap of p*G is p*y for some y in G.
+
+    The initial-value rank is exact at W = max(support_cap, n_o + 1): the
+    certified p-torsion words on [0, W-1] are one-sided p-torsion members,
+    and the cut at k = 0 and d = p takes each such member to one on
+    [0, n_o] with its initial symbol; their Howell form counts the F_p rank
+    of those symbols, as its rows are p-torsion.  So the picks fall short
+    only when support_cap <= n_o.
     """
     if not shift.alphabet.is_p_group(p):
         raise ValueError("canonical generators need a p-group alphabet; "
                          "decompose mixed alphabets into primary components")
     if horizons is None:
         horizons = Horizons.derive(shift)
-    if not shift.generators:
-        return CanonicalGeneratorSet(shift, p, (), 0, 0, horizons)
     search = order_controllability_index(shift, horizons.n_cap)
     if search.index is None:
         raise PipelineFailure(
@@ -278,29 +277,21 @@ def canonical_generators(shift: GroupShift, p: int,
             f"no order-controllability index <= {horizons.n_cap}; "
             f"witness {search.witness.format() if search.witness else 'n/a'}")
     n_o = search.index
-    e = shift.exponent_exponent(p)
-    if e == 0:
-        return CanonicalGeneratorSet(shift, p, (), 0, n_o, horizons)
-    if e == 1:
-        rank = initial_value_space(shift, p)
-        entries = _pick_generators(shift, p, horizons, [], rank, quotient=False)
-        return CanonicalGeneratorSet(shift, p, tuple(entries), len(entries),
-                                     n_o, horizons)
+    e, lifted = shift.exponent_exponent(p), []
+    if e > 1:
+        ok, detail = scaled_finite_words_check(shift, p, 1, horizons)
+        if not ok:
+            raise PipelineFailure("scaled-finite-words", detail)
+        sub = canonical_generators(multiple_shift(shift, p, 1), p, horizons)
+        lifted = [GeneratorEntry(x.torsion_word, x.height + 1,
+                                 lift_height(shift, x.tap, p, 1, n_o + 1))
+                  for x in sub.entries]
 
-    ok, detail = scaled_finite_words_check(shift, p, 1, horizons)
-    if not ok:
-        raise PipelineFailure("scaled-finite-words", detail)
-    sub = canonical_generators(multiple_shift(shift, p, 1), p, horizons)
-
-    lifted = [GeneratorEntry(e.torsion_word, e.height + 1,
-                             lift_height(shift, e.tap, p, 1, n_o + 1))
-              for e in sub.entries]
-
-    rank = initial_value_space(shift, p)
-    picked = [e.torsion_word.window_vector(0, 0) for e in lifted]
-    completion = _pick_generators(shift, p, horizons, picked, rank, quotient=True)
-    entries = sorted(lifted + completion, key=lambda e: -e.height)
-    return CanonicalGeneratorSet(shift, p, tuple(entries), rank, n_o, horizons)
+    rank = supported_words(shift, max(horizons.support_cap, n_o + 1),
+                           torsion_scale=p).prefix(shift.alphabet.rank).rank
+    picked = [x.torsion_word.window_vector(0, 0) for x in lifted]
+    completion = _pick_generators(shift, p, horizons, picked, rank, quotient=e > 1)
+    return CanonicalGeneratorSet(shift, p, tuple(lifted + completion), n_o, horizons)
 
 
 # -- encoders ----------------------------------------------------------------
@@ -550,8 +541,7 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
                 .contains(tap.window_vector(tap.first, tap.last))):
             return NoncatastrophicityReport(False, horizon, tap)
     taps = GroupShift.make(encoder.alphabet, encoder.taps)
-    rows, ncols, a, b = _boundary_rows(taps, horizon + 1, math.inf, math.inf,
-                                       ("whole", "whole"))
+    rows, ncols, a, b = _boundary_rows(taps, horizon + 1, math.inf, math.inf, "whole")
     kept, _ = projection_heads(rows, encoder.alphabet.modulus, (),
                                [(0, a), (b, ncols - b)], a, b)
     for t in range(horizon + 1):
@@ -620,12 +610,17 @@ def _by_construction_checks() -> list[CheckResult]:
       word equal to g on [0, t];
     - exact-powers: a height-0 entry is its own tap, and each division step
       is a `lift_height`, which solves p * y = x exactly;
-    - heights-sorted: the entries are sorted by height, descending;
+    - heights-sorted: the lifted entries keep p*G's descending order one
+      height up, and every completion pick has height 0;
     - initial-basis-independent: each level's picks lie outside the span of
       its earlier picks (p-torsion symbols, so an F_p span), and lifting a
       level's taps keeps its torsion words;
     - torsion-one-sided: every candidate is a certified p-torsion word on
       [0, support_cap - 1] picked for a nonzero initial symbol;
+    - the socle rank is the number of entries: the lifted entries' initial
+      symbols are independent and lie in G's initial-value space, and each
+      level's picks stop at its rank or raise; a shift of exponent 1 has
+      no nonzero word, so rank 0 and no picks;
     - heights-maximal, by induction over the p*G recursion: a lifted entry
       x = p^(h+2) * y' would be p^(h+1) * (p*y') in p*G, against its height
       h there; a completion pick x = p*y' would be a one-sided p-torsion
@@ -650,9 +645,10 @@ def _by_construction_checks() -> list[CheckResult]:
       recursion, each left-bounded w in G is a sum, convergent position by
       position, of taps placed at positions bounded below: p*w is such a
       sum over p*G's taps p*y_k, so w - sum c * y_k placed at t is a
-      left-bounded p-torsion member.  Its first symbol lies in the exact
-      `initial_value_space`, which the torsion words' initial symbols
-      span; subtract and repeat.  Each g in G equals on [0, t] such a w,
+      left-bounded p-torsion member.  Its first symbol lies in the
+      initial-value space, which the torsion words' initial symbols span,
+      as their number is its exact rank (`canonical_generators`); subtract
+      and repeat.  Each g in G equals on [0, t] such a w,
       g minus its cut at k = -n_o-1 and d = exp(H), and only finitely many
       placements meet [0, t], so G's window [0, t] is T's.
     """

@@ -10,7 +10,7 @@ construction.  A steering condition (`control`), the splice property of
 form, read off by `zero_prefix` for narrower windows), the p-torsion windows
 (`torsion_presentation`) or the backward noncatastrophicity of an
 encoder's taps is one elimination on a boundary window around its block,
-with near-end states of one kind per side for the placements wholly on
+with near-end states of one kind on both sides for the placements wholly on
 either side, kept with the verdicts in one table per shift
 (`GroupShift.boundary_table`).
 """
@@ -247,7 +247,7 @@ def torsion_presentation(shift: GroupShift, p: int, horizons: Horizons
     r, m, top = shift.alphabet.rank, shift.alphabet.modulus, horizons.window_horizon
     forms = []
     for kind in (("far", p), p):
-        rows, width, a, b = _boundary_rows(shift, top + 1, math.inf, math.inf, (kind, kind))
+        rows, width, a, b = _boundary_rows(shift, top + 1, math.inf, math.inf, kind)
         kept, _ = projection_heads(rows, m, [(0, width, p)], [], a, b)
         forms.append(howell_form(PackedRows(kept.packed, kept.ncols), m))
     form, torsion = forms
@@ -321,21 +321,21 @@ def _fixed_reach(shift: GroupShift) -> int:
 
 
 def _boundary_rows(shift: GroupShift, block: int, past: float, tail: float,
-                   kinds: tuple = (1, 1)) -> tuple[list[int], int, int, int]:
+                   kind: int | str | tuple = 1) -> tuple[list[int], int, int, int]:
     """(rows, ncols, block column, tail column) of the boundary window
     [lo, hi] = [2-s, block+s-1] clipped to [1-past, block+tail], s the span
-    (at least 1), around the block [1, block]: the past state of kind
-    kinds[0] at width `past` on [lo, 0], the mirrored shift's of kind
-    kinds[1] at width `tail`, reversed once per state by lane shifts, on
-    [block+1, hi] (`_near_end`), and every placement that meets the block."""
+    (at least 1), around the block [1, block]: the near-end state of `kind`
+    at width `past` on [lo, 0], the mirrored shift's at width `tail`,
+    reversed once per state by lane shifts, on [block+1, hi] (`_near_end`),
+    and every placement that meets the block."""
     s, r, m = max(shift.span, 1), shift.alphabet.rank, shift.alphabet.modulus
     lo, hi = max(2 - s, 1 - past), min(block + s - 1, block + tail)
     ncols, tail_col = (hi - lo + 1) * r, (block + 1 - lo) * r
     w = _lane_layout(m, ncols)[0]
     # the states read zero where the window is clipped, so the lanes that
     # these shifts move out of [lo, hi] are zero
-    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past, False, kinds[0]).packed]
-    state = _near_end(shift, tail, True, kinds[1]).packed
+    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past, False, kind).packed]
+    state = _near_end(shift, tail, True, kind).packed
     tails = shift.boundary_table.setdefault("tails", {})
     if state not in tails:
         tails[state] = [sum((x >> i * r * w & (1 << r * w) - 1) << (s - 2 - i) * r * w

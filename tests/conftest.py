@@ -144,8 +144,7 @@ def divisible(shift: GroupShift, x: Word, p: int, h: int) -> bool:
     vanish far out and are p^h-torsion off the block, and p^h * y must
     vanish on the near ends."""
     d, m = p ** h, shift.alphabet.modulus
-    rows, ncols, a, _ = _boundary_rows(shift, x.support_length, math.inf, math.inf,
-                                       (("far", d),) * 2)
+    rows, ncols, a, _ = _boundary_rows(shift, x.support_length, math.inf, math.inf, ("far", d))
     red = _lane_layout(m, ncols)[2]  # products stay below m^2
     form = howell_form(PackedRows(tuple(red(d * row) for row in rows), ncols), m)
     return form.contains(x.placed_rows([1 - x.first], 1 - a // shift.alphabet.rank, ncols)[0])
@@ -213,11 +212,11 @@ def exact_margins(shift: GroupShift) -> list[int]:
 
 def padded_initial_value_space(shift: GroupShift, p: int, margin: int,
                                support_cap: int) -> int:
-    """Reference for `encoders.initial_value_space`, its margin-padded
-    projection: the F_p rank of the projection to position 0 of the
-    p-torsion elements of the window [-margin, support_cap - 1 + margin]
-    that vanish on [-margin, -1].  It equals the exact rank once the margin
-    exceeds the shift's memory."""
+    """Reference for the initial-value rank of
+    `encoders.canonical_generators`, its margin-padded projection: the F_p
+    rank of the projection to position 0 of the p-torsion elements of the
+    window [-margin, support_cap - 1 + margin] that vanish on [-margin, -1].
+    It equals the exact rank once the margin exceeds the shift's memory."""
     module = shift.window(-margin, support_cap - 1 + margin)
     return module.constrained_projection(0, 0, zero_positions=range(-margin, 0),
                                          kill_scale=p).rank

@@ -5,7 +5,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from groupshift.control import order_controllability_index
-from groupshift.encoders import initial_value_space, lift_height
+from groupshift.encoders import PipelineFailure, canonical_generators, lift_height
 from groupshift.groups import FiniteAbelianGroup
 
 from groupshift.residues import (EnumerationCapExceeded, howell_form, row_solver,
@@ -407,21 +407,37 @@ def test_member_matches_the_padded_reference():
 def test_torsion_windows_and_initial_values_match_the_padded_reference(group, rng):
     # on each primary component, composite alphabets through theirs: every
     # window [0, t], t <= H, of the exact p-torsion form that
-    # `torsion_presentation` returns is the padded p-torsion projection, and
-    # the exact initial-value rank is the padded one, at each margin past
-    # the memory
+    # `torsion_presentation` returns is the padded p-torsion projection, at
+    # each margin past the memory; where n_o exists, the initial-value rank
+    # that `canonical_generators` reads off the certified p-torsion words on
+    # [0, max(cap, n_o + 1) - 1], at support caps below, at and above
+    # n_o + 1, is the padded one, the canonical set has that many entries,
+    # and only a cap <= n_o can leave the picks short of it
     g = random_shift(rng, max_gens=2, max_support=3, pool=[group])
     for p in g.alphabet.primes():
         part = primary_shift(g, p)
         horizons = Horizons.derive(part, window_horizon=rng.randrange(0, 6))
         torsion, r = torsion_presentation(part, p, horizons)[1], part.alphabet.rank
-        rank = initial_value_space(part, p)
+        n_o = order_controllability_index(part, horizons.n_cap).index
+        caps = [] if n_o is None else \
+            sorted({1, n_o, n_o + 1, n_o + 2, horizons.support_cap} - {0})
+        ranks = {cap: supported_words(part, max(cap, n_o + 1), torsion_scale=p).prefix(r).rank
+                 for cap in caps}
         for margin in exact_margins(part):
             for t in range(horizons.window_horizon + 1):
                 assert torsion.prefix((t + 1) * r).spans_same(
                     torsion_window_projection(part, 0, t, margin, p)), (p, margin, t)
-            assert rank == padded_initial_value_space(part, p, margin, horizons.support_cap), \
-                (p, margin)
+            want = padded_initial_value_space(part, p, margin, horizons.support_cap)
+            assert all(rank == want for rank in ranks.values()), (p, margin, ranks, want)
+        for cap in caps:
+            try:
+                got = canonical_generators(part, p, Horizons.derive(part, support_cap=cap))
+            except PipelineFailure as exc:
+                if exc.stage in ("initial-basis", "basis-completion"):
+                    assert cap <= n_o and f" of {ranks[cap]} directions" in exc.detail, \
+                        (p, cap, n_o, exc.detail)
+            else:
+                assert got.socle_rank == ranks[cap], (p, cap, n_o)
 
 
 def two_form_splice_property(shift, n, reach):

@@ -105,25 +105,32 @@ for name in ("order-witness", "scale-witness", "mixed-witness"):
 #: that bypassed one of the counted entry points would read a different count
 #: here.  The socle line, the heights, the order bounds and the window
 #: lines hold by construction, with no reduction of their own; the
-#: initial-value rank is read off uncanonicalized kept rows; a tap is
-#: lifted once, at pad n_o + 1; a tap's
+#: initial-value rank is read off the certified p-torsion words that the
+#: generator picks read, on Z8 x Z4 one form wider than the support cap at
+#: the base level; a tap is lifted once, at pad n_o + 1; a tap's
 #: membership reads the cached certified words, with no window form of its
 #: own; the certified words on [0, t], t <= H, of the scaled and
 #: noncatastrophicity checks are read off one form on [0, H] by
 #: `zero_prefix`, and lifts share one form per width at every offset.
 #: The membership tests are those of generator picks read off canonical rows,
 #: at most one per head row of a level's form, and the heads of the steering
-#: verdicts on their boundary windows.
+#: verdicts on their boundary windows.  The last count is every kernel
+#: elimination, counted or not by the tracer.
 COUNT_SCRIPT = """
 import corpus, ops, tracer
+from groupshift import residues
 t = tracer.Tracer()
 tracer.install(t)
-want = {"Z8 x Z4": [27, 1776, 55, 4, 3], "Z9 x Z3": [25, 1496, 60, 2, 1]}
+calls = []
+eliminate = residues._eliminate
+tracer.rebind("groupshift", eliminate, lambda *args: calls.append(args) or eliminate(*args))
+want = {"Z8 x Z4": [28, 2032, 55, 4, 3, 59], "Z9 x Z3": [25, 1496, 60, 2, 1, 55]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
+    calls.clear()
     ops.run_certify(ops.build_shift(alphabet, gens))
-    got = [t.counts["residues." + k] for k in keys]
+    got = [t.counts["residues." + k] for k in keys] + [len(calls)]
     assert got == want[alphabet], (alphabet, got)
 """
 
@@ -378,12 +385,14 @@ def test_member_builds_no_window_module():
 
 
 def test_certify_reads_torsion_windows_and_initial_values_off_the_engine(monkeypatch):
-    # the initial-value space is an exact boundary-window elimination on
-    # torsion near-end states: no padded torsion projection or constrained
-    # projection is made, whatever the exponent, and it builds no window
-    # module; the socle line holds by construction, so certify reads no
-    # torsion presentation
-    made, misses = [], []
+    # the initial-value rank is read off the certified p-torsion words that
+    # the generator picks read, so certify builds no torsion near-end state:
+    # every state it asks `_near_end` for is a cut state or a
+    # whole-placement one, whatever the exponent; no padded torsion
+    # projection, constrained projection or window module is made, and the
+    # socle line holds by construction, so certify reads no torsion
+    # presentation
+    made, kinds = [], []
     for owner, name in ((shifts, "torsion_window_projection"),
                         (shifts.WindowModule, "constrained_projection"),
                         (shifts, "torsion_presentation"),
@@ -391,20 +400,16 @@ def test_certify_reads_torsion_windows_and_initial_values_off_the_engine(monkeyp
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, name=name, original=original, **kw:
                             made.append(name) or original(*args, **kw))
-    initial_value_space = encoders.initial_value_space
-
-    def counted(*args):
-        before = shifts._window_module.cache_info().misses
-        try:
-            return initial_value_space(*args)
-        finally:
-            misses.append(shifts._window_module.cache_info().misses - before)
-    monkeypatch.setattr(encoders, "initial_value_space", counted)
+    near_end = shifts._near_end
+    monkeypatch.setattr(shifts, "_near_end", lambda shift, width, mirror, kind=1:
+                        kinds.append(kind) or near_end(shift, width, mirror, kind))
+    before = shifts._window_module.cache_info().misses
     for name in ("full-z4", "delay-rep", "z6", "z8-z4", "z9-z3"):
         shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
         assert conjugacy_certificate(shift).complete, name
     assert not made, made
-    assert misses and all(n == 0 for n in misses), misses
+    assert kinds and set(kinds) <= {1, "whole"}, set(kinds)
+    assert shifts._window_module.cache_info().misses == before
 
 
 def test_no_height_is_lifted_to_the_exponent(monkeypatch):
