@@ -13,9 +13,9 @@ finite type too (`shifts._boundary_heads`), in the shift's one table.  The
 past window is raised to the reach where both near-end states are fixed
 (`default_past_horizon`), so the condition table is monotone: it is
 searched by probing the candidates 0, 1, 2, 4, ..., cap and read off the
-index.  Weak controllability of the p-torsion subshift is read off the
-p-primary component's `shifts.torsion_presentation` (`certify` passes it
-by construction, as it needs n_o).
+index.  Weak controllability of the p-torsion subshift holds by
+construction where n_o exists, as in `certify`; otherwise it is read off the
+p-primary component's `shifts.torsion_presentation`.
 """
 
 from __future__ import annotations
@@ -202,10 +202,17 @@ class WeakControllabilityReport:
 def socle_controllability(shift: GroupShift, p: int,
                           horizons: Horizons) -> WeakControllabilityReport:
     """Weak controllability of the p-torsion subshift on the windows
-    [0,0]..[0,window_horizon], read off `shifts.torsion_presentation` of the
-    p-primary component, a direct summand of G that holds G[p]."""
-    failing = torsion_presentation(primary_shift(shift, p), p, horizons)[2]
+    [0,0]..[0,window_horizon].  It holds by construction when the order
+    search finds n_o <= n_cap (`encoders._by_construction_checks`: for g in
+    G[p], the cuts at n_o and d = p give a finite p-torsion word equal to g
+    on [0, t]); the search's verdicts live in the shift's table, which
+    `analyze_controllability` reuses.  Otherwise it is read off
+    `shifts.torsion_presentation` of the p-primary component, a direct
+    summand of G that holds G[p]."""
     windows = tuple((0, t) for t in range(horizons.window_horizon + 1))
+    if order_controllability_index(shift, horizons.n_cap).index is not None:
+        return WeakControllabilityReport(True, windows)
+    failing = torsion_presentation(primary_shift(shift, p), p, horizons)[2]
     if failing is None:
         return WeakControllabilityReport(True, windows)
     return WeakControllabilityReport(

@@ -1,4 +1,5 @@
-"""Finitely supported bi-infinite sequences over a finite abelian alphabet."""
+"""Finitely supported bi-infinite sequences over a finite abelian alphabet;
+a word built by `Word.make` holds one reduced tuple per distinct symbol."""
 
 from __future__ import annotations
 
@@ -26,7 +27,17 @@ class Word:
     @classmethod
     def make(cls, group: FiniteAbelianGroup, start: int,
              symbols: Iterable[Sequence[int]]) -> "Word":
-        return cls.trimmed(group, start, [group.reduce_coords(tuple(s)) for s in symbols])
+        """The trimmed word of `symbols` from `start`: each distinct symbol
+        is reduced once (`reduce_coords`), and its positions share that tuple."""
+        reduced: dict[tuple, Coords] = {}
+        syms = []
+        for s in symbols:
+            key = tuple(s)
+            sym = reduced.get(key)
+            if sym is None:
+                sym = reduced[key] = group.reduce_coords(key)
+            syms.append(sym)
+        return cls.trimmed(group, start, syms)
 
     @classmethod
     def trimmed(cls, group: FiniteAbelianGroup, start: int,

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from groupshift import control
+from groupshift.control import order_controllability_index, socle_controllability
 from groupshift.encoders import (Encoder, Horizons, PipelineFailure, build_encoder,
                                  canonical_generators, check_injectivity,
                                  check_noncatastrophic, conjugacy_certificate,
@@ -870,6 +872,40 @@ def test_socle_and_heights_hold_on_the_corpus():
     # verdict and heights-maximal hold (`encoders._structure_checks`)
     built, below = map(sum, zip(*map(socle_and_heights_hold, corpus_shifts())))
     assert built >= 200 and below >= 20, (built, below)
+
+
+def test_socle_verdict_holds_where_the_order_index_exists():
+    # `analyze` reports a socle line as a pass by construction wherever the
+    # whole shift's order search finds n_o (`control.socle_controllability`),
+    # by the cut at n_o with d = p; the decided verdict of
+    # `torsion_presentation` on the p-primary component stays the reference
+    found = 0
+    for shift in corpus_shifts():
+        horizons = Horizons.derive(shift)
+        if order_controllability_index(shift, horizons.n_cap).index is None:
+            continue
+        found += 1
+        for p in shift.alphabet.primes():
+            assert torsion_presentation(primary_shift(shift, p), p, horizons)[2] is None, \
+                (shift, p)
+            assert socle_controllability(shift, p, horizons).holds, (shift, p)
+    assert found >= 200, found
+
+
+@pytest.mark.parametrize("name", ["mixed-witness", "order-witness", "scale-witness"])
+def test_socle_verdict_is_decided_where_no_order_index_exists(name, monkeypatch):
+    # with no n_o the socle line is read off `torsion_presentation`, which
+    # fails these goldens at the window [0, 0]
+    decided = []
+    monkeypatch.setattr(control, "torsion_presentation", lambda *args:
+                        decided.append(args[1]) or torsion_presentation(*args))
+    shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
+    horizons = Horizons.derive(shift)
+    assert order_controllability_index(shift, horizons.n_cap).index is None
+    socle = socle_controllability(shift, 2, horizons)
+    assert decided == [2]
+    assert not socle.holds
+    assert socle.detail == "torsion window [0,0] not generated by finite torsion members"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

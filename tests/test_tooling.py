@@ -27,11 +27,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import tracer, ops
+from pathlib import Path
+from groupshift.specfmt import parse_spec
 t = tracer.Tracer()
 tracer.install(t)
 full_z4 = ops.build_shift("Z4", [(0, [(1,)])])
-# window forms and constrained projections are single Howell reductions
+# the order search finds n_o, so the socle line holds by construction and
+# the analyze makes no counted reduction (ROADMAP item 10)
 ops.run_analyze(full_z4)
+assert t.counts["residues.howell_calls"] == 0, t.counts
+assert t.counts["control.steering_conditions"] > 0, t.counts
+# with no n_o, the socle verdict and the witness are Howell reductions
+t.counts.clear()
+ops.run_analyze(parse_spec(Path({golden!r}, "order-witness.spec").read_text()).shift)
 assert t.counts["residues.howell_calls"] > 0, t.counts
 assert t.counts["residues.solver_builds"] == 0, t.counts
 t.counts.clear()
@@ -173,7 +181,7 @@ def _run_with_perfbench(script: str) -> None:
 
 
 def test_tracer_installs_on_every_hook_point():
-    _run_with_perfbench(SCRIPT)
+    _run_with_perfbench(SCRIPT.format(golden=str(ROOT / "tests" / "golden")))
 
 
 def test_generator_selection_enumerates_few_candidates():

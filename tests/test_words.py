@@ -195,6 +195,44 @@ def test_format(z4):
     assert Word.make(mix, 0, [(1, 3)]).format() == "@0: (1,3)"
 
 
+def test_make_shares_one_tuple_per_distinct_symbol():
+    # a long message over a small alphabet holds one reduced tuple per
+    # distinct symbol, not one per position
+    group = FiniteAbelianGroup.parse("Z2 x Z4")
+    rng = random.Random(5)
+    syms = [tuple([rng.randrange(n) for n in group.orders]) for _ in range(1000)]
+    w = Word.make(group, 0, syms)
+    assert w == Word.trimmed(group, 0, syms)
+    assert len({id(s) for s in w.symbols}) <= 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(GROUPS), st.data())
+def test_make_reduces_as_reduce_coords(name, data):
+    # list symbols and unreduced coordinates give the word of the symbols
+    # reduced one by one
+    group = FiniteAbelianGroup.parse(name)
+    coords = st.lists(st.integers(-20, 20), min_size=group.rank, max_size=group.rank)
+    syms = data.draw(st.lists(st.one_of(coords, coords.map(tuple)), max_size=12))
+    start = data.draw(st.integers(-5, 5))
+    want = Word.trimmed(group, start, [group.reduce_coords(tuple(s)) for s in syms])
+    assert Word.make(group, start, syms) == want
+
+
+def test_make_raises_as_reduce_coords(z4):
+    # a repeated wrong-rank symbol raises reduce_coords's error at its first
+    # position, and an unhashable coordinate a TypeError
+    with pytest.raises(ValueError) as want:
+        z4.reduce_coords((1, 2))
+    with pytest.raises(ValueError) as got:
+        Word.make(z4, 0, [(1,), (1, 2), (3,), [1, 2], (1, 2)])
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="expected 1 coordinates, got 0"):
+        Word.make(z4, 0, [(1,), (), (1, 2)])
+    with pytest.raises(TypeError):
+        Word.make(z4, 0, [(1,), ([1],)])
+
+
 def test_alphabet_mismatch(z2, z4):
     with pytest.raises(ValueError):
         impulse(z2, (1,)) + impulse(z4, (1,))
