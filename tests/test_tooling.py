@@ -33,7 +33,7 @@ t = tracer.Tracer()
 tracer.install(t)
 full_z4 = ops.build_shift("Z4", [(0, [(1,)])])
 # the order search finds n_o, so the socle line holds by construction and
-# the analyze makes no counted reduction (ROADMAP item 10)
+# the analyze makes no counted reduction
 ops.run_analyze(full_z4)
 assert t.counts["residues.howell_calls"] == 0, t.counts
 assert t.counts["control.steering_conditions"] > 0, t.counts
