@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import operator
+import re
 import sys
 import time
 import traceback
@@ -84,23 +85,6 @@ def _window_image_lines(report: Report, group: FiniteAbelianGroup, lo: int, hi: 
                                           for k in range(0, len(row), r)]))
 
 
-def _echo_input(report: Report, command: str, path: str, spec: ShiftSpec) -> None:
-    shift = spec.shift
-    report.add("report", command)
-    report.add("spec", Path(path).name)
-    report.add("group", shift.alphabet.format())
-    report.add("generator_count", len(shift.generators))
-    for i, g in enumerate(shift.generators, start=1):
-        report.add(f"generator.{i}", g.format())
-    if shift.memory_hint is not None:
-        report.add("declared_memory", shift.memory_hint)
-
-
-def _echo_horizons(report: Report, horizons: Horizons) -> None:
-    for name in ("margin", "support_cap", "block_cap", "window_horizon", "n_cap"):
-        report.add(f"horizon.{name}", getattr(horizons, name))
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -108,8 +92,25 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_spec(path: str) -> ShiftSpec:
-    return parse_spec(_read_text(path))
+def _start(args, command: str) -> tuple[ShiftSpec, Report]:
+    """The parsed spec file, and a report that opens with the input echo."""
+    spec = parse_spec(_read_text(args.spec))
+    shift = spec.shift
+    report = Report()
+    report.add("report", command)
+    report.add("spec", Path(args.spec).name)
+    report.add("group", shift.alphabet.format())
+    report.add("generator_count", len(shift.generators))
+    for i, g in enumerate(shift.generators, start=1):
+        report.add(f"generator.{i}", g.format())
+    if shift.memory_hint is not None:
+        report.add("declared_memory", shift.memory_hint)
+    return spec, report
+
+
+def _echo_horizons(report: Report, horizons: Horizons) -> None:
+    for name in ("margin", "support_cap", "block_cap", "window_horizon", "n_cap"):
+        report.add(f"horizon.{name}", getattr(horizons, name))
 
 
 def _horizons_from_args(spec: ShiftSpec, args) -> Horizons:
@@ -138,11 +139,9 @@ def _encoder_lines(report: Report, prefix: str, encoder: Encoder) -> None:
 
 
 def cmd_analyze(args) -> int:
-    spec = _load_spec(args.spec)
+    spec, report = _start(args, "analyze")
     shift = spec.shift
     horizons = _horizons_from_args(spec, args)
-    report = Report()
-    _echo_input(report, "analyze", args.spec, spec)
     _echo_horizons(report, horizons)
     ctrl = analyze_controllability(shift, cap=horizons.n_cap,
                                    horizon=horizons.window_horizon)
@@ -185,11 +184,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    spec = _load_spec(args.spec)
+    spec, report = _start(args, "generators")
     shift = spec.shift
     horizons = _horizons_from_args(spec, args)
-    report = Report()
-    _echo_input(report, "generators", args.spec, spec)
     _echo_horizons(report, horizons)
     primes = [args.prime] if args.prime is not None else list(shift.alphabet.primes())
     negative = False
@@ -255,11 +252,9 @@ def _presentation_audit(report: Report, shift: GroupShift,
 
 
 def cmd_certify(args) -> int:
-    spec = _load_spec(args.spec)
+    spec, report = _start(args, "certify")
     shift = spec.shift
     horizons = _horizons_from_args(spec, args)
-    report = Report()
-    _echo_input(report, "certify", args.spec, spec)
     _echo_horizons(report, horizons)
     if args.check_presentation:
         return report.finish(_presentation_audit(report, shift, horizons))
@@ -272,12 +267,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    spec = _load_spec(args.spec)
-    shift = spec.shift
-    horizons = _horizons_from_args(spec, args)
-    cert = conjugacy_certificate(shift, horizons)
-    report = Report()
-    _echo_input(report, "encode", args.spec, spec)
+    spec, report = _start(args, "encode")
+    cert = conjugacy_certificate(spec.shift, _horizons_from_args(spec, args))
     if cert.product_encoder is None:
         return report.fail("encoder synthesis failed; run certify for details")
     encoder = cert.product_encoder
@@ -295,11 +286,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = _load_spec(args.spec)
+    spec, report = _start(args, "oracle")
     shift = spec.shift
     lo, hi = args.window
-    report = Report()
-    _echo_input(report, "oracle", args.spec, spec)
     report.add("window", f"{lo}..{hi}")
     try:
         elements = enumerate_window_code(shift, lo, hi, cap=args.enum_cap)
@@ -415,6 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a window like "-1:2" as an option string: join it to its
+    # flag, which may be abbreviated
+    for i in reversed(range(len(argv) - 1)):
+        flag, value = argv[i:i + 2]
+        if len(flag) > 2 and "--window".startswith(flag) and re.match(r"-\d", value):
+            argv[i:i + 2] = [f"{flag}={value}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -115,12 +115,6 @@ class FiniteAbelianGroup:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
         return tuple(c % n for c, n in zip(coords, self.orders))
 
-    def add(self, a: Coords, b: Coords) -> Coords:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
-
-    def neg(self, a: Coords) -> Coords:
-        return tuple((-x) % n for x, n in zip(a, self.orders))
-
     def scale(self, k: int, a: Coords) -> Coords:
         return tuple((k * x) % n for x, n in zip(a, self.orders))
 
@@ -146,33 +140,6 @@ class FiniteAbelianGroup:
                 raise ValueError(f"scaled value {x} is not in the embedded copy")
             out.append((x // s) % n)
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class GroupSyntax:
-    """The alphabet as written, plus its primary-decomposed storage form.
-
-    Symbols in spec and message files follow the written factor structure
-    (one coordinate per written cyclic factor, e.g. a single integer mod 6
-    for "Z6"); they are mapped onto the decomposed coordinates here.
-    """
-
-    written_orders: tuple[int, ...]
-    group: FiniteAbelianGroup
-
-    @classmethod
-    def parse(cls, text: str) -> "GroupSyntax":
-        orders = parse_orders(text)
-        return cls(orders, FiniteAbelianGroup.from_orders(orders))
-
-    @classmethod
-    def for_group(cls, group: FiniteAbelianGroup) -> "GroupSyntax":
-        return cls(group.orders, group)
-
-    def map_coords(self, written: Coords) -> Coords:
-        # from_orders splits each written order into these factors, in order
-        return tuple(x % p ** e for x, n in zip(written, self.written_orders)
-                     for p, e in _prime_power_factors(n))
 
 
 @dataclass(frozen=True)

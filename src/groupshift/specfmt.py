@@ -7,10 +7,10 @@ Spec file:
     horizon: 6           # optional window horizon (the --horizon flag wins)
 
 Symbols are comma-separated coordinate tuples, one coordinate per factor as
-written in the group line (see groups.GroupSyntax); for a single-factor alphabet
-bare integers are accepted.  Message files carry one line per time index,
-"index: (c_1,...,c_m)", over the encoder's (already decomposed) source
-alphabet.
+written in the group line, each below its written order (one integer mod 6 for
+"Z6"); for a single-factor alphabet bare integers are accepted.  Message files
+carry one line per time index, "index: (c_1,...,c_m)", over the encoder's
+(already decomposed) source alphabet.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .groups import FiniteAbelianGroup, GroupSyntax
+from .groups import FiniteAbelianGroup, _prime_power_factors, parse_orders
 from .residues import MAX_MODULUS
 from .shifts import GroupShift
 from .words import Word
@@ -34,9 +34,10 @@ _GEN_RE = re.compile(r"^gen\s*@\s*(-?\d+)\s*:\s*(.*)$", re.IGNORECASE)
 _TUPLE_RE = re.compile(r"\(([^()]*)\)|(-?\d+)")
 
 
-def _parse_symbols(body: str, syntax: GroupSyntax,
+def _parse_symbols(body: str, orders: tuple[int, ...],
                    line_no: int) -> list[tuple[int, ...]]:
-    rank = len(syntax.written_orders)
+    """The symbols of `body`, one coordinate in [0, n) per written order n."""
+    rank = len(orders)
     symbols = []
     pos = 0
     for match in _TUPLE_RE.finditer(body):
@@ -60,10 +61,10 @@ def _parse_symbols(body: str, syntax: GroupSyntax,
             raise SpecParseError(
                 line_no, f"symbol has {len(coords)} coordinates, alphabet has "
                          f"{rank} factors")
-        for c, n in zip(coords, syntax.written_orders):
+        for c, n in zip(coords, orders):
             if not 0 <= c < n:
                 raise SpecParseError(line_no, f"coordinate {c} out of range [0,{n})")
-        symbols.append(syntax.map_coords(coords))
+        symbols.append(coords)
     if body[pos:].strip():
         raise SpecParseError(line_no, f"unexpected text {body[pos:].strip()!r}")
     if not symbols:
@@ -78,7 +79,7 @@ class ShiftSpec:
 
 
 def parse_spec(text: str) -> ShiftSpec:
-    syntax: GroupSyntax | None = None
+    orders: tuple[int, ...] | None = None
     generators: list[Word] = []
     options: dict[str, int | None] = {"memory": None, "horizon": None}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -87,13 +88,17 @@ def parse_spec(text: str) -> ShiftSpec:
             continue
         lowered = line.lower()
         if lowered.startswith("group:"):
-            if syntax is not None:
+            if orders is not None:
                 raise SpecParseError(line_no, "duplicate group line")
             try:
-                syntax = GroupSyntax.parse(line.split(":", 1)[1].strip())
+                orders = parse_orders(line.split(":", 1)[1].strip())
+                group = FiniteAbelianGroup.from_orders(orders)
             except ValueError as exc:
                 raise SpecParseError(line_no, str(exc))
-            if syntax.group.exponent > MAX_MODULUS:
+            # from_orders splits each written order into its prime-power factors,
+            # in order; each factor gets a copy of its written coordinate
+            spread = [i for i, n in enumerate(orders) for _ in _prime_power_factors(n)]
+            if group.exponent > MAX_MODULUS:
                 raise SpecParseError(line_no, "group exponent exceeds the 2**31 cap")
             continue
         key = next((k for k in options if lowered.startswith(k + ":")), None)
@@ -109,19 +114,19 @@ def parse_spec(text: str) -> ShiftSpec:
             continue
         m = _GEN_RE.match(line)
         if m:
-            if syntax is None:
+            if orders is None:
                 raise SpecParseError(line_no, "generator before group line")
             start = int(m.group(1))
-            symbols = _parse_symbols(m.group(2), syntax, line_no)
-            w = Word.make(syntax.group, start, symbols)
+            symbols = _parse_symbols(m.group(2), orders, line_no)
+            w = Word.make(group, start, [[s[i] for i in spread] for s in symbols])
             if w.is_zero:
                 raise SpecParseError(line_no, "generator is the zero word")
             generators.append(w)
             continue
         raise SpecParseError(line_no, f"unrecognized line {line!r}")
-    if syntax is None:
+    if orders is None:
         raise SpecParseError(0, "missing group line")
-    return ShiftSpec(GroupShift.make(syntax.group, generators, options["memory"]),
+    return ShiftSpec(GroupShift.make(group, generators, options["memory"]),
                      options["horizon"])
 
 
@@ -130,7 +135,6 @@ _MSG_RE = re.compile(r"^(-?\d+)\s*:\s*(.*)$")
 
 def parse_message(text: str, source: FiniteAbelianGroup) -> Word:
     """Message word from "index: (c_1,...,c_m)" lines over the source."""
-    syntax = GroupSyntax.for_group(source)
     values: dict[int, tuple[int, ...]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,7 +146,7 @@ def parse_message(text: str, source: FiniteAbelianGroup) -> Word:
         idx = int(m.group(1))
         if idx in values:
             raise SpecParseError(line_no, f"duplicate index {idx}")
-        symbols = _parse_symbols(m.group(2), syntax, line_no)
+        symbols = _parse_symbols(m.group(2), source.orders, line_no)
         if len(symbols) != 1:
             raise SpecParseError(line_no, "one symbol per message line")
         values[idx] = symbols[0]

@@ -112,8 +112,7 @@ class Word:
         return Word.combine(self.group, ((1, self, 0), (1, other, 0)))
 
     def __neg__(self) -> "Word":
-        return Word(self.group, self.start,
-                    tuple(self.group.neg(s) for s in self.symbols))
+        return self.scaled(-1)
 
     def __sub__(self, other: "Word") -> "Word":
         return self + (-other)

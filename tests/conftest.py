@@ -55,6 +55,11 @@ def annihilator(a: int, modulus: int) -> int:
     return modulus // math.gcd(a, modulus)
 
 
+def coords_add(group: FiniteAbelianGroup, a, b) -> tuple[int, ...]:
+    """The sum of two elements of the group, reduced per factor."""
+    return tuple((x + y) % n for x, y, n in zip(a, b, group.orders))
+
+
 def impulse(group: FiniteAbelianGroup, coords, position: int = 0) -> Word:
     return Word.make(group, position, [tuple(coords)])
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from groupshift.cli import main
 from groupshift.specfmt import SpecParseError, parse_message, parse_spec
-from groupshift.groups import FiniteAbelianGroup
+from groupshift.groups import FiniteAbelianGroup, parse_orders
 
 from conftest import format_spec
 
@@ -220,6 +220,73 @@ def test_parse_message_multi_factor_source():
         parse_message("0: 1\n", src)
 
 
+WRITTEN_GROUPS = ["Z6", "Z10", "Z12", "Z36", "Z4", "Z9", "Z12 x Z6", "Z2 x Z6"]
+
+
+def split_symbol(orders, written):
+    """The written-to-split map as a reference: a coordinate x mod n becomes
+    x % p**e for each prime-power factor p**e of n, in order."""
+    return tuple(x % p ** e for x, n in zip(written, orders)
+                 for p, e in FiniteAbelianGroup.from_orders([n]).factors)
+
+
+def written_symbol(coords) -> str:
+    return str(coords[0]) if len(coords) == 1 else f"({','.join(map(str, coords))})"
+
+
+@st.composite
+def written_generators(draw):
+    group = draw(st.sampled_from(WRITTEN_GROUPS))
+    orders = parse_orders(group)
+    symbol = st.tuples(*(st.integers(0, n - 1) for n in orders))
+    gens = draw(st.lists(st.tuples(st.integers(-3, 3), st.lists(symbol, min_size=1, max_size=6)),
+                         min_size=1, max_size=3))
+    return group, orders, [(start, syms) for start, syms in gens if any(map(any, syms))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(written_generators(), st.data())
+def test_written_symbols_split_as_the_reference(drawn, data):
+    group, orders, gens = drawn
+    lines = [f"group: {group}", "# written symbols"]
+    lines += [f"gen @{start}: " + " ".join(map(written_symbol, syms)) for start, syms in gens]
+    spec = parse_spec("\n".join(lines) + "\n")
+    assert spec.shift.alphabet == FiniteAbelianGroup.from_orders(orders)
+    assert len(spec.shift.generators) == len(gens)
+    for w, (start, syms) in zip(spec.shift.generators, gens):
+        assert start <= w.first and w.last < start + len(syms)
+        assert [w.value_at(start + i) for i in range(len(syms))] == \
+            [split_symbol(orders, s) for s in syms]
+    # one coordinate out of its written range fails on its own line
+    if gens:
+        row = data.draw(st.integers(0, len(gens) - 1))
+        syms = gens[row][1]
+        k = data.draw(st.integers(0, len(orders) - 1))
+        bad = data.draw(st.sampled_from([-1, orders[k], orders[k] + 5]))
+        sym = syms[-1][:k] + (bad,) + syms[-1][k + 1:]
+        lines[2 + row] += " " + written_symbol(sym)
+        with pytest.raises(SpecParseError) as err:
+            parse_spec("\n".join(lines) + "\n")
+        assert err.value.line_no == 3 + row
+        assert str(err.value) == f"line {3 + row}: coordinate {bad} out of range [0,{orders[k]})"
+
+
+@st.composite
+def split_messages(draw):
+    source = FiniteAbelianGroup.parse(draw(st.sampled_from(WRITTEN_GROUPS)))
+    symbol = st.tuples(*(st.integers(0, n - 1) for n in source.orders))
+    return source, draw(st.lists(symbol, min_size=1, max_size=8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(split_messages())
+def test_parse_message_keeps_split_symbols(drawn):
+    source, syms = drawn
+    text = "".join(f"{i}: {written_symbol(s)}\n" for i, s in enumerate(syms))
+    msg = parse_message(text, source)
+    assert [msg.value_at(i) for i in range(len(syms))] == syms
+
+
 # -- exit codes ----------------------------------------------------------------
 
 
@@ -374,6 +441,9 @@ def test_enum_cap_fails_oracle(tmp_path, capsys):
     (["analyze", "{spec}", "--ft-cap", "0"], "--ft-cap"),
     (["oracle", "{spec}", "--window", "0:1", "--list-cap", "-1"], "--list-cap"),
     (["oracle", "{spec}", "--window", "0:1", "--enum-cap", "-1"], "--enum-cap"),
+    (["certify", "{spec}", "--window", "-1"], "--window"),
+    (["encode", "{spec}", "{spec}", "--window", "2:1"], "--window"),
+    (["oracle", "{spec}", "--window", "-1:-2"], "--window"),
 ])
 def test_numeric_flags_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     path = tmp_path / "full-z4.spec"
@@ -383,6 +453,26 @@ def test_numeric_flags_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     assert code == 2
     assert f"argument {flag}: " in captured.err
     assert "internal" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "{spec}", "--window", "-1:2"],
+    ["encode", "{spec}", "{msg}", "--window", "-1:2"],
+    ["oracle", "{spec}", "--window", "-1:0"],
+    ["oracle", "{spec}", "--window", "-3:-1", "--list-cap", "0"],
+    ["certify", "{spec}", "--win", "-1:2"],
+])
+def test_window_below_zero_reads_the_same_spaced_or_joined(tmp_path, capsys, argv):
+    # argparse takes "-1:2" for an option string unless it is joined to its flag
+    spec, msg = tmp_path / "delay.spec", tmp_path / "msg.txt"
+    spec.write_text(DELAY_REP)
+    msg.write_text("-1: 1\n1: 1\n")
+    spaced = [a.format(spec=spec, msg=msg) for a in argv]
+    i = next(k for k, arg in enumerate(spaced) if arg.startswith("--win"))
+    joined = spaced[:i] + [f"{spaced[i]}={spaced[i + 1]}"] + spaced[i + 2:]
+    runs = [run_cli(args, capsys) for args in (spaced, joined)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and spaced[i + 1].replace(":", "..") in runs[0][1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -460,8 +550,7 @@ def fuzz_specs(draw):
     orders = [int(part.strip()[1:]) for part in group.split("x")]
 
     def symbol():
-        coords = [draw(st.integers(0, n - 1)) for n in orders]
-        return str(coords[0]) if len(orders) == 1 else f"({','.join(map(str, coords))})"
+        return written_symbol([draw(st.integers(0, n - 1)) for n in orders])
 
     lines = [f"group: {group}"]
     for _ in range(draw(st.integers(0, 2))):

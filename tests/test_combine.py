@@ -11,7 +11,7 @@ from groupshift.groups import FiniteAbelianGroup
 from groupshift.residues import _lane_bytes
 from groupshift.words import Word
 
-from conftest import impulse, restricted
+from conftest import coords_add, impulse, restricted
 
 GROUPS = ["Z2", "Z4", "Z2 x Z3", "Z2 x Z4", "Z9"]
 
@@ -27,7 +27,7 @@ def fold_add(a: Word, b: Word) -> Word:
     lo = min(a.start, b.start)
     hi = max(a.start + len(a.symbols), b.start + len(b.symbols)) - 1
     g = a.group
-    return Word.make(g, lo, [g.add(a.value_at(i), b.value_at(i))
+    return Word.make(g, lo, [coords_add(g, a.value_at(i), b.value_at(i))
                              for i in range(lo, hi + 1)])
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from groupshift.groups import FiniteAbelianGroup, primary_component
 
+from conftest import coords_add
+
 
 def test_parse_and_decompose():
     g = FiniteAbelianGroup.parse("Z12")
@@ -35,7 +37,7 @@ def test_element_order_examples():
         # brute force check by repeated addition
         acc, steps = (0,), 0
         while True:
-            acc = z8.add(acc, (x,))
+            acc = coords_add(z8, acc, (x,))
             steps += 1
             if not any(acc):
                 break
@@ -81,7 +83,7 @@ def test_primary_components_reassemble_identity():
         for part in parts:
             projected = part.project_coords(g)
             assert len(projected) == part.group.rank
-            total = h.add(total, part.embed_coords(projected))
+            total = coords_add(h, total, part.embed_coords(projected))
         assert total == g
 
 
