@@ -157,7 +157,7 @@ def cmd_analyze(args) -> int:
             report.add(f"socle.{p}.detail", socle.detail)
             negative = True
 
-    ft = finite_type_memory(shift, cap=args.ft_cap, horizon=horizons.window_horizon)
+    ft = finite_type_memory(shift, cap=args.ft_cap)
     report.add("finite_type_memory",
                ft.memory if ft.memory is not None else f"not-verified<={ft.cap}")
     negative |= ft.memory is None
@@ -257,9 +257,9 @@ def cmd_certify(args) -> int:
     horizons = _horizons_from_args(spec, args)
     _echo_horizons(report, horizons)
     if args.check_presentation:
-        return report.finish(_presentation_audit(report, shift, horizons))
-    cert = conjugacy_certificate(shift, horizons)
-    negative = _certificate_report(report, cert)
+        negative = _presentation_audit(report, shift, horizons)
+    else:
+        negative = _certificate_report(report, conjugacy_certificate(shift, horizons))
     if args.window:
         lo, hi = args.window
         _window_image_lines(report, shift.alphabet, lo, hi, shift.window(lo, hi).form)

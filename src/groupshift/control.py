@@ -6,16 +6,16 @@ steering index n_c (any past can be driven to zero within n steps), and the
 order-respecting index n_o (the steering element's order on the steering
 block divides that of the original).  The plain condition is the order
 condition's scale exp(H), decided by the same elimination, so n_c <= n_o.
-Every verdict records the window geometry it was computed at; a steering
-verdict on [-L, n+L] is decided exactly on a boundary window around the
-block [1, n], whose width does not grow with L, by the engine that decides
-finite type too (`shifts._boundary_heads`), in the shift's one table.  The
-past window is raised to the reach where both near-end states are fixed
-(`default_past_horizon`), so the condition table is monotone: it is
-searched by probing the candidates 0, 1, 2, 4, ..., cap and read off the
-index.  Weak controllability of the p-torsion subshift holds by
-construction where n_o exists, as in `certify`; otherwise it is read off the
-p-primary component's `shifts.torsion_presentation`.
+Every verdict records the window geometry it was computed at; the past
+window L(n) is at least the reach where both near-end states are fixed
+(`default_past_horizon`), so a steering verdict on [-L, n+L] is the one at
+L = inf, decided exactly on a boundary window around the block [1, n] by
+the engine that decides finite type too (`shifts._boundary_heads`), in the
+shift's one table.  So the condition table is monotone: it is searched by
+probing the candidates 0, 1, 2, 4, ..., cap and read off the index.  Weak
+controllability of the p-torsion subshift holds by construction where n_o
+exists, as in `certify`; otherwise it is read off the p-primary component's
+`shifts.torsion_presentation`.
 """
 
 from __future__ import annotations
@@ -94,17 +94,19 @@ def _past_rows(shift: GroupShift, past: int) -> list[int]:
             for x in g.placed_rows(range(-past - g.last, 1 - g.last), -past, (past + 1) * r)]
 
 
-def _steering_verdict(shift: GroupShift, n: int, past: int,
+def _steering_verdict(shift: GroupShift, n: int,
                       d: int) -> tuple[HowellForm, list[int], bool]:
-    """(kept, heads, verdict) of the steering condition at candidate index n,
-    past window L and scale d: `shifts._boundary_heads` on the block [1, n],
-    past S(L+1) kept, tail S(L) zeroed.  Every scale where the order demand
-    is vacuous (`_vacuous`) shares the plain condition's verdict."""
-    return _boundary_heads(shift, n, None if _vacuous(shift, n, d) else d, past + 1, past)
+    """(kept, heads, verdict) of the steering condition at candidate index n
+    and scale d, at every past window L >= `shifts._fixed_reach`:
+    `shifts._boundary_heads` on the block [1, n], the past near end kept and
+    the tail one zeroed.  Every scale where the order demand is vacuous
+    (`_vacuous`) shares the plain condition's verdict."""
+    return _boundary_heads(shift, n, None if _vacuous(shift, n, d) else d)
 
 
-def _steering_condition(shift: GroupShift, n: int, past: int, scales: list[int]) -> bool:
-    """Decide the steering condition at candidate index n, past window L.
+def _steering_condition(shift: GroupShift, n: int, scales: list[int]) -> bool:
+    """Decide the steering condition at candidate index n, at every past
+    window L >= `shifts._fixed_reach`.
 
     Plain variant (scales [exp(H)]): every g in G|[-L, n+L] matches some g1
     with the same past [-L, 0] and zero tail [n+1, n+L], which is one
@@ -117,7 +119,7 @@ def _steering_condition(shift: GroupShift, n: int, past: int, scales: list[int])
     to the front of `scales`, where the next candidate tries it first.
     """
     for i, d in enumerate(scales):
-        if not _steering_verdict(shift, n, past, d)[2]:
+        if not _steering_verdict(shift, n, d)[2]:
             scales.insert(0, scales.pop(i))
             return False
     return True
@@ -129,20 +131,20 @@ def _steering_witness(shift: GroupShift, n: int, past: int, scales: list[int]) -
     the canonical past projection outside the tail-constrained one.
 
     Both projections are the span of the placements ending in [-L, 0] plus
-    the failing boundary elimination's rows on [lo, 0], the kept rows for
+    the failing boundary elimination's rows on [2-s, 0], the kept rows for
     the tail-constrained one and the heads too for the other.  One Howell
     form over [-L, 0] and one marker column per head reads both: its rows
     with pivot on [-L, 0], cut there, are the canonical past projection, and
     such a row lies in the tail-constrained one exactly when its markers lie
     in the span of the rows with pivot among the markers."""
     for d in sorted(scales):
-        kept, heads, holds = _steering_verdict(shift, n, past, d)
+        kept, heads, holds = _steering_verdict(shift, n, d)
         if holds:
             continue
         r, m = shift.alphabet.rank, kept.modulus
         cols = (past + 1) * r
         w = _lane_layout(m, cols)[0]
-        at = (max(2 - shift.span, -past) + past) * r * w  # lo on [-L, 0]
+        at = (2 - shift.span + past) * r * w  # 2-s on [-L, 0]
         rows = [*_past_rows(shift, past), *(x << at for x in kept.packed),
                 *((x << at) + (1 << (cols + i) * w) for i, x in enumerate(heads))]
         form = howell_form(PackedRows(tuple(rows), cols + len(heads)), m)
@@ -162,13 +164,11 @@ def _index_search(shift: GroupShift, cap: int, scales: list[int]) -> IndexSearch
     the table is read off the index.  The verdicts and near-end states live
     in the shift's table, so searches over one shift share them; the
     conditions reorder the caller's fresh list of scales."""
-    def decide(n: int) -> bool:
-        return _steering_condition(shift, n, default_past_horizon(shift, n), scales)
-
     found, low = None, 0
     for probe in sorted({0, cap, *(1 << k for k in range(cap.bit_length()))}):
-        if decide(probe):
-            found = next((n for n in range(low, probe) if decide(n)), probe)
+        if _steering_condition(shift, probe, scales):
+            found = next((n for n in range(low, probe)
+                          if _steering_condition(shift, n, scales)), probe)
             break
         low = probe + 1
     size = cap + 1 if found is None else min(cap, found + _CONFIRM_STEPS) + 1

@@ -20,7 +20,6 @@ initial-value rank follow from it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -541,7 +540,7 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
                 .contains(tap.window_vector(tap.first, tap.last))):
             return NoncatastrophicityReport(False, horizon, tap)
     taps = GroupShift.make(encoder.alphabet, encoder.taps)
-    rows, ncols, a, b = _boundary_rows(taps, horizon + 1, math.inf, math.inf, "whole")
+    rows, ncols, a, b = _boundary_rows(taps, horizon + 1, "whole")
     kept, _ = projection_heads(rows, encoder.alphabet.modulus, (),
                                [(0, a), (b, ncols - b)], a, b)
     for t in range(horizon + 1):

@@ -10,16 +10,15 @@ construction.  A steering condition (`control`), the splice property of
 form, read off by `zero_prefix` for narrower windows), the p-torsion windows
 (`torsion_presentation`) or the backward noncatastrophicity of an
 encoder's taps is one elimination on a boundary window around its block,
-with near-end states of one kind on both sides for the placements wholly on
-either side, kept with the verdicts in one table per shift
-(`GroupShift.boundary_table`).
+with near-end states of one kind at their fixed points on both sides for the
+placements wholly on either side, kept with the verdicts in one table per
+shift (`GroupShift.boundary_table`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import count
 import math
 from typing import Sequence
 
@@ -57,8 +56,8 @@ class GroupShift:
     def boundary_table(self) -> dict:
         """The near-end state sequences of `_near_end` under "states", per
         (side, kind) (side True: mirrored), the reversed mirrored states
-        under "tails", `_fixed_reach` under "reach" and the verdicts of
-        `_boundary_heads` per argument tuple, shared by every search."""
+        under "tails" and the verdicts of `_boundary_heads` per (block,
+        scale), shared by every search."""
         return {}
 
     @cached_property
@@ -181,7 +180,7 @@ def supported_words(shift: GroupShift, width: int,
     at their fixed points) vanishing on both near ends, so torsion binds the
     block.  G is shift-invariant and a Howell form is unique for its span, so
     the words on [0, t] are `zero_prefix((width-1-t) * rank)`, moved to 0."""
-    rows, ncols, a, b = _boundary_rows(shift, width, math.inf, math.inf)
+    rows, ncols, a, b = _boundary_rows(shift, width)
     kill = [] if torsion_scale is None else [(a, b - a, torsion_scale)]
     kept, _ = projection_heads(rows, shift.alphabet.modulus, kill,
                                [(0, a), (b, ncols - b)], a, b)
@@ -247,7 +246,7 @@ def torsion_presentation(shift: GroupShift, p: int, horizons: Horizons
     r, m, top = shift.alphabet.rank, shift.alphabet.modulus, horizons.window_horizon
     forms = []
     for kind in (("far", p), p):
-        rows, width, a, b = _boundary_rows(shift, top + 1, math.inf, math.inf, kind)
+        rows, width, a, b = _boundary_rows(shift, top + 1, kind)
         kept, _ = projection_heads(rows, m, [(0, width, p)], [], a, b)
         forms.append(howell_form(PackedRows(kept.packed, kept.ncols), m))
     form, torsion = forms
@@ -259,26 +258,25 @@ def torsion_presentation(shift: GroupShift, p: int, horizons: Horizons
 # -- boundary windows with near-end states -----------------------------------
 
 
-def _near_end(shift: GroupShift, width: float, mirror: bool,
+def _near_end(shift: GroupShift, mirror: bool,
               kind: int | str | tuple = 1) -> HowellForm:
-    """The near-end state T_d(width) of kind d: the span of the placements
-    ending at or before width-1, cut at position 0, with d*v == 0 on
-    [0, width-s] (s the span), projected to the last s-1 positions of
-    [0, width-1] as a canonical form (positions below 0 read zero); d = 1 is
+    """The near-end state T_d of kind d at its fixed point.  T_d(W) is the
+    span of the placements ending at or before W-1, cut at position 0, with
+    d*v == 0 on [0, W-s] (s the span), projected to the last s-1 positions
+    of [0, W-1] as a canonical form (positions below 0 read zero); d = 1 is
     the cut state S.  `mirror` reverses every generator's symbols.  Of kind
     "whole" (d = 1) a placement reaching below 0 is left out instead of cut,
     as a finite message places whole generators.  Of kind ("far", d) no
-    placement is cut and the first state is S(inf), "zero far out": U_d is
-    the footprint of the elements that vanish far out and are d-torsion on
-    the `width` positions before the last s-1.  "whole" and "far" states
-    rise with the width, and `math.inf` reads their fixed point.
+    placement is cut and the first state is S's fixed point, "zero far
+    out": U_d is the footprint of the elements that vanish far out and are
+    d-torsion on the W positions before the last s-1.
 
     T_d(W+1) = (T_d(W) + placements ending at W) ∩ {d*v == 0 at W-s+1}: the
     s-position frame [W-s+1, W] is eliminated with its first position scaled
     by d, which `zero_prefix` drops.  From W = s-1 on (from the start for
     "far") no placement is cut or left out, so the step is a fixed map and
     the sequence stops at its first repeat.  The placements' frame rows and
-    the sequence live in the shift's table."""
+    the sequence T_d(0), T_d(1), ... live in the shift's table."""
     s, r = shift.span, shift.alphabet.rank
     m, cols = shift.alphabet.modulus, s * r
     far = isinstance(kind, tuple)
@@ -287,13 +285,13 @@ def _near_end(shift: GroupShift, width: float, mirror: bool,
         gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
         frame = [(len(g.symbols), x) for g in gens
                  for x in g.placed_rows([-g.last], 1 - s, cols)]
-        table[mirror, kind] = frame, [_near_end(shift, math.inf, mirror) if far else
+        table[mirror, kind] = frame, [_near_end(shift, mirror) if far else
                                       HowellForm(m, max(cols - r, 0), (), ())]
     frame, states = table[mirror, kind]
     d = kind[1] if far else kind
     w, _, red = _lane_layout(m, cols)
-    while s > 1 and len(states) <= width and not (len(states) > (1 if far else s) and
-                                                  states[-1].packed == states[-2].packed):
+    while s > 1 and not (len(states) > (1 if far else s) and
+                         states[-1].packed == states[-2].packed):
         cut = 0 if far else max(s - len(states), 0) * r * w  # frame positions below 0
         step = [x for n, x in frame if n <= len(states)] if kind == "whole" else \
             [x >> cut << cut for _, x in frame]
@@ -302,71 +300,65 @@ def _near_end(shift: GroupShift, width: float, mirror: bool,
             rows = [red(x + (d - 1) * (x & (1 << r * w) - 1)) for x in rows]
         done, pivots = _eliminate(rows, m, cols, 0)
         states.append(HowellForm(m, cols, tuple(done), tuple(pivots)).zero_prefix(r))
-    return states[min(width, len(states) - 1)]
+    return states[-1]
 
 
 def _fixed_reach(shift: GroupShift) -> int:
-    """The least reach R >= max(s-1, 1) from which the cut state S(width)
-    and the mirrored one are both fixed (R = 1 when s <= 1, where no state
-    moves), made once per shift into its table.  At every past and tail
-    width >= R the boundary window is unclipped and both near ends read
-    S(inf), so every verdict of `_boundary_heads` there is its verdict at
-    width inf."""
-    table = shift.boundary_table
-    if "reach" not in table:
-        table["reach"] = next(R for R in count(max(shift.span - 1, 1)) if all(
-            _near_end(shift, R + 1, mirror).packed == _near_end(shift, R, mirror).packed
-            for mirror in (False, True)))
-    return table["reach"]
+    """The least reach R >= max(s-1, 1) from which the cut state S(W) and
+    the mirrored one are both fixed (R = 1 when s <= 1, where no state
+    moves), read off the lengths of the two stored sequences: each stops
+    one state past its first fixed one, at W >= s-1.  From R on both near
+    ends of a window of past and tail width L read the fixed points, so
+    every verdict of `_boundary_heads` is the one at every such L."""
+    for mirror in (False, True):
+        _near_end(shift, mirror)
+    states = shift.boundary_table["states"]
+    return max(1, *(len(states[mirror, 1][1]) - 2 for mirror in (False, True)))
 
 
-def _boundary_rows(shift: GroupShift, block: int, past: float, tail: float,
+def _boundary_rows(shift: GroupShift, block: int,
                    kind: int | str | tuple = 1) -> tuple[list[int], int, int, int]:
     """(rows, ncols, block column, tail column) of the boundary window
-    [lo, hi] = [2-s, block+s-1] clipped to [1-past, block+tail], s the span
-    (at least 1), around the block [1, block]: the near-end state of `kind`
-    at width `past` on [lo, 0], the mirrored shift's at width `tail`,
-    reversed once per state by lane shifts, on [block+1, hi] (`_near_end`),
-    and every placement that meets the block."""
+    [2-s, block+s-1], s the span (at least 1), around the block [1, block]:
+    the near-end state of `kind` at its fixed point on [2-s, 0], the
+    mirrored shift's, reversed once per state by lane shifts, on [block+1,
+    block+s-1] (`_near_end`), and every placement that meets the block."""
     s, r, m = max(shift.span, 1), shift.alphabet.rank, shift.alphabet.modulus
-    lo, hi = max(2 - s, 1 - past), min(block + s - 1, block + tail)
-    ncols, tail_col = (hi - lo + 1) * r, (block + 1 - lo) * r
+    ncols, tail_col = (block + 2 * s - 2) * r, (block + s - 1) * r
     w = _lane_layout(m, ncols)[0]
-    # the states read zero where the window is clipped, so the lanes that
-    # these shifts move out of [lo, hi] are zero
-    rows = [x >> (lo + s - 2) * r * w for x in _near_end(shift, past, False, kind).packed]
-    state = _near_end(shift, tail, True, kind).packed
+    rows = list(_near_end(shift, False, kind).packed)
+    state = _near_end(shift, True, kind).packed
     tails = shift.boundary_table.setdefault("tails", {})
     if state not in tails:
         tails[state] = [sum((x >> i * r * w & (1 << r * w) - 1) << (s - 2 - i) * r * w
                             for i in range(s - 1)) for x in state]
     rows += [x << tail_col * w for x in tails[state]]
     for g in shift.generators:
-        rows += g.placed_rows(range(1 - g.last, block - g.first + 1), lo, ncols)
-    return rows, ncols, (1 - lo) * r, tail_col
+        rows += g.placed_rows(range(1 - g.last, block - g.first + 1), 2 - s, ncols)
+    return rows, ncols, (s - 1) * r, tail_col
 
 
-def _boundary_heads(shift: GroupShift, block: int, d: int | None, past: int,
-                    tail: int) -> tuple[HowellForm, list[int], bool]:
+def _boundary_heads(shift: GroupShift, block: int,
+                    d: int | None) -> tuple[HowellForm, list[int], bool]:
     """(kept, heads, verdict) of the window question on the block [1, block]
-    with d*v == 0 there (d None: no condition), a past [1-past, 0] and a tail
-    [block+1, block+tail]: one elimination on the boundary window of
-    `_boundary_rows`, made once per shift into its table.  It keeps the past
-    near end [lo, 0] and zeroes the tail one; the verdict, that zeroing the
-    tail keeps the past projection, holds when every head lies in the kept
-    rows.
+    with d*v == 0 there (d None: no condition): one elimination on the
+    boundary window of `_boundary_rows`, made once per shift into its table.
+    It keeps the past near end [2-s, 0] and zeroes the tail one; the
+    verdict, that zeroing the tail keeps the past projection, holds when
+    every head lies in the kept rows.  It is the verdict on every window
+    [-L, block+L] with L >= `_fixed_reach`.
 
     A placement wholly in the past or the tail meets the rest of the full
     window only on the near-end positions, so standing in the submodule it
     generates there for it changes either past projection of the full window
     only by the span of the past-only placements.  With s <= 1 no placement
     straddles a position and nothing is eliminated."""
-    key, table = (block, d, past, tail), shift.boundary_table
+    key, table = (block, d), shift.boundary_table
     if key in table:
         return table[key]
     if shift.span <= 1:
         return HowellForm(shift.alphabet.modulus, 0, (), ()), [], True
-    rows, ncols, block_col, tail_col = _boundary_rows(shift, block, past, tail)
+    rows, ncols, block_col, tail_col = _boundary_rows(shift, block)
     kill = [] if d is None else [(block_col, block * shift.alphabet.rank, d)]
     kept, heads = projection_heads(rows, shift.alphabet.modulus, kill,
                                    [(tail_col, ncols - tail_col)], 0, block_col)
@@ -385,24 +377,26 @@ class FiniteTypeReport:
 
 def finite_type_memory(shift: GroupShift, cap: int,
                        horizon: int | None = None) -> FiniteTypeReport:
-    """Least N <= cap with the splice property at every reach R <= horizon
-    + N (the horizon defaults to span + 2), absent when none has it.  At R,
-    every element of [-R, N+R] vanishing on the block [0, N] matches on
-    [N+1, N+R] one that also vanishes on [-R, -1]; that is, the submodule
-    vanishing on the block splits into its parts vanishing on either side,
-    so the left side may be kept instead: `_boundary_heads` at scale 1 on
-    the block translated to [1, N+1].  From `_fixed_reach` on every verdict
-    is the same, so the scan stops there."""
+    """Least N <= cap with the splice property at every reach, absent when
+    none has it.  At reach K, every element of G|[-K, N+K] vanishing on the
+    block [0, N] matches on [N+1, N+K] one that also vanishes on [-K, -1];
+    that is, the submodule vanishing on the block splits into its parts
+    vanishing on either side, so the left side may be kept instead:
+    `_boundary_heads` at scale 1 on the block translated to [1, N+1], the
+    verdict at every reach from `_fixed_reach` on, which the order search
+    shares as its scale-1 verdict on that block.
+
+    It decides the reaches below too, as the splice is monotone in the
+    reach.  Suppose it holds at K+1, and take x in G|[-K, N+K] vanishing on
+    the block.  Extend x to x' in G|[-K-1, N+K+1]; x' still vanishes on the
+    block.  Split x' at K+1, and restrict to [-K, N+K] the part that
+    vanishes on the left: it vanishes on [-K, -1] and on the block, and
+    matches x on [N+1, N+K], so it splits x at K.  `horizon` is ignored; it
+    stays because `perfbench/ops.py:run_analyze` still passes it."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if horizon is None:
-        horizon = shift.span + 2
-    fixed = _fixed_reach(shift)
-    for n in range(1, cap + 1):
-        if all(_boundary_heads(shift, n + 1, 1, reach, reach)[2]
-               for reach in range(1, min(horizon + n, fixed) + 1)):
-            return FiniteTypeReport(n, cap)
-    return FiniteTypeReport(None, cap)
+    return FiniteTypeReport(next((n for n in range(1, cap + 1)
+                                  if _boundary_heads(shift, n + 1, 1)[2]), None), cap)
 
 
 # -- brute-force window code enumeration (independent oracle path) -----------

@@ -6,7 +6,7 @@ from typing import Iterable
 
 import pytest
 
-from groupshift.control import _divisors, _steering_condition, default_past_horizon
+from groupshift.control import _divisors, _steering_condition
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.encoders import (CanonicalGeneratorSet, CheckResult, Encoder, Horizons,
                                  PipelineFailure, _tap_solver, lift_height)
@@ -149,7 +149,7 @@ def divisible(shift: GroupShift, x: Word, p: int, h: int) -> bool:
     vanish far out and are p^h-torsion off the block, and p^h * y must
     vanish on the near ends."""
     d, m = p ** h, shift.alphabet.modulus
-    rows, ncols, a, _ = _boundary_rows(shift, x.support_length, math.inf, math.inf, ("far", d))
+    rows, ncols, a, _ = _boundary_rows(shift, x.support_length, ("far", d))
     red = _lane_layout(m, ncols)[2]  # products stay below m^2
     form = howell_form(PackedRows(tuple(red(d * row) for row in rows), ncols), m)
     return form.contains(x.placed_rows([1 - x.first], 1 - a // shift.alphabet.rank, ncols)[0])
@@ -338,15 +338,14 @@ def random_shift(rng: random.Random, max_gens=2, max_support=3,
 
 def assert_decided_table(shift: GroupShift, search, ordered: bool) -> None:
     """Decide every candidate n <= cap of the search with `_steering_condition`
-    at `default_past_horizon`, on a fresh copy of the shift whose table holds
-    none of the search's verdicts: the verdicts are monotone, hold first at
-    the search's index, and begin with its condition table, which the
-    search reads off that index."""
+    (its verdict at every past window from the fixed reach on), on a fresh
+    copy of the shift whose table holds none of the search's verdicts: the
+    verdicts are monotone, hold first at the search's index, and begin with
+    its condition table, which the search reads off that index."""
     fresh = GroupShift(shift.alphabet, shift.generators, shift.memory_hint)
     exp = shift.alphabet.exponent
     scales = _divisors(exp) if ordered else [exp]
-    verdicts = [_steering_condition(fresh, n, default_past_horizon(fresh, n), scales)
-                for n in range(search.cap + 1)]
+    verdicts = [_steering_condition(fresh, n, scales) for n in range(search.cap + 1)]
     assert verdicts == sorted(verdicts), (shift, verdicts)
     assert search.index == next((n for n, ok in enumerate(verdicts) if ok), None), shift
     assert tuple(verdicts[:len(search.condition_table)]) == search.condition_table, shift

@@ -117,6 +117,29 @@ def test_analyze_delay_rep(tmp_path, capsys):
     assert "finite_type_memory: 1" in out
 
 
+def test_finite_type_memory_reads_no_window_horizon(tmp_path, capsys):
+    # the delay shift has memory 5, decided at the near-end fixed point,
+    # whatever window horizon the flag or the spec's horizon: key gives
+    delay = "group: Z2 x Z2\ngen @0: (1,0) (0,0) (0,0) (0,0) (0,0) (0,0) (0,1)\n"
+    path, keyed = tmp_path / "delay.spec", tmp_path / "delay-h1.spec"
+    path.write_text(delay)
+    keyed.write_text(delay + "horizon: 1\n")
+    for argv in ([path, "--horizon", "1"], [path, "--horizon", "4"], [path], [keyed]):
+        code, out = run_cli(["analyze", *map(str, argv)], capsys)
+        assert code == 0 and "finite_type_memory: 5\n" in out, argv
+
+
+def test_certify_prints_the_window_image_with_the_presentation_audit(tmp_path, capsys):
+    path = tmp_path / "delay-rep.spec"
+    path.write_text(DELAY_REP)
+    images = []
+    for audit in ([], ["--check-presentation"]):
+        code, out = run_cli(["certify", str(path), "--window", "0:2", *audit], capsys)
+        assert code == 0, audit
+        images.append([line for line in out.splitlines() if line.startswith("window_image.")])
+    assert len(images[0]) == 5 and images[1] == images[0]
+
+
 def test_analyze_negative_verdict_with_tight_cap(tmp_path, capsys):
     path = tmp_path / "delay.spec"
     path.write_text(DELAY_REP)

@@ -18,9 +18,8 @@ from groupshift.residues import PackedRows, howell_form, projection_heads
 from groupshift.encoders import (CheckResult, PipelineFailure, conjugacy_certificate,
                                  multiple_shift, socle_shift)
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.shifts import (GroupShift, Horizons, _boundary_heads, _fixed_reach, _near_end,
-                               primary_shift, supported_words, torsion_presentation,
-                               torsion_window_projection)
+from groupshift.shifts import (GroupShift, Horizons, _fixed_reach, _near_end, primary_shift,
+                               supported_words, torsion_presentation, torsion_window_projection)
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
@@ -57,6 +56,14 @@ def enumerated_index(shift, cap, past, ordered):
     return None
 
 
+def stored_states(shift, mirror, kind=1):
+    """The near-end state sequence T_d(0), T_d(1), ... that `_near_end` stores
+    in the shift's table, run to its fixed point; width W reads entry
+    min(W, len - 1)."""
+    _near_end(shift, mirror, kind)
+    return shift.boundary_table["states"][mirror, kind][1]
+
+
 def test_full_shift_indices(z4):
     rep = analyze_controllability(full_shift(z4), cap=4)
     assert rep.n_c == 0 and rep.n_o == 0
@@ -88,19 +95,19 @@ def test_exponent_p_alphabet_equalizes_indices():
 
 
 def test_fast_path_matches_enumeration():
-    # the least candidate passing the steering condition at one past window
+    # the least candidate passing the steering condition, whose verdicts are
+    # those at every past window from the fixed reach on
     rng = random.Random(22)
     checked = 0
     for _ in range(20):
         shift = random_shift(rng, pool=["Z2", "Z4", "Z2 x Z2", "Z2 x Z4"])
-        past = 2
+        past = _fixed_reach(shift)
         if shift.window(-past, 3 + past).form.size() > 1 << 12:
             continue
         for ordered in (False, True):
             exp = shift.alphabet.exponent
             scales = _divisors(exp) if ordered else [exp]
-            fast = next((n for n in range(4)
-                         if _steering_condition(shift, n, past, scales)), None)
+            fast = next((n for n in range(4) if _steering_condition(shift, n, scales)), None)
             slow = enumerated_index(shift, 3, past, ordered)
             assert fast == slow, (shift, ordered)
         checked += 1
@@ -346,10 +353,9 @@ def test_fail_fast_search_matches_reference():
     shifts += [make_shift("Z4", [(0, [2])]), make_shift("Z12", [(0, [(2, 0)]), (3, [(0, 1)])])]
     shifts += [parse_spec(SOCLE_FAILURE_SPEC).shift, LATE_FIXED_POINT]
     assert default_past_horizon(LATE_FIXED_POINT, 0) > 2 * LATE_FIXED_POINT.span
-    socle = shifts[-2]
-    tail = [_near_end(socle, w, True).packed
-            for w in range(2 * socle.span - 1, 2 * socle.span + 2)]
-    assert tail[0] != tail[1] == tail[2] and default_past_horizon(socle, 0) == 2 * socle.span
+    socle = shifts[-2]  # its tail state is first fixed at width 2s
+    assert len(stored_states(socle, True)) == 2 * socle.span + 2
+    assert default_past_horizon(socle, 0) == 2 * socle.span
     absent = 0
     for shift, cap in itertools.product(shifts, (0, 1, 3, 16)):
         exp = shift.alphabet.exponent
@@ -394,8 +400,7 @@ def late_fixed_shifts(rng, count):
 
 def test_late_fixed_searches_match_the_ascending_references():
     # raised past horizons make every table monotone, so the probing searches
-    # equal the ascending full-window references; the tables are also those
-    # at the unraised past windows 2(s + n)
+    # equal the ascending full-window references
     shifts = [LATE_FIXED_POINT, *late_fixed_shifts(random.Random(32), 20)]
     absent = 0
     for shift, cap in itertools.product(shifts, (0, 1, 3, 16)):
@@ -408,8 +413,6 @@ def test_late_fixed_searches_match_the_ascending_references():
             tuple(max(2 * (shift.span + n), reach) for n in range(len(table))), (shift, cap)
         assert controllability_index(shift, cap) == \
             reference_index_search(shift, cap, [exp]), (shift, cap)
-        assert table == tuple(_steering_condition(shift, n, 2 * (shift.span + n), _divisors(exp))
-                              for n in range(len(table))), (shift, cap)
         absent += index is None
     assert absent >= 4
 
@@ -427,25 +430,24 @@ def test_raised_past_horizons_are_reported(tmp_path, capsys):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([*LATE_POOL, "Z2", "Z6", "Z12"]), st.randoms(use_true_random=False),
-       st.integers(1, 6), st.integers(0, 6), st.integers(0, 3))
-def test_verdicts_from_the_fixed_reach_on_are_the_verdicts_at_infinity(group, rng, support,
-                                                                        n, extra):
-    # the fixed reach is the least R >= max(s-1, 1) with both cut states
-    # fixed, and from it on the boundary window is unclipped and both near
-    # ends read S(inf)
+       st.integers(1, 6), st.integers(0, 6))
+def test_verdicts_from_the_fixed_reach_on_are_the_verdicts_at_infinity(group, rng, support, n):
+    # the fixed reach is the least R >= max(s-1, 1) at which both stored cut
+    # state sequences are fixed, and from it on the boundary verdict, with
+    # both near ends at their fixed points, is the full-window verdict
     shift = random_shift(rng, max_gens=3, max_support=support, pool=[group])
     s, reach = shift.span, _fixed_reach(shift)
+    sequences = [stored_states(shift, mirror) for mirror in (False, True)]
 
     def fixed(R):
-        return s <= 1 or all(_near_end(shift, R + 1, mirror).packed ==
-                             _near_end(shift, R, mirror).packed for mirror in (False, True))
+        return all(states[min(R + 1, len(states) - 1)].packed ==
+                   states[min(R, len(states) - 1)].packed for states in sequences)
 
-    assert fixed(reach) and not any(map(fixed, range(max(s - 1, 1), reach))), shift
     assert reach >= max(s - 1, 1)
-    for d in _divisors(shift.alphabet.exponent):
-        scale = None if n == 0 or d % shift.exponent == 0 else d
-        assert _steering_verdict(shift, n, reach + extra, d) == \
-            _boundary_heads(shift, n, scale, math.inf, math.inf), (shift, n, d)
+    assert fixed(reach) and not any(map(fixed, range(max(s - 1, 1), reach))), shift
+    for d, past in itertools.product(_divisors(shift.alphabet.exponent), range(reach, reach + 4)):
+        assert _steering_verdict(shift, n, d)[2] == full_window_verdict(shift, n, past, d), \
+            (shift, n, d, past)
 
 
 # -- the plain condition is the order search's scale exp(H) ----------------------
@@ -453,12 +455,13 @@ def test_verdicts_from_the_fixed_reach_on_are_the_verdicts_at_infinity(group, rn
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["Z8 x Z4", "Z9 x Z3", "Z12", "Z2 x Z2 x Z3"]),
-       st.randoms(use_true_random=False), st.integers(0, 4), st.integers(1, 5))
-def test_scale_exp_elimination_is_the_plain_one(group, rng, n, past):
+       st.randoms(use_true_random=False), st.integers(0, 4), st.integers(0, 4))
+def test_scale_exp_elimination_is_the_plain_one(group, rng, n, extra):
     # exp(H) * v == 0 holds for every v, so the condition columns at that
-    # scale are zero and the elimination without them is the same one
+    # scale are zero and the elimination without them is the same one, at
+    # past windows from the fixed reach on
     shift = random_shift(rng, max_gens=2, max_support=3, pool=[group])
-    exp = shift.alphabet.exponent
+    exp, past = shift.alphabet.exponent, _fixed_reach(shift) + extra
     module = shift.window(-past, n + past)
     args = (-past, 0, range(n + 1, n + past + 1))
     kept, heads = window_projection_heads(module, *args, kill_scale=exp,
@@ -466,7 +469,7 @@ def test_scale_exp_elimination_is_the_plain_one(group, rng, n, past):
     got, got_heads = window_projection_heads(module, *args, kill_scale=None,
                                              kill_positions=range(1, n + 1))
     assert (got.packed, got.pivots, got_heads) == (kept.packed, kept.pivots, heads)
-    assert _steering_verdict(shift, n, past, exp)[2] == all(map(kept.contains, heads))
+    assert _steering_verdict(shift, n, exp)[2] == all(map(kept.contains, heads))
     n_c, n_o = controllability_index(shift, 4).index, order_controllability_index(shift, 4).index
     if n_c is not None and n_o is not None:
         assert n_c <= n_o
@@ -492,20 +495,8 @@ def test_boundary_verdict_matches_the_full_window(group, rng, support, n):
     shift = random_shift(rng, max_gens=3, max_support=support, pool=[group])
     past = default_past_horizon(shift, n)
     for d in _divisors(shift.alphabet.exponent):
-        assert _steering_verdict(shift, n, past, d)[2] == \
+        assert _steering_verdict(shift, n, d)[2] == \
             full_window_verdict(shift, n, past, d), (shift, n, d)
-
-
-def test_boundary_verdict_matches_the_full_window_at_short_past_windows():
-    # a past window shorter than the near end clips the boundary window
-    rng = random.Random(27)
-    for _ in range(25):
-        shift = random_shift(rng, max_gens=3, max_support=4,
-                             pool=["Z4", "Z6", "Z2 x Z4", "Z2 x Z2 x Z3"])
-        for n, past in itertools.product(range(4), range(1, 4)):
-            for d in _divisors(shift.alphabet.exponent):
-                assert _steering_verdict(shift, n, past, d)[2] == \
-                    full_window_verdict(shift, n, past, d), (shift, n, past, d)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -529,7 +520,7 @@ def test_far_states_rise_to_their_fixed_point():
     # out, and a zero position is d-torsion, so every state lies in the
     # next; a strict rise multiplies the state's size by p at least, so over
     # Z/p^e the chain is fixed within e*(s-1)*r steps, where it stops, and
-    # width inf reads that fixed point
+    # `_near_end` returns that fixed point
     rng = random.Random(31)
     longest = 0
     for _ in range(40):
@@ -538,9 +529,9 @@ def test_far_states_rise_to_their_fixed_point():
         s, r, m = shift.span, shift.alphabet.rank, shift.alphabet.modulus
         e = round(math.log(m, shift.alphabet.primes()[0]))
         for mirror, d in itertools.product((False, True), _divisors(shift.alphabet.exponent)):
-            fixed = _near_end(shift, math.inf, mirror, ("far", d))
+            fixed = _near_end(shift, mirror, ("far", d))
             states = shift.boundary_table["states"][mirror, ("far", d)][1]
-            assert states[0] == _near_end(shift, math.inf, mirror), (shift, mirror, d)
+            assert states[0] == _near_end(shift, mirror), (shift, mirror, d)
             for k, (state, after) in enumerate(zip(states, states[1:])):
                 assert all(map(after.contains, state.packed)), (shift, mirror, d, k)
             assert fixed == states[-1] and (len(states) == 1 or states[-2] == fixed)
@@ -554,9 +545,9 @@ def test_near_end_states_match_their_definition():
     # for whole-placement states, those starting at 0 or later), with
     # d*v == 0 on [0, W-s], projected to the last s-1 positions, for every
     # divisor d of exp(H) (d = 1: the cut state S, which vanishes off them),
-    # read off one elimination of the whole block; the recursion stops at a
-    # fixed point, which must not cut a sequence still moving, and width
-    # inf reads that fixed point
+    # read off one elimination of the whole block: each stored state T_d(W),
+    # and the fixed point that `_near_end` returns at every width past them,
+    # as the recursion must not stop a sequence still moving
     rng = random.Random(29)
     longest = rising = scaled = 0
     for _ in range(40):
@@ -578,16 +569,14 @@ def test_near_end_states_match_their_definition():
                 kept, _ = projection_heads(rows, m, [(0, cut, d)], [], cut, width * r)
                 return howell_form(PackedRows(kept.packed, kept.ncols), m)
 
-            for width in range(s - 1, 3 * s + 12):
-                got, want = _near_end(shift, width, mirror, kind), direct(width)
+            fixed = _near_end(shift, mirror, kind)
+            states = shift.boundary_table["states"][mirror, kind][1]
+            assert fixed is states[-1]
+            for width in range(s - 1, max(len(states) + s, 3 * s + 11) + 1):
+                got, want = states[min(width, len(states) - 1)], direct(width)
                 assert (got.packed, got.pivots) == (want.packed, want.pivots), \
                     (shift, mirror, kind, width)
-            states = shift.boundary_table["states"][mirror, kind][1]
             if whole:
-                fixed = _near_end(shift, math.inf, mirror, kind)
-                want = direct(len(states) + s)
-                assert (fixed.packed, fixed.pivots) == (want.packed, want.pivots), \
-                    (shift, mirror)
                 rising = max(rising, len(states) - s)
             else:
                 longest = max(longest, len(states) - s)
@@ -673,7 +662,7 @@ def test_zero_shift_and_span_one_shifts_steer_at_once(tmp_path, capsys):
         assert shift.span <= 1
         for n, past in itertools.product(range(4), (1, 2, 5)):
             for d in _divisors(shift.alphabet.exponent):
-                assert _steering_verdict(shift, n, past, d)[2]
+                assert _steering_verdict(shift, n, d)[2]
                 assert full_window_verdict(shift, n, past, d)
         rep = analyze_controllability(shift, cap=3)
         assert (rep.n_c, rep.n_o) == (0, 0)

@@ -457,23 +457,21 @@ def delay_shift(group, head, tail, k):
     return make_shift(group, [(0, [head] + [(0,) * len(head)] * (k - 1) + [tail])])
 
 
-def full_scan_memory(shift, cap, horizon):
-    """`finite_type_memory` scanning every reach 1..horizon+N on the full
-    window, with no stop at the near-end states' fixed point."""
+def full_scan_memory(shift, cap, top):
+    """The least N <= cap with the splice property at every reach 1..top, on
+    the full window."""
     return next((n for n in range(1, cap + 1)
                  if all(splice_property_holds(shift, n, reach)
-                        for reach in range(1, horizon + n + 1))), None)
+                        for reach in range(1, top + 1))), None)
 
 
 def test_splice_property_matches_two_form_reference():
     # the boundary verdict at scale 1, which keeps the left side, the
     # full-window reference and the two-form reference, which keep the right
-    # one, agree at reaches 1..R*+3, R* the first reach >= s-1 at which both
-    # near-end states are fixed, where finite_type_memory stops its scan;
-    # p-group and mixed alphabets, spans <= 1 and delay shifts of memory
-    # 1..5; both verdicts must occur, and the early-stopped memory must equal
-    # the full scan's at horizons 1, 4 and 9, with the memories 1..4 and
-    # not-verified all met at cap 4
+    # one, agree at reaches R..R+3, R the fixed reach; p-group and mixed
+    # alphabets, spans <= 1 and delay shifts of memory 1..5; both verdicts
+    # must occur, and the memory must equal the full scan's over the reaches
+    # 1..R+3, with the memories 1..4 and not-verified all met at cap 4
     rng = random.Random(41)
     cases = [random_shift(rng, max_gens=2, max_support=4, pool=[group])
              for group in P_GROUPS + MIXED_GROUPS for _ in range(6)]
@@ -488,15 +486,14 @@ def test_splice_property_matches_two_form_reference():
     for g in cases:
         fixed = _fixed_reach(g)
         for n in range(1, 4):
-            for reach in range(1, fixed + 4):
-                got = _boundary_heads(g, n + 1, 1, reach, reach)[2]
+            got = _boundary_heads(g, n + 1, 1)[2]
+            for reach in range(fixed, fixed + 4):
                 assert got == splice_property_holds(g, n, reach) == \
                     two_form_splice_property(g, n, reach), (g, n, reach)
-                verdicts.add(got)
-        for horizon in (1, 4, 9):
-            memory = finite_type_memory(g, 4, horizon).memory
-            assert memory == full_scan_memory(g, 4, horizon), (g, horizon)
-            memories.add(memory)
+            verdicts.add(got)
+        memory = finite_type_memory(g, 4).memory
+        assert memory == full_scan_memory(g, 4, fixed + 3), g
+        memories.add(memory)
     assert verdicts == {True, False}
     assert memories == {1, 2, 3, 4, None}
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from groupshift import control, encoders, residues, shifts, words
 from groupshift.control import (_divisors, _steering_condition, analyze_controllability,
-                                default_past_horizon, order_controllability_index)
+                                order_controllability_index)
 from groupshift.encoders import (Horizons, check_injectivity, conjugacy_certificate, encode,
                                  lift_height, solve_finite_preimage)
 from groupshift.groups import FiniteAbelianGroup
@@ -257,7 +257,8 @@ def test_no_steering_elimination_passes_a_vacuous_condition(monkeypatch):
 
 def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
     # a verdict eliminates the boundary window [2-s, n+s-1], whose width does
-    # not grow with the past window L: at most (n + 2s - 2) * rank columns;
+    # not grow with the past window L (`default_past_horizon`): at most
+    # (n + 2s - 2) * rank columns;
     # a failing search's witness reuses the cap candidate's eliminations
     calls = _record_steering_eliminations(monkeypatch)
 
@@ -273,10 +274,9 @@ def test_steering_verdicts_eliminate_boundary_windows_only(monkeypatch):
         shift = parse_spec(text).shift
         scales = _divisors(shift.alphabet.exponent)
         for n in range(0, 17, 4):
-            for past in (1, shift.span, default_past_horizon(shift, n), 60):
-                calls.clear()
-                _steering_condition(shift, n, past, list(scales))
-                assert calls and width_bound(n), (name, n, past)
+            calls.clear()
+            _steering_condition(shift, n, list(scales))
+            assert calls and width_bound(n), (name, n)
         calls.clear()
         # a fresh shift, whose table holds none of the verdicts above
         search = order_controllability_index(parse_spec(text).shift, 16)
@@ -297,12 +297,23 @@ def test_finite_type_scan_eliminates_boundary_windows_only(monkeypatch):
     for path in sorted((ROOT / "tests" / "golden").glob("*.spec")):
         shift = parse_spec(path.read_text()).shift
         calls.clear()
-        finite_type_memory(shift, cap=8, horizon=Horizons.derive(shift).window_horizon)
+        finite_type_memory(shift, cap=8)
         assert calls or shift.span <= 1, path.name
         for _, _, conditions, zeros, lo, hi in calls:
             (_, block, _), = conditions
             assert block + sum(n for _, n in zeros) + hi - lo <= \
                 block + 2 * (shift.span - 1) * shift.alphabet.rank, path.name
+
+
+def test_finite_type_makes_one_elimination_per_block(monkeypatch):
+    # each memory candidate N is decided at the one block [1, N+1], not at
+    # every reach: the delay shift of memory 5 makes 5 eliminations, where a
+    # scan over the reaches 1..min(H+N, R) made 20
+    calls = _record_steering_eliminations(monkeypatch)
+    shift = parse_spec("group: Z2 x Z2\n"
+                       "gen @0: (1,0) (0,0) (0,0) (0,0) (0,0) (0,0) (0,1)\n").shift
+    assert finite_type_memory(shift, 8).memory == 5
+    assert len(calls) <= 5, len(calls)
 
 
 def test_noncatastrophicity_eliminates_boundary_windows_only(monkeypatch):
@@ -409,8 +420,8 @@ def test_certify_reads_torsion_windows_and_initial_values_off_the_engine(monkeyp
         monkeypatch.setattr(owner, name, lambda *args, name=name, original=original, **kw:
                             made.append(name) or original(*args, **kw))
     near_end = shifts._near_end
-    monkeypatch.setattr(shifts, "_near_end", lambda shift, width, mirror, kind=1:
-                        kinds.append(kind) or near_end(shift, width, mirror, kind))
+    monkeypatch.setattr(shifts, "_near_end", lambda shift, mirror, kind=1:
+                        kinds.append(kind) or near_end(shift, mirror, kind))
     before = shifts._window_module.cache_info().misses
     for name in ("full-z4", "delay-rep", "z6", "z8-z4", "z9-z3"):
         shift = parse_spec((ROOT / "tests" / "golden" / f"{name}.spec").read_text()).shift
@@ -452,7 +463,7 @@ def test_analyze_builds_each_near_end_state_once(monkeypatch):
         horizons = Horizons.derive(shift)
         built.clear()
         analyze_controllability(shift, cap=horizons.n_cap, horizon=horizons.window_horizon)
-        finite_type_memory(shift, cap=8, horizon=horizons.window_horizon)
+        finite_type_memory(shift, cap=8)
         parts = [primary_shift(shift, p) for p in shift.alphabet.primes()]
         for p, part in zip(shift.alphabet.primes(), parts):
             torsion_presentation(part, p, horizons)
