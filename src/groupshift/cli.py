@@ -229,17 +229,13 @@ def _presentation_audit(report: Report, shift: GroupShift,
     except ValueError as exc:  # a generator of composite order is no tap
         raise UsageError(str(exc)) from None
     _encoder_lines(report, "presentation_encoder", encoder)
-    negative = False
-    if len(set(encoder.tap_primes)) == 1:
-        inj = check_injectivity(encoder, horizons.block_cap)
-        check = independent_block_check(inj, horizons.block_cap)
-        report.add(f"presentation.check.{check.name}",
-                   _check_value(check.passed, check.detail))
-        if inj.block is None and inj.dependent_combination:
-            combo = " ".join(f"tap{j}@{t}*{c}"
-                             for j, t, c in inj.dependent_combination)
-            report.add("presentation.check.dependent-combination", combo)
-        negative |= inj.block is None
+    inj = check_injectivity(encoder, horizons.block_cap)
+    check = independent_block_check(inj, horizons.block_cap)
+    report.add(f"presentation.check.{check.name}", _check_value(check.passed, check.detail))
+    if inj.block is None and inj.dependent_combination:
+        combo = " ".join(f"tap{j}@{t}*{c}" for j, t, c in inj.dependent_combination)
+        report.add("presentation.check.dependent-combination", combo)
+    negative = inj.block is None
     noncat = check_noncatastrophic(encoder, shift, horizons.window_horizon)
     report.add("presentation.check.noncatastrophic", _check_value(noncat.ok))
     if not noncat.ok and noncat.witness is not None:

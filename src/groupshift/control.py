@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import _prime_power_factors
-from .residues import HowellForm, PackedRows, _lane_layout, howell_form
+from .residues import PackedRows, _lane_layout, howell_form
 from .shifts import (GroupShift, Horizons, _boundary_heads, _fixed_reach, primary_shift,
                      torsion_presentation)
 from .words import Word
@@ -79,31 +79,6 @@ class ControllabilityReport:
         return self.ordered.index
 
 
-def _vacuous(shift: GroupShift, n: int, d: int) -> bool:
-    """True when d*(restriction to [1, n]) == 0 holds for every element: at
-    n == 0, where there is no position to constrain, and for d a multiple of
-    the exponent of the generated group, such as exp(H)."""
-    return n == 0 or d % shift.exponent == 0
-
-
-def _past_rows(shift: GroupShift, past: int) -> list[int]:
-    """Packed rows on the L+1 positions [-L, 0] of the placements that end
-    there, cut at -L."""
-    r = shift.alphabet.rank
-    return [x for g in shift.generators
-            for x in g.placed_rows(range(-past - g.last, 1 - g.last), -past, (past + 1) * r)]
-
-
-def _steering_verdict(shift: GroupShift, n: int,
-                      d: int) -> tuple[HowellForm, list[int], bool]:
-    """(kept, heads, verdict) of the steering condition at candidate index n
-    and scale d, at every past window L >= `shifts._fixed_reach`:
-    `shifts._boundary_heads` on the block [1, n], the past near end kept and
-    the tail one zeroed.  Every scale where the order demand is vacuous
-    (`_vacuous`) shares the plain condition's verdict."""
-    return _boundary_heads(shift, n, None if _vacuous(shift, n, d) else d)
-
-
 def _steering_condition(shift: GroupShift, n: int, scales: list[int]) -> bool:
     """Decide the steering condition at candidate index n, at every past
     window L >= `shifts._fixed_reach`.
@@ -114,12 +89,13 @@ def _steering_condition(shift: GroupShift, n: int, scales: list[int]) -> bool:
     order(g1|[1,n]) | order(g|[1,n]); split by divisors d of exp(H), "order
     divides d" is the linear condition d*(restriction to [1,n]) == 0, so each
     divisor d yields one equality between d-constrained past projections,
-    decided on the boundary window by `_steering_verdict`.  The verdict is
-    an all() over the scales, so their order is free: a failing scale moves
-    to the front of `scales`, where the next candidate tries it first.
+    decided on the boundary window by `shifts._boundary_heads`, which gives
+    every scale where the demand is vacuous the plain verdict.  The verdict
+    is an all() over the scales, so their order is free: a failing scale
+    moves to the front of `scales`, where the next candidate tries it first.
     """
     for i, d in enumerate(scales):
-        if not _steering_verdict(shift, n, d)[2]:
+        if not _boundary_heads(shift, n, d)[2]:
             scales.insert(0, scales.pop(i))
             return False
     return True
@@ -138,15 +114,18 @@ def _steering_witness(shift: GroupShift, n: int, past: int, scales: list[int]) -
     such a row lies in the tail-constrained one exactly when its markers lie
     in the span of the rows with pivot among the markers."""
     for d in sorted(scales):
-        kept, heads, holds = _steering_verdict(shift, n, d)
+        kept, heads, holds = _boundary_heads(shift, n, d)
         if holds:
             continue
         r, m = shift.alphabet.rank, kept.modulus
         cols = (past + 1) * r
         w = _lane_layout(m, cols)[0]
         at = (2 - shift.span + past) * r * w  # 2-s on [-L, 0]
-        rows = [*_past_rows(shift, past), *(x << at for x in kept.packed),
-                *((x << at) + (1 << (cols + i) * w) for i, x in enumerate(heads))]
+        # the placements ending on [-L, 0], cut at -L
+        rows = [x for g in shift.generators
+                for x in g.placed_rows(range(-past - g.last, 1 - g.last), -past, cols)]
+        rows += [*(x << at for x in kept.packed),
+                 *((x << at) + (1 << (cols + i) * w) for i, x in enumerate(heads))]
         form = howell_form(PackedRows(tuple(rows), cols + len(heads)), m)
         markers = form.zero_prefix(cols)
         row = next(row for row, x, (c, _) in zip(form.rows, form.packed, form.pivots)

@@ -144,9 +144,8 @@ def _least_outside(form: HowellForm, r: int, span: HowellForm) -> Vec | None:
     element of row k's coset of the later rows is then admissible, and a
     canonical row is the least element of its coset.
     """
-    cut = (1 << r * _lane_layout(form.modulus, r)[0]) - 1
-    k = next((k for k in reversed(range(sum(c < r for c, _ in form.pivots)))
-              if not span.contains(form.packed[k] & cut)), None)
+    heads = form.prefix(r).packed
+    k = next((k for k in reversed(range(len(heads))) if not span.contains(heads[k])), None)
     return None if k is None else form.rows[k]
 
 
@@ -423,35 +422,38 @@ class InjectivityReport:
 
 
 def check_injectivity(encoder: Encoder, block_cap: int) -> InjectivityReport:
-    """Search for a block [0, N] on which all nonzero placed torsion-word
-    restrictions are linearly independent over F_p."""
-    torsion = encoder.torsion_words()
-    if not torsion:
-        return InjectivityReport(0, None)
-    if len(set(encoder.tap_primes)) != 1:
-        raise ValueError("independence test needs a single-prime encoder; "
-                         "run it per primary component")
-    p, r = encoder.tap_primes[0], encoder.alphabet.rank
-    # a p-torsion scaled entry is k * (m // p), with k its F_p coordinate
-    unit = encoder.alphabet.modulus // p
-    fp = [(j, x, [v // unit for v in x.window_vector(x.first, x.last)])
-          for j, x in enumerate(torsion) if not x.is_zero]
+    """Search for a block [0, N] on which the nonzero placed torsion-word
+    restrictions are linearly independent, over F_p for the words of each
+    tap prime p.  The encoder is the direct sum of its one-prime parts, the
+    p-torsion words lying in the p-primary part of the alphabet, so N passes
+    when every prime passes; the witness is the first failing prime's
+    kernel row at the last block, with the whole encoder's tap indices."""
+    r, m = encoder.alphabet.rank, encoder.alphabet.modulus
+    parts: dict[int, list] = {}
+    for j, (x, p) in enumerate(zip(encoder.torsion_words(), encoder.tap_primes)):
+        if not x.is_zero:
+            # a p-torsion scaled entry is k * (m // p), with k its F_p coordinate
+            vec = [v // (m // p) for v in x.window_vector(x.first, x.last)]
+            parts.setdefault(p, []).append((j, x, vec))
     witness = None
     for n in range(block_cap + 1):
         ncols = (n + 1) * r
-        rows, labels = [], []
-        for j, x, vec in fp:
-            # placement t = -x.last, ... puts x at column (x.first + t) * r
-            placed = placed_rows(vec, p, range((1 - x.support_length) * r, ncols, r), ncols)
-            for t, row in enumerate(placed, -x.last):
-                if row:
-                    rows.append(row)
-                    labels.append((j, t))
-        solver = row_solver(PackedRows(tuple(rows), ncols), p)
-        if solver.form.rank == len(rows):
+        for p, fp in sorted(parts.items()):
+            rows, labels = [], []
+            for j, x, vec in fp:
+                # placement t = -x.last, ... puts x at column (x.first + t) * r
+                placed = placed_rows(vec, p, range((1 - x.support_length) * r, ncols, r), ncols)
+                for t, row in enumerate(placed, -x.last):
+                    if row:
+                        rows.append(row)
+                        labels.append((j, t))
+            solver = row_solver(PackedRows(tuple(rows), ncols), p)
+            if solver.form.rank < len(rows):
+                witness = tuple((labels[i][0], labels[i][1], c)
+                                for i, c in enumerate(solver.kernel.rows[0]) if c)
+                break
+        else:
             return InjectivityReport(n, None)
-        witness = tuple((labels[i][0], labels[i][1], c)
-                        for i, c in enumerate(solver.kernel.rows[0]) if c)
     return InjectivityReport(None, witness)
 
 
@@ -530,8 +532,19 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
     what every finite message wholly on that side can leave there, so the
     block projection of the elements vanishing on both near ends is the set
     I_H of finite images supported in the block, whatever the message
-    support; its elements supported in [1, t+1] are I_t.  Every row of the
-    certified words on [0, t], the form's `zero_prefix`, must lie in it.
+    support: `kept`.
+
+    I_H is translation-invariant: an image supported in [1+a, 1+b] moves to
+    [1, 1+b-a] as the image of the moved message.  The certified words on
+    [0, t], W_t, are the form's `zero_prefix`, and the words of W_H
+    supported in [H-t, H] are W_t moved by H-t; so W_H in I_H gives W_t in
+    I_t for every t <= H, and one containment pass over the rows of W_H
+    decides every t.  A row with pivot at or past column k = (H-t) * r
+    belongs, moved down by k, to W_t's form, and it lies in I_H exactly when
+    the moved row does.  So the least failing t has k the last failing
+    row's pivot column rounded down to a multiple of r, and the witness,
+    the first failing row of W_t's form, is the first failing row with
+    pivot at or past k, cut at column k.
     """
     width = max([horizon + 1, *(tap.support_length for tap in encoder.taps)])
     words, r = supported_words(shift, width), shift.alphabet.rank
@@ -543,13 +556,14 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
     rows, ncols, a, b = _boundary_rows(taps, horizon + 1, "whole")
     kept, _ = projection_heads(rows, encoder.alphabet.modulus, (),
                                [(0, a), (b, ncols - b)], a, b)
-    for t in range(horizon + 1):
-        form = words.zero_prefix((width - 1 - t) * r)
-        bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
-        if bad is not None:
-            return NoncatastrophicityReport(
-                False, horizon, Word.from_window_vector(shift.alphabet, 0, form.rows[bad]))
-    return NoncatastrophicityReport(True, horizon, None)
+    form = words.zero_prefix((width - 1 - horizon) * r)
+    bad = [i for i, x in enumerate(form.packed) if not kept.contains(x)]
+    if not bad:
+        return NoncatastrophicityReport(True, horizon, None)
+    k = form.pivots[bad[-1]][0] // r * r
+    i = next(i for i in bad if form.pivots[i][0] >= k)
+    return NoncatastrophicityReport(
+        False, horizon, Word.from_window_vector(shift.alphabet, 0, form.rows[i][k:]))
 
 
 # -- certificates ------------------------------------------------------------

@@ -15,13 +15,13 @@ reduction: `& MASK` for m = 2^e, SWAR Barrett for any other m.  It runs
 over Z/p^e; a composite m is split into its prime powers by CRT.  Live rows
 wait in buckets keyed by their leading lane.  Rows stay packed from
 `placed_rows` through `projection_heads` and `_eliminate` into `HowellForm`,
-whose `reduce`, `contains`, `zero_prefix`, `prefix` and `spans_same` work
-on one int per row; `HowellForm.rows` unpacks them for the callers that
-build words or report lines.  `howell_form` and `row_solver` take tuple
-rows or `PackedRows`, `RowSolver` solves on packed rows and `combine_rows`
-forms packed combinations.  `projection_heads` is the one routine that builds
-constrained rows, moving column runs: a canonical constrained projection is
-its `kept` rows made canonical by `howell_form`.
+whose `contains`, `zero_prefix`, `prefix` and `spans_same` work on one int
+per row; `HowellForm.rows` unpacks them for the callers that build words or
+report lines.  `howell_form` and `row_solver` take tuple rows or
+`PackedRows`, `RowSolver` solves by one reduction on packed rows and
+`combine_rows` forms packed combinations.  `projection_heads` is the one
+routine that builds constrained rows, moving column runs: a canonical
+constrained projection is its `kept` rows made canonical by `howell_form`.
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ class HowellForm:
                     coeffs[i] = q
             at += w
         return x, tuple(coeffs)
-
-    def reduce(self, vec: Sequence[int] | int) -> tuple[Vec, Vec]:
-        """Greedy leading-term reduction: (residual, coefficients per row)."""
-        x, coeffs = self._reduce(vec)
-        return unpack_rows([x], self.modulus, self.ncols)[0], coeffs
 
     def contains(self, vec: Sequence[int] | int) -> bool:
         return not self._reduce(vec)[0]
@@ -460,45 +455,45 @@ def projection_heads(packed_rows: Iterable[int], modulus: int,
 class RowSolver:
     """Expresses targets as Z-combinations of a fixed generating row list.
 
-    Built from one Howell form of the augmented rows [R | I], the packed
-    generators with one identity lane each: the rows with a pivot among R's
-    columns give the form of R and the transform, and the rest, read off by
-    `zero_prefix`, the coefficient kernel {c : c @ R == 0}.
-    Provides membership and one canonical coefficient vector per target.
+    Holds one Howell form of the augmented rows [R | I], the packed
+    generators with one identity lane each.  Every row [a | c] of it has
+    a == c @ R.  Its rows with a pivot among R's columns, cut there, are
+    the form of R (`prefix`), and the rest, read off by `zero_prefix`, the
+    coefficient kernel {c : c @ R == 0}.  `express` reduces [-target | 0]
+    by it: the greedy steps subtract sum q_i [a_i | c_i], so when R's
+    columns reduce to zero, -sum q_i c_i solves c @ R == target, and the
+    reduction has run on through the kernel rows, which leaves the unique
+    normal form of the solution's coset of the kernel.
     """
 
     modulus: int
     gens: PackedRows
 
     @cached_property
-    def _data(self) -> tuple[HowellForm, tuple[int, ...], HowellForm]:
+    def _data(self) -> HowellForm:
         m, n = self.modulus, self.gens.ncols
         w = _lane_layout(m, n)[0]
         aug = tuple(row | 1 << (n + i) * w for i, row in enumerate(self.gens.entries))
-        full = howell_form(PackedRows(aug, n + len(aug)), m)
-        r = sum(c < n for c, _ in full.pivots)
-        low = (1 << n * w) - 1
-        form = HowellForm(m, n, tuple(row & low for row in full.packed[:r]), full.pivots[:r])
-        transform = tuple(row >> n * w for row in full.packed[:r])
-        return form, transform, full.zero_prefix(n)
+        return howell_form(PackedRows(aug, n + len(aug)), m)
 
     @property
     def form(self) -> HowellForm:
-        return self._data[0]
+        return self._data.prefix(self.gens.ncols)
 
     @property
     def kernel(self) -> HowellForm:
-        return self._data[2]
+        return self._data.zero_prefix(self.gens.ncols)
 
     def express(self, target: Sequence[int] | int) -> Optional[Vec]:
         """Canonical coefficients c with c @ gens == target, or None."""
-        form, transform, kernel = self._data
-        residual, row_coeffs = form._reduce(target)
-        if residual:
+        full, m, n = self._data, self.modulus, self.gens.ncols
+        w, k_lanes, red = _lane_layout(m, full.ncols)
+        low = (1 << n * w) - 1  # R's columns
+        x = target if isinstance(target, int) else pack_rows([target], m, n)[0]
+        residual, _ = full._reduce(red((k_lanes & low) - x))
+        if residual & low:
             return None
-        coeffs = combine_rows(row_coeffs, transform, self.modulus, kernel.ncols)
-        # reduction by the kernel's Howell form picks one canonical solution
-        return kernel.reduce(coeffs)[0]
+        return unpack_rows([residual >> n * w], m, full.ncols - n)[0]
 
 
 def row_solver(rows: Sequence[Sequence[int]] | PackedRows, modulus: int,

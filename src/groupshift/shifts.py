@@ -346,13 +346,17 @@ def _boundary_heads(shift: GroupShift, block: int,
     It keeps the past near end [2-s, 0] and zeroes the tail one; the
     verdict, that zeroing the tail keeps the past projection, holds when
     every head lies in the kept rows.  It is the verdict on every window
-    [-L, block+L] with L >= `_fixed_reach`.
+    [-L, block+L] with L >= `_fixed_reach`.  The condition is vacuous at
+    block 0, where there is no position to constrain, and for d a multiple
+    of exp(G), such as exp(H), so those scales share the verdict of d None.
 
     A placement wholly in the past or the tail meets the rest of the full
     window only on the near-end positions, so standing in the submodule it
     generates there for it changes either past projection of the full window
     only by the span of the past-only placements.  With s <= 1 no placement
     straddles a position and nothing is eliminated."""
+    if block == 0 or d is not None and d % shift.exponent == 0:
+        d = None
     key, table = (block, d), shift.boundary_table
     if key in table:
         return table[key]

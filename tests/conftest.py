@@ -10,8 +10,9 @@ from groupshift.control import _divisors, _steering_condition
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.encoders import (CanonicalGeneratorSet, CheckResult, Encoder, Horizons,
                                  PipelineFailure, _tap_solver, lift_height)
-from groupshift.residues import (HowellForm, PackedRows, _lane_layout, combine_rows, howell_form,
-                                 placed_rows, projection_heads, unpack_rows)
+from groupshift.residues import (HowellForm, PackedRows, RowSolver, Vec, _lane_layout,
+                                 combine_rows, howell_form, placed_rows, projection_heads,
+                                 unpack_rows)
 from groupshift.shifts import (GroupShift, _boundary_rows, finite_type_memory, member,
                                supported_words)
 from groupshift.specfmt import ShiftSpec
@@ -266,6 +267,31 @@ def slack_noncatastrophic(encoder, shift: GroupShift, horizon: int, margin: int,
     return True, None
 
 
+def per_t_noncatastrophic(encoder, shift: GroupShift, horizon: int):
+    """Reference for `encoders.check_noncatastrophic`, its loop over t: the
+    same forward tap lookup and the same I_H on the block [1, H+1], then for
+    each t <= horizon every row of the certified words on [0, t], the
+    `zero_prefix` of one form, checked against I_H; the witness is the
+    first failing row of the least failing t.  Returns (verdict, witness)
+    as the report does."""
+    width = max([horizon + 1, *(tap.support_length for tap in encoder.taps)])
+    words, r = supported_words(shift, width), shift.alphabet.rank
+    for tap in encoder.taps:
+        if not (tap.is_zero or words.zero_prefix((width - tap.support_length) * r)
+                .contains(tap.window_vector(tap.first, tap.last))):
+            return False, tap
+    taps = GroupShift.make(encoder.alphabet, encoder.taps)
+    rows, ncols, a, b = _boundary_rows(taps, horizon + 1, "whole")
+    kept, _ = projection_heads(rows, encoder.alphabet.modulus, (),
+                               [(0, a), (b, ncols - b)], a, b)
+    for t in range(horizon + 1):
+        form = words.zero_prefix((width - 1 - t) * r)
+        bad = next((i for i, x in enumerate(form.packed) if not kept.contains(x)), None)
+        if bad is not None:
+            return False, Word.from_window_vector(shift.alphabet, 0, form.rows[bad])
+    return True, None
+
+
 def is_torsion(w: Word, p: int) -> bool:
     return w.scaled(p).is_zero
 
@@ -374,6 +400,31 @@ def tuple_combine_rows(coeffs, rows, m, width=None):
         if c:
             acc = [(a + c * x) % m for a, x in zip(acc, row)]
     return acc
+
+
+def howell_reduce(form: HowellForm, vec) -> tuple[Vec, Vec]:
+    """Greedy leading-term reduction of `vec`, ncols residues or one packed
+    row, by a Howell form: (residual, coefficients per row), unpacked."""
+    x, coeffs = form._reduce(vec)
+    return unpack_rows([x], form.modulus, form.ncols)[0], coeffs
+
+
+def two_step_express(solver: RowSolver, target):
+    """Reference for `RowSolver.express`, its two steps: reduce the target by
+    the form of R, combine the transform rows (the I part of the rows of
+    the Howell form of [R | I] with a pivot among R's columns) with the
+    reduction's coefficients, and reduce that solution by the kernel's form
+    to the canonical one.  None when the target is not a combination."""
+    m, n = solver.modulus, solver.gens.ncols
+    w = _lane_layout(m, n)[0]
+    aug = tuple(row | 1 << (n + i) * w for i, row in enumerate(solver.gens.entries))
+    full = howell_form(PackedRows(aug, n + len(aug)), m)
+    residual, row_coeffs = full.prefix(n)._reduce(target)
+    if residual:
+        return None
+    transform = [row >> n * w for row in full.packed[:len(row_coeffs)]]
+    return howell_reduce(full.zero_prefix(n),
+                         combine_rows(row_coeffs, transform, m, len(aug)))[0]
 
 
 def random_message(encoder, rng: random.Random, reach: int) -> Word:

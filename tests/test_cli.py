@@ -140,6 +140,25 @@ def test_certify_prints_the_window_image_with_the_presentation_audit(tmp_path, c
     assert len(images[0]) == 5 and images[1] == images[0]
 
 
+def test_presentation_audit_checks_every_prime_of_a_mixed_presentation(tmp_path, capsys):
+    # the encoder is the direct sum of its one-prime parts, so the two Z2
+    # taps fail the independence check beside the Z3 one as they do alone,
+    # and the witness keeps the whole encoder's tap indices
+    two = "gen @0: 3 3\ngen @0: 3\n"
+    lines = {}
+    for name, gens in (("two", two), ("mixed", two + "gen @0: 2\n"),
+                       ("z3-first", "gen @0: 2\n" + two)):
+        path = tmp_path / f"{name}.spec"
+        path.write_text("group: Z6\n" + gens)
+        code, out = run_cli(["certify", "--check-presentation", str(path)], capsys)
+        assert code == 1, name
+        lines[name] = [line for line in out.splitlines()
+                       if line.startswith("presentation.check.")]
+    assert "presentation.check.independent-block: fail (no block <= 16)" in lines["mixed"]
+    assert lines["mixed"] == lines["two"]
+    assert "presentation.check.dependent-combination: tap1@-1*1 tap2@0*1" in lines["z3-first"]
+
+
 def test_analyze_negative_verdict_with_tight_cap(tmp_path, capsys):
     path = tmp_path / "delay.spec"
     path.write_text(DELAY_REP)

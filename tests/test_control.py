@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from groupshift.cli import main
 from groupshift.control import (IndexSearch, _divisors, _index_search, _steering_condition,
-                                _steering_verdict, _steering_witness,
+                                _steering_witness,
                                 analyze_controllability, controllability_index,
                                 default_past_horizon, order_controllability_index,
                                 weak_controllability_check)
@@ -18,8 +18,9 @@ from groupshift.residues import PackedRows, howell_form, projection_heads
 from groupshift.encoders import (CheckResult, PipelineFailure, conjugacy_certificate,
                                  multiple_shift, socle_shift)
 from groupshift.groups import FiniteAbelianGroup
-from groupshift.shifts import (GroupShift, Horizons, _fixed_reach, _near_end, primary_shift,
-                               supported_words, torsion_presentation, torsion_window_projection)
+from groupshift.shifts import (GroupShift, Horizons, _boundary_heads, _fixed_reach, _near_end,
+                               primary_shift, supported_words, torsion_presentation,
+                               torsion_window_projection)
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
@@ -446,7 +447,7 @@ def test_verdicts_from_the_fixed_reach_on_are_the_verdicts_at_infinity(group, rn
     assert reach >= max(s - 1, 1)
     assert fixed(reach) and not any(map(fixed, range(max(s - 1, 1), reach))), shift
     for d, past in itertools.product(_divisors(shift.alphabet.exponent), range(reach, reach + 4)):
-        assert _steering_verdict(shift, n, d)[2] == full_window_verdict(shift, n, past, d), \
+        assert _boundary_heads(shift, n, d)[2] == full_window_verdict(shift, n, past, d), \
             (shift, n, d, past)
 
 
@@ -469,7 +470,7 @@ def test_scale_exp_elimination_is_the_plain_one(group, rng, n, extra):
     got, got_heads = window_projection_heads(module, *args, kill_scale=None,
                                              kill_positions=range(1, n + 1))
     assert (got.packed, got.pivots, got_heads) == (kept.packed, kept.pivots, heads)
-    assert _steering_verdict(shift, n, exp)[2] == all(map(kept.contains, heads))
+    assert _boundary_heads(shift, n, exp)[2] == all(map(kept.contains, heads))
     n_c, n_o = controllability_index(shift, 4).index, order_controllability_index(shift, 4).index
     if n_c is not None and n_o is not None:
         assert n_c <= n_o
@@ -495,7 +496,7 @@ def test_boundary_verdict_matches_the_full_window(group, rng, support, n):
     shift = random_shift(rng, max_gens=3, max_support=support, pool=[group])
     past = default_past_horizon(shift, n)
     for d in _divisors(shift.alphabet.exponent):
-        assert _steering_verdict(shift, n, d)[2] == \
+        assert _boundary_heads(shift, n, d)[2] == \
             full_window_verdict(shift, n, past, d), (shift, n, d)
 
 
@@ -662,7 +663,7 @@ def test_zero_shift_and_span_one_shifts_steer_at_once(tmp_path, capsys):
         assert shift.span <= 1
         for n, past in itertools.product(range(4), (1, 2, 5)):
             for d in _divisors(shift.alphabet.exponent):
-                assert _steering_verdict(shift, n, d)[2]
+                assert _boundary_heads(shift, n, d)[2]
                 assert full_window_verdict(shift, n, past, d)
         rep = analyze_controllability(shift, cap=3)
         assert (rep.n_c, rep.n_o) == (0, 0)

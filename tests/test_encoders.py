@@ -17,7 +17,7 @@ from groupshift.encoders import (Encoder, Horizons, PipelineFailure, build_encod
                                  primary_shift, socle_shift,
                                  scaled_finite_words_check,
                                  solve_finite_preimage)
-from groupshift.groups import FiniteAbelianGroup
+from groupshift.groups import FiniteAbelianGroup, _prime_power_factors
 from groupshift.residues import howell_form, row_solver
 from groupshift.shifts import (GroupShift, member, enumerate_window_code,
                               finite_type_memory, supported_words, torsion_presentation)
@@ -27,8 +27,8 @@ from groupshift.words import Word
 from conftest import (_image_window_checks, _message_invariant_checks, base_decompose,
                       divisible, enumerate_elements, form_words, full_shift, impulse,
                       is_torsion, make_shift, padded_member, padded_word_height,
-                      random_message, random_shift, restricted, slack_noncatastrophic,
-                      translated_slack)
+                      per_t_noncatastrophic, random_message, random_shift, restricted,
+                      slack_noncatastrophic, translated_slack)
 
 
 # -- derived shifts -----------------------------------------------------------
@@ -629,6 +629,8 @@ def test_noncatastrophicity_matches_the_slack_elimination():
         rep = check_noncatastrophic(enc, shift, horizon)
         assert (rep.ok, rep.witness) == slack_noncatastrophic(enc, shift, horizon, margin), \
             (label, horizon)
+        assert (rep.ok, rep.witness) == per_t_noncatastrophic(enc, shift, horizon), \
+            (label, horizon)
         negative += not rep.ok
     assert negative >= 10
 
@@ -646,6 +648,25 @@ def test_catastrophic_taps_match_the_slack_elimination(rng, horizon, margin):
     rep = check_noncatastrophic(enc, shift, horizon)
     event(f"backward direction {'holds' if rep.ok else 'fails'}")
     assert (rep.ok, rep.witness) == slack_noncatastrophic(enc, shift, horizon, margin)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 5))
+def test_one_containment_pass_matches_the_per_t_loop(rng, horizon):
+    # the presentation encoder of the primary parts of random member taps,
+    # some of them differences w - w.shifted(-k), over p-group and mixed
+    # alphabets: the witness, read off the failing rows of the words on
+    # [0, H], is the per-t loop's first failing row at the least failing t
+    shift = random_shift(rng, pool=P_GROUPS + ["Z6", "Z12", "Z2 x Z3", "Z4 x Z3"])
+    m = shift.alphabet.modulus
+    parts = [w.scaled(m // p ** e) for w in member_taps(shift, rng, rng.randrange(1, 4))
+             for p, e in _prime_power_factors(m)]
+    taps = [w - w.shifted(-rng.randrange(1, 3)) if rng.randrange(2) else w for w in parts]
+    enc = presentation_encoder(GroupShift.make(shift.alphabet, taps))
+    assume(enc.taps)
+    rep = check_noncatastrophic(enc, shift, horizon)
+    event(f"backward direction {'holds' if rep.ok else 'fails'}")
+    assert (rep.ok, rep.witness) == per_t_noncatastrophic(enc, shift, horizon)
 
 
 # -- base decomposition ------------------------------------------------------------

@@ -13,8 +13,8 @@ from groupshift.residues import (HowellForm, PackedRows, _eliminate, _lane_layou
                                  placed_rows, projection_heads, residue_table, row_solver,
                                  unpack_rows)
 
-from conftest import (annihilator, brute_force_span, enumerate_elements,
-                      tuple_combine_rows, unit_for, xgcd)
+from conftest import (annihilator, brute_force_span, enumerate_elements, howell_reduce,
+                      tuple_combine_rows, two_step_express, unit_for, xgcd)
 
 MODULI = [2, 3, 4, 5, 8, 9, 12]
 
@@ -223,7 +223,7 @@ def test_express_is_kernel_reduction_of_coefficients(mat, data):
                            min_size=len(rows), max_size=len(rows)))
     solver = row_solver(rows, modulus)
     target = tuple_combine_rows(x, rows, modulus)
-    assert solver.express(target) == solver.kernel.reduce(x)[0]
+    assert solver.express(target) == howell_reduce(solver.kernel, x)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -451,7 +451,7 @@ def test_kernel_matches_full_width_reference(inp, data):
     ref = reference_howell_form(rows, m, ncols)
     assert (got.rows, got.pivots, got.ncols) == (ref.rows, ref.pivots, ref.ncols)
     vec = data.draw(st.lists(st.integers(0, m - 1), min_size=ncols, max_size=ncols))
-    assert got.reduce(vec) == reference_reduce(ref, vec)
+    assert howell_reduce(got, vec) == reference_reduce(ref, vec)
 
 
 @pytest.mark.parametrize("rows, modulus", [
@@ -708,12 +708,12 @@ def test_packed_form_operations_match_tuple_references(inp, data):
     for vec in (member, other):
         want = tuple_reduce(form.rows, form.pivots, m, ncols, vec)
         x = pack_rows([vec], m, ncols)[0]
-        assert form.reduce(vec) == form.reduce(x) == want
+        assert howell_reduce(form, vec) == howell_reduce(form, x) == want
         assert form.contains(vec) == form.contains(x) == (not any(want[0]))
     assert form.contains(member)
     for bad in (other + [0], other[1:]):
         with pytest.raises(ValueError):
-            form.reduce(bad)
+            howell_reduce(form, bad)
         with pytest.raises(ValueError):
             form.contains(bad)
     k = data.draw(st.integers(0, ncols))
@@ -725,6 +725,24 @@ def test_packed_form_operations_match_tuple_references(inp, data):
     grown = howell_form(rows + [other], m, ncols)
     assert form.spans_same(grown) == (form.rows == grown.rows)
     assert form.spans_same(howell_form(rows[::-1] + [member], m, ncols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(kernel_inputs(PRIME_POWER_MODULI), kernel_inputs(COMPOSITE_MODULI),
+                 kernel_inputs(LANE_MODULI)), st.data())
+def test_one_reduction_express_matches_the_two_step_reference(inp, data):
+    # members and non-members, as residues and packed, over prime-power,
+    # composite and every lane width's moduli, `& MASK` and SWAR Barrett
+    m, rows, ncols = inp
+    solver = row_solver(rows, m, ncols)
+    x = data.draw(st.lists(st.integers(0, m - 1), min_size=len(rows), max_size=len(rows)))
+    member = tuple_combine_rows(x, rows, m, ncols)
+    other = data.draw(st.lists(st.integers(0, m - 1), min_size=ncols, max_size=ncols))
+    for target in (member, other):
+        want = two_step_express(solver, target)
+        assert solver.express(target) == solver.express(pack_rows([target], m, ncols)[0]) == want
+    assert want is None or tuple_combine_rows(want, rows, m, ncols) == list(other)
+    assert solver.express(member) is not None
 
 
 @settings(max_examples=300, deadline=None)
