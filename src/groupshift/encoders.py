@@ -180,9 +180,8 @@ def _candidate_batches(group: FiniteAbelianGroup, cands: HowellForm, p: int,
         for hot in hots:
             cold = [(k * r + j, 1, kill[j]) for k in range(s) if k not in hot
                     for j in range(r)]
-            kept, _ = projection_heads(cands.packed, m, cold, [(s * r, width - s * r)],
-                                       0, s * r)
-            forms.append(howell_form(PackedRows(kept.packed, s * r), m))
+            forms.append(projection_heads(cands.packed, m, cold, [(s * r, width - s * r)],
+                                          0, s * r)[0])
         while True:
             if spanned != len(picked):
                 span, spanned = howell_form(picked, m, r), len(picked)

@@ -20,8 +20,8 @@ per row; `HowellForm.rows` unpacks them for the callers that build words or
 report lines.  `howell_form` and `row_solver` take tuple rows or
 `PackedRows`, `RowSolver` solves by one reduction on packed rows and
 `combine_rows` forms packed combinations.  `projection_heads` is the one
-routine that builds constrained rows, moving column runs: a canonical
-constrained projection is its `kept` rows made canonical by `howell_form`.
+routine that builds constrained rows, moving column runs: its `kept` rows
+are the canonical constrained projection.
 """
 
 from __future__ import annotations
@@ -90,18 +90,16 @@ class HowellForm:
         """Row index per pivot column."""
         return {c: i for i, (c, _) in enumerate(self.pivots)}
 
-    def _reduce(self, vec: Sequence[int] | int) -> tuple[int, Vec]:
-        """(packed residual, coefficients per row) of greedy leading-term
-        reduction of `vec`, ncols residues or one packed row.  A step is
-        red(x + q*(K - row)), below m^2 per lane as in `_eliminate`.  A row
-        changes only lanes from its pivot column on, so the scan jumps from
-        one nonzero lane of the residual to the next and visits no other
-        pivot."""
+    def _reduce(self, vec: Sequence[int] | int) -> int:
+        """The packed residual of greedy leading-term reduction of `vec`,
+        ncols residues or one packed row.  A step is red(x + q*(K - row)),
+        below m^2 per lane as in `_eliminate`.  A row changes only lanes from
+        its pivot column on, so the scan jumps from one nonzero lane of the
+        residual to the next and visits no other pivot."""
         m, n = self.modulus, self.ncols
         w, k_lanes, red = _lane_layout(m, n)
         x = vec if isinstance(vec, int) else pack_rows([vec], m, n)[0]
         lane = (1 << w) - 1
-        coeffs = [0] * len(self.packed)
         at = 0  # lanes below bit `at` are final
         while y := x >> at:
             at += ((y & -y).bit_length() - 1) // w * w
@@ -110,12 +108,11 @@ class HowellForm:
                 q = ((x >> at) & lane) // self.pivots[i][1]
                 if q:
                     x = red(x + q * (k_lanes - self.packed[i]))
-                    coeffs[i] = q
             at += w
-        return x, tuple(coeffs)
+        return x
 
     def contains(self, vec: Sequence[int] | int) -> bool:
-        return not self._reduce(vec)[0]
+        return not self._reduce(vec)
 
     def zero_prefix(self, k: int) -> "HowellForm":
         """Canonical form of {v[k:] : v in the span, v[:k] == 0}.
@@ -414,12 +411,12 @@ def projection_heads(packed_rows: Iterable[int], modulus: int,
     columns added as conditions, and by the Howell property the kept parts
     of the rows with pivot among the zero columns (`heads`, packed rows of
     kept width) span the one without them together with `kept`.  So zeroing
-    keeps the projection exactly when every head lies in `kept`; `howell_form`
-    of `PackedRows(kept.packed, ...)` is the canonical projection with the
-    zero columns as conditions, and with the heads appended the one without
-    them.  Nothing is back-reduced, so `kept` is not canonical; greedy
-    leading-term reduction still decides membership, which needs only the
-    Howell property.
+    keeps the projection exactly when every head lies in `kept`.  The rows
+    from `drop` on are back-reduced, so `kept` is the canonical projection
+    with the zero columns as conditions, as in `HowellForm.zero_prefix`;
+    `howell_form` of `kept` with the heads appended is the one without them.
+    The rows left of `drop` are not back-reduced, and need not be: greedy
+    leading-term reduction decides membership from the Howell property alone.
     A run moves by one shift and mask (adjacent runs of one scale as one);
     runs of scale other than 1 take a product and one lane reduction a row.
     """
@@ -444,7 +441,7 @@ def projection_heads(packed_rows: Iterable[int], modulus: int,
         for at, cut, to, s in scaled:
             y |= (row >> at & cut) * s << to  # below m^2 per lane
         ext.append(x | red(y) if scaled else x)
-    done, pivots = _eliminate(ext, modulus, ncols, ncols)
+    done, pivots = _eliminate(ext, modulus, ncols, drop)
     i = sum(c < drop for c, _ in pivots)  # pivot columns ascend
     kept = HowellForm(modulus, hi - lo, tuple(row >> drop * w for row in done[i:]),
                       tuple((c - drop, d) for c, d in pivots[i:]))
@@ -490,7 +487,7 @@ class RowSolver:
         w, k_lanes, red = _lane_layout(m, full.ncols)
         low = (1 << n * w) - 1  # R's columns
         x = target if isinstance(target, int) else pack_rows([target], m, n)[0]
-        residual, _ = full._reduce(red((k_lanes & low) - x))
+        residual = full._reduce(red((k_lanes & low) - x))
         if residual & low:
             return None
         return unpack_rows([residual >> n * w], m, full.ncols - n)[0]

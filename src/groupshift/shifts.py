@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .groups import FiniteAbelianGroup, primary_component
 from .residues import (ENUM_CAP, EnumerationCapExceeded, HowellForm, PackedRows,
-                       _eliminate, _lane_layout, howell_form, projection_heads)
+                       _lane_layout, howell_form, projection_heads)
 from .words import Word
 
 
@@ -151,10 +151,9 @@ class WindowModule:
         if kill_positions is None:
             kill_positions = range(lo, self.hi + 1)
         kill = [((p - lo) * r, r, kill_scale) for p in kill_positions if kill_scale is not None]
-        kept, _ = projection_heads(self.packed, self.modulus, kill,
-                                   [((p - lo) * r, r) for p in zero_positions],
-                                   (keep_lo - lo) * r, (keep_hi - lo + 1) * r)
-        return howell_form(PackedRows(kept.packed, kept.ncols), self.modulus)
+        return projection_heads(self.packed, self.modulus, kill,
+                                [((p - lo) * r, r) for p in zero_positions],
+                                (keep_lo - lo) * r, (keep_hi - lo + 1) * r)[0]
 
 
 @lru_cache(maxsize=64)
@@ -182,9 +181,8 @@ def supported_words(shift: GroupShift, width: int,
     the words on [0, t] are `zero_prefix((width-1-t) * rank)`, moved to 0."""
     rows, ncols, a, b = _boundary_rows(shift, width)
     kill = [] if torsion_scale is None else [(a, b - a, torsion_scale)]
-    kept, _ = projection_heads(rows, shift.alphabet.modulus, kill,
-                               [(0, a), (b, ncols - b)], a, b)
-    return howell_form(PackedRows(kept.packed, kept.ncols), shift.alphabet.modulus)
+    return projection_heads(rows, shift.alphabet.modulus, kill,
+                            [(0, a), (b, ncols - b)], a, b)[0]
 
 
 def member(shift: GroupShift, w: Word) -> bool:
@@ -247,8 +245,7 @@ def torsion_presentation(shift: GroupShift, p: int, horizons: Horizons
     forms = []
     for kind in (("far", p), p):
         rows, width, a, b = _boundary_rows(shift, top + 1, kind)
-        kept, _ = projection_heads(rows, m, [(0, width, p)], [], a, b)
-        forms.append(howell_form(PackedRows(kept.packed, kept.ncols), m))
+        forms.append(projection_heads(rows, m, [(0, width, p)], [], a, b)[0])
     form, torsion = forms
     failing = next((t for t in range(top + 1) if not form.prefix((t + 1) * r).spans_same(
         torsion.prefix((t + 1) * r))), None)
@@ -271,9 +268,10 @@ def _near_end(shift: GroupShift, mirror: bool,
     out": U_d is the footprint of the elements that vanish far out and are
     d-torsion on the W positions before the last s-1.
 
-    T_d(W+1) = (T_d(W) + placements ending at W) ∩ {d*v == 0 at W-s+1}: the
-    s-position frame [W-s+1, W] is eliminated with its first position scaled
-    by d, which `zero_prefix` drops.  From W = s-1 on (from the start for
+    T_d(W+1) = (T_d(W) + placements ending at W) ∩ {d*v == 0 at W-s+1}: one
+    `projection_heads` on the s-position frame [W-s+1, W], with d*v == 0 on
+    its first position as the condition and the last s-1 kept, whose kept
+    rows are canonical.  From W = s-1 on (from the start for
     "far") no placement is cut or left out, so the step is a fixed map and
     the sequence stops at its first repeat.  The placements' frame rows and
     the sequence T_d(0), T_d(1), ... live in the shift's table."""
@@ -288,18 +286,15 @@ def _near_end(shift: GroupShift, mirror: bool,
         table[mirror, kind] = frame, [_near_end(shift, mirror) if far else
                                       HowellForm(m, max(cols - r, 0), (), ())]
     frame, states = table[mirror, kind]
-    d = kind[1] if far else kind
-    w, _, red = _lane_layout(m, cols)
+    d = kind[1] if far else 1 if kind == "whole" else kind
+    w = _lane_layout(m, cols)[0]
     while s > 1 and not (len(states) > (1 if far else s) and
                          states[-1].packed == states[-2].packed):
         cut = 0 if far else max(s - len(states), 0) * r * w  # frame positions below 0
         step = [x for n, x in frame if n <= len(states)] if kind == "whole" else \
             [x >> cut << cut for _, x in frame]
-        rows = [*states[-1].packed, *step]
-        if d not in (1, "whole"):  # scale the first position, below m^2 per lane
-            rows = [red(x + (d - 1) * (x & (1 << r * w) - 1)) for x in rows]
-        done, pivots = _eliminate(rows, m, cols, 0)
-        states.append(HowellForm(m, cols, tuple(done), tuple(pivots)).zero_prefix(r))
+        states.append(projection_heads([*states[-1].packed, *step], m, [(0, r, d)], [],
+                                       r, cols)[0])
     return states[-1]
 
 
@@ -354,14 +349,13 @@ def _boundary_heads(shift: GroupShift, block: int,
     window only on the near-end positions, so standing in the submodule it
     generates there for it changes either past projection of the full window
     only by the span of the past-only placements.  With s <= 1 no placement
-    straddles a position and nothing is eliminated."""
+    straddles a position: both near ends are empty, so there are no kept
+    rows and no heads, and the verdict holds."""
     if block == 0 or d is not None and d % shift.exponent == 0:
         d = None
     key, table = (block, d), shift.boundary_table
     if key in table:
         return table[key]
-    if shift.span <= 1:
-        return HowellForm(shift.alphabet.modulus, 0, (), ()), [], True
     rows, ncols, block_col, tail_col = _boundary_rows(shift, block)
     kill = [] if d is None else [(block_col, block * shift.alphabet.rank, d)]
     kept, heads = projection_heads(rows, shift.alphabet.modulus, kill,

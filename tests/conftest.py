@@ -402,11 +402,28 @@ def tuple_combine_rows(coeffs, rows, m, width=None):
     return acc
 
 
+def tuple_reduce(rows, pivots, m, ncols, vec):
+    """Greedy leading-term reduction of a tuple vector by tuple rows:
+    (residual, coefficients per row)."""
+    res = [x % m for x in vec]
+    if len(res) != ncols:
+        raise ValueError("dimension mismatch")
+    coeffs = [0] * len(rows)
+    for i, (c, d) in enumerate(pivots):
+        q = res[c] // d
+        if q:
+            coeffs[i] = q
+            res[c:] = [(x - q * y) % m for x, y in zip(res[c:], rows[i][c:])]
+    return tuple(res), tuple(coeffs)
+
+
 def howell_reduce(form: HowellForm, vec) -> tuple[Vec, Vec]:
     """Greedy leading-term reduction of `vec`, ncols residues or one packed
-    row, by a Howell form: (residual, coefficients per row), unpacked."""
-    x, coeffs = form._reduce(vec)
-    return unpack_rows([x], form.modulus, form.ncols)[0], coeffs
+    row, by a Howell form: (residual, coefficients per row), by
+    `tuple_reduce` on the form's unpacked rows."""
+    if isinstance(vec, int):
+        vec = unpack_rows([vec], form.modulus, form.ncols)[0]
+    return tuple_reduce(form.rows, form.pivots, form.modulus, form.ncols, vec)
 
 
 def two_step_express(solver: RowSolver, target):
@@ -419,8 +436,8 @@ def two_step_express(solver: RowSolver, target):
     w = _lane_layout(m, n)[0]
     aug = tuple(row | 1 << (n + i) * w for i, row in enumerate(solver.gens.entries))
     full = howell_form(PackedRows(aug, n + len(aug)), m)
-    residual, row_coeffs = full.prefix(n)._reduce(target)
-    if residual:
+    residual, row_coeffs = howell_reduce(full.prefix(n), target)
+    if any(residual):
         return None
     transform = [row >> n * w for row in full.packed[:len(row_coeffs)]]
     return howell_reduce(full.zero_prefix(n),

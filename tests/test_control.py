@@ -653,8 +653,9 @@ def test_searches_match_the_full_window_search():
 
 
 def test_zero_shift_and_span_one_shifts_steer_at_once(tmp_path, capsys):
-    # no placement straddles a position: every verdict holds with no
-    # elimination, and the zero shift has no span at all
+    # no placement straddles a position: the boundary window has no near-end
+    # columns, so every verdict holds with no kept rows and no heads, and
+    # the zero shift has no span at all
     zero = parse_spec("group: Z2\n").shift
     span_one = [make_shift("Z4", [(0, [2])]),
                 make_shift("Z2 x Z4", [(1, [(1, 2)]), (-1, [(0, 3)])]),

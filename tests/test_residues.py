@@ -14,7 +14,7 @@ from groupshift.residues import (HowellForm, PackedRows, _eliminate, _lane_layou
                                  unpack_rows)
 
 from conftest import (annihilator, brute_force_span, enumerate_elements, howell_reduce,
-                      tuple_combine_rows, two_step_express, unit_for, xgcd)
+                      tuple_combine_rows, tuple_reduce, two_step_express, unit_for, xgcd)
 
 MODULI = [2, 3, 4, 5, 8, 9, 12]
 
@@ -559,9 +559,9 @@ def test_projection_heads_matches_two_form_reference(inp, data):
 
 
 def reference_projection_heads(rows, m, conditions, zero_cols, lo, hi):
-    """`projection_heads` with [conditions | zero columns | kept part] built
-    entry by entry from tuple rows, and its kept rows and heads cut from the
-    unpacked elimination."""
+    """`projection_heads` with no back-reduction: [conditions | zero columns
+    | kept part] built entry by entry from tuple rows, and its kept rows and
+    heads cut from the unpacked elimination, which back-reduces no row."""
     k, drop = len(conditions), len(conditions) + len(zero_cols)
     ext = [[(s * row[c]) % m for c, s in conditions]
            + [row[c] for c in zero_cols] + list(row[lo:hi]) for row in rows]
@@ -593,16 +593,19 @@ def test_packed_projection_heads_matches_list_reference(inp, data):
     kept, heads = projection_heads(packed(rows, m, ncols), m, conditions, zero, lo, hi)
     ref_kept, ref_heads = reference_projection_heads(rows, m, columns(conditions), zero_cols,
                                                      lo, hi)
-    assert (kept.rows, kept.pivots, list(unpack_rows(heads, m, hi - lo))) == \
-        (ref_kept.rows, ref_kept.pivots, ref_heads)
+    # the kept rows are `howell_form` of the reference's kept rows, and the
+    # heads are the reference's
+    assert kept == howell_form(PackedRows(ref_kept.packed, ref_kept.ncols), m)
+    assert list(unpack_rows(heads, m, hi - lo)) == ref_heads
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(kernel_inputs([2, 4, 8, 9, 27]), kernel_inputs([6, 12, 72])),
        st.data())
 def test_membership_without_back_reduction_matches_howell_form(inp, data):
-    # projection_heads reads membership off rows that are not back-reduced:
-    # greedy reduction needs only the Howell property, not canonical rows
+    # the rows left of `drop` are never back-reduced, as projection_heads'
+    # heads and the prime-power eliminations of `_crt_eliminate` are: greedy
+    # reduction needs only the Howell property, not canonical rows
     m, rows, ncols = inp
     done, pivots = _eliminate(packed(rows, m, ncols), m, ncols, drop=ncols)
     loose = HowellForm(m, ncols, tuple(done), tuple(pivots))
@@ -656,21 +659,6 @@ def test_combine_rows_matches_naive_sum(mat, data):
     assert unpack_rows([packed_sum], modulus, ncols)[0] == tuple(naive)
     assert tuple_combine_rows([], [], modulus, 3) == [0, 0, 0]
     assert combine_rows([], [], modulus, 3) == 0
-
-
-def tuple_reduce(rows, pivots, m, ncols, vec):
-    """Greedy leading-term reduction of a tuple vector by tuple rows:
-    (residual, coefficients per row)."""
-    res = [x % m for x in vec]
-    if len(res) != ncols:
-        raise ValueError("dimension mismatch")
-    coeffs = [0] * len(rows)
-    for i, (c, d) in enumerate(pivots):
-        q = res[c] // d
-        if q:
-            coeffs[i] = q
-            res[c:] = [(x - q * y) % m for x, y in zip(res[c:], rows[i][c:])]
-    return tuple(res), tuple(coeffs)
 
 
 def tuple_solver_data(gens, m, n):

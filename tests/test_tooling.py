@@ -66,10 +66,10 @@ assert 0 < t.counts["encoders.candidates_enumerated"] < 100, t.counts
 """
 
 
-#: A constrained projection is one packed elimination plus one counted
-#: canonicalization of its kept rows, and a solver build is one Howell
-#: reduction: each is one call to the counted module-level ``howell_form``;
-#: a private helper that bypassed it would read 0 here.
+#: A constrained projection is one packed elimination, whose kept rows are
+#: canonical, and which the tracer does not count; a solver build is one
+#: Howell reduction, one call to the counted module-level ``howell_form``,
+#: and a private helper that bypassed it would read 0 here.
 REDUCTION_SCRIPT = """
 import tracer, ops
 from groupshift import residues
@@ -80,7 +80,7 @@ z8_z4 = ops.build_shift("Z8 x Z4", [(0, [(1, 2), (3, 1), (2, 2)]),
 module = z8_z4.window(-2, 3)
 t.counts.clear()
 module.constrained_projection(0, 3, zero_positions=[-2, -1], kill_scale=2)
-assert t.counts["residues.howell_calls"] == 1, t.counts
+assert t.counts["residues.howell_calls"] == 0, t.counts
 t.counts.clear()
 rows = residues.unpack_rows(module.packed, module.modulus, module.rank_width)
 solver = residues.row_solver(rows, module.modulus)
@@ -132,7 +132,7 @@ tracer.install(t)
 calls = []
 eliminate = residues._eliminate
 tracer.rebind("groupshift", eliminate, lambda *args: calls.append(args) or eliminate(*args))
-want = {"Z8 x Z4": [28, 2032, 25, 4, 3, 59], "Z9 x Z3": [25, 1496, 30, 2, 1, 55]}
+want = {"Z8 x Z4": [18, 954, 25, 4, 3, 49], "Z9 x Z3": [10, 446, 30, 2, 1, 40]}
 keys = ("howell_calls", "howell_cells", "contains_calls", "solver_builds", "express_calls")
 for alphabet, gens in corpus.ROADMAP_CASES:
     t.counts.clear()
@@ -211,13 +211,18 @@ def test_certify_reports_match_the_pool_references():
 
 
 def _record_steering_eliminations(monkeypatch) -> list:
-    """The argument tuples of the `projection_heads` calls made from `shifts`:
-    the boundary-window eliminations of the steering verdicts and of the
-    finite-type scan (`_boundary_heads`), and the constrained projections of
-    window modules (`WindowModule.constrained_projection`)."""
-    calls = []
-    monkeypatch.setattr(shifts, "projection_heads",
-                        lambda *args: calls.append(args) or residues.projection_heads(*args))
+    """The argument tuples of the `projection_heads` calls made from `shifts`
+    other than the near-end steps of `_near_end`: the boundary-window
+    eliminations of the steering verdicts and of the finite-type scan
+    (`_boundary_heads`), and the constrained projections of window modules
+    (`WindowModule.constrained_projection`)."""
+    calls, near_end = [], shifts._near_end.__code__
+
+    def record(*args):
+        if sys._getframe(1).f_code is not near_end:
+            calls.append(args)
+        return residues.projection_heads(*args)
+    monkeypatch.setattr(shifts, "projection_heads", record)
     return calls
 
 
@@ -452,12 +457,16 @@ def test_analyze_builds_each_near_end_state_once(monkeypatch):
     # the plain search, the order search and the splice scan of one analyze
     # read the near-end states off one table on the shift, and its socle
     # lines the torsion states off one on each primary component (the shift
-    # itself over a p-group alphabet), so every elimination that `_near_end`
-    # (the one caller of `_eliminate` in `shifts`) makes adds a state to one
-    # of them
+    # itself over a p-group alphabet), so every `projection_heads` call that
+    # `_near_end` makes, one per step, adds a state to one of them
     built, kinds = [], set()
-    monkeypatch.setattr(shifts, "_eliminate",
-                        lambda *args: built.append(args) or residues._eliminate(*args))
+    near_end = shifts._near_end.__code__
+
+    def record(*args):
+        if sys._getframe(1).f_code is near_end:
+            built.append(args)
+        return residues.projection_heads(*args)
+    monkeypatch.setattr(shifts, "projection_heads", record)
     for path in sorted((ROOT / "tests" / "golden").glob("*.spec")):
         shift = parse_spec(path.read_text()).shift
         horizons = Horizons.derive(shift)
@@ -524,8 +533,8 @@ def test_steering_verdicts_reverse_no_state_after_the_first(monkeypatch):
 
 def test_constrained_projection_is_one_packed_elimination(monkeypatch):
     # the tuple rows of a window never reach the kernel: the conditions are
-    # moved on packed rows by projection_heads, and only its kept rows are
-    # made canonical
+    # moved on packed rows by projection_heads, whose kept rows are the
+    # canonical projection, with no second elimination
     calls = {"projection_heads": 0, "howell_form": 0}
     for name in calls:
         original = getattr(shifts, name)
@@ -535,7 +544,7 @@ def test_constrained_projection_is_one_packed_elimination(monkeypatch):
         "group: Z8 x Z4\ngen @0: (1,2) (3,1) (2,2)\ngen @0: (0,1) (4,3)\n").shift
     module = z8_z4.window(-2, 3)
     module.constrained_projection(0, 3, zero_positions=[-2, -1], kill_scale=2)
-    assert calls == {"projection_heads": 1, "howell_form": 1}
+    assert calls == {"projection_heads": 1, "howell_form": 0}
 
 
 def test_encode_is_packed_not_a_per_term_sum(monkeypatch):
