@@ -419,11 +419,14 @@ def tuple_reduce(rows, pivots, m, ncols, vec):
 
 def howell_reduce(form: HowellForm, vec) -> tuple[Vec, Vec]:
     """Greedy leading-term reduction of `vec`, ncols residues or one packed
-    row, by a Howell form: (residual, coefficients per row), by
-    `tuple_reduce` on the form's unpacked rows."""
-    if isinstance(vec, int):
-        vec = unpack_rows([vec], form.modulus, form.ncols)[0]
-    return tuple_reduce(form.rows, form.pivots, form.modulus, form.ncols, vec)
+    row, by a Howell form: (residual, coefficients per row).  The residual
+    is the packed one of `HowellForm._reduce`, unpacked; the coefficients,
+    which `_reduce` does not keep, come from `tuple_reduce` on the form's
+    unpacked rows."""
+    m, n = form.modulus, form.ncols
+    residual = unpack_rows([form._reduce(vec)], m, n)[0]
+    tuple_vec = unpack_rows([vec], m, n)[0] if isinstance(vec, int) else vec
+    return residual, tuple_reduce(form.rows, form.pivots, m, n, tuple_vec)[1]
 
 
 def two_step_express(solver: RowSolver, target):
