@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="controllability and finite-type analysis")
     p.add_argument("spec")
-    p.add_argument("--ft-cap", type=_at_least(1), default=8,
+    p.add_argument("--ft-cap", type=_at_least(1), default=None,
                    help="finite-type memory search cap")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)

@@ -226,8 +226,6 @@ def lift_height(shift: GroupShift, x: Word, p: int, h: int, pad: int) -> Word | 
         return x
     lo, hi = x.first - pad, x.last + pad
     form = supported_words(shift, hi - lo + 1)
-    if not form.packed:
-        return None
     m, ncols = form.modulus, form.ncols
     scale, red = pow(p, h, m), _lane_layout(m, ncols)[2]  # products stay below m^2
     solver = row_solver(PackedRows(tuple(red(scale * x) for x in form.packed), ncols), m)
@@ -524,10 +522,10 @@ def check_noncatastrophic(encoder: Encoder, shift: GroupShift,
     certified words on [1, t+1], t = l - f, and one elimination decides
     every such w on the boundary window [2-s, H+s] of the block [1, H+1] of
     the shift T generated by the taps, s = span(T) (`shifts._boundary_rows`):
-    the taps placed to meet the block, T's whole-placement zero state on the
-    past near end [2-s, 0] and the mirrored one on the tail near end
-    [H+2, H+s], each at its fixed point (`shifts._near_end`).  A placement
-    off the block meets the window only on a near end, and the states hold
+    the taps placed to meet the block, T's whole-placement states on the
+    past near end [2-s, 0] and on the tail near end [H+2, H+s], each at
+    its fixed point (`shifts._near_end`).  A placement off the block meets
+    the window only on a near end, and the states hold
     what every finite message wholly on that side can leave there, so the
     block projection of the elements vanishing on both near ends is the set
     I_H of finite images supported in the block, whatever the message

@@ -10,9 +10,9 @@ construction.  A steering condition (`control`), the splice property of
 form, read off by `zero_prefix` for narrower windows), the p-torsion windows
 (`torsion_presentation`) or the backward noncatastrophicity of an
 encoder's taps is one elimination on a boundary window around its block,
-with near-end states of one kind at their fixed points on both sides for the
-placements wholly on either side, kept with the verdicts in one table per
-shift (`GroupShift.boundary_table`).
+with near-end states of one kind, stored in window orientation, at their
+fixed points on both sides for the placements wholly on either side, kept
+with the verdicts in one table per shift (`GroupShift.boundary_table`).
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ class GroupShift:
     @cached_property
     def boundary_table(self) -> dict:
         """The near-end state sequences of `_near_end` under "states", per
-        (side, kind) (side True: mirrored), the reversed mirrored states
-        under "tails" and the verdicts of `_boundary_heads` per (block,
-        scale), shared by every search."""
+        (side, kind) (side True: the tail), and the verdicts of
+        `_boundary_heads` per (block, scale), shared by every search."""
         return {}
 
     @cached_property
@@ -211,7 +210,7 @@ class Horizons:
     support_cap: int     # max support length searched for generator words
     block_cap: int       # injectivity block search bound
     window_horizon: int  # windows [0, T] checked up to this T
-    n_cap: int           # controllability index search cap
+    n_cap: int           # controllability index search cap, at least R
 
     @classmethod
     def derive(cls, shift: GroupShift, **overrides) -> "Horizons":
@@ -221,7 +220,7 @@ class Horizons:
             support_cap=2 * span + 2,
             block_cap=max(16, 2 * span + 2),
             window_horizon=max(4, span + 2),
-            n_cap=16,
+            n_cap=max(16, _fixed_reach(shift)),
         )
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
@@ -255,79 +254,79 @@ def torsion_presentation(shift: GroupShift, p: int, horizons: Horizons
 # -- boundary windows with near-end states -----------------------------------
 
 
-def _near_end(shift: GroupShift, mirror: bool,
+def _near_end(shift: GroupShift, tail: bool,
               kind: int | str | tuple = 1) -> HowellForm:
-    """The near-end state T_d of kind d at its fixed point.  T_d(W) is the
-    span of the placements ending at or before W-1, cut at position 0, with
-    d*v == 0 on [0, W-s] (s the span), projected to the last s-1 positions
-    of [0, W-1] as a canonical form (positions below 0 read zero); d = 1 is
-    the cut state S.  `mirror` reverses every generator's symbols.  Of kind
-    "whole" (d = 1) a placement reaching below 0 is left out instead of cut,
-    as a finite message places whole generators.  Of kind ("far", d) no
-    placement is cut and the first state is S's fixed point, "zero far
-    out": U_d is the footprint of the elements that vanish far out and are
-    d-torsion on the W positions before the last s-1.
+    """The near-end state T_d of kind d at its fixed point, as the boundary
+    window reads it.  Past side: T_d(W) is the canonical projection to the
+    last s-1 positions of [0, W-1] (s the span) of the span of the
+    placements ending at or before W-1, cut at 0, with d*v == 0 on
+    [0, W-s]; the tail side is its reflection (placements starting at or
+    after 0, cut at W-1, d*v == 0 on [s-1, W-1], projected to [0, s-2]).
+    d = 1 is the cut state S.  Of kind "whole" (d = 1) no placement is cut,
+    as a finite message places whole generators.  Of kind ("far", d) the
+    first state is S's fixed point, "zero far out": U_d is the footprint of
+    the elements that vanish far out and are d-torsion beyond the near s-1.
 
-    T_d(W+1) = (T_d(W) + placements ending at W) ∩ {d*v == 0 at W-s+1}: one
-    `projection_heads` on the s-position frame [W-s+1, W], with d*v == 0 on
-    its first position as the condition and the last s-1 kept, whose kept
-    rows are canonical.  From W = s-1 on (from the start for
-    "far") no placement is cut or left out, so the step is a fixed map and
-    the sequence stops at its first repeat.  The placements' frame rows and
-    the sequence T_d(0), T_d(1), ... live in the shift's table."""
+    From W = s-1 on no placement is cut, so T_d(W+1) = M(T_d(W)) for one
+    fixed M: one `projection_heads` on the s-position frame of the state
+    (the tail's moved up one position) and the placements ending at its
+    last position (tail: starting at its first), with d*v == 0 on the
+    position that leaves it and the other s-1 kept.  A cut kind starts at
+    T_d(s-1), one projection of the placements ending (tail: starting) on
+    [0, s-2], cut there, for every d, as [0, W-s] is empty at W = s-1.
+    "whole" starts at 0: M is monotone, so M^k(0) rises to M's least fixed
+    point; the chain of the images of the messages wholly in [0, W-1] lies
+    between M^k(0) and it and stops at a fixed point, so at that one.  Each
+    sequence stops at its first repeat; it and the frame rows live in the
+    shift's table."""
     s, r = shift.span, shift.alphabet.rank
     m, cols = shift.alphabet.modulus, s * r
-    far = isinstance(kind, tuple)
     table = shift.boundary_table.setdefault("states", {})
-    if (mirror, kind) not in table:
-        gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
-        frame = [(len(g.symbols), x) for g in gens
-                 for x in g.placed_rows([-g.last], 1 - s, cols)]
-        table[mirror, kind] = frame, [_near_end(shift, mirror) if far else
-                                      HowellForm(m, max(cols - r, 0), (), ())]
-    frame, states = table[mirror, kind]
-    d = kind[1] if far else 1 if kind == "whole" else kind
-    w = _lane_layout(m, cols)[0]
-    while s > 1 and not (len(states) > (1 if far else s) and
-                         states[-1].packed == states[-2].packed):
-        cut = 0 if far else max(s - len(states), 0) * r * w  # frame positions below 0
-        step = [x for n, x in frame if n <= len(states)] if kind == "whole" else \
-            [x >> cut << cut for _, x in frame]
-        states.append(projection_heads([*states[-1].packed, *step], m, [(0, r, d)], [],
-                                       r, cols)[0])
+    if (tail, kind) not in table:
+        edges = [(g, g.first if tail else g.last) for g in shift.generators]
+        if isinstance(kind, tuple):
+            start = _near_end(shift, tail)
+        elif kind == "whole" or s <= 1:
+            start = HowellForm(m, max(cols - r, 0), (), ())
+        else:
+            start = projection_heads([x for g, a in edges for x in g.placed_rows(
+                range(-a, s - 1 - a), 0, cols - r)], m, [], [], 0, cols - r)[0]
+        frame = [x for g, a in edges for x in g.placed_rows([(0 if tail else s - 1) - a], 0, cols)]
+        table[tail, kind] = frame, [start]
+    frame, states = table[tail, kind]
+    d = kind[1] if isinstance(kind, tuple) else 1 if kind == "whole" else kind
+    up, cond, keep = (r * _lane_layout(m, cols)[0], cols - r, 0) if tail else (0, 0, r)
+    while s > 1 and (len(states) == 1 or states[-1].packed != states[-2].packed):
+        states.append(projection_heads([*(x << up for x in states[-1].packed), *frame], m,
+                                       [(cond, r, d)], [], keep, keep + cols - r)[0])
     return states[-1]
 
 
 def _fixed_reach(shift: GroupShift) -> int:
-    """The least reach R >= max(s-1, 1) from which the cut state S(W) and
-    the mirrored one are both fixed (R = 1 when s <= 1, where no state
-    moves), read off the lengths of the two stored sequences: each stops
-    one state past its first fixed one, at W >= s-1.  From R on both near
-    ends of a window of past and tail width L read the fixed points, so
-    every verdict of `_boundary_heads` is the one at every such L."""
-    for mirror in (False, True):
-        _near_end(shift, mirror)
+    """The least reach R >= max(s-1, 1) from which the cut states S(W) of
+    both sides are fixed (R = 1 when s <= 1, where no state moves), read off
+    the lengths of the two stored sequences: each starts at W = s-1 and
+    stops one state past its first fixed one.  From R on both near ends of
+    a window of past and tail width L read the fixed points, so every
+    verdict of `_boundary_heads` is the one at every such L."""
+    for tail in (False, True):
+        _near_end(shift, tail)
     states = shift.boundary_table["states"]
-    return max(1, *(len(states[mirror, 1][1]) - 2 for mirror in (False, True)))
+    return max(1, *(shift.span - 3 + len(states[tail, 1][1]) for tail in (False, True)))
 
 
 def _boundary_rows(shift: GroupShift, block: int,
                    kind: int | str | tuple = 1) -> tuple[list[int], int, int, int]:
     """(rows, ncols, block column, tail column) of the boundary window
     [2-s, block+s-1], s the span (at least 1), around the block [1, block]:
-    the near-end state of `kind` at its fixed point on [2-s, 0], the
-    mirrored shift's, reversed once per state by lane shifts, on [block+1,
-    block+s-1] (`_near_end`), and every placement that meets the block."""
+    the near-end states of `kind` at their fixed points (`_near_end`) on
+    [2-s, 0] and, moved by lane shifts, on [block+1, block+s-1], and every
+    placement that meets the block."""
     s, r, m = max(shift.span, 1), shift.alphabet.rank, shift.alphabet.modulus
     ncols, tail_col = (block + 2 * s - 2) * r, (block + s - 1) * r
     w = _lane_layout(m, ncols)[0]
-    rows = list(_near_end(shift, False, kind).packed)
-    state = _near_end(shift, True, kind).packed
-    tails = shift.boundary_table.setdefault("tails", {})
-    if state not in tails:
-        tails[state] = [sum((x >> i * r * w & (1 << r * w) - 1) << (s - 2 - i) * r * w
-                            for i in range(s - 1)) for x in state]
-    rows += [x << tail_col * w for x in tails[state]]
+    rows = [*_near_end(shift, False, kind).packed,
+            *(x << tail_col * w for x in _near_end(shift, True, kind).packed)]
     for g in shift.generators:
         rows += g.placed_rows(range(1 - g.last, block - g.first + 1), 2 - s, ncols)
     return rows, ncols, (s - 1) * r, tail_col
@@ -373,13 +372,14 @@ class FiniteTypeReport:
     cap: int
 
 
-def finite_type_memory(shift: GroupShift, cap: int,
+def finite_type_memory(shift: GroupShift, cap: int | None = None,
                        horizon: int | None = None) -> FiniteTypeReport:
-    """Least N <= cap with the splice property at every reach, absent when
-    none has it.  At reach K, every element of G|[-K, N+K] vanishing on the
-    block [0, N] matches on [N+1, N+K] one that also vanishes on [-K, -1];
-    that is, the submodule vanishing on the block splits into its parts
-    vanishing on either side, so the left side may be kept instead:
+    """Least N <= cap (default max(8, `_fixed_reach`)) with the splice
+    property at every reach, absent when none has it.  At reach K, every
+    element of G|[-K, N+K] vanishing on the block [0, N] matches on
+    [N+1, N+K] one that also vanishes on [-K, -1]; that is, the submodule
+    vanishing on the block splits into its parts vanishing on either side,
+    so the left side may be kept instead:
     `_boundary_heads` at scale 1 on the block translated to [1, N+1], the
     verdict at every reach from `_fixed_reach` on, which the order search
     shares as its scale-1 verdict on that block.
@@ -391,6 +391,7 @@ def finite_type_memory(shift: GroupShift, cap: int,
     vanishes on the left: it vanishes on [-K, -1] and on the block, and
     matches x on [N+1, N+K], so it splits x at K.  `horizon` is ignored; it
     stays because `perfbench/ops.py:run_analyze` still passes it."""
+    cap = max(8, _fixed_reach(shift)) if cap is None else cap
     if cap < 1:
         raise ValueError("cap must be >= 1")
     return FiniteTypeReport(next((n for n in range(1, cap + 1)

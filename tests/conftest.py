@@ -115,6 +115,43 @@ def window_projection_heads(module, keep_lo, keep_hi, zero_positions, kill_scale
                             (keep_lo - lo) * r, (keep_hi - lo + 1) * r)
 
 
+def mirrored_near_end(shift: GroupShift, mirror: bool, kind=1) -> list[HowellForm]:
+    """Reference for `shifts._near_end`: the state sequence T_d(0), T_d(1),
+    ... to one state past its fixed point, walked from width 0 (from S(inf)
+    for ("far", d)).  The tail side walks the mirrored generators, so its
+    states come out with their positions reversed (`reversed_state`).  Each
+    step below width s-1 masks the frame positions below 0 (cut kinds) or
+    leaves out the placements that reach below 0 ("whole"), and a cut
+    sequence stops at its first repeat from width s on."""
+    s, r = shift.span, shift.alphabet.rank
+    m, cols = shift.alphabet.modulus, s * r
+    far = isinstance(kind, tuple)
+    gens = [Word(g.group, 0, g.symbols[::-1]) if mirror else g for g in shift.generators]
+    frame = [(len(g.symbols), x) for g in gens for x in g.placed_rows([-g.last], 1 - s, cols)]
+    states = [mirrored_near_end(shift, mirror)[-1] if far else
+              HowellForm(m, max(cols - r, 0), (), ())]
+    d = kind[1] if far else 1 if kind == "whole" else kind
+    w = _lane_layout(m, cols)[0]
+    while s > 1 and not (len(states) > (1 if far else s) and
+                         states[-1].packed == states[-2].packed):
+        cut = 0 if far else max(s - len(states), 0) * r * w  # frame positions below 0
+        step = [x for n, x in frame if n <= len(states)] if kind == "whole" else \
+            [x >> cut << cut for _, x in frame]
+        states.append(projection_heads([*states[-1].packed, *step], m, [(0, r, d)], [],
+                                       r, cols)[0])
+    return states
+
+
+def reversed_state(form: HowellForm, rank: int) -> HowellForm:
+    """The canonical form of a near-end state with its positions reversed."""
+    m, ncols = form.modulus, form.ncols
+    w, n = _lane_layout(m, ncols)[0], ncols // rank if rank else 0
+    lane = (1 << rank * w) - 1
+    rows = [sum((x >> i * rank * w & lane) << (n - 1 - i) * rank * w for i in range(n))
+            for x in form.packed]
+    return howell_form(PackedRows(tuple(rows), ncols), m)
+
+
 def splice_property_holds(shift: GroupShift, n: int, reach: int) -> bool:
     """Reference splice check on the full window [-reach, n + reach] with the
     block [0, n]: every element vanishing on the block matches on the strict

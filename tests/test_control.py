@@ -19,14 +19,15 @@ from groupshift.encoders import (CheckResult, PipelineFailure, conjugacy_certifi
                                  multiple_shift, socle_shift)
 from groupshift.groups import FiniteAbelianGroup
 from groupshift.shifts import (GroupShift, Horizons, _boundary_heads, _fixed_reach, _near_end,
-                               primary_shift, supported_words, torsion_presentation,
-                               torsion_window_projection)
+                               finite_type_memory, primary_shift, supported_words,
+                               torsion_presentation, torsion_window_projection)
 from groupshift.specfmt import parse_spec
 from groupshift.words import Word
 
 from conftest import (agrees_on, assert_decided_table, capped_torsion_form,
                       enumerate_elements, exact_margins, form_words, full_shift, make_shift,
-                      random_shift, restricted, window_projection_heads)
+                      mirrored_near_end, random_shift, restricted, reversed_state,
+                      window_projection_heads)
 
 
 def enumerated_index(shift, cap, past, ordered):
@@ -57,12 +58,18 @@ def enumerated_index(shift, cap, past, ordered):
     return None
 
 
-def stored_states(shift, mirror, kind=1):
-    """The near-end state sequence T_d(0), T_d(1), ... that `_near_end` stores
-    in the shift's table, run to its fixed point; width W reads entry
-    min(W, len - 1)."""
-    _near_end(shift, mirror, kind)
-    return shift.boundary_table["states"][mirror, kind][1]
+def stored_states(shift, tail, kind=1):
+    """The near-end state sequence that `_near_end` stores in the shift's
+    table, run to its fixed point: T_d(W) from W = s-1 on (W = 0 for a span
+    s <= 1, whose states do not move), so width W reads entry
+    min(W - first_width(shift), len - 1)."""
+    _near_end(shift, tail, kind)
+    return shift.boundary_table["states"][tail, kind][1]
+
+
+def first_width(shift):
+    """The width of the first state that `_near_end` stores."""
+    return max(shift.span - 1, 0)
 
 
 def test_full_shift_indices(z4):
@@ -355,7 +362,7 @@ def test_fail_fast_search_matches_reference():
     shifts += [parse_spec(SOCLE_FAILURE_SPEC).shift, LATE_FIXED_POINT]
     assert default_past_horizon(LATE_FIXED_POINT, 0) > 2 * LATE_FIXED_POINT.span
     socle = shifts[-2]  # its tail state is first fixed at width 2s
-    assert len(stored_states(socle, True)) == 2 * socle.span + 2
+    assert first_width(socle) + len(stored_states(socle, True)) == 2 * socle.span + 2
     assert default_past_horizon(socle, 0) == 2 * socle.span
     absent = 0
     for shift, cap in itertools.product(shifts, (0, 1, 3, 16)):
@@ -429,6 +436,29 @@ def test_raised_past_horizons_are_reported(tmp_path, capsys):
             f"{label}.monotone: yes\n" in out, label
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["Z2 x Z2", "Z4", "Z2 x Z4"]), st.randoms(use_true_random=False),
+       st.integers(17, 32))
+def test_default_caps_decide_long_spans_as_caps_of_four_reaches(group, rng, support):
+    # the defaults n_cap = max(16, R) and finite-type cap max(8, R), R the
+    # near-end fixed reach, give analyze's indices and memory and certify's
+    # verdict at caps of 4R, on single generators of support 17-32
+    group = FiniteAbelianGroup.parse(group)
+    nonzero = [c for c in itertools.product(*map(range, group.orders)) if any(c)]
+    syms = [rng.choice(nonzero), *(tuple(map(rng.randrange, group.orders))
+                                   for _ in range(support - 2)), rng.choice(nonzero)]
+    shift = GroupShift.make(group, [Word.make(group, 0, syms)])
+    horizons, big = Horizons.derive(shift), 4 * _fixed_reach(shift)
+    assert horizons.n_cap == max(16, big // 4)
+    at_default = analyze_controllability(shift, cap=horizons.n_cap)
+    at_big = analyze_controllability(shift, cap=big)
+    assert (at_default.plain.index, at_default.ordered.index) == \
+        (at_big.plain.index, at_big.ordered.index), shift
+    assert finite_type_memory(shift).memory == finite_type_memory(shift, big).memory, shift
+    assert conjugacy_certificate(shift).complete == \
+        conjugacy_certificate(shift, Horizons.derive(shift, n_cap=big)).complete, shift
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([*LATE_POOL, "Z2", "Z6", "Z12"]), st.randoms(use_true_random=False),
        st.integers(1, 6), st.integers(0, 6))
@@ -437,12 +467,12 @@ def test_verdicts_from_the_fixed_reach_on_are_the_verdicts_at_infinity(group, rn
     # state sequences are fixed, and from it on the boundary verdict, with
     # both near ends at their fixed points, is the full-window verdict
     shift = random_shift(rng, max_gens=3, max_support=support, pool=[group])
-    s, reach = shift.span, _fixed_reach(shift)
-    sequences = [stored_states(shift, mirror) for mirror in (False, True)]
+    s, reach, first = shift.span, _fixed_reach(shift), first_width(shift)
+    sequences = [stored_states(shift, tail) for tail in (False, True)]
 
     def fixed(R):
-        return all(states[min(R + 1, len(states) - 1)].packed ==
-                   states[min(R, len(states) - 1)].packed for states in sequences)
+        return all(states[min(R + 1 - first, len(states) - 1)].packed ==
+                   states[min(R - first, len(states) - 1)].packed for states in sequences)
 
     assert reach >= max(s - 1, 1)
     assert fixed(reach) and not any(map(fixed, range(max(s - 1, 1), reach))), shift
@@ -542,49 +572,78 @@ def test_far_states_rise_to_their_fixed_point():
 
 
 def test_near_end_states_match_their_definition():
-    # T_d(W): the span of the placements ending in [0, W-1], cut at 0 (or,
-    # for whole-placement states, those starting at 0 or later), with
-    # d*v == 0 on [0, W-s], projected to the last s-1 positions, for every
-    # divisor d of exp(H) (d = 1: the cut state S, which vanishes off them),
-    # read off one elimination of the whole block: each stored state T_d(W),
-    # and the fixed point that `_near_end` returns at every width past them,
-    # as the recursion must not stop a sequence still moving
+    # T_d(W) on the past side: the span of the placements ending in [0, W-1],
+    # cut at 0, with d*v == 0 on [0, W-s], projected to the last s-1
+    # positions; on the tail side its reflection: the placements starting in
+    # [0, W-1], cut at W-1, with d*v == 0 on [s-1, W-1], projected to the
+    # first s-1.  Every divisor d of exp(H) (d = 1: the cut state S, which
+    # vanishes off them), read off one elimination of the whole block: each
+    # stored state T_d(W) from W = s-1 on, and the fixed point that
+    # `_near_end` returns at every width past them, as the recursion must
+    # not stop a sequence still moving.  The whole-placement states are
+    # M^k(0), k steps from the zero state: the placements ending (tail:
+    # starting) in the last k frame steps, whole, that vanish on the k
+    # positions that left the frame, the same elimination at W = s-1+k
+    # over the placements that lie wholly in [0, W-1]
     rng = random.Random(29)
     longest = rising = scaled = 0
     for _ in range(40):
         shift = random_shift(rng, max_gens=3, max_support=rng.randrange(2, 6),
                              pool=["Z4", "Z8", "Z2 x Z4", "Z8 x Z4", "Z12", "Z9"])
         s, r, m = shift.span, shift.alphabet.rank, shift.alphabet.modulus
+        gens = [Word.make(g.group, 0, g.symbols) for g in shift.generators]
         kinds = [*_divisors(shift.alphabet.exponent), "whole"]
-        for mirror, kind in itertools.product((False, True), kinds):
-            gens = [Word.make(g.group, 0, g.symbols[::-1] if mirror else g.symbols)
-                    for g in shift.generators]
+        for tail, kind in itertools.product((False, True), kinds):
             whole, d = kind == "whole", 1 if kind == "whole" else kind
 
             def direct(width):
-                # every placement ending in [0, width-1], cut at 0 or whole
+                # every placement ending (tail: starting) in [0, width-1], cut
+                # at the far edge, or only the whole ones
                 rows = [row for g in gens for row in g.placed_rows(
-                    range(0 if whole else 1 - g.support_length,
+                    range(0, width - (s - 1 if whole else 0)) if tail else
+                    range(s - g.support_length if whole else 1 - g.support_length,
                           width - g.support_length + 1), 0, width * r)]
-                cut = (width - s + 1) * r
-                kept, _ = projection_heads(rows, m, [(0, cut, d)], [], cut, width * r)
-                return howell_form(PackedRows(kept.packed, kept.ncols), m)
+                near, cut = (s - 1) * r, (width - s + 1) * r
+                if tail:
+                    return projection_heads(rows, m, [(near, cut, d)], [], 0, near)[0]
+                return projection_heads(rows, m, [(0, cut, d)], [], cut, width * r)[0]
 
-            fixed = _near_end(shift, mirror, kind)
-            states = shift.boundary_table["states"][mirror, kind][1]
+            fixed = _near_end(shift, tail, kind)
+            states = stored_states(shift, tail, kind)
             assert fixed is states[-1]
-            for width in range(s - 1, max(len(states) + s, 3 * s + 11) + 1):
-                got, want = states[min(width, len(states) - 1)], direct(width)
+            for width in range(s - 1, max(len(states) + 2 * s, 3 * s + 11) + 1):
+                got, want = states[min(width - s + 1, len(states) - 1)], direct(width)
                 assert (got.packed, got.pivots) == (want.packed, want.pivots), \
-                    (shift, mirror, kind, width)
+                    (shift, tail, kind, width)
             if whole:
-                rising = max(rising, len(states) - s)
+                rising = max(rising, len(states) - 1)
             else:
-                longest = max(longest, len(states) - s)
+                longest = max(longest, len(states) - 1)
                 # a torsion state fixed apart from the cut one
-                scaled += d > 1 and \
-                    states[-1].packed != shift.boundary_table["states"][mirror, 1][1][-1].packed
+                scaled += d > 1 and states[-1].packed != stored_states(shift, tail)[-1].packed
     assert longest >= 3 and rising >= 3 and scaled >= 12, (longest, rising, scaled)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["Z2", "Z4", "Z8", "Z9", "Z2 x Z4", "Z8 x Z4", "Z9 x Z3", "Z6", "Z12",
+                        "Z2 x Z2 x Z3"]),
+       st.randoms(use_true_random=False), st.integers(1, 6))
+def test_near_end_walk_matches_the_mirrored_reference(group, rng, support):
+    # the walk from width s-1, both sides in window orientation, reaches the
+    # fixed points of the walk from width 0 on mirrored generators, its tail
+    # states reversed, for every kind, and so the same fixed reach; spans 1
+    # to 6 over prime-power and composite moduli
+    shift = random_shift(rng, max_gens=3, max_support=support, pool=[group])
+    divisors = _divisors(shift.alphabet.exponent)
+    for tail, kind in itertools.product((False, True),
+                                        [*divisors, "whole", *(("far", d) for d in divisors)]):
+        got, want = _near_end(shift, tail, kind), mirrored_near_end(shift, tail, kind)[-1]
+        if tail:
+            want = reversed_state(want, shift.alphabet.rank)
+        assert (got.ncols, got.packed, got.pivots) == (want.ncols, want.packed, want.pivots), \
+            (shift, tail, kind)
+    assert _fixed_reach(shift) == \
+        max(1, *(len(mirrored_near_end(shift, tail)) - 2 for tail in (False, True))), shift
 
 
 # -- the searches against a copy of the full-window search -----------------------

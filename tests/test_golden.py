@@ -18,7 +18,7 @@ from groupshift.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SPECS = ["full-z4", "delay-rep", "z6", "z8-z4", "z9-z3", "order-witness",
-         "scale-witness", "mixed-witness", "catastrophic", "cut-block"]
+         "scale-witness", "mixed-witness", "catastrophic", "cut-block", "long-span"]
 #: Specs that are not order-controllable and have no encoder to encode with.
 NEGATIVE = {"order-witness": 1, "scale-witness": 1, "mixed-witness": 1}
 #: Order-controllable specs whose canonical encoder `certify` refuses, so
@@ -51,7 +51,9 @@ COMMANDS = {
 # canonical encoder fails independent-block and noncatastrophic: the F_2[D]
 # determinant of its torsion words is (1+D)^2.  The cut-block spec's is
 # basic but fails independent-block, as a torsion word placed at -1 and cut
-# at the block's left edge equals the other one at 0.
+# at the block's left edge equals the other one at 0.  The long-span spec
+# (span 23) has indices 22 and memory 21, past the fixed caps 16 and 8 that
+# the defaults were before they rose to the near-end fixed reach R = 44.
 CASES = [(spec, name) for spec in SPECS for name in COMMANDS
          if (spec == "delay-rep" or "-long" not in name)
          and (spec not in {**NEGATIVE, **REFUSED} or not name.startswith("encode"))]
