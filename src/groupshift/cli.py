@@ -157,10 +157,7 @@ def cmd_analyze(args) -> int:
             report.add(f"socle.{p}.detail", socle.detail)
             negative = True
 
-    ft = finite_type_memory(shift, cap=args.ft_cap)
-    report.add("finite_type_memory",
-               ft.memory if ft.memory is not None else f"not-verified<={ft.cap}")
-    negative |= ft.memory is None
+    report.add("finite_type_memory", finite_type_memory(shift).memory)
 
     for label, search in (("controllability", ctrl.plain),
                           ("order_controllability", ctrl.ordered)):
@@ -353,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="controllability and finite-type analysis")
     p.add_argument("spec")
-    p.add_argument("--ft-cap", type=_at_least(1), default=None,
-                   help="finite-type memory search cap")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 

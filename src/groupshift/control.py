@@ -134,22 +134,26 @@ def _steering_witness(shift: GroupShift, n: int, past: int, scales: list[int]) -
     raise ArithmeticError(f"steering condition at n={n}, L={past} has no witness")
 
 
-def _index_search(shift: GroupShift, cap: int, scales: list[int]) -> IndexSearch:
-    """Least candidate n <= cap whose steering condition holds, with the
-    condition table run `_CONFIRM_STEPS` candidates past it (to cap, and
-    the cap candidate's witness, when none holds).  The table is monotone
-    (`default_past_horizon`), so the candidates 0, 1, 2, 4, ..., cap are
-    probed, the bracket below the first passing probe is scanned upward and
-    the table is read off the index.  The verdicts and near-end states live
-    in the shift's table, so searches over one shift share them; the
-    conditions reorder the caller's fresh list of scales."""
-    found, low = None, 0
+def _least_index(shift: GroupShift, cap: int, scales: list[int]) -> int | None:
+    """Least candidate n <= cap whose steering condition holds, or None: the
+    table is monotone (`default_past_horizon`), so the candidates 0, 1, 2,
+    4, ..., cap are probed and the bracket below the first passing probe is
+    scanned upward; the conditions reorder the caller's fresh list of scales."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    low = 0
     for probe in sorted({0, cap, *(1 << k for k in range(cap.bit_length()))}):
         if _steering_condition(shift, probe, scales):
-            found = next((n for n in range(low, probe)
-                          if _steering_condition(shift, n, scales)), probe)
-            break
+            return next((n for n in range(low, probe)
+                         if _steering_condition(shift, n, scales)), probe)
         low = probe + 1
+    return None
+
+
+def _index_search(shift: GroupShift, cap: int, scales: list[int]) -> IndexSearch:
+    """`_least_index`, with the condition table read off it `_CONFIRM_STEPS`
+    candidates past it (to cap, with the cap's witness, when none holds)."""
+    found = _least_index(shift, cap, scales)
     size = cap + 1 if found is None else min(cap, found + _CONFIRM_STEPS) + 1
     witness = None if found is not None else _steering_witness(
         shift, cap, default_past_horizon(shift, cap), scales)
@@ -159,15 +163,11 @@ def _index_search(shift: GroupShift, cap: int, scales: list[int]) -> IndexSearch
 
 def controllability_index(shift: GroupShift, cap: int) -> IndexSearch:
     """Least n <= cap steering every window past to zero, or absent."""
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
     return _index_search(shift, cap, [shift.alphabet.exponent])
 
 
 def order_controllability_index(shift: GroupShift, cap: int) -> IndexSearch:
     """Least n <= cap steering with order divisibility on [1, n], or absent."""
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
     return _index_search(shift, cap, _divisors(shift.alphabet.exponent))
 
 
@@ -189,7 +189,7 @@ def socle_controllability(shift: GroupShift, p: int,
     `shifts.torsion_presentation` of the p-primary component, a direct
     summand of G that holds G[p]."""
     windows = tuple((0, t) for t in range(horizons.window_horizon + 1))
-    if order_controllability_index(shift, horizons.n_cap).index is not None:
+    if _least_index(shift, horizons.n_cap, _divisors(shift.alphabet.exponent)) is not None:
         return WeakControllabilityReport(True, windows)
     failing = torsion_presentation(primary_shift(shift, p), p, horizons)[2]
     if failing is None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import count
 import math
 from typing import Sequence
 
@@ -368,15 +369,14 @@ def _boundary_heads(shift: GroupShift, block: int,
 
 @dataclass(frozen=True)
 class FiniteTypeReport:
-    memory: int | None
-    cap: int
+    memory: int
+    cap: int | None
 
 
 def finite_type_memory(shift: GroupShift, cap: int | None = None,
                        horizon: int | None = None) -> FiniteTypeReport:
-    """Least N <= cap (default max(8, `_fixed_reach`)) with the splice
-    property at every reach, absent when none has it.  At reach K, every
-    element of G|[-K, N+K] vanishing on the block [0, N] matches on
+    """Least N >= 1 with the splice property at every reach.  At reach K,
+    every element of G|[-K, N+K] vanishing on the block [0, N] matches on
     [N+1, N+K] one that also vanishes on [-K, -1]; that is, the submodule
     vanishing on the block splits into its parts vanishing on either side,
     so the left side may be kept instead:
@@ -389,13 +389,17 @@ def finite_type_memory(shift: GroupShift, cap: int | None = None,
     the block.  Extend x to x' in G|[-K-1, N+K+1]; x' still vanishes on the
     block.  Split x' at K+1, and restrict to [-K, N+K] the part that
     vanishes on the left: it vanishes on [-K, -1] and on the block, and
-    matches x on [N+1, N+K], so it splits x at K.  `horizon` is ignored; it
-    stays because `perfbench/ops.py:run_analyze` still passes it."""
-    cap = max(8, _fixed_reach(shift)) if cap is None else cap
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    return FiniteTypeReport(next((n for n in range(1, cap + 1)
-                                  if _boundary_heads(shift, n + 1, 1)[2]), None), cap)
+    matches x on [N+1, N+K], so it splits x at K.
+
+    The scan ends: a group shift X is of finite type (Kitchens 1987), with
+    some M >= 1 such that blocks of M+1 positions decide membership.  For
+    N >= M and x in X vanishing on [0, N], the point z that is 0 up to N and
+    x after it lies in X, as each such block lies in (-oo, N], where z is 0,
+    or in [0, oo), where z is x; and z splits x at every reach.  `cap` is
+    only echoed into the report and `horizon` is ignored; both stay as
+    `perfbench/ops.py:run_analyze` passes them."""
+    return FiniteTypeReport(next(n for n in count(1)
+                                 if _boundary_heads(shift, n + 1, 1)[2]), cap)
 
 
 # -- brute-force window code enumeration (independent oracle path) -----------

@@ -248,9 +248,9 @@ def padded_member(shift: GroupShift, w: Word, margin: int) -> bool:
 def exact_margins(shift: GroupShift) -> list[int]:
     """Margins at which the padded references are exact: max(3s + 6, 12),
     past every memory the tests' draws reach, and the verified memory + 1
-    where `finite_type_memory` finds one below 7."""
-    memory = finite_type_memory(shift, 6).memory
-    return [max(3 * shift.span + 6, 12)] + ([memory + 1] if memory is not None else [])
+    where `finite_type_memory` gives one below 7."""
+    memory = finite_type_memory(shift).memory
+    return [max(3 * shift.span + 6, 12)] + ([memory + 1] if memory <= 6 else [])
 
 
 def padded_initial_value_space(shift: GroupShift, p: int, margin: int,

@@ -480,7 +480,7 @@ def test_enum_cap_fails_oracle(tmp_path, capsys):
     (["certify", "{spec}", "--n-cap", "-1"], "--n-cap"),
     (["encode", "{spec}", "{spec}", "--horizon", "0"], "--horizon"),
     (["encode", "{spec}", "{spec}", "--block-cap", "x"], "--block-cap"),
-    (["analyze", "{spec}", "--ft-cap", "0"], "--ft-cap"),
+    (["analyze", "{spec}", "--support-cap", "0"], "--support-cap"),
     (["oracle", "{spec}", "--window", "0:1", "--list-cap", "-1"], "--list-cap"),
     (["oracle", "{spec}", "--window", "0:1", "--enum-cap", "-1"], "--enum-cap"),
     (["certify", "{spec}", "--window", "-1"], "--window"),
@@ -526,11 +526,12 @@ def test_window_below_zero_reads_the_same_spaced_or_joined(tmp_path, capsys, arg
     ["encode", "{spec}", "{spec}", "--seed", "1"],
     ["certify", "{spec}", "--margin", "-1"],
     ["encode", "{spec}", "{spec}", "--margin", "x"],
+    ["analyze", "{spec}", "--ft-cap", "3"],
 ])
 def test_flags_only_on_commands_that_read_them(tmp_path, capsys, argv):
     # no check draws random messages, so no command reads --trials or
-    # --seed, and no verdict reads the margin; each flag is a usage error
-    # everywhere
+    # --seed, no verdict reads the margin, and the finite-type scan has no
+    # cap; each flag is a usage error everywhere
     path = tmp_path / "full-z4.spec"
     path.write_text(FULL_Z4)
     code = main([a.format(spec=path) for a in argv])
@@ -577,7 +578,7 @@ FUZZ_GROUPS = ["Z2", "Z3", "Z4", "Z6", "Z9", "Z2 x Z2", "Z2 x Z4"]
 COMMON_FLAGS = {"--support-cap": (-1, 4), "--block-cap": (-1, 4), "--n-cap": (-1, 4),
                 "--horizon": (-1, 4)}
 FUZZ_FLAGS = {
-    "analyze": dict(COMMON_FLAGS, **{"--ft-cap": (-1, 3)}),
+    "analyze": COMMON_FLAGS,
     "generators": dict(COMMON_FLAGS, **{"--prime": (-1, 5)}),
     "certify": COMMON_FLAGS,
     "certify --check-presentation": COMMON_FLAGS,

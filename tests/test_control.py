@@ -27,7 +27,7 @@ from groupshift.words import Word
 from conftest import (agrees_on, assert_decided_table, capped_torsion_form,
                       enumerate_elements, exact_margins, form_words, full_shift, make_shift,
                       mirrored_near_end, random_shift, restricted, reversed_state,
-                      window_projection_heads)
+                      splice_property_holds, window_projection_heads)
 
 
 def enumerated_index(shift, cap, past, ordered):
@@ -440,9 +440,10 @@ def test_raised_past_horizons_are_reported(tmp_path, capsys):
 @given(st.sampled_from(["Z2 x Z2", "Z4", "Z2 x Z4"]), st.randoms(use_true_random=False),
        st.integers(17, 32))
 def test_default_caps_decide_long_spans_as_caps_of_four_reaches(group, rng, support):
-    # the defaults n_cap = max(16, R) and finite-type cap max(8, R), R the
-    # near-end fixed reach, give analyze's indices and memory and certify's
-    # verdict at caps of 4R, on single generators of support 17-32
+    # the default n_cap = max(16, R), R the near-end fixed reach, gives
+    # analyze's indices and certify's verdict at caps of 4R, and the
+    # uncapped finite-type memory M is the least that splices on the full
+    # window at reach R, on single generators of support 17-32
     group = FiniteAbelianGroup.parse(group)
     nonzero = [c for c in itertools.product(*map(range, group.orders)) if any(c)]
     syms = [rng.choice(nonzero), *(tuple(map(rng.randrange, group.orders))
@@ -454,7 +455,9 @@ def test_default_caps_decide_long_spans_as_caps_of_four_reaches(group, rng, supp
     at_big = analyze_controllability(shift, cap=big)
     assert (at_default.plain.index, at_default.ordered.index) == \
         (at_big.plain.index, at_big.ordered.index), shift
-    assert finite_type_memory(shift).memory == finite_type_memory(shift, big).memory, shift
+    memory = finite_type_memory(shift).memory
+    assert splice_property_holds(shift, memory, big // 4), shift
+    assert memory == 1 or not splice_property_holds(shift, memory - 1, big // 4), shift
     assert conjugacy_certificate(shift).complete == \
         conjugacy_certificate(shift, Horizons.derive(shift, n_cap=big)).complete, shift
 

@@ -160,7 +160,7 @@ def test_membership_needs_a_margin_past_the_memory():
     # equal them from margin 4 on
     shift = make_shift("Z4 x Z2 x Z2", [(0, [(3, 0, 1), (1, 0, 1), (0, 1, 0)]),
                                         (0, [(3, 0, 0), (0, 0, 1), (3, 0, 0)])])
-    assert finite_type_memory(shift, 8).memory == 3
+    assert finite_type_memory(shift).memory == 3
     word = impulse(shift.alphabet, (1, 1, 0))
     exact = supported_words(shift, 1)
     assert padded_member(shift, word, 3)
@@ -185,18 +185,13 @@ def test_difference_code_closure_is_full(z2):
 
 
 def test_finite_type_full_shift(z4):
-    assert finite_type_memory(full_shift(z4), 4).memory == 1
-
-
-def test_finite_type_cap_error(z4):
-    with pytest.raises(ValueError):
-        finite_type_memory(full_shift(z4), 0)
+    assert finite_type_memory(full_shift(z4)).memory == 1
 
 
 def test_finite_type_examples(delay_rep):
-    assert finite_type_memory(delay_rep, 4).memory == 1
+    assert finite_type_memory(delay_rep).memory == 1
     diff = make_shift("Z2", [(0, [1, 1])])
-    assert finite_type_memory(diff, 4).memory == 1
+    assert finite_type_memory(diff).memory == 1
 
 
 def test_splice_trivial_and_truncation(delay_rep):
@@ -226,7 +221,7 @@ def test_splice_rejects_a_glue_outside_the_shift():
     # at k = 2, the generator's head is kept without its tail, which is no
     # member; past the generator's support the glue is the generator itself
     s = make_shift("Z2 x Z2", [(0, [(1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 1)])])
-    assert finite_type_memory(s, 8).memory == 5
+    assert finite_type_memory(s).memory == 5
     g, zero = s.generators[0], Word.zero(s.alphabet)
     with pytest.raises(SpliceFailed, match="not in the shift: no splice at N=1"):
         splice(s, g, zero, 2, 1)
@@ -470,8 +465,9 @@ def test_splice_property_matches_two_form_reference():
     # full-window reference and the two-form reference, which keep the right
     # one, agree at reaches R..R+3, R the fixed reach; p-group and mixed
     # alphabets, spans <= 1 and delay shifts of memory 1..5; both verdicts
-    # must occur, and the memory must equal the full scan's over the reaches
-    # 1..R+3, with the memories 1..4 and not-verified all met at cap 4
+    # must occur, and the unbounded scan's memory M must equal the full
+    # scan's up to M over the reaches 1..R+3: M holds there and no N < M
+    # does, with the memories 1..5 all met
     rng = random.Random(41)
     cases = [random_shift(rng, max_gens=2, max_support=4, pool=[group])
              for group in P_GROUPS + MIXED_GROUPS for _ in range(6)]
@@ -491,11 +487,39 @@ def test_splice_property_matches_two_form_reference():
                 assert got == splice_property_holds(g, n, reach) == \
                     two_form_splice_property(g, n, reach), (g, n, reach)
             verdicts.add(got)
-        memory = finite_type_memory(g, 4).memory
-        assert memory == full_scan_memory(g, 4, fixed + 3), g
+        memory = finite_type_memory(g).memory
+        assert memory == full_scan_memory(g, memory, fixed + 3), g
         memories.add(memory)
     assert verdicts == {True, False}
-    assert memories == {1, 2, 3, 4, None}
+    assert memories == {1, 2, 3, 4, 5}
+
+
+SPLICE_SHIFTS = st.one_of(
+    st.builds(lambda group, rng, gens, support: random_shift(rng, gens, support, [group]),
+              st.sampled_from(P_GROUPS + MIXED_GROUPS), st.randoms(use_true_random=False),
+              st.integers(1, 3), st.integers(1, 8)),
+    st.builds(lambda echo, k: delay_shift(*echo, k),
+              st.sampled_from([("Z2 x Z2", (1, 0), (0, 1)), ("Z4 x Z9", (1, 0), (0, 1)),
+                               ("Z2 x Z2 x Z3", (1, 0, 1), (0, 1, 0))]),
+              st.integers(1, 10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SPLICE_SHIFTS)
+@example(delay_shift("Z2 x Z2", (1, 0), (0, 1), 10))
+@example(delay_shift("Z2 x Z2 x Z3", (1, 0, 1), (0, 1, 0), 10))
+@example(make_shift("Z2 x Z3", [(1, [(1, 2)]), (-1, [(0, 1)])]))
+@example(make_shift("Z4", [(0, [2])]))
+@example(GroupShift.make(FiniteAbelianGroup.parse("Z6"), []))
+def test_unbounded_scan_memory_is_least_full_window_splice(shift):
+    # the scan has no cap: its memory M splices on the full window at the
+    # fixed reach R, the verdict at every reach, and M - 1 does not; p-group
+    # and mixed alphabets, 1-3 generators of support up to 8, spans <= 1,
+    # and delay shifts up to memory 9, above the old default cap of 8
+    memory, reach = finite_type_memory(shift).memory, _fixed_reach(shift)
+    event(f"memory {memory}")
+    assert splice_property_holds(shift, memory, reach), shift
+    assert memory == 1 or not splice_property_holds(shift, memory - 1, reach), shift
 
 
 # -- oracle vs module enumeration ----------------------------------------------

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from groupshift import control, encoders, residues, shifts, words
+from groupshift.cli import main
 from groupshift.control import (_divisors, _steering_condition, analyze_controllability,
                                 order_controllability_index)
 from groupshift.encoders import (Horizons, check_injectivity, conjugacy_certificate, encode,
@@ -244,6 +245,23 @@ def test_failing_order_search_makes_few_steering_eliminations(monkeypatch):
             name
 
 
+def test_analyze_builds_each_printed_witness_once(monkeypatch, capsys):
+    # the socle lines only ask whether the order search finds n_o, so an
+    # analyze run builds the witness of the failing order search it prints
+    # and no copy of it, one socle line or two (Z12)
+    built, witness = [], control._steering_witness
+
+    def record(*args):
+        built.append(args)
+        return witness(*args)
+    monkeypatch.setattr(control, "_steering_witness", record)
+    for name in ("order-witness", "scale-witness", "mixed-witness"):
+        built.clear()
+        assert main(["analyze", str(ROOT / "tests" / "golden" / f"{name}.spec")]) == 1, name
+        assert "order_controllability.witness: " in capsys.readouterr().out, name
+        assert len(built) == 1, name
+
+
 def test_no_steering_elimination_passes_a_vacuous_condition(monkeypatch):
     # d * v == 0 holds for every v when d is 0 mod m, so the order search's
     # scale exp(H) is the plain condition and is eliminated without condition
@@ -302,7 +320,7 @@ def test_finite_type_scan_eliminates_boundary_windows_only(monkeypatch):
     for path in sorted((ROOT / "tests" / "golden").glob("*.spec")):
         shift = parse_spec(path.read_text()).shift
         calls.clear()
-        finite_type_memory(shift, cap=8)
+        finite_type_memory(shift)
         assert calls, path.name
         for _, _, conditions, zeros, lo, hi in calls:
             (_, block, _), = conditions
@@ -474,7 +492,7 @@ def test_analyze_builds_each_near_end_state_once(monkeypatch):
         built.clear()
         horizons = Horizons.derive(shift)
         analyze_controllability(shift, cap=horizons.n_cap, horizon=horizons.window_horizon)
-        finite_type_memory(shift, cap=8)
+        finite_type_memory(shift)
         parts = [primary_shift(shift, p) for p in shift.alphabet.primes()]
         for p, part in zip(shift.alphabet.primes(), parts):
             torsion_presentation(part, p, horizons)
